@@ -9,10 +9,12 @@ package lp
 // variable bound is reinstated by a handful of dual-simplex pivots instead of
 // a full phase-1 run from the logical basis.
 //
-// A Basis is immutable once created and safe to share across goroutines; the
-// branch-and-bound hands one parent snapshot to both children. Statuses are
-// packed two bits per variable, so a snapshot costs ≈(n+m)/4 bytes plus one
-// int32 per row — cheap enough to hang off every open search node.
+// A Basis is read-only while any solve may still be seeded from it and safe
+// to share across goroutines for that long; the branch-and-bound hands one
+// parent snapshot to both children and recycles its memory (Reset, then
+// Scratch.SnapshotBasis) once both are solved. Statuses are packed two bits
+// per variable, so a snapshot costs ≈(n+m)/4 bytes plus one int32 per row —
+// cheap enough to hang off every open search node.
 //
 // Determinism: Basis is part of the solve's determinism domain. A solve is a
 // pure function of (Problem, bounds, Options) including Options.Basis — the
@@ -37,21 +39,36 @@ func (b *Basis) statusAt(j int) byte {
 	return byte(b.packed[j>>5] >> uint((j&31)*2) & 3)
 }
 
-// snapshotBasis captures the solver's current basis and statuses.
-func (s *simplex) snapshotBasis() *Basis {
-	b := &Basis{
-		n:      s.n,
-		m:      s.m,
-		packed: make([]uint64, (s.total+31)/32),
-		basis:  make([]int32, s.m),
+// SnapshotBasis writes the final basis and statuses of the Scratch's most
+// recent solve into dst, reusing dst's buffers when they are large enough. It
+// is the lazy form of Options.WantBasis: the state stays live until the
+// Scratch's next solve, so a caller that needs the basis of only some solves
+// (branch-and-bound keeps one per branching node) asks after the fact and
+// supplies recycled memory. Meaningful only after a StatusOptimal solve.
+func (sc *Scratch) SnapshotBasis(dst *Basis) {
+	s := &sc.sim
+	dst.n, dst.m = s.n, s.m
+	dst.packed = grow(dst.packed, (s.total+31)/32)
+	for w := range dst.packed {
+		var bits uint64
+		for j := w * 32; j < s.total && j < w*32+32; j++ {
+			bits |= uint64(s.status[j]) << uint((j&31)*2)
+		}
+		dst.packed[w] = bits
 	}
-	for j := 0; j < s.total; j++ {
-		b.packed[j>>5] |= uint64(s.status[j]) << uint((j&31)*2)
-	}
+	dst.basis = grow(dst.basis, s.m)
 	for k, v := range s.basis {
-		b.basis[k] = int32(v)
+		dst.basis[k] = int32(v)
 	}
-	return b
+}
+
+// Reset empties the snapshot and keeps its buffers for a later
+// SnapshotBasis. An empty snapshot matches no problem's shape, so a solve
+// seeded with a Basis that was reset (recycled) under it falls back to the
+// cold path instead of reading another solve's basis.
+func (b *Basis) Reset() {
+	b.n, b.m = 0, 0
+	b.packed, b.basis = b.packed[:0], b.basis[:0]
 }
 
 // loadBasis installs a snapshot as the solver's starting basis: statuses and

@@ -200,13 +200,17 @@ type Options struct {
 	// compare results must treat it like any other Options field.
 	Basis *Basis
 	// WantBasis asks the solver to attach a basis snapshot of the optimal
-	// basis to the Solution (nil unless Status is StatusOptimal).
+	// basis to the Solution (nil unless Status is StatusOptimal). See
+	// Scratch.SnapshotBasis for taking it after the fact.
 	WantBasis bool
-	// Scratch, when non-nil, lends the solver reusable working memory
-	// (basis-inverse rows, eta file, pricing vectors) so repeated solves —
-	// branch-and-bound explores thousands of near-identical LPs — stop
-	// allocating per solve. A Scratch must not be shared by concurrent
-	// solves; the MILP layer keeps one per worker.
+	// Scratch, when non-nil, lends the solver all the memory a solve needs —
+	// its own state, the returned Solution, X and Basis, basis-inverse rows,
+	// eta file, pricing vectors — so repeated solves (branch-and-bound
+	// explores thousands of near-identical LPs) allocate nothing. The
+	// returned *Solution then aliases the Scratch: it, its X and its Basis
+	// are valid until the Scratch's next solve, which overwrites them in
+	// place; copy what must outlive that. A Scratch must not be shared by
+	// concurrent solves; the MILP layer keeps one per worker.
 	Scratch *Scratch
 }
 
@@ -227,7 +231,9 @@ func (o *Options) withDefaults(m, n int) Options {
 	return out
 }
 
-// Solution is the result of a solve.
+// Solution is the result of a solve. When the solve was lent an
+// Options.Scratch the Solution lives in it (see there for how long it is
+// valid); otherwise it is the caller's alone.
 type Solution struct {
 	Status Status
 	// X holds the structural variable values (valid when Status is

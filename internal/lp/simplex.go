@@ -20,64 +20,29 @@ const (
 	refactorEvery = 100  // pivots between basis refactorizations
 )
 
-// Scratch is reusable solver working memory: basis-inverse rows, the eta
-// file, pricing and ratio-test vectors, and the refactorization workspace.
-// A zero Scratch is ready to use; buffers grow to the largest problem seen
-// and are retained across solves. Not safe for concurrent solves — callers
-// that solve in parallel (the MILP branch-and-bound) keep one per worker.
+// Scratch is everything a solve allocates: the solver state itself (basis
+// inverse rows, eta file, pricing and ratio-test vectors, refactorization
+// workspace) and the returned Solution with its X and, under WantBasis, its
+// Basis. A zero Scratch is ready to use; buffers grow to the largest problem
+// seen and are retained across solves, so a solve on a warm Scratch
+// allocates nothing. The Solution a solve returns points into the Scratch
+// and is overwritten by the Scratch's next solve. Not safe for concurrent
+// solves — callers that solve in parallel (the MILP branch-and-bound) keep
+// one per worker.
 type Scratch struct {
-	lo, hi     []float64
-	status     []byte
-	basis, pos []int
-	binvBack   []float64
-	binvRows   [][]float64
-	refacBack  []float64
-	refacRows  [][]float64
-	xb         []float64
-	cost       []float64
-	y, w, v    []float64
-	rho, cb    []float64
-	etaR       []int
-	etaOff     []int
-	etaWr      []float64
-	etaVal     []float64
-	etaIdx     []int32
+	sim  simplex
+	sol  Solution
+	x    []float64
+	snap Basis
 }
 
-func growFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]float64, n)
+// grow returns buf resized to n elements, reallocating only when its
+// capacity falls short. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
 	}
-	return *buf
-}
-
-func growBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]byte, n)
-	}
-	return *buf
-}
-
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([]int, n)
-	}
-	return *buf
-}
-
-func growRows(buf *[][]float64, n int) [][]float64 {
-	if cap(*buf) >= n {
-		*buf = (*buf)[:n]
-	} else {
-		*buf = make([][]float64, n)
-	}
-	return *buf
+	return make([]T, n)
 }
 
 // simplex is the working state of one solve. The basis inverse is kept in
@@ -96,10 +61,11 @@ type simplex struct {
 	lo, hi []float64 // bounds for all vars (structural then logical)
 	status []byte    // statusAtLower / statusAtUpper / statusFree / statusBasic
 
-	basis []int       // basis[k] = variable basic in position k
-	pos   []int       // pos[j] = basis position of var j, or -1
-	binv  [][]float64 // dense refactorized basis inverse, m×m
-	xb    []float64   // values of basic variables
+	basis    []int       // basis[k] = variable basic in position k
+	pos      []int       // pos[j] = basis position of var j, or -1
+	binv     [][]float64 // dense refactorized basis inverse, m×m
+	binvBack []float64   // backing of binv's rows
+	xb       []float64   // values of basic variables
 
 	cost []float64 // current phase cost for all vars
 	y    []float64 // duals c_Bᵀ·B⁻¹
@@ -128,9 +94,13 @@ type simplex struct {
 	blandActive bool
 
 	hasDL bool     // opts.Deadline is set
-	sc    *Scratch // caller-owned scratch to hand grown eta buffers back to
+	sc    *Scratch // the Scratch this state lives in
 }
 
+// newSimplex re-initialises the solver state inside the Scratch the options
+// lend — or inside a fresh one, which the returned Solution then keeps alive —
+// so lent and unlent solves run the same code. Counters restart from zero;
+// the buffers of the Scratch's previous solve carry over.
 func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 	n, m := p.nvars, len(p.rowLo)
 	opts := o.withDefaults(m, n)
@@ -138,42 +108,41 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	s := &simplex{
-		p:      p,
-		opts:   opts,
-		n:      n,
-		m:      m,
-		total:  n + m,
-		lo:     growFloats(&sc.lo, n+m),
-		hi:     growFloats(&sc.hi, n+m),
-		status: growBytes(&sc.status, n+m),
-		basis:  growInts(&sc.basis, m),
-		pos:    growInts(&sc.pos, n+m),
-		xb:     growFloats(&sc.xb, m),
-		cost:   growFloats(&sc.cost, n+m),
-		y:      growFloats(&sc.y, m),
-		w:      growFloats(&sc.w, m),
-		v:      growFloats(&sc.v, m),
-		rho:    growFloats(&sc.rho, m),
-		cb:     growFloats(&sc.cb, m),
-		sc:     opts.Scratch,
+	s := &sc.sim
+	*s = simplex{
+		p:         p,
+		opts:      opts,
+		n:         n,
+		m:         m,
+		total:     n + m,
+		lo:        grow(s.lo, n+m),
+		hi:        grow(s.hi, n+m),
+		status:    grow(s.status, n+m),
+		basis:     grow(s.basis, m),
+		pos:       grow(s.pos, n+m),
+		binv:      grow(s.binv, m),
+		binvBack:  grow(s.binvBack, m*m),
+		xb:        grow(s.xb, m),
+		cost:      grow(s.cost, n+m),
+		y:         grow(s.y, m),
+		w:         grow(s.w, m),
+		v:         grow(s.v, m),
+		rho:       grow(s.rho, m),
+		cb:        grow(s.cb, m),
+		etaR:      s.etaR[:0],
+		etaOff:    append(s.etaOff[:0], 0),
+		etaWr:     s.etaWr[:0],
+		etaVal:    s.etaVal[:0],
+		etaIdx:    s.etaIdx[:0],
+		refacBack: grow(s.refacBack, 2*m*m),
+		refacRows: grow(s.refacRows, m),
+		hasDL:     !opts.Deadline.IsZero(),
+		sc:        sc,
 	}
-	back := growFloats(&sc.binvBack, m*m)
-	s.binv = growRows(&sc.binvRows, m)
 	for i := 0; i < m; i++ {
-		s.binv[i] = back[i*m : (i+1)*m]
-	}
-	s.refacBack = growFloats(&sc.refacBack, 2*m*m)
-	s.refacRows = growRows(&sc.refacRows, m)
-	for i := 0; i < m; i++ {
+		s.binv[i] = s.binvBack[i*m : (i+1)*m]
 		s.refacRows[i] = s.refacBack[2*m*i : 2*m*(i+1)]
 	}
-	s.etaR = sc.etaR[:0]
-	s.etaWr = sc.etaWr[:0]
-	s.etaVal = sc.etaVal[:0]
-	s.etaIdx = sc.etaIdx[:0]
-	s.etaOff = append(sc.etaOff[:0], 0)
-	s.hasDL = !opts.Deadline.IsZero()
 	copy(s.lo, varLo)
 	copy(s.hi, varHi)
 	for i := 0; i < m; i++ {
@@ -184,20 +153,6 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 	// logical basis, the warm path goes straight to loadBasis — skipping a
 	// redundant basis-inverse init and computeXB pass per warm solve.
 	return s
-}
-
-// releaseScratch hands append-grown eta buffers back to the caller's Scratch
-// so the capacity survives into the next solve. The fixed-size buffers were
-// registered at newSimplex time.
-func (s *simplex) releaseScratch() {
-	if s.sc == nil {
-		return
-	}
-	s.sc.etaR = s.etaR
-	s.sc.etaWr = s.etaWr
-	s.sc.etaVal = s.etaVal
-	s.sc.etaIdx = s.etaIdx
-	s.sc.etaOff = s.etaOff
 }
 
 // resetToLogicalBasis installs the all-logical starting basis: B = −I, so
@@ -562,7 +517,8 @@ func (s *simplex) solve() (*Solution, error) {
 			return nil, err
 		}
 	}
-	sol := &Solution{
+	sol := &s.sc.sol
+	*sol = Solution{
 		Status:      st,
 		X:           s.extractX(),
 		Iters:       s.iters,
@@ -574,14 +530,15 @@ func (s *simplex) solve() (*Solution, error) {
 		sol.Obj += s.p.obj[j] * sol.X[j]
 	}
 	if s.opts.WantBasis && st == StatusOptimal {
-		sol.Basis = s.snapshotBasis()
+		sol.Basis = &s.sc.snap
+		s.sc.SnapshotBasis(sol.Basis)
 	}
-	s.releaseScratch()
 	return sol, nil
 }
 
 func (s *simplex) extractX() []float64 {
-	x := make([]float64, s.n)
+	s.sc.x = grow(s.sc.x, s.n)
+	x := s.sc.x
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == statusBasic {
 			x[j] = s.xb[s.pos[j]]

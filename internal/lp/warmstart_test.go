@@ -153,7 +153,6 @@ func TestWarmStartInfeasibleChild(t *testing.T) {
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	p := buildBranchy(20)
 	sc := &Scratch{}
-	var prev *Solution
 	for rep := 0; rep < 4; rep++ {
 		sol, err := Solve(p, &Options{Scratch: sc, WantBasis: true})
 		if err != nil || sol.Status != StatusOptimal {
@@ -172,7 +171,6 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("rep %d: X[%d] differs with scratch reuse", rep, j)
 			}
 		}
-		prev = sol
 	}
 	// Scratch must also be reusable across differently-sized problems.
 	small := buildBranchy(5)
@@ -184,7 +182,101 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	if sSol.Obj != fSol.Obj {
 		t.Fatalf("small scratch obj %g != fresh %g", sSol.Obj, fSol.Obj)
 	}
-	_ = prev
+}
+
+// TestScratchSolutionAliasing states the contract of a lent Scratch: the
+// Solution, its X and its Basis live in the Scratch and the next solve
+// overwrites them in place; what the caller copied out is its own, and a
+// solve that was lent nothing returns memory nobody else touches.
+func TestScratchSolutionAliasing(t *testing.T) {
+	p := buildBranchy(20)
+	want, err := Solve(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := append([]float64(nil), p.varLo...)
+	hi := append([]float64(nil), p.varHi...)
+	for j, x := range want.X {
+		if x > 0 {
+			hi[j] = 0 // a different optimum
+			break
+		}
+	}
+	wantChild, err := SolveWithBounds(p, lo, hi, nil)
+	if err != nil || wantChild.Obj == want.Obj {
+		t.Fatalf("child must move the optimum: %v vs %v (err=%v)", wantChild.Obj, want.Obj, err)
+	}
+
+	sc := &Scratch{}
+	first, err := Solve(p, &Options{Scratch: sc, WantBasis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := append([]float64(nil), first.X...)
+	var keptBasis Basis
+	sc.SnapshotBasis(&keptBasis)
+	second, err := SolveWithBounds(p, lo, hi, &Options{Scratch: sc, WantBasis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second || &first.X[0] != &second.X[0] || first.Basis != second.Basis {
+		t.Fatal("solves on one Scratch must return the Scratch's one Solution, X and Basis")
+	}
+	if first.Obj != wantChild.Obj {
+		t.Fatalf("the first Solution must now read as the second solve: obj %v, want %v", first.Obj, wantChild.Obj)
+	}
+	for j := range kept {
+		if first.X[j] != wantChild.X[j] {
+			t.Fatalf("X[%d] = %v after the second solve, want the child's %v", j, first.X[j], wantChild.X[j])
+		}
+		if kept[j] != want.X[j] {
+			t.Fatalf("copied X[%d] = %v changed under the second solve, want %v", j, kept[j], want.X[j])
+		}
+	}
+	// The snapshot taken into caller memory still seeds the parent's basis:
+	// re-solving the parent from it needs no iteration.
+	again, err := Solve(p, &Options{Basis: &keptBasis})
+	if err != nil || !again.WarmStarted || again.Iters != 0 || math.Abs(again.Obj-want.Obj) > 1e-9 {
+		t.Fatalf("kept basis: %+v err=%v", again, err)
+	}
+	// A recycled basis is unloadable, not stale.
+	keptBasis.Reset()
+	cold, err := Solve(p, &Options{Basis: &keptBasis})
+	if err != nil || cold.WarmStarted || cold.Obj != want.Obj {
+		t.Fatalf("reset basis: %+v err=%v", cold, err)
+	}
+	// Unlent solves share nothing.
+	a, _ := Solve(p, &Options{WantBasis: true})
+	b, _ := SolveWithBounds(p, lo, hi, &Options{WantBasis: true})
+	if a == b || &a.X[0] == &b.X[0] || a.Basis == b.Basis || a.Obj != want.Obj {
+		t.Fatal("solves without a Scratch must not share memory")
+	}
+}
+
+// TestWarmSolveAllocatesNothing is the kernel's allocation budget: a
+// warm-started solve on a Scratch that has seen the problem, basis snapshot
+// included, allocates nothing — state, Solution, X and Basis all live in the
+// Scratch. Branch-and-bound runs this tens of thousands of times per query.
+func TestWarmSolveAllocatesNothing(t *testing.T) {
+	p := buildBranchy(24)
+	parent, err := Solve(p, &Options{WantBasis: true})
+	if err != nil || parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v err=%v", parent, err)
+	}
+	lo := append([]float64(nil), p.varLo...)
+	hi := append([]float64(nil), p.varHi...)
+	hi[3] = 1
+	opts := &Options{Basis: parent.Basis, WantBasis: true, Scratch: &Scratch{}}
+	solve := func() {
+		sol, err := SolveWithBounds(p, lo, hi, opts)
+		if err != nil || sol.Status != StatusOptimal || !sol.WarmStarted || sol.Iters == 0 || sol.Basis == nil {
+			t.Fatalf("warm child: %+v err=%v", sol, err)
+		}
+	}
+	solve() // grows the Scratch
+	if n := testing.AllocsPerRun(50, solve); n != 0 {
+		t.Fatalf("warm solve on a lent Scratch allocates %v objects, want 0", n)
+	}
 }
 
 func TestDualBoundFlipFastPath(t *testing.T) {

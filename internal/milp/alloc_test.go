@@ -1,0 +1,97 @@
+package milp
+
+import (
+	"testing"
+
+	"spq/internal/rng"
+)
+
+// Every test of this package runs with released LP points overwritten (see
+// poisonRecycled), the determinism matrix included.
+func init() { poisonRecycled = true }
+
+// TestNodeLoopAllocatesNothing is the search's allocation budget. Setting a
+// Solve up allocates (model build, presolve, scratch, the first bases and
+// node slabs while the frontier widens); a node of the steady state must
+// not. The same knapsack cut at N and at 2N nodes differs by N such nodes.
+func TestNodeLoopAllocatesNothing(t *testing.T) {
+	const n = 2000
+	m := knapsackModel(rng.NewStream(5), 35, 17.5)
+	allocs := func(maxNodes int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := Solve(m, &Options{MaxNodes: maxNodes})
+			if err != nil || res.Nodes != maxNodes {
+				t.Fatalf("MaxNodes=%d: explored %d nodes, err=%v", maxNodes, res.Nodes, err)
+			}
+		})
+	}
+	base, double := allocs(n), allocs(2*n)
+	if perNode := (double - base) / n; perNode >= 0.1 {
+		t.Fatalf("%.3f allocations per extra node (%v at %d nodes, %v at %d), want < 0.1",
+			perNode, base, n, double, 2*n)
+	}
+}
+
+// TestGoldenKernelCounters pins the solver's deterministic work counters on
+// the two benchmark instance sets. They are a function of node order, pivot
+// choice and warm-start coverage, so a change that only moves memory around
+// must leave them exactly here; a recycled basis read after its release
+// shows up as a lost warm start.
+func TestGoldenKernelCounters(t *testing.T) {
+	total := func(models []*Model, o *Options) (lpIters, nodes, warm int) {
+		for _, m := range models {
+			res, err := Solve(m, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lpIters += res.LPIters
+			nodes += res.Nodes
+			warm += res.WarmStarts
+		}
+		return
+	}
+	knap := []*Model{knapsackModel(rng.NewStream(5), 26, 13)} // BenchmarkSolveParallel's
+	for _, w := range workerMatrix {
+		if it, nd, wm := total(knap, &Options{Parallelism: w}); it != 176 || nd != 105 || wm != 104 {
+			t.Fatalf("knapsack, %d workers: %d LP iters / %d nodes / %d warm starts, want 176 / 105 / 104", w, it, nd, wm)
+		}
+	}
+	if it, nd, wm := total(propertyCorpus(), nil); it != 2327 || nd != 2357 || wm != 2318 {
+		t.Fatalf("property corpus: %d LP iters / %d nodes / %d warm starts, want 2327 / 2357 / 2318", it, nd, wm)
+	}
+}
+
+// TestRootBasisSurvivesLaterSolves: Result.RootBasis crosses the Solve
+// boundary (the engine keeps it to warm-start a re-solve after a delta), so
+// it must be the caller's own copy, out of reach of the search's recycling
+// and of any later Solve on the same model.
+func TestRootBasisSurvivesLaterSolves(t *testing.T) {
+	m := knapsackModel(rng.NewStream(5), 26, 13)
+	first, err := Solve(m, &Options{WantRootBasis: true})
+	if err != nil || first.RootBasis == nil {
+		t.Fatalf("first solve: %+v err=%v", first, err)
+	}
+	cold, err := Solve(m, &Options{MaxNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seeded with its own optimal basis the root re-solve needs no pivot.
+	rootIters := func() int {
+		res, err := Solve(m, &Options{RootBasis: first.RootBasis, WantRootBasis: true, MaxNodes: 1})
+		if err != nil || res.WarmStarts != 1 || res.RootBasis == first.RootBasis {
+			t.Fatalf("re-solve from RootBasis: %+v err=%v", res, err)
+		}
+		return res.LPIters
+	}
+	if cold.LPIters == 0 || rootIters() != 0 {
+		t.Fatalf("root LP: %d iterations cold, %d from RootBasis, want > 0 and 0", cold.LPIters, rootIters())
+	}
+	for _, w := range workerMatrix {
+		if _, err := Solve(m, &Options{Parallelism: w, RootBasis: first.RootBasis}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rootIters() != 0 {
+		t.Fatal("RootBasis changed under later solves of the same model")
+	}
+}

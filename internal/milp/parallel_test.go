@@ -30,8 +30,8 @@ func solveWith(t *testing.T, m *Model, workers int, base *Options) *Result {
 }
 
 // assertBitIdentical requires the full determinism contract: Status, Obj,
-// Bound, Nodes, and every element of X equal exactly (==, not within
-// tolerance) across worker counts.
+// Bound, Nodes, the LP kernel's work counters and every element of X equal
+// exactly (==, not within tolerance) across worker counts.
 func assertBitIdentical(t *testing.T, tag string, base, got *Result, workers int) {
 	t.Helper()
 	if got.Status != base.Status {
@@ -45,6 +45,13 @@ func assertBitIdentical(t *testing.T, tag string, base, got *Result, workers int
 	}
 	if got.Nodes != base.Nodes {
 		t.Fatalf("%s: workers=%d nodes %d != sequential %d", tag, workers, got.Nodes, base.Nodes)
+	}
+	// The kernel counters too: a node solved from the wrong (recycled) basis,
+	// or from none, may still reach the same optimum, but not by the same
+	// pivots.
+	if got.LPIters != base.LPIters || got.WarmStarts != base.WarmStarts || got.BoundFlips != base.BoundFlips {
+		t.Fatalf("%s: workers=%d LP iters / warm starts / bound flips %d / %d / %d != sequential %d / %d / %d", tag, workers,
+			got.LPIters, got.WarmStarts, got.BoundFlips, base.LPIters, base.WarmStarts, base.BoundFlips)
 	}
 	if (got.X == nil) != (base.X == nil) || len(got.X) != len(base.X) {
 		t.Fatalf("%s: workers=%d X shape diverged", tag, workers)

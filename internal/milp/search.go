@@ -12,10 +12,10 @@ import (
 )
 
 // The branch-and-bound search is an explicit node pool rather than a
-// recursive depth-first dive. Nodes are immutable once created: each carries
-// one bound delta (the branching variable's new interval) plus a parent
-// pointer, so any worker can materialize a node's full bound vectors into
-// private scratch space and solve its LP without coordination. This removes
+// recursive depth-first dive. Nodes are read-only while a round runs: each
+// carries one bound delta (the branching variable's new interval) plus a
+// parent pointer, so any worker can materialize a node's full bound vectors
+// into private scratch space and solve its LP without coordination. This removes
 // the old dive's unbounded goroutine-stack growth (one frame per fixed
 // binary) and is what makes concurrent exploration possible at all.
 //
@@ -28,6 +28,10 @@ import (
 //   - every child node carries its parent's optimal basis and each node LP
 //     is warm-started from it (dual-simplex reinstatement instead of
 //     phase 1), with per-worker lp.Scratch reused across node solves;
+//   - the node loop allocates nothing: a node's LP solve lives in its
+//     worker's lp.Scratch, bases are snapshotted only at branching nodes into
+//     buffers recycled through per-worker free lists, nodes come from slabs,
+//     and the frontier is a stack that rounds pop from and push back onto;
 //   - branch variables are chosen by pseudocosts seeded from
 //     most-fractional, learned from realized objective degradations.
 //
@@ -57,22 +61,33 @@ import (
 // (the snapshot lags the live incumbent by at most one round).
 const roundSize = 64
 
+// nodeBasis is a branching node's optimal basis, the warm start of its
+// children. refs counts the children not yet solved; when the merge section
+// brings it to zero the buffer goes back to a worker's free list.
+type nodeBasis struct {
+	lp.Basis
+	refs int
+}
+
 // bbNode is one open branch-and-bound subproblem: the parent's bounds
-// narrowed by [lo, hi] on branchVar. Nodes are immutable after creation and
-// shared across workers without locks (seedBasis is cleared by the
-// single-goroutine merge section once the node has been processed, never
-// during a round).
+// narrowed by [lo, hi] on branchVar. Workers only read nodes and share them
+// without locks; the single-goroutine merge section between rounds is the
+// only writer (it fills nodes in, releases seed once the node has been
+// processed, counts open, and reuses a node whose subtree is retired).
 type bbNode struct {
 	parent    *bbNode
 	branchVar int
 	lo, hi    float64
 	digit     byte // canonical path digit: 0 = down (≤ floor), 1 = up (≥ ceil)
 	depth     int32
+	// open counts the children whose subtrees are not fully retired; the
+	// merge section sets it and recycles the node when it returns to zero.
+	open int32
 
-	// seedBasis is the parent's optimal basis, the node LP's warm start.
-	// It is released (nil'd) after the node is processed so deep trees do
-	// not retain one snapshot per ancestor.
-	seedBasis *lp.Basis
+	// seed is the parent's optimal basis, the node LP's warm start, shared
+	// with the sibling. It is released after the node is processed so deep
+	// trees do not retain one snapshot per ancestor.
+	seed *nodeBasis
 	// parentObj is the parent's (reduced-space) LP objective and frac the
 	// branch variable's fractional part at the parent optimum; together
 	// they turn this node's LP bound into a pseudocost observation.
@@ -121,14 +136,42 @@ func replaces(cand, cur incumbent) bool {
 	return bytes.Compare(cand.path, cur.path) < 0
 }
 
-// bbScratch is per-worker reusable state: bound materialization buffers plus
-// the worker's lp.Scratch, which the simplex reuses across its node solves
-// (basis-inverse backing, eta file, pricing vectors).
+// bbScratch is per-worker reusable state: bound materialization buffers, the
+// worker's lp.Scratch, in which every one of its node solves lives, and its
+// free list of basis buffers.
 type bbScratch struct {
-	lo, hi []float64
-	stamp  []int // stamp[j] == epoch ⟹ var j already overridden this node
-	epoch  int
-	lp     *lp.Scratch
+	lo, hi  []float64 // root bounds, overridden at touched by the previous node's path
+	touched []int
+	stamp   []int // stamp[j] == epoch ⟹ var j already overridden this node
+	epoch   int
+	lp      *lp.Scratch
+	// bases is popped by the worker during a round and refilled only by the
+	// merge section between rounds, so it needs no lock.
+	bases []*nodeBasis
+}
+
+func (sc *bbScratch) takeBasis() *nodeBasis {
+	if k := len(sc.bases) - 1; k >= 0 {
+		b := sc.bases[k]
+		sc.bases = sc.bases[:k]
+		return b
+	}
+	return &nodeBasis{}
+}
+
+// poisonRecycled is switched on by this package's tests: an LP point the
+// search is done with is overwritten with NaN, so code that still read it
+// after the worker's next solve reused the memory would change a result
+// instead of passing by luck. (A recycled basis needs no switch: Reset makes
+// it unloadable, which the warm-start counters show.)
+var poisonRecycled bool
+
+func releaseX(x []float64) {
+	if poisonRecycled {
+		for j := range x {
+			x[j] = math.NaN()
+		}
+	}
 }
 
 // pseudocosts is the per-variable branching history: average objective
@@ -182,7 +225,8 @@ func (pc *pseudocosts) rate(j int, up bool) float64 {
 type bbResult struct {
 	done     bool      // false when a limit stopped the worker before this node
 	complete bool      // subtree fully resolved (pruned/feasible/infeasible/branched)
-	children []*bbNode // open subproblems, in preferred exploration order
+	kids     [2]bbNode // kids[:nkids] are the open subproblems, in preferred exploration
+	nkids    int       // order; the merge section copies them into nodes of its own
 	cand     incumbent // integer-feasible point found here (x nil if none)
 	lpIters  int       // simplex iterations spent on this node's LP solve
 	warm     bool      // the node LP accepted its warm-start basis
@@ -224,6 +268,9 @@ type search struct {
 	workers    int
 	pc         *pseudocosts
 	scratches  []*bbScratch
+	results    []bbResult // one slot per node of the current round
+	slab       []bbNode   // fresh nodes are appended here; a full slab is left to its nodes
+	free       *bbNode    // retired nodes, linked through parent, reused before the slab grows
 }
 
 // Solve runs branch and bound on the model.
@@ -314,7 +361,6 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	}
 
 	rootOpts := st.lpOpts
-	rootOpts.WantBasis = true
 	rootOpts.Basis = st.opts.RootBasis
 	rootOpts.Scratch = st.scratch(0).lp
 	rootSol, err := lp.SolveWithBounds(st.red, st.rootLo, st.rootHi, &rootOpts)
@@ -324,8 +370,10 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	if rootSol.WarmStarted {
 		st.warmStarts++
 	}
-	if st.opts.WantRootBasis {
-		res.RootBasis = rootSol.Basis
+	if st.opts.WantRootBasis && rootSol.Status == lp.StatusOptimal {
+		// The caller keeps it across solves: its own copy, never a pooled one.
+		res.RootBasis = new(lp.Basis)
+		rootOpts.Scratch.SnapshotBasis(res.RootBasis)
 	}
 	st.nodes = 1
 	st.lpIters = rootSol.Iters
@@ -385,14 +433,19 @@ func Solve(m *Model, o *Options) (*Result, error) {
 // run explores the tree under the already-solved root. It returns whether
 // the search space was exhausted (i.e. the incumbent, if any, is exact).
 func (st *search) run(rootSol *lp.Solution) (bool, error) {
-	rootRes := st.dispose(nil, rootSol, st.inc, st.rootLo, st.rootHi)
+	rootRes := st.dispose(nil, rootSol, st.inc, st.scratch(0))
+	releaseX(rootSol.X)
 	if replaces(rootRes.cand, st.inc) {
 		st.inc = rootRes.cand
 	}
 	complete := rootRes.complete
-	frontier := rootRes.children
+	// The frontier is a stack with its top at the end: a round pops the top
+	// k nodes, and their children are pushed back so that the first node's
+	// preferred child is the new top. Exploration stays depth-first-shaped
+	// and the untouched part of the frontier is never copied.
+	stack := st.pushKids(nil, &rootRes)
 
-	for len(frontier) > 0 {
+	for len(stack) > 0 {
 		if st.interrupted() {
 			return false, nil
 		}
@@ -400,23 +453,20 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		if budget <= 0 {
 			return false, nil
 		}
-		k := roundSize
-		if k > len(frontier) {
-			k = len(frontier)
+		k := min(roundSize, len(stack), budget)
+		round := stack[len(stack)-k:] // node i of the round is round[k-1-i]
+		if cap(st.results) < k {
+			st.results = make([]bbResult, min(2*k, roundSize))
 		}
-		if k > budget {
-			k = budget
-		}
-		results := make([]bbResult, k)
-		st.processRound(frontier[:k], results)
+		results := st.results[:k]
+		clear(results)
+		st.processRound(round, results)
 		st.rounds++
 
-		// Merge in frontier order: deterministic regardless of which worker
-		// produced which result. Children are queued ahead of the untouched
-		// frontier tail so exploration stays depth-first-shaped. Pseudocost
-		// observations fold in here, in the same order, so the table every
-		// worker reads next round is schedule-independent.
-		next := make([]*bbNode, 0, len(frontier)+k)
+		// Merge in round order: deterministic regardless of which worker
+		// produced which result. Pseudocost observations fold in here, in the
+		// same order, so the table every worker reads next round is
+		// schedule-independent.
 		cut := false
 		for i := range results {
 			r := &results[i]
@@ -438,40 +488,98 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 				st.pc.observe(r.obsVar, r.obsUp, r.obsUnit)
 			}
 			// The node is resolved; release its warm-start snapshot (its
-			// children carry their own).
-			frontier[i].seedBasis = nil
+			// children carry their own), and recycle it after its sibling's.
+			n := round[k-1-i]
+			b := n.seed
+			n.seed = nil
+			if b.refs--; b.refs == 0 {
+				st.recycle(b)
+			}
 			if !r.complete {
 				complete = false
 			}
 			if replaces(r.cand, st.inc) {
 				st.inc = r.cand
 			}
-			next = append(next, r.children...)
+			n.open = int32(r.nkids)
+			st.retire(n)
 		}
 		if cut {
 			return false, nil
 		}
-		frontier = append(next, frontier[k:]...)
+		stack = stack[:len(stack)-k]
+		for i := k - 1; i >= 0; i-- {
+			stack = st.pushKids(stack, &results[i])
+		}
 	}
 	return complete, nil
 }
 
+// retire puts n on the free list if it has no open child, and then every
+// ancestor it was the last open child of: a node stays only while a
+// descendant may still walk through it (bounds, path id). Merge section only.
+func (st *search) retire(n *bbNode) {
+	for n != nil && n.open == 0 {
+		p := n.parent
+		if p != nil {
+			p.open--
+		}
+		if poisonRecycled {
+			n.branchVar = -1 // a walk through a retired node indexes out of range
+		}
+		n.parent, st.free = st.free, n
+		n = p
+	}
+}
+
+// pushKids gives a result's children a node each — a retired one, else the
+// next of the slab — and pushes them, preferred child last (on top).
+func (st *search) pushKids(stack []*bbNode, r *bbResult) []*bbNode {
+	for j := r.nkids - 1; j >= 0; j-- {
+		n := st.free
+		if n != nil {
+			st.free = n.parent
+		} else {
+			if len(st.slab) == cap(st.slab) {
+				st.slab = make([]bbNode, 0, min(2*cap(st.slab)+2, 1024))
+			}
+			st.slab = st.slab[:len(st.slab)+1]
+			n = &st.slab[len(st.slab)-1]
+		}
+		*n = r.kids[j]
+		stack = append(stack, n)
+	}
+	return stack
+}
+
+// recycle hands a basis no open node is seeded from any more to the worker
+// with the fewest spare buffers. Merge section only.
+func (st *search) recycle(b *nodeBasis) {
+	b.Reset()
+	to := st.scratches[0]
+	for _, sc := range st.scratches[1:] {
+		if len(sc.bases) < len(to.bases) {
+			to = sc
+		}
+	}
+	to.bases = append(to.bases, b)
+}
+
 // processRound evaluates one round of frontier nodes against a fixed
 // incumbent snapshot. Workers steal the next unclaimed node from the round's
-// shared pool via an atomic cursor; results land in per-node slots.
+// shared pool via an atomic cursor; results land in per-node slots. round is
+// a segment of the frontier stack, so the round's node i is round[k-1-i].
 func (st *search) processRound(round []*bbNode, results []bbResult) {
 	snap := st.inc
-	workers := st.workers
-	if workers > len(round) {
-		workers = len(round)
-	}
+	k := len(round)
+	workers := min(st.workers, k)
 	if workers <= 1 {
 		sc := st.scratch(0)
-		for i, n := range round {
+		for i := range results {
 			if st.interrupted() {
 				return
 			}
-			results[i] = st.process(n, snap, sc)
+			results[i] = st.process(round[k-1-i], snap, sc)
 		}
 		return
 	}
@@ -484,10 +592,10 @@ func (st *search) processRound(round []*bbNode, results []bbResult) {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(round) || st.interrupted() {
+				if i >= k || st.interrupted() {
 					return
 				}
-				results[i] = st.process(round[i], snap, sc)
+				results[i] = st.process(round[k-1-i], snap, sc)
 			}
 		}(sc)
 	}
@@ -501,11 +609,10 @@ func (st *search) scratch(w int) *bbScratch {
 		st.scratches = append(st.scratches, nil)
 	}
 	if st.scratches[w] == nil {
-		n := st.red.NumVars()
 		st.scratches[w] = &bbScratch{
-			lo:    make([]float64, n),
-			hi:    make([]float64, n),
-			stamp: make([]int, n),
+			lo:    append([]float64(nil), st.rootLo...),
+			hi:    append([]float64(nil), st.rootHi...),
+			stamp: make([]int, st.red.NumVars()),
 			lp:    &lp.Scratch{},
 		}
 	}
@@ -516,26 +623,32 @@ func (st *search) scratch(w int) *bbScratch {
 // from the parent basis, and returns its disposition relative to the
 // incumbent snapshot.
 func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
+	// Back to the root bounds where the previous node left them, then this
+	// node's path: O(depth), not O(n), for the same values.
 	sc.epoch++
-	copy(sc.lo, st.rootLo)
-	copy(sc.hi, st.rootHi)
+	for _, j := range sc.touched {
+		sc.lo[j], sc.hi[j] = st.rootLo[j], st.rootHi[j]
+	}
+	sc.touched = sc.touched[:0]
 	// Walk leaf → root; the first (deepest) override of a variable wins,
 	// since branch intervals on one variable nest along a path.
 	for a := n; a != nil; a = a.parent {
 		if sc.stamp[a.branchVar] != sc.epoch {
 			sc.stamp[a.branchVar] = sc.epoch
 			sc.lo[a.branchVar], sc.hi[a.branchVar] = a.lo, a.hi
+			sc.touched = append(sc.touched, a.branchVar)
 		}
 	}
 	opts := st.lpOpts
-	opts.Basis = n.seedBasis
-	opts.WantBasis = true
+	opts.Basis = &n.seed.Basis
 	opts.Scratch = sc.lp
 	sol, err := lp.SolveWithBounds(st.red, sc.lo, sc.hi, &opts)
 	if err != nil {
 		return bbResult{done: true, err: err}
 	}
-	out := st.dispose(n, sol, snap, sc.lo, sc.hi)
+	// sol lives in sc.lp until the worker's next solve; dispose copies what
+	// the result keeps.
+	out := st.dispose(n, sol, snap, sc)
 	out.lpIters = sol.Iters
 	out.warm = sol.WarmStarted
 	out.degen = sol.DegenPivots
@@ -559,14 +672,16 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 			out.obsUnit = deg / dist
 		}
 	}
+	releaseX(sol.X)
 	return out
 }
 
 // dispose classifies a solved node: prune, record an integer-feasible
 // candidate, or branch into children. It must depend only on its arguments
 // and between-round state (never the live incumbent) to keep rounds
-// deterministic.
-func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []float64) bbResult {
+// deterministic. sc is the scratch the node was solved in: it holds the
+// node's bounds and, still live, the basis the children are seeded from.
+func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScratch) bbResult {
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		return bbResult{done: true, complete: true}
@@ -596,8 +711,8 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []
 	// Child intervals, intersected with the root-implied bounds of the
 	// branch variable; an empty intersection proves the child's box holds no
 	// row-feasible point and drops it without an LP solve.
-	dLo, dHi := lo[bv], floorV
-	uLo, uHi := floorV+1, hi[bv]
+	dLo, dHi := sc.lo[bv], floorV
+	uLo, uHi := floorV+1, sc.hi[bv]
 	if st.impLo[bv] > dLo {
 		dLo = st.impLo[bv]
 	}
@@ -611,22 +726,32 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, lo, hi []
 		uHi = st.impHi[bv]
 	}
 	frac := val - floorV
-	down := &bbNode{parent: n, branchVar: bv, lo: dLo, hi: dHi, digit: 0, depth: depth,
-		seedBasis: sol.Basis, parentObj: sol.Obj, frac: frac}
-	up := &bbNode{parent: n, branchVar: bv, lo: uLo, hi: uHi, digit: 1, depth: depth,
-		seedBasis: sol.Basis, parentObj: sol.Obj, frac: frac}
+	down := bbNode{parent: n, branchVar: bv, lo: dLo, hi: dHi, digit: 0, depth: depth,
+		parentObj: sol.Obj, frac: frac}
+	up := bbNode{parent: n, branchVar: bv, lo: uLo, hi: uHi, digit: 1, depth: depth,
+		parentObj: sol.Obj, frac: frac}
 	// Explore the side nearer the LP value first.
 	first, second := down, up
 	if frac > 0.5 {
 		first, second = up, down
 	}
-	children := make([]*bbNode, 0, 2)
-	for _, c := range []*bbNode{first, second} {
+	out := bbResult{done: true, complete: true}
+	for _, c := range [2]bbNode{first, second} {
 		if c.lo <= c.hi {
-			children = append(children, c)
+			out.kids[out.nkids] = c
+			out.nkids++
 		}
 	}
-	return bbResult{done: true, complete: true, children: children}
+	if out.nkids > 0 {
+		// Only a node that branches pays for a snapshot of its basis.
+		b := sc.takeBasis()
+		sc.lp.SnapshotBasis(&b.Basis)
+		b.refs = out.nkids
+		for i := range out.kids[:out.nkids] {
+			out.kids[i].seed = b
+		}
+	}
+	return out
 }
 
 // interrupted reports whether the search hit its wall-clock limit or was

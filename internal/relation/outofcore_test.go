@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,43 @@ func TestSelectIndicesGathersLazyColumns(t *testing.T) {
 	for i, orig := range idx {
 		if col[i] != prices[orig] {
 			t.Fatalf("view price[%d] = %v, want %v (tuple %d)", i, col[i], prices[orig], orig)
+		}
+	}
+}
+
+// TestPartitionOnLazyFeature: clustering on a spilled, unpromoted column must
+// promote it (Means used to hand Partition the nil resident slice and the
+// clustering panicked) and group exactly as on the resident twin.
+func TestPartitionOnLazyFeature(t *testing.T) {
+	csvText, _, _ := spillTestCSV(300)
+	inMem, err := ReadCSV("r", strings.NewReader(csvText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := SpillCSV("r", strings.NewReader(csvText), dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []PartitionStrategy{PartitionKMeans, PartitionRange} {
+		lazy, err := OpenColumnDir(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lazy.IsLazy("price") {
+			t.Fatal("reopened column should be lazy")
+		}
+		spec := PartitionSpec{Strategy: strategy, Features: []string{"price"}, GroupSize: 16, Seed: 7, Shards: 3}
+		want, err := inMem.Partition(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lazy.Partition(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Version = want.Version
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: partitioning of the spilled relation differs from the resident one", strategy)
 		}
 	}
 }

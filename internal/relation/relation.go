@@ -34,6 +34,12 @@ type VGFunc interface {
 	ExactMean(tuple int) float64
 }
 
+// streams recycles the substream a realized value is drawn from. The stream
+// escapes through the dist.Dist / Eval call, so a fresh one would be a heap
+// object per value; Reseed overwrites every field, so a recycled one yields
+// the same value bit for bit. Dists and Evals must not retain the stream.
+var streams = sync.Pool{New: func() any { return new(rng.Stream) }}
+
 // IndependentVG realizes each tuple's variable independently from its own
 // distribution. Dists is indexed by tuple; a single-element slice is
 // broadcast to all tuples.
@@ -53,8 +59,11 @@ func (vg *IndependentVG) distFor(tuple int) dist.Dist {
 
 // Value implements VGFunc.
 func (vg *IndependentVG) Value(src rng.Source, tuple, scenario int) float64 {
-	s := rng.NewStream(src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
-	return vg.distFor(tuple).Sample(s)
+	s := streams.Get().(*rng.Stream)
+	s.Reseed(src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
+	v := vg.distFor(tuple).Sample(s)
+	streams.Put(s)
+	return v
 }
 
 // ExactMean implements VGFunc.
@@ -66,7 +75,7 @@ func (vg *IndependentVG) ExactMean(tuple int) float64 { return vg.distFor(tuple)
 // Figure 1 of the paper). Eval receives the shared stream and the tuple
 // index and must consume the stream identically for every tuple in a group
 // (typically by generating the full group experiment and reading off the
-// tuple's part).
+// tuple's part). The stream is valid only for the duration of the call.
 type GroupedVG struct {
 	AttrID uint64
 	Group  []int // group id per tuple
@@ -76,8 +85,11 @@ type GroupedVG struct {
 
 // Value implements VGFunc.
 func (vg *GroupedVG) Value(src rng.Source, tuple, scenario int) float64 {
-	s := rng.NewStream(src.SeedAt(vg.AttrID, uint64(vg.Group[tuple]), uint64(scenario)))
-	return vg.Eval(s, tuple)
+	s := streams.Get().(*rng.Stream)
+	s.Reseed(src.SeedAt(vg.AttrID, uint64(vg.Group[tuple]), uint64(scenario)))
+	v := vg.Eval(s, tuple)
+	streams.Put(s)
+	return v
 }
 
 // ExactMean implements VGFunc.
@@ -461,8 +473,8 @@ func (r *Relation) SetMeans(attr string, means []float64) error {
 // for deterministic columns, the cached estimate for stochastic attributes.
 // ComputeMeans (or SetMeans) must have run for stochastic attributes.
 func (r *Relation) Means(attr string) ([]float64, error) {
-	if i, ok := r.detIdx[attr]; ok {
-		return r.detCols[i], nil
+	if _, ok := r.detIdx[attr]; ok {
+		return r.Det(attr) // promotes a lazy column
 	}
 	if _, ok := r.stochIdx[attr]; ok {
 		if m, ok := r.means[attr]; ok {

@@ -92,6 +92,38 @@ func TestStochasticValueReproducible(t *testing.T) {
 	}
 }
 
+// TestVGValueRecyclesItsStream: a realized value draws from a recycled
+// substream — no heap object per value (a scan realizes tens of millions) —
+// and reads exactly what a fresh stream at the same coordinate yields, no
+// matter what the recycled one served before.
+func TestVGValueRecyclesItsStream(t *testing.T) {
+	src := rng.NewSource(7)
+	normal := dist.Normal{Mu: 2, Sigma: 1}
+	ind := &IndependentVG{AttrID: 1, Dists: []dist.Dist{normal}}
+	grp := &GroupedVG{AttrID: 2, Group: []int{0, 0, 1, 1},
+		Eval: func(s *rng.Stream, tuple int) float64 { return s.Norm() + float64(tuple) }}
+	for tuple := 0; tuple < 4; tuple++ {
+		for scen := 0; scen < 3; scen++ {
+			want := normal.Sample(rng.NewStream(src.SeedAt(1, uint64(tuple), uint64(scen))))
+			if got := ind.Value(src, tuple, scen); got != want {
+				t.Fatalf("IndependentVG(%d, %d) = %v, fresh stream gives %v", tuple, scen, got, want)
+			}
+			want = rng.NewStream(src.SeedAt(2, uint64(grp.Group[tuple]), uint64(scen))).Norm() + float64(tuple)
+			if got := grp.Value(src, tuple, scen); got != want {
+				t.Fatalf("GroupedVG(%d, %d) = %v, fresh stream gives %v", tuple, scen, got, want)
+			}
+		}
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(200, func() { sink += ind.Value(src, 1, 3) }); n != 0 {
+		t.Fatalf("IndependentVG.Value allocates %v objects per value, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { sink += grp.Value(src, 2, 3) }); n != 0 {
+		t.Fatalf("GroupedVG.Value allocates %v objects per value, want 0", n)
+	}
+	_ = sink
+}
+
 func TestRealizeMatchesValue(t *testing.T) {
 	r := newTestRelation(t, 6)
 	src := rng.NewSource(5)

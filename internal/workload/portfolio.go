@@ -13,6 +13,10 @@ import (
 // tradingDt is one trading day in years.
 const tradingDt = 1.0 / 252
 
+// maxHorizon is the longest sell-in horizon of any Portfolio table, in
+// trading days (the 1-week tables).
+const maxHorizon = 5
+
 // portfolioRow describes one Table 3 Portfolio query.
 type portfolioRow struct {
 	id       string
@@ -131,7 +135,8 @@ func Portfolio(cfg Config) *Instance {
 			Eval: func(st *rng.Stream, tuple int) float64 {
 				s := group[tuple]
 				g := dist.GBM{S0: price[s], Mu: drift[s], Sigma: volat[s], Dt: tradingDt}
-				path := make([]float64, maxH)
+				var buf [maxHorizon]float64 // on the stack: one path per realized value
+				path := buf[:maxH]
 				g.Path(st, path)
 				return path[horizon[tuple]-1] - price[s]
 			},
