@@ -185,7 +185,8 @@ type Iteration struct {
 	SolverStatus milp.Status
 	Coefficients int
 	// Nodes is the branch-and-bound node count of the iteration's MILP
-	// solve (0 for iterations that never reached a solve).
+	// solve (0 for iterations that never reached a solve or reused the
+	// previous iteration's: the solver counters below likewise).
 	Nodes int
 	// LPIters is the total simplex iterations of the iteration's MILP solve
 	// (root relaxation plus every node LP).

@@ -501,3 +501,37 @@ func TestSummarySearchUsesFewerScenariosThanNaive(t *testing.T) {
 		t.Fatalf("SummarySearch used more scenarios (%d) than Naive (%d)", ss.M, naive.M)
 	}
 }
+
+// TestCSASkipsIdenticalFormulation: when a new α picks the scenarios the
+// previous one did, CSA-Solve reuses the previous solve instead of building
+// and solving the same DILP again. A run that cannot stop early (ε = 1e-9,
+// M pinned at 10) makes most of its 250 iterations such repeats. A reused
+// iteration records a formulation but no solver work, is not counted as a
+// MILP solve, and hands the next iteration the package it was given.
+func TestCSASkipsIdenticalFormulation(t *testing.T) {
+	silp := portfolioSILP(t, 15, easyQuery)
+	opts := smallOptions(1)
+	opts.Epsilon = 1e-9
+	opts.MaxM = 10
+	sol, err := SummarySearch(silp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	its := sol.Iterations
+	solved, reused := 0, 0
+	for i, it := range its {
+		switch {
+		case it.Coefficients == 0:
+		case it.Nodes > 0:
+			solved++
+		default:
+			reused++
+			if i+1 < len(its) && (its[i+1].Objective != it.Objective || its[i+1].Surpluses[0] != it.Surpluses[0]) {
+				t.Fatalf("iteration %d reused a solve but the next one validated another package", i)
+			}
+		}
+	}
+	if reused == 0 || sol.MILPSolves != solved+1 { // +1: the unconstrained solve
+		t.Fatalf("%d iterations: %d solved, %d reused, %d MILP solves counted", len(its), solved, reused, sol.MILPSolves)
+	}
+}

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
 	"spq/internal/fit"
+	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/rng"
 	"spq/internal/scenario"
@@ -112,6 +114,18 @@ func snapAlpha(guess, grid float64, aInf, aFea float64) float64 {
 	return snapped
 }
 
+// sameSummaries reports whether two summary groups are bit-identical in the
+// values a CSA formulation reads.
+func sameSummaries(a, b [][]*scenario.Summary) bool {
+	return slices.EqualFunc(a, b, func(ga, gb []*scenario.Summary) bool {
+		return slices.EqualFunc(ga, gb, func(sa, sb *scenario.Summary) bool {
+			return slices.EqualFunc(sa.Values, sb.Values, func(u, v float64) bool {
+				return math.Float64bits(u) == math.Float64bits(v)
+			})
+		})
+	})
+}
+
 // csaState carries the evolving state of one CSA-Solve invocation.
 type csaState struct {
 	alphas    []float64
@@ -184,6 +198,9 @@ func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, it
 	x := append([]float64(nil), x0...)
 	prevAlphas := make([]float64, k)
 	lastFeasible := false
+	var prevSummaries [][]*scenario.Summary // the last formulation solved, and its solve
+	var prevRes *milp.Result
+	var prevVM *translate.VarMap
 
 	for q := 0; q < r.opts.MaxCSAIters; q++ {
 		key := solutionKey(x, st.alphas)
@@ -264,30 +281,35 @@ func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, it
 			}
 		}
 		sumSpan.End()
-		model, vm, err := silp.FormulateCSA(summaries, objSummaries)
-		if err != nil {
-			return nil, err
+		it := &(*iters)[len(*iters)-1]
+		// A new α often picks the same scenarios: the formulation (objective
+		// summaries are fixed per call) is then the one just solved, and a
+		// search that ran to completion on it would return the same result.
+		if prevRes == nil || !sameSummaries(summaries, prevSummaries) ||
+			(prevRes.Status != milp.StatusOptimal && prevRes.Status != milp.StatusInfeasible) {
+			model, vm, err := silp.FormulateCSA(summaries, objSummaries)
+			if err != nil {
+				return nil, err
+			}
+			solveStart := time.Now()
+			solveOpts := r.solverOptions(nil)
+			solveOpts.WantRootBasis = r.opts.CollectWarm
+			res, err := r.solveMILP("csa", model, solveOpts)
+			if err != nil {
+				return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", mCount, zCount, err)
+			}
+			if err := r.ctx.Err(); err != nil {
+				return nil, err
+			}
+			prevRes, prevVM = res, vm
+			it.Nodes, it.LPIters, it.WarmStarts = res.Nodes, res.LPIters, res.WarmStarts
+			it.DegenPivots, it.BoundFlips = res.DegenPivots, res.BoundFlips
+			it.PresolveRows, it.PresolveCols = res.PresolveRows, res.PresolveCols
+			it.SolveTime = time.Since(solveStart)
 		}
-		solveStart := time.Now()
-		solveOpts := r.solverOptions(nil)
-		solveOpts.WantRootBasis = r.opts.CollectWarm
-		res, err := r.solveMILP("csa", model, solveOpts)
-		if err != nil {
-			return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", mCount, zCount, err)
-		}
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		(*iters)[len(*iters)-1].SolverStatus = res.Status
-		(*iters)[len(*iters)-1].Coefficients = res.Coefficients
-		(*iters)[len(*iters)-1].Nodes = res.Nodes
-		(*iters)[len(*iters)-1].LPIters = res.LPIters
-		(*iters)[len(*iters)-1].WarmStarts = res.WarmStarts
-		(*iters)[len(*iters)-1].DegenPivots = res.DegenPivots
-		(*iters)[len(*iters)-1].BoundFlips = res.BoundFlips
-		(*iters)[len(*iters)-1].PresolveRows = res.PresolveRows
-		(*iters)[len(*iters)-1].PresolveCols = res.PresolveCols
-		(*iters)[len(*iters)-1].SolveTime = time.Since(solveStart)
+		res, vm := prevRes, prevVM
+		prevSummaries = summaries
+		it.SolverStatus, it.Coefficients = res.Status, res.Coefficients
 		if res.X == nil {
 			// The conservative problem is unsolvable at these α's: back off
 			// toward the grid floor; if already there, give up and let the

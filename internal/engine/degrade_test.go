@@ -10,11 +10,24 @@ import (
 	"spq/internal/translate"
 )
 
-// degradeOptions is the fault-injection lever: a near-zero Epsilon keeps
-// SummarySearch iterating long past its first feasible candidate (the gap
-// can never reach 1e-9) and the enormous MaxM removes the scenario ceiling,
-// so the only thing that can stop the evaluation is a budget. Any tight
-// deadline then has to surface the anytime incumbent, not converge.
+// degradeTimeout is the request deadline of the degradation tests.
+const degradeTimeout = 400 * time.Millisecond
+
+// holdFeasible is the fault-injection lever, installed as the request's
+// progress hook: it holds the evaluation at every feasible candidate until
+// degradeTimeout has passed since the evaluation started. The engine set its
+// deadline before that start, so the deadline has passed too, and the
+// evaluation cannot end on its own however fast it gets: only the budget
+// stops it, and it has to surface the anytime incumbent.
+func holdFeasible(p core.Progress) {
+	if p.Feasible {
+		time.Sleep(degradeTimeout - p.Elapsed)
+	}
+}
+
+// degradeOptions keeps SummarySearch iterating past its first feasible
+// candidate on top of that: a near-zero Epsilon (the gap can never reach
+// 1e-9) and an enormous MaxM (no scenario ceiling).
 func degradeOptions(parallelism int) *core.Options {
 	return &core.Options{
 		Seed:        1,
@@ -38,9 +51,10 @@ func TestEngineDeadlineDegradation(t *testing.T) {
 		e := New(cat, &Options{Parallelism: workers})
 		opts := degradeOptions(workers)
 		res, err := e.Query(context.Background(), Request{
-			Query:   testQuery,
-			Timeout: 400 * time.Millisecond,
-			Options: opts,
+			Query:    testQuery,
+			Timeout:  degradeTimeout,
+			Options:  opts,
+			Progress: holdFeasible,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: err = %v, want degraded result", workers, err)
@@ -89,9 +103,10 @@ func TestEngineDeadlineDegradation(t *testing.T) {
 		// A budget-cut answer reflects load, not the query: it must never
 		// be served from the result cache to a later identical request.
 		res2, err := e.Query(context.Background(), Request{
-			Query:   testQuery,
-			Timeout: 400 * time.Millisecond,
-			Options: degradeOptions(workers),
+			Query:    testQuery,
+			Timeout:  degradeTimeout,
+			Options:  degradeOptions(workers),
+			Progress: holdFeasible,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: second query: %v", workers, err)
@@ -109,9 +124,10 @@ func TestEngineDegradedJobWire(t *testing.T) {
 	cat := newCatalog(t, 40)
 	e := New(cat, &Options{Parallelism: 1})
 	j, err := e.Submit(Request{
-		Query:   testQuery,
-		Timeout: 400 * time.Millisecond,
-		Options: degradeOptions(1),
+		Query:    testQuery,
+		Timeout:  degradeTimeout,
+		Options:  degradeOptions(1),
+		Progress: holdFeasible,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,6 +62,16 @@ func (sc *Scratch) SnapshotBasis(dst *Basis) {
 	}
 }
 
+// ReducedCosts writes the structural columns' reduced costs at the final
+// basis of the Scratch's most recent solve into d and returns that solve's
+// bound L (see Fix). Meaningful only after a StatusOptimal solve.
+func (sc *Scratch) ReducedCosts(d []float64) float64 {
+	s := &sc.sim
+	bound := s.dualBound()
+	copy(d, s.d[:s.n])
+	return bound
+}
+
 // Reset empties the snapshot and keeps its buffers for a later
 // SnapshotBasis. An empty snapshot matches no problem's shape, so a solve
 // seeded with a Basis that was reset (recycled) under it falls back to the

@@ -212,6 +212,20 @@ type Options struct {
 	// place; copy what must outlive that. A Scratch must not be shared by
 	// concurrent solves; the MILP layer keeps one per worker.
 	Scratch *Scratch
+	// Fix is the branch-and-bound's reduced-cost fixing hook; zero is off.
+	Fix Fix
+}
+
+// Fix asks a solve that accepts its Options.Basis to tighten integer columns
+// by reduced cost before dual reinstatement. No row-feasible point of the box
+// is below L = Σ_j min(d_j·lo_j, d_j·hi_j) under the seed basis's reduced
+// costs d, so an integer column at its lower bound with d_j > 0 is below
+// Cutoff only up to lo_j + ⌊(Cutoff − L)/d_j⌋, and symmetrically at its upper
+// bound. The tightening dies with the solve; when L reaches Cutoff the solve
+// reports StatusInfeasible without an iteration.
+type Fix struct {
+	Integer []bool  // integrality mask over the structural columns; nil disables fixing
+	Cutoff  float64 // objective value at and above which points are of no interest
 }
 
 func (o *Options) withDefaults(m, n int) Options {
@@ -280,14 +294,27 @@ func SolveWithBounds(p *Problem, varLo, varHi []float64, opts *Options) (*Soluti
 	}
 	for j := 0; j < p.nvars; j++ {
 		if varLo[j] > varHi[j] {
-			return &Solution{Status: StatusInfeasible, X: make([]float64, p.nvars)}, nil
+			return crossed(p, opts), nil
 		}
 	}
 	for i := range p.rowLo {
 		if p.rowLo[i] > p.rowHi[i] {
-			return &Solution{Status: StatusInfeasible, X: make([]float64, p.nvars)}, nil
+			return crossed(p, opts), nil
 		}
 	}
 	s := newSimplex(p, varLo, varHi, opts)
 	return s.solve()
+}
+
+// crossed is the Solution of a solve whose bounds cross: infeasible, X all
+// zero, living in the lent Scratch like any other solve's.
+func crossed(p *Problem, o *Options) *Solution {
+	if o == nil || o.Scratch == nil {
+		return &Solution{Status: StatusInfeasible, X: make([]float64, p.nvars)}
+	}
+	sc := o.Scratch
+	sc.x = grow(sc.x, p.nvars)
+	clear(sc.x)
+	sc.sol = Solution{Status: StatusInfeasible, X: sc.x}
+	return &sc.sol
 }

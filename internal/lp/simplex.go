@@ -73,6 +73,7 @@ type simplex struct {
 	v    []float64 // rhs scratch
 	rho  []float64 // dual-simplex pivot row e_rᵀ·B⁻¹
 	cb   []float64 // btran input scratch
+	d    []float64 // reduced costs of every column (dualBound)
 
 	// Eta file: pivot k replaced basis position etaR[k] with a column whose
 	// ftran image was w; the eta stores w's pivot entry (etaWr) and its
@@ -129,6 +130,7 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 		v:         grow(s.v, m),
 		rho:       grow(s.rho, m),
 		cb:        grow(s.cb, m),
+		d:         grow(s.d, n+m),
 		etaR:      s.etaR[:0],
 		etaOff:    append(s.etaOff[:0], 0),
 		etaWr:     s.etaWr[:0],
@@ -375,6 +377,51 @@ func (s *simplex) rowCoef(j int) float64 {
 	return a
 }
 
+// dualBound prices every column against the current basis's duals under the
+// true objective, leaving the reduced costs in s.d (zero for basic columns
+// and inside OptTol), and returns the Lagrangian bound Σ_j min(d_j·lo_j,
+// d_j·hi_j): cᵀx = Σ_j d_j·x_j on the rows, so no row-feasible point of the
+// box is below it. A nonzero d_j toward an infinite bound makes it −Inf.
+func (s *simplex) dualBound() float64 {
+	clear(s.cost)
+	copy(s.cost, s.p.obj)
+	s.btran()
+	bound := 0.0
+	for j := 0; j < s.total; j++ {
+		d := s.reducedCost(j)
+		switch {
+		case s.status[j] == statusBasic || math.Abs(d) <= s.opts.OptTol:
+			d = 0
+		case d > 0:
+			bound += d * s.lo[j]
+		default:
+			bound += d * s.hi[j]
+		}
+		s.d[j] = d
+	}
+	return bound
+}
+
+// fixByReducedCost applies Options.Fix to the freshly loaded seed basis (see
+// Fix). Only the bound a nonbasic column does not sit at moves, so x_B stays
+// valid. It reports false when the box holds no point below the cutoff.
+func (s *simplex) fixByReducedCost() bool {
+	gap := s.opts.Fix.Cutoff - s.dualBound()
+	if gap < 0 {
+		return false
+	}
+	for j, isInt := range s.opts.Fix.Integer {
+		switch d := s.d[j]; {
+		case !isInt:
+		case d > 0 && s.status[j] == statusAtLower:
+			s.hi[j] = min(s.hi[j], s.lo[j]+math.Floor(gap/d+1e-9))
+		case d < 0 && s.status[j] == statusAtUpper:
+			s.lo[j] = max(s.lo[j], s.hi[j]-math.Floor(gap/-d+1e-9))
+		}
+	}
+	return true
+}
+
 // refactorize rebuilds the dense basis inverse from the basis columns by
 // Gauss-Jordan elimination with partial pivoting and empties the eta file.
 // On failure (singular basis) the current inverse and eta file are left
@@ -484,24 +531,24 @@ func (s *simplex) totalInfeasibility() float64 {
 func (s *simplex) solve() (*Solution, error) {
 	st := StatusOptimal
 	warmed := false
-	if s.opts.Basis == nil {
+	switch {
+	case s.opts.Basis == nil:
 		s.resetToLogicalBasis()
-	} else {
-		if s.loadBasis(s.opts.Basis) {
-			dst, fallback := s.dualReinstate()
-			if fallback {
-				// Dual reinstatement could not finish (stall, or no entering
-				// candidate — which may mean infeasibility, but tolerances
-				// make that call unsafe here); restart cold and let phase 1
-				// decide.
-				s.resetToLogicalBasis()
-			} else {
-				warmed = true
-				st = dst
-			}
-		} else {
-			// loadBasis leaves the solver in an undefined state on failure.
+	case !s.loadBasis(s.opts.Basis):
+		// loadBasis leaves the solver in an undefined state on failure.
+		s.resetToLogicalBasis()
+	case s.opts.Fix.Integer != nil && !s.fixByReducedCost():
+		warmed, st = true, StatusInfeasible
+	default:
+		dst, fallback := s.dualReinstate()
+		if fallback {
+			// Dual reinstatement could not finish (stall, or no entering
+			// candidate — which may mean infeasibility, but tolerances make
+			// that call unsafe here); restart cold and let phase 1 decide.
 			s.resetToLogicalBasis()
+		} else {
+			warmed = true
+			st = dst
 		}
 	}
 	var err error

@@ -279,6 +279,28 @@ func TestWarmSolveAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCrossedBoundsAllocateNothing: a solve whose bounds cross returns
+// before any simplex work, and with a lent Scratch its Solution lives there
+// like any other's. Branch-and-bound hits this path whenever reduced-cost
+// fixing has emptied a column's root interval.
+func TestCrossedBoundsAllocateNothing(t *testing.T) {
+	p := buildBranchy(24)
+	lo := append([]float64(nil), p.varLo...)
+	hi := append([]float64(nil), p.varHi...)
+	lo[5], hi[5] = 2, 1
+	opts := &Options{Scratch: &Scratch{}}
+	solve := func() {
+		sol, err := SolveWithBounds(p, lo, hi, opts)
+		if err != nil || sol.Status != StatusInfeasible || len(sol.X) != p.NumVars() {
+			t.Fatalf("crossed bounds: %+v err=%v", sol, err)
+		}
+	}
+	solve() // grows the Scratch
+	if n := testing.AllocsPerRun(50, solve); n != 0 {
+		t.Fatalf("crossed-bound solve on a lent Scratch allocates %v objects, want 0", n)
+	}
+}
+
 func TestDualBoundFlipFastPath(t *testing.T) {
 	// Knapsack LP engineered so the warm-started dual reinstatement must
 	// traverse small-span candidates before the ratio test finds a pivot that

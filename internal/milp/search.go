@@ -253,10 +253,12 @@ type search struct {
 	deadline time.Time
 	hasDL    bool
 
-	rootLo, rootHi []float64 // reduced-space presolved bounds
+	rootLo, rootHi []float64 // reduced-space presolved bounds (Postsolve never reads them), tightened by fixRoot
 	redInteger     []bool    // integrality mask in reduced space
 	impLo, impHi   []float64 // root-implied bounds per reduced integer var
 	objOffset      float64   // reduced obj + objOffset = full obj
+	rootD          []float64 // root LP reduced costs, captured once the root branches
+	rootBound      float64   // the root LP's Lagrangian bound under rootD
 
 	inc        incumbent
 	nodes      int
@@ -294,6 +296,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	// caller-supplied LP.Cancel/LP.Deadline is kept when the search adds
 	// none of its own (the deadline merge keeps whichever is earlier).
 	st.lpOpts = opts.LP
+	st.lpOpts.Fix = lp.Fix{} // the search's own hook, set per node
 	if opts.Cancel != nil {
 		st.lpOpts.Cancel = opts.Cancel
 	}
@@ -438,6 +441,12 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 	if replaces(rootRes.cand, st.inc) {
 		st.inc = rootRes.cand
 	}
+	if rootRes.nkids > 0 && fixing {
+		// The root solve is still live in worker 0's scratch.
+		st.rootD = make([]float64, st.red.NumVars())
+		st.rootBound = st.scratch(0).lp.ReducedCosts(st.rootD)
+		st.fixRoot()
+	}
 	complete := rootRes.complete
 	// The frontier is a stack with its top at the end: a round pops the top
 	// k nodes, and their children are pushed back so that the first node's
@@ -500,6 +509,7 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 			}
 			if replaces(r.cand, st.inc) {
 				st.inc = r.cand
+				st.fixRoot()
 			}
 			n.open = int32(r.nkids)
 			st.retire(n)
@@ -631,17 +641,25 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 	}
 	sc.touched = sc.touched[:0]
 	// Walk leaf → root; the first (deepest) override of a variable wins,
-	// since branch intervals on one variable nest along a path.
+	// since branch intervals on one variable nest along a path. Each is cut
+	// to the root box, which fixRoot may have tightened since the node was
+	// made; an empty interval settles the node without an LP solve.
 	for a := n; a != nil; a = a.parent {
-		if sc.stamp[a.branchVar] != sc.epoch {
-			sc.stamp[a.branchVar] = sc.epoch
-			sc.lo[a.branchVar], sc.hi[a.branchVar] = a.lo, a.hi
-			sc.touched = append(sc.touched, a.branchVar)
+		if j := a.branchVar; sc.stamp[j] != sc.epoch {
+			sc.stamp[j] = sc.epoch
+			sc.touched = append(sc.touched, j)
+			sc.lo[j], sc.hi[j] = max(a.lo, st.rootLo[j]), min(a.hi, st.rootHi[j])
+			if sc.lo[j] > sc.hi[j] {
+				return bbResult{done: true, complete: true}
+			}
 		}
 	}
 	opts := st.lpOpts
 	opts.Basis = &n.seed.Basis
 	opts.Scratch = sc.lp
+	if snap.x != nil && fixing {
+		opts.Fix = lp.Fix{Integer: st.redInteger, Cutoff: st.cutoff(snap) - st.objOffset}
+	}
 	sol, err := lp.SolveWithBounds(st.red, sc.lo, sc.hi, &opts)
 	if err != nil {
 		return bbResult{done: true, err: err}
@@ -690,11 +708,8 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 		return bbResult{done: true}
 	}
 	adjObj := sol.Obj + st.objOffset
-	if snap.x != nil && adjObj >= snap.obj-1e-9 {
-		return bbResult{done: true, complete: true} // bound prune
-	}
-	if st.gapMet(snap, adjObj) {
-		return bbResult{done: true, complete: true}
+	if adjObj >= st.cutoff(snap) {
+		return bbResult{done: true, complete: true} // bound or gap prune
 	}
 	bv := st.pickBranchVar(sol.X)
 	if bv < 0 {
@@ -767,17 +782,43 @@ func (st *search) interrupted() bool {
 	return st.hasDL && time.Now().After(st.deadline)
 }
 
-// gapMet reports whether the snapshot incumbent is within the requested
-// relative gap of the given bound.
-func (st *search) gapMet(snap incumbent, bound float64) bool {
-	if snap.x == nil || st.opts.RelGap <= 0 {
-		return false
+// cutoff is the objective at and above which a node is pruned, by bound or by
+// Options.RelGap, against the snapshot incumbent (+Inf without one). Fixing
+// removes exactly the points at or above it: what the search prunes anyway.
+func (st *search) cutoff(snap incumbent) float64 {
+	if snap.x == nil {
+		return math.Inf(1)
 	}
-	denom := math.Abs(snap.obj)
-	if denom < 1e-12 {
-		denom = 1e-12
+	return snap.obj - max(1e-9, st.opts.RelGap*max(math.Abs(snap.obj), 1e-12))
+}
+
+var fixing = true // reduced-cost fixing; only tests turn it off
+
+// fixRoot tightens the root box by the root LP's reduced costs against the
+// live incumbent (see lp.Fix) and pushes each change into every worker's
+// bounds. It moves only hi_j for d_j > 0 and lo_j for d_j < 0, so the bound
+// each d_j measures from stays the root solve's own. Merge section only.
+func (st *search) fixRoot() {
+	if st.rootD == nil || st.inc.x == nil {
+		return
 	}
-	return (snap.obj-bound)/denom <= st.opts.RelGap
+	gap := st.cutoff(st.inc) - st.objOffset - st.rootBound
+	for j, d := range st.rootD {
+		lo, hi := st.rootLo[j], st.rootHi[j]
+		switch {
+		case !st.redInteger[j]:
+		case d > 0:
+			hi = min(hi, lo+math.Floor(gap/d+1e-9))
+		case d < 0:
+			lo = max(lo, hi-math.Floor(gap/-d+1e-9))
+		}
+		if lo != st.rootLo[j] || hi != st.rootHi[j] {
+			st.rootLo[j], st.rootHi[j] = lo, hi
+			for _, sc := range st.scratches {
+				sc.lo[j], sc.hi[j] = lo, hi
+			}
+		}
+	}
 }
 
 // pickBranchVar selects the branching variable among fractional integer
