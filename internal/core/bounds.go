@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 
+	"spq/internal/obs"
+	"spq/internal/par"
 	"spq/internal/spaql"
+	"spq/internal/stream"
 	"spq/internal/translate"
 )
 
@@ -27,6 +31,10 @@ import (
 // probeScenarios is the number of scenarios used to estimate the value range
 // of the objective inner function across all tuples.
 const probeScenarios = 64
+
+// probeCheckEvery is how many tuples a probe shard realizes between
+// cancellation checks.
+const probeCheckEvery = 64
 
 // packageSizeBounds derives (A2) from the SILP: COUNT rows are recognized as
 // deterministic rows whose coefficients are all exactly 1.
@@ -63,29 +71,31 @@ func packageSizeBounds(s *translate.SILP) (lo, hi float64) {
 // probeObjectiveRange estimates s̲, s̄ (A1) by realizing the objective inner
 // function for all tuples over a fixed number of validation-stream
 // scenarios. For a purely deterministic objective the exact column extremes
-// are used. Results are cached on the runner.
-func (r *runner) probeObjectiveRange() (sLo, sHi float64) {
-	if r.probed {
-		return r.sLo, r.sHi
+// are used. Results are cached on the runner; a probe cut short by ctx
+// returns ctx's error and is not cached.
+func (r *runner) probeObjectiveRange(ctx context.Context) (sLo, sHi float64, err error) {
+	if !r.probed {
+		if r.sLo, r.sHi, err = r.objectiveRange(ctx); err != nil {
+			return 0, 0, err
+		}
+		r.probed = true
 	}
-	r.probed = true
-	silp := r.silp
-	sLo, sHi = math.Inf(1), math.Inf(-1)
+	return r.sLo, r.sHi, nil
+}
 
+// objectiveRange computes what probeObjectiveRange caches.
+func (r *runner) objectiveRange(ctx context.Context) (sLo, sHi float64, err error) {
+	silp := r.silp
 	expr := silp.ObjExpr
 	if len(expr.Terms) == 0 && silp.ObjKind == translate.ObjLinear {
 		// COUNT-style or constant objective: per-tuple value is the constant.
-		r.sLo, r.sHi = expr.Const, expr.Const
-		if silp.ObjCoefs != nil {
-			// Fall back to coefficient extremes when the expression was not
-			// retained (deterministic objectives have exact coefficients).
-			for _, c := range silp.ObjCoefs {
-				sLo = math.Min(sLo, c)
-				sHi = math.Max(sHi, c)
-			}
-			r.sLo, r.sHi = sLo, sHi
+		if silp.ObjCoefs == nil {
+			return expr.Const, expr.Const, nil
 		}
-		return r.sLo, r.sHi
+		// Fall back to coefficient extremes when the expression was not
+		// retained (deterministic objectives have exact coefficients).
+		sLo, sHi = extremes(silp.ObjCoefs)
+		return sLo, sHi, nil
 	}
 
 	stochastic := false
@@ -96,29 +106,81 @@ func (r *runner) probeObjectiveRange() (sLo, sHi float64) {
 		}
 	}
 	if !stochastic {
-		col, err := exprColumnDet(silp, expr)
-		if err == nil {
-			for _, v := range col {
-				sLo = math.Min(sLo, v)
-				sHi = math.Max(sHi, v)
+		if col, err := exprColumnDet(silp, expr); err == nil {
+			sLo, sHi = extremes(col)
+			return sLo, sHi, nil
+		}
+	}
+	sLo, sHi, err = r.probeRealized(ctx, expr)
+	if err != nil {
+		if ctx.Err() != nil {
+			return 0, 0, ctx.Err()
+		}
+		return math.Inf(-1), math.Inf(1), nil // unusable
+	}
+	return sLo, sHi, nil
+}
+
+// extremes returns the math.Min and math.Max fold of vs.
+func extremes(vs []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range vs {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	return lo, hi
+}
+
+// probeRealized realizes expr, unmasked, for every tuple over validation
+// scenarios 0..probeScenarios-1 and returns the extremes. Tuples are sharded
+// across Options.Parallelism workers, one row per tuple; math.Min and
+// math.Max fold to the same result in any order (NaN, ±Inf and ±0
+// included), so the range is bit-identical for every worker count.
+func (r *runner) probeRealized(ctx context.Context, expr spaql.LinExpr) (sLo, sHi float64, err error) {
+	silp := r.silp
+	sp := obs.SpanFromContext(ctx).StartChild("probe")
+	sp.SetInt("n", int64(silp.N))
+	sp.SetInt("scenarios", probeScenarios)
+	defer sp.End()
+	rows, err := silp.ExprCursor("objective", r.valSrc, expr, nil, 0).Rows()
+	if err != nil {
+		return 0, 0, err
+	}
+	workers := par.Workers(r.opts.Parallelism, silp.N)
+	los, his := make([]float64, workers), make([]float64, workers)
+	for w := range los {
+		los[w], his[w] = math.Inf(1), math.Inf(-1)
+	}
+	err = par.Ranges(ctx, silp.N, workers, func(shard, lo, hi int) error {
+		buf := stream.GetRowBuf()
+		defer stream.PutRowBuf(buf)
+		scens := buf.IDs[:probeScenarios]
+		for j := range scens {
+			scens[j] = j
+		}
+		sLo, sHi := math.Inf(1), math.Inf(-1)
+		for i := lo; i < hi; i++ {
+			if (i-lo)%probeCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-			r.sLo, r.sHi = sLo, sHi
-			return sLo, sHi
+			row, err := rows.Row(i, scens, buf)
+			if err != nil {
+				return err
+			}
+			rowLo, rowHi := extremes(row)
+			sLo, sHi = math.Min(sLo, rowLo), math.Max(sHi, rowHi)
 		}
+		los[shard], his[shard] = sLo, sHi
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	row := make([]float64, silp.N)
-	for j := 0; j < probeScenarios; j++ {
-		if err := translate.ExprRealize(r.valSrc, silp.Rel, expr, j, row); err != nil {
-			r.sLo, r.sHi = math.Inf(-1), math.Inf(1) // unusable
-			return r.sLo, r.sHi
-		}
-		for _, v := range row {
-			sLo = math.Min(sLo, v)
-			sHi = math.Max(sHi, v)
-		}
-	}
-	r.sLo, r.sHi = sLo, sHi
-	return sLo, sHi
+	sLo, _ = extremes(los)
+	_, sHi = extremes(his)
+	return sLo, sHi, nil
 }
 
 // exprColumnDet evaluates a deterministic expression per tuple.
@@ -140,15 +202,19 @@ func exprColumnDet(s *translate.SILP, e spaql.LinExpr) ([]float64, error) {
 }
 
 // omegaBounds assembles ω̲ ≤ ω̂ ≤ ω̄ for the validation-optimal objective in
-// the query's original sense.
-func (r *runner) omegaBounds() (lo, hi float64) {
+// the query's original sense. ctx carries the probe's cancellation and
+// parent span.
+func (r *runner) omegaBounds(ctx context.Context) (lo, hi float64, err error) {
 	silp := r.silp
 	if silp.ObjKind == translate.ObjProbability {
 		// A probability objective is bounded in [0, 1]; a probabilistic
 		// constraint over the same inner function tightens nothing useful.
-		return 0, 1
+		return 0, 1, nil
 	}
-	sLo, sHi := r.probeObjectiveRange()
+	sLo, sHi, err := r.probeObjectiveRange(ctx)
+	if err != nil {
+		return 0, 0, err
+	}
 	lLo, lHi := r.sizeLo, r.sizeHi
 
 	// (B1) Constraint-agnostic Table 1 bounds.
@@ -207,14 +273,17 @@ func (r *runner) omegaBounds() (lo, hi float64) {
 			}
 		}
 	}
-	return lo, hi
+	return lo, hi, nil
 }
 
 // epsUpper computes ε′ = the Propositions 2–5 bound guaranteeing
 // ω(q) within (1+ε′) of ω̂, given the solution's validation objective in the
 // original sense. +Inf when no applicable bound exists.
-func (r *runner) epsUpper(objVal float64) float64 {
-	lo, hi := r.omegaBounds()
+func (r *runner) epsUpper(ctx context.Context, objVal float64) (float64, error) {
+	lo, hi, err := r.omegaBounds(ctx)
+	if err != nil {
+		return 0, err
+	}
 	var eps float64
 	if !r.silp.Maximize {
 		// Minimization: need ω̲ ≤ ω̂.
@@ -226,7 +295,7 @@ func (r *runner) epsUpper(objVal float64) float64 {
 		case lo == 0 && objVal == 0:
 			eps = 0
 		default:
-			return math.Inf(1)
+			return math.Inf(1), nil
 		}
 	} else {
 		// Maximization: need ω̂ ≤ ω̄.
@@ -238,11 +307,11 @@ func (r *runner) epsUpper(objVal float64) float64 {
 		case hi == 0 && objVal == 0:
 			eps = 0
 		default:
-			return math.Inf(1)
+			return math.Inf(1), nil
 		}
 	}
 	if eps < 0 {
 		eps = 0
 	}
-	return eps
+	return eps, nil
 }

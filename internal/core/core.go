@@ -308,6 +308,9 @@ type runner struct {
 	sizeLo   float64
 	sizeHi   float64
 
+	// val is the validation state, built by the first validate.
+	val *validator
+
 	// MILP accounting across every solve of the evaluation (see
 	// Solution.MILPSolves); stamped onto the returned Solution by finish.
 	milpSolves   int

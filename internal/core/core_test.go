@@ -359,12 +359,15 @@ func TestEpsUpperMaximization(t *testing.T) {
 	silp := portfolioSILP(t, 10, easyQuery)
 	r := newRunner(context.Background(), silp, smallOptions(1))
 	// ω̄ from probing; any positive objective yields finite ε.
-	eps := r.epsUpper(5)
+	eps, err := r.epsUpper(r.ctx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsInf(eps, 1) || eps < 0 {
 		t.Fatalf("epsUpper = %v, want finite nonnegative", eps)
 	}
 	// A larger objective (closer to the bound) has smaller ε.
-	if r.epsUpper(10) >= eps {
+	if eps10, _ := r.epsUpper(r.ctx, 10); eps10 >= eps {
 		t.Fatalf("epsUpper should shrink as the objective approaches the bound")
 	}
 }
@@ -374,11 +377,11 @@ func TestEpsUpperProbabilityObjectiveBounds(t *testing.T) {
 		MAXIMIZE PROBABILITY OF SUM(gain) >= 0`
 	silp := portfolioSILP(t, 6, q)
 	r := newRunner(context.Background(), silp, smallOptions(1))
-	lo, hi := r.omegaBounds()
-	if lo != 0 || hi != 1 {
+	lo, hi, err := r.omegaBounds(r.ctx)
+	if err != nil || lo != 0 || hi != 1 {
 		t.Fatalf("probability objective bounds = [%v, %v], want [0, 1]", lo, hi)
 	}
-	if eps := r.epsUpper(0.5); math.Abs(eps-1) > 1e-9 {
+	if eps, _ := r.epsUpper(r.ctx, 0.5); math.Abs(eps-1) > 1e-9 {
 		t.Fatalf("epsUpper(0.5) = %v, want (1/0.5)−1 = 1", eps)
 	}
 }
@@ -404,7 +407,10 @@ func TestCounteractingConstraintTightensLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newRunner(context.Background(), silp, smallOptions(1))
-	lo, _ := r.omegaBounds()
+	lo, _, err := r.omegaBounds(r.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lo < 0.9*6-1e-9 {
 		t.Fatalf("lower bound %v, want ≥ p·v = 5.4", lo)
 	}

@@ -108,7 +108,10 @@ func TestSummarySearchCtxCancellation(t *testing.T) {
 		ValidationM: 200000, // large M̂ so validation alone is slow
 		InitialM:    50,
 		IncrementM:  50,
-		MaxM:        1000,
+		// The package never changes, so after the first validation every
+		// round is a memoized verdict plus a tiny solve: a far-off MaxM keeps
+		// the evaluation running well past the cancel.
+		MaxM:        1 << 20,
 		Parallelism: 2,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -138,7 +141,7 @@ func TestSummarySearchCtxDeadline(t *testing.T) {
 		ValidationM: 200000,
 		InitialM:    50,
 		IncrementM:  50,
-		MaxM:        1000,
+		MaxM:        1 << 20, // far off, as in TestSummarySearchCtxCancellation
 		Parallelism: 2,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -2,17 +2,19 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 
 	"spq/internal/obs"
 	"spq/internal/par"
-	"spq/internal/spaql"
+	"spq/internal/stream"
 	"spq/internal/translate"
 )
 
 // Validation is the metadata v̂ computed by the out-of-sample validation of
 // §3.2: per-constraint p-surpluses, feasibility, the objective estimate, and
-// the ε′ upper bound of §5.4.
+// the ε′ upper bound of §5.4. A runner hands out one Validation per distinct
+// package and returns it again for a repeat, so its slices are read-only.
 type Validation struct {
 	Feasible  bool
 	Surpluses []float64
@@ -45,6 +47,46 @@ func Validate(ctx context.Context, silp *translate.SILP, x []float64, o *Options
 	return newRunner(ctx, silp, o).validate(x)
 }
 
+// validator is the validation state a runner builds on its first validate:
+// the validation-stream rows of every probabilistic constraint and of a
+// probability objective, scratch reused by every later call, and the
+// packages already validated. valSrc is fixed per runner, so validating the
+// same package again would reproduce the same Validation bit for bit.
+type validator struct {
+	cons   []*stream.Rows
+	obj    *stream.Rows
+	scores []float64 // one running score per validation scenario
+	counts []int     // satisfied scenarios per shard
+	pkg    []int
+	key    []byte
+	done   map[string]*Validation
+}
+
+func (r *runner) newValidator() (*validator, error) {
+	silp := r.silp
+	v := &validator{
+		cons:   make([]*stream.Rows, len(silp.ProbCons)),
+		scores: make([]float64, r.opts.ValidationM),
+		counts: make([]int, par.Workers(r.opts.Parallelism, r.opts.ValidationM)),
+		done:   map[string]*Validation{},
+	}
+	for k := range silp.ProbCons {
+		rows, err := silp.ConsCursor(k, r.valSrc, 0).Rows()
+		if err != nil {
+			return nil, err
+		}
+		v.cons[k] = rows
+	}
+	if cur := silp.ObjCursor(r.valSrc, 0); cur != nil {
+		rows, err := cur.Rows()
+		if err != nil {
+			return nil, err
+		}
+		v.obj = rows
+	}
+	return v, nil
+}
+
 // validate checks solution x against M̂ out-of-sample scenarios from the
 // validation source. Expectation constraints are feasible by construction
 // (the DILP uses the precomputed means, §3.2), so only probabilistic
@@ -52,12 +94,34 @@ func Validate(ctx context.Context, silp *translate.SILP, x []float64, o *Options
 // a running per-scenario score is kept, so memory is Θ(M̂) regardless of N.
 //
 // The M̂ scenarios are sharded into contiguous ranges across
-// Options.Parallelism workers. Every realization is a pure function of its
-// (attribute, tuple, scenario) coordinate and each shard accumulates its
-// scenarios' scores in the same tuple-major order as the sequential path, so
-// the per-scenario scores — and hence the satisfied counts, surpluses, and
-// objective — are bit-identical for any worker count.
+// Options.Parallelism workers, and each shard walks its scenarios in chunks
+// of stream.RowChunk, realizing every package tuple across the chunk in one
+// row. Every realization is a pure function of its (attribute, tuple,
+// scenario) coordinate and every scenario accumulates its score in package
+// order, so the per-scenario scores — and hence the satisfied counts,
+// surpluses, and objective — are bit-identical for any worker count.
 func (r *runner) validate(x []float64) (*Validation, error) {
+	if r.val == nil {
+		v, err := r.newValidator()
+		if err != nil {
+			return nil, err
+		}
+		r.val = v
+	}
+	vs := r.val
+	pkg, key := vs.pkg[:0], vs.key[:0]
+	for i, xi := range x {
+		if xi > 0 {
+			pkg = append(pkg, i)
+			key = binary.LittleEndian.AppendUint64(key, uint64(i))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(xi))
+		}
+	}
+	vs.pkg, vs.key = pkg, key
+	if val, ok := vs.done[string(key)]; ok {
+		return val, nil
+	}
+
 	mhat := r.opts.ValidationM
 	silp := r.silp
 	sp := obs.SpanFromContext(r.ctx).StartChild("validate")
@@ -65,62 +129,8 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 	defer sp.End()
 	val := &Validation{Feasible: true, EpsUpper: math.Inf(1)}
 
-	var pkg []int
-	for i, xi := range x {
-		if xi > 0 {
-			pkg = append(pkg, i)
-		}
-	}
-
-	workers := par.Workers(r.opts.Parallelism, mhat)
-	scores := make([]float64, mhat)
-	countSatisfied := func(expr spaql.LinExpr, mask []bool, geq bool, v float64) (int, error) {
-		counts := make([]int, workers)
-		err := par.Ranges(r.ctx, mhat, workers, func(shard, lo, hi int) error {
-			sc := scores[lo:hi]
-			for j := range sc {
-				sc[j] = 0
-			}
-			// Tuple-major streaming within the shard: realize each package
-			// tuple across the shard's validation scenarios (cheap:
-			// |pkg| ≪ N, §3.2). Tuples excluded by a general-form aggregate
-			// filter contribute nothing.
-			for _, i := range pkg {
-				if mask != nil && !mask[i] {
-					continue
-				}
-				if err := r.ctx.Err(); err != nil {
-					return err
-				}
-				for j := lo; j < hi; j++ {
-					w, err := translate.ExprValue(r.valSrc, silp.Rel, expr, i, j)
-					if err != nil {
-						return err
-					}
-					sc[j-lo] += w * x[i]
-				}
-			}
-			count := 0
-			for _, s := range sc {
-				if (geq && s >= v) || (!geq && s <= v) {
-					count++
-				}
-			}
-			counts[shard] = count
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total, nil
-	}
-
-	for _, pc := range silp.ProbCons {
-		count, err := countSatisfied(pc.Expr, pc.Mask, pc.Geq, pc.V)
+	for k, pc := range silp.ProbCons {
+		count, err := r.countSatisfied(vs.cons[k], pc.Mask, pc.Geq, pc.V, x)
 		if err != nil {
 			return nil, err
 		}
@@ -142,13 +152,71 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 		}
 		val.Objective = obj
 	case translate.ObjProbability:
-		count, err := countSatisfied(silp.ObjExpr, silp.ObjMask, silp.ObjGeq, silp.ObjV)
+		count, err := r.countSatisfied(vs.obj, silp.ObjMask, silp.ObjGeq, silp.ObjV, x)
 		if err != nil {
 			return nil, err
 		}
 		val.Objective = float64(count) / float64(mhat)
 	}
 
-	val.EpsUpper = r.epsUpper(val.Objective)
+	eps, err := r.epsUpper(obs.ContextWithSpan(r.ctx, sp), val.Objective)
+	if err != nil {
+		return nil, err
+	}
+	val.EpsUpper = eps
+	vs.done[string(key)] = val
 	return val, nil
+}
+
+// countSatisfied counts the validation scenarios whose score over the
+// package in r.val.pkg satisfies the constraint (≥ v when geq, else ≤ v).
+func (r *runner) countSatisfied(rows *stream.Rows, mask []bool, geq bool, v float64, x []float64) (int, error) {
+	vs := r.val
+	clear(vs.counts)
+	err := par.Ranges(r.ctx, len(vs.scores), len(vs.counts), func(shard, lo, hi int) error {
+		buf := stream.GetRowBuf()
+		defer stream.PutRowBuf(buf)
+		sc := vs.scores[lo:hi]
+		clear(sc)
+		for cLo := lo; cLo < hi; cLo += stream.RowChunk {
+			ids := buf.IDs[:min(stream.RowChunk, hi-cLo)]
+			for k := range ids {
+				ids[k] = cLo + k
+			}
+			chunk := sc[cLo-lo:]
+			for _, i := range vs.pkg {
+				// Tuples excluded by a general-form aggregate filter
+				// contribute nothing (not even +0).
+				if mask != nil && !mask[i] {
+					continue
+				}
+				if err := r.ctx.Err(); err != nil {
+					return err
+				}
+				row, err := rows.Row(i, ids, buf)
+				if err != nil {
+					return err
+				}
+				for k, w := range row {
+					chunk[k] += w * x[i]
+				}
+			}
+		}
+		count := 0
+		for _, s := range sc {
+			if (geq && s >= v) || (!geq && s <= v) {
+				count++
+			}
+		}
+		vs.counts[shard] = count
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, c := range vs.counts {
+		total += c
+	}
+	return total, nil
 }

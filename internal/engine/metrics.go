@@ -72,7 +72,7 @@ type engineMetrics struct {
 	cancelLatency *obs.Histogram
 	// phase records every finished trace span's duration under its bounded
 	// phase label (obs.PhaseName): parse, plan, wait, generate, summarize,
-	// validate, solve, partition, sketch/shard, refine, fallback,
+	// validate, probe, solve, partition, sketch/shard, refine, fallback,
 	// remote/dispatch, and the per-method evaluation spans.
 	phase *obs.HistogramVec
 }

@@ -44,10 +44,36 @@ func TestQueryTrace(t *testing.T) {
 			t.Fatalf("span %s has negative duration %d", d.Name, d.DurationUS)
 		}
 	})
-	for _, want := range []string{"query", "parse", "wait", "plan", "summarysearch", "solve", "validate"} {
+	for _, want := range []string{"query", "parse", "wait", "plan", "summarysearch", "solve", "validate", "probe"} {
 		if phases[want] == 0 {
 			t.Fatalf("phase %q missing from trace (got %v)", want, phases)
 		}
+	}
+	// The /metrics phase label set stays the fixed vocabulary above plus
+	// summarize: no span name carries a per-query value.
+	for name := range phases {
+		switch name {
+		case "query", "parse", "wait", "plan", "summarysearch", "summarize", "solve", "validate", "probe":
+		default:
+			t.Fatalf("unexpected phase label %q", name)
+		}
+	}
+	// The ε′ probe runs once per evaluation, inside the first validation,
+	// and says how much it realized.
+	probes := 0
+	res.Trace.Walk(func(d *obs.SpanData) {
+		for _, c := range d.Children {
+			if c.Name != "probe" {
+				continue
+			}
+			probes++
+			if d.Name != "validate" || c.Attrs["n"] != "15" || c.Attrs["scenarios"] != "64" {
+				t.Fatalf("probe span under %q with attrs %v, want under validate with n=15 scenarios=64", d.Name, c.Attrs)
+			}
+		}
+	})
+	if probes != 1 {
+		t.Fatalf("%d probe spans, want 1", probes)
 	}
 
 	// A caller that already carries a span gets instrumented into the

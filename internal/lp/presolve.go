@@ -21,8 +21,8 @@ package lp
 import "math"
 
 const (
-	presolveTol    = 1e-9 // redundancy / feasibility slack
-	presolveIntTol = 1e-6 // integrality slack when rounding bounds inward
+	presolveTol       = 1e-9 // redundancy / feasibility slack
+	presolveIntTol    = 1e-6 // integrality slack when rounding bounds inward
 	presolveMaxPasses = 16
 )
 

@@ -66,16 +66,28 @@ func (vg *IndependentVG) Value(src rng.Source, tuple, scenario int) float64 {
 	return v
 }
 
+func (vg *IndependentVG) values(src rng.Source, tuple int, scens []int, out []float64) {
+	d := vg.distFor(tuple)
+	seeds := src.Row(vg.AttrID, uint64(tuple))
+	s := streams.Get().(*rng.Stream)
+	for k, j := range scens {
+		s.Reseed(seeds.At(uint64(j)))
+		out[k] = d.Sample(s)
+	}
+	streams.Put(s)
+}
+
 // ExactMean implements VGFunc.
 func (vg *IndependentVG) ExactMean(tuple int) float64 { return vg.distFor(tuple).Mean() }
 
 // GroupedVG realizes variables that are correlated within groups: all tuples
 // with the same Group share one substream per scenario, so their values are
 // derived from a common random experiment (e.g. one price path per stock,
-// Figure 1 of the paper). Eval receives the shared stream and the tuple
-// index and must consume the stream identically for every tuple in a group
-// (typically by generating the full group experiment and reading off the
-// tuple's part). The stream is valid only for the duration of the call.
+// Figure 1 of the paper). Eval receives the shared stream, freshly seeded
+// for (group, scenario), and the tuple index, and must read the tuple's
+// value off the group's common experiment; since every call starts from the
+// same seed, it may generate only the prefix of the experiment the tuple
+// needs. The stream is valid only for the duration of the call.
 type GroupedVG struct {
 	AttrID uint64
 	Group  []int // group id per tuple
@@ -90,6 +102,16 @@ func (vg *GroupedVG) Value(src rng.Source, tuple, scenario int) float64 {
 	v := vg.Eval(s, tuple)
 	streams.Put(s)
 	return v
+}
+
+func (vg *GroupedVG) values(src rng.Source, tuple int, scens []int, out []float64) {
+	seeds := src.Row(vg.AttrID, uint64(vg.Group[tuple]))
+	s := streams.Get().(*rng.Stream)
+	for k, j := range scens {
+		s.Reseed(seeds.At(uint64(j)))
+		out[k] = vg.Eval(s, tuple)
+	}
+	streams.Put(s)
 }
 
 // ExactMean implements VGFunc.
@@ -113,6 +135,30 @@ func (vg *remappedVG) Value(src rng.Source, tuple, scenario int) float64 {
 }
 
 func (vg *remappedVG) ExactMean(tuple int) float64 { return vg.inner.ExactMean(vg.orig[tuple]) }
+
+func (vg *remappedVG) values(src rng.Source, tuple int, scens []int, out []float64) {
+	valuesOf(vg.inner, src, vg.orig[tuple], scens, out)
+}
+
+// rowVG is implemented by this package's VG functions: values sets out[k] to
+// Value(src, tuple, scens[k]) bit for bit, with the per-tuple work (the
+// distribution or group, the seed prefix, the recycled stream) hoisted out
+// of the scenario loop.
+type rowVG interface {
+	values(src rng.Source, tuple int, scens []int, out []float64)
+}
+
+// valuesOf realizes one tuple of vg across scens: through the row path when
+// vg has one, one Value call per scenario for any other VGFunc.
+func valuesOf(vg VGFunc, src rng.Source, tuple int, scens []int, out []float64) {
+	if rv, ok := vg.(rowVG); ok {
+		rv.values(src, tuple, scens, out)
+		return
+	}
+	for k, j := range scens {
+		out[k] = vg.Value(src, tuple, j)
+	}
+}
 
 // stochAttr is a stochastic attribute of a relation.
 type stochAttr struct {
@@ -391,6 +437,50 @@ func (r *Relation) Value(src rng.Source, attr string, tuple, scenario int) (floa
 		return r.stochs[i].vg.Value(src, tuple, scenario), nil
 	}
 	return 0, fmt.Errorf("relation: no attribute %q", attr)
+}
+
+// Attr is an attribute resolved by name once, so realizing through it pays
+// none of Value's per-value name lookups. It reads the relation it was
+// resolved on exactly as Value does.
+type Attr struct {
+	rel *Relation
+	vg  VGFunc // nil for a deterministic column
+	det int    // the deterministic column's index
+}
+
+// Attr resolves an attribute for row-wise realization.
+func (r *Relation) Attr(name string) (Attr, error) {
+	if i, ok := r.detIdx[name]; ok {
+		return Attr{rel: r, det: i}, nil
+	}
+	if i, ok := r.stochIdx[name]; ok {
+		return Attr{rel: r, vg: r.stochs[i].vg}, nil
+	}
+	return Attr{}, fmt.Errorf("relation: no attribute %q", name)
+}
+
+// Values realizes the attribute for one tuple across a list of scenarios:
+// out[k] is Value(src, attr, tuple, scens[k]) bit for bit. A deterministic
+// column reads its one value, from a lazy column without promoting it, and
+// repeats it.
+func (a Attr) Values(src rng.Source, tuple int, scens []int, out []float64) error {
+	out = out[:len(scens)]
+	if a.vg != nil {
+		valuesOf(a.vg, src, tuple, scens, out)
+		return nil
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	if col := a.rel.detCols[a.det]; col != nil {
+		out[0] = col[tuple]
+	} else if err := a.rel.detSrcs[a.det].ReadAt(out[:1], tuple); err != nil {
+		return err
+	}
+	for k := 1; k < len(out); k++ {
+		out[k] = out[0]
+	}
+	return nil
 }
 
 // Realize fills out (length N) with realizations of attr for one scenario.

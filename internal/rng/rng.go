@@ -30,11 +30,16 @@ func splitmix64(state *uint64) uint64 {
 func Mix(words ...uint64) uint64 {
 	state := uint64(0x8e2f_19a6_3c5d_71bb)
 	for _, w := range words {
-		state ^= w
-		_ = splitmix64(&state)
-		state = state*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
+		mixWord(&state, w)
 	}
 	return splitmix64(&state)
+}
+
+// mixWord absorbs one word into a Mix state.
+func mixWord(state *uint64, w uint64) {
+	*state ^= w
+	_ = splitmix64(state)
+	*state = *state*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
 }
 
 // Stream is a small, fast PCG-XSH-RR 64/32-like generator. Each Stream is an
@@ -192,4 +197,26 @@ func (src Source) StreamAt(attr, group, scenario uint64) *Stream {
 // tight generation loops.
 func (src Source) SeedAt(attr, group, scenario uint64) uint64 {
 	return Mix(src.base, attr, group, scenario)
+}
+
+// SeedRow is the Mix state of one (attr, group) coordinate prefix: At
+// finishes the hash for one scenario, so a caller realizing a variable
+// across many scenarios absorbs the shared prefix once.
+type SeedRow struct{ state uint64 }
+
+// Row returns the seed row of coordinate prefix (attr, group).
+func (src Source) Row(attr, group uint64) SeedRow {
+	state := uint64(0x8e2f_19a6_3c5d_71bb)
+	mixWord(&state, src.base)
+	mixWord(&state, attr)
+	mixWord(&state, group)
+	return SeedRow{state: state}
+}
+
+// At returns the substream seed of the row's variable in one scenario; it
+// equals SeedAt(attr, group, scenario) bit for bit.
+func (r SeedRow) At(scenario uint64) uint64 {
+	state := r.state
+	mixWord(&state, scenario)
+	return splitmix64(&state)
 }

@@ -195,6 +195,16 @@ func TestStreamAtMatchesSeedAt(t *testing.T) {
 	}
 }
 
+func TestSeedRowMatchesSeedAt(t *testing.T) {
+	f := func(base, attr, group, scen uint64) bool {
+		src := NewSource(base)
+		return src.Row(attr, group).At(scen) == src.SeedAt(attr, group, scen)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: the realized substream value at a coordinate does not depend on
 // the order in which other coordinates are visited (order independence is the
 // linchpin of tuple-wise vs scenario-wise generation equivalence).

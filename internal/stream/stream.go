@@ -27,6 +27,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"spq/internal/par"
@@ -222,20 +223,93 @@ func (c *ScenarioCursor) block() int {
 	return c.Block
 }
 
-// value realizes the inner function for one (tuple, scenario) coordinate
-// with the exact term order of translate.ExprRealize: start from Const, add
-// Coef·attr term by term.
-func (c *ScenarioCursor) value(tuple, scen int) (float64, error) {
-	if c.Mask != nil && !c.Mask[tuple] {
-		return 0, nil
+// RowChunk is the most scenarios one Rows.Row call realizes; longer
+// scenario lists are realized chunk by chunk.
+const RowChunk = 256
+
+// RowBuf is one goroutine's scratch for Rows.Row. IDs is room for a
+// caller-built scenario list.
+type RowBuf struct {
+	IDs  [RowChunk]int
+	vals [RowChunk]float64
+	tmp  [RowChunk]float64
+}
+
+var rowBufs = sync.Pool{New: func() any { return new(RowBuf) }}
+
+// GetRowBuf takes a RowBuf from a process-wide pool.
+func GetRowBuf() *RowBuf { return rowBufs.Get().(*RowBuf) }
+
+// PutRowBuf returns b to the pool; the caller must not use it afterwards.
+func PutRowBuf(b *RowBuf) { rowBufs.Put(b) }
+
+// Rows is a cursor with its terms resolved against its relation: the one
+// realization kernel every consumer of scenario values goes through. It is
+// immutable and safe for concurrent use.
+type Rows struct {
+	c     *ScenarioCursor
+	attrs []relation.Attr
+}
+
+// Rows resolves the cursor's attributes once, for any number of Row calls.
+func (c *ScenarioCursor) Rows() (*Rows, error) {
+	attrs := make([]relation.Attr, len(c.Terms))
+	for i, t := range c.Terms {
+		a, err := c.Rel.Attr(t.Attr)
+		if err != nil {
+			return nil, err
+		}
+		attrs[i] = a
 	}
-	v := c.Const
-	for _, t := range c.Terms {
-		av, err := c.Rel.Value(c.Src, t.Attr, tuple, scen)
+	return &Rows{c: c, attrs: attrs}, nil
+}
+
+// Row realizes the inner function of one tuple across scens (at most
+// RowChunk of them) into buf and returns the values, aligned with scens. A
+// tuple excluded by the mask realizes as exactly 0. Each value is computed
+// with the per-coordinate operation order of the materialized path: start
+// from Const, then add Coef·attr term by term. Row does not touch Counters.
+func (r *Rows) Row(tuple int, scens []int, buf *RowBuf) ([]float64, error) {
+	c := r.c
+	out := buf.vals[:len(scens)]
+	if c.Mask != nil && !c.Mask[tuple] {
+		clear(out)
+		return out, nil
+	}
+	for k := range out {
+		out[k] = c.Const
+	}
+	tmp := buf.tmp[:len(scens)]
+	for ti, a := range r.attrs {
+		if err := a.Values(c.Src, tuple, scens, tmp); err != nil {
+			return nil, err
+		}
+		coef := c.Terms[ti].Coef
+		for k, v := range tmp {
+			out[k] += coef * v
+		}
+	}
+	return out, nil
+}
+
+// fold realizes one tuple across chosen and folds it in direction d, in the
+// order of scenario.Set.Summarize: initialize from chosen[0], then compare
+// chosen[1:] in order.
+func (r *Rows) fold(tuple int, chosen []int, d scenario.Direction, buf *RowBuf) (float64, error) {
+	var v float64
+	for lo := 0; lo < len(chosen); lo += RowChunk {
+		row, err := r.Row(tuple, chosen[lo:min(lo+RowChunk, len(chosen))], buf)
 		if err != nil {
 			return 0, err
 		}
-		v += t.Coef * av
+		if lo == 0 {
+			v, row = row[0], row[1:]
+		}
+		for _, w := range row {
+			if (d == Min && w < v) || (d == Max && w > v) {
+				v = w
+			}
+		}
 	}
 	return v, nil
 }
@@ -248,9 +322,15 @@ func (c *ScenarioCursor) value(tuple, scen int) (float64, error) {
 // materialized set for every worker count.
 func (c *ScenarioCursor) Summarize(ctx context.Context, chosen []int, dir scenario.Direction, accel []bool, workers int) (*scenario.Summary, error) {
 	n := c.Rel.N()
+	rows, err := c.Rows()
+	if err != nil {
+		return nil, err
+	}
 	out := &scenario.Summary{Attr: c.Name, Values: make([]float64, n), Chosen: append([]int(nil), chosen...), Dir: dir, Accel: cloneAccel(accel)}
 	bs := c.block()
-	err := par.Ranges(ctx, n, workers, func(_, shardLo, shardHi int) error {
+	err = par.Ranges(ctx, n, workers, func(_, shardLo, shardHi int) error {
+		buf := GetRowBuf()
+		defer PutRowBuf(buf)
 		for lo := shardLo; lo < shardHi; lo += bs {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -264,18 +344,9 @@ func (c *ScenarioCursor) Summarize(ctx context.Context, chosen []int, dir scenar
 				if accel != nil && accel[i] {
 					d = d.Opposite()
 				}
-				v, err := c.value(i, chosen[0])
+				v, err := rows.fold(i, chosen, d, buf)
 				if err != nil {
 					return err
-				}
-				for _, j := range chosen[1:] {
-					w, err := c.value(i, j)
-					if err != nil {
-						return err
-					}
-					if (d == Min && w < v) || (d == Max && w > v) {
-						v = w
-					}
 				}
 				out.Values[i] = v
 			}
@@ -305,6 +376,10 @@ func cloneAccel(accel []bool) []bool {
 // identically (coordinate-pure VGs), making the patched summary
 // bit-identical to a full re-summarization.
 func (c *ScenarioCursor) PatchSummarize(ctx context.Context, prev *scenario.Summary, touched []int) (*scenario.Summary, error) {
+	rows, err := c.Rows()
+	if err != nil {
+		return nil, err
+	}
 	out := &scenario.Summary{
 		Attr:   prev.Attr,
 		Values: append([]float64(nil), prev.Values...),
@@ -312,6 +387,8 @@ func (c *ScenarioCursor) PatchSummarize(ctx context.Context, prev *scenario.Summ
 		Dir:    prev.Dir,
 		Accel:  prev.Accel,
 	}
+	buf := GetRowBuf()
+	defer PutRowBuf(buf)
 	for _, i := range touched {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -320,18 +397,9 @@ func (c *ScenarioCursor) PatchSummarize(ctx context.Context, prev *scenario.Summ
 		if prev.Accel != nil && prev.Accel[i] {
 			d = d.Opposite()
 		}
-		v, err := c.value(i, prev.Chosen[0])
+		v, err := rows.fold(i, prev.Chosen, d, buf)
 		if err != nil {
 			return nil, err
-		}
-		for _, j := range prev.Chosen[1:] {
-			w, err := c.value(i, j)
-			if err != nil {
-				return nil, err
-			}
-			if (d == Min && w < v) || (d == Max && w > v) {
-				v = w
-			}
 		}
 		out.Values[i] = v
 	}
@@ -352,8 +420,13 @@ const (
 // scenario IDs (aligned with ids), realizing only the tuples with x_i ≠ 0 —
 // the same skip rule, tuple order, and accumulation order as
 // scenario.Set.Score, so greedy selection orders scenarios identically to
-// the materialized path.
+// the materialized path. Work is tuple-major within each chunk of ids: every
+// score still starts from 0 and adds v·x_i in package order.
 func (c *ScenarioCursor) Scores(ctx context.Context, ids []int, x []float64, workers int) ([]float64, error) {
+	rows, err := c.Rows()
+	if err != nil {
+		return nil, err
+	}
 	scores := make([]float64, len(ids))
 	var pkg []int
 	for i, xi := range x {
@@ -361,20 +434,24 @@ func (c *ScenarioCursor) Scores(ctx context.Context, ids []int, x []float64, wor
 			pkg = append(pkg, i)
 		}
 	}
-	err := par.Ranges(ctx, len(ids), workers, func(_, lo, hi int) error {
-		for k := lo; k < hi; k++ {
+	err = par.Ranges(ctx, len(ids), workers, func(_, lo, hi int) error {
+		buf := GetRowBuf()
+		defer PutRowBuf(buf)
+		for cLo := lo; cLo < hi; cLo += RowChunk {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			sum := 0.0
+			cHi := min(cLo+RowChunk, hi)
+			sc := scores[cLo:cHi]
 			for _, i := range pkg {
-				v, err := c.value(i, ids[k])
+				row, err := rows.Row(i, ids[cLo:cHi], buf)
 				if err != nil {
 					return err
 				}
-				sum += v * x[i]
+				for k, v := range row {
+					sc[k] += v * x[i]
+				}
 			}
-			scores[k] = sum
 		}
 		if hi > lo {
 			valuesGenerated.Add(int64((hi - lo) * len(pkg)))
@@ -407,12 +484,20 @@ func (c *ScenarioCursor) Realize(scen int, out []float64) error {
 	if len(out) != c.Rel.N() {
 		return fmt.Errorf("stream: output slice length %d, want %d", len(out), c.Rel.N())
 	}
+	rows, err := c.Rows()
+	if err != nil {
+		return err
+	}
+	buf := GetRowBuf()
+	defer PutRowBuf(buf)
+	scens := buf.IDs[:1]
+	scens[0] = scen
 	for i := range out {
-		v, err := c.value(i, scen)
+		row, err := rows.Row(i, scens, buf)
 		if err != nil {
 			return err
 		}
-		out[i] = v
+		out[i] = row[0]
 	}
 	valuesGenerated.Add(int64(len(out)))
 	return nil

@@ -204,20 +204,6 @@ func ExprEqual(a, b spaql.LinExpr) bool {
 	return true
 }
 
-// ExprValue returns the realized inner-function value for one tuple in one
-// scenario.
-func ExprValue(src rng.Source, rel *relation.Relation, e spaql.LinExpr, tuple, scenarioID int) (float64, error) {
-	v := e.Const
-	for _, t := range e.Terms {
-		av, err := rel.Value(src, t.Attr, tuple, scenarioID)
-		if err != nil {
-			return 0, err
-		}
-		v += t.Coef * av
-	}
-	return v, nil
-}
-
 // Build validates and lowers a query against a relation. Means for
 // stochastic attributes referenced by EXPECTED clauses or expectation
 // objectives must have been computed (relation.ComputeMeans) beforehand.
@@ -589,8 +575,9 @@ func (s *SILP) GenerateSetsP(ctx context.Context, src rng.Source, first, m, work
 	return sets, objSet, nil
 }
 
-// cursorFor binds one inner-function expression to a streaming cursor.
-func (s *SILP) cursorFor(name string, src rng.Source, e spaql.LinExpr, mask []bool, block int) *stream.ScenarioCursor {
+// ExprCursor binds one inner-function expression to a streaming cursor
+// over the SILP's relation.
+func (s *SILP) ExprCursor(name string, src rng.Source, e spaql.LinExpr, mask []bool, block int) *stream.ScenarioCursor {
 	terms := make([]stream.Term, len(e.Terms))
 	for i, t := range e.Terms {
 		terms[i] = stream.Term{Coef: t.Coef, Attr: t.Attr}
@@ -613,7 +600,7 @@ func (s *SILP) cursorFor(name string, src rng.Source, e spaql.LinExpr, mask []bo
 // semantics). block ≤ 0 uses the stream default.
 func (s *SILP) ConsCursor(k int, src rng.Source, block int) *stream.ScenarioCursor {
 	pc := &s.ProbCons[k]
-	return s.cursorFor(pc.Name, src, pc.Expr, pc.Mask, block)
+	return s.ExprCursor(pc.Name, src, pc.Expr, pc.Mask, block)
 }
 
 // ObjCursor returns the streaming cursor for a probability objective's inner
@@ -622,7 +609,7 @@ func (s *SILP) ObjCursor(src rng.Source, block int) *stream.ScenarioCursor {
 	if s.ObjKind != ObjProbability {
 		return nil
 	}
-	return s.cursorFor("objective", src, s.ObjExpr, s.ObjMask, block)
+	return s.ExprCursor("objective", src, s.ObjExpr, s.ObjMask, block)
 }
 
 // ExtendSets appends m more scenarios to previously generated sets.

@@ -188,11 +188,16 @@ func TestGenerateSetsShape(t *testing.T) {
 		t.Fatalf("set shape: %d sets, M=%d N=%d", len(sets), sets[0].M(), sets[0].N)
 	}
 	// Inner-function values must match direct expression evaluation.
+	e := s.ProbCons[0].Expr
 	for j := 0; j < 7; j++ {
 		for i := 0; i < 5; i++ {
-			want, err := ExprValue(src, rel, s.ProbCons[0].Expr, i, j)
-			if err != nil {
-				t.Fatal(err)
+			want := e.Const
+			for _, term := range e.Terms {
+				v, err := rel.Value(src, term.Attr, i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += term.Coef * v
 			}
 			if got := sets[0].Value(i, j); got != want {
 				t.Fatalf("set[%d,%d] = %v, want %v", i, j, got, want)

@@ -101,7 +101,6 @@ func Portfolio(cfg Config) *Instance {
 		group := make([]int, n)
 		horizon := make([]int, n)
 		means := make([]float64, n)
-		maxH := horizons[len(horizons)-1]
 		for k := 0; k < n; k++ {
 			s := stocks[k/len(horizons)]
 			h := horizons[k%len(horizons)]
@@ -127,7 +126,8 @@ func Portfolio(cfg Config) *Instance {
 			panic(err)
 		}
 		// One shared GBM path per (stock, scenario): Eval regenerates the
-		// path prefix deterministically from the shared stream.
+		// path deterministically from the shared stream, up to the tuple's
+		// horizon only (the path is sequential, so the prefix is the same).
 		vg := &relation.GroupedVG{
 			AttrID: attrID,
 			Group:  group,
@@ -136,9 +136,9 @@ func Portfolio(cfg Config) *Instance {
 				s := group[tuple]
 				g := dist.GBM{S0: price[s], Mu: drift[s], Sigma: volat[s], Dt: tradingDt}
 				var buf [maxHorizon]float64 // on the stack: one path per realized value
-				path := buf[:maxH]
+				path := buf[:horizon[tuple]]
 				g.Path(st, path)
-				return path[horizon[tuple]-1] - price[s]
+				return path[len(path)-1] - price[s]
 			},
 		}
 		if err := rel.AddStoch("gain", vg); err != nil {
