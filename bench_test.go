@@ -236,8 +236,11 @@ func BenchmarkFormulateCSA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parts := sets[0].Partition(1, 7)
-	sm := sets[0].Summarize(parts[0], silp.ProbCons[0].Direction(), nil)
+	parts := scenario.PartitionIDs(100, 1, 7)
+	sm, err := sets[0].SummarizeP(context.Background(), parts[0], silp.ProbCons[0].Direction(), nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model, _, err := silp.FormulateCSA([][]*scenario.Summary{{sm}}, nil)
@@ -248,52 +251,6 @@ func BenchmarkFormulateCSA(b *testing.B) {
 			b.ReportMetric(float64(model.NumCoefficients()), "coefficients")
 		}
 	}
-}
-
-// --- Ablation: tuple-wise vs scenario-wise summarization (§5.5) ---
-
-func benchmarkSummarize(b *testing.B, strat scenario.Strategy) {
-	in := workload.Galaxy(benchConfig())
-	rel := in.Table("galaxy_Q1")
-	src := rng.NewSource(3)
-	chosen := make([]int, 40)
-	for i := range chosen {
-		chosen[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.StreamingSummary(src, rel, "petromag_r", chosen, scenario.Min, nil, strat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSummarizeTupleWise(b *testing.B)    { benchmarkSummarize(b, scenario.TupleWise) }
-func BenchmarkSummarizeScenarioWise(b *testing.B) { benchmarkSummarize(b, scenario.ScenarioWise) }
-
-// Parallel variants of the same ablation: both generation orders sharded
-// across all CPUs (bit-identical summaries; see scenario.StreamingSummaryP).
-func benchmarkSummarizeParallel(b *testing.B, strat scenario.Strategy) {
-	in := workload.Galaxy(benchConfig())
-	rel := in.Table("galaxy_Q1")
-	src := rng.NewSource(3)
-	chosen := make([]int, 40)
-	for i := range chosen {
-		chosen[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.StreamingSummaryP(context.Background(), src, rel, "petromag_r", chosen, scenario.Min, nil, strat, -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSummarizeTupleWiseParallel(b *testing.B) {
-	benchmarkSummarizeParallel(b, scenario.TupleWise)
-}
-func BenchmarkSummarizeScenarioWiseParallel(b *testing.B) {
-	benchmarkSummarizeParallel(b, scenario.ScenarioWise)
 }
 
 // --- Ablation: convergence acceleration (§5.5) ---
@@ -404,7 +361,7 @@ func benchmarkSummarySearchParallel(b *testing.B, workers int) {
 func BenchmarkSummarySearchSequential(b *testing.B) { benchmarkSummarySearchParallel(b, 1) }
 func BenchmarkSummarySearchParallel(b *testing.B)   { benchmarkSummarySearchParallel(b, -1) }
 
-// --- End-to-end experiment kernels (used by EXPERIMENTS.md) ---
+// --- End-to-end experiment kernels (the repo benchmark is bench/README.md) ---
 
 func BenchmarkExperimentEndToEndKernel(b *testing.B) {
 	cfg := experiments.Defaults()

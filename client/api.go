@@ -106,12 +106,6 @@ type SolveOptions struct {
 	Epsilon        float64 `json:"epsilon,omitempty"`
 	MaxCSAIters    int     `json:"max_csa_iters,omitempty"`
 	Parallelism    int     `json:"parallelism,omitempty"`
-	// MaxResidentScenarios bounds materialized scenario matrices: 0 streams
-	// block-wise (the default), > 0 materializes while M stays at or under
-	// the budget, < 0 always materializes. Streamed and materialized
-	// evaluation are bit-identical, so the field trades memory against
-	// recompute only and does not join cache keys.
-	MaxResidentScenarios int `json:"max_resident_scenarios,omitempty"`
 	// DisableAcceleration turns off the monotone-objective summary
 	// modification (ablations).
 	DisableAcceleration bool `json:"disable_acceleration,omitempty"`

@@ -10,7 +10,7 @@
 //	spqbench -phases -workload galaxy -query Q2  # per-phase latency breakdown from trace spans
 //
 // Absolute numbers differ from the paper (pure-Go solver, synthetic data,
-// reduced scale — see EXPERIMENTS.md); the comparisons the paper draws
+// reduced scale — see bench/README.md); the comparisons the paper draws
 // (who reaches feasibility, how time scales with M/Z/N, who wins and by
 // how much) are what this harness reproduces.
 package main

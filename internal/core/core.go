@@ -30,7 +30,8 @@ type Options struct {
 	// ValidationM is M̂, the number of out-of-sample validation scenarios
 	// (paper: 10⁶–10⁷; default here 10000).
 	ValidationM int
-	// InitialM is the starting number of optimization scenarios (default 20).
+	// InitialM is the starting number of optimization scenarios (default 20,
+	// at most MaxM).
 	InitialM int
 	// IncrementM is the per-iteration scenario increment m (default ==
 	// InitialM).
@@ -61,25 +62,6 @@ type Options struct {
 	SolverNodes int
 	// RelGap is the MILP relative optimality gap (default 1e-4).
 	RelGap float64
-	// MaxResidentScenarios bounds how many optimization scenarios per
-	// summarized expression SummarySearch may keep materialized in memory:
-	//
-	//	 0 (default) — fully streamed: summaries and greedy-selection
-	//	   scores fold block-wise over scenario cursors; no N×M matrix is
-	//	   ever built and per-query scenario memory is Θ(N) (the summary
-	//	   vectors), independent of M.
-	//	>0 — hybrid: scenario sets are materialized (the fast path for
-	//	   repeated summarization) while M stays within the budget; the
-	//	   evaluation drops them and streams once M outgrows it. The
-	//	   admission layer uses this to bound per-query memory.
-	//	<0 — always materialize (the legacy path, kept for ablations).
-	//
-	// Streamed and materialized evaluation are bit-identical — realizations
-	// are pure functions of their (attribute, tuple, scenario) coordinates —
-	// so, like Parallelism, this knob is excluded from Key(). The Naïve SAA
-	// baseline always materializes: its formulation consumes whole scenario
-	// rows.
-	MaxResidentScenarios int
 	// Parallelism is the number of worker goroutines used for scenario
 	// generation, summarization, out-of-sample validation, and the
 	// branch-and-bound MILP search. 0 or 1 run sequentially; a negative
@@ -126,14 +108,18 @@ func (o *Options) withDefaults() Options {
 	if out.ValidationM <= 0 {
 		out.ValidationM = 10000
 	}
+	if out.MaxM <= 0 {
+		out.MaxM = 1000
+	}
 	if out.InitialM <= 0 {
 		out.InitialM = 20
 	}
+	// MaxM caps every scenario count, the first one included.
+	if out.InitialM > out.MaxM {
+		out.InitialM = out.MaxM
+	}
 	if out.IncrementM <= 0 {
 		out.IncrementM = out.InitialM
-	}
-	if out.MaxM <= 0 {
-		out.MaxM = 1000
 	}
 	if out.FixedZ < 0 {
 		out.FixedZ = 0
@@ -161,11 +147,10 @@ func (o *Options) withDefaults() Options {
 
 // Key renders every result-relevant option field canonically, after
 // defaulting, so two Options values that evaluate identically share one key.
-// The engine's result cache builds its keys from it. Parallelism,
-// MaxResidentScenarios, and Progress are deliberately excluded: parallel and
-// streamed evaluation are bit-identical to sequential materialized
-// evaluation for any worker count or residency budget, and the progress
-// callback only observes, so none can change a result. Time budgets
+// The engine's result cache builds its keys from it. Parallelism and
+// Progress are deliberately excluded: parallel evaluation is bit-identical
+// to sequential evaluation for any worker count, and the progress callback
+// only observes, so neither can change a result. Time budgets
 // (TimeLimit, SolverTime, SolverNodes) are included: when a budget binds,
 // the result depends on it. Nil receivers key like the zero Options.
 func (o *Options) Key() string {
@@ -431,14 +416,6 @@ func (r *runner) generateSets(first, m int) ([]*scenario.Set, *scenario.Set, err
 	sp.SetInt("m", int64(m))
 	defer sp.End()
 	return r.silp.GenerateSetsP(r.ctx, r.optSrc, first, m, r.opts.Parallelism)
-}
-
-// extendSets is ExtendSetsP under a "generate" trace span.
-func (r *runner) extendSets(sets []*scenario.Set, objSet *scenario.Set, grow int) error {
-	sp := obs.SpanFromContext(r.ctx).StartChild("generate")
-	sp.SetInt("grow", int64(grow))
-	defer sp.End()
-	return r.silp.ExtendSetsP(r.ctx, r.optSrc, sets, objSet, grow, r.opts.Parallelism)
 }
 
 // finish stamps end-of-evaluation bookkeeping (wall-clock time, MILP

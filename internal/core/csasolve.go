@@ -12,6 +12,7 @@ import (
 	"spq/internal/obs"
 	"spq/internal/rng"
 	"spq/internal/scenario"
+	"spq/internal/stream"
 	"spq/internal/translate"
 )
 
@@ -151,24 +152,25 @@ func solutionKey(x []float64, alphas []float64) string {
 // for the best (minimally conservative) CSA formulation. It returns the best
 // solution found (feasible if any iteration validated feasible) or nil when
 // every CSA was unsolvable. Iteration records are appended to *iters.
-// The scenario population arrives as a bank: materialized or streamed, the
-// selection and summarization arithmetic is identical (see bank.go).
-func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, iters *[]Iteration) (*Solution, error) {
+// Scenarios are never materialized: the cursors realize the values each
+// greedy score and summary needs, block-wise, on demand.
+func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) (*Solution, error) {
 	silp := r.silp
 	k := len(silp.ProbCons)
 
 	// Shared random partition of the scenario ids (§4.1); deterministic per
 	// (seed, M, Z) so re-invocations after growing M are reproducible. The
 	// partition depends only on the scenario count, never on realized
-	// values, so a streamed bank partitions scenarios it never generated.
+	// values, so no scenario has to exist before it is partitioned.
 	partSeed := rng.Mix(r.opts.Seed, uint64(mCount), uint64(zCount))
-	var parts [][]int
-	if k > 0 || bk.hasObj() {
-		parts = scenario.PartitionIDs(mCount, zCount, partSeed)
-	}
+	parts := scenario.PartitionIDs(mCount, zCount, partSeed)
 	grid := float64(zCount) / float64(mCount)
 	if grid > 1 {
 		grid = 1
+	}
+	curs := make([]*stream.ScenarioCursor, k)
+	for ck := range curs {
+		curs[ck] = silp.ConsCursor(ck, r.optSrc, 0)
 	}
 
 	// Objective summaries for probability objectives: fully conservative
@@ -180,8 +182,9 @@ func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, it
 		if silp.ObjGeq {
 			dir = scenario.Min
 		}
+		cur := silp.ObjCursor(r.optSrc, 0)
 		for _, part := range parts {
-			sm, err := bk.Summarize(objCK, part, dir, nil)
+			sm, err := cur.Summarize(r.ctx, part, dir, nil, r.opts.Parallelism)
 			if err != nil {
 				return nil, err
 			}
@@ -255,6 +258,7 @@ func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, it
 		sumSpan.SetInt("z", int64(zCount))
 		summaries := make([][]*scenario.Summary, k)
 		for ck, pc := range silp.ProbCons {
+			cur := curs[ck]
 			dir := pc.Direction()
 			var accel []bool
 			if !r.opts.DisableAcceleration && lastFeasible && st.alphas[ck] < prevAlphas[ck] {
@@ -264,15 +268,17 @@ func (r *runner) csaSolve(bk *scenarioBank, x0 []float64, mCount, zCount int, it
 				}
 			}
 			for _, part := range parts {
-				chosen, err := bk.Pick(ck, part, st.alphas[ck], dir, x)
+				// Greedy selection (§5.3) by score under the previous package.
+				scores, err := cur.ScoreMap(r.ctx, part, x, r.opts.Parallelism)
 				if err != nil {
 					sumSpan.End()
 					return nil, err
 				}
+				chosen := scenario.Pick(part, st.alphas[ck], dir, scores)
 				if len(chosen) == 0 {
 					chosen = part[:1]
 				}
-				sm, err := bk.Summarize(ck, chosen, dir, accel)
+				sm, err := cur.Summarize(r.ctx, chosen, dir, accel, r.opts.Parallelism)
 				if err != nil {
 					sumSpan.End()
 					return nil, err

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"spq/internal/translate"
 )
 
 // Tests for time/iteration budget handling — the machinery behind the
@@ -125,6 +127,44 @@ func TestZeroOptionsUseDefaults(t *testing.T) {
 	}
 	if opts.SolverTime != 30*time.Second {
 		t.Fatalf("SolverTime default = %v", opts.SolverTime)
+	}
+}
+
+// TestMaxMCapsInitialM pins that MaxM bounds every scenario count, the
+// first included: a MaxM below the default InitialM (20) must not evaluate
+// at 20 scenarios, for either algorithm, whether the query is satisfied at
+// the first M or runs out of scenarios.
+func TestMaxMCapsInitialM(t *testing.T) {
+	const maxM = 7
+	if o := (&Options{MaxM: maxM}).withDefaults(); o.InitialM != maxM || o.IncrementM != maxM {
+		t.Fatalf("InitialM, IncrementM = %d, %d; want both clamped to MaxM %d", o.InitialM, o.IncrementM, maxM)
+	}
+	impossible := `SELECT PACKAGE(*) FROM stocks SUCH THAT
+		SUM(price) <= 100 AND
+		SUM(gain) >= 1000 WITH PROBABILITY >= 0.95
+		MAXIMIZE EXPECTED SUM(gain)`
+	solvers := []struct {
+		name  string
+		solve func(*translate.SILP, *Options) (*Solution, error)
+	}{{"SummarySearch", SummarySearch}, {"Naive", Naive}}
+	for _, q := range []string{easyQuery, impossible} {
+		for _, s := range solvers {
+			sol, err := s.solve(portfolioSILP(t, 10, q), &Options{Seed: 1, ValidationM: 500, MaxM: maxM})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sol.Iterations) == 0 {
+				t.Fatalf("%s: no iterations", s.name)
+			}
+			for i, it := range sol.Iterations {
+				if it.M > maxM {
+					t.Fatalf("%s: iteration %d ran at M=%d > MaxM %d", s.name, i, it.M, maxM)
+				}
+			}
+			if sol.M > maxM {
+				t.Fatalf("%s: Solution.M = %d > MaxM %d", s.name, sol.M, maxM)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"spq/internal/scenario"
 	"spq/internal/translate"
 )
 
@@ -90,8 +91,15 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 		if m+grow > r.opts.MaxM {
 			grow = r.opts.MaxM - m
 		}
-		if err := r.extendSets(sets, objSet, grow); err != nil {
+		more, moreObj, err := r.generateSets(m, grow)
+		if err != nil {
 			return nil, err
+		}
+		for k, set := range more {
+			appendRows(sets[k], set)
+		}
+		if objSet != nil {
+			appendRows(objSet, moreObj)
 		}
 		m += grow
 	}
@@ -104,6 +112,13 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 	}
 	best.M = m // report the final scenario count reached before giving up
 	return r.finish(best), nil
+}
+
+// appendRows appends the scenarios of more to set, keeping their IDs.
+func appendRows(set, more *scenario.Set) {
+	for j, id := range more.IDs {
+		set.AppendRow(id, more.Row(j))
+	}
 }
 
 // asSolution packages a validated point into a Solution snapshot.

@@ -118,10 +118,6 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 	if r.opts.FixedZ > 0 {
 		z = r.opts.FixedZ
 	}
-	bk, err := r.newBank(m)
-	if err != nil {
-		return nil, err
-	}
 
 	var best *Solution
 	for {
@@ -131,7 +127,7 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		if z > m {
 			z = m
 		}
-		sol, err := r.csaSolve(bk, x0, m, z, &iters)
+		sol, err := r.csaSolve(x0, m, z, &iters)
 		if err != nil {
 			return nil, err
 		}
@@ -156,14 +152,7 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		if m >= r.opts.MaxM || r.timeUp() {
 			break
 		}
-		grow := r.opts.IncrementM
-		if m+grow > r.opts.MaxM {
-			grow = r.opts.MaxM - m
-		}
-		if err := bk.Grow(grow); err != nil {
-			return nil, err
-		}
-		m += grow
+		m = min(m+r.opts.IncrementM, r.opts.MaxM)
 	}
 	if err := r.ctx.Err(); err != nil {
 		return nil, err

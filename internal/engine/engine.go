@@ -115,13 +115,6 @@ type Options struct {
 	// Parallelism is the per-query worker count handed to core.Options
 	// when the request does not set one (default: one per available CPU).
 	Parallelism int
-	// MaxResidentScenarios is the default core.Options.MaxResidentScenarios
-	// for requests that do not set one: 0 (the default) streams scenario
-	// values block-wise with constant memory, > 0 materializes scenario
-	// matrices while M stays at or under the budget, < 0 always
-	// materializes. Streamed and materialized evaluation are bit-identical,
-	// so this knob trades memory against per-summary recompute cost only.
-	MaxResidentScenarios int
 	// MaxJobs bounds the async jobs that may be active (queued or running)
 	// at once; Submit beyond it fails with ErrOverloaded (default
 	// MaxInFlight+MaxQueue, which preserves the synchronous admission
@@ -942,9 +935,6 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = e.opts.Parallelism
-	}
-	if opts.MaxResidentScenarios == 0 {
-		opts.MaxResidentScenarios = e.opts.MaxResidentScenarios
 	}
 	if req.Progress != nil {
 		opts.Progress = req.Progress

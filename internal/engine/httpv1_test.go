@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -323,5 +324,47 @@ func TestLegacyShim(t *testing.T) {
 	st := e.Stats()
 	if st.JobsSubmitted < 1 || st.JobsCompleted < 1 {
 		t.Fatalf("job counters missed the shim: %+v", st)
+	}
+}
+
+// TestV1IgnoresRemovedMaxResidentScenarios pins wire compatibility for a
+// removed option: a body that still carries "max_resident_scenarios" (here
+// -1, which once asked the server to materialize every scenario matrix) is
+// accepted and answered with the same package as the body without it.
+func TestV1IgnoresRemovedMaxResidentScenarios(t *testing.T) {
+	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
+	srv := v1Server(t, e)
+	solve := func(options map[string]any) *client.QueryResult {
+		t.Helper()
+		job := decodeJob(t, postJSON(t, srv.URL+"/v1/queries", map[string]any{
+			"query":   testQuery,
+			"options": options,
+		}), http.StatusAccepted)
+		deadline := time.Now().Add(60 * time.Second)
+		for !job.State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatal("job never finished")
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/v1/queries/%s?wait_ms=1000", srv.URL, job.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job = decodeJob(t, resp, http.StatusOK)
+		}
+		if job.State != client.JobSucceeded || job.Result == nil {
+			t.Fatalf("state = %q (err %+v), want succeeded", job.State, job.Error)
+		}
+		return job.Result
+	}
+	base := map[string]any{"seed": 1, "validation_m": 1500, "initial_m": 10, "increment_m": 10, "max_m": 60}
+	want := solve(base)
+	old := map[string]any{"max_resident_scenarios": -1}
+	for k, v := range base {
+		old[k] = v
+	}
+	got := solve(old)
+	if got.ResultCacheHit || got.Objective != want.Objective || got.Feasible != want.Feasible || got.M != want.M ||
+		!reflect.DeepEqual(got.Package, want.Package) {
+		t.Fatalf("with max_resident_scenarios: %+v\nwithout: %+v", got, want)
 	}
 }

@@ -51,7 +51,7 @@ type Config struct {
 }
 
 // Defaults returns a laptop-scale configuration with the paper's shape
-// preserved (see EXPERIMENTS.md for the scale mapping).
+// preserved (bench/README.md records the sizes the benchmark runs at).
 func Defaults() Config {
 	return Config{
 		WorkloadN:   300,

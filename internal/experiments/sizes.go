@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -75,15 +76,14 @@ func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, er
 			continue
 		}
 		summaries := make([][]*scenario.Summary, len(silp.ProbCons))
-		var parts [][]int
-		if len(sets) > 0 {
-			parts = sets[0].Partition(z, 1)
-		} else if objSet != nil {
-			parts = objSet.Partition(z, 1)
-		}
+		parts := scenario.PartitionIDs(maxM, z, 1)
 		for k, pc := range silp.ProbCons {
 			for _, part := range parts {
-				summaries[k] = append(summaries[k], sets[k].Summarize(part, pc.Direction(), nil))
+				sm, err := sets[k].SummarizeP(context.Background(), part, pc.Direction(), nil, 1)
+				if err != nil {
+					return nil, err
+				}
+				summaries[k] = append(summaries[k], sm)
 			}
 		}
 		var objSummaries []*scenario.Summary
@@ -93,7 +93,11 @@ func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, er
 				dir = scenario.Min
 			}
 			for _, part := range parts {
-				objSummaries = append(objSummaries, objSet.Summarize(part, dir, nil))
+				sm, err := objSet.SummarizeP(context.Background(), part, dir, nil, 1)
+				if err != nil {
+					return nil, err
+				}
+				objSummaries = append(objSummaries, sm)
 			}
 		}
 		model, _, err := silp.FormulateCSA(summaries, objSummaries)

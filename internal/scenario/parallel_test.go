@@ -25,67 +25,39 @@ func parallelTestRelation(t *testing.T, n int) *relation.Relation {
 func TestSummarizePMatchesSequential(t *testing.T) {
 	rel := parallelTestRelation(t, 37)
 	src := rng.NewSource(11)
-	set, err := Generate(src, rel, "v", 0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := generate(t, src, rel, "v", 0, 20)
 	chosen := []int{0, 3, 7, 11, 19}
 	accel := make([]bool, rel.N())
 	for i := range accel {
 		accel[i] = i%5 == 0
 	}
 	for _, dir := range []Direction{Min, Max} {
-		want := set.Summarize(chosen, dir, accel)
+		// The sequential fold: initialize from chosen[0], then compare
+		// chosen[1:] in order.
+		want := make([]float64, set.N)
+		for i := range want {
+			d := dir
+			if accel[i] {
+				d = d.Opposite()
+			}
+			want[i] = set.Value(i, chosen[0])
+			for _, j := range chosen[1:] {
+				if w := set.Value(i, j); (d == Min && w < want[i]) || (d == Max && w > want[i]) {
+					want[i] = w
+				}
+			}
+		}
 		for _, workers := range []int{1, 2, 8, -1} {
 			got, err := set.SummarizeP(context.Background(), chosen, dir, accel, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want.Values {
-				if got.Values[i] != want.Values[i] {
+			for i := range want {
+				if got.Values[i] != want[i] {
 					t.Fatalf("dir=%v workers=%d: value[%d] = %v, want %v",
-						dir, workers, i, got.Values[i], want.Values[i])
+						dir, workers, i, got.Values[i], want[i])
 				}
 			}
 		}
-	}
-}
-
-// TestStreamingSummaryPBothStrategies asserts the §5.5 guarantee under
-// parallelism: tuple-wise and scenario-wise parallel summarization are
-// bit-identical to the sequential paths — and to each other — for any
-// worker count.
-func TestStreamingSummaryPBothStrategies(t *testing.T) {
-	rel := parallelTestRelation(t, 29)
-	src := rng.NewSource(5)
-	chosen := []int{2, 5, 8, 13, 21, 34}
-	for _, dir := range []Direction{Min, Max} {
-		want, err := StreamingSummary(src, rel, "v", chosen, dir, nil, TupleWise)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, strat := range []Strategy{TupleWise, ScenarioWise} {
-			for _, workers := range []int{1, 2, 4, 16} {
-				got, err := StreamingSummaryP(context.Background(), src, rel, "v", chosen, dir, nil, strat, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want.Values {
-					if got.Values[i] != want.Values[i] {
-						t.Fatalf("%v dir=%v workers=%d: value[%d] = %v, want %v",
-							strat, dir, workers, i, got.Values[i], want.Values[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestStreamingSummaryPCancelled(t *testing.T) {
-	rel := parallelTestRelation(t, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := StreamingSummaryP(ctx, rng.NewSource(1), rel, "v", []int{0, 1}, Min, nil, ScenarioWise, 2); err == nil {
-		t.Fatal("cancelled context accepted")
 	}
 }

@@ -1,20 +1,18 @@
-// Package scenario implements scenario sets and the paper's α-summaries
-// (§4.1) with the summary-selection machinery of §5: random partitioning
-// into Z groups, greedy selection of the subset G_z(α) by scenario score
-// (§5.3), and both memory-efficient generation orders of §5.5 (tuple-wise
-// and scenario-wise summarization), which produce bit-identical results
-// because realizations are pure functions of their (tuple, scenario)
-// coordinates.
+// Package scenario holds the paper's α-summaries (§4.1) and the
+// summary-selection machinery of §5 that needs no realized values: random
+// partitioning of scenario IDs into Z groups (PartitionIDs) and greedy
+// selection of the subset G_z(α) by precomputed scenario score (Pick,
+// §5.3). SummarySearch realizes the scores and summaries themselves through
+// the cursors of package stream. A materialized Set of scenario rows serves
+// the Naïve SAA baseline, whose formulation reads whole rows.
 package scenario
 
 import (
 	"context"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"spq/internal/par"
-	"spq/internal/relation"
 	"spq/internal/rng"
 )
 
@@ -48,8 +46,8 @@ func (d Direction) Opposite() Direction {
 
 // Set is a materialized scenario set for one stochastic attribute: vals[j][i]
 // is the realization of tuple i in the set's j-th scenario. IDs records the
-// absolute scenario indices (so incrementally grown sets and their partitions
-// keep stable identities across Naïve/SummarySearch iterations).
+// absolute scenario indices (so incrementally grown sets keep stable
+// identities across Naïve iterations).
 type Set struct {
 	Attr string
 	N    int
@@ -78,39 +76,6 @@ func (s *Set) AppendRow(id int, row []float64) {
 	s.vals = append(s.vals, row)
 }
 
-// Generate materializes scenarios [first, first+m) of attribute attr from
-// the relation under source src.
-func Generate(src rng.Source, rel *relation.Relation, attr string, first, m int) (*Set, error) {
-	s := &Set{Attr: attr, N: rel.N()}
-	for j := 0; j < m; j++ {
-		row := make([]float64, rel.N())
-		if err := rel.Realize(src, attr, first+j, row); err != nil {
-			return nil, err
-		}
-		s.IDs = append(s.IDs, first+j)
-		s.vals = append(s.vals, row)
-	}
-	return s, nil
-}
-
-// Extend appends scenarios [next, next+m) where next is the current maximum
-// absolute index + 1.
-func (s *Set) Extend(src rng.Source, rel *relation.Relation, m int) error {
-	next := 0
-	if len(s.IDs) > 0 {
-		next = s.IDs[len(s.IDs)-1] + 1
-	}
-	for j := 0; j < m; j++ {
-		row := make([]float64, rel.N())
-		if err := rel.Realize(src, s.Attr, next+j, row); err != nil {
-			return err
-		}
-		s.IDs = append(s.IDs, next+j)
-		s.vals = append(s.vals, row)
-	}
-	return nil
-}
-
 // M returns the number of scenarios in the set.
 func (s *Set) M() int { return len(s.vals) }
 
@@ -120,19 +85,6 @@ func (s *Set) Value(i, j int) float64 { return s.vals[j][i] }
 // Row returns the full realization vector of local scenario j. The returned
 // slice is shared; callers must not modify it.
 func (s *Set) Row(j int) []float64 { return s.vals[j] }
-
-// Score computes the scenario score Σ_i s_ij·x_i of local scenario j for a
-// sparse solution (§5.3). Only tuples with x_i ≠ 0 contribute.
-func (s *Set) Score(j int, x []float64) float64 {
-	row := s.vals[j]
-	sum := 0.0
-	for i, xi := range x {
-		if xi != 0 {
-			sum += row[i] * xi
-		}
-	}
-	return sum
-}
 
 // PartitionIDs splits the scenario indices {0..m-1} into z near-equal random
 // groups using a seeded shuffle, per §4.1 ("dividing S randomly into Z
@@ -162,35 +114,12 @@ func PartitionIDs(m, z int, seed uint64) [][]int {
 	return parts
 }
 
-// Partition splits the local scenario indices {0..M-1} into z near-equal
-// random groups using a seeded shuffle, per §4.1. The same seed yields the
-// same partition. It delegates to PartitionIDs.
-func (s *Set) Partition(z int, seed uint64) [][]int {
-	return PartitionIDs(s.M(), z, seed)
-}
-
-// GreedyPick returns the ⌈α·|part|⌉ local scenario indices of part whose
-// scores under the previous solution x are most favourable (§5.3): for a ≥
-// inner constraint (dir == Min) the highest-scoring scenarios keep x
-// feasible, for ≤ (dir == Max) the lowest-scoring do.
-// With x == nil (no previous solution), the first ⌈α·|part|⌉ scenarios of
-// the partition are used.
-func (s *Set) GreedyPick(part []int, alpha float64, dir Direction, x []float64) []int {
-	var scores map[int]float64
-	if x != nil {
-		scores = make(map[int]float64, len(part))
-		for _, j := range part {
-			scores[j] = s.Score(j, x)
-		}
-	}
-	return Pick(part, alpha, dir, scores)
-}
-
-// Pick is the selection step of GreedyPick factored out of the materialized
-// Set: given precomputed scenario scores (nil when no previous solution
-// exists), it returns the ⌈α·|part|⌉ most favourable indices of part under
-// the same stable ordering GreedyPick uses. Streamed summarization computes
-// scores from a cursor and calls Pick, so both paths order ties identically.
+// Pick is the greedy selection of §5.3: given the scores Σ_i s_ij·x_i of
+// part's scenarios under the previous solution x, it returns the ⌈α·|part|⌉
+// whose scores are most favourable — for a ≥ inner constraint (dir == Min)
+// the highest-scoring keep x feasible, for ≤ (dir == Max) the lowest-scoring
+// do. The sort is stable, so ties keep part's order. With nil scores (no
+// previous solution) the first ⌈α·|part|⌉ scenarios of part are used.
 func Pick(part []int, alpha float64, dir Direction, scores map[int]float64) []int {
 	n := int(math.Ceil(alpha * float64(len(part))))
 	if n <= 0 {
@@ -226,33 +155,13 @@ type Summary struct {
 	Accel []bool
 }
 
-// Summarize builds the α-summary of the chosen scenarios by taking the
+// SummarizeP builds the α-summary of the chosen scenarios by taking the
 // tuple-wise extreme in direction dir. If accel is non-nil, tuples with
 // accel[i] == true use the opposite extreme — the §5.5 convergence
 // acceleration that keeps the previous solution's tuples feasible at the
-// cost of the conservativeness guarantee on those tuples.
-func (s *Set) Summarize(chosen []int, dir Direction, accel []bool) *Summary {
-	out := &Summary{Attr: s.Attr, Values: make([]float64, s.N), Chosen: append([]int(nil), chosen...), Dir: dir, Accel: cloneAccel(accel)}
-	for i := 0; i < s.N; i++ {
-		d := dir
-		if accel != nil && accel[i] {
-			d = d.Opposite()
-		}
-		v := s.vals[chosen[0]][i]
-		for _, j := range chosen[1:] {
-			w := s.vals[j][i]
-			if (d == Min && w < v) || (d == Max && w > v) {
-				v = w
-			}
-		}
-		out.Values[i] = v
-	}
-	return out
-}
-
-// SummarizeP is Summarize with the tuple loop sharded across workers. Each
-// tuple's extreme is computed independently, so the summary is identical to
-// the sequential one for any worker count.
+// cost of the conservativeness guarantee on those tuples. The tuple loop is
+// sharded across workers; each tuple's extreme is computed independently,
+// so the summary is identical for any worker count.
 func (s *Set) SummarizeP(ctx context.Context, chosen []int, dir Direction, accel []bool, workers int) (*Summary, error) {
 	out := &Summary{Attr: s.Attr, Values: make([]float64, s.N), Chosen: append([]int(nil), chosen...), Dir: dir, Accel: cloneAccel(accel)}
 	err := par.Ranges(ctx, s.N, workers, func(_, lo, hi int) error {
@@ -283,65 +192,4 @@ func cloneAccel(accel []bool) []bool {
 		return nil
 	}
 	return append([]bool(nil), accel...)
-}
-
-// Package-level summary-patch counters (exported through PatchCounters):
-// after a delta, warm re-solves recompute only the touched tuples of each
-// retained summary instead of re-folding all N×M values.
-var (
-	patchTuplesRecomputed atomic.Int64
-	patchTuplesReused     atomic.Int64
-)
-
-// PatchCounters returns the cumulative number of summary tuples recomputed
-// by patching versus carried over unchanged.
-func PatchCounters() (recomputed, reused int64) {
-	return patchTuplesRecomputed.Load(), patchTuplesReused.Load()
-}
-
-// PatchSummarize re-derives the summary values of only the touched tuples
-// against this set's (post-delta) realizations, reusing every other tuple
-// of prev unchanged. Because scenario realizations are pure per-coordinate
-// functions, untouched tuples realize identically before and after a delta
-// that did not reach their inputs — so the patched summary is bit-identical
-// to a full re-summarization at k×M instead of N×M cost.
-func (s *Set) PatchSummarize(prev *Summary, touched []int) *Summary {
-	out := &Summary{
-		Attr:   prev.Attr,
-		Values: append([]float64(nil), prev.Values...),
-		Chosen: prev.Chosen,
-		Dir:    prev.Dir,
-		Accel:  prev.Accel,
-	}
-	for _, i := range touched {
-		d := prev.Dir
-		if prev.Accel != nil && prev.Accel[i] {
-			d = d.Opposite()
-		}
-		v := s.vals[prev.Chosen[0]][i]
-		for _, j := range prev.Chosen[1:] {
-			w := s.vals[j][i]
-			if (d == Min && w < v) || (d == Max && w > v) {
-				v = w
-			}
-		}
-		out.Values[i] = v
-	}
-	patchTuplesRecomputed.Add(int64(len(touched)))
-	patchTuplesReused.Add(int64(s.N - len(touched)))
-	return out
-}
-
-// SatisfiedBy counts how many of the chosen scenarios a solution satisfies
-// for the inner constraint Σ a·x ⊙ v; it is the test-side check of the
-// α-summary guarantee.
-func (s *Set) SatisfiedBy(x []float64, chosen []int, geq bool, v float64) int {
-	count := 0
-	for _, j := range chosen {
-		score := s.Score(j, x)
-		if (geq && score >= v) || (!geq && score <= v) {
-			count++
-		}
-	}
-	return count
 }

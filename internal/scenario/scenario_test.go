@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,17 +23,70 @@ func testRelation(t *testing.T, n int) *relation.Relation {
 	return r
 }
 
-func TestGenerateShapeAndDeterminism(t *testing.T) {
-	rel := testRelation(t, 8)
-	src := rng.NewSource(1)
-	s1, err := Generate(src, rel, "gain", 0, 5)
+// generate materializes scenarios [first, first+m) of attr, one appended row
+// per scenario.
+func generate(t *testing.T, src rng.Source, rel *relation.Relation, attr string, first, m int) *Set {
+	t.Helper()
+	s := FromRows(attr, nil, nil)
+	for j := 0; j < m; j++ {
+		row := make([]float64, rel.N())
+		if err := rel.Realize(src, attr, first+j, row); err != nil {
+			t.Fatal(err)
+		}
+		s.AppendRow(first+j, row)
+	}
+	return s
+}
+
+// summarize is SummarizeP on one worker.
+func summarize(t *testing.T, s *Set, chosen []int, dir Direction, accel []bool) *Summary {
+	t.Helper()
+	sm, err := s.SummarizeP(context.Background(), chosen, dir, accel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sm
+}
+
+// score is the scenario score Σ_i s_ij·x_i of local scenario j (§5.3).
+func score(s *Set, j int, x []float64) float64 {
+	sum := 0.0
+	for i, v := range s.Row(j) {
+		sum += v * x[i]
+	}
+	return sum
+}
+
+// scoreMap scores every scenario of part, the shape Pick consumes.
+func scoreMap(s *Set, part []int, x []float64) map[int]float64 {
+	scores := make(map[int]float64, len(part))
+	for _, j := range part {
+		scores[j] = score(s, j, x)
+	}
+	return scores
+}
+
+// satisfiedBy counts how many of the chosen scenarios a solution satisfies
+// for the inner constraint Σ a·x ⊙ v: the check of the α-summary guarantee.
+func satisfiedBy(s *Set, x []float64, chosen []int, geq bool, v float64) int {
+	count := 0
+	for _, j := range chosen {
+		sc := score(s, j, x)
+		if (geq && sc >= v) || (!geq && sc <= v) {
+			count++
+		}
+	}
+	return count
+}
+
+func TestGenerateShapeAndDeterminism(t *testing.T) {
+	rel := testRelation(t, 8)
+	src := rng.NewSource(1)
+	s1 := generate(t, src, rel, "gain", 0, 5)
 	if s1.M() != 5 || s1.N != 8 {
 		t.Fatalf("M=%d N=%d, want 5, 8", s1.M(), s1.N)
 	}
-	s2, _ := Generate(src, rel, "gain", 0, 5)
+	s2 := generate(t, src, rel, "gain", 0, 5)
 	for j := 0; j < 5; j++ {
 		for i := 0; i < 8; i++ {
 			if s1.Value(i, j) != s2.Value(i, j) {
@@ -45,9 +99,10 @@ func TestGenerateShapeAndDeterminism(t *testing.T) {
 func TestExtendContinuesScenarioIDs(t *testing.T) {
 	rel := testRelation(t, 4)
 	src := rng.NewSource(2)
-	s, _ := Generate(src, rel, "gain", 0, 3)
-	if err := s.Extend(src, rel, 2); err != nil {
-		t.Fatal(err)
+	s := generate(t, src, rel, "gain", 0, 3)
+	more := generate(t, src, rel, "gain", 3, 2)
+	for j, id := range more.IDs {
+		s.AppendRow(id, more.Row(j))
 	}
 	if s.M() != 5 {
 		t.Fatalf("M = %d, want 5", s.M())
@@ -58,29 +113,19 @@ func TestExtendContinuesScenarioIDs(t *testing.T) {
 			t.Fatalf("IDs = %v", s.IDs)
 		}
 	}
-	// Extended scenarios must match direct generation of the same indices.
-	direct, _ := Generate(src, rel, "gain", 3, 2)
-	for i := 0; i < 4; i++ {
-		if s.Value(i, 3) != direct.Value(i, 0) {
-			t.Fatal("extension differs from direct generation")
+	// Appended scenarios must match generating the whole range at once.
+	direct := generate(t, src, rel, "gain", 0, 5)
+	for j := 0; j < 5; j++ {
+		for i := 0; i < 4; i++ {
+			if s.Value(i, j) != direct.Value(i, j) {
+				t.Fatal("extension differs from direct generation")
+			}
 		}
 	}
 }
 
-func TestScoreSparse(t *testing.T) {
-	rel := testRelation(t, 5)
-	s, _ := Generate(rng.NewSource(3), rel, "gain", 0, 2)
-	x := []float64{0, 2, 0, 1, 0}
-	want := 2*s.Value(1, 0) + s.Value(3, 0)
-	if got := s.Score(0, x); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Score = %v, want %v", got, want)
-	}
-}
-
 func TestPartitionProperties(t *testing.T) {
-	rel := testRelation(t, 3)
-	s, _ := Generate(rng.NewSource(4), rel, "gain", 0, 10)
-	parts := s.Partition(3, 42)
+	parts := PartitionIDs(10, 3, 42)
 	if len(parts) != 3 {
 		t.Fatalf("got %d partitions", len(parts))
 	}
@@ -102,7 +147,7 @@ func TestPartitionProperties(t *testing.T) {
 		t.Fatalf("partitions cover %d scenarios, want 10", total)
 	}
 	// Determinism.
-	again := s.Partition(3, 42)
+	again := PartitionIDs(10, 3, 42)
 	for z := range parts {
 		for k := range parts[z] {
 			if parts[z][k] != again[z][k] {
@@ -113,30 +158,27 @@ func TestPartitionProperties(t *testing.T) {
 }
 
 func TestPartitionClamps(t *testing.T) {
-	rel := testRelation(t, 2)
-	s, _ := Generate(rng.NewSource(5), rel, "gain", 0, 3)
-	if got := len(s.Partition(0, 1)); got != 1 {
+	if got := len(PartitionIDs(3, 0, 1)); got != 1 {
 		t.Fatalf("z=0 gave %d partitions, want 1", got)
 	}
-	if got := len(s.Partition(10, 1)); got != 3 {
+	if got := len(PartitionIDs(3, 10, 1)); got != 3 {
 		t.Fatalf("z=10 gave %d partitions, want 3 (=M)", got)
 	}
 }
 
-func TestGreedyPickOrdering(t *testing.T) {
+func TestPickOrdering(t *testing.T) {
 	rel := testRelation(t, 3)
-	s, _ := Generate(rng.NewSource(6), rel, "gain", 0, 6)
+	s := generate(t, rng.NewSource(6), rel, "gain", 0, 6)
 	x := []float64{1, 1, 1}
 	part := []int{0, 1, 2, 3, 4, 5}
-	picked := s.GreedyPick(part, 0.5, Min, x) // ⌈3⌉ highest-scoring for ≥
+	scores := scoreMap(s, part, x)
+	picked := Pick(part, 0.5, Min, scores) // ⌈3⌉ highest-scoring for ≥
 	if len(picked) != 3 {
 		t.Fatalf("picked %d, want 3", len(picked))
 	}
 	minPicked := math.Inf(1)
 	for _, j := range picked {
-		if sc := s.Score(j, x); sc < minPicked {
-			minPicked = sc
-		}
+		minPicked = math.Min(minPicked, scores[j])
 	}
 	for _, j := range part {
 		inPicked := false
@@ -145,17 +187,15 @@ func TestGreedyPickOrdering(t *testing.T) {
 				inPicked = true
 			}
 		}
-		if !inPicked && s.Score(j, x) > minPicked+1e-12 {
+		if !inPicked && scores[j] > minPicked+1e-12 {
 			t.Fatalf("unpicked scenario %d has higher score than picked minimum", j)
 		}
 	}
 	// Max direction picks lowest scores.
-	pickedMax := s.GreedyPick(part, 0.5, Max, x)
+	pickedMax := Pick(part, 0.5, Max, scores)
 	maxPicked := math.Inf(-1)
 	for _, j := range pickedMax {
-		if sc := s.Score(j, x); sc > maxPicked {
-			maxPicked = sc
-		}
+		maxPicked = math.Max(maxPicked, scores[j])
 	}
 	for _, j := range part {
 		inPicked := false
@@ -164,35 +204,38 @@ func TestGreedyPickOrdering(t *testing.T) {
 				inPicked = true
 			}
 		}
-		if !inPicked && s.Score(j, x) < maxPicked-1e-12 {
+		if !inPicked && scores[j] < maxPicked-1e-12 {
 			t.Fatalf("unpicked scenario %d has lower score than picked maximum (≤ direction)", j)
 		}
 	}
+	// Ties keep the partition's order (the sort is stable).
+	tied := map[int]float64{0: 1, 1: 2, 2: 1, 3: 2}
+	if got := Pick([]int{3, 2, 1, 0}, 0.5, Min, tied); got[0] != 3 || got[1] != 1 {
+		t.Fatalf("tied ≥ pick = %v, want [3 1]", got)
+	}
 }
 
-func TestGreedyPickEdgeCases(t *testing.T) {
-	rel := testRelation(t, 2)
-	s, _ := Generate(rng.NewSource(7), rel, "gain", 0, 4)
+func TestPickEdgeCases(t *testing.T) {
 	part := []int{0, 1, 2, 3}
-	if got := s.GreedyPick(part, 0, Min, nil); got != nil {
+	if got := Pick(part, 0, Min, nil); got != nil {
 		t.Fatalf("alpha=0 should pick nothing, got %v", got)
 	}
-	if got := s.GreedyPick(part, 1, Min, nil); len(got) != 4 {
+	if got := Pick(part, 1, Min, nil); len(got) != 4 {
 		t.Fatalf("alpha=1 should pick all, got %v", got)
 	}
-	if got := s.GreedyPick(part, 2, Min, nil); len(got) != 4 {
+	if got := Pick(part, 2, Min, nil); len(got) != 4 {
 		t.Fatalf("alpha>1 should clamp to all, got %v", got)
 	}
-	if got := s.GreedyPick(part, 0.25, Min, nil); len(got) != 1 {
-		t.Fatalf("alpha=0.25 of 4 should pick 1, got %v", got)
+	if got := Pick(part, 0.25, Min, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("alpha=0.25 of 4 should pick the leading scenario, got %v", got)
 	}
 }
 
 func TestSummarizeIsTupleWiseExtreme(t *testing.T) {
 	rel := testRelation(t, 6)
-	s, _ := Generate(rng.NewSource(8), rel, "gain", 0, 5)
+	s := generate(t, rng.NewSource(8), rel, "gain", 0, 5)
 	chosen := []int{0, 2, 4}
-	sm := s.Summarize(chosen, Min, nil)
+	sm := summarize(t, s, chosen, Min, nil)
 	for i := 0; i < 6; i++ {
 		want := math.Inf(1)
 		for _, j := range chosen {
@@ -202,7 +245,7 @@ func TestSummarizeIsTupleWiseExtreme(t *testing.T) {
 			t.Fatalf("summary[%d] = %v, want %v", i, sm.Values[i], want)
 		}
 	}
-	smMax := s.Summarize(chosen, Max, nil)
+	smMax := summarize(t, s, chosen, Max, nil)
 	for i := 0; i < 6; i++ {
 		if smMax.Values[i] < sm.Values[i] {
 			t.Fatal("max summary below min summary")
@@ -212,10 +255,10 @@ func TestSummarizeIsTupleWiseExtreme(t *testing.T) {
 
 func TestSummarizeAcceleration(t *testing.T) {
 	rel := testRelation(t, 4)
-	s, _ := Generate(rng.NewSource(9), rel, "gain", 0, 5)
+	s := generate(t, rng.NewSource(9), rel, "gain", 0, 5)
 	chosen := []int{0, 1, 2}
 	accel := []bool{true, false, false, false}
-	sm := s.Summarize(chosen, Min, accel)
+	sm := summarize(t, s, chosen, Min, accel)
 	// Tuple 0 uses MAX (accelerated), others MIN.
 	want0 := math.Inf(-1)
 	for _, j := range chosen {
@@ -238,7 +281,7 @@ func TestSummarizeAcceleration(t *testing.T) {
 // guarantee SummarySearch relies on.
 func TestAlphaSummaryGuaranteeProperty(t *testing.T) {
 	rel := testRelation(t, 10)
-	s, _ := Generate(rng.NewSource(10), rel, "gain", 0, 20)
+	s := generate(t, rng.NewSource(10), rel, "gain", 0, 20)
 	f := func(seed uint64, rawV int8) bool {
 		st := rng.NewStream(seed)
 		// Random sparse nonnegative integer solution.
@@ -249,7 +292,7 @@ func TestAlphaSummaryGuaranteeProperty(t *testing.T) {
 			}
 		}
 		chosen := []int{st.IntN(20), st.IntN(20), st.IntN(20)}
-		sm := s.Summarize(chosen, Min, nil)
+		sm := summarize(t, s, chosen, Min, nil)
 		// Summary score.
 		score := 0.0
 		for i := range x {
@@ -258,7 +301,7 @@ func TestAlphaSummaryGuaranteeProperty(t *testing.T) {
 		v := float64(rawV) / 4
 		if score >= v {
 			// x satisfies the summary ⇒ must satisfy all chosen scenarios.
-			return s.SatisfiedBy(x, chosen, true, v) == len(chosen)
+			return satisfiedBy(s, x, chosen, true, v) == len(chosen)
 		}
 		return true
 	}
@@ -269,7 +312,7 @@ func TestAlphaSummaryGuaranteeProperty(t *testing.T) {
 
 func TestAlphaSummaryGuaranteeMaxDirection(t *testing.T) {
 	rel := testRelation(t, 8)
-	s, _ := Generate(rng.NewSource(11), rel, "gain", 0, 12)
+	s := generate(t, rng.NewSource(11), rel, "gain", 0, 12)
 	f := func(seed uint64, rawV int8) bool {
 		st := rng.NewStream(seed)
 		x := make([]float64, 8)
@@ -277,89 +320,18 @@ func TestAlphaSummaryGuaranteeMaxDirection(t *testing.T) {
 			x[i] = float64(st.IntN(3))
 		}
 		chosen := []int{st.IntN(12), st.IntN(12)}
-		sm := s.Summarize(chosen, Max, nil)
+		sm := summarize(t, s, chosen, Max, nil)
 		score := 0.0
 		for i := range x {
 			score += sm.Values[i] * x[i]
 		}
 		v := float64(rawV) / 4
 		if score <= v {
-			return s.SatisfiedBy(x, chosen, false, v) == len(chosen)
+			return satisfiedBy(s, x, chosen, false, v) == len(chosen)
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStreamingScoresMatchMaterialized(t *testing.T) {
-	rel := testRelation(t, 12)
-	src := rng.NewSource(12)
-	s, _ := Generate(src, rel, "gain", 0, 9)
-	x := []float64{1, 0, 2, 0, 0, 3, 0, 0, 0, 1, 0, 0}
-	for _, strat := range []Strategy{TupleWise, ScenarioWise} {
-		scores, err := StreamingScores(src, rel, "gain", x, s.IDs, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < s.M(); j++ {
-			if math.Abs(scores[j]-s.Score(j, x)) > 1e-12 {
-				t.Fatalf("%v scores[%d] = %v, want %v", strat, j, scores[j], s.Score(j, x))
-			}
-		}
-	}
-}
-
-func TestStreamingSummaryMatchesMaterialized(t *testing.T) {
-	rel := testRelation(t, 7)
-	src := rng.NewSource(13)
-	s, _ := Generate(src, rel, "gain", 0, 8)
-	chosen := []int{1, 3, 6}
-	accel := []bool{false, true, false, false, true, false, false}
-	want := s.Summarize(chosen, Min, accel)
-	for _, strat := range []Strategy{TupleWise, ScenarioWise} {
-		got, err := StreamingSummary(src, rel, "gain", chosen, Min, accel, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Values {
-			if got.Values[i] != want.Values[i] {
-				t.Fatalf("%v summary[%d] = %v, want %v", strat, i, got.Values[i], want.Values[i])
-			}
-		}
-	}
-}
-
-// Property (§5.5): tuple-wise and scenario-wise strategies are
-// observationally identical for any chosen subset and direction.
-func TestStrategiesEquivalentProperty(t *testing.T) {
-	rel := testRelation(t, 9)
-	src := rng.NewSource(14)
-	f := func(seed uint64, dirRaw bool) bool {
-		st := rng.NewStream(seed)
-		k := 1 + st.IntN(4)
-		chosen := make([]int, k)
-		for i := range chosen {
-			chosen[i] = st.IntN(30)
-		}
-		dir := Min
-		if dirRaw {
-			dir = Max
-		}
-		a, err1 := StreamingSummary(src, rel, "gain", chosen, dir, nil, TupleWise)
-		b, err2 := StreamingSummary(src, rel, "gain", chosen, dir, nil, ScenarioWise)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range a.Values {
-			if a.Values[i] != b.Values[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -371,27 +343,20 @@ func TestDirectionHelpers(t *testing.T) {
 	if Min.String() != "min" || Max.String() != "max" {
 		t.Fatal("String wrong")
 	}
-	if TupleWise.String() != "tuple-wise" || ScenarioWise.String() != "scenario-wise" {
-		t.Fatal("Strategy.String wrong")
-	}
 }
 
 func TestSatisfiedByCounts(t *testing.T) {
 	rel := relation.New("d", 2)
 	_ = rel.AddDet("a", []float64{1, 2}) // deterministic: all scenarios equal
-	src := rng.NewSource(15)
-	s, err := Generate(src, rel, "a", 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := generate(t, rng.NewSource(15), rel, "a", 0, 4)
 	x := []float64{1, 1} // score = 3 in every scenario
-	if got := s.SatisfiedBy(x, []int{0, 1, 2, 3}, true, 3); got != 4 {
+	if got := satisfiedBy(s, x, []int{0, 1, 2, 3}, true, 3); got != 4 {
 		t.Fatalf("≥3 satisfied = %d, want 4", got)
 	}
-	if got := s.SatisfiedBy(x, []int{0, 1, 2, 3}, true, 3.5); got != 0 {
+	if got := satisfiedBy(s, x, []int{0, 1, 2, 3}, true, 3.5); got != 0 {
 		t.Fatalf("≥3.5 satisfied = %d, want 0", got)
 	}
-	if got := s.SatisfiedBy(x, []int{0, 1}, false, 3); got != 2 {
+	if got := satisfiedBy(s, x, []int{0, 1}, false, 3); got != 2 {
 		t.Fatalf("≤3 satisfied = %d, want 2", got)
 	}
 }

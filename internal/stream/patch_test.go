@@ -85,47 +85,3 @@ func TestPatchSummarizeMatchesFullResummarize(t *testing.T) {
 		t.Fatal("no touched tuple changed its summary value")
 	}
 }
-
-// TestSetPatchSummarizeMatches does the same for the materialized path.
-func TestSetPatchSummarizeMatches(t *testing.T) {
-	rel := testRelation(t, 31)
-	src := rng.NewSource(3)
-	pre := rel.Snapshot()
-
-	gen := func(r *relation.Relation) *scenario.Set {
-		ids := make([]int, 8)
-		rows := make([][]float64, 8)
-		for j := 0; j < 8; j++ {
-			ids[j] = j
-			row := make([]float64, r.N())
-			for i := 0; i < r.N(); i++ {
-				g, err := r.Value(src, "gain", i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := r.Value(src, "cost", i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				row[i] = g - 0.25*c
-			}
-			rows[j] = row
-		}
-		return scenario.FromRows("c0", ids, rows)
-	}
-	chosen := []int{1, 5, 2}
-	prev := gen(pre).Summarize(chosen, scenario.Max, nil)
-
-	touched := []int{0, 17}
-	if _, err := rel.ApplyDelta(&relation.Delta{Set: map[string]map[int]float64{"cost": {0: -50, 17: 50}}}); err != nil {
-		t.Fatal(err)
-	}
-	post := gen(rel.Snapshot())
-	patched := post.PatchSummarize(prev, touched)
-	full := post.Summarize(chosen, scenario.Max, nil)
-	for i := range full.Values {
-		if patched.Values[i] != full.Values[i] {
-			t.Fatalf("tuple %d: patched %v, full %v", i, patched.Values[i], full.Values[i])
-		}
-	}
-}

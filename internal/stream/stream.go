@@ -15,13 +15,14 @@
 //     the same splittable-hash scheme as rng.Source.Split, keyed by the
 //     base tuple index (views remap through relation's OrigIndex). A value
 //     therefore does not depend on generation order, block size, or worker
-//     count, which is what keeps streamed summaries bit-identical to the
-//     materialized path.
+//     count, which is what keeps streamed summaries bit-identical to
+//     summaries folded over materialized rows.
 //
 // The cursor's folds replicate the materialized arithmetic operation for
 // operation (same per-tuple term order as translate.ExprRealize, same fold
-// order as scenario.Set.Summarize, same skip rule as Set.Score), so
-// streamed ≡ materialized holds exactly, for every worker count.
+// order as scenario.Set.SummarizeP), so streamed ≡ materialized holds
+// exactly, for every worker count. SummarySearch consumes scenarios only
+// through cursors; materialized sets remain for the Naïve baseline.
 package stream
 
 import (
@@ -293,7 +294,7 @@ func (r *Rows) Row(tuple int, scens []int, buf *RowBuf) ([]float64, error) {
 }
 
 // fold realizes one tuple across chosen and folds it in direction d, in the
-// order of scenario.Set.Summarize: initialize from chosen[0], then compare
+// order of scenario.Set.SummarizeP: initialize from chosen[0], then compare
 // chosen[1:] in order.
 func (r *Rows) fold(tuple int, chosen []int, d scenario.Direction, buf *RowBuf) (float64, error) {
 	var v float64
@@ -316,9 +317,9 @@ func (r *Rows) fold(tuple int, chosen []int, d scenario.Direction, buf *RowBuf) 
 
 // Summarize folds the α-summary of the chosen absolute scenario IDs directly
 // off the cursor: tuple-major, block-wise, Θ(N) output and one block of
-// state, with the identical fold order to scenario.Set.Summarize (initialize
-// from chosen[0], then compare chosen[1:] in order). accel has the same
-// meaning as there. The result is bit-identical to summarizing a
+// state, with the identical fold order to scenario.Set.SummarizeP
+// (initialize from chosen[0], then compare chosen[1:] in order). accel has
+// the same meaning as there. The result is bit-identical to summarizing a
 // materialized set for every worker count.
 func (c *ScenarioCursor) Summarize(ctx context.Context, chosen []int, dir scenario.Direction, accel []bool, workers int) (*scenario.Summary, error) {
 	n := c.Rel.N()
@@ -418,10 +419,10 @@ const (
 
 // Scores computes the scenario scores Σ_i s_ij·x_i for the given absolute
 // scenario IDs (aligned with ids), realizing only the tuples with x_i ≠ 0 —
-// the same skip rule, tuple order, and accumulation order as
-// scenario.Set.Score, so greedy selection orders scenarios identically to
-// the materialized path. Work is tuple-major within each chunk of ids: every
-// score still starts from 0 and adds v·x_i in package order.
+// the package is typically much smaller than the relation (§5.5). Work is
+// tuple-major within each chunk of ids: every score starts from 0 and adds
+// v·x_i in package order, so the scores, and with them the order
+// scenario.Pick gives, do not depend on the chunking or the worker count.
 func (c *ScenarioCursor) Scores(ctx context.Context, ids []int, x []float64, workers int) ([]float64, error) {
 	rows, err := c.Rows()
 	if err != nil {

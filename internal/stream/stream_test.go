@@ -32,6 +32,21 @@ func testRelation(t *testing.T, n int) *relation.Relation {
 	return rel
 }
 
+// generateSet is the materialized reference: scenarios [0, m) of attr
+// realized row by row through the relation, independently of any cursor.
+func generateSet(t *testing.T, src rng.Source, rel *relation.Relation, attr string, m int) *scenario.Set {
+	t.Helper()
+	set := scenario.FromRows(attr, nil, nil)
+	for j := 0; j < m; j++ {
+		row := make([]float64, rel.N())
+		if err := rel.Realize(src, attr, j, row); err != nil {
+			t.Fatal(err)
+		}
+		set.AppendRow(j, row)
+	}
+	return set
+}
+
 func TestTupleIterCoversRelation(t *testing.T) {
 	rel := testRelation(t, 53)
 	it := NewTupleIter(rel, []string{"cost"}, 16)
@@ -110,16 +125,13 @@ func TestFilterPushdown(t *testing.T) {
 
 // TestCursorSummarizeMatchesMaterialized is the streamed ≡ materialized
 // parity matrix at the scenario layer: the cursor's block-wise summary must
-// be bit-identical to scenario.Set.Summarize for every direction, worker
-// count, block size, and acceleration mask.
+// be bit-identical to scenario.Set.SummarizeP over materialized rows for
+// every direction, worker count, block size, and acceleration mask.
 func TestCursorSummarizeMatchesMaterialized(t *testing.T) {
 	rel := testRelation(t, 41)
 	src := rng.NewSource(17)
 	const m = 24
-	set, err := scenario.Generate(src, rel, "gain", 0, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := generateSet(t, src, rel, "gain", m)
 	chosen := []int{0, 2, 3, 7, 11, 18, 23}
 	accel := make([]bool, rel.N())
 	for i := range accel {
@@ -137,10 +149,7 @@ func TestCursorSummarizeMatchesMaterialized(t *testing.T) {
 			cm = mask
 			// Materialized reference under the mask: re-generate and zero the
 			// masked rows exactly like translate's applyMask.
-			setVals, err = scenario.Generate(src, rel, "gain", 0, m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			setVals = generateSet(t, src, rel, "gain", m)
 			for j := 0; j < m; j++ {
 				row := setVals.Row(j)
 				for i := range row {
@@ -154,7 +163,10 @@ func TestCursorSummarizeMatchesMaterialized(t *testing.T) {
 			cur := &ScenarioCursor{Name: "gain", Src: src, Rel: rel, Terms: []Term{{Coef: 1, Attr: "gain"}}, Mask: cm, Block: block}
 			for _, dir := range []scenario.Direction{Min, Max} {
 				for _, acc := range [][]bool{nil, accel} {
-					want := setVals.Summarize(chosen, dir, acc)
+					want, err := setVals.SummarizeP(ctx, chosen, dir, acc, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for _, workers := range []int{1, 2, 8, -1} {
 						got, err := cur.Summarize(ctx, chosen, dir, acc, workers)
 						if err != nil {
@@ -173,17 +185,14 @@ func TestCursorSummarizeMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestCursorPickMatchesGreedyPick asserts that streamed scoring plus
-// scenario.Pick reproduces Set.GreedyPick exactly: same scores, same stable
-// order, same chosen IDs.
-func TestCursorPickMatchesGreedyPick(t *testing.T) {
+// TestCursorPickMatchesMaterialized asserts that streamed scoring plus
+// scenario.Pick reproduces the pick over scores summed from materialized
+// rows exactly: same scores, same stable order, same chosen IDs.
+func TestCursorPickMatchesMaterialized(t *testing.T) {
 	rel := testRelation(t, 31)
 	src := rng.NewSource(9)
 	const m = 30
-	set, err := scenario.Generate(src, rel, "gain", 0, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := generateSet(t, src, rel, "gain", m)
 	cur := &ScenarioCursor{Name: "gain", Src: src, Rel: rel, Terms: []Term{{Coef: 1, Attr: "gain"}}}
 	x := make([]float64, rel.N())
 	for i := range x {
@@ -196,11 +205,26 @@ func TestCursorPickMatchesGreedyPick(t *testing.T) {
 	for _, part := range parts {
 		for _, alpha := range []float64{0.25, 0.5, 1} {
 			for _, dir := range []scenario.Direction{Min, Max} {
-				want := set.GreedyPick(part, alpha, dir, x)
+				// Reference scores: Σ v·x_i over the package's tuples in
+				// tuple order, from the materialized rows.
+				wantScores := make(map[int]float64, len(part))
+				for _, j := range part {
+					for i, v := range set.Row(j) {
+						if x[i] != 0 {
+							wantScores[j] += v * x[i]
+						}
+					}
+				}
+				want := scenario.Pick(part, alpha, dir, wantScores)
 				for _, workers := range []int{1, 2, 8, -1} {
 					scores, err := cur.ScoreMap(ctx, part, x, workers)
 					if err != nil {
 						t.Fatal(err)
+					}
+					for j, v := range wantScores {
+						if scores[j] != v {
+							t.Fatalf("workers=%d: score[%d] = %v, want %v", workers, j, scores[j], v)
+						}
 					}
 					got := scenario.Pick(part, alpha, dir, scores)
 					if len(got) != len(want) {
@@ -213,14 +237,6 @@ func TestCursorPickMatchesGreedyPick(t *testing.T) {
 						}
 					}
 				}
-				// nil x must match too (leading scenarios, no scoring).
-				wantNil := set.GreedyPick(part, alpha, dir, nil)
-				gotNil := scenario.Pick(part, alpha, dir, nil)
-				for i := range gotNil {
-					if gotNil[i] != wantNil[i] {
-						t.Fatalf("nil x: pick[%d] = %d, want %d", i, gotNil[i], wantNil[i])
-					}
-				}
 			}
 		}
 	}
@@ -229,10 +245,7 @@ func TestCursorPickMatchesGreedyPick(t *testing.T) {
 func TestCursorRealizeMatchesSetRow(t *testing.T) {
 	rel := testRelation(t, 19)
 	src := rng.NewSource(3)
-	set, err := scenario.Generate(src, rel, "gain", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := generateSet(t, src, rel, "gain", 8)
 	cur := &ScenarioCursor{Name: "gain", Src: src, Rel: rel, Terms: []Term{{Coef: 1, Attr: "gain"}}}
 	out := make([]float64, rel.N())
 	for j := 0; j < 8; j++ {

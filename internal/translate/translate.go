@@ -611,41 +611,3 @@ func (s *SILP) ObjCursor(src rng.Source, block int) *stream.ScenarioCursor {
 	}
 	return s.ExprCursor("objective", src, s.ObjExpr, s.ObjMask, block)
 }
-
-// ExtendSets appends m more scenarios to previously generated sets.
-func (s *SILP) ExtendSets(src rng.Source, sets []*scenario.Set, objSet *scenario.Set, m int) error {
-	return s.ExtendSetsP(context.Background(), src, sets, objSet, m, 1)
-}
-
-// ExtendSetsP is ExtendSets with scenario generation sharded across workers
-// and cancellation via ctx.
-func (s *SILP) ExtendSetsP(ctx context.Context, src rng.Source, sets []*scenario.Set, objSet *scenario.Set, m, workers int) error {
-	for k, pc := range s.ProbCons {
-		set := sets[k]
-		first := 0
-		if set.M() > 0 {
-			first = set.IDs[set.M()-1] + 1
-		}
-		rows, err := s.realizeRows(ctx, src, pc.Expr, pc.Mask, first, m, workers)
-		if err != nil {
-			return err
-		}
-		for j, row := range rows {
-			set.AppendRow(first+j, row)
-		}
-	}
-	if objSet != nil {
-		first := 0
-		if objSet.M() > 0 {
-			first = objSet.IDs[objSet.M()-1] + 1
-		}
-		rows, err := s.realizeRows(ctx, src, s.ObjExpr, s.ObjMask, first, m, workers)
-		if err != nil {
-			return err
-		}
-		for j, row := range rows {
-			objSet.AppendRow(first+j, row)
-		}
-	}
-	return nil
-}

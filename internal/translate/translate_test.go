@@ -1,7 +1,9 @@
 package translate
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"spq/internal/dist"
@@ -206,7 +208,9 @@ func TestGenerateSetsShape(t *testing.T) {
 	}
 }
 
-func TestExtendSets(t *testing.T) {
+// TestGenerateSetsContinuesIDs pins how Naïve grows M: generating the new
+// ID range and appending its rows equals generating the whole range at once.
+func TestGenerateSetsContinuesIDs(t *testing.T) {
 	rel := portfolioRelation(t, 3)
 	s := buildQuery(t, `SELECT PACKAGE(*) FROM stocks SUCH THAT
 		SUM(gain) >= 0 WITH PROBABILITY >= 0.9 AND COUNT(*) <= 2
@@ -219,20 +223,27 @@ func TestExtendSets(t *testing.T) {
 	if objSet == nil {
 		t.Fatal("probability objective should produce an objective set")
 	}
-	if err := s.ExtendSets(src, sets, objSet, 2); err != nil {
+	more, moreObj, err := s.GenerateSets(src, 3, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sets[0].M() != 5 || objSet.M() != 5 {
-		t.Fatalf("extended sizes: %d, %d", sets[0].M(), objSet.M())
+	for j, id := range more[0].IDs {
+		sets[0].AppendRow(id, more[0].Row(j))
+		objSet.AppendRow(id, moreObj.Row(j))
 	}
-	// Extension must equal direct generation at the same absolute indices.
-	direct, directObj, _ := s.GenerateSets(src, 3, 2)
-	for i := 0; i < 3; i++ {
-		if sets[0].Value(i, 3) != direct[0].Value(i, 0) {
-			t.Fatal("extended constraint set differs from direct generation")
+	direct, directObj, err := s.GenerateSets(src, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sets[0].IDs, direct[0].IDs) || !slices.Equal(objSet.IDs, directObj.IDs) {
+		t.Fatalf("IDs %v / %v, want %v", sets[0].IDs, objSet.IDs, direct[0].IDs)
+	}
+	for j := 0; j < 5; j++ {
+		if !slices.Equal(sets[0].Row(j), direct[0].Row(j)) {
+			t.Fatalf("constraint scenario %d differs from direct generation", j)
 		}
-		if objSet.Value(i, 3) != directObj.Value(i, 0) {
-			t.Fatal("extended objective set differs from direct generation")
+		if !slices.Equal(objSet.Row(j), directObj.Row(j)) {
+			t.Fatalf("objective scenario %d differs from direct generation", j)
 		}
 	}
 }
@@ -277,9 +288,12 @@ func TestFormulateCSASizeIndependentOfM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts := sets[0].Partition(1, 7)
-		chosen := sets[0].GreedyPick(parts[0], 0.5, scenario.Min, nil)
-		sm := sets[0].Summarize(chosen, scenario.Min, nil)
+		parts := scenario.PartitionIDs(M, 1, 7)
+		chosen := scenario.Pick(parts[0], 0.5, scenario.Min, nil)
+		sm, err := sets[0].SummarizeP(context.Background(), chosen, scenario.Min, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		model, vm, err := s.FormulateCSA([][]*scenario.Summary{{sm}}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -319,7 +333,7 @@ func TestSAAEndToEndSolve(t *testing.T) {
 	pkg := vm.PackageOf(res.X)
 	// Check the chance constraint holds on the optimization scenarios.
 	need := int(math.Ceil(0.6 * 10))
-	if got := sets[0].SatisfiedBy(pkg, allIdx(10), true, -3); got < need {
+	if got := satisfiedBy(sets[0], pkg, allIdx(10), true, -3); got < need {
 		t.Fatalf("package satisfies %d/10 scenarios, want ≥ %d", got, need)
 	}
 	// Budget constraint.
@@ -345,9 +359,12 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := sets[0].Partition(1, 3)
-	chosen := sets[0].GreedyPick(parts[0], 1.0, scenario.Min, nil)
-	sm := sets[0].Summarize(chosen, scenario.Min, nil)
+	parts := scenario.PartitionIDs(8, 1, 3)
+	chosen := scenario.Pick(parts[0], 1.0, scenario.Min, nil)
+	sm, err := sets[0].SummarizeP(context.Background(), chosen, scenario.Min, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	model, vm, err := s.FormulateCSA([][]*scenario.Summary{{sm}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +377,7 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 		t.Skipf("CSA infeasible on this draw (acceptable): %v", res.Status)
 	}
 	pkg := vm.PackageOf(res.X)
-	if got := sets[0].SatisfiedBy(pkg, allIdx(8), true, -5); got != 8 {
+	if got := satisfiedBy(sets[0], pkg, allIdx(8), true, -5); got != 8 {
 		t.Fatalf("1.0-summary solution satisfies %d/8 scenarios, want all", got)
 	}
 }
@@ -419,6 +436,22 @@ func TestPackageOfRounds(t *testing.T) {
 	if pkg[0] != 1 || pkg[1] != 2 || pkg[2] != 0 {
 		t.Fatalf("pkg = %v", pkg)
 	}
+}
+
+// satisfiedBy counts how many of the chosen scenarios of set a package
+// satisfies for the inner constraint Σ a·x ⊙ v.
+func satisfiedBy(set *scenario.Set, x []float64, chosen []int, geq bool, v float64) int {
+	count := 0
+	for _, j := range chosen {
+		score := 0.0
+		for i, a := range set.Row(j) {
+			score += a * x[i]
+		}
+		if (geq && score >= v) || (!geq && score <= v) {
+			count++
+		}
+	}
+	return count
 }
 
 func allIdx(m int) []int {
