@@ -71,12 +71,17 @@ func packageSizeBounds(s *translate.SILP) (lo, hi float64) {
 // probeObjectiveRange estimates s̲, s̄ (A1) by realizing the objective inner
 // function for all tuples over a fixed number of validation-stream
 // scenarios. For a purely deterministic objective the exact column extremes
-// are used. Results are cached on the runner; a probe cut short by ctx
-// returns ctx's error and is not cached.
+// are used. The range depends on the SILP and the validation seed alone: it
+// is memoised on the SILP and cached on the runner, unless ctx cut it short.
 func (r *runner) probeObjectiveRange(ctx context.Context) (sLo, sHi float64, err error) {
 	if !r.probed {
-		if r.sLo, r.sHi, err = r.objectiveRange(ctx); err != nil {
+		seed := r.opts.ValidationSeed
+		if r.sLo, r.sHi, r.probed = r.silp.ObjRange(seed); r.probed {
+			memoHit(ctx, "probe")
+		} else if r.sLo, r.sHi, err = r.objectiveRange(ctx); err != nil {
 			return 0, 0, err
+		} else {
+			r.silp.SetObjRange(seed, r.sLo, r.sHi)
 		}
 		r.probed = true
 	}

@@ -28,6 +28,13 @@ func smallOptions(seed uint64) *Options {
 // prices and Normal gains whose mean rises with the index.
 func portfolioSILP(t *testing.T, n int, query string) *translate.SILP {
 	t.Helper()
+	return buildSILP(t, portfolioRel(t, n, nil), query)
+}
+
+// portfolioRel is portfolioSILP's relation; wrap, when non-nil, wraps the
+// gain attribute's value generator.
+func portfolioRel(t *testing.T, n int, wrap func(relation.VGFunc) relation.VGFunc) *relation.Relation {
+	t.Helper()
 	rel := relation.New("stocks", n)
 	price := make([]float64, n)
 	gains := make([]dist.Dist, n)
@@ -40,16 +47,15 @@ func portfolioSILP(t *testing.T, n int, query string) *translate.SILP {
 	if err := rel.AddDet("price", price); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AddStoch("gain", &relation.IndependentVG{AttrID: 1, Dists: gains}); err != nil {
+	var gain relation.VGFunc = &relation.IndependentVG{AttrID: 1, Dists: gains}
+	if wrap != nil {
+		gain = wrap(gain)
+	}
+	if err := rel.AddStoch("gain", gain); err != nil {
 		t.Fatal(err)
 	}
 	rel.ComputeMeans(rng.NewSource(7), 200)
-	q := spaql.MustParse(query)
-	silp, err := translate.Build(q, rel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return silp
+	return rel
 }
 
 const easyQuery = `SELECT PACKAGE(*) FROM stocks SUCH THAT

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
+
+	"spq/internal/relation"
+	"spq/internal/rng"
 )
 
 // TestParallelValidationBitIdentical asserts the tentpole determinism
@@ -95,33 +99,48 @@ func TestParallelNaiveBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSummarySearchCtxCancellation starts a long evaluation and cancels it:
-// the evaluation must return promptly with the context's error, even if a
-// MILP solve is in flight (the solver polls the cancel channel per node).
-func TestSummarySearchCtxCancellation(t *testing.T) {
-	silp := portfolioSILP(t, 40, `SELECT PACKAGE(*) FROM stocks SUCH THAT
+// stallVG realises like the generator it wraps, except that its first
+// realisation waits until release is closed. x(0) is solved over means, so
+// the first value an evaluation realises is a validation one: every
+// evaluation stalls there until release, however fast the rest has become.
+type stallVG struct {
+	relation.VGFunc
+	once    sync.Once
+	release <-chan struct{}
+}
+
+func (g *stallVG) Value(src rng.Source, tuple, scenario int) float64 {
+	g.once.Do(func() { <-g.release })
+	return g.VGFunc.Value(src, tuple, scenario)
+}
+
+// stalledEval runs SummarySearchCtx on a portfolio query whose first
+// validation realisation waits for ctx to end, so the evaluation is still
+// running when ctx is cancelled or its deadline passes. It returns how long
+// the evaluation took and its error.
+func stalledEval(ctx context.Context, t *testing.T) (time.Duration, error) {
+	rel := portfolioRel(t, 40, func(vg relation.VGFunc) relation.VGFunc {
+		return &stallVG{VGFunc: vg, release: ctx.Done()}
+	})
+	silp := buildSILP(t, rel, `SELECT PACKAGE(*) FROM stocks SUCH THAT
 		SUM(price) <= 2000 AND
 		SUM(gain) >= 500 WITH PROBABILITY >= 0.99
 		MAXIMIZE EXPECTED SUM(gain)`)
-	opts := &Options{
-		Seed:        1,
-		ValidationM: 200000, // large M̂ so validation alone is slow
-		InitialM:    50,
-		IncrementM:  50,
-		// The package never changes, so after the first validation every
-		// round is a memoized verdict plus a tiny solve: a far-off MaxM keeps
-		// the evaluation running well past the cancel.
-		MaxM:        1 << 20,
-		Parallelism: 2,
-	}
+	opts := &Options{Seed: 1, ValidationM: 20000, InitialM: 50, IncrementM: 50, MaxM: 1000, Parallelism: 2}
+	start := time.Now()
+	_, err := SummarySearchCtx(ctx, silp, opts)
+	return time.Since(start), err
+}
+
+// TestSummarySearchCtxCancellation cancels a running evaluation: it must
+// return promptly with the context's error.
+func TestSummarySearchCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	start := time.Now()
-	_, err := SummarySearchCtx(ctx, silp, opts)
-	elapsed := time.Since(start)
+	elapsed, err := stalledEval(ctx, t)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -132,26 +151,13 @@ func TestSummarySearchCtxCancellation(t *testing.T) {
 
 // TestSummarySearchCtxDeadline covers the deadline path end to end.
 func TestSummarySearchCtxDeadline(t *testing.T) {
-	silp := portfolioSILP(t, 40, `SELECT PACKAGE(*) FROM stocks SUCH THAT
-		SUM(price) <= 2000 AND
-		SUM(gain) >= 500 WITH PROBABILITY >= 0.99
-		MAXIMIZE EXPECTED SUM(gain)`)
-	opts := &Options{
-		Seed:        1,
-		ValidationM: 200000,
-		InitialM:    50,
-		IncrementM:  50,
-		MaxM:        1 << 20, // far off, as in TestSummarySearchCtxCancellation
-		Parallelism: 2,
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	start := time.Now()
-	_, err := SummarySearchCtx(ctx, silp, opts)
+	elapsed, err := stalledEval(ctx, t)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
+	if elapsed > 5*time.Second {
 		t.Fatalf("deadline expiry took %v, want prompt return", elapsed)
 	}
 }

@@ -152,8 +152,10 @@ func TestValidateMatchesPerValueLoop(t *testing.T) {
 
 // probeSILP is a linear stochastic objective over 300 tuples with heavy
 // (Pareto α = 1) tails, a stochastic attribute that is always zero, and a
-// second tail attribute, for expressions that reach −0, ±Inf and NaN.
-func probeSILP(t *testing.T, vg relation.VGFunc) *translate.SILP {
+// second tail attribute, for expressions that reach −0, ±Inf and NaN. A
+// non-empty obj replaces the objective's inner function; each call builds a
+// fresh SILP, because a SILP memoises its probed range.
+func probeSILP(t *testing.T, vg relation.VGFunc, obj spaql.LinExpr) *translate.SILP {
 	t.Helper()
 	const n = 300
 	rel := relation.New("g", n)
@@ -180,6 +182,9 @@ func probeSILP(t *testing.T, vg relation.VGFunc) *translate.SILP {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(obj.Terms) > 0 {
+		silp.ObjExpr = obj
+	}
 	return silp
 }
 
@@ -194,14 +199,12 @@ func TestProbeMatchesRealizeLoop(t *testing.T) {
 		"infinities":    {Terms: []spaql.Term{{Coef: 1e308, Attr: "flux"}, {Coef: -1e308, Attr: "flux2"}}},
 		"mixed":         {Const: 2, Terms: []spaql.Term{{Coef: -3, Attr: "flux2"}, {Coef: 1, Attr: "zero"}, {Coef: 0.5, Attr: "flux"}}},
 	}
-	silp := probeSILP(t, nil)
 	for name, e := range exprs {
-		silp.ObjExpr = e
-		wantLo, wantHi := probeByRealize(t, newRunner(context.Background(), silp, smallOptions(1)), e)
+		wantLo, wantHi := probeByRealize(t, newRunner(context.Background(), probeSILP(t, nil, e), smallOptions(1)), e)
 		for _, workers := range []int{1, 2, 8} {
 			o := smallOptions(1)
 			o.Parallelism = workers
-			lo, hi, err := newRunner(context.Background(), silp, o).probeObjectiveRange(context.Background())
+			lo, hi, err := newRunner(context.Background(), probeSILP(t, nil, e), o).probeObjectiveRange(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +213,7 @@ func TestProbeMatchesRealizeLoop(t *testing.T) {
 			}
 		}
 	}
-	if lo, hi := probeByRealize(t, newRunner(context.Background(), silp, nil), exprs["negative zero"]); !math.Signbit(lo) || !math.Signbit(hi) {
+	if lo, hi := probeByRealize(t, newRunner(context.Background(), probeSILP(t, nil, spaql.LinExpr{}), nil), exprs["negative zero"]); !math.Signbit(lo) || !math.Signbit(hi) {
 		t.Fatalf("negative-zero expression probed [%v, %v], want [−0, −0]", lo, hi)
 	}
 }
@@ -233,9 +236,10 @@ func (vg *cancellingVG) ExactMean(int) float64 { return math.NaN() }
 
 // TestProbeCancellation: the probe observes its context — up front and in
 // the middle of the scan — returns the context's error through validation,
-// and does not cache the cut-short probe as an unusable range.
+// and neither caches the cut-short probe as an unusable range nor memoises
+// it on the SILP.
 func TestProbeCancellation(t *testing.T) {
-	silp := probeSILP(t, nil)
+	silp := probeSILP(t, nil, spaql.LinExpr{})
 	x := make([]float64, silp.N)
 	x[1] = 1
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -245,9 +249,9 @@ func TestProbeCancellation(t *testing.T) {
 	}
 
 	vg := &cancellingVG{n: 1000, cancel: func() {}}
-	silp = probeSILP(t, vg)
-	silp.ObjExpr = spaql.LinExpr{Terms: []spaql.Term{{Coef: 1, Attr: "foreign"}}}
+	foreign := spaql.LinExpr{Terms: []spaql.Term{{Coef: 1, Attr: "foreign"}}}
 	for _, workers := range []int{1, 2} {
+		silp := probeSILP(t, vg, foreign)
 		ctx, cancel := context.WithCancel(context.Background())
 		vg.calls.Store(0)
 		vg.cancel = cancel
@@ -263,6 +267,9 @@ func TestProbeCancellation(t *testing.T) {
 		if r.probed {
 			t.Fatalf("workers=%d: a cancelled probe was cached as [%v, %v]", workers, r.sLo, r.sHi)
 		}
+		if lo, hi, ok := silp.ObjRange(r.opts.ValidationSeed); ok {
+			t.Fatalf("workers=%d: a cancelled probe was memoised as [%v, %v]", workers, lo, hi)
+		}
 		// The same runner, no longer cancelled, probes for real.
 		vg.cancel = func() {}
 		r.ctx = context.Background()
@@ -274,6 +281,9 @@ func TestProbeCancellation(t *testing.T) {
 		assertSameValidation(t, "after cancel", val, want)
 		if r.sLo != 0 || r.sHi != float64(silp.N-1) {
 			t.Fatalf("workers=%d: range [%v, %v], want [0, %d]", workers, r.sLo, r.sHi, silp.N-1)
+		}
+		if lo, hi, ok := silp.ObjRange(r.opts.ValidationSeed); !ok || lo != r.sLo || hi != r.sHi {
+			t.Fatalf("workers=%d: memoised range [%v, %v] (%t), want the probed one", workers, lo, hi, ok)
 		}
 	}
 }

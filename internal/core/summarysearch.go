@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"spq/internal/milp"
+	"spq/internal/obs"
 	"spq/internal/translate"
 )
 
@@ -16,31 +17,16 @@ var ErrInfeasible = errors.New("core: query is infeasible (deterministic constra
 // solveUnconstrained computes x(0), the solution to SAA(Q0, M̂): the query
 // devoid of probabilistic constraints, with expectations estimated from the
 // precomputed means (Algorithm 2, line 2). It is the least conservative
-// starting point (equivalent to α = 0 summaries).
+// starting point (equivalent to α = 0 summaries). It depends on the SILP and
+// the solver budget alone, so an optimal one is memoised on the SILP; the
+// returned slice may be that shared copy and is read only.
 func (r *runner) solveUnconstrained() ([]float64, error) {
 	silp := r.silp
-	model := milp.NewModel()
-	for i := 0; i < silp.N; i++ {
-		obj := 0.0
-		if silp.ObjKind == translate.ObjLinear {
-			obj = silp.ObjCoefs[i]
-			if silp.Maximize {
-				obj = -obj
-			}
-		}
-		model.AddVar(silp.VarLo[i], silp.VarHi[i], obj, true, fmt.Sprintf("x%d", i))
+	if x := silp.X0(r.opts.SolverNodes, r.opts.RelGap); x != nil {
+		memoHit(r.ctx, "unconstrained")
+		return x, nil
 	}
-	for _, c := range silp.DetCons {
-		idxs := make([]int, 0, silp.N)
-		coefs := make([]float64, 0, silp.N)
-		for i, a := range c.Coefs {
-			if a != 0 {
-				idxs = append(idxs, i)
-				coefs = append(coefs, a)
-			}
-		}
-		model.AddRow(idxs, coefs, c.Lo, c.Hi)
-	}
+	model, vm := silp.FormulateUnconstrained()
 	res, err := r.solveMILP("unconstrained", model, r.solverOptions(nil))
 	if err != nil {
 		return nil, err
@@ -56,12 +42,22 @@ func (r *runner) solveUnconstrained() ([]float64, error) {
 	}
 	x := make([]float64, silp.N)
 	for i := range x {
-		x[i] = res.X[i]
+		x[i] = res.X[vm.X[i]]
 		if x[i] < 0.5 && x[i] > -0.5 {
 			x[i] = 0
 		}
 	}
+	if res.Status == milp.StatusOptimal {
+		silp.SetX0(r.opts.SolverNodes, r.opts.RelGap, x)
+	}
 	return x, nil
+}
+
+// memoHit records a "memo" span: a result of kind taken from the SILP's memo.
+func memoHit(ctx context.Context, kind string) {
+	sp := obs.SpanFromContext(ctx).StartChild("memo")
+	sp.SetAttr("kind", kind)
+	sp.End()
 }
 
 // SummarySearch evaluates a stochastic package query with Algorithm 2:

@@ -259,3 +259,32 @@ func (d Mixture) Mean() float64 {
 	}
 	return acc / total
 }
+
+// UniformChoice picks one of Values uniformly at random. It samples and
+// averages bit for bit like UniformMixture of Degenerate{v} for each v in
+// Values — the same single Float64 draw, the same comparisons, the same
+// mean fold — but holds the values flat instead of one boxed Dist each.
+// Values must not be empty.
+type UniformChoice struct {
+	Values []float64
+}
+
+// Sample implements Dist.
+func (d UniformChoice) Sample(s *rng.Stream) float64 {
+	u := s.Float64() * float64(len(d.Values))
+	for i, v := range d.Values {
+		if u < float64(i+1) {
+			return v
+		}
+	}
+	return d.Values[len(d.Values)-1]
+}
+
+// Mean implements Dist.
+func (d UniformChoice) Mean() float64 {
+	acc := 0.0
+	for _, v := range d.Values {
+		acc += v
+	}
+	return acc / float64(len(d.Values))
+}

@@ -122,3 +122,38 @@ func TestSamplingIsCoordinatePure(t *testing.T) {
 		}
 	}
 }
+
+// TestUniformChoiceMatchesMixture: a flat UniformChoice samples and averages
+// bit for bit like UniformMixture of Degenerate components, for D ∈ {3, 10}
+// over many streams, with values that include −0 and ±Inf. (Which of two
+// NaN operands a sum returns is the compiler's operand order, so none is
+// given.)
+func TestUniformChoiceMatchesMixture(t *testing.T) {
+	src := rng.NewStream(99)
+	for _, d := range []int{3, 10} {
+		for trial := 0; trial < 200; trial++ {
+			values := make([]float64, d)
+			comps := make([]Dist, d)
+			for k := range values {
+				values[k] = src.Norm() * 100
+				switch src.IntN(20) {
+				case 0:
+					values[k] = math.Copysign(0, -1)
+				case 1:
+					values[k] = math.Inf(1 - 2*src.IntN(2))
+				}
+				comps[k] = Degenerate{Value: values[k]}
+			}
+			flat, mix := UniformChoice{Values: values}, UniformMixture(comps...)
+			if a, b := flat.Mean(), mix.Mean(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("D=%d trial %d: mean %v, mixture %v", d, trial, a, b)
+			}
+			for seed := uint64(0); seed < 50; seed++ {
+				sa, sb := rng.NewStream(seed*7919+uint64(trial)), rng.NewStream(seed*7919+uint64(trial))
+				if a, b := flat.Sample(sa), mix.Sample(sb); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("D=%d trial %d seed %d: sample %v, mixture %v", d, trial, seed, a, b)
+				}
+			}
+		}
+	}
+}

@@ -90,10 +90,21 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatal("ambient-span query must not mint its own trace")
 	}
 	tr.Root().End()
-	var names []string
-	tr.Data().Walk(func(d *obs.SpanData) { names = append(names, obs.PhaseName(d.Name)) })
+	var names, memos []string
+	tr.Data().Walk(func(d *obs.SpanData) {
+		names = append(names, obs.PhaseName(d.Name))
+		if d.Name == "memo" {
+			memos = append(memos, d.Attrs["kind"])
+		}
+	})
 	if !contains(names, "parse") || !contains(names, "plan") {
 		t.Fatalf("engine phases not nested under caller span: %v", names)
+	}
+	// The second query reuses the cached plan's SILP, and with it x(0) and
+	// the probed objective range: "memo" spans stand where the unconstrained
+	// solve and the probe ran the first time.
+	if len(memos) != 2 || !contains(memos, "unconstrained") || !contains(memos, "probe") || contains(names, "probe") {
+		t.Fatalf("plan-cache hit: memo spans %v among %v, want one each for unconstrained and probe and no probe", memos, names)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -73,35 +74,36 @@ func (s Status) String() string {
 	}
 }
 
-// entry is a nonzero coefficient in a structural column.
-type entry struct {
-	row  int
-	coef float64
-}
-
 // Problem is an LP instance. Build it with NewProblem, SetObj, SetVarBounds
-// and AddRow; it may then be solved repeatedly (possibly with per-solve
-// variable-bound overrides, which is how branch-and-bound fixes variables)
-// without rebuilding.
+// and AddRow or AddRows; it may then be solved repeatedly (possibly with
+// per-solve variable-bound overrides, which is how branch-and-bound fixes
+// variables) without rebuilding.
+//
+// The structural columns are one compressed sparse column (CSC) matrix:
+// column j is rowIdx/coef[colStart[j]:colStart[j+1]], in row order. Adding
+// rows leaves it complete, so no solve builds anything and concurrent solves
+// may share a Problem.
 type Problem struct {
-	nvars int
-	obj   []float64
-	cols  [][]entry
-	varLo []float64
-	varHi []float64
-	rowLo []float64
-	rowHi []float64
+	nvars    int
+	obj      []float64
+	colStart []int
+	rowIdx   []int32
+	coef     []float64
+	varLo    []float64
+	varHi    []float64
+	rowLo    []float64
+	rowHi    []float64
 }
 
 // NewProblem creates a problem with nvars structural variables, each with
 // default bounds [0, +Inf) and zero objective coefficient.
 func NewProblem(nvars int) *Problem {
 	p := &Problem{
-		nvars: nvars,
-		obj:   make([]float64, nvars),
-		cols:  make([][]entry, nvars),
-		varLo: make([]float64, nvars),
-		varHi: make([]float64, nvars),
+		nvars:    nvars,
+		obj:      make([]float64, nvars),
+		colStart: make([]int, nvars+1),
+		varLo:    make([]float64, nvars),
+		varHi:    make([]float64, nvars),
 	}
 	for j := range p.varHi {
 		p.varHi[j] = Inf
@@ -118,9 +120,6 @@ func (p *Problem) NumRows() int { return len(p.rowLo) }
 // SetObj sets the objective coefficient of variable j.
 func (p *Problem) SetObj(j int, c float64) { p.obj[j] = c }
 
-// Obj returns the objective coefficient of variable j.
-func (p *Problem) Obj(j int) float64 { return p.obj[j] }
-
 // SetVarBounds sets the bounds of variable j. lo may be -Inf and hi may be
 // Inf.
 func (p *Problem) SetVarBounds(j int, lo, hi float64) {
@@ -132,42 +131,85 @@ func (p *Problem) SetVarBounds(j int, lo, hi float64) {
 func (p *Problem) VarBounds(j int) (lo, hi float64) { return p.varLo[j], p.varHi[j] }
 
 // AddRow appends the constraint lo ≤ Σ coefs[k]·x[idxs[k]] ≤ hi and returns
-// its row index. Duplicate variable indices within one row are summed.
+// its row index. Zero coefficients are skipped; a variable index repeated
+// within the row sums into its first nonzero occurrence.
 func (p *Problem) AddRow(idxs []int, coefs []float64, lo, hi float64) int {
 	if len(idxs) != len(coefs) {
 		panic("lp: AddRow index/coefficient length mismatch")
 	}
 	row := len(p.rowLo)
-	p.rowLo = append(p.rowLo, lo)
-	p.rowHi = append(p.rowHi, hi)
-	seen := make(map[int]int, len(idxs))
-	for k, j := range idxs {
-		if j < 0 || j >= p.nvars {
+	p.AddRows(1, func(_ int, add func(int, float64)) (float64, float64) {
+		for k, j := range idxs {
+			add(j, coefs[k])
+		}
+		return lo, hi
+	})
+	return row
+}
+
+// AddRows appends count rows in one merge into the column store, by the
+// rules of AddRow. row(i, add) reports the i-th new row's terms by calling
+// add(j, a) and returns its bounds. It is called twice per row, to size the
+// columns and then to fill them, and must report the same terms both times.
+func (p *Problem) AddRows(count int, row func(i int, add func(j int, a float64)) (lo, hi float64)) {
+	n, first := p.nvars, len(p.rowLo)
+	// stamp[j] == cur ⟺ column j already holds the current row's entry;
+	// the fill pass stamps past count so neither pass clears the array.
+	stamp := make([]int, n)
+	fill := make([]int, n) // new entries per column, then the fill cursor
+	cur, added := 0, 0
+	count1 := func(j int, a float64) {
+		if j < 0 || j >= n {
 			panic(fmt.Sprintf("lp: AddRow variable index %d out of range", j))
 		}
-		if coefs[k] == 0 {
-			continue
+		if a != 0 && stamp[j] != cur {
+			stamp[j] = cur
+			fill[j]++
+			added++
 		}
-		if pos, dup := seen[j]; dup {
-			p.cols[j][pos].coef += coefs[k]
-			continue
-		}
-		p.cols[j] = append(p.cols[j], entry{row: row, coef: coefs[k]})
-		seen[j] = len(p.cols[j]) - 1
 	}
-	return row
+	for i := 0; i < count; i++ {
+		cur = i + 1
+		lo, hi := row(i, count1)
+		p.rowLo = append(p.rowLo, lo)
+		p.rowHi = append(p.rowHi, hi)
+	}
+	// Open each column's gap at its end, last column first, so a move never
+	// overwrites entries that have yet to move.
+	old := len(p.rowIdx)
+	p.rowIdx = slices.Grow(p.rowIdx, added)[:old+added]
+	p.coef = slices.Grow(p.coef, added)[:old+added]
+	for j := n - 1; j >= 0; j-- {
+		lo, hi := p.colStart[j], p.colStart[j+1]
+		p.colStart[j+1] = hi + added
+		added -= fill[j]
+		copy(p.rowIdx[lo+added:], p.rowIdx[lo:hi])
+		copy(p.coef[lo+added:], p.coef[lo:hi])
+		fill[j] = hi + added
+	}
+	var r int32
+	add := func(j int, a float64) {
+		switch {
+		case a == 0:
+		case stamp[j] == cur:
+			p.coef[fill[j]-1] += a
+		default:
+			stamp[j] = cur
+			p.rowIdx[fill[j]] = r
+			p.coef[fill[j]] = a
+			fill[j]++
+		}
+	}
+	for i := 0; i < count; i++ {
+		cur, r = count+i+1, int32(first+i)
+		row(i, add)
+	}
 }
 
 // NumCoefficients returns the number of stored nonzero structural
 // coefficients; it is the paper's DILP "size" measure (Θ(NMK) for SAA vs
 // Θ(NZK) for CSA).
-func (p *Problem) NumCoefficients() int {
-	n := 0
-	for _, col := range p.cols {
-		n += len(col)
-	}
-	return n
-}
+func (p *Problem) NumCoefficients() int { return len(p.coef) }
 
 // Options tune the simplex.
 type Options struct {

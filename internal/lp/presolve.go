@@ -85,9 +85,12 @@ type presolver struct {
 	rowHi    []float64
 	rowAlive []bool
 	colAlive []bool
-	// rows is the row-wise adjacency (built once from the column store);
-	// entries of eliminated columns are skipped via colAlive.
-	rows [][]entry // entry.row reused as the column index here
+	// Row i is rowCol/rowCoef[rowStart[i]:rowStart[i+1]], in column order:
+	// p's nonzero entries transposed once (a cancelled zero would divide the
+	// implied bounds by zero). colAlive skips eliminated columns.
+	rowStart []int
+	rowCol   []int32
+	rowCoef  []float64
 
 	fixed      []float64
 	elim       []bool
@@ -103,6 +106,18 @@ type presolver struct {
 // tightened bounds inward, which is valid for the MILP but not for its pure
 // LP relaxation. The input problem and bound slices are not mutated.
 func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
+	ps := presolve(p, lo, hi, integer)
+	out := &Presolved{n: p.nvars, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
+		Infeasible: ps.infeasible, Unbounded: ps.unbounded}
+	if !out.Infeasible && !out.Unbounded {
+		ps.reduce(out)
+	}
+	return out
+}
+
+// presolve builds the row view, then applies the initial integrality
+// rounding and the reduction passes to a fixpoint.
+func presolve(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	if lo == nil {
 		lo = p.varLo
 	}
@@ -119,7 +134,9 @@ func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 		rowHi:    append([]float64(nil), p.rowHi...),
 		rowAlive: make([]bool, m),
 		colAlive: make([]bool, n),
-		rows:     make([][]entry, m),
+		rowStart: make([]int, m+1),
+		rowCol:   make([]int32, len(p.rowIdx)),
+		rowCoef:  make([]float64, len(p.coef)),
 		fixed:    make([]float64, n),
 		elim:     make([]bool, n),
 	}
@@ -129,13 +146,23 @@ func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 	for j := range ps.colAlive {
 		ps.colAlive[j] = true
 	}
-	for j, col := range p.cols {
-		for _, e := range col {
-			ps.rows[e.row] = append(ps.rows[e.row], entry{row: j, coef: e.coef})
+	for t, i := range p.rowIdx {
+		if p.coef[t] != 0 {
+			ps.rowStart[i+1]++
 		}
 	}
-
-	// Initial integrality rounding, then reduction passes to a fixpoint.
+	for i := 0; i < m; i++ {
+		ps.rowStart[i+1] += ps.rowStart[i]
+	}
+	next := append([]int(nil), ps.rowStart[:m]...)
+	for j := 0; j < n; j++ {
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			if i := p.rowIdx[t]; p.coef[t] != 0 {
+				ps.rowCol[next[i]], ps.rowCoef[next[i]] = int32(j), p.coef[t]
+				next[i]++
+			}
+		}
+	}
 	for j := 0; j < n; j++ {
 		ps.tighten(j, ps.lo[j], ps.hi[j])
 	}
@@ -150,52 +177,45 @@ func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 			break
 		}
 	}
+	return ps
+}
 
-	out := &Presolved{n: n, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
-		Infeasible: ps.infeasible, Unbounded: ps.unbounded}
-	if out.Infeasible || out.Unbounded {
-		return out
-	}
-	// Materialize the reduced problem over surviving rows and columns.
-	colMap := make([]int, 0, n)
-	redIdx := make([]int, n)
-	for j := 0; j < n; j++ {
-		redIdx[j] = -1
-		if ps.colAlive[j] {
-			redIdx[j] = len(colMap)
-			colMap = append(colMap, j)
+// reduce materializes the reduced problem by filtering the column store: a
+// surviving column keeps its nonzero entries in surviving rows, in order.
+func (ps *presolver) reduce(out *Presolved) {
+	p := ps.p
+	n, m := p.nvars, len(p.rowLo)
+	rowMap := make([]int32, m)
+	red := &Problem{obj: make([]float64, 0, n), colStart: make([]int, 1, n+1),
+		rowIdx: make([]int32, 0, len(p.rowIdx)), coef: make([]float64, 0, len(p.coef))}
+	for i := 0; i < m; i++ {
+		if ps.rowAlive[i] {
+			rowMap[i] = int32(len(red.rowLo))
+			red.rowLo = append(red.rowLo, ps.rowLo[i])
+			red.rowHi = append(red.rowHi, ps.rowHi[i])
 		}
 	}
-	red := NewProblem(len(colMap))
-	rlo := make([]float64, len(colMap))
-	rhi := make([]float64, len(colMap))
-	for r, j := range colMap {
-		red.SetObj(r, p.obj[j])
-		rlo[r], rhi[r] = ps.lo[j], ps.hi[j]
-		red.SetVarBounds(r, rlo[r], rhi[r])
-	}
-	kept := 0
-	for i := 0; i < m; i++ {
-		if !ps.rowAlive[i] {
+	out.colMap, out.Lo, out.Hi = make([]int, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	for j := 0; j < n; j++ {
+		if !ps.colAlive[j] {
 			continue
 		}
-		kept++
-		var idxs []int
-		var coefs []float64
-		for _, e := range ps.rows[i] {
-			if ps.colAlive[e.row] {
-				idxs = append(idxs, redIdx[e.row])
-				coefs = append(coefs, e.coef)
+		out.colMap = append(out.colMap, j)
+		out.Lo, out.Hi = append(out.Lo, ps.lo[j]), append(out.Hi, ps.hi[j])
+		red.obj = append(red.obj, p.obj[j])
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			if i := p.rowIdx[t]; ps.rowAlive[i] && p.coef[t] != 0 {
+				red.rowIdx = append(red.rowIdx, rowMap[i])
+				red.coef = append(red.coef, p.coef[t])
 			}
 		}
-		red.AddRow(idxs, coefs, ps.rowLo[i], ps.rowHi[i])
+		red.colStart = append(red.colStart, len(red.rowIdx))
 	}
+	red.nvars = len(out.colMap)
+	red.varLo, red.varHi = append([]float64(nil), out.Lo...), append([]float64(nil), out.Hi...)
 	out.Reduced = red
-	out.Lo, out.Hi = rlo, rhi
-	out.colMap = colMap
-	out.RowsRemoved = m - kept
-	out.ColsRemoved = n - len(colMap)
-	return out
+	out.RowsRemoved = m - len(red.rowLo)
+	out.ColsRemoved = n - red.nvars
 }
 
 // tighten intersects variable j's working bounds with [lo, hi], rounding
@@ -234,17 +254,19 @@ func (ps *presolver) contrib(j int, a float64) (cmin, cmax float64) {
 // rowPass applies the row reductions: empty, singleton, redundancy, and
 // per-entry implied-bound tightening.
 func (ps *presolver) rowPass() {
-	for i := range ps.rows {
+	for i := range ps.rowAlive {
 		if !ps.rowAlive[i] {
 			continue
 		}
+		row := ps.rowStart[i]
+		cols, coefs := ps.rowCol[row:ps.rowStart[i+1]], ps.rowCoef[row:ps.rowStart[i+1]]
 		nnz := 0
 		var sj int
 		var sa float64
-		for _, e := range ps.rows[i] {
-			if ps.colAlive[e.row] {
+		for k, j := range cols {
+			if ps.colAlive[j] {
 				nnz++
-				sj, sa = e.row, e.coef
+				sj, sa = int(j), coefs[k]
 			}
 		}
 		switch nnz {
@@ -267,11 +289,11 @@ func (ps *presolver) rowPass() {
 		// Activity range with infinity counting.
 		minSum, maxSum := 0.0, 0.0
 		minInf, maxInf := 0, 0
-		for _, e := range ps.rows[i] {
-			if !ps.colAlive[e.row] {
+		for k, j := range cols {
+			if !ps.colAlive[j] {
 				continue
 			}
-			cmin, cmax := ps.contrib(e.row, e.coef)
+			cmin, cmax := ps.contrib(int(j), coefs[k])
 			if isNegInf(cmin) {
 				minInf++
 			} else {
@@ -299,24 +321,19 @@ func (ps *presolver) rowPass() {
 			continue
 		}
 		// Implied bounds per entry from the row's residual activity.
-		for _, e := range ps.rows[i] {
-			if !ps.colAlive[e.row] {
+		for k, j := range cols {
+			if !ps.colAlive[j] {
 				continue
 			}
-			lo, hi := impliedEntryBounds(ps.rowLo[i], ps.rowHi[i], e.coef,
-				residual(minSum, minInf, maxSum, maxInf, ps.contribPair(e)))
-			ps.tighten(e.row, lo, hi)
+			cmin, cmax := ps.contrib(int(j), coefs[k])
+			lo, hi := impliedEntryBounds(ps.rowLo[i], ps.rowHi[i], coefs[k],
+				residual(minSum, minInf, maxSum, maxInf, [2]float64{cmin, cmax}))
+			ps.tighten(int(j), lo, hi)
 			if ps.infeasible {
 				return
 			}
 		}
 	}
-}
-
-// contribPair adapts contrib to the (cmin, cmax) pair residual consumes.
-func (ps *presolver) contribPair(e entry) [2]float64 {
-	cmin, cmax := ps.contrib(e.row, e.coef)
-	return [2]float64{cmin, cmax}
 }
 
 // residualRange is the activity range of a row excluding one entry.
@@ -407,8 +424,8 @@ func (ps *presolver) colPass() {
 		}
 		// Empty column: no surviving row touches it.
 		empty := true
-		for _, e := range ps.p.cols[j] {
-			if ps.rowAlive[e.row] {
+		for _, i := range ps.p.rowIdx[ps.p.colStart[j]:ps.p.colStart[j+1]] {
+			if ps.rowAlive[i] {
 				empty = false
 				break
 			}
@@ -446,15 +463,17 @@ func (ps *presolver) colPass() {
 // fixColumn eliminates variable j at value v, substituting its contribution
 // into the bounds of every row it appears in.
 func (ps *presolver) fixColumn(j int, v float64) {
-	for _, e := range ps.p.cols[j] {
-		if !ps.rowAlive[e.row] {
+	p := ps.p
+	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+		i, a := p.rowIdx[t], p.coef[t]
+		if !ps.rowAlive[i] {
 			continue
 		}
-		if !isNegInf(ps.rowLo[e.row]) {
-			ps.rowLo[e.row] -= e.coef * v
+		if !isNegInf(ps.rowLo[i]) {
+			ps.rowLo[i] -= a * v
 		}
-		if !isPosInf(ps.rowHi[e.row]) {
-			ps.rowHi[e.row] -= e.coef * v
+		if !isPosInf(ps.rowHi[i]) {
+			ps.rowHi[i] -= a * v
 		}
 	}
 	ps.colAlive[j] = false
@@ -490,18 +509,19 @@ func (p *Problem) NewRowActivity(lo, hi []float64) *RowActivity {
 		minInf: make([]int32, m),
 		maxInf: make([]int32, m),
 	}
-	for j, col := range p.cols {
-		for _, e := range col {
-			cmin, cmax := contribRange(e.coef, lo[j], hi[j])
+	for j := 0; j < p.nvars; j++ {
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			i := p.rowIdx[t]
+			cmin, cmax := contribRange(p.coef[t], lo[j], hi[j])
 			if isNegInf(cmin) {
-				act.minInf[e.row]++
+				act.minInf[i]++
 			} else {
-				act.minSum[e.row] += cmin
+				act.minSum[i] += cmin
 			}
 			if isPosInf(cmax) {
-				act.maxInf[e.row]++
+				act.maxInf[i]++
 			} else {
-				act.maxSum[e.row] += cmax
+				act.maxSum[i] += cmax
 			}
 		}
 	}
@@ -523,11 +543,11 @@ func contribRange(a, lo, hi float64) (float64, float64) {
 // layer prunes such children without an LP solve.
 func (p *Problem) ImpliedVarBounds(act *RowActivity, j int, integer bool) (float64, float64) {
 	lo, hi := math.Inf(-1), math.Inf(1)
-	for _, e := range p.cols[j] {
-		i := e.row
-		cmin, cmax := contribRange(e.coef, act.lo[j], act.hi[j])
+	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+		i, a := p.rowIdx[t], p.coef[t]
+		cmin, cmax := contribRange(a, act.lo[j], act.hi[j])
 		oth := residual(act.minSum[i], int(act.minInf[i]), act.maxSum[i], int(act.maxInf[i]), [2]float64{cmin, cmax})
-		elo, ehi := impliedEntryBounds(p.rowLo[i], p.rowHi[i], e.coef, oth)
+		elo, ehi := impliedEntryBounds(p.rowLo[i], p.rowHi[i], a, oth)
 		if elo > lo {
 			lo = elo
 		}

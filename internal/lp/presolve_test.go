@@ -260,3 +260,23 @@ func TestImpliedVarBoundsDetectsEmptyInterval(t *testing.T) {
 		t.Fatalf("integer implied upper = %g, want 3", h2)
 	}
 }
+
+// TestPresolveCancelledCoefficient: x0 + x1 − x0 ≥ 0.5 over [0, 1]² stores a
+// zero for x0. As a row term that zero divided the implied-bound arithmetic
+// by zero and presolve reported the feasible problem infeasible.
+func TestPresolveCancelledCoefficient(t *testing.T) {
+	p := NewProblem(2)
+	p.SetVarBounds(0, 0, 1)
+	p.SetVarBounds(1, 0, 1)
+	p.SetObj(1, -1)
+	p.AddRow([]int{0, 1, 0}, []float64{1, 1, -1}, 0.5, Inf)
+	pr := PresolveProblem(p, nil, nil, nil)
+	if pr.Infeasible || pr.Unbounded {
+		t.Fatalf("presolve: infeasible=%t unbounded=%t, want a reduced problem", pr.Infeasible, pr.Unbounded)
+	}
+	sol, err := SolveWithBounds(pr.Reduced, pr.Lo, pr.Hi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOptimal(t, sol, -1-pr.ObjOffset, 1e-9)
+}

@@ -215,9 +215,9 @@ func (s *simplex) nbVal(j int) float64 {
 // column iterates the sparse column of variable j (logical columns are a
 // single -1 entry).
 func (s *simplex) column(j int, fn func(row int, coef float64)) {
-	if j < s.n {
-		for _, e := range s.p.cols[j] {
-			fn(e.row, e.coef)
+	if p := s.p; j < s.n {
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			fn(int(p.rowIdx[t]), p.coef[t])
 		}
 		return
 	}
@@ -359,8 +359,9 @@ func (s *simplex) reducedCost(j int) float64 {
 	if j >= s.n {
 		return d + s.y[j-s.n]
 	}
-	for _, e := range s.p.cols[j] {
-		d -= s.y[e.row] * e.coef
+	p := s.p
+	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+		d -= s.y[p.rowIdx[t]] * p.coef[t]
 	}
 	return d
 }
@@ -371,8 +372,9 @@ func (s *simplex) rowCoef(j int) float64 {
 		return -s.rho[j-s.n]
 	}
 	a := 0.0
-	for _, e := range s.p.cols[j] {
-		a += s.rho[e.row] * e.coef
+	p := s.p
+	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+		a += s.rho[p.rowIdx[t]] * p.coef[t]
 	}
 	return a
 }

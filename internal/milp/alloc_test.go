@@ -25,7 +25,7 @@ func TestNodeLoopAllocatesNothing(t *testing.T) {
 	idxs := make([]int, 30)
 	w := make([]float64, len(idxs))
 	for j := range idxs {
-		idxs[j], w[j] = m.AddBinary(-1, "x"), 2
+		idxs[j], w[j] = m.AddBinary(-1), 2
 	}
 	m.AddRow(idxs, w, -Inf, 31)
 	allocs := func(maxNodes int) float64 {
@@ -108,5 +108,45 @@ func TestRootBasisSurvivesLaterSolves(t *testing.T) {
 	}
 	if rootIters() != 0 {
 		t.Fatal("RootBasis changed under later solves of the same model")
+	}
+}
+
+// wideModel is the scan-shaped MILP: n binaries under five dense knapsack
+// rows, as many columns as tuples and only a few rows.
+func wideModel(n int) *Model {
+	s := rng.NewStream(3)
+	m := NewModel()
+	idxs := make([]int, n)
+	for j := range idxs {
+		idxs[j] = m.AddBinary(-(1 + s.Float64()))
+	}
+	for r := 0; r < 5; r++ {
+		w := make([]float64, n)
+		for j := range w {
+			w[j] = 1 + s.Float64()*9
+		}
+		m.AddRow(idxs, w, -Inf, 30)
+	}
+	return m
+}
+
+// TestWideSolveAllocationsFlat: what a Solve allocates does not grow with the
+// column count. The model becomes one column-major matrix in two passes and
+// presolve transposes and filters it into flat arrays, so 5 rows × 20 000
+// columns take as many heap objects as 5 × 2 000 (a per-column slice or a
+// per-row map would add thousands).
+func TestWideSolveAllocationsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		m := wideModel(n)
+		return testing.AllocsPerRun(2, func() {
+			if _, err := Solve(m, &Options{MaxNodes: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := allocs(2000), allocs(20000)
+	t.Logf("allocs/op: %v at 2 000 columns, %v at 20 000", narrow, wide)
+	if wide > narrow+4 {
+		t.Fatalf("%v allocations at 20 000 columns against %v at 2 000: allocation grows with the column count", wide, narrow)
 	}
 }

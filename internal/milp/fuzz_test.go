@@ -3,8 +3,10 @@ package milp
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"spq/internal/lp"
 	"spq/internal/rng"
 )
 
@@ -66,7 +68,7 @@ func (o *oracleMILP) model() *Model {
 	m := NewModel()
 	all := make([]int, len(o.ub))
 	for j, ub := range o.ub {
-		all[j] = m.AddVar(0, float64(ub), o.obj[j], true, "x")
+		all[j] = m.AddVar(0, float64(ub), o.obj[j], true)
 	}
 	for _, r := range o.rows {
 		m.AddRow(all, r.coefs, r.lo, r.hi)
@@ -185,4 +187,66 @@ func TestReducedCostFixing(t *testing.T) {
 		t.Fatalf("%d nodes with reduced-cost fixing, %d without: fixing never fired", on, off)
 	}
 	t.Logf("%d nodes with reduced-cost fixing, %d without", on, off)
+}
+
+// buildRowByRow assembles the model's LP the way build did before its
+// two-pass fill: each plain row, then each indicator's terms with its big-M
+// entry appended, one lp.Problem.AddRow call per row (which lp's own tests
+// hold to the map builder it replaced).
+func buildRowByRow(m *Model) *lp.Problem {
+	p := lp.NewProblem(len(m.vars))
+	for j, v := range m.vars {
+		p.SetObj(j, v.obj)
+		p.SetVarBounds(j, v.lo, v.hi)
+	}
+	for _, r := range m.rows {
+		p.AddRow(r.idxs, r.coefs, r.lo, r.hi)
+	}
+	for _, ind := range m.indicators {
+		minV, maxV, _ := m.boxExtremes(ind.idxs, ind.coefs)
+		idxs := append(append([]int(nil), ind.idxs...), ind.bin)
+		coefs := append([]float64(nil), ind.coefs...)
+		if ind.ge {
+			bigM := ind.rhs - minV
+			if bigM < 0 {
+				bigM = 0
+			}
+			bigM = bigM*1.01 + 1
+			p.AddRow(idxs, append(coefs, -bigM), ind.rhs-bigM, lp.Inf)
+		} else {
+			bigM := maxV - ind.rhs
+			if bigM < 0 {
+				bigM = 0
+			}
+			bigM = bigM*1.01 + 1
+			p.AddRow(idxs, append(coefs, bigM), -lp.Inf, ind.rhs+bigM)
+		}
+	}
+	return p
+}
+
+// TestBuildMatchesRowByRow: build's two-pass fill of the column store gives
+// the matrix, bounds and objective of the row-at-a-time builder on the
+// FuzzMILP corpus, the property corpus, and a model whose rows repeat
+// indices, cancel to zero, and name an indicator's binary among its terms.
+func TestBuildMatchesRowByRow(t *testing.T) {
+	models := propertyCorpus()
+	for seed := uint64(1); seed <= 600; seed++ {
+		models = append(models, randomOracleMILP(rng.NewStream(seed)).model())
+	}
+	odd := NewModel()
+	x, y, b := odd.AddVar(0, 3, -1, true), odd.AddVar(-2, 2, 1, false), odd.AddBinary(0)
+	odd.AddRow([]int{x, y, x, b, y}, []float64{1, 2, -1, 0, 0.5}, -Inf, 4)
+	odd.AddIndicatorGE(b, []int{x, b, x, y}, []float64{2, 1, 1, -3}, 1)
+	odd.AddIndicatorLE(b, []int{y, y}, []float64{1, -1}, 0)
+	models = append(models, odd)
+	for i, m := range models {
+		got, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := buildRowByRow(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("model %d: two-pass build\n%+v\nrow by row\n%+v", i, got, want)
+		}
+	}
 }

@@ -71,7 +71,6 @@ type variable struct {
 	lo, hi  float64
 	obj     float64
 	integer bool
-	name    string
 }
 
 type rowSpec struct {
@@ -106,23 +105,17 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // materialized at solve time and not counted here).
 func (m *Model) NumRows() int { return len(m.rows) }
 
-// NumIndicators returns the number of indicator constraints.
-func (m *Model) NumIndicators() int { return len(m.indicators) }
-
 // AddVar adds a variable with bounds [lo, hi], objective coefficient obj and
 // integrality flag, returning its index.
-func (m *Model) AddVar(lo, hi, obj float64, integer bool, name string) int {
-	m.vars = append(m.vars, variable{lo: lo, hi: hi, obj: obj, integer: integer, name: name})
+func (m *Model) AddVar(lo, hi, obj float64, integer bool) int {
+	m.vars = append(m.vars, variable{lo: lo, hi: hi, obj: obj, integer: integer})
 	return len(m.vars) - 1
 }
 
 // AddBinary adds a {0,1} variable and returns its index.
-func (m *Model) AddBinary(obj float64, name string) int {
-	return m.AddVar(0, 1, obj, true, name)
+func (m *Model) AddBinary(obj float64) int {
+	return m.AddVar(0, 1, obj, true)
 }
-
-// VarName returns the name of variable j.
-func (m *Model) VarName(j int) string { return m.vars[j].name }
 
 // SetObj overrides the objective coefficient of variable j.
 func (m *Model) SetObj(j int, obj float64) { m.vars[j].obj = obj }
@@ -154,7 +147,7 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, er
 		}
 		lo, hi := m.vars[j].lo, m.vars[j].hi
 		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return 0, 0, fmt.Errorf("milp: indicator over variable %q with infinite bounds", m.vars[j].name)
+			return 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
 		}
 		if c > 0 {
 			minV += c * lo
@@ -168,17 +161,16 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, er
 }
 
 // build materializes the LP relaxation, expanding indicator constraints into
-// big-M rows.
+// big-M rows: the plain rows, then one row per indicator, its terms followed
+// by the big-M entry on the binary.
 func (m *Model) build() (*lp.Problem, error) {
 	p := lp.NewProblem(len(m.vars))
 	for j, v := range m.vars {
 		p.SetObj(j, v.obj)
 		p.SetVarBounds(j, v.lo, v.hi)
 	}
-	for _, r := range m.rows {
-		p.AddRow(r.idxs, r.coefs, r.lo, r.hi)
-	}
-	for _, ind := range m.indicators {
+	bigM := make([]float64, len(m.indicators))
+	for k, ind := range m.indicators {
 		if !m.vars[ind.bin].integer || m.vars[ind.bin].lo < 0 || m.vars[ind.bin].hi > 1 {
 			return nil, errors.New("milp: indicator variable must be binary")
 		}
@@ -186,32 +178,34 @@ func (m *Model) build() (*lp.Problem, error) {
 		if err != nil {
 			return nil, err
 		}
-		idxs := make([]int, len(ind.idxs), len(ind.idxs)+1)
-		coefs := make([]float64, len(ind.coefs), len(ind.coefs)+1)
-		copy(idxs, ind.idxs)
-		copy(coefs, ind.coefs)
+		// ≥: a·x − M·b ≥ rhs − M with M ≥ rhs − minbox; ≤: a·x + M·b ≤ rhs + M
+		// with M ≥ maxbox − rhs.
+		need := maxV - ind.rhs
 		if ind.ge {
-			// a·x − M·b ≥ rhs − M with M ≥ rhs − minbox.
-			bigM := ind.rhs - minV
-			if bigM < 0 {
-				bigM = 0
-			}
-			bigM = bigM*1.01 + 1 // slack for numerical safety; larger M stays valid
-			idxs = append(idxs, ind.bin)
-			coefs = append(coefs, -bigM)
-			p.AddRow(idxs, coefs, ind.rhs-bigM, lp.Inf)
-		} else {
-			// a·x + M·b ≤ rhs + M with M ≥ maxbox − rhs.
-			bigM := maxV - ind.rhs
-			if bigM < 0 {
-				bigM = 0
-			}
-			bigM = bigM*1.01 + 1
-			idxs = append(idxs, ind.bin)
-			coefs = append(coefs, bigM)
-			p.AddRow(idxs, coefs, -lp.Inf, ind.rhs+bigM)
+			need = ind.rhs - minV
 		}
+		bigM[k] = max(need, 0)*1.01 + 1 // slack for numerical safety; larger M stays valid
 	}
+	p.AddRows(len(m.rows)+len(m.indicators), func(i int, add func(int, float64)) (float64, float64) {
+		if i < len(m.rows) {
+			r := &m.rows[i]
+			for k, j := range r.idxs {
+				add(j, r.coefs[k])
+			}
+			return r.lo, r.hi
+		}
+		k := i - len(m.rows)
+		ind := &m.indicators[k]
+		for t, j := range ind.idxs {
+			add(j, ind.coefs[t])
+		}
+		if ind.ge {
+			add(ind.bin, -bigM[k])
+			return ind.rhs - bigM[k], lp.Inf
+		}
+		add(ind.bin, bigM[k])
+		return -lp.Inf, ind.rhs + bigM[k]
+	})
 	return p, nil
 }
 

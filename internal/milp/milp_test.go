@@ -20,9 +20,9 @@ func solveOK(t *testing.T, m *Model, o *Options) *Result {
 func TestSimpleKnapsack(t *testing.T) {
 	// max 10a + 6b + 4c s.t. a+b+c ≤ 2, binaries → min negated.
 	m := NewModel()
-	a := m.AddBinary(-10, "a")
-	b := m.AddBinary(-6, "b")
-	c := m.AddBinary(-4, "c")
+	a := m.AddBinary(-10)
+	b := m.AddBinary(-6)
+	c := m.AddBinary(-4)
 	m.AddRow([]int{a, b, c}, []float64{1, 1, 1}, -Inf, 2)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusOptimal {
@@ -41,8 +41,8 @@ func TestIntegerKnapsackWithMultiplicity(t *testing.T) {
 	// min 3x + 5y s.t. 2x + 4y ≥ 10, x,y ∈ {0..3}.
 	// Candidates: y=3,x=0 → 15; y=2,x=1 → 13; y=1,x=3 → 14. Optimal 13.
 	m := NewModel()
-	x := m.AddVar(0, 3, 3, true, "x")
-	y := m.AddVar(0, 3, 5, true, "y")
+	x := m.AddVar(0, 3, 3, true)
+	y := m.AddVar(0, 3, 5, true)
 	m.AddRow([]int{x, y}, []float64{2, 4}, 10, Inf)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-13) > 1e-6 {
@@ -54,8 +54,8 @@ func TestLPRelaxationGapClosed(t *testing.T) {
 	// Classic instance where LP relaxation is fractional:
 	// max x+y s.t. 2x + 2y ≤ 3, binaries. LP gives 1.5, ILP gives 1.
 	m := NewModel()
-	x := m.AddBinary(-1, "x")
-	y := m.AddBinary(-1, "y")
+	x := m.AddBinary(-1)
+	y := m.AddBinary(-1)
 	m.AddRow([]int{x, y}, []float64{2, 2}, -Inf, 3)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-(-1)) > 1e-6 {
@@ -69,7 +69,7 @@ func TestLPRelaxationGapClosed(t *testing.T) {
 func TestInfeasibleIntegral(t *testing.T) {
 	// 0.5 ≤ x ≤ 0.7 with x integer: LP feasible, no integer point.
 	m := NewModel()
-	x := m.AddVar(0, 1, 1, true, "x")
+	x := m.AddVar(0, 1, 1, true)
 	m.AddRow([]int{x}, []float64{1}, 0.5, 0.7)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusInfeasible {
@@ -79,7 +79,7 @@ func TestInfeasibleIntegral(t *testing.T) {
 
 func TestInfeasibleLP(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, 1, 1, true, "x")
+	x := m.AddVar(0, 1, 1, true)
 	m.AddRow([]int{x}, []float64{1}, 5, Inf)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusInfeasible {
@@ -89,7 +89,7 @@ func TestInfeasibleLP(t *testing.T) {
 
 func TestUnboundedRelaxation(t *testing.T) {
 	m := NewModel()
-	m.AddVar(0, Inf, -1, false, "x")
+	m.AddVar(0, Inf, -1, false)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", res.Status)
@@ -101,8 +101,8 @@ func TestIndicatorGE(t *testing.T) {
 	// min x + 10(1−y) = x − 10y + 10; x ∈ [0,10].
 	// y=1 forces x ≥ 5: obj 5. y=0: obj 10. Optimal: x=5, y=1.
 	m := NewModel()
-	x := m.AddVar(0, 10, 1, false, "x")
-	y := m.AddBinary(-10, "y")
+	x := m.AddVar(0, 10, 1, false)
+	y := m.AddBinary(-10)
 	m.AddIndicatorGE(y, []int{x}, []float64{1}, 5)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusOptimal {
@@ -120,8 +120,8 @@ func TestIndicatorLE(t *testing.T) {
 	// y = 1 ⟹ x ≤ 2; maximize x + 4y with x ∈ [0,10].
 	// y=1: x=2, value 6. y=0: x=10, value 10. Optimal y=0.
 	m := NewModel()
-	x := m.AddVar(0, 10, -1, false, "x")
-	y := m.AddBinary(-4, "y")
+	x := m.AddVar(0, 10, -1, false)
+	y := m.AddBinary(-4)
 	m.AddIndicatorLE(y, []int{x}, []float64{1}, 2)
 	res := solveOK(t, m, nil)
 	if res.Status != StatusOptimal || math.Abs(res.Obj-(-10)) > 1e-6 {
@@ -139,11 +139,11 @@ func TestChanceConstraintShape(t *testing.T) {
 	}
 	mean := []float64{(1.0 + 0.5 - 1.0) / 3, (-0.5 + 2.0 + 0.8) / 3}
 	m := NewModel()
-	x0 := m.AddVar(0, 2, -mean[0], true, "x0")
-	x1 := m.AddVar(0, 2, -mean[1], true, "x1")
+	x0 := m.AddVar(0, 2, -mean[0], true)
+	x1 := m.AddVar(0, 2, -mean[1], true)
 	ys := make([]int, 3)
 	for j := 0; j < 3; j++ {
-		ys[j] = m.AddBinary(0, "y")
+		ys[j] = m.AddBinary(0)
 		m.AddIndicatorGE(ys[j], []int{x0, x1}, gains[j], 1)
 	}
 	m.AddRow(ys, []float64{1, 1, 1}, 2, Inf) // ⌈pM⌉ = 2
@@ -166,8 +166,8 @@ func TestChanceConstraintShape(t *testing.T) {
 
 func TestIndicatorRequiresFiniteBounds(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, Inf, 1, false, "x")
-	y := m.AddBinary(0, "y")
+	x := m.AddVar(0, Inf, 1, false)
+	y := m.AddBinary(0)
 	m.AddIndicatorGE(y, []int{x}, []float64{1}, 5)
 	if _, err := Solve(m, nil); err == nil {
 		t.Fatal("expected error for indicator over unbounded variable")
@@ -176,8 +176,8 @@ func TestIndicatorRequiresFiniteBounds(t *testing.T) {
 
 func TestIndicatorRequiresBinary(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, 10, 1, false, "x")
-	z := m.AddVar(0, 5, 0, true, "z")
+	x := m.AddVar(0, 10, 1, false)
+	z := m.AddVar(0, 5, 0, true)
 	m.AddIndicatorGE(z, []int{x}, []float64{1}, 5)
 	if _, err := Solve(m, nil); err == nil {
 		t.Fatal("expected error for non-binary indicator variable")
@@ -186,7 +186,7 @@ func TestIndicatorRequiresBinary(t *testing.T) {
 
 func TestInitialIncumbentUsed(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, 5, 1, true, "x")
+	x := m.AddVar(0, 5, 1, true)
 	m.AddRow([]int{x}, []float64{1}, 2, Inf)
 	res := solveOK(t, m, &Options{InitialX: []float64{3}, MaxNodes: 1})
 	if res.Status != StatusOptimal && res.Status != StatusFeasible {
@@ -199,7 +199,7 @@ func TestInitialIncumbentUsed(t *testing.T) {
 
 func TestInfeasibleInitialIncumbentIgnored(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, 5, 1, true, "x")
+	x := m.AddVar(0, 5, 1, true)
 	m.AddRow([]int{x}, []float64{1}, 2, Inf)
 	res := solveOK(t, m, &Options{InitialX: []float64{0}}) // violates row
 	if res.Status != StatusOptimal || math.Abs(res.Obj-2) > 1e-6 {
@@ -216,7 +216,7 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	w := make([]float64, n)
 	x0 := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true, "x")
+		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
 		w[j] = 1 + s.Float64()*3
 	}
 	m.AddRow(idxs, w, -Inf, 20)
@@ -233,7 +233,7 @@ func TestGapTermination(t *testing.T) {
 	idxs := make([]int, n)
 	w := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true, "x")
+		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
 		w[j] = 1 + s.Float64()*3
 	}
 	m.AddRow(idxs, w, -Inf, 12)
@@ -254,7 +254,7 @@ func TestRandomIPAgainstBruteForce(t *testing.T) {
 		idxs := make([]int, n)
 		for j := 0; j < n; j++ {
 			obj[j] = math.Round((s.Float64()*6-3)*10) / 10
-			idxs[j] = m.AddVar(0, float64(ub), obj[j], true, "x")
+			idxs[j] = m.AddVar(0, float64(ub), obj[j], true)
 		}
 		nrows := 1 + s.IntN(2)
 		rows := make([][]float64, nrows)
@@ -331,15 +331,15 @@ func TestRandomIndicatorModelsAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		// 2 integer vars in {0..2}, 2 indicator constraints, require ≥1 active.
 		m := NewModel()
-		x0 := m.AddVar(0, 2, math.Round(s.Float64()*20)/10-1, true, "x0")
-		x1 := m.AddVar(0, 2, math.Round(s.Float64()*20)/10-1, true, "x1")
+		x0 := m.AddVar(0, 2, math.Round(s.Float64()*20)/10-1, true)
+		x1 := m.AddVar(0, 2, math.Round(s.Float64()*20)/10-1, true)
 		coefs := make([][]float64, 2)
 		rhs := make([]float64, 2)
 		ys := make([]int, 2)
 		for k := 0; k < 2; k++ {
 			coefs[k] = []float64{math.Round((s.Float64()*4 - 2)), math.Round((s.Float64()*4 - 2))}
 			rhs[k] = math.Round(s.Float64() * 3)
-			ys[k] = m.AddBinary(0, "y")
+			ys[k] = m.AddBinary(0)
 			m.AddIndicatorGE(ys[k], []int{x0, x1}, coefs[k], rhs[k])
 		}
 		m.AddRow(ys, []float64{1, 1}, 1, Inf)
@@ -387,8 +387,8 @@ func TestRandomIndicatorModelsAgainstBruteForce(t *testing.T) {
 
 func TestNumCoefficients(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar(0, 1, 1, true, "x")
-	y := m.AddBinary(0, "y")
+	x := m.AddVar(0, 1, 1, true)
+	y := m.AddBinary(0)
 	m.AddRow([]int{x, y}, []float64{1, 1}, 0, 2)
 	m.AddIndicatorGE(y, []int{x}, []float64{2}, 1)
 	// Row has 2 coefficients; indicator has 1 term + 1 big-M entry.

@@ -70,7 +70,7 @@ func randomIPModel(s *rng.Stream) *Model {
 	m := NewModel()
 	idxs := make([]int, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 2, math.Round((s.Float64()*6-3)*10)/10, true, "x")
+		idxs[j] = m.AddVar(0, 2, math.Round((s.Float64()*6-3)*10)/10, true)
 	}
 	nrows := 1 + s.IntN(2)
 	for r := 0; r < nrows; r++ {
@@ -95,7 +95,7 @@ func randomIndicatorModel(s *rng.Stream) *Model {
 	m := NewModel()
 	xs := make([]int, n)
 	for j := 0; j < n; j++ {
-		xs[j] = m.AddVar(0, 2, -(s.Float64() + 0.1), true, "x")
+		xs[j] = m.AddVar(0, 2, -(s.Float64() + 0.1), true)
 	}
 	ys := make([]int, scenarios)
 	ones := make([]float64, scenarios)
@@ -104,7 +104,7 @@ func randomIndicatorModel(s *rng.Stream) *Model {
 		for j := range coefs {
 			coefs[j] = s.Float64()*4 - 2
 		}
-		ys[k] = m.AddBinary(0, "y")
+		ys[k] = m.AddBinary(0)
 		m.AddIndicatorGE(ys[k], xs, coefs, 0.5)
 		ones[k] = 1
 	}
@@ -118,7 +118,7 @@ func knapsackModel(s *rng.Stream, n int, cap float64) *Model {
 	idxs := make([]int, n)
 	w := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true, "x")
+		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
 		w[j] = 1 + s.Float64()*3
 	}
 	m.AddRow(idxs, w, -Inf, cap)
@@ -183,7 +183,7 @@ func TestDeepTreeNodePool(t *testing.T) {
 	idxs := make([]int, n)
 	ones := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddBinary(-1, "x") // maximize Σx …
+		idxs[j] = m.AddBinary(-1) // maximize Σx …
 		ones[j] = 1
 	}
 	// … subject to Σx ≤ n − 0.5: integer optimum n−1. The half-integral
@@ -244,8 +244,8 @@ func TestKernelCountersPopulated(t *testing.T) {
 	}
 
 	m := NewModel()
-	a := m.AddVar(2, 2, 3, false, "a") // fixed: presolve substitutes it
-	b := m.AddBinary(-1, "b")
+	a := m.AddVar(2, 2, 3, false) // fixed: presolve substitutes it
+	b := m.AddBinary(-1)
 	m.AddRow([]int{a, b}, []float64{1, 1}, -Inf, 100) // redundant vs boxes
 	m.AddRow([]int{a, b}, []float64{1, 1}, -Inf, 2.5)
 	pres, err := Solve(m, nil)
@@ -273,7 +273,7 @@ func TestCancelDuringRootLP(t *testing.T) {
 	m := NewModel()
 	idxs := make([]int, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 10, s.Float64()*2-1, false, "x")
+		idxs[j] = m.AddVar(0, 10, s.Float64()*2-1, false)
 	}
 	for i := 0; i < mrows; i++ {
 		coefs := make([]float64, n)

@@ -36,7 +36,7 @@ func TestBigMNeverCutsSatisfyingAssignments(t *testing.T) {
 		m := NewModel()
 		xs := make([]int, n)
 		for j := 0; j < n; j++ {
-			xs[j] = m.AddVar(0, float64(ub), 0, true, "x")
+			xs[j] = m.AddVar(0, float64(ub), 0, true)
 		}
 		coefs := make([]float64, n)
 		for j := range coefs {
@@ -44,7 +44,7 @@ func TestBigMNeverCutsSatisfyingAssignments(t *testing.T) {
 		}
 		rhs := math.Round(s.Float64()*6 - 3)
 		ge := s.IntN(2) == 0
-		y := m.AddBinary(-1, "y") // reward activating the indicator
+		y := m.AddBinary(-1) // reward activating the indicator
 		if ge {
 			m.AddIndicatorGE(y, xs, coefs, rhs)
 		} else {
@@ -101,7 +101,7 @@ func TestCountingConstraintOverIndicators(t *testing.T) {
 		m := NewModel()
 		xs := make([]int, n)
 		for j := 0; j < n; j++ {
-			xs[j] = m.AddVar(0, 2, -(s.Float64() + 0.1), true, "x")
+			xs[j] = m.AddVar(0, 2, -(s.Float64() + 0.1), true)
 		}
 		rows := make([][]float64, scenarios)
 		ys := make([]int, scenarios)
@@ -110,7 +110,7 @@ func TestCountingConstraintOverIndicators(t *testing.T) {
 			for j := range rows[k] {
 				rows[k][j] = s.Float64()*4 - 2
 			}
-			ys[k] = m.AddBinary(0, "y")
+			ys[k] = m.AddBinary(0)
 			m.AddIndicatorGE(ys[k], xs, rows[k], 0.5)
 		}
 		ones := make([]float64, scenarios)
@@ -173,7 +173,7 @@ func TestDeepBranchingInstance(t *testing.T) {
 	idxs := make([]int, n)
 	w := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true, "x")
+		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
 		w[j] = float64(1 + s.IntN(9))
 	}
 	ones := make([]float64, n)
@@ -208,7 +208,7 @@ func TestMaxNodesTerminates(t *testing.T) {
 	idxs := make([]int, n)
 	w := make([]float64, n)
 	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true, "x")
+		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
 		w[j] = 1 + s.Float64()*2
 	}
 	m.AddRow(idxs, w, -Inf, 15)

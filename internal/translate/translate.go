@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"spq/internal/milp"
 	"spq/internal/par"
@@ -79,6 +80,9 @@ const (
 // SILP is the canonical stochastic ILP for a query (§2.3): objective plus
 // deterministic/expectation constraints and probabilistic constraints, with
 // derived finite variable bounds.
+//
+// Treat a SILP as immutable once built: evaluations sharing it through the
+// plan cache memoise on it what they derive from it alone (X0, ObjRange).
 type SILP struct {
 	Query *spaql.Query
 	// Rel is the relation after applying the WHERE clause.
@@ -103,6 +107,61 @@ type SILP struct {
 	// VarLo/VarHi are the derived multiplicity bounds for each tuple.
 	VarLo []float64
 	VarHi []float64
+
+	memo memo
+}
+
+// maxObjRanges bounds the objective ranges memoised, one per validation seed.
+const maxObjRanges = 4
+
+// memo is what evaluations derive from a SILP alone. Concurrent first
+// computations of one entry are identical, so either may store it.
+type memo struct {
+	mu      sync.Mutex
+	x0      []float64
+	x0Nodes int
+	x0Gap   float64
+	ranges  map[uint64][2]float64
+}
+
+// X0 returns the memoised x(0), Q0's optimal package (FormulateUnconstrained)
+// under the branch-and-bound budget (nodes, gap), or nil. It is read only.
+func (s *SILP) X0(nodes int, gap float64) []float64 {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	if s.memo.x0Nodes != nodes || s.memo.x0Gap != gap {
+		return nil
+	}
+	return s.memo.x0
+}
+
+// SetX0 memoises x, Q0's package from a solve that ended optimal under
+// (nodes, gap), and keeps it. One slot: a new budget replaces the old, so
+// clients varying budgets cannot grow a plan.
+func (s *SILP) SetX0(nodes int, gap float64, x []float64) {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	s.memo.x0, s.memo.x0Nodes, s.memo.x0Gap = x, nodes, gap
+}
+
+// ObjRange returns the memoised range [lo, hi] of the objective's inner
+// function probed on the validation stream of seed (the §5.4 s̲, s̄).
+func (s *SILP) ObjRange(seed uint64) (lo, hi float64, ok bool) {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	r, ok := s.memo.ranges[seed]
+	return r[0], r[1], ok
+}
+
+// SetObjRange memoises the objective range probed for seed. A seed past
+// maxObjRanges starts the memo over.
+func (s *SILP) SetObjRange(seed uint64, lo, hi float64) {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	if s.memo.ranges == nil || len(s.memo.ranges) == maxObjRanges {
+		s.memo.ranges = make(map[uint64][2]float64, maxObjRanges)
+	}
+	s.memo.ranges[seed] = [2]float64{lo, hi}
 }
 
 // Options tune the translation.
@@ -383,9 +442,11 @@ func (vm *VarMap) PackageOf(x []float64) []float64 {
 	return out
 }
 
-// addCommon builds the x variables, the objective, and the deterministic
-// rows shared by SAA and CSA formulations.
-func (s *SILP) addCommon(m *milp.Model) *VarMap {
+// FormulateUnconstrained builds the DILP of Q0, the query without its
+// probabilistic constraints (Algorithm 2, line 2): x variables, objective and
+// deterministic rows, which the SAA and CSA formulations extend.
+func (s *SILP) FormulateUnconstrained() (*milp.Model, *VarMap) {
+	m := milp.NewModel()
 	vm := &VarMap{X: make([]int, s.N)}
 	for i := 0; i < s.N; i++ {
 		obj := 0.0
@@ -395,7 +456,7 @@ func (s *SILP) addCommon(m *milp.Model) *VarMap {
 				obj = -obj
 			}
 		}
-		vm.X[i] = m.AddVar(s.VarLo[i], s.VarHi[i], obj, true, fmt.Sprintf("x%d", i))
+		vm.X[i] = m.AddVar(s.VarLo[i], s.VarHi[i], obj, true)
 	}
 	for _, c := range s.DetCons {
 		idxs := make([]int, 0, s.N)
@@ -408,13 +469,13 @@ func (s *SILP) addCommon(m *milp.Model) *VarMap {
 		}
 		m.AddRow(idxs, coefs, c.Lo, c.Hi)
 	}
-	return vm
+	return m, vm
 }
 
 // addIndicator adds one scenario/summary indicator for a probabilistic
 // inner constraint over realized values.
-func addIndicator(m *milp.Model, vm *VarMap, vals []float64, geq bool, v float64, name string) int {
-	y := m.AddBinary(0, name)
+func addIndicator(m *milp.Model, vm *VarMap, vals []float64, geq bool, v float64) int {
+	y := m.AddBinary(0)
 	idxs := make([]int, 0, len(vals))
 	coefs := make([]float64, 0, len(vals))
 	for i, a := range vals {
@@ -439,13 +500,12 @@ func (s *SILP) FormulateSAA(sets []*scenario.Set, objSet *scenario.Set) (*milp.M
 	if len(sets) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d scenario sets for %d probabilistic constraints", len(sets), len(s.ProbCons))
 	}
-	m := milp.NewModel()
-	vm := s.addCommon(m)
+	m, vm := s.FormulateUnconstrained()
 	for k, pc := range s.ProbCons {
 		set := sets[k]
 		ys := make([]int, set.M())
 		for j := 0; j < set.M(); j++ {
-			ys[j] = addIndicator(m, vm, set.Row(j), pc.Geq, pc.V, fmt.Sprintf("y_%s_%d", pc.Name, j))
+			ys[j] = addIndicator(m, vm, set.Row(j), pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(set.M()))
 		ones := make([]float64, len(ys))
@@ -463,7 +523,7 @@ func (s *SILP) FormulateSAA(sets []*scenario.Set, objSet *scenario.Set) (*milp.M
 		for j := 0; j < objSet.M(); j++ {
 			// Maximize the satisfied fraction: each indicator contributes
 			// −1/M to the canonical minimization objective.
-			y := addIndicator(m, vm, objSet.Row(j), s.ObjGeq, s.ObjV, fmt.Sprintf("yobj_%d", j))
+			y := addIndicator(m, vm, objSet.Row(j), s.ObjGeq, s.ObjV)
 			m.SetObj(y, -1/vm.ObjDenom)
 			vm.ObjY = append(vm.ObjY, y)
 		}
@@ -479,8 +539,7 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 	if len(summaries) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d summary groups for %d probabilistic constraints", len(summaries), len(s.ProbCons))
 	}
-	m := milp.NewModel()
-	vm := s.addCommon(m)
+	m, vm := s.FormulateUnconstrained()
 	for k, pc := range s.ProbCons {
 		group := summaries[k]
 		if len(group) == 0 {
@@ -488,7 +547,7 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 		}
 		ys := make([]int, len(group))
 		for z, sm := range group {
-			ys[z] = addIndicator(m, vm, sm.Values, pc.Geq, pc.V, fmt.Sprintf("y_%s_z%d", pc.Name, z))
+			ys[z] = addIndicator(m, vm, sm.Values, pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(len(group)))
 		ones := make([]float64, len(ys))
@@ -503,8 +562,8 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 			return nil, nil, errors.New("translate: probability objective requires objective summaries")
 		}
 		vm.ObjDenom = float64(len(objSummaries))
-		for z, sm := range objSummaries {
-			y := addIndicator(m, vm, sm.Values, s.ObjGeq, s.ObjV, fmt.Sprintf("yobj_z%d", z))
+		for _, sm := range objSummaries {
+			y := addIndicator(m, vm, sm.Values, s.ObjGeq, s.ObjV)
 			m.SetObj(y, -1/vm.ObjDenom)
 			vm.ObjY = append(vm.ObjY, y)
 		}

@@ -461,3 +461,21 @@ func allIdx(m int) []int {
 	}
 	return out
 }
+
+// TestObjRangeMemoBounded: a client varying the validation seed cannot grow
+// a plan: past maxObjRanges seeds the memo starts over.
+func TestObjRangeMemoBounded(t *testing.T) {
+	s := &SILP{}
+	for seed := uint64(1); seed <= 10; seed++ {
+		s.SetObjRange(seed, -float64(seed), float64(seed))
+		if len(s.memo.ranges) > maxObjRanges {
+			t.Fatalf("seed %d: %d ranges memoised, cap %d", seed, len(s.memo.ranges), maxObjRanges)
+		}
+		if lo, hi, ok := s.ObjRange(seed); !ok || lo != -float64(seed) || hi != float64(seed) {
+			t.Fatalf("seed %d: range [%v, %v] memoised %t", seed, lo, hi, ok)
+		}
+	}
+	if _, _, ok := s.ObjRange(1); ok {
+		t.Fatal("the first seed's range outlived the cap")
+	}
+}

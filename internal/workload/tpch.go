@@ -96,14 +96,17 @@ func TPCH(cfg Config) *Instance {
 		// Materialize the D integrated source values per tuple. For Q8 the
 		// quantity noise is folded positive (|draw|) so every source value
 		// stays at or above the ≥8 base, keeping the query infeasible by
-		// construction.
+		// construction. The values of one attribute share one pointer-free
+		// array (see DESIGN.md § Memory model).
 		srcStream := rng.NewStream(rng.Mix(cfg.Seed, 4, uint64(qi)))
 		makeAttr := func(base []float64, scale float64, nonneg, positiveNoise bool) []dist.Dist {
 			dists := make([]dist.Dist, n)
+			choices := make([]dist.UniformChoice, n)
+			values := make([]float64, n*row.d)
 			for i := 0; i < n; i++ {
 				nd := noiseDist(row.noise, srcStream)
-				variants := make([]dist.Dist, row.d)
-				for dsrc := 0; dsrc < row.d; dsrc++ {
+				variants := values[i*row.d : (i+1)*row.d : (i+1)*row.d]
+				for dsrc := range variants {
 					draw := nd.Sample(srcStream)
 					if positiveNoise && draw < 0 {
 						draw = -draw
@@ -112,9 +115,10 @@ func TPCH(cfg Config) *Instance {
 					if nonneg && v < 0 {
 						v = 0
 					}
-					variants[dsrc] = dist.Degenerate{Value: v}
+					variants[dsrc] = v
 				}
-				dists[i] = dist.UniformMixture(variants...)
+				choices[i].Values = variants
+				dists[i] = &choices[i]
 			}
 			return dists
 		}
