@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"spq/internal/milp"
@@ -312,6 +313,11 @@ type runner struct {
 	// only under Options.CollectWarm; finish attaches it to the returned
 	// solution when the accepted package is the one it was collected for.
 	warm *WarmStart
+
+	// hint is the buffer every CSA solve of the evaluation receives its
+	// previous package in (SILP.CSAPoint, milp.Options.InitialX). A solve's
+	// Result.X may alias it, so a result is read before the next solve.
+	hint []float64
 }
 
 func newRunner(ctx context.Context, silp *translate.SILP, o *Options) *runner {
@@ -405,6 +411,11 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	sp.SetInt("bound_flips", int64(res.BoundFlips))
 	sp.SetInt("presolve_rows", int64(res.PresolveRows))
 	sp.SetInt("presolve_cols", int64(res.PresolveCols))
+	sp.SetAttr("hint", res.Hint.String())
+	if res.Hint == milp.HintGuide {
+		sp.SetInt("guide_nodes", int64(res.GuideNodes))
+		sp.SetAttr("guide_incumbent", strconv.FormatBool(res.GuideIncumbent))
+	}
 	sp.End()
 	r.noteSolve(res)
 	return res, nil

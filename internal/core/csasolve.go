@@ -198,11 +198,14 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 	}
 	seen := map[string]bool{}
 	var best *Solution
-	x := append([]float64(nil), x0...)
+	// x is the current package: x(0) (read only) until the first solve, then
+	// the last solve's package, kept in pkg.
+	x := x0
+	var pkg []float64
 	prevAlphas := make([]float64, k)
 	lastFeasible := false
 	var prevSummaries [][]*scenario.Summary // the last formulation solved, and its solve
-	var prevRes *milp.Result
+	var prevRes *milp.Result                // its X may alias r.hint
 	var prevVM *translate.VarMap
 
 	for q := 0; q < r.opts.MaxCSAIters; q++ {
@@ -298,7 +301,10 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 				return nil, err
 			}
 			solveStart := time.Now()
-			solveOpts := r.solverOptions(nil)
+			// The current package is the solve's incumbent when it satisfies
+			// the new formulation and its neighbourhood guide otherwise.
+			r.hint = silp.CSAPoint(r.hint, x, model.NumVars(), vm, summaries, objSummaries)
+			solveOpts := r.solverOptions(r.hint)
 			solveOpts.WantRootBasis = r.opts.CollectWarm
 			res, err := r.solveMILP("csa", model, solveOpts)
 			if err != nil {
@@ -333,7 +339,8 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 			}
 			continue
 		}
-		x = vm.PackageOf(res.X)
+		pkg = vm.PackageOf(pkg, res.X)
+		x = pkg
 		if r.opts.CollectWarm {
 			// Remember this solve's formulation and basis: if x validates
 			// feasible next iteration and is the accepted package, finish

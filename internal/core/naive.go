@@ -61,7 +61,7 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 			SolveTime:    time.Since(solveStart),
 		}
 		if res.X != nil {
-			x := vm.PackageOf(res.X)
+			x := vm.PackageOf(nil, res.X)
 			valStart := time.Now()
 			val, err := r.validate(x)
 			if err != nil {

@@ -24,8 +24,10 @@ import (
 // no longer matches, and a warm solve that fails to validate falls back to
 // the cold path. It never crosses process boundaries (not serialized).
 type WarmStart struct {
-	// X is the accepted package of the previous evaluation, used to seed the
-	// MILP incumbent.
+	// X is the accepted package of the previous evaluation. Mapped into the
+	// patched formulation's variable space, it is the re-solve's incumbent
+	// when it still satisfies the formulation and its neighbourhood guide
+	// otherwise.
 	X []float64
 	// Summaries holds the per-probabilistic-constraint summary groups of the
 	// accepting CSA formulation; ObjSummaries the probability-objective
@@ -100,7 +102,8 @@ func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
 	if err != nil {
 		return nil, nil // formulation no longer fits: cold fallback
 	}
-	opts := r.solverOptions(w.X)
+	r.hint = silp.CSAPoint(r.hint, w.X, model.NumVars(), vm, summaries, objSummaries)
+	opts := r.solverOptions(r.hint)
 	opts.RootBasis = w.Basis
 	opts.WantRootBasis = r.opts.CollectWarm
 	solveStart := time.Now()
@@ -114,7 +117,7 @@ func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
 	if res.X == nil {
 		return nil, nil
 	}
-	x := vm.PackageOf(res.X)
+	x := vm.PackageOf(nil, res.X)
 	valStart := time.Now()
 	val, err := r.validate(x)
 	if err != nil {

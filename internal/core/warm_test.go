@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"spq/internal/dist"
+	"spq/internal/milp"
+	"spq/internal/obs"
 	"spq/internal/relation"
 	"spq/internal/rng"
 	"spq/internal/spaql"
@@ -56,7 +59,8 @@ func buildSILP(t *testing.T, rel *relation.Relation, query string) *translate.SI
 // warm re-solve from the previous evaluation's package, summaries, and root
 // basis converges to the same package — hence a bit-identical validation
 // objective — as a cold from-scratch evaluation of the post-delta relation,
-// in strictly fewer simplex iterations.
+// in strictly fewer simplex iterations. The previous package reaches the
+// solver as its incumbent (an N-entry package would be refused by length).
 func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	const n = 15
 	rel := mutablePortfolio(t, n)
@@ -102,15 +106,29 @@ func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	wopts := smallOptions(3)
 	wopts.CollectWarm = true
 	wopts.Warm = w
-	warm, err := SummarySearch(buildSILP(t, post, warmQuery), wopts)
+	tr := obs.NewTrace("warm")
+	warm, err := SummarySearchCtx(obs.ContextWithSpan(context.Background(), tr.Root()), buildSILP(t, post, warmQuery), wopts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.Root().End()
 	if !warm.WarmResolve {
 		t.Fatalf("warm solve fell back to the cold path: %+v", warm.Iterations)
 	}
 	if warm.Warm == nil {
 		t.Fatal("warm re-solve did not chain its own warm state")
+	}
+	// The delta left the previous package's summary rows alone, so the
+	// package, mapped into the patched formulation's variable space, is
+	// feasible there and seeds the incumbent.
+	var hints []string
+	tr.Data().Walk(func(d *obs.SpanData) {
+		if d.Name == "solve" && d.Attrs["kind"] == "csa-warm" {
+			hints = append(hints, d.Attrs["hint"])
+		}
+	})
+	if len(hints) != 1 || hints[0] != milp.HintIncumbent.String() {
+		t.Fatalf("warm re-solve hints %q, want one %q", hints, milp.HintIncumbent)
 	}
 
 	cold2, err := SummarySearch(buildSILP(t, post, warmQuery), smallOptions(3))

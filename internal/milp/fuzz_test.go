@@ -145,7 +145,10 @@ func checkOracle(t *testing.T, tag string, o *oracleMILP, res *Result, gap float
 }
 
 // FuzzMILP is the solver differential: random small MILPs solved at every
-// worker count of the determinism matrix against exhaustive enumeration.
+// worker count of the determinism matrix against exhaustive enumeration,
+// once plain and once hinted with a random integer point inside the bounds.
+// The hint is feasible or not, so both the seeded incumbent and the
+// neighbourhood search are held to the enumerated optimum.
 func FuzzMILP(f *testing.F) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		f.Add(seed, uint8(seed))
@@ -154,10 +157,14 @@ func FuzzMILP(f *testing.F) {
 		o := randomOracleMILP(rng.NewStream(seed))
 		gap := [...]float64{0, 0.01, 0.1}[gapSel%3]
 		m := o.model()
-		base := solveWith(t, m, workerMatrix[0], &Options{RelGap: gap})
-		checkOracle(t, "workers=1", o, base, gap)
-		for _, w := range workerMatrix[1:] {
-			assertBitIdentical(t, "fuzz", base, solveWith(t, m, w, &Options{RelGap: gap}), w)
+		hint := randomHint(m, rng.NewStream(^seed))
+		for _, opts := range []*Options{{RelGap: gap}, {RelGap: gap, InitialX: hint}} {
+			base := solveWith(t, m, workerMatrix[0], opts)
+			tag := fmt.Sprintf("workers=1 hint=%v", base.Hint)
+			checkOracle(t, tag, o, base, gap)
+			for _, w := range workerMatrix[1:] {
+				assertBitIdentical(t, "fuzz "+tag, base, solveWith(t, m, w, opts), w)
+			}
 		}
 	})
 }

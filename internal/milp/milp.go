@@ -11,7 +11,11 @@
 // nodes carry immutable bound deltas, workers claim them from deterministic
 // synchronization rounds, and the shared incumbent breaks objective ties
 // toward the smaller canonical path id, so results are bit-identical for
-// every worker count (see search.go). Cancellation (Options.Cancel) and the
+// every worker count (see search.go). A hinted point (Options.InitialX)
+// becomes the incumbent when it is feasible; otherwise, before the first
+// round, it guides a capped search of the root's neighbourhood for one
+// (relaxation-induced neighbourhood search: Danna, Rothberg & Le Pape,
+// Math. Prog. 2005). Cancellation (Options.Cancel) and the
 // time limit reach into the simplex iteration loop itself via lp.Options, so
 // an abort takes effect within one LP iteration, not one LP solve.
 //
@@ -245,8 +249,14 @@ type Options struct {
 	RelGap float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// InitialX optionally seeds the incumbent with a known integer-feasible
-	// point (e.g. the previous CSA-Solve solution); ignored if infeasible.
+	// InitialX optionally hints a point in model space (e.g. the previous
+	// CSA-Solve package). A feasible hint seeds the incumbent and is not
+	// copied: Result.X may be this slice. An infeasible one is the
+	// neighbourhood guide: when the root relaxation is fractional and no
+	// incumbent exists, the integer columns on which the root LP point equals
+	// the rounded hint are fixed and a capped search of that smaller box
+	// supplies the first incumbent (see Result.Hint). A hint of the wrong
+	// length is ignored.
 	InitialX []float64
 	// Cancel, when non-nil, aborts the search as soon as the channel is
 	// closed. The best incumbent found so far is returned. It carries
@@ -335,6 +345,39 @@ type Result struct {
 	// Options.WantRootBasis is set (nil when the root did not finish with
 	// an optimal basis). It seeds Options.RootBasis of a later re-solve.
 	RootBasis *lp.Basis
+	// Hint is what became of Options.InitialX.
+	Hint Hint
+	// GuideNodes counts the nodes, its root included, of the neighbourhood
+	// search an infeasible InitialX guided (0 when none ran). Nodes, LPIters
+	// and the other work counters include that search.
+	GuideNodes int
+	// GuideIncumbent reports that the neighbourhood search found a point,
+	// which became the main search's first incumbent.
+	GuideIncumbent bool
+}
+
+// Hint is the fate of Options.InitialX in one solve.
+type Hint int
+
+const (
+	// HintNone means no InitialX was given, or one of the wrong length.
+	HintNone Hint = iota
+	// HintIncumbent means InitialX was feasible and seeded the incumbent.
+	HintIncumbent
+	// HintGuide means InitialX was infeasible and served as the
+	// neighbourhood guide.
+	HintGuide
+)
+
+func (h Hint) String() string {
+	switch h {
+	case HintIncumbent:
+		return "incumbent"
+	case HintGuide:
+		return "guide"
+	default:
+		return "none"
+	}
 }
 
 // Gap returns the relative optimality gap of the incumbent versus the root

@@ -96,9 +96,10 @@ type bbNode struct {
 }
 
 // pathOf materializes the node's canonical path id (root = empty). Seeded
-// incumbents (InitialX, root rounding) use the empty path, so they win
-// objective ties against any search-discovered point — the same "strict
-// improvement only" rule the sequential dive applied to them.
+// incumbents (InitialX, root rounding, the guided neighbourhood search's
+// point) use the empty path, so they win objective ties against any
+// search-discovered point — the same "strict improvement only" rule the
+// sequential dive applied to them.
 func pathOf(n *bbNode) []byte {
 	if n == nil {
 		return nil
@@ -260,6 +261,10 @@ type search struct {
 	rootD          []float64 // root LP reduced costs, captured once the root branches
 	rootBound      float64   // the root LP's Lagrangian bound under rootD
 
+	guide      []float64 // an infeasible Options.InitialX (full space), nil otherwise
+	guideNodes int       // nodes of the neighbourhood search it guided
+	guideWon   bool      // that search supplied the incumbent
+
 	inc        incumbent
 	nodes      int
 	lpIters    int // total simplex iterations, accumulated between rounds
@@ -304,9 +309,14 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		st.lpOpts.Deadline = st.deadline
 	}
 	st.workers = par.Workers(opts.Parallelism, roundSize)
-	if opts.InitialX != nil {
+	hint := HintNone
+	if len(opts.InitialX) > 0 && len(opts.InitialX) == len(m.vars) {
 		if obj, ok := st.checkFeasible(opts.InitialX); ok {
-			st.inc = incumbent{x: append([]float64(nil), opts.InitialX...), obj: obj}
+			st.inc = incumbent{x: opts.InitialX, obj: obj} // not copied: see Options.InitialX
+			hint = HintIncumbent
+		} else {
+			st.guide = opts.InitialX
+			hint = HintGuide
 		}
 	}
 
@@ -323,6 +333,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	res := &Result{
 		Coefficients: m.NumCoefficients(),
 		Workers:      st.workers,
+		Hint:         hint,
 		PresolveRows: st.pr.RowsRemoved,
 		PresolveCols: st.pr.ColsRemoved,
 	}
@@ -418,6 +429,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	res.WarmStarts = st.warmStarts
 	res.DegenPivots = st.degen
 	res.BoundFlips = st.flips
+	res.GuideNodes, res.GuideIncumbent = st.guideNodes, st.guideWon
 	switch {
 	case st.inc.x != nil && complete:
 		res.Status = StatusOptimal
@@ -437,7 +449,6 @@ func Solve(m *Model, o *Options) (*Result, error) {
 // the search space was exhausted (i.e. the incumbent, if any, is exact).
 func (st *search) run(rootSol *lp.Solution) (bool, error) {
 	rootRes := st.dispose(nil, rootSol, st.inc, st.scratch(0))
-	releaseX(rootSol.X)
 	if replaces(rootRes.cand, st.inc) {
 		st.inc = rootRes.cand
 	}
@@ -447,6 +458,12 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		st.rootBound = st.scratch(0).lp.ReducedCosts(st.rootD)
 		st.fixRoot()
 	}
+	if rootRes.nkids > 0 && st.inc.x == nil && st.guide != nil {
+		if err := st.searchGuide(rootSol.X, &rootRes.kids[0].seed.Basis); err != nil {
+			return false, err
+		}
+	}
+	releaseX(rootSol.X)
 	complete := rootRes.complete
 	// The frontier is a stack with its top at the end: a round pops the top
 	// k nodes, and their children are pushed back so that the first node's
@@ -523,6 +540,77 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		}
 	}
 	return complete, nil
+}
+
+// guideCap bounds the neighbourhood search of an infeasible Options.InitialX,
+// its root included.
+const guideCap = 1000
+
+// searchGuide is the neighbourhood search of an infeasible Options.InitialX
+// (RINS: Danna, Rothberg & Le Pape, Math. Prog. 2005). It fixes every integer
+// column on which the root LP point x equals the rounded guide and runs the
+// same branch-and-bound over that smaller box, from seed (the root's optimal
+// basis), on one worker and for at most guideCap nodes. Its best point
+// becomes the incumbent with the empty path, like every seeded incumbent.
+// It runs before the first round, so its outcome is the same for every
+// worker count. It shares the presolved problem and the root-implied bounds
+// (they hold in any smaller box) but has its own box, scratch and
+// pseudocosts: worker 0's scratch still holds the root.
+func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
+	budget := min(guideCap, st.opts.MaxNodes-st.nodes)
+	if budget <= 0 {
+		return nil
+	}
+	lo := append([]float64(nil), st.rootLo...)
+	hi := append([]float64(nil), st.rootHi...)
+	fixed := 0
+	for j, isInt := range st.redInteger {
+		if !isInt {
+			continue
+		}
+		if g := math.Round(st.guide[st.pr.Col(j)]); math.Abs(x[j]-g) <= st.opts.IntTol {
+			lo[j], hi[j] = g, g
+			fixed++
+		}
+	}
+	if fixed == 0 {
+		return nil
+	}
+	nb := &search{
+		model: st.model, pr: st.pr, red: st.red, opts: st.opts, lpOpts: st.lpOpts,
+		deadline: st.deadline, hasDL: st.hasDL,
+		rootLo: lo, rootHi: hi, redInteger: st.redInteger, impLo: st.impLo, impHi: st.impHi,
+		objOffset: st.objOffset, inc: incumbent{obj: math.Inf(1)},
+		workers: 1, pc: newPseudocosts(len(lo)),
+	}
+	nb.opts.MaxNodes = budget
+	opts := st.lpOpts
+	opts.Basis = seed
+	opts.Scratch = nb.scratch(0).lp
+	sol, err := lp.SolveWithBounds(st.red, lo, hi, &opts)
+	if err != nil {
+		return err
+	}
+	nb.nodes, nb.lpIters, nb.degen, nb.flips = 1, sol.Iters, sol.DegenPivots, sol.BoundFlips
+	if sol.WarmStarted {
+		nb.warmStarts = 1
+	}
+	if _, err := nb.run(sol); err != nil {
+		return err
+	}
+	st.nodes += nb.nodes
+	st.lpIters += nb.lpIters
+	st.warmStarts += nb.warmStarts
+	st.degen += nb.degen
+	st.flips += nb.flips
+	st.rounds += nb.rounds
+	st.guideNodes = nb.nodes
+	if nb.inc.x != nil {
+		st.inc = incumbent{x: nb.inc.x, obj: nb.inc.obj}
+		st.guideWon = true
+		st.fixRoot()
+	}
+	return nil
 }
 
 // retire puts n on the free list if it has no open child, and then every

@@ -102,7 +102,7 @@ func TestFilteredCountConstraintSolvesCorrectly(t *testing.T) {
 	if res.Status != milp.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
-	pkg := vm.PackageOf(res.X)
+	pkg := vm.PackageOf(nil, res.X)
 	vol, _ := rel.Det("vol")
 	total, highVol := 0.0, 0.0
 	for i, x := range pkg {

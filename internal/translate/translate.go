@@ -433,9 +433,13 @@ type VarMap struct {
 	ObjDenom float64
 }
 
-// PackageOf extracts the tuple multiplicities from a solver solution.
-func (vm *VarMap) PackageOf(x []float64) []float64 {
-	out := make([]float64, len(vm.X))
+// PackageOf extracts the tuple multiplicities from a solver solution into
+// dst, which is grown only when it is too short.
+func (vm *VarMap) PackageOf(dst, x []float64) []float64 {
+	if cap(dst) < len(vm.X) {
+		dst = make([]float64, len(vm.X))
+	}
+	out := dst[:len(vm.X)]
 	for i, j := range vm.X {
 		out[i] = math.Round(x[j])
 	}
@@ -569,6 +573,43 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 		}
 	}
 	return m, vm, nil
+}
+
+// CSAPoint writes package x into the variable space of the CSA formulation
+// FormulateCSA built from summaries and objSummaries (vm is its VarMap, nvars
+// its variable count): x at the tuple variables, and each indicator set to
+// whether its summary row holds under x. A package that satisfies the
+// formulation therefore maps to a feasible point, with every indicator count
+// as high as x allows. The point is written into dst, which is grown only
+// when it is too short.
+func (s *SILP) CSAPoint(dst, x []float64, nvars int, vm *VarMap, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) []float64 {
+	if cap(dst) < nvars {
+		dst = make([]float64, nvars)
+	}
+	dst = dst[:nvars]
+	clear(dst)
+	for i, j := range vm.X {
+		dst[j] = x[i]
+	}
+	holds := func(vals []float64, geq bool, v float64) float64 {
+		sum := 0.0
+		for i, a := range vals {
+			sum += a * x[i]
+		}
+		if geq && sum >= v || !geq && sum <= v {
+			return 1
+		}
+		return 0
+	}
+	for k, pc := range s.ProbCons {
+		for z, sm := range summaries[k] {
+			dst[vm.ConsY[k][z]] = holds(sm.Values, pc.Geq, pc.V)
+		}
+	}
+	for z, sm := range objSummaries {
+		dst[vm.ObjY[z]] = holds(sm.Values, s.ObjGeq, s.ObjV)
+	}
+	return dst
 }
 
 // realizeRows materializes rows for absolute scenario indices

@@ -330,7 +330,7 @@ func TestSAAEndToEndSolve(t *testing.T) {
 	if res.Status != milp.StatusOptimal && res.Status != milp.StatusFeasible {
 		t.Fatalf("status = %v", res.Status)
 	}
-	pkg := vm.PackageOf(res.X)
+	pkg := vm.PackageOf(nil, res.X)
 	// Check the chance constraint holds on the optimization scenarios.
 	need := int(math.Ceil(0.6 * 10))
 	if got := satisfiedBy(sets[0], pkg, allIdx(10), true, -3); got < need {
@@ -376,7 +376,7 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 	if res.Status != milp.StatusOptimal {
 		t.Skipf("CSA infeasible on this draw (acceptable): %v", res.Status)
 	}
-	pkg := vm.PackageOf(res.X)
+	pkg := vm.PackageOf(nil, res.X)
 	if got := satisfiedBy(sets[0], pkg, allIdx(8), true, -5); got != 8 {
 		t.Fatalf("1.0-summary solution satisfies %d/8 scenarios, want all", got)
 	}
@@ -432,7 +432,7 @@ func TestFormulateCSAMissingObjSummaries(t *testing.T) {
 
 func TestPackageOfRounds(t *testing.T) {
 	vm := &VarMap{X: []int{0, 1, 2}}
-	pkg := vm.PackageOf([]float64{0.9999999, 2.0000001, 0})
+	pkg := vm.PackageOf(nil, []float64{0.9999999, 2.0000001, 0})
 	if pkg[0] != 1 || pkg[1] != 2 || pkg[2] != 0 {
 		t.Fatalf("pkg = %v", pkg)
 	}
