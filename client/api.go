@@ -85,9 +85,8 @@ type ErrorEnvelope struct {
 	Error *Error `json:"error"`
 }
 
-// SolveOptions are the typed evaluation options of a v1 request (the
-// flat-field bag of the legacy /query body, structured). Zero values take
-// the server's defaults; see core.Options for field semantics.
+// SolveOptions are the typed evaluation options of a v1 request. Zero
+// values take the server's defaults; see core.Options for field semantics.
 //
 // The set covers the full determinism domain of an evaluation: a request
 // that pins every field (seeds included) is answered bit-identically by any

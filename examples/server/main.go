@@ -9,12 +9,12 @@
 //	go run ./examples/server
 //
 // To run against a standalone daemon instead, start one in another
-// terminal (`go run ./cmd/spqd -workload portfolio -n 120`) and point the
-// same request bodies at it with curl.
+// terminal (`go run ./cmd/spqd -workload portfolio -n 120`) and submit the
+// same requests to its POST /v1/queries with curl.
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -24,33 +24,10 @@ import (
 	"time"
 
 	"spq"
+	"spq/client"
 	"spq/internal/rng"
 	"spq/internal/workload"
 )
-
-// queryBody mirrors the engine's POST /query request schema.
-type queryBody struct {
-	Query       string `json:"query"`
-	Seed        uint64 `json:"seed,omitempty"`
-	ValidationM int    `json:"validation_m,omitempty"`
-	InitialM    int    `json:"initial_m,omitempty"`
-	MaxM        int    `json:"max_m,omitempty"`
-	FixedZ      int    `json:"fixed_z,omitempty"`
-	TimeoutMS   int64  `json:"timeout_ms,omitempty"`
-}
-
-// queryReply mirrors the response schema (the fields this example prints).
-type queryReply struct {
-	Feasible    bool    `json:"feasible"`
-	Objective   float64 `json:"objective"`
-	PackageSize float64 `json:"package_size"`
-	M           int     `json:"m"`
-	Z           int     `json:"z"`
-	CacheHit    bool    `json:"cache_hit"`
-	WaitMS      int64   `json:"wait_ms"`
-	TotalMS     int64   `json:"total_ms"`
-	Error       string  `json:"error"`
-}
 
 func main() {
 	// Load the Portfolio workload and stand up the engine's HTTP API —
@@ -100,39 +77,41 @@ func main() {
 	// their answers are comparable (the engine is deterministic per seed).
 	planSeeds := rng.NewSource(42).Split(len(queries))
 
+	cl, err := client.New(base)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const clients = 8
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			body, _ := json.Marshal(queryBody{
-				Query:       queries[c%len(queries)],
-				Seed:        planSeeds[c%len(queries)].Base(),
-				ValidationM: 1000,
-				InitialM:    10,
-				MaxM:        40,
-				FixedZ:      1,
-				TimeoutMS:   20000,
+			start := time.Now()
+			// Run submits the query to POST /v1/queries and long-polls the
+			// job until it is terminal.
+			job, err := cl.Run(context.Background(), client.SubmitRequest{
+				Query:     queries[c%len(queries)],
+				TimeoutMS: 20000,
+				Options: &client.SolveOptions{
+					Seed:        planSeeds[c%len(queries)].Base(),
+					ValidationM: 1000,
+					InitialM:    10,
+					MaxM:        40,
+					FixedZ:      1,
+				},
 			})
-			resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+			if err == nil {
+				err = job.Err()
+			}
 			if err != nil {
 				log.Printf("client %d: %v", c, err)
 				return
 			}
-			defer resp.Body.Close()
-			var reply queryReply
-			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-				log.Printf("client %d: %v", c, err)
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				log.Printf("client %d: HTTP %d: %s", c, resp.StatusCode, reply.Error)
-				return
-			}
-			fmt.Printf("client %d: plan %d feasible=%v objective=%.4f size=%.0f (M=%d, Z=%d) cache_hit=%v wait=%dms total=%dms\n",
-				c, c%len(queries), reply.Feasible, reply.Objective, reply.PackageSize,
-				reply.M, reply.Z, reply.CacheHit, reply.WaitMS, reply.TotalMS)
+			r := job.Result
+			fmt.Printf("client %d: plan %d feasible=%v objective=%.4f size=%.0f (M=%d, Z=%d) plan_cache_hit=%v wait=%dms total=%dms\n",
+				c, c%len(queries), r.Feasible, r.Objective, r.PackageSize,
+				r.M, r.Z, r.PlanCacheHit, r.WaitMS, time.Since(start).Milliseconds())
 		}(c)
 	}
 	wg.Wait()

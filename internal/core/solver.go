@@ -13,8 +13,9 @@ import (
 // sketch pipeline) and the algorithms that solve a canonical stochastic ILP.
 // Implementations must be stateless and safe for concurrent use: one Solver
 // value is shared by every shard of a partition-parallel sketch and every
-// in-flight engine query. A future parallel branch-and-bound path drops in
-// behind this interface without touching its callers.
+// in-flight engine query. Parallelism inside one solve (sharded
+// validation, the parallel branch-and-bound of package milp) is set by
+// Options.Parallelism and stays behind this interface.
 type Solver interface {
 	// Name is the solver's registry name (the engine's "method").
 	Name() string

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -407,17 +406,4 @@ func ParseClasses(s string) (map[string]ClassBudget, error) {
 		out[name] = cb
 	}
 	return out, nil
-}
-
-// TenantNames returns the configured lane names in ring order (stable for
-// rendering).
-func (s *fairScheduler) TenantNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, len(s.ring))
-	for i, ts := range s.ring {
-		names[i] = ts.cfg.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -367,90 +365,60 @@ func TestErrToWireAdmissionCodes(t *testing.T) {
 	}
 }
 
-// TestHTTPAdmissionCodes drives both rejection paths over HTTP: a held
-// engine with no queue returns code "overloaded", a tenant over its own
-// queue quota returns code "tenant_quota", and both carry Retry-After.
+// TestHTTPAdmissionCodes drives both rejection paths over v1: a submission
+// beyond MaxJobs is refused at submit time with 429 "overloaded" and
+// Retry-After, and a job whose tenant is over its own queue quota is
+// accepted but ends failed with "tenant_quota" and a retry hint.
 func TestHTTPAdmissionCodes(t *testing.T) {
 	cat := newCatalog(t, 15)
-	postQuery := func(srv *httptest.Server, tenant string) *http.Response {
+	submit := func(srv *httptest.Server, tenant string) *http.Response {
 		t.Helper()
-		body, _ := json.Marshal(QueryRequest{Query: testQuery, Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60})
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			req.Header.Set(client.TenantHeader, tenant)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	decodeErr := func(resp *http.Response) *client.Error {
-		t.Helper()
-		defer resp.Body.Close()
-		var env client.ErrorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
-		if env.Error == nil {
-			t.Fatal("no error in envelope")
-		}
-		return env.Error
+		return postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{
+			Query:   testQuery,
+			Tenant:  tenant,
+			Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60},
+		})
 	}
 
-	// Path 1: global overload (slot held, no queue).
-	e := New(cat, &Options{MaxInFlight: 1, MaxQueue: -1, Parallelism: 1})
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
+	// Path 1: MaxJobs full (one job queued behind a held slot).
+	e := New(cat, &Options{MaxInFlight: 1, MaxQueue: 1, MaxJobs: 1, Parallelism: 1})
+	srv := v1Server(t, e)
 	if err := e.sched.Acquire(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	resp := postQuery(srv, "")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overload status = %d, want 429", resp.StatusCode)
-	}
+	queued := decodeJob(t, submit(srv, ""), http.StatusAccepted)
+	resp := submit(srv, "")
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("overload response missing Retry-After")
 	}
-	if apiErr := decodeErr(resp); apiErr.Code != client.CodeOverloaded {
-		t.Fatalf("overload code = %q, want %q", apiErr.Code, client.CodeOverloaded)
+	if apiErr := decodeEnvelope(t, resp, http.StatusTooManyRequests, client.CodeOverloaded); apiErr.RetryAfterMS <= 0 {
+		t.Fatalf("overload retry_after_ms = %d, want > 0", apiErr.RetryAfterMS)
 	}
 	e.sched.Release("")
+	waitJob(t, srv, queued)
 
 	// Path 2: tenant queue quota (global room remains).
 	e2 := New(cat, &Options{
 		MaxInFlight: 1, MaxQueue: 8, Parallelism: 1,
 		Tenants: []TenantConfig{{Name: "lim", Weight: 1, MaxQueue: 1}},
 	})
-	srv2 := httptest.NewServer(e2.Handler())
-	defer srv2.Close()
+	srv2 := v1Server(t, e2)
 	if err := e2.sched.Acquire(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp := postQuery(srv2, "lim") // queues behind the held slot
-		resp.Body.Close()
-	}()
+	first := decodeJob(t, submit(srv2, "lim"), http.StatusAccepted) // queues behind the held slot
 	waitFor(t, "lim request queued", func() bool { return e2.sched.Waiting() == 1 })
-	resp2 := postQuery(srv2, "lim")
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("quota status = %d, want 429", resp2.StatusCode)
+	over := waitJob(t, srv2, decodeJob(t, submit(srv2, "lim"), http.StatusAccepted))
+	if over.State != client.JobFailed || over.Error == nil || over.Error.Code != client.CodeTenantQuota {
+		t.Fatalf("over-quota job = %q (err %+v), want failed with %q", over.State, over.Error, client.CodeTenantQuota)
 	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Fatal("quota response missing Retry-After")
+	if over.Error.RetryAfterMS <= 0 {
+		t.Fatalf("quota retry_after_ms = %d, want > 0", over.Error.RetryAfterMS)
 	}
-	if apiErr := decodeErr(resp2); apiErr.Code != client.CodeTenantQuota {
-		t.Fatalf("quota code = %q, want %q", apiErr.Code, client.CodeTenantQuota)
+	e2.sched.Release("") // let the queued job run to completion
+	if first = waitJob(t, srv2, first); first.State != client.JobSucceeded {
+		t.Fatalf("queued job = %q (err %+v), want succeeded", first.State, first.Error)
 	}
-	e2.sched.Release("") // let the queued request run to completion
-	wg.Wait()
 
 	st := e2.Stats()
 	lim := st.Tenants["lim"]

@@ -133,10 +133,11 @@ func TestEngineDegradedJobWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-j.Done()
-	wres, apiErr := j.WireResult()
-	if apiErr != nil {
-		t.Fatalf("job failed: %+v", apiErr)
+	snap := j.Poll(context.Background(), 0, 0)
+	if snap.Error != nil {
+		t.Fatalf("job failed: %+v", snap.Error)
 	}
+	wres := snap.Result
 	if wres == nil {
 		t.Fatal("job finished without a result")
 	}

@@ -186,7 +186,7 @@ func (e *Engine) handleV1Delta(w http.ResponseWriter, r *http.Request) {
 	}
 	cs, err := e.ApplyDelta(name, &relation.Delta{Set: dr.Set, Delete: dr.Delete, Append: dr.Append})
 	if err != nil {
-		writeEngineError(w, err)
+		writeError(w, errToWire(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, client.DeltaResponse{

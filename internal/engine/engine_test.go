@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spq/client"
 	"spq/internal/core"
 	"spq/internal/dist"
 	"spq/internal/relation"
@@ -238,34 +238,17 @@ func TestHTTPHandler(t *testing.T) {
 	}
 
 	// Query.
-	body, _ := json.Marshal(QueryRequest{
-		Query: testQuery, Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60,
-	})
-	resp, err = http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qres QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qres); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d", resp.StatusCode)
-	}
-	if !qres.Feasible || len(qres.Package) == 0 {
-		t.Fatalf("bad query response: %+v", qres)
+	job := waitJob(t, srv, decodeJob(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{
+		Query:   testQuery,
+		Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60},
+	}), http.StatusAccepted))
+	if job.State != client.JobSucceeded || job.Result == nil || !job.Result.Feasible || len(job.Result.Package) == 0 {
+		t.Fatalf("bad query job: %+v", job)
 	}
 
 	// Malformed query.
-	resp, err = http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"query": "SELECT NONSENSE"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed query status %d, want 400", resp.StatusCode)
-	}
+	decodeEnvelope(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{Query: "SELECT NONSENSE"}),
+		http.StatusBadRequest, client.CodeInvalidQuery)
 
 	// Stats reflect the traffic.
 	resp, err = http.Get(srv.URL + "/stats")

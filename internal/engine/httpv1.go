@@ -49,11 +49,6 @@ func writeError(w http.ResponseWriter, apiErr *client.Error) {
 	writeJSON(w, status, client.ErrorEnvelope{Error: apiErr})
 }
 
-// writeEngineError maps an engine error to the envelope.
-func writeEngineError(w http.ResponseWriter, err error) {
-	writeError(w, errToWire(err))
-}
-
 // methodsHandler dispatches on the HTTP method and envelopes 405s (the
 // stock ServeMux writes plain-text bodies, which the v1 contract forbids).
 func methodsHandler(handlers map[string]http.HandlerFunc) http.HandlerFunc {

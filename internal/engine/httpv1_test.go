@@ -2,9 +2,7 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -48,6 +46,23 @@ func decodeJob(t *testing.T, resp *http.Response, wantStatus int) *client.Job {
 	return &job
 }
 
+// waitJob long-polls a submitted job until it is terminal.
+func waitJob(t *testing.T, srv *httptest.Server, job *client.Job) *client.Job {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for !job.State.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished", job.ID)
+		}
+		resp, err := http.Get(srv.URL + "/v1/queries/" + job.ID + "?wait_ms=1000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		job = decodeJob(t, resp, http.StatusOK)
+	}
+	return job
+}
+
 func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode string) *client.Error {
 	t.Helper()
 	defer resp.Body.Close()
@@ -78,17 +93,7 @@ func TestV1SubmitPollResult(t *testing.T) {
 		t.Fatalf("bad submit response: %+v", job)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	for !job.State.Terminal() {
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		resp, err := http.Get(fmt.Sprintf("%s/v1/queries/%s?wait_ms=1000", srv.URL, job.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		job = decodeJob(t, resp, http.StatusOK)
-	}
+	job = waitJob(t, srv, job)
 	if job.State != client.JobSucceeded {
 		t.Fatalf("state = %q (err %+v), want succeeded", job.State, job.Error)
 	}
@@ -240,7 +245,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	decodeEnvelope(t, resp, http.StatusNotFound, client.CodeNotFound)
 
 	// Disallowed HTTP method on a known route.
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/query", strings.NewReader("{}"))
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/queries", strings.NewReader("{}"))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -271,60 +276,16 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyShim: the flat pre-v1 request body keeps working through the
-// job-manager shim, and the response carries the legacy field set with the
-// same values the synchronous engine path computes.
-func TestLegacyShim(t *testing.T) {
-	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
-	srv := v1Server(t, e)
-
-	body := `{"query": ` + fmt.Sprintf("%q", testQuery) + `,
-		"seed": 1, "validation_m": 1500, "initial_m": 10, "increment_m": 10, "max_m": 60}`
-	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredQueryRoute: the pre-v1 synchronous POST /query is gone, and a
+// stale client posting to it gets the stable not_found envelope from the
+// catch-all route, not a plain-text body.
+func TestRetiredQueryRoute(t *testing.T) {
+	srv := v1Server(t, New(newCatalog(t, 15), nil))
+	resp := postJSON(t, srv.URL+"/query", map[string]any{"query": testQuery, "seed": 1})
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", ct)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	// The legacy field set must survive the shim unchanged.
-	for _, key := range []string{"feasible", "objective", "m", "package_size", "package", "cache_hit", "wait_ms", "total_ms"} {
-		if _, ok := raw[key]; !ok {
-			t.Fatalf("legacy response lost field %q (got %v)", key, raw)
-		}
-	}
-
-	sres, err := e.Query(context.Background(), Request{Query: testQuery, Options: smallCoreOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := raw["objective"].(float64); got != sres.Objective {
-		t.Fatalf("shim objective %v != sync objective %v", got, sres.Objective)
-	}
-	if got := int(raw["m"].(float64)); got != sres.M {
-		t.Fatalf("shim m %v != sync m %v", got, sres.M)
-	}
-	if got := len(raw["package"].([]any)); got != len(sres.Multiplicities()) {
-		t.Fatalf("shim package size %d != sync %d", got, len(sres.Multiplicities()))
-	}
-
-	// Legacy error paths use the envelope now.
-	resp2, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"query": "SELECT NONSENSE"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeEnvelope(t, resp2, http.StatusBadRequest, client.CodeInvalidQuery)
-
-	// Stats report the shim's traffic through the job counters.
-	st := e.Stats()
-	if st.JobsSubmitted < 1 || st.JobsCompleted < 1 {
-		t.Fatalf("job counters missed the shim: %+v", st)
-	}
+	decodeEnvelope(t, resp, http.StatusNotFound, client.CodeNotFound)
 }
 
 // TestV1IgnoresRemovedMaxResidentScenarios pins wire compatibility for a
@@ -340,17 +301,7 @@ func TestV1IgnoresRemovedMaxResidentScenarios(t *testing.T) {
 			"query":   testQuery,
 			"options": options,
 		}), http.StatusAccepted)
-		deadline := time.Now().Add(60 * time.Second)
-		for !job.State.Terminal() {
-			if time.Now().After(deadline) {
-				t.Fatal("job never finished")
-			}
-			resp, err := http.Get(fmt.Sprintf("%s/v1/queries/%s?wait_ms=1000", srv.URL, job.ID))
-			if err != nil {
-				t.Fatal(err)
-			}
-			job = decodeJob(t, resp, http.StatusOK)
-		}
+		job = waitJob(t, srv, job)
 		if job.State != client.JobSucceeded || job.Result == nil {
 			t.Fatalf("state = %q (err %+v), want succeeded", job.State, job.Error)
 		}

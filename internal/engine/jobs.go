@@ -168,7 +168,7 @@ func (j *Job) Snapshot(since int) *client.Job {
 // importantly — the pinned pre-delta snapshot they reference are dropped, so
 // a long job history cannot keep every superseded relation version resident.
 // The rendered wire result (OrigIndex-mapped package tuples, objective,
-// counters) keeps serving polls and the legacy /query shim unchanged.
+// counters) keeps serving polls unchanged.
 func (j *Job) trimAfterDelta(table string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -181,18 +181,6 @@ func (j *Job) trimAfterDelta(table string) {
 	j.result = nil
 	j.bestX = nil
 	j.bestRel = nil
-}
-
-// WireResult returns the rendered v1 result and error of a finished job
-// (nil, nil while the job is active). Unlike Result, it survives
-// trimAfterDelta, so it is the accessor response-rendering paths should use.
-func (j *Job) WireResult() (*client.QueryResult, *client.Error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, nil
-	}
-	return j.wire, j.err
 }
 
 // Poll blocks until the job's sequence number exceeds since, the job is
@@ -370,8 +358,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		e.jobsMu.Unlock()
 		cancel()
 		// Mirror Engine.Query's counting for rejected requests, so the
-		// queries total still means "requests received" after the legacy
-		// shim moved onto this path.
+		// queries total means "requests received" on both entry points.
 		e.m.queries.Inc()
 		e.m.rejected.Inc()
 		return nil, ErrOverloaded

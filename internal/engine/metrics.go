@@ -194,11 +194,6 @@ func (e *Engine) newTrace(id, rootName string) *obs.Trace {
 	return tr
 }
 
-// Metrics returns the engine's instrument registry (the GET /metrics
-// source), for callers that want to register their own instruments next to
-// the engine's or render the exposition elsewhere.
-func (e *Engine) Metrics() *obs.Registry { return e.m.reg }
-
 // wireTrace converts the internal span data to the v1 wire type. The two
 // structs are field-for-field identical; the copy keeps the public client
 // package free of internal imports.

@@ -8,7 +8,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"spq/client"
 	"spq/internal/obs"
@@ -146,17 +145,7 @@ func TestV1TraceEndpointAndMetrics(t *testing.T) {
 	}
 	job := decodeJob(t, resp, http.StatusAccepted)
 
-	deadline := time.Now().Add(60 * time.Second)
-	for !job.State.Terminal() {
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		r, err := http.Get(srv.URL + "/v1/queries/" + job.ID + "?wait_ms=1000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		job = decodeJob(t, r, http.StatusOK)
-	}
+	job = waitJob(t, srv, job)
 	if job.State != client.JobSucceeded {
 		t.Fatalf("state = %q (%+v)", job.State, job.Error)
 	}

@@ -29,12 +29,6 @@ type Basis struct {
 	basis  []int32  // basis[k] = variable basic at position k
 }
 
-// NumVars returns the structural-variable count the snapshot was taken for.
-func (b *Basis) NumVars() int { return b.n }
-
-// NumRows returns the row count the snapshot was taken for.
-func (b *Basis) NumRows() int { return b.m }
-
 func (b *Basis) statusAt(j int) byte {
 	return byte(b.packed[j>>5] >> uint((j&31)*2) & 3)
 }

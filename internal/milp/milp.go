@@ -105,10 +105,6 @@ func NewModel() *Model { return &Model{} }
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.vars) }
 
-// NumRows returns the number of plain rows added so far (indicator rows are
-// materialized at solve time and not counted here).
-func (m *Model) NumRows() int { return len(m.rows) }
-
 // AddVar adds a variable with bounds [lo, hi], objective coefficient obj and
 // integrality flag, returning its index.
 func (m *Model) AddVar(lo, hi, obj float64, integer bool) int {
