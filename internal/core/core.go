@@ -294,8 +294,11 @@ type runner struct {
 	sizeLo   float64
 	sizeHi   float64
 
-	// val is the validation state, built by the first validate.
-	val *validator
+	// val is the validation state, built by the first validate the SILP's
+	// memo cannot answer; valKey is the memo key of the package being
+	// validated.
+	val    *validator
+	valKey []byte
 
 	// MILP accounting across every solve of the evaluation (see
 	// Solution.MILPSolves); stamped onto the returned Solution by finish.

@@ -13,8 +13,9 @@ import (
 
 // Validation is the metadata v̂ computed by the out-of-sample validation of
 // §3.2: per-constraint p-surpluses, feasibility, the objective estimate, and
-// the ε′ upper bound of §5.4. A runner hands out one Validation per distinct
-// package and returns it again for a repeat, so its slices are read-only.
+// the ε′ upper bound of §5.4. A SILP memoises one Validation per validation
+// stream and package and hands it to every evaluation that validates that
+// package again, so its slices are read-only.
 type Validation struct {
 	Feasible  bool
 	Surpluses []float64
@@ -47,19 +48,16 @@ func Validate(ctx context.Context, silp *translate.SILP, x []float64, o *Options
 	return newRunner(ctx, silp, o).validate(x)
 }
 
-// validator is the validation state a runner builds on its first validate:
-// the validation-stream rows of every probabilistic constraint and of a
-// probability objective, scratch reused by every later call, and the
-// packages already validated. valSrc is fixed per runner, so validating the
-// same package again would reproduce the same Validation bit for bit.
+// validator is the validation state a runner builds on its first validation
+// the SILP holds no verdict for: the validation-stream rows of every
+// probabilistic constraint and of a probability objective, and scratch reused
+// by every later one.
 type validator struct {
 	cons   []*stream.Rows
 	obj    *stream.Rows
 	scores []float64 // one running score per validation scenario
 	counts []int     // satisfied scenarios per shard
-	pkg    []int
-	key    []byte
-	done   map[string]*Validation
+	pkg    []int     // the tuples of the package being validated
 }
 
 func (r *runner) newValidator() (*validator, error) {
@@ -68,7 +66,6 @@ func (r *runner) newValidator() (*validator, error) {
 		cons:   make([]*stream.Rows, len(silp.ProbCons)),
 		scores: make([]float64, r.opts.ValidationM),
 		counts: make([]int, par.Workers(r.opts.Parallelism, r.opts.ValidationM)),
-		done:   map[string]*Validation{},
 	}
 	for k := range silp.ProbCons {
 		rows, err := silp.ConsCursor(k, r.valSrc, 0).Rows()
@@ -100,7 +97,26 @@ func (r *runner) newValidator() (*validator, error) {
 // scenario) coordinate and every scenario accumulates its score in package
 // order, so the per-scenario scores — and hence the satisfied counts,
 // surpluses, and objective — are bit-identical for any worker count.
+//
+// A verdict is therefore a pure function of the SILP, the validation stream
+// (ValidationSeed, ValidationM) and the package, and it is memoised on the
+// SILP under that key: a package any evaluation of the plan has validated
+// before is answered from the memo without realizing a row. A validation
+// that ends in an error, cancellation included, stores nothing.
 func (r *runner) validate(x []float64) (*Validation, error) {
+	key := binary.LittleEndian.AppendUint64(r.valKey[:0], r.opts.ValidationSeed)
+	key = binary.LittleEndian.AppendUint64(key, uint64(r.opts.ValidationM))
+	for i, xi := range x {
+		if xi > 0 {
+			key = binary.LittleEndian.AppendUint64(key, uint64(i))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(xi))
+		}
+	}
+	r.valKey = key
+	if val, ok := r.silp.Verdict(key); ok {
+		memoHit(r.ctx, "validate")
+		return val.(*Validation), nil
+	}
 	if r.val == nil {
 		v, err := r.newValidator()
 		if err != nil {
@@ -109,18 +125,13 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 		r.val = v
 	}
 	vs := r.val
-	pkg, key := vs.pkg[:0], vs.key[:0]
+	pkg := vs.pkg[:0]
 	for i, xi := range x {
 		if xi > 0 {
 			pkg = append(pkg, i)
-			key = binary.LittleEndian.AppendUint64(key, uint64(i))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(xi))
 		}
 	}
-	vs.pkg, vs.key = pkg, key
-	if val, ok := vs.done[string(key)]; ok {
-		return val, nil
-	}
+	vs.pkg = pkg
 
 	mhat := r.opts.ValidationM
 	silp := r.silp
@@ -164,7 +175,7 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 		return nil, err
 	}
 	val.EpsUpper = eps
-	vs.done[string(key)] = val
+	silp.SetVerdict(key, val)
 	return val, nil
 }
 

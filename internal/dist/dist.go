@@ -271,13 +271,14 @@ type UniformChoice struct {
 
 // Sample implements Dist.
 func (d UniformChoice) Sample(s *rng.Stream) float64 {
-	u := s.Float64() * float64(len(d.Values))
-	for i, v := range d.Values {
-		if u < float64(i+1) {
-			return v
-		}
-	}
-	return d.Values[len(d.Values)-1]
+	return d.Values[choiceIndex(s.Float64()*float64(len(d.Values)), len(d.Values))]
+}
+
+// choiceIndex is the component the mixture's scan picks for u = U·n with
+// U ∈ [0, 1): the first i with u < i+1, which for u ≥ 0 is ⌊u⌋, or the last
+// one when the product rounds up to n.
+func choiceIndex(u float64, n int) int {
+	return min(int(u), n-1)
 }
 
 // Mean implements Dist.

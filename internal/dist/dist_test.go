@@ -157,3 +157,50 @@ func TestUniformChoiceMatchesMixture(t *testing.T) {
 		}
 	}
 }
+
+// scanIndex is UniformMixture's linear scan over n equal weights, which
+// UniformChoice must match: the first i with u < i+1, else the last index.
+func scanIndex(u float64, n int) int {
+	for i := 0; i < n; i++ {
+		if u < float64(i+1) {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// TestChoiceIndexMatchesScan: the O(1) index picks what the scan picked, for
+// sizes 1..16 over 2²⁰ stream draws and at one ulp either side of every
+// integer in [0, n], where ⌊u⌋ and the scan's strict comparison could part.
+func TestChoiceIndexMatchesScan(t *testing.T) {
+	s := rng.NewStream(7)
+	for n := 1; n <= 16; n++ {
+		values := make([]float64, n)
+		for k := range values {
+			values[k] = float64(k)
+		}
+		d := UniformChoice{Values: values}
+		for draw := 0; draw < 1<<16; draw++ {
+			u := s.Float64() * float64(n)
+			if got, want := choiceIndex(u, n), scanIndex(u, n); got != want {
+				t.Fatalf("n=%d u=%v: index %d, scan %d", n, u, got, want)
+			}
+		}
+		for k := 0; k <= n; k++ {
+			for _, u := range []float64{math.Nextafter(float64(k), -1), float64(k), math.Nextafter(float64(k), math.Inf(1))} {
+				if u < 0 {
+					continue
+				}
+				if got, want := choiceIndex(u, n), scanIndex(u, n); got != want {
+					t.Fatalf("n=%d u=%v: index %d, scan %d", n, u, got, want)
+				}
+			}
+		}
+		for seed := uint64(0); seed < 1000; seed++ {
+			sa, sb := rng.NewStream(seed), rng.NewStream(seed)
+			if got, want := d.Sample(sa), values[scanIndex(sb.Float64()*float64(n), n)]; got != want {
+				t.Fatalf("n=%d seed %d: sample %v, scan %v", n, seed, got, want)
+			}
+		}
+	}
+}

@@ -100,10 +100,12 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("engine phases not nested under caller span: %v", names)
 	}
 	// The second query reuses the cached plan's SILP, and with it x(0) and
-	// the probed objective range: "memo" spans stand where the unconstrained
-	// solve and the probe ran the first time.
-	if len(memos) != 2 || !contains(memos, "unconstrained") || !contains(memos, "probe") || contains(names, "probe") {
-		t.Fatalf("plan-cache hit: memo spans %v among %v, want one each for unconstrained and probe and no probe", memos, names)
+	// the verdict on the package it validates: "memo" spans stand where the
+	// unconstrained solve and the validation ran the first time. A memoised
+	// verdict never reaches the probe, so neither runs.
+	if len(memos) != 2 || !contains(memos, "unconstrained") || !contains(memos, "validate") ||
+		contains(names, "validate") || contains(names, "probe") {
+		t.Fatalf("plan-cache hit: memo spans %v among %v, want one each for unconstrained and validate and no validate or probe", memos, names)
 	}
 }
 

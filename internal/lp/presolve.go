@@ -229,16 +229,30 @@ func (ps *presolver) tighten(j int, lo, hi float64) {
 			hi = math.Floor(hi + presolveIntTol)
 		}
 	}
-	if lo > ps.lo[j]+presolveTol {
+	loMoved, hiMoved := lo > ps.lo[j]+presolveTol, hi < ps.hi[j]-presolveTol
+	if loMoved {
 		ps.lo[j] = lo
 		ps.changed = true
 	}
-	if hi < ps.hi[j]-presolveTol {
+	if hiMoved {
 		ps.hi[j] = hi
 		ps.changed = true
 	}
 	if ps.lo[j] > ps.hi[j]+presolveTol {
 		ps.infeasible = true
+		return
+	}
+	// An implied bound carries presolveTol of slack. When it closes the
+	// interval to within that slack, the end it did not move is exact: fix
+	// the column there, not at the slack, which substituted into a row and
+	// divided by a smaller coefficient elsewhere grows past the tolerance.
+	if ps.hi[j]-ps.lo[j] <= presolveTol {
+		switch {
+		case loMoved && !hiMoved:
+			ps.lo[j] = ps.hi[j]
+		case hiMoved && !loMoved:
+			ps.hi[j] = ps.lo[j]
+		}
 	}
 }
 

@@ -280,3 +280,26 @@ func TestPresolveCancelledCoefficient(t *testing.T) {
 	}
 	wantOptimal(t, sol, -1-pr.ObjOffset, 1e-9)
 }
+
+// TestPresolveNearFixedColumnKeepsExactEnd: 3x + (−0.5)y = 1 over
+// x ∈ [−1, 0], y ∈ [−2, 0] holds only at x = 0, y = −2. The row implies
+// x ≥ −presolveTol; fixing x at that slack instead of at 0 pushed the
+// singleton row left for y past y's bounds, and presolve called the LP
+// infeasible (FuzzLP seed 39).
+func TestPresolveNearFixedColumnKeepsExactEnd(t *testing.T) {
+	p := NewProblem(2)
+	p.SetVarBounds(0, -1, 0)
+	p.SetVarBounds(1, -2, 0)
+	p.AddRow([]int{0, 1}, []float64{3, -0.5}, 1, 1)
+	pr := PresolveProblem(p, nil, nil, nil)
+	if pr.Infeasible {
+		t.Fatal("presolve called a feasible LP infeasible")
+	}
+	sol, err := SolveWithBounds(pr.Reduced, pr.Lo, pr.Hi, nil)
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("reduced solve: %v, %v", sol.Status, err)
+	}
+	if x := pr.Postsolve(sol.X); x[0] != 0 || x[1] != -2 {
+		t.Fatalf("postsolved x = %v, want [0 -2]", x)
+	}
+}

@@ -48,9 +48,10 @@ func mixWord(state *uint64, w uint64) {
 type Stream struct {
 	state uint64
 	inc   uint64
-	// cached spare normal variate for the Box-Muller transform
-	spare    float64
-	hasSpare bool
+	// The Box-Muller pair's spare variate, r·sin θ, is computed only when it
+	// is read: Reseed discards it, and single draws never read it.
+	spareR, spareTheta float64
+	hasSpare           bool
 }
 
 // NewStream returns a stream deterministically derived from seed. Two streams
@@ -69,7 +70,6 @@ func (s *Stream) Reseed(seed uint64) {
 	s.state = splitmix64(&sm)
 	s.inc = splitmix64(&sm) | 1 // stream increment must be odd
 	s.hasSpare = false
-	s.spare = 0
 	// Warm up: decorrelates streams whose seeds differ in few bits.
 	s.Uint64()
 	s.Uint64()
@@ -120,11 +120,11 @@ func (s *Stream) IntN(n int) int {
 }
 
 // Norm returns a standard normal variate using the Box-Muller transform with
-// spare caching.
+// spare caching: the pair's second variate is the next call's.
 func (s *Stream) Norm() float64 {
 	if s.hasSpare {
 		s.hasSpare = false
-		return s.spare
+		return s.spareR * math.Sin(s.spareTheta)
 	}
 	for {
 		u := s.OpenFloat64()
@@ -132,11 +132,10 @@ func (s *Stream) Norm() float64 {
 		r := math.Sqrt(-2 * math.Log(u))
 		theta := 2 * math.Pi * v
 		z0 := r * math.Cos(theta)
-		z1 := r * math.Sin(theta)
 		if math.IsInf(z0, 0) || math.IsNaN(z0) {
 			continue
 		}
-		s.spare = z1
+		s.spareR, s.spareTheta = r, theta
 		s.hasSpare = true
 		return z0
 	}

@@ -273,3 +273,61 @@ func TestSplitSourcesAreIndependentAndDeterministic(t *testing.T) {
 		t.Fatal("split sources produce identical streams")
 	}
 }
+
+// eagerNormal is the reference Box-Muller transform: both variates of a pair
+// computed up front. It draws from its own Stream, whose spare it never
+// touches.
+type eagerNormal struct {
+	s        *Stream
+	spare    float64
+	hasSpare bool
+}
+
+func (e *eagerNormal) reseed(seed uint64) {
+	e.s.Reseed(seed)
+	e.hasSpare = false
+}
+
+func (e *eagerNormal) norm() float64 {
+	if e.hasSpare {
+		e.hasSpare = false
+		return e.spare
+	}
+	for {
+		u := e.s.OpenFloat64()
+		v := e.s.Float64()
+		r := math.Sqrt(-2 * math.Log(u))
+		theta := 2 * math.Pi * v
+		z0 := r * math.Cos(theta)
+		z1 := r * math.Sin(theta)
+		if math.IsInf(z0, 0) || math.IsNaN(z0) {
+			continue
+		}
+		e.spare, e.hasSpare = z1, true
+		return z0
+	}
+}
+
+// TestLazySpareMatchesEager: over random interleavings of Reseed, Norm and
+// Float64, the lazily computed spare is bit for bit the eager one, and the
+// two streams never drift apart.
+func TestLazySpareMatchesEager(t *testing.T) {
+	ops := NewStream(11)
+	lazy, eager := NewStream(1), &eagerNormal{s: NewStream(1)}
+	for i := 0; i < 200000; i++ {
+		switch op := ops.IntN(8); {
+		case op == 0:
+			seed := ops.Uint64()
+			lazy.Reseed(seed)
+			eager.reseed(seed)
+		case op == 1:
+			if a, b := lazy.Float64(), eager.s.Float64(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("op %d: Float64 %v, eager stream %v", i, a, b)
+			}
+		default:
+			if a, b := lazy.Norm(), eager.norm(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("op %d: Norm %v, eager %v", i, a, b)
+			}
+		}
+	}
+}

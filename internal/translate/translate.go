@@ -82,7 +82,8 @@ const (
 // derived finite variable bounds.
 //
 // Treat a SILP as immutable once built: evaluations sharing it through the
-// plan cache memoise on it what they derive from it alone (X0, ObjRange).
+// plan cache memoise on it what they derive from it alone (X0, ObjRange,
+// Verdict).
 type SILP struct {
 	Query *spaql.Query
 	// Rel is the relation after applying the WHERE clause.
@@ -114,14 +115,19 @@ type SILP struct {
 // maxObjRanges bounds the objective ranges memoised, one per validation seed.
 const maxObjRanges = 4
 
+// maxVerdicts bounds the validation verdicts memoised, one per validation
+// stream and package.
+const maxVerdicts = 256
+
 // memo is what evaluations derive from a SILP alone. Concurrent first
 // computations of one entry are identical, so either may store it.
 type memo struct {
-	mu      sync.Mutex
-	x0      []float64
-	x0Nodes int
-	x0Gap   float64
-	ranges  map[uint64][2]float64
+	mu       sync.Mutex
+	x0       []float64
+	x0Nodes  int
+	x0Gap    float64
+	ranges   map[uint64][2]float64
+	verdicts map[string]any // core's *Validation, a type translate cannot name
 }
 
 // X0 returns the memoised x(0), Q0's optimal package (FormulateUnconstrained)
@@ -162,6 +168,26 @@ func (s *SILP) SetObjRange(seed uint64, lo, hi float64) {
 		s.memo.ranges = make(map[uint64][2]float64, maxObjRanges)
 	}
 	s.memo.ranges[seed] = [2]float64{lo, hi}
+}
+
+// Verdict returns the validation verdict memoised under key, which encodes
+// the validation stream and the package it scored. It is read only.
+func (s *SILP) Verdict(key []byte) (any, bool) {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	v, ok := s.memo.verdicts[string(key)]
+	return v, ok
+}
+
+// SetVerdict memoises v, the verdict of a validation that ran to completion,
+// under key. A key past maxVerdicts starts the memo over.
+func (s *SILP) SetVerdict(key []byte, v any) {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	if _, dup := s.memo.verdicts[string(key)]; s.memo.verdicts == nil || !dup && len(s.memo.verdicts) == maxVerdicts {
+		s.memo.verdicts = map[string]any{}
+	}
+	s.memo.verdicts[string(key)] = v
 }
 
 // Options tune the translation.

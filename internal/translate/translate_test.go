@@ -479,3 +479,31 @@ func TestObjRangeMemoBounded(t *testing.T) {
 		t.Fatal("the first seed's range outlived the cap")
 	}
 }
+
+// TestVerdictMemoBounded: a client asking for ever new packages cannot grow a
+// plan: past maxVerdicts keys the memo starts over, and storing a key it
+// already holds does not.
+func TestVerdictMemoBounded(t *testing.T) {
+	s := &SILP{}
+	key := func(i int) []byte { return []byte{byte(i), byte(i >> 8)} }
+	for i := 0; i < 3*maxVerdicts; i++ {
+		s.SetVerdict(key(i), i)
+		if len(s.memo.verdicts) > maxVerdicts {
+			t.Fatalf("key %d: %d verdicts memoised, cap %d", i, len(s.memo.verdicts), maxVerdicts)
+		}
+		if v, ok := s.Verdict(key(i)); !ok || v != i {
+			t.Fatalf("key %d: verdict %v memoised %t", i, v, ok)
+		}
+	}
+	if _, ok := s.Verdict(key(0)); ok {
+		t.Fatal("the first key's verdict outlived the cap")
+	}
+	full := &SILP{}
+	for i := 0; i < maxVerdicts; i++ {
+		full.SetVerdict(key(i), i)
+	}
+	full.SetVerdict(key(0), 0)
+	if len(full.memo.verdicts) != maxVerdicts {
+		t.Fatalf("storing a held key at the cap left %d verdicts, want %d", len(full.memo.verdicts), maxVerdicts)
+	}
+}
