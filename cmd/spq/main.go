@@ -101,12 +101,7 @@ func run(queryText, queryFile, csvPath, wname, paperQuery string, list bool, n i
 		default:
 			return fmt.Errorf("unknown workload %q", wname)
 		}
-		var names []string
-		for name := range inst.Tables {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range inst.TableNames() {
 			if err := db.Register(inst.Tables[name]); err != nil {
 				return err
 			}

@@ -95,12 +95,7 @@ func runPhases(cfg experiments.Config, wname, query, method string) error {
 		return fmt.Errorf("unknown workload %q", wname)
 	}
 	db := spq.NewDB()
-	var names []string
-	for name := range inst.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range inst.TableNames() {
 		if err := db.Register(inst.Tables[name]); err != nil {
 			return err
 		}

@@ -98,7 +98,7 @@ func main() {
 	flag.StringVar(&cfg.csvPath, "csv", "", "CSV file to load as an additional (deterministic) table")
 	flag.IntVar(&cfg.n, "n", 300, "workload size (tuples; stocks for portfolio)")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "workload data seed (fleet members must match)")
-	flag.IntVar(&cfg.meansM, "means", 2000, "scenarios for attribute-mean precomputation")
+	flag.IntVar(&cfg.meansM, "means", 2000, "scenarios for attribute-mean precomputation (>= 1)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "max concurrent solves (0 = one per CPU)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "max queries waiting for a solve slot (0 = 4x max-inflight)")
 	flag.IntVar(&cfg.cacheSize, "cache", 128, "plan cache capacity in entries (negative disables)")
@@ -213,10 +213,11 @@ func selfWorker(workerURL, listenAddr string) bool {
 	return ip != nil && (ip.IsLoopback() || ip.IsUnspecified())
 }
 
-func run(cfg config) error {
-	db := spq.NewDB()
-	db.MeansM = cfg.meansM
-
+// loadTables registers the -workload instances' tables and the -csv table
+// in db and describes each one. A workload's tables register in name order:
+// DB.Register seeds mean estimation from the registration ordinal, and fleet
+// members must load identical data.
+func loadTables(db *spq.DB, cfg config) ([]string, error) {
 	var tables []string
 	for _, wname := range strings.Split(cfg.workloads, ",") {
 		wname = strings.TrimSpace(wname)
@@ -233,11 +234,12 @@ func run(cfg config) error {
 		case "tpch":
 			inst = workload.TPCH(wcfg)
 		default:
-			return fmt.Errorf("unknown workload %q (want galaxy, portfolio, or tpch)", wname)
+			return nil, fmt.Errorf("unknown workload %q (want galaxy, portfolio, or tpch)", wname)
 		}
-		for name, rel := range inst.Tables {
+		for _, name := range inst.TableNames() {
+			rel := inst.Tables[name]
 			if err := db.Register(rel); err != nil {
-				return err
+				return nil, err
 			}
 			tables = append(tables, fmt.Sprintf("%s (%d tuples, %s)", name, rel.N(), wname))
 		}
@@ -245,23 +247,36 @@ func run(cfg config) error {
 	if cfg.csvPath != "" {
 		f, err := os.Open(cfg.csvPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		name := strings.TrimSuffix(filepath.Base(cfg.csvPath), filepath.Ext(cfg.csvPath))
 		rel, err := spq.ReadCSV(name, f)
 		f.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := db.Register(rel); err != nil {
-			return err
+			return nil, err
 		}
 		tables = append(tables, fmt.Sprintf("%s (%d tuples, csv)", name, rel.N()))
 	}
 	if len(tables) == 0 {
-		return errors.New("no tables loaded; pass -workload and/or -csv")
+		return nil, errors.New("no tables loaded; pass -workload and/or -csv")
 	}
 	sort.Strings(tables)
+	return tables, nil
+}
+
+func run(cfg config) error {
+	if cfg.meansM < 1 {
+		return errors.New("-means must be >= 1")
+	}
+	db := spq.NewDB()
+	db.MeansM = cfg.meansM
+	tables, err := loadTables(db, cfg)
+	if err != nil {
+		return err
+	}
 
 	logger, err := obs.NewLogger(os.Stderr, cfg.logFormat)
 	if err != nil {

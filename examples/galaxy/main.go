@@ -23,8 +23,8 @@ import (
 func main() {
 	inst := workload.Galaxy(workload.Config{N: 250, Seed: 11})
 	db := spq.NewDB()
-	for _, rel := range inst.Tables {
-		if err := db.Register(rel); err != nil {
+	for _, name := range inst.TableNames() {
+		if err := db.Register(inst.Tables[name]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -53,8 +53,8 @@ func newDB() *spq.DB {
 	db := spq.NewDB()
 	db.MeansM = 500
 	inst := workload.Portfolio(workload.Config{N: 120, Seed: 42, MeansM: 500})
-	for _, rel := range inst.Tables {
-		if err := db.Register(rel); err != nil {
+	for _, name := range inst.TableNames() {
+		if err := db.Register(inst.Tables[name]); err != nil {
 			log.Fatal(err)
 		}
 	}

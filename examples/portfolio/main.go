@@ -21,8 +21,8 @@ import (
 func main() {
 	inst := workload.Portfolio(workload.Config{N: 120, Seed: 2024})
 	db := spq.NewDB()
-	for _, rel := range inst.Tables {
-		if err := db.Register(rel); err != nil {
+	for _, name := range inst.TableNames() {
+		if err := db.Register(inst.Tables[name]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -85,8 +85,8 @@ func main() {
 	db := spq.NewDB()
 	db.MeansM = 300
 	inst := workload.Portfolio(workload.Config{N: 40, Seed: 42, MeansM: 300})
-	for _, rel := range inst.Tables {
-		if err := db.Register(rel); err != nil {
+	for _, name := range inst.TableNames() {
+		if err := db.Register(inst.Tables[name]); err != nil {
 			log.Fatal(err)
 		}
 	}

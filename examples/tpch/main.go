@@ -22,8 +22,8 @@ import (
 func main() {
 	inst := workload.TPCH(workload.Config{N: 200, Seed: 5})
 	db := spq.NewDB()
-	for _, rel := range inst.Tables {
-		if err := db.Register(rel); err != nil {
+	for _, name := range inst.TableNames() {
+		if err := db.Register(inst.Tables[name]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -69,7 +69,19 @@ type Pareto struct {
 
 // Sample implements Dist (inverse CDF).
 func (d Pareto) Sample(s *rng.Stream) float64 {
-	return d.Sigma * math.Pow(s.OpenFloat64(), -1/d.Alpha)
+	return d.Sigma * d.tail(s.OpenFloat64())
+}
+
+// tail returns u^(-1/Alpha) for u in (0, 1), bit for bit as math.Pow. For
+// Alpha = 1 that is the reciprocal: Pow with the integral exponent -1 splits
+// u = u1·2^ue with Frexp and returns Ldexp(1/u1, -ue). 1/u1 is correctly
+// rounded, and the power-of-two scaling is exact on OpenFloat64's range
+// [2⁻⁵³, 1), so Pow(u, -1) is the correctly rounded 1/u.
+func (d Pareto) tail(u float64) float64 {
+	if d.Alpha == 1 {
+		return 1 / u
+	}
+	return math.Pow(u, -1/d.Alpha)
 }
 
 // Mean implements Dist. The mean is infinite for Alpha ≤ 1; NaN is returned

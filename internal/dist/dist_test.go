@@ -204,3 +204,37 @@ func TestChoiceIndexMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestParetoAlphaOneMatchesPow: the α = 1 reciprocal equals math.Pow(u, -1)
+// bit for bit, on OpenFloat64 draws, on random bit patterns in (0, 1) and on
+// the edges of OpenFloat64's range.
+func TestParetoAlphaOneMatchesPow(t *testing.T) {
+	d := Pareto{Sigma: 1, Alpha: 1}
+	check := func(u float64) {
+		if got, want := d.tail(u), math.Pow(u, -1/d.Alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("u = %v (%#x): 1/u = %v, Pow = %v", u, math.Float64bits(u), got, want)
+		}
+	}
+	for _, u := range []float64{0x1p-53, 0.5, math.Nextafter(0.5, 1), math.Nextafter(1, 0), math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1024} {
+		check(u)
+	}
+	s := rng.NewStream(17)
+	for i := 0; i < 10_000_000; i++ {
+		check(s.OpenFloat64())
+	}
+	const below1 = 0x3FF0000000000000 // bits of 1.0; every positive double below it is in (0, 1)
+	for i := 0; i < 1_000_000; i++ {
+		if b := s.Uint64() % below1; b != 0 {
+			check(math.Float64frombits(b))
+		}
+	}
+	// Sample itself: the same draws through Pow and through Sample.
+	p := Pareto{Sigma: 3.5, Alpha: 1}
+	a, b := rng.NewStream(5), rng.NewStream(5)
+	for i := 0; i < 100_000; i++ {
+		got, want := p.Sample(a), p.Sigma*math.Pow(b.OpenFloat64(), -1/p.Alpha)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Sample = %v, Pow = %v", i, got, want)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"spq/internal/dist"
+	"spq/internal/par"
 	"spq/internal/rng"
 )
 
@@ -506,11 +507,18 @@ func (r *Relation) Realize(src rng.Source, attr string, scenario int, out []floa
 	return nil
 }
 
+// meansChunk is how many scenarios ComputeMeans realizes a tuple over per
+// row-kernel call (stream.RowChunk, which this package cannot import).
+const meansChunk = 256
+
 // ComputeMeans populates the E(t_i.A) cache for every stochastic attribute,
 // mirroring the paper's precomputation phase (§3.2): attributes whose VG
-// function has a closed-form mean use it; others are estimated by streaming
-// averages over sampleM scenarios drawn from src (which should be the
-// validation source).
+// function has a closed-form mean use it; others are estimated by averaging
+// sampleM scenarios drawn from src (which should be the validation source).
+// The estimate realizes each tuple through the row kernel, tuples sharded
+// over GOMAXPROCS workers. Each tuple's sum starts at 0 and adds its values
+// in scenario order, exactly as a per-value loop over scenarios would, so
+// the means are bit-identical at every worker count.
 func (r *Relation) ComputeMeans(src rng.Source, sampleM int) {
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
@@ -526,14 +534,26 @@ func (r *Relation) ComputeMeans(src rng.Source, sampleM int) {
 			col[t] = m
 		}
 		if !exact {
-			for t := range col {
-				col[t] = 0
-			}
-			for j := 0; j < sampleM; j++ {
-				for t := 0; t < r.n; t++ {
-					col[t] += sa.vg.Value(src, t, j)
+			// No context and no failing worker: Ranges returns nil.
+			_ = par.Ranges(nil, r.n, par.Workers(-1, r.n), func(_, lo, hi int) error {
+				var ids [meansChunk]int
+				var buf [meansChunk]float64
+				for t := lo; t < hi; t++ {
+					sum := 0.0
+					for j0 := 0; j0 < sampleM; j0 += meansChunk {
+						scens := ids[:min(meansChunk, sampleM-j0)]
+						for k := range scens {
+							scens[k] = j0 + k
+						}
+						valuesOf(sa.vg, src, t, scens, buf[:len(scens)])
+						for _, v := range buf[:len(scens)] {
+							sum += v
+						}
+					}
+					col[t] = sum
 				}
-			}
+				return nil
+			})
 			inv := 1 / float64(sampleM)
 			for t := range col {
 				col[t] *= inv

@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"spq/internal/relation"
 	"spq/internal/rng"
@@ -42,6 +43,18 @@ type Instance struct {
 	Name    string
 	Tables  map[string]*relation.Relation
 	Queries []Query
+}
+
+// TableNames returns the instance's table names in sorted order. Register
+// tables in this order: spq.DB seeds each table's mean estimation from its
+// registration ordinal, so map order would give different means per run.
+func (in *Instance) TableNames() []string {
+	names := make([]string, 0, len(in.Tables))
+	for name := range in.Tables {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Table returns the named relation, panicking on a workload-internal

@@ -334,7 +334,7 @@ func NewEngine(db *DB, opts *EngineOptions) *Engine { return engine.New(db, opts
 type DB struct {
 	tables map[string]*Relation
 	// MeansM is the scenario count used to estimate attribute means that
-	// have no closed form, at Register time (default 2000).
+	// have no closed form, at Register time (default 2000; at least 1).
 	MeansM int
 	// MeansSeed seeds the mean-estimation stream.
 	MeansSeed uint64
@@ -346,11 +346,16 @@ func NewDB() *DB {
 }
 
 // Register adds a relation under its own name and precomputes means for its
-// stochastic attributes (the paper's §3.2 precomputation phase).
+// stochastic attributes (the paper's §3.2 precomputation phase). The means
+// stream is derived from the registration ordinal, so registering the same
+// tables in the same order gives the same means.
 func (db *DB) Register(rel *Relation) error {
 	name := strings.ToLower(rel.Name())
 	if _, dup := db.tables[name]; dup {
 		return fmt.Errorf("spq: table %q already registered", rel.Name())
+	}
+	if db.MeansM < 1 {
+		return fmt.Errorf("spq: MeansM is %d; mean estimation needs at least 1 scenario", db.MeansM)
 	}
 	rel.ComputeMeans(rng.NewSource(db.MeansSeed).Derive(uint64(len(db.tables))), db.MeansM)
 	db.tables[name] = rel

@@ -105,6 +105,21 @@ func TestRegisterDuplicate(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsMeansMBelowOne: 0 scenarios would give NaN means (and a
+// negative count zeros), so Register refuses both and registers nothing.
+func TestRegisterRejectsMeansMBelowOne(t *testing.T) {
+	for _, m := range []int{0, -3} {
+		db := NewDB()
+		db.MeansM = m
+		if err := db.Register(NewRelation("t", 1)); err == nil {
+			t.Fatalf("MeansM = %d accepted", m)
+		}
+		if _, ok := db.Table("t"); ok {
+			t.Fatalf("MeansM = %d: table registered despite the error", m)
+		}
+	}
+}
+
 func TestTableLookupCaseInsensitive(t *testing.T) {
 	db := testDB(t)
 	if _, ok := db.Table("TrAdEs"); !ok {
