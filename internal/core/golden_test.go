@@ -151,11 +151,18 @@ func float64Bits(vs []float64) []uint64 {
 // recorded answers bit for bit — package, objective, surpluses, final M/Z and
 // feasibility, and the per-iteration trace — for every worker count.
 func TestSummarySearchGolden(t *testing.T) {
-	for _, c := range summarySearchGolden {
+	checkGolden(t, summarySearchGolden, SummarySearch)
+}
+
+// checkGolden evaluates every case with solve at several worker counts and
+// compares the answer with the recorded one bit for bit.
+func checkGolden(t *testing.T, cases []goldenCase, solve func(*translate.SILP, *Options) (*Solution, error)) {
+	t.Helper()
+	for _, c := range cases {
 		for _, workers := range []int{1, 2, 8, -1} {
 			opts := c.opts()
 			opts.Parallelism = workers
-			sol, err := SummarySearch(c.silp(t), opts)
+			sol, err := solve(c.silp(t), opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 			}
