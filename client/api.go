@@ -474,7 +474,9 @@ type Job struct {
 	Progress *Progress  `json:"progress,omitempty"`
 	Events   []Progress `json:"events,omitempty"`
 	// BestFeasible/BestObjective/BestPackage expose the incumbent package
-	// while the job runs (and after), mapped to base-relation tuples.
+	// while the job runs (and after), mapped to base-relation tuples. A
+	// sketch shard's medoid package is no package of the query and never
+	// becomes the incumbent.
 	BestFeasible  bool           `json:"best_feasible,omitempty"`
 	BestObjective float64        `json:"best_objective,omitempty"`
 	BestPackage   []PackageTuple `json:"best_package,omitempty"`

@@ -3,10 +3,14 @@ package engine
 import (
 	"context"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"spq/internal/core"
+	"spq/internal/sketch"
+	"spq/internal/spaql"
 	"spq/internal/translate"
 )
 
@@ -149,6 +153,62 @@ func TestEngineDegradedJobWire(t *testing.T) {
 	}
 	if wres.Gap <= 0 {
 		t.Fatalf("degraded wire result has no gap: %+v", wres)
+	}
+}
+
+// TestJobDegradedIgnoresShardPackages: a sketch shard's package indexes a
+// medoid view whose multiplicity bounds are raised to group capacity, so it
+// is no package of the query. A job whose deadline passes while it holds at
+// a shard's feasible report must not serve that package as its degraded
+// answer: it fails, or serves a package that respects REPEAT 0 and passes
+// validation against the query itself.
+func TestJobDegradedIgnoresShardPackages(t *testing.T) {
+	cat := newCatalog(t, 60)
+	query := strings.Replace(testQuery, "FROM stocks", "FROM stocks REPEAT 0", 1)
+	var once sync.Once
+	e := New(cat, &Options{Parallelism: 1, ResultCacheSize: -1})
+	j, err := e.Submit(Request{
+		Query:   query,
+		Method:  "sketch",
+		Timeout: degradeTimeout,
+		Options: degradeOptions(1),
+		Sketch:  &sketch.Options{GroupSize: 8, MaxCandidates: 24, Shards: 2},
+		Progress: func(p core.Progress) {
+			if p.Feasible && strings.HasPrefix(p.Phase, "sketch/shard") {
+				once.Do(func() { time.Sleep(degradeTimeout - p.Elapsed) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("sketch job did not finish")
+	}
+	snap := j.Poll(context.Background(), 0, 0)
+	if snap.Error != nil {
+		return // no package of the query within the budget: a failure is correct
+	}
+	res := snap.Result
+	silp, err := translate.Build(spaql.MustParse(query), cat["stocks"], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, silp.N)
+	for _, pt := range res.Package {
+		if pt.Count > 1 {
+			t.Fatalf("served tuple %d ×%d under REPEAT 0 (degraded=%v): %+v", pt.Tuple, pt.Count, res.Degraded, res.Package)
+		}
+		x[pt.Tuple] = float64(pt.Count)
+	}
+	val, err := core.Validate(context.Background(), silp, x, degradeOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Feasible && !val.Feasible {
+		t.Fatalf("served package %+v reported feasible but fails validation: surpluses %v", res.Package, val.Surpluses)
 	}
 }
 

@@ -523,9 +523,13 @@ func (j *Job) observe(p core.Progress) {
 	for _, v := range p.X {
 		size += v
 	}
+	// Only a direct solve, a sketch refine or its fallback reports a package
+	// of the query. A sketch shard's X indexes a medoid view whose bounds are
+	// raised to group capacity, so it is never a candidate to serve.
+	queryPackage := p.Phase == "" || p.Phase == "refine" || p.Phase == "fallback"
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if p.X != nil {
+	if p.X != nil && queryPackage {
 		adopt := j.bestX == nil
 		if !adopt && p.Feasible != j.bestFeas {
 			adopt = p.Feasible
