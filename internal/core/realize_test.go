@@ -31,16 +31,13 @@ func exprValue(t *testing.T, src rng.Source, rel *relation.Relation, e spaql.Lin
 }
 
 // probeByRealize is the ε′ probe as one sequential loop over scenarios,
-// realizing every tuple through translate.ExprRealize.
+// realizing every tuple one Relation.Value per term.
 func probeByRealize(t *testing.T, r *runner, e spaql.LinExpr) (sLo, sHi float64) {
 	t.Helper()
 	sLo, sHi = math.Inf(1), math.Inf(-1)
-	row := make([]float64, r.silp.N)
 	for j := 0; j < probeScenarios; j++ {
-		if err := translate.ExprRealize(r.valSrc, r.silp.Rel, e, j, row); err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range row {
+		for i := 0; i < r.silp.N; i++ {
+			v := exprValue(t, r.valSrc, r.silp.Rel, e, i, j)
 			sLo = math.Min(sLo, v)
 			sHi = math.Max(sHi, v)
 		}
@@ -189,7 +186,7 @@ func probeSILP(t *testing.T, vg relation.VGFunc, obj spaql.LinExpr) *translate.S
 }
 
 // TestProbeMatchesRealizeLoop: the tuple-sharded probe finds the same
-// extremes, bit for bit, as the sequential ExprRealize loop, including
+// extremes, bit for bit, as the sequential per-value loop, including
 // expressions whose values are −0, ±Inf or NaN.
 func TestProbeMatchesRealizeLoop(t *testing.T) {
 	negZero := math.Copysign(0, -1)

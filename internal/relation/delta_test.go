@@ -8,6 +8,21 @@ import (
 	"spq/internal/rng"
 )
 
+// realizeScenario realizes attr for every tuple of rel in one scenario, one
+// Value at a time.
+func realizeScenario(t *testing.T, rel *Relation, src rng.Source, attr string, scen int) []float64 {
+	t.Helper()
+	out := make([]float64, rel.N())
+	for i := range out {
+		v, err := rel.Value(src, attr, i, scen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // deltaRelation builds a mutable base relation with one deterministic
 // column, one broadcast stochastic attribute, and precomputed means.
 func deltaRelation(t *testing.T, n int) *Relation {
@@ -73,14 +88,8 @@ func TestApplyDeltaPatchAndSnapshotIsolation(t *testing.T) {
 	// Stochastic realizations of the snapshot are unchanged: substream
 	// identity survives.
 	src := rng.NewSource(42)
-	a := make([]float64, 10)
-	b := make([]float64, 10)
-	if err := snap.Realize(src, "gain", 0, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Snapshot().Realize(src, "gain", 0, b); err != nil {
-		t.Fatal(err)
-	}
+	a := realizeScenario(t, snap, src, "gain", 0)
+	b := realizeScenario(t, rel.Snapshot(), src, "gain", 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("gain realization diverged at %d: %v vs %v", i, a[i], b[i])
@@ -122,10 +131,7 @@ func TestApplyDeltaDeleteAppend(t *testing.T) {
 
 	// Record pre-delta realizations of the survivors.
 	src := rng.NewSource(9)
-	pre := make([]float64, 6)
-	if err := snap.Realize(src, "gain", 3, pre); err != nil {
-		t.Fatal(err)
-	}
+	pre := realizeScenario(t, snap, src, "gain", 3)
 
 	cs, err := rel.ApplyDelta(&Delta{
 		Delete: []int{1, 4},
@@ -151,10 +157,7 @@ func TestApplyDeltaDeleteAppend(t *testing.T) {
 		t.Fatalf("appended price = %v, want 100", v)
 	}
 	// Survivor substream identity: tuple 2 (was 3) realizes identically.
-	post := make([]float64, 6)
-	if err := rel.Snapshot().Realize(src, "gain", 3, post); err != nil {
-		t.Fatal(err)
-	}
+	post := realizeScenario(t, rel.Snapshot(), src, "gain", 3)
 	if post[2] != pre[3] || post[1] != pre[2] {
 		t.Fatalf("survivor realization changed: %v vs pre %v", post, pre)
 	}

@@ -484,29 +484,6 @@ func (a Attr) Values(src rng.Source, tuple int, scens []int, out []float64) erro
 	return nil
 }
 
-// Realize fills out (length N) with realizations of attr for one scenario.
-func (r *Relation) Realize(src rng.Source, attr string, scenario int, out []float64) error {
-	if len(out) != r.n {
-		return errors.New("relation: output slice length mismatch")
-	}
-	if i, ok := r.detIdx[attr]; ok {
-		if col := r.detCols[i]; col != nil {
-			copy(out, col)
-			return nil
-		}
-		return r.detSrcs[i].ReadAt(out, 0)
-	}
-	i, ok := r.stochIdx[attr]
-	if !ok {
-		return fmt.Errorf("relation: no attribute %q", attr)
-	}
-	vg := r.stochs[i].vg
-	for t := 0; t < r.n; t++ {
-		out[t] = vg.Value(src, t, scenario)
-	}
-	return nil
-}
-
 // meansChunk is how many scenarios ComputeMeans realizes a tuple over per
 // row-kernel call (stream.RowChunk, which this package cannot import).
 const meansChunk = 256

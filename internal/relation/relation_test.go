@@ -124,31 +124,6 @@ func TestVGValueRecyclesItsStream(t *testing.T) {
 	_ = sink
 }
 
-func TestRealizeMatchesValue(t *testing.T) {
-	r := newTestRelation(t, 6)
-	src := rng.NewSource(5)
-	out := make([]float64, 6)
-	if err := r.Realize(src, "gain", 2, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		v, _ := r.Value(src, "gain", i, 2)
-		if out[i] != v {
-			t.Fatalf("Realize[%d] = %v, Value = %v", i, out[i], v)
-		}
-	}
-}
-
-func TestRealizeUnknownAttr(t *testing.T) {
-	r := newTestRelation(t, 2)
-	if err := r.Realize(rng.NewSource(1), "zzz", 0, make([]float64, 2)); err == nil {
-		t.Fatal("expected error")
-	}
-	if err := r.Realize(rng.NewSource(1), "gain", 0, make([]float64, 1)); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
 func TestComputeMeansExact(t *testing.T) {
 	r := newTestRelation(t, 3)
 	r.ComputeMeans(rng.NewSource(2), 10)

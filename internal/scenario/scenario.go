@@ -3,8 +3,9 @@
 // partitioning of scenario IDs into Z groups (PartitionIDs) and greedy
 // selection of the subset G_z(α) by precomputed scenario score (Pick,
 // §5.3). SummarySearch realizes the scores and summaries themselves through
-// the cursors of package stream. A materialized Set of scenario rows serves
-// the Naïve SAA baseline, whose formulation reads whole rows.
+// the cursors of package stream. A materialized Set of scenario rows, realized
+// through the same row kernel, serves the Naïve SAA baseline, whose
+// formulation reads whole rows.
 package scenario
 
 import (

@@ -30,8 +30,12 @@ func generate(t *testing.T, src rng.Source, rel *relation.Relation, attr string,
 	s := FromRows(attr, nil, nil)
 	for j := 0; j < m; j++ {
 		row := make([]float64, rel.N())
-		if err := rel.Realize(src, attr, first+j, row); err != nil {
-			t.Fatal(err)
+		for i := range row {
+			v, err := rel.Value(src, attr, i, first+j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[i] = v
 		}
 		s.AppendRow(first+j, row)
 	}

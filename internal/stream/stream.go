@@ -18,16 +18,16 @@
 //     count, which is what keeps streamed summaries bit-identical to
 //     summaries folded over materialized rows.
 //
-// The cursor's folds replicate the materialized arithmetic operation for
-// operation (same per-tuple term order as translate.ExprRealize, same fold
-// order as scenario.Set.SummarizeP), so streamed ≡ materialized holds
-// exactly, for every worker count. SummarySearch consumes scenarios only
-// through cursors; materialized sets remain for the Naïve baseline.
+// Every scenario value, streamed or materialized, comes from one kernel,
+// Rows.Row. The cursor's folds replicate the materialized fold order of
+// scenario.Set.SummarizeP, so streamed ≡ materialized holds exactly, for
+// every worker count. SummarySearch consumes scenarios only through
+// cursors; the Naïve baseline materializes its scenario rows through the
+// same kernel (translate.SILP.GenerateSetsP).
 package stream
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -202,8 +202,8 @@ type Term struct {
 
 // ScenarioCursor produces scenario realizations of one linear inner function
 // Const + Σ Coef·Attr block-wise, never holding more than one tuple block of
-// values. Tuples excluded by Mask realize as exactly 0.0, matching the
-// materialized path's applyMask. A cursor is immutable and safe for
+// values. Tuples excluded by Mask realize as exactly 0.0, as a general-form
+// aggregate's mask zeroes them. A cursor is immutable and safe for
 // concurrent use.
 type ScenarioCursor struct {
 	// Name labels summaries produced by the cursor (the constraint name).
@@ -267,9 +267,9 @@ func (c *ScenarioCursor) Rows() (*Rows, error) {
 
 // Row realizes the inner function of one tuple across scens (at most
 // RowChunk of them) into buf and returns the values, aligned with scens. A
-// tuple excluded by the mask realizes as exactly 0. Each value is computed
-// with the per-coordinate operation order of the materialized path: start
-// from Const, then add Coef·attr term by term. Row does not touch Counters.
+// tuple excluded by the mask realizes as exactly 0. Each value starts from
+// Const, then adds Coef·attr term by term, the operation order of a
+// per-value loop over Relation.Value. Row does not touch Counters.
 func (r *Rows) Row(tuple int, scens []int, buf *RowBuf) ([]float64, error) {
 	c := r.c
 	out := buf.vals[:len(scens)]
@@ -476,30 +476,4 @@ func (c *ScenarioCursor) ScoreMap(ctx context.Context, ids []int, x []float64, w
 		out[id] = scores[k]
 	}
 	return out, nil
-}
-
-// Realize fills out (length N) with the realized inner-function values of
-// one scenario, applying the cursor's mask — the row shape FormulateSAA
-// consumes, provided for parity tests and spot checks.
-func (c *ScenarioCursor) Realize(scen int, out []float64) error {
-	if len(out) != c.Rel.N() {
-		return fmt.Errorf("stream: output slice length %d, want %d", len(out), c.Rel.N())
-	}
-	rows, err := c.Rows()
-	if err != nil {
-		return err
-	}
-	buf := GetRowBuf()
-	defer PutRowBuf(buf)
-	scens := buf.IDs[:1]
-	scens[0] = scen
-	for i := range out {
-		row, err := rows.Row(i, scens, buf)
-		if err != nil {
-			return err
-		}
-		out[i] = row[0]
-	}
-	valuesGenerated.Add(int64(len(out)))
-	return nil
 }

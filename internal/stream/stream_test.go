@@ -33,14 +33,19 @@ func testRelation(t *testing.T, n int) *relation.Relation {
 }
 
 // generateSet is the materialized reference: scenarios [0, m) of attr
-// realized row by row through the relation, independently of any cursor.
+// realized one value at a time through the relation, independently of any
+// cursor.
 func generateSet(t *testing.T, src rng.Source, rel *relation.Relation, attr string, m int) *scenario.Set {
 	t.Helper()
 	set := scenario.FromRows(attr, nil, nil)
 	for j := 0; j < m; j++ {
 		row := make([]float64, rel.N())
-		if err := rel.Realize(src, attr, j, row); err != nil {
-			t.Fatal(err)
+		for i := range row {
+			v, err := rel.Value(src, attr, i, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[i] = v
 		}
 		set.AppendRow(j, row)
 	}
@@ -237,25 +242,6 @@ func TestCursorPickMatchesMaterialized(t *testing.T) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestCursorRealizeMatchesSetRow(t *testing.T) {
-	rel := testRelation(t, 19)
-	src := rng.NewSource(3)
-	set := generateSet(t, src, rel, "gain", 8)
-	cur := &ScenarioCursor{Name: "gain", Src: src, Rel: rel, Terms: []Term{{Coef: 1, Attr: "gain"}}}
-	out := make([]float64, rel.N())
-	for j := 0; j < 8; j++ {
-		if err := cur.Realize(j, out); err != nil {
-			t.Fatal(err)
-		}
-		row := set.Row(j)
-		for i := range out {
-			if out[i] != row[i] {
-				t.Fatalf("scenario %d tuple %d: %v, want %v", j, i, out[i], row[i])
 			}
 		}
 	}

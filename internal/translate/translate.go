@@ -241,25 +241,6 @@ func exprColumn(rel *relation.Relation, e spaql.LinExpr) ([]float64, error) {
 	return out, nil
 }
 
-// ExprRealize fills out with the realized per-tuple inner-function values
-// Σ coef·attr + const for one scenario: stochastic attributes are realized
-// under src, deterministic attributes use their column values.
-func ExprRealize(src rng.Source, rel *relation.Relation, e spaql.LinExpr, scenarioID int, out []float64) error {
-	for i := range out {
-		out[i] = e.Const
-	}
-	buf := make([]float64, rel.N())
-	for _, t := range e.Terms {
-		if err := rel.Realize(src, t.Attr, scenarioID, buf); err != nil {
-			return err
-		}
-		for i := range out {
-			out[i] += t.Coef * buf[i]
-		}
-	}
-	return nil
-}
-
 // ExprEqual reports whether two linear expressions denote the same function
 // (terms combined and compared attribute-wise). It is used to classify
 // probabilistic constraints as supporting/counteracting an objective
@@ -639,22 +620,40 @@ func (s *SILP) CSAPoint(dst, x []float64, nvars int, vm *VarMap, summaries [][]*
 }
 
 // realizeRows materializes rows for absolute scenario indices
-// [first, first+m) of one inner-function expression, sharding scenarios
-// across workers. Each row is a pure function of its scenario coordinate, so
-// the result is identical for any worker count.
+// [first, first+m) of one inner-function expression through the row kernel:
+// tuple-major, at most stream.RowChunk scenarios per Row call, tuples
+// sharded across workers with one RowBuf per shard. Each value is a pure
+// function of its (tuple, scenario) coordinate, so the rows are identical
+// for any worker count.
 func (s *SILP) realizeRows(ctx context.Context, src rng.Source, e spaql.LinExpr, mask []bool, first, m, workers int) ([][]float64, error) {
+	kernel, err := s.ExprCursor("", src, e, mask, 0).Rows()
+	if err != nil {
+		return nil, err
+	}
 	rows := make([][]float64, m)
-	err := par.Ranges(ctx, m, workers, func(_, lo, hi int) error {
-		for j := lo; j < hi; j++ {
+	for j := range rows {
+		rows[j] = make([]float64, s.N)
+	}
+	err = par.Ranges(ctx, s.N, workers, func(_, lo, hi int) error {
+		buf := stream.GetRowBuf()
+		defer stream.PutRowBuf(buf)
+		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			row := make([]float64, s.N)
-			if err := ExprRealize(src, s.Rel, e, first+j, row); err != nil {
-				return err
+			for j0 := 0; j0 < m; j0 += stream.RowChunk {
+				scens := buf.IDs[:min(stream.RowChunk, m-j0)]
+				for k := range scens {
+					scens[k] = first + j0 + k
+				}
+				vals, err := kernel.Row(i, scens, buf)
+				if err != nil {
+					return err
+				}
+				for k, v := range vals {
+					rows[j0+k][i] = v
+				}
 			}
-			applyMask(row, mask)
-			rows[j] = row
 		}
 		return nil
 	})
@@ -721,9 +720,8 @@ func (s *SILP) ExprCursor(name string, src rng.Source, e spaql.LinExpr, mask []b
 
 // ConsCursor returns a streaming scenario cursor for probabilistic
 // constraint k: realizations are produced block-wise on demand instead of
-// materialized into a scenario set, and are bit-identical to the rows
-// GenerateSetsP would build (same coordinates, same term order, same mask
-// semantics). block ≤ 0 uses the stream default.
+// materialized into a scenario set; GenerateSetsP materializes the same
+// values through the same row kernel. block ≤ 0 uses the stream default.
 func (s *SILP) ConsCursor(k int, src rng.Source, block int) *stream.ScenarioCursor {
 	pc := &s.ProbCons[k]
 	return s.ExprCursor(pc.Name, src, pc.Expr, pc.Mask, block)
