@@ -190,10 +190,12 @@ const TenantHeader = "X-Spq-Tenant"
 const TraceHeader = "X-Spq-Trace"
 
 // TraceSpan is one node of a job's span tree, served by
-// GET /v1/queries/{id}/trace and embedded in terminal Jobs. It mirrors the
-// engine's internal span data exactly: start times are absolute unix
-// microseconds (so coordinator and worker spans line up, modulo clock
-// skew), durations are microseconds, and TraceID is set on roots only.
+// GET /v1/queries/{id}/trace and embedded in terminal Jobs. It is the only
+// span-tree type: the engine's traces render to it directly, and a worker's
+// tree is grafted into its coordinator's as-is. Start times are absolute
+// unix microseconds (so coordinator and worker spans line up, modulo clock
+// skew), durations are microseconds, and TraceID is set on roots and on
+// grafted subtrees.
 type TraceSpan struct {
 	TraceID     string            `json:"trace_id,omitempty"`
 	Name        string            `json:"name"`
@@ -215,7 +217,8 @@ func (t *TraceSpan) Walk(fn func(*TraceSpan)) {
 }
 
 // Render draws the span tree as an indented text listing with durations
-// and attributes (what `spq -trace-tree` prints).
+// and attributes (what `spq -trace-tree` prints and the slow-query log
+// carries).
 func (t *TraceSpan) Render() string {
 	var sb strings.Builder
 	if t == nil {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"spq"
+	"spq/client"
 	"spq/internal/core"
 	"spq/internal/engine"
 	"spq/internal/experiments"
@@ -133,7 +134,7 @@ func runPhases(cfg experiments.Config, wname, query, method string) error {
 	}
 	agg := map[string]*row{}
 	var order []string
-	res.Trace.Walk(func(d *obs.SpanData) {
+	res.Trace.Walk(func(d *client.TraceSpan) {
 		phase := obs.PhaseName(d.Name)
 		r := agg[phase]
 		if r == nil {

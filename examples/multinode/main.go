@@ -34,9 +34,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"spq"
+	"spq/client"
 	"spq/internal/obs"
 	"spq/internal/resultcache"
 	"spq/internal/workload"
@@ -152,9 +154,15 @@ func main() {
 		storeA.Counters().Replicated, workerB.Stats().CacheReceived)
 
 	// --- 2. remote solving ---
+	// Sketch shards report concurrently.
+	var phasesMu sync.Mutex
 	phases := map[string]int{}
 	req := request()
-	req.Progress = func(p spq.Progress) { phases[p.Phase]++ }
+	req.Progress = func(p spq.Progress) {
+		phasesMu.Lock()
+		phases[p.Phase]++
+		phasesMu.Unlock()
+	}
 	start := time.Now()
 	distributed, err := coordinator.Query(ctx, req)
 	if err != nil {
@@ -193,7 +201,7 @@ func main() {
 	workersSeen := map[string]bool{}
 	grafted := 0
 	phaseSpans := map[string]int{}
-	tr.Walk(func(d *obs.SpanData) {
+	tr.Walk(func(d *client.TraceSpan) {
 		spans++
 		phaseSpans[obs.PhaseName(d.Name)]++
 		if d.Name != "remote/dispatch" {
@@ -253,7 +261,9 @@ func main() {
 }
 
 // scrapeInt fetches a daemon's /metrics and returns one sample's integer
-// value, the way a Prometheus scrape would read it.
+// value, the way a Prometheus scrape would read it. A labelled series that
+// was never observed is absent from the exposition and reads as 0: a worker
+// the coordinator sent no dispatch has no solve-phase series.
 func scrapeInt(fail func(string, ...any), base, sample string) int64 {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -271,6 +281,8 @@ func scrapeInt(fail func(string, ...any), base, sample string) int64 {
 			return v
 		}
 	}
-	fail("no %s sample on %s/metrics", sample, base)
+	if err := sc.Err(); err != nil {
+		fail("scrape %s: %v", base, err)
+	}
 	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"spq/client"
 	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/translate"
@@ -184,7 +185,7 @@ func validateTraced(t *testing.T, ctx context.Context, silp *translate.SILP, x [
 	val, err := Validate(obs.ContextWithSpan(ctx, tr.Root()), silp, x, o)
 	tr.Root().End()
 	memos, runs := 0, 0
-	tr.Data().Walk(func(d *obs.SpanData) {
+	tr.Data().Walk(func(d *client.TraceSpan) {
 		switch {
 		case d.Name == "memo" && d.Attrs["kind"] == "validate":
 			memos++

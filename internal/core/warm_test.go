@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"spq/client"
 	"spq/internal/dist"
 	"spq/internal/milp"
 	"spq/internal/obs"
@@ -122,7 +123,7 @@ func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	// package, mapped into the patched formulation's variable space, is
 	// feasible there and seeds the incumbent.
 	var hints []string
-	tr.Data().Walk(func(d *obs.SpanData) {
+	tr.Data().Walk(func(d *client.TraceSpan) {
 		if d.Name == "solve" && d.Attrs["kind"] == "csa-warm" {
 			hints = append(hints, d.Attrs["hint"])
 		}

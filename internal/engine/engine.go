@@ -271,7 +271,7 @@ type Result struct {
 	// engine minted the trace itself (a direct Query call with no ambient
 	// span). Job submissions expose their trace via the job instead
 	// (GET /v1/queries/{id}/trace).
-	Trace *obs.SpanData
+	Trace *client.TraceSpan
 }
 
 // Multiplicities returns the package as a map from base-relation tuple
@@ -881,7 +881,7 @@ func (e *Engine) maybeLogSlow(tr *obs.Trace, query, method string, d time.Durati
 		"method":      method,
 		"query":       query,
 		"duration_ms": d.Milliseconds(),
-		"trace":       obs.Render(tr.Data()),
+		"trace":       tr.Data().Render(),
 	})
 }
 

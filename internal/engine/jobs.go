@@ -424,7 +424,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 		e.m.jobsRunning.Add(-1)
 	}
 	j.finished = time.Now()
-	j.wireTr = wireTrace(j.trace.Data())
+	j.wireTr = j.trace.Data()
 	if !j.cancelAt.IsZero() {
 		e.m.cancelLatency.Observe(j.finished.Sub(j.cancelAt).Seconds())
 	}
@@ -575,7 +575,7 @@ func (j *Job) observe(p core.Progress) {
 // GET /v1/queries/{id}/trace payload). It works on running jobs too:
 // unfinished spans report a zero duration.
 func (j *Job) TraceData() *client.TraceSpan {
-	return wireTrace(j.trace.Data())
+	return j.trace.Data()
 }
 
 // JobByID returns a tracked job (active or retained in history).

@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"spq/client"
 	"spq/internal/obs"
 	"spq/internal/relation"
 	"spq/internal/resultcache"
@@ -192,24 +191,4 @@ func (e *Engine) newTrace(id, rootName string) *obs.Trace {
 	tr := obs.NewTraceWithID(id, rootName)
 	tr.OnSpanEnd(e.m.observeSpan)
 	return tr
-}
-
-// wireTrace converts the internal span data to the v1 wire type. The two
-// structs are field-for-field identical; the copy keeps the public client
-// package free of internal imports.
-func wireTrace(d *obs.SpanData) *client.TraceSpan {
-	if d == nil {
-		return nil
-	}
-	out := &client.TraceSpan{
-		TraceID:     d.TraceID,
-		Name:        d.Name,
-		StartUnixUS: d.StartUnixUS,
-		DurationUS:  d.DurationUS,
-		Attrs:       d.Attrs,
-	}
-	for _, c := range d.Children {
-		out.Children = append(out.Children, wireTrace(c))
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"spq/client"
 	"spq/internal/obs"
@@ -37,7 +38,7 @@ func TestQueryTrace(t *testing.T) {
 		t.Fatalf("bad root span: name=%q attrs=%v", res.Trace.Name, res.Trace.Attrs)
 	}
 	phases := map[string]int{}
-	res.Trace.Walk(func(d *obs.SpanData) {
+	res.Trace.Walk(func(d *client.TraceSpan) {
 		phases[obs.PhaseName(d.Name)]++
 		if d != res.Trace && d.DurationUS < 0 {
 			t.Fatalf("span %s has negative duration %d", d.Name, d.DurationUS)
@@ -60,7 +61,7 @@ func TestQueryTrace(t *testing.T) {
 	// The ε′ probe runs once per evaluation, inside the first validation,
 	// and says how much it realized.
 	probes := 0
-	res.Trace.Walk(func(d *obs.SpanData) {
+	res.Trace.Walk(func(d *client.TraceSpan) {
 		for _, c := range d.Children {
 			if c.Name != "probe" {
 				continue
@@ -90,7 +91,7 @@ func TestQueryTrace(t *testing.T) {
 	}
 	tr.Root().End()
 	var names, memos []string
-	tr.Data().Walk(func(d *obs.SpanData) {
+	tr.Data().Walk(func(d *client.TraceSpan) {
 		names = append(names, obs.PhaseName(d.Name))
 		if d.Name == "memo" {
 			memos = append(memos, d.Attrs["kind"])
@@ -241,4 +242,30 @@ func atoi(t *testing.T, s string) int64 {
 		v = v*10 + int64(c-'0')
 	}
 	return v
+}
+
+// TestSlowQueryLogRendersTrace: the slow-query event carries the trace ID
+// and the span tree rendered by client.TraceSpan.Render, root first.
+func TestSlowQueryLogRendersTrace(t *testing.T) {
+	var buf strings.Builder
+	logger, err := obs.NewLogger(&buf, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1, Logger: logger, SlowQuery: time.Nanosecond})
+	res, err := e.Query(context.Background(), Request{Query: testQuery, Options: smallCoreOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev map[string]any
+	if err := json.Unmarshal([]byte(buf.String()), &ev); err != nil {
+		t.Fatalf("slow-query log %q: %v", buf.String(), err)
+	}
+	tree, _ := ev["trace"].(string)
+	if ev["event"] != "slow_query" || ev["trace_id"] != res.Trace.TraceID {
+		t.Fatalf("slow-query event %v, want trace %s", ev, res.Trace.TraceID)
+	}
+	if !strings.HasPrefix(tree, "trace "+res.Trace.TraceID+"\nquery  ") || !strings.Contains(tree, "\n  parse  ") {
+		t.Fatalf("slow-query tree:\n%s", tree)
+	}
 }

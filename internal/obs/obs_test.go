@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spq/client"
 )
 
 func TestTraceTreeAndContext(t *testing.T) {
@@ -45,7 +47,7 @@ func TestTraceTreeAndContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back SpanData
+	var back client.TraceSpan
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestUntracedContextIsInert(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.SetInt("n", 1)
 	sp.End()
-	sp.AttachRemote(&SpanData{Name: "x"})
+	sp.AttachRemote(&client.TraceSpan{Name: "x"})
 	if got := SpanFromContext(ctx); got != nil {
 		t.Fatalf("got span %v from untraced context", got)
 	}
@@ -86,7 +88,7 @@ func TestSpanChildCap(t *testing.T) {
 func TestAttachRemoteNestsUnderSpan(t *testing.T) {
 	tr := NewTrace("coordinator")
 	disp := tr.Root().StartChild("remote/dispatch")
-	disp.AttachRemote(&SpanData{TraceID: tr.ID(), Name: "query", DurationUS: 7})
+	disp.AttachRemote(&client.TraceSpan{TraceID: tr.ID(), Name: "query", DurationUS: 7})
 	disp.End()
 	d := tr.Data()
 	remote := d.Children[0].Children[0]
@@ -362,19 +364,5 @@ func TestLoggerFormats(t *testing.T) {
 	}
 	if _, err := NewLogger(&buf, "yaml"); err == nil {
 		t.Fatal("expected error for unknown format")
-	}
-}
-
-func TestRender(t *testing.T) {
-	d := &SpanData{TraceID: "t1", Name: "query", DurationUS: 1500, Children: []*SpanData{
-		{Name: "solve", DurationUS: 1000, Attrs: map[string]string{"nodes": "9"}},
-		{Name: "running"},
-	}}
-	out := Render(d)
-	if !strings.Contains(out, "trace t1") || !strings.Contains(out, "nodes=9") {
-		t.Fatalf("render:\n%s", out)
-	}
-	if !strings.Contains(out, "(running)") {
-		t.Fatalf("unfinished span not marked:\n%s", out)
 	}
 }

@@ -1,7 +1,8 @@
-// Package obs is the engine's dependency-free observability layer:
-// request-scoped span traces (this file), a named metrics registry with
-// Prometheus text exposition (metrics.go), and a small structured logger
-// (log.go). Everything here is strictly observational — nothing in this
+// Package obs is the engine's observability layer: request-scoped span
+// traces (this file), a named metrics registry with Prometheus text
+// exposition (metrics.go), and a small structured logger (log.go). Its only
+// dependency is the public wire package client, whose TraceSpan is the one
+// span-tree type a trace renders to. Everything here is strictly observational — nothing in this
 // package may influence evaluation results, which is why no identifier or
 // timestamp minted here ever participates in cache keys or solver state.
 package obs
@@ -9,11 +10,11 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"spq/client"
 )
 
 // maxSpanChildren bounds the fan-out recorded under a single span so a
@@ -47,7 +48,7 @@ type Span struct {
 	dropped  int
 	// remote holds grafted subtrees imported from another process (a
 	// worker's rendered trace nested under this dispatch span).
-	remote []*SpanData
+	remote []*client.TraceSpan
 }
 
 // Attr is one key/value annotation on a span. Values are strings on the
@@ -176,7 +177,7 @@ func (s *Span) TraceID() string {
 
 // AttachRemote grafts an externally rendered span tree (a worker's trace)
 // under s. The subtree is stored as-is; Data() splices it into the render.
-func (s *Span) AttachRemote(sub *SpanData) {
+func (s *Span) AttachRemote(sub *client.TraceSpan) {
 	if s == nil || sub == nil {
 		return
 	}
@@ -185,23 +186,13 @@ func (s *Span) AttachRemote(sub *SpanData) {
 	s.tr.mu.Unlock()
 }
 
-// SpanData is the serialized form of a span tree: what the trace endpoint
-// returns and what travels on the v1 wire between worker and coordinator.
-// Start times are absolute unix microseconds so spans from different
-// processes line up (modulo clock skew); durations are microseconds.
-type SpanData struct {
-	TraceID     string            `json:"trace_id,omitempty"` // set on roots only
-	Name        string            `json:"name"`
-	StartUnixUS int64             `json:"start_us"`
-	DurationUS  int64             `json:"duration_us"`
-	Attrs       map[string]string `json:"attrs,omitempty"`
-	Children    []*SpanData       `json:"children,omitempty"`
-}
-
-// Data renders a snapshot of the trace. Unfinished spans report a zero
-// duration; the snapshot is safe to take while the trace is still being
-// written.
-func (t *Trace) Data() *SpanData {
+// Data renders a snapshot of the trace as its wire type: what the trace
+// endpoint returns and what travels between worker and coordinator. Start
+// times are absolute unix microseconds so spans from different processes
+// line up (modulo clock skew); durations are microseconds. Unfinished spans
+// report a zero duration; the snapshot is safe to take while the trace is
+// still being written.
+func (t *Trace) Data() *client.TraceSpan {
 	if t == nil {
 		return nil
 	}
@@ -212,8 +203,8 @@ func (t *Trace) Data() *SpanData {
 	return d
 }
 
-func (s *Span) dataLocked() *SpanData {
-	d := &SpanData{
+func (s *Span) dataLocked() *client.TraceSpan {
+	d := &client.TraceSpan{
 		Name:        s.name,
 		StartUnixUS: s.start.UnixMicro(),
 	}
@@ -239,17 +230,6 @@ func (s *Span) dataLocked() *SpanData {
 	return d
 }
 
-// Walk visits every span in the tree depth-first, parents before children.
-func (d *SpanData) Walk(fn func(*SpanData)) {
-	if d == nil {
-		return
-	}
-	fn(d)
-	for _, c := range d.Children {
-		c.Walk(fn)
-	}
-}
-
 // PhaseName collapses per-instance span names onto a bounded phase label
 // for metrics: "sketch/shard17" → "sketch/shard". Names without a trailing
 // index pass through unchanged.
@@ -259,50 +239,6 @@ func PhaseName(name string) string {
 		i--
 	}
 	return name[:i]
-}
-
-// Render draws the span tree as an indented text table with durations and
-// attributes, for `spq -trace-tree` and slow-query logs.
-func Render(d *SpanData) string {
-	var b strings.Builder
-	if d == nil {
-		return ""
-	}
-	if d.TraceID != "" {
-		b.WriteString("trace " + d.TraceID + "\n")
-	}
-	renderNode(&b, d, 0)
-	return b.String()
-}
-
-func renderNode(b *strings.Builder, d *SpanData, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
-	b.WriteString(d.Name)
-	b.WriteString("  ")
-	if d.DurationUS > 0 {
-		b.WriteString(time.Duration(d.DurationUS * int64(time.Microsecond)).Round(10 * time.Microsecond).String())
-	} else {
-		b.WriteString("(running)")
-	}
-	if d.TraceID != "" && depth > 0 {
-		b.WriteString("  [trace " + d.TraceID + "]")
-	}
-	if len(d.Attrs) > 0 {
-		keys := make([]string, 0, len(d.Attrs))
-		for k := range d.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b.WriteString("  " + k + "=" + d.Attrs[k])
-		}
-	}
-	b.WriteByte('\n')
-	for _, c := range d.Children {
-		renderNode(b, c, depth+1)
-	}
 }
 
 func formatInt(v int64) string { return strconv.FormatInt(v, 10) }

@@ -402,27 +402,6 @@ func (s *Solver) solveOn(ctx context.Context, w *worker, silp *translate.SILP, o
 	if err != nil {
 		return nil, fmt.Errorf("remote: worker %s: %w", w.url, err)
 	}
-	if d := spanData(final.Trace); d != nil {
-		ds.AttachRemote(d)
-	}
+	ds.AttachRemote(final.Trace)
 	return sol, nil
-}
-
-// spanData converts a wire span tree back to the internal representation
-// (the coordinator-side twin of engine's wireTrace).
-func spanData(t *client.TraceSpan) *obs.SpanData {
-	if t == nil {
-		return nil
-	}
-	d := &obs.SpanData{
-		TraceID:     t.TraceID,
-		Name:        t.Name,
-		StartUnixUS: t.StartUnixUS,
-		DurationUS:  t.DurationUS,
-		Attrs:       t.Attrs,
-	}
-	for _, c := range t.Children {
-		d.Children = append(d.Children, spanData(c))
-	}
-	return d
 }

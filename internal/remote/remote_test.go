@@ -152,40 +152,40 @@ func assertDispatchSpansNested(t *testing.T, res *engine.Result) {
 	if res.Trace == nil {
 		t.Fatal("coordinator query returned no trace")
 	}
-	var dispatches []*obs.SpanData
-	res.Trace.Walk(func(d *obs.SpanData) {
+	var dispatches []*client.TraceSpan
+	res.Trace.Walk(func(d *client.TraceSpan) {
 		if d.Name == "remote/dispatch" {
 			dispatches = append(dispatches, d)
 		}
 	})
 	if len(dispatches) != 3 {
-		t.Fatalf("trace has %d remote/dispatch spans, want 3:\n%s", len(dispatches), obs.Render(res.Trace))
+		t.Fatalf("trace has %d remote/dispatch spans, want 3:\n%s", len(dispatches), res.Trace.Render())
 	}
 	for _, d := range dispatches {
 		if d.Attrs["worker"] == "" {
 			t.Fatalf("dispatch span has no worker attr: %v", d.Attrs)
 		}
-		var graft *obs.SpanData
+		var graft *client.TraceSpan
 		for _, c := range d.Children {
 			if c.Name == "query" {
 				graft = c
 			}
 		}
 		if graft == nil {
-			t.Fatalf("dispatch span carries no grafted worker tree:\n%s", obs.Render(res.Trace))
+			t.Fatalf("dispatch span carries no grafted worker tree:\n%s", res.Trace.Render())
 		}
 		if graft.TraceID != res.Trace.TraceID {
 			t.Fatalf("worker root trace id = %q, coordinator = %q: header propagation broken",
 				graft.TraceID, res.Trace.TraceID)
 		}
 		solves := 0
-		graft.Walk(func(s *obs.SpanData) {
+		graft.Walk(func(s *client.TraceSpan) {
 			if obs.PhaseName(s.Name) == "solve" {
 				solves++
 			}
 		})
 		if solves == 0 {
-			t.Fatalf("grafted worker tree shows no solve spans:\n%s", obs.Render(graft))
+			t.Fatalf("grafted worker tree shows no solve spans:\n%s", graft.Render())
 		}
 	}
 }
