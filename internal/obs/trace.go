@@ -2,9 +2,10 @@
 // traces (this file), a named metrics registry with Prometheus text
 // exposition (metrics.go), and a small structured logger (log.go). Its only
 // dependency is the public wire package client, whose TraceSpan is the one
-// span-tree type a trace renders to. Everything here is strictly observational — nothing in this
-// package may influence evaluation results, which is why no identifier or
-// timestamp minted here ever participates in cache keys or solver state.
+// span-tree type a trace renders to. Everything here is strictly
+// observational — nothing in this package may influence evaluation
+// results, which is why no identifier or timestamp minted here ever
+// participates in cache keys or solver state.
 package obs
 
 import (
