@@ -389,3 +389,40 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 		t.Fatalf("expected a full rebuild after delete: %+v -> %+v", before, after)
 	}
 }
+
+// TestPartitionPatchEveryStrategy patches a 4-shard partitioning of each
+// strategy through a feature Set and an Append and checks the result with
+// checkCover, which includes the medoid-shard invariant append routing
+// relies on.
+func TestPartitionPatchEveryStrategy(t *testing.T) {
+	for _, strategy := range []PartitionStrategy{PartitionKMeans, PartitionHash, PartitionRange} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			n := 96
+			rel := partRelation(t, n)
+			spec := PartitionSpec{Strategy: strategy, Features: []string{"v"}, GroupSize: 8, Shards: 4, Seed: 3}
+			p0, err := rel.Partition(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCover(t, p0, n)
+			for i, d := range []*Delta{
+				{Set: map[string]map[int]float64{"v": {5: 10.3, 70: 0.2}}},
+				{Append: []map[string]float64{{"v": 0.15}, {"v": 10.6}}},
+			} {
+				before := DeltaStats()
+				if _, err := rel.ApplyDelta(d); err != nil {
+					t.Fatal(err)
+				}
+				p, err := rel.Snapshot().Partition(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := DeltaStats()
+				if after.PartitionsPatched != before.PartitionsPatched+1 {
+					t.Fatalf("delta %d did not patch the partitioning: %+v -> %+v", i, before, after)
+				}
+				checkCover(t, p, rel.N())
+			}
+		})
+	}
+}

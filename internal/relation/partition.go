@@ -341,7 +341,9 @@ func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs 
 					best, bestD = g, d
 				}
 			}
-			s = prev.shardOfGroup(best)
+			// Every strategy picks a group's medoid among its members, so
+			// the medoid's shard is the group's.
+			s = prev.ShardOf[prev.Medoids[best]]
 		}
 		affected[s] = true
 		appendTo[s] = append(appendTo[s], t)
@@ -389,18 +391,6 @@ func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs 
 	shardsRebuilt.Add(int64(rebuilt))
 	shardsRetained.Add(int64(retained))
 	return p, nil
-}
-
-// shardOfGroup returns the shard a group id belongs to.
-func (p *Partitioning) shardOfGroup(g int) int {
-	for s, groups := range p.ShardGroups {
-		for _, gg := range groups {
-			if gg == g {
-				return s
-			}
-		}
-	}
-	return 0
 }
 
 // regroupSubset runs the spec's grouping strategy restricted to the given
@@ -582,6 +572,11 @@ func (r *Relation) featureCols(names []string) ([][]float64, error) {
 // representative. Oversized clusters (k-means may collapse clusters when
 // many tuples share identical features) are split into τ-sized chunks;
 // members within a cluster are interchangeable for sketching purposes.
+//
+// The assignment step is Lloyd's, exactly: every tuple goes to the
+// lowest-id centroid at its minimum squared distance. It only skips the
+// centroids that provably cannot win (see centroidIndex.nearest), so groupOf,
+// groups and medoids are the ones the full n·k scan gives, bit for bit.
 func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf []int, groups [][]int, medoids []int) {
 	k := (n + tau - 1) / tau
 	if k < 1 {
@@ -591,8 +586,10 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 		k = n
 	}
 	dims := len(features)
-	// Normalize features to [0, 1] so distances are scale-free.
-	norm := make([][]float64, dims)
+	// Normalize features to [0, 1] so distances are scale-free. Points are
+	// stored row-major: point i is pts[i*dims : (i+1)*dims].
+	pts := make([]float64, n*dims)
+	finite := true
 	for d, col := range features {
 		lo, hi := col[0], col[0]
 		for _, v := range col {
@@ -603,23 +600,17 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 		if span < 1e-12 {
 			span = 1
 		}
-		nc := make([]float64, n)
 		for i, v := range col {
-			nc[i] = (v - lo) / span
+			x := (v - lo) / span
+			pts[i*dims+d] = x
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
 		}
-		norm[d] = nc
 	}
-	dist2 := func(i int, centroid []float64) float64 {
-		s := 0.0
-		for d := 0; d < dims; d++ {
-			diff := norm[d][i] - centroid[d]
-			s += diff * diff
-		}
-		return s
-	}
+	point := func(i int) []float64 { return pts[i*dims : (i+1)*dims] }
 	// Seeded distinct random initialization.
 	st := rng.NewStream(rng.Mix(seed, 0x5ce7c4))
-	centroids := make([][]float64, k)
+	cents := make([]float64, k*dims)
+	centroid := func(c int) []float64 { return cents[c*dims : (c+1)*dims] }
 	used := map[int]bool{}
 	for c := 0; c < k; c++ {
 		var pick int
@@ -630,19 +621,32 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 				break
 			}
 		}
-		centroids[c] = make([]float64, dims)
-		for d := 0; d < dims; d++ {
-			centroids[c][d] = norm[d][pick]
-		}
+		copy(centroid(c), point(pick))
 	}
 	assign := make([]int, n)
+	counts := make([]int, k)
+	var idx *centroidIndex
+	if finite {
+		// A non-finite coordinate breaks both pruning arguments (NaN
+		// compares false, Inf−Inf is NaN): such a run scans every centroid.
+		idx = &centroidIndex{sep: make([]float64, k), order: make([]int, k), first: make([]float64, k)}
+	}
 	for it := 0; it < iters; it++ {
 		changed := false
+		if idx != nil {
+			idx.rebuild(cents, dims)
+		}
 		for i := 0; i < n; i++ {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := dist2(i, centroids[c]); d < bestD {
-					best, bestD = c, d
+			x := point(i)
+			var best int
+			if idx != nil {
+				best = idx.nearest(x, cents, dims, assign[i])
+			} else {
+				bestD := math.Inf(1)
+				for c := 0; c < k; c++ {
+					if d := sqDist(x, centroid(c)); d < bestD {
+						best, bestD = c, d
+					}
 				}
 			}
 			if assign[i] != best {
@@ -651,30 +655,25 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 			}
 		}
 		// Recompute centroids.
-		counts := make([]int, k)
-		for c := range centroids {
-			for d := range centroids[c] {
-				centroids[c][d] = 0
-			}
-		}
+		clear(counts)
+		clear(cents)
 		for i := 0; i < n; i++ {
 			c := assign[i]
 			counts[c]++
+			ct, x := centroid(c), point(i)
 			for d := 0; d < dims; d++ {
-				centroids[c][d] += norm[d][i]
+				ct[d] += x[d]
 			}
 		}
 		for c := 0; c < k; c++ {
+			ct := centroid(c)
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at a random point.
-				pick := st.IntN(n)
-				for d := 0; d < dims; d++ {
-					centroids[c][d] = norm[d][pick]
-				}
+				copy(ct, point(st.IntN(n)))
 				continue
 			}
 			for d := 0; d < dims; d++ {
-				centroids[c][d] /= float64(counts[c])
+				ct[d] /= float64(counts[c])
 			}
 		}
 		if !changed && it > 0 {
@@ -702,7 +701,7 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 			// Medoid: chunk member closest to the centroid.
 			best, bestD := chunk[0], math.Inf(1)
 			for _, i := range chunk {
-				if d := dist2(i, centroids[c]); d < bestD {
+				if d := sqDist(point(i), centroid(c)); d < bestD {
 					best, bestD = i, d
 				}
 			}
@@ -713,6 +712,119 @@ func kmeansGroups(features [][]float64, n, tau, iters int, seed uint64) (groupOf
 		}
 	}
 	return groupOf, groups, medoids
+}
+
+// sqDist is the squared Euclidean distance between a point and a centroid,
+// summed in dimension order. Every distance k-means compares comes from
+// here, so the pruned and the full assignment scan compare the same
+// float64s.
+func sqDist(x, c []float64) float64 {
+	s := 0.0
+	for d := range x {
+		diff := x[d] - c[d]
+		s += diff * diff
+	}
+	return s
+}
+
+// skipSlack is the relative margin the skip test leaves on each side for
+// rounding: a float64 squared distance over finite coordinates is within a
+// few units in the last place of the exact one, far inside 1e-9.
+const skipSlack = 1e-9
+
+// minSkipSep is the smallest centroid separation the skip test trusts.
+// Below it the squares may be subnormal, where rounding error is absolute,
+// not relative.
+const minSkipSep = 1e-300
+
+// centroidIndex is the per-iteration view of the centroids that lets the
+// assignment step skip centroids which cannot be nearest. It is only used
+// when every coordinate is finite.
+type centroidIndex struct {
+	// sep[c] is (1−skipSlack) times the squared distance from centroid c to
+	// its nearest other centroid (+Inf when k = 1).
+	sep []float64
+	// order lists centroid ids by first coordinate, ties by id; first holds
+	// those coordinates in the same order.
+	order []int
+	first []float64
+}
+
+// rebuild refreshes the index for the current centroids.
+func (ix *centroidIndex) rebuild(cents []float64, dims int) {
+	k := len(ix.sep)
+	for c := range ix.sep {
+		ix.sep[c] = math.Inf(1)
+	}
+	for a := 0; a < k; a++ {
+		ca := cents[a*dims : (a+1)*dims]
+		for c := a + 1; c < k; c++ {
+			d := sqDist(ca, cents[c*dims:(c+1)*dims])
+			ix.sep[a] = math.Min(ix.sep[a], d)
+			ix.sep[c] = math.Min(ix.sep[c], d)
+		}
+	}
+	for c := range ix.sep {
+		ix.sep[c] *= 1 - skipSlack
+		ix.order[c] = c
+	}
+	sort.Slice(ix.order, func(i, j int) bool {
+		a, b := ix.order[i], ix.order[j]
+		if fa, fb := cents[a*dims], cents[b*dims]; fa != fb {
+			return fa < fb
+		}
+		return a < b
+	})
+	for j, c := range ix.order {
+		ix.first[j] = cents[c*dims]
+	}
+}
+
+// nearest returns Lloyd's choice for point x, whose current centroid
+// is a: the lowest-id centroid at the minimum squared distance. Two exact
+// arguments keep it from looking at every centroid.
+//
+// Skip: if 4·d²(x,a) < d²(a,c) for every c ≠ a, then by the triangle
+// inequality d(x,c) ≥ d(a,c) − d(x,a) > d(x,a), so a is the unique nearest
+// centroid (Elkan 2003, Lemma 1). The test runs on float64 squares with a
+// skipSlack margin on both sides, which covers their rounding.
+//
+// Scan: otherwise centroids are visited outward from x's first coordinate
+// in first-coordinate order, and each direction stops once (x₀−c₀)² exceeds
+// the best distance so far. That square is the first term of sqDist's sum,
+// adding non-negative terms never lowers a float64 sum, and it only grows
+// further out, so no centroid past the stop can reach the best. Equal
+// distances keep the lower id, as Lloyd's first-minimum scan does.
+func (ix *centroidIndex) nearest(x, cents []float64, dims, a int) int {
+	best, bestD := a, sqDist(x, cents[a*dims:(a+1)*dims])
+	if sep := ix.sep[a]; sep > minSkipSep && 4*bestD*(1+skipSlack) < sep {
+		return a
+	}
+	try := func(j int) bool {
+		g := x[0] - ix.first[j]
+		if g*g > bestD {
+			return false
+		}
+		if c := ix.order[j]; c != a {
+			d := sqDist(x, cents[c*dims:(c+1)*dims])
+			if d < bestD || d == bestD && c < best {
+				best, bestD = c, d
+			}
+		}
+		return true
+	}
+	pos := sort.SearchFloat64s(ix.first, x[0])
+	for j := pos; j < len(ix.first); j++ {
+		if !try(j) {
+			break
+		}
+	}
+	for j := pos - 1; j >= 0; j-- {
+		if !try(j) {
+			break
+		}
+	}
+	return best
 }
 
 // hashGroups buckets tuples by a seeded hash of the tuple index into

@@ -70,10 +70,16 @@ func checkCover(t *testing.T, p *Partitioning, n int) {
 	if seen != p.NumGroups() {
 		t.Fatalf("shards cover %d groups, want %d", seen, p.NumGroups())
 	}
-	for s := range p.ShardGroups {
+	for s, groups := range p.ShardGroups {
 		for _, tup := range p.ShardTuples(s) {
 			if p.ShardOf[tup] != s {
 				t.Fatalf("tuple %d in ShardTuples(%d) but ShardOf = %d", tup, s, p.ShardOf[tup])
+			}
+		}
+		// Appended tuples reach a group's shard through its medoid.
+		for _, g := range groups {
+			if got := p.ShardOf[p.Medoids[g]]; got != s {
+				t.Fatalf("group %d is in shard %d but its medoid %d is in shard %d", g, s, p.Medoids[g], got)
 			}
 		}
 	}
