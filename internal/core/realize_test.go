@@ -286,8 +286,8 @@ func TestProbeCancellation(t *testing.T) {
 }
 
 // TestValidateRepeatAllocatesNoScores: a runner validates a repeated package
-// from memory, allocating nothing, and reuses its M̂-sized score buffer for
-// new packages instead of allocating one per call.
+// from memory, allocating nothing, and validates new packages without
+// allocating an M̂-sized score buffer per call.
 func TestValidateRepeatAllocatesNoScores(t *testing.T) {
 	silp := multiSILP(t, twoConQuery)
 	for _, workers := range []int{1, 2} {

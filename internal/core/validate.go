@@ -55,17 +55,22 @@ func Validate(ctx context.Context, silp *translate.SILP, x []float64, o *Options
 type validator struct {
 	cons   []*stream.Rows
 	obj    *stream.Rows
-	scores []float64 // one running score per validation scenario
-	counts []int     // satisfied scenarios per shard
-	pkg    []int     // the tuples of the package being validated
+	shards []shardTally
+	pkg    []int // the tuples of the package being validated
+}
+
+// shardTally is what one validation shard counts.
+type shardTally struct {
+	satisfied int // scenarios satisfying the constraint being counted
+	hits      int // rows the row cache served
+	misses    int // rows realized into the row cache
 }
 
 func (r *runner) newValidator() (*validator, error) {
 	silp := r.silp
 	v := &validator{
 		cons:   make([]*stream.Rows, len(silp.ProbCons)),
-		scores: make([]float64, r.opts.ValidationM),
-		counts: make([]int, par.Workers(r.opts.Parallelism, r.opts.ValidationM)),
+		shards: make([]shardTally, par.Workers(r.opts.Parallelism, chunks(r.opts.ValidationM))),
 	}
 	for k := range silp.ProbCons {
 		rows, err := silp.ConsCursor(k, r.valSrc, 0).Rows()
@@ -87,16 +92,21 @@ func (r *runner) newValidator() (*validator, error) {
 // validate checks solution x against M̂ out-of-sample scenarios from the
 // validation source. Expectation constraints are feasible by construction
 // (the DILP uses the precomputed means, §3.2), so only probabilistic
-// constraints are streamed. Only tuples with x_i > 0 are realized, and only
-// a running per-scenario score is kept, so memory is Θ(M̂) regardless of N.
+// constraints are streamed. Only tuples with x_i > 0 are realized.
 //
-// The M̂ scenarios are sharded into contiguous ranges across
-// Options.Parallelism workers, and each shard walks its scenarios in chunks
-// of stream.RowChunk, realizing every package tuple across the chunk in one
-// row. Every realization is a pure function of its (attribute, tuple,
-// scenario) coordinate and every scenario accumulates its score in package
-// order, so the per-scenario scores — and hence the satisfied counts,
-// surpluses, and objective — are bit-identical for any worker count.
+// The M̂ scenarios are cut into chunks of stream.RowChunk at multiples of
+// RowChunk, and the chunks are sharded into contiguous ranges across
+// Options.Parallelism workers. A shard keeps one chunk of running scores:
+// every package tuple is realized across the chunk in one row, served
+// through the process-wide row cache (Rows.RunRow), so a row another
+// validation realized before — of any package, plan or query over the same
+// attribute — is copied, not realized. Memory is one chunk per worker,
+// whatever M̂ and N. Every realization is a pure function of its
+// (attribute, tuple, scenario) coordinate and every scenario accumulates
+// its score in package order, so the per-scenario scores — and hence the
+// satisfied counts, surpluses, and objective — are bit-identical for any
+// worker count and any cache state. The chunks, and with them the cache's
+// keys, do not depend on the worker count.
 //
 // A verdict is therefore a pure function of the SILP, the validation stream
 // (ValidationSeed, ValidationM) and the package, and it is memoised on the
@@ -138,6 +148,16 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 	sp := obs.SpanFromContext(r.ctx).StartChild("validate")
 	sp.SetInt("m_hat", int64(mhat))
 	defer sp.End()
+	clear(vs.shards)
+	defer func() {
+		hits, misses := 0, 0
+		for _, t := range vs.shards {
+			hits += t.hits
+			misses += t.misses
+		}
+		sp.SetInt("row_hits", int64(hits))
+		sp.SetInt("row_misses", int64(misses))
+	}()
 	val := &Validation{Feasible: true, EpsUpper: math.Inf(1)}
 
 	for k, pc := range silp.ProbCons {
@@ -183,18 +203,19 @@ func (r *runner) validate(x []float64) (*Validation, error) {
 // package in r.val.pkg satisfies the constraint (≥ v when geq, else ≤ v).
 func (r *runner) countSatisfied(rows *stream.Rows, mask []bool, geq bool, v float64, x []float64) (int, error) {
 	vs := r.val
-	clear(vs.counts)
-	err := par.Ranges(r.ctx, len(vs.scores), len(vs.counts), func(shard, lo, hi int) error {
+	for k := range vs.shards {
+		vs.shards[k].satisfied = 0
+	}
+	err := par.Ranges(r.ctx, chunks(r.opts.ValidationM), len(vs.shards), func(shard, cLo, cHi int) error {
 		buf := stream.GetRowBuf()
 		defer stream.PutRowBuf(buf)
-		sc := vs.scores[lo:hi]
-		clear(sc)
-		for cLo := lo; cLo < hi; cLo += stream.RowChunk {
-			ids := buf.IDs[:min(stream.RowChunk, hi-cLo)]
-			for k := range ids {
-				ids[k] = cLo + k
-			}
-			chunk := sc[cLo-lo:]
+		var scores [stream.RowChunk]float64
+		t := &vs.shards[shard]
+		lo, hi := cLo*stream.RowChunk, min(cHi*stream.RowChunk, r.opts.ValidationM)
+		for first := lo; first < hi; first += stream.RowChunk {
+			n := min(stream.RowChunk, hi-first)
+			sc := scores[:n]
+			clear(sc)
 			for _, i := range vs.pkg {
 				// Tuples excluded by a general-form aggregate filter
 				// contribute nothing (not even +0).
@@ -204,30 +225,33 @@ func (r *runner) countSatisfied(rows *stream.Rows, mask []bool, geq bool, v floa
 				if err := r.ctx.Err(); err != nil {
 					return err
 				}
-				row, err := rows.Row(i, ids, buf)
+				row, hits, misses, err := rows.RunRow(i, first, n, buf)
 				if err != nil {
 					return err
 				}
+				t.hits += hits
+				t.misses += misses
 				for k, w := range row {
-					chunk[k] += w * x[i]
+					sc[k] += w * x[i]
+				}
+			}
+			for _, s := range sc {
+				if (geq && s >= v) || (!geq && s <= v) {
+					t.satisfied++
 				}
 			}
 		}
-		count := 0
-		for _, s := range sc {
-			if (geq && s >= v) || (!geq && s <= v) {
-				count++
-			}
-		}
-		vs.counts[shard] = count
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
 	total := 0
-	for _, c := range vs.counts {
-		total += c
+	for _, t := range vs.shards {
+		total += t.satisfied
 	}
 	return total, nil
 }
+
+// chunks is how many stream.RowChunk-scenario chunks cover m scenarios.
+func chunks(m int) int { return (m + stream.RowChunk - 1) / stream.RowChunk }

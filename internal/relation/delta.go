@@ -443,7 +443,7 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 	// 2. VG replacements.
 	for attr, up := range d.SetVG {
 		i := r.stochIdx[attr]
-		newStochs[i] = stochAttr{name: attr, vg: up.VG}
+		newStochs[i] = stochAttr{name: attr, vg: up.VG, id: newStochID()}
 		if up.Means != nil {
 			newMeans[attr] = append([]float64(nil), up.Means...)
 		}
@@ -490,8 +490,8 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 			}
 		}
 		newOrig = orig
-		for i, sa := range newStochs {
-			newStochs[i] = stochAttr{name: sa.name, vg: rewrapVG(sa.vg, newOrig)}
+		for i := range newStochs {
+			newStochs[i].vg = rewrapVG(newStochs[i].vg, newOrig)
 		}
 		for attr, m := range newMeans {
 			nc := make([]float64, len(surviving))
@@ -530,8 +530,8 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 				r.nextOrig++
 			}
 			newOrig = orig
-			for i, sa := range newStochs {
-				newStochs[i] = stochAttr{name: sa.name, vg: rewrapVG(sa.vg, newOrig)}
+			for i := range newStochs {
+				newStochs[i].vg = rewrapVG(newStochs[i].vg, newOrig)
 			}
 		}
 		for attr, m := range newMeans {

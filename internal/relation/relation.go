@@ -25,6 +25,11 @@ import (
 // in which other coordinates are evaluated. This property is what allows
 // tuple-wise and scenario-wise summarization (§5.5) to observe identical
 // scenario sets.
+//
+// A VG must not change after it is added to a relation: the process-wide
+// row cache (rowcache.go) keeps its realized rows for as long as the
+// attribute exists. To change an attribute's distribution, replace its VG
+// with a delta's SetVG, which gives the attribute a new identity.
 type VGFunc interface {
 	// Value returns the realization of the attribute for the given tuple in
 	// the given scenario.
@@ -161,11 +166,20 @@ func valuesOf(vg VGFunc, src rng.Source, tuple int, scens []int, out []float64) 
 	}
 }
 
-// stochAttr is a stochastic attribute of a relation.
+// stochAttr is a stochastic attribute of a relation. id names its innermost
+// VG for the row cache: AddStoch and SetVG draw a fresh one, and every
+// derived relation that keeps the innermost VG (views, snapshots, deletes
+// and appends) keeps the id.
 type stochAttr struct {
 	name string
 	vg   VGFunc
+	id   uint64
 }
+
+// stochIDs numbers stochastic attributes process-wide.
+var stochIDs atomic.Uint64
+
+func newStochID() uint64 { return stochIDs.Add(1) }
 
 // Relation is a Monte Carlo relation. Deterministic columns are either
 // resident ([]float64) or lazy (backed by a ColumnSource, e.g. an mmap'd
@@ -304,13 +318,17 @@ func (r *Relation) AddDetSource(name string, src ColumnSource) error {
 
 // AddStoch adds a stochastic attribute backed by a VG function.
 func (r *Relation) AddStoch(name string, vg VGFunc) error {
+	return r.addStoch(stochAttr{name: name, vg: vg, id: newStochID()})
+}
+
+func (r *Relation) addStoch(sa stochAttr) error {
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
-	if r.hasAttr(name) {
-		return fmt.Errorf("relation: duplicate attribute %q", name)
+	if r.hasAttr(sa.name) {
+		return fmt.Errorf("relation: duplicate attribute %q", sa.name)
 	}
-	r.stochIdx[name] = len(r.stochs)
-	r.stochs = append(r.stochs, stochAttr{name: name, vg: vg})
+	r.stochIdx[sa.name] = len(r.stochs)
+	r.stochs = append(r.stochs, sa)
 	r.bumpWholesale()
 	return nil
 }
@@ -446,6 +464,7 @@ func (r *Relation) Value(src rng.Source, attr string, tuple, scenario int) (floa
 type Attr struct {
 	rel *Relation
 	vg  VGFunc // nil for a deterministic column
+	id  uint64 // the stochastic attribute's id
 	det int    // the deterministic column's index
 }
 
@@ -455,7 +474,7 @@ func (r *Relation) Attr(name string) (Attr, error) {
 		return Attr{rel: r, det: i}, nil
 	}
 	if i, ok := r.stochIdx[name]; ok {
-		return Attr{rel: r, vg: r.stochs[i].vg}, nil
+		return Attr{rel: r, vg: r.stochs[i].vg, id: r.stochs[i].id}, nil
 	}
 	return Attr{}, fmt.Errorf("relation: no attribute %q", name)
 }
@@ -484,9 +503,10 @@ func (a Attr) Values(src rng.Source, tuple int, scens []int, out []float64) erro
 	return nil
 }
 
-// meansChunk is how many scenarios ComputeMeans realizes a tuple over per
-// row-kernel call (stream.RowChunk, which this package cannot import).
-const meansChunk = 256
+// rowChunk is how many scenarios ComputeMeans realizes a tuple over per
+// row-kernel call, and the longest row the row cache holds
+// (stream.RowChunk, which this package cannot import).
+const rowChunk = 256
 
 // ComputeMeans populates the E(t_i.A) cache for every stochastic attribute,
 // mirroring the paper's precomputation phase (§3.2): attributes whose VG
@@ -513,12 +533,12 @@ func (r *Relation) ComputeMeans(src rng.Source, sampleM int) {
 		if !exact {
 			// No context and no failing worker: Ranges returns nil.
 			_ = par.Ranges(nil, r.n, par.Workers(-1, r.n), func(_, lo, hi int) error {
-				var ids [meansChunk]int
-				var buf [meansChunk]float64
+				var ids [rowChunk]int
+				var buf [rowChunk]float64
 				for t := lo; t < hi; t++ {
 					sum := 0.0
-					for j0 := 0; j0 < sampleM; j0 += meansChunk {
-						scens := ids[:min(meansChunk, sampleM-j0)]
+					for j0 := 0; j0 < sampleM; j0 += rowChunk {
+						scens := ids[:min(rowChunk, sampleM-j0)]
 						for k := range scens {
 							scens[k] = j0 + k
 						}
@@ -628,7 +648,7 @@ func (r *Relation) SelectIndices(orig []int) *Relation {
 		_ = out.AddDet(name, col)
 	}
 	for _, sa := range r.stochs {
-		_ = out.AddStoch(sa.name, &remappedVG{inner: sa.vg, orig: append([]int(nil), orig...)})
+		_ = out.addStoch(stochAttr{name: sa.name, vg: &remappedVG{inner: sa.vg, orig: append([]int(nil), orig...)}, id: sa.id})
 	}
 	for attr, m := range r.means {
 		col := make([]float64, len(orig))

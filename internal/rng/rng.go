@@ -70,10 +70,18 @@ func (s *Stream) Reseed(seed uint64) {
 	s.state = splitmix64(&sm)
 	s.inc = splitmix64(&sm) | 1 // stream increment must be odd
 	s.hasSpare = false
-	// Warm up: decorrelates streams whose seeds differ in few bits.
-	s.Uint64()
-	s.Uint64()
+	// Warm up: decorrelates streams whose seeds differ in few bits. Two
+	// discarded Uint64 draws are four steps state·a + inc, taken as one
+	// jump: state·a⁴ + inc·(a³+a²+a+1), exact mod 2⁶⁴.
+	s.state = s.state*warmMul + s.inc*warmAdd
 }
+
+// warmMul and warmAdd are a⁴ and a³+a²+a+1 for the step multiplier a of
+// Uint32, mod 2⁶⁴.
+const (
+	warmMul = 0xfb4d3ae39272be11
+	warmAdd = 0xcbb5f646404a560c
+)
 
 // Uint32 returns the next 32 uniformly distributed bits.
 func (s *Stream) Uint32() uint32 {

@@ -271,26 +271,56 @@ func (c *ScenarioCursor) Rows() (*Rows, error) {
 // Const, then adds Coef·attr term by term, the operation order of a
 // per-value loop over Relation.Value. Row does not touch Counters.
 func (r *Rows) Row(tuple int, scens []int, buf *RowBuf) ([]float64, error) {
+	out, _, _, err := r.row(tuple, scens, buf, false)
+	return out, err
+}
+
+// RunRow is Row over the n consecutive scenarios first..first+n−1 (n ≤
+// RowChunk), with each stochastic term's row served through relation's
+// process-wide row cache (Attr.CachedValues); the values are Row's bit for
+// bit. It fills buf.IDs[:n] with the run, and reports how many of the
+// terms' rows the cache served and how many it realized.
+func (r *Rows) RunRow(tuple, first, n int, buf *RowBuf) (row []float64, hits, misses int, err error) {
+	ids := buf.IDs[:n]
+	for k := range ids {
+		ids[k] = first + k
+	}
+	return r.row(tuple, ids, buf, true)
+}
+
+func (r *Rows) row(tuple int, scens []int, buf *RowBuf, cached bool) (out []float64, hits, misses int, err error) {
 	c := r.c
-	out := buf.vals[:len(scens)]
+	out = buf.vals[:len(scens)]
 	if c.Mask != nil && !c.Mask[tuple] {
 		clear(out)
-		return out, nil
+		return out, 0, 0, nil
 	}
 	for k := range out {
 		out[k] = c.Const
 	}
 	tmp := buf.tmp[:len(scens)]
 	for ti, a := range r.attrs {
-		if err := a.Values(c.Src, tuple, scens, tmp); err != nil {
-			return nil, err
+		if !cached {
+			err = a.Values(c.Src, tuple, scens, tmp)
+		} else {
+			var hit bool
+			hit, err = a.CachedValues(c.Src, tuple, scens, tmp)
+			switch {
+			case hit:
+				hits++
+			case a.Stochastic():
+				misses++
+			}
+		}
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		coef := c.Terms[ti].Coef
 		for k, v := range tmp {
 			out[k] += coef * v
 		}
 	}
-	return out, nil
+	return out, hits, misses, nil
 }
 
 // fold realizes one tuple across chosen and folds it in direction d, in the
