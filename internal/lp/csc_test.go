@@ -10,7 +10,7 @@ import (
 
 // oracleEntry and oracleProblem are the column store as it was built before
 // the CSC matrix: a per-row map de-duplicating into one entry slice per
-// column. They are the reference the CSC builder, the presolver's row view
+// column. They are the reference the CSC builder, the presolver's row store
 // and the reduced problem are held to, entry for entry.
 type oracleEntry struct {
 	row  int
@@ -40,17 +40,15 @@ func (o *oracleProblem) addRow(idxs []int, coefs []float64, lo, hi float64) {
 	}
 }
 
-// transpose is the presolver's row view: rows[i] lists (column, coef) in
-// column order, the column index kept in oracleEntry.row. It differs from the
-// old view in one deliberate way: an entry a repeated index cancelled to
-// zero is left out (see TestPresolveCancelledCoefficient).
+// transpose is the presolver's row store: rows[i] lists (column, coef) in
+// column order, the column index kept in oracleEntry.row. An entry a
+// repeated index cancelled to zero stays, as it stays in the column store;
+// the row reductions skip it (see TestPresolveCancelledCoefficient).
 func (o *oracleProblem) transpose() [][]oracleEntry {
 	rows := make([][]oracleEntry, len(o.rowLo))
 	for j, col := range o.cols {
 		for _, e := range col {
-			if e.coef != 0 {
-				rows[e.row] = append(rows[e.row], oracleEntry{row: j, coef: e.coef})
-			}
+			rows[e.row] = append(rows[e.row], oracleEntry{row: j, coef: e.coef})
 		}
 	}
 	return rows
@@ -113,9 +111,9 @@ func assertColumns(t *testing.T, label string, p *Problem, cols [][]oracleEntry)
 
 // TestCSCMatchesMapBuilder: the CSC matrix, built row by row (AddRow), in
 // one batch (AddRows) or both in turn, holds exactly the entries the map
-// builder held; the presolver's row view is their transpose less cancelled
-// zeros; and the reduced problem presolve filters out of the matrix is the
-// one the map builder re-assembled row by row from that view.
+// builder held; the presolver's row store is their transpose, cancelled
+// zeros included; and the reduced problem presolve builds is the one the map
+// builder re-assembled row by row from that store.
 func TestCSCMatchesMapBuilder(t *testing.T) {
 	s := rng.NewStream(11)
 	// Coverage: zero sums stored, presolve that removed part of a problem,
@@ -172,25 +170,26 @@ func TestCSCMatchesMapBuilder(t *testing.T) {
 			integer[j] = s.IntN(2) == 0
 		}
 		label := fmt.Sprintf("trial %d", trial)
-		ps := presolve(p, nil, nil, integer)
+		ps := cscPresolver(p, nil, nil, integer)
 		oraRows := ora.transpose()
 		for i, row := range oraRows {
 			lo := ps.rowStart[i]
-			if got := ps.rowStart[i+1] - lo; got != len(row) {
-				t.Fatalf("%s: row view %d has %d entries, oracle %d", label, i, got, len(row))
+			if got := ps.rowEnd[i] - lo; got != len(row) {
+				t.Fatalf("%s: row store %d has %d entries, oracle %d", label, i, got, len(row))
 			}
 			for k, e := range row {
 				if int(ps.rowCol[lo+k]) != e.row || !sameBits(ps.rowCoef[lo+k], e.coef) {
-					t.Fatalf("%s: row view %d entry %d is (%d, %v), oracle (%d, %v)", label, i, k, ps.rowCol[lo+k], ps.rowCoef[lo+k], e.row, e.coef)
+					t.Fatalf("%s: row store %d entry %d is (%d, %v), oracle (%d, %v)", label, i, k, ps.rowCol[lo+k], ps.rowCoef[lo+k], e.row, e.coef)
 				}
 			}
 		}
+		ps.run()
 		pr := PresolveProblem(p, nil, nil, integer)
 		if pr.Infeasible || pr.Unbounded {
 			continue
 		}
 		// The map builder's reduced problem: surviving rows in order, each
-		// re-added through the row view over surviving columns.
+		// re-added through the row store over surviving columns.
 		redIdx := make([]int, n)
 		nred := 0
 		for j := range redIdx {

@@ -10,7 +10,9 @@
 //	fixed columns     lo_j = hi_j ⟹ substitute into row bounds, drop
 //	empty columns     no rows ⟹ fix at the cost-minimizing finite bound
 //
-// Reductions run to a fixpoint. The result is a smaller Problem plus a
+// Reductions run to a fixpoint over a row store: PresolveRows fills it from
+// rows as a caller writes them (the MILP layer's model), PresolveProblem by
+// transposing a column-major Problem. The result is a smaller Problem plus a
 // postsolve map that restores eliminated variables in solution vectors. All
 // reductions are integrality-aware (an `integer` mask rounds tightened
 // bounds inward and keeps fixings integral), so the reduced problem is an
@@ -18,7 +20,12 @@
 // once at the root and searches entirely in reduced space.
 package lp
 
-import "math"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 const (
 	presolveTol       = 1e-9 // redundancy / feasibility slack
@@ -29,7 +36,7 @@ const (
 func isPosInf(v float64) bool { return math.IsInf(v, 1) }
 func isNegInf(v float64) bool { return math.IsInf(v, -1) }
 
-// Presolved is the output of PresolveProblem: the reduced problem, the
+// Presolved is the output of a presolve: the reduced problem, the
 // presolved bounds, and the mapping back to the original variable space.
 type Presolved struct {
 	// Reduced is the presolved problem; nil when Infeasible or Unbounded.
@@ -76,26 +83,42 @@ func (pr *Presolved) Postsolve(x []float64) []float64 {
 	return out
 }
 
-// presolver is the working state of one PresolveProblem run.
+// presolver is the working state of one presolve run. Its input is a row
+// store; PresolveProblem fills it by transposing a Problem's columns,
+// PresolveRows straight from rows, and the passes, the reduced problem and
+// every float operation are the same after that.
 type presolver struct {
-	p        *Problem
+	n, m     int
+	obj      []float64
 	integer  []bool
 	lo, hi   []float64
 	rowLo    []float64
 	rowHi    []float64
 	rowAlive []bool
 	colAlive []bool
-	// Row i is rowCol/rowCoef[rowStart[i]:rowStart[i+1]], in column order:
-	// p's nonzero entries transposed once (a cancelled zero would divide the
-	// implied bounds by zero). colAlive skips eliminated columns.
+	// Row i is rowCol/rowCoef[rowStart[i]:rowEnd[i]], in column order, one
+	// entry per column: a repeated index summed in term order, as the
+	// column store sums it. An entry the sum cancelled to zero is kept, as
+	// the column store keeps it: it makes its column non-empty but is never
+	// a row term (it would divide the implied bounds by zero). The entries
+	// of columns colPass eliminates are compacted out of the live rows when
+	// their values are substituted, so a pass walks live columns only.
 	rowStart []int
+	rowEnd   []int
 	rowCol   []int32
 	rowCoef  []float64
+	// colRows[j] counts the live rows holding an entry for column j; zero
+	// makes j an empty column.
+	colRows []int32
+	// fracInt[j] flags an integer column with a fractional bound, which
+	// quiet leaves to the full computation.
+	fracInt []bool
 
 	fixed      []float64
 	elim       []bool
 	objOffset  float64
 	changed    bool
+	fixedAny   bool // colPass eliminated a column since the last substitution
 	infeasible bool
 	unbounded  bool
 }
@@ -106,37 +129,185 @@ type presolver struct {
 // tightened bounds inward, which is valid for the MILP but not for its pure
 // LP relaxation. The input problem and bound slices are not mutated.
 func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
-	ps := presolve(p, lo, hi, integer)
-	out := &Presolved{n: p.nvars, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
-		Infeasible: ps.infeasible, Unbounded: ps.unbounded}
-	if !out.Infeasible && !out.Unbounded {
-		ps.reduce(out)
-	}
-	return out
+	ps := cscPresolver(p, lo, hi, integer)
+	ps.run()
+	return ps.result()
 }
 
-// presolve builds the row view, then applies the initial integrality
-// rounding and the reduction passes to a fixpoint.
-func presolve(p *Problem, lo, hi []float64, integer []bool) *presolver {
+// cscPresolver transposes p's columns into the row store.
+func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	if lo == nil {
 		lo = p.varLo
 	}
 	if hi == nil {
 		hi = p.varHi
 	}
-	n, m := p.nvars, len(p.rowLo)
+	ps := newPresolver(p.nvars, len(p.rowLo), len(p.coef))
+	ps.obj, ps.integer = p.obj, integer
+	copy(ps.lo, lo)
+	copy(ps.hi, hi)
+	copy(ps.rowLo, p.rowLo)
+	copy(ps.rowHi, p.rowHi)
+	for _, i := range p.rowIdx {
+		ps.rowStart[i+1]++
+	}
+	for i := 0; i < ps.m; i++ {
+		ps.rowStart[i+1] += ps.rowStart[i]
+	}
+	copy(ps.rowEnd, ps.rowStart[:ps.m])
+	for j := 0; j < ps.n; j++ {
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			i := p.rowIdx[t]
+			ps.rowCol[ps.rowEnd[i]], ps.rowCoef[ps.rowEnd[i]] = int32(j), p.coef[t]
+			ps.rowEnd[i]++
+		}
+		ps.colRows[j] = int32(p.colStart[j+1] - p.colStart[j])
+	}
+	return ps
+}
+
+// Rows is a problem in row form, the input of PresolveRows.
+type Rows interface {
+	// NumCols and NumRows give the problem's shape.
+	NumCols() int
+	NumRows() int
+	// Col reports column j: its objective coefficient, bounds and
+	// integrality.
+	Col(j int) (obj, lo, hi float64, integer bool)
+	// Row reports row i's terms through t and returns its bounds. Terms
+	// follow AddRow's rules: zeros are skipped, a repeated index sums into
+	// its first nonzero occurrence.
+	Row(i int, t *RowTerms) (lo, hi float64)
+	// NumTerms bounds the total term count from above; it sizes the row
+	// store, which grows past it if it is short.
+	NumTerms() int
+}
+
+// RowTerms receives one row's terms for PresolveRows.
+type RowTerms struct {
+	n      int
+	col    []int32
+	coef   []float64
+	start  int  // the current row's first entry
+	last   int  // the current row's last column
+	sorted bool // the current row's columns strictly increase
+}
+
+// Add adds the term a·x_j.
+func (t *RowTerms) Add(j int, a float64) {
+	if a == 0 {
+		return
+	}
+	if j < 0 || j >= t.n {
+		panic(fmt.Sprintf("lp: row term variable index %d out of range", j))
+	}
+	if j <= t.last {
+		t.sorted = false
+	}
+	t.last = j
+	t.col = append(t.col, int32(j))
+	t.coef = append(t.coef, a)
+}
+
+// AddDense adds the terms coefs[k]·x_k for every k.
+func (t *RowTerms) AddDense(coefs []float64) {
+	if len(coefs) > t.n {
+		panic(fmt.Sprintf("lp: %d dense row terms over %d variables", len(coefs), t.n))
+	}
+	for k, a := range coefs {
+		if a == 0 {
+			continue
+		}
+		if k <= t.last {
+			t.sorted = false
+		}
+		t.last = k
+		t.col = append(t.col, int32(k))
+		t.coef = append(t.coef, a)
+	}
+}
+
+// next closes the current row and opens the following one. A row whose
+// columns do not strictly increase is put in column order, a repeated
+// column summed in term order; the common ascending row costs nothing.
+func (t *RowTerms) next() {
+	if !t.sorted {
+		t.normalize()
+	}
+	t.start, t.last, t.sorted = len(t.col), -1, true
+}
+
+func (t *RowTerms) normalize() {
+	type term struct {
+		col  int32
+		ord  int
+		coef float64
+	}
+	terms := make([]term, len(t.col)-t.start)
+	for k := range terms {
+		terms[k] = term{t.col[t.start+k], k, t.coef[t.start+k]}
+	}
+	slices.SortFunc(terms, func(a, b term) int {
+		return cmp.Or(cmp.Compare(a.col, b.col), cmp.Compare(a.ord, b.ord))
+	})
+	t.col, t.coef = t.col[:t.start], t.coef[:t.start]
+	for k, e := range terms {
+		if k > 0 && e.col == terms[k-1].col {
+			t.coef[len(t.coef)-1] += e.coef
+			continue
+		}
+		t.col = append(t.col, e.col)
+		t.coef = append(t.coef, e.coef)
+	}
+}
+
+// PresolveRows reduces a problem given in row form. It is PresolveProblem
+// over the Problem the same rows would build through AddRows, bit for bit,
+// without building it: the rows go straight into the presolver's row store.
+func PresolveRows(r Rows) *Presolved {
+	ps := rowsPresolver(r)
+	ps.run()
+	return ps.result()
+}
+
+func rowsPresolver(r Rows) *presolver {
+	n, m := r.NumCols(), r.NumRows()
+	ps := newPresolver(n, m, 0)
+	ps.obj, ps.integer = make([]float64, n), make([]bool, n)
+	for j := 0; j < n; j++ {
+		ps.obj[j], ps.lo[j], ps.hi[j], ps.integer[j] = r.Col(j)
+	}
+	t := &RowTerms{n: n, col: make([]int32, 0, r.NumTerms()), coef: make([]float64, 0, r.NumTerms()), last: -1, sorted: true}
+	for i := 0; i < m; i++ {
+		ps.rowLo[i], ps.rowHi[i] = r.Row(i, t)
+		t.next()
+		ps.rowStart[i+1], ps.rowEnd[i] = len(t.col), len(t.col)
+	}
+	ps.rowCol, ps.rowCoef = t.col, t.coef
+	for _, j := range ps.rowCol {
+		ps.colRows[j]++
+	}
+	return ps
+}
+
+// newPresolver allocates the working state of an n-column, m-row problem
+// with nnz stored entries, every row and column alive.
+func newPresolver(n, m, nnz int) *presolver {
 	ps := &presolver{
-		p:        p,
-		integer:  integer,
-		lo:       append([]float64(nil), lo...),
-		hi:       append([]float64(nil), hi...),
-		rowLo:    append([]float64(nil), p.rowLo...),
-		rowHi:    append([]float64(nil), p.rowHi...),
+		n:        n,
+		m:        m,
+		lo:       make([]float64, n),
+		hi:       make([]float64, n),
+		rowLo:    make([]float64, m),
+		rowHi:    make([]float64, m),
 		rowAlive: make([]bool, m),
 		colAlive: make([]bool, n),
 		rowStart: make([]int, m+1),
-		rowCol:   make([]int32, len(p.rowIdx)),
-		rowCoef:  make([]float64, len(p.coef)),
+		rowEnd:   make([]int, m),
+		rowCol:   make([]int32, nnz),
+		rowCoef:  make([]float64, nnz),
+		colRows:  make([]int32, n),
+		fracInt:  make([]bool, n),
 		fixed:    make([]float64, n),
 		elim:     make([]bool, n),
 	}
@@ -146,24 +317,13 @@ func presolve(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	for j := range ps.colAlive {
 		ps.colAlive[j] = true
 	}
-	for t, i := range p.rowIdx {
-		if p.coef[t] != 0 {
-			ps.rowStart[i+1]++
-		}
-	}
-	for i := 0; i < m; i++ {
-		ps.rowStart[i+1] += ps.rowStart[i]
-	}
-	next := append([]int(nil), ps.rowStart[:m]...)
-	for j := 0; j < n; j++ {
-		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-			if i := p.rowIdx[t]; p.coef[t] != 0 {
-				ps.rowCol[next[i]], ps.rowCoef[next[i]] = int32(j), p.coef[t]
-				next[i]++
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
+	return ps
+}
+
+// run applies the initial integrality rounding and the reduction passes to
+// a fixpoint.
+func (ps *presolver) run() {
+	for j := 0; j < ps.n; j++ {
 		ps.tighten(j, ps.lo[j], ps.hi[j])
 	}
 	for pass := 0; pass < presolveMaxPasses && !ps.infeasible && !ps.unbounded; pass++ {
@@ -173,49 +333,93 @@ func presolve(p *Problem, lo, hi []float64, integer []bool) *presolver {
 			break
 		}
 		ps.colPass()
+		if ps.unbounded {
+			break
+		}
+		if ps.fixedAny {
+			ps.substitute()
+		}
 		if !ps.changed {
 			break
 		}
 	}
-	return ps
 }
 
-// reduce materializes the reduced problem by filtering the column store: a
-// surviving column keeps its nonzero entries in surviving rows, in order.
+// result is the Presolved of a finished run.
+func (ps *presolver) result() *Presolved {
+	out := &Presolved{n: ps.n, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
+		Infeasible: ps.infeasible, Unbounded: ps.unbounded}
+	if !out.Infeasible && !out.Unbounded {
+		ps.reduce(out)
+	}
+	return out
+}
+
+// reduce materializes the reduced problem from the row store: a surviving
+// column keeps its nonzero entries in surviving rows, in row order. After
+// the last substitution the surviving rows hold surviving columns only.
 func (ps *presolver) reduce(out *Presolved) {
-	p := ps.p
-	n, m := p.nvars, len(p.rowLo)
-	rowMap := make([]int32, m)
-	red := &Problem{obj: make([]float64, 0, n), colStart: make([]int, 1, n+1),
-		rowIdx: make([]int32, 0, len(p.rowIdx)), coef: make([]float64, 0, len(p.coef))}
+	n, m := ps.n, ps.m
+	nred, mred := 0, 0
+	redCol := ps.colRows // no longer needed: reused as the reduced column index
+	for j := 0; j < n; j++ {
+		redCol[j] = -1
+		if ps.colAlive[j] {
+			redCol[j] = int32(nred)
+			nred++
+		}
+	}
 	for i := 0; i < m; i++ {
 		if ps.rowAlive[i] {
-			rowMap[i] = int32(len(red.rowLo))
-			red.rowLo = append(red.rowLo, ps.rowLo[i])
-			red.rowHi = append(red.rowHi, ps.rowHi[i])
+			mred++
 		}
 	}
-	out.colMap, out.Lo, out.Hi = make([]int, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	red := &Problem{nvars: nred, obj: make([]float64, nred), colStart: make([]int, nred+1),
+		rowLo: make([]float64, 0, mred), rowHi: make([]float64, 0, mred)}
+	out.colMap, out.Lo, out.Hi = make([]int, nred), make([]float64, nred), make([]float64, nred)
 	for j := 0; j < n; j++ {
-		if !ps.colAlive[j] {
+		if r := redCol[j]; r >= 0 {
+			out.colMap[r] = j
+			out.Lo[r], out.Hi[r] = ps.lo[j], ps.hi[j]
+			red.obj[r] = ps.obj[j]
+		}
+	}
+	nnz := 0
+	for i := 0; i < m; i++ {
+		if !ps.rowAlive[i] {
 			continue
 		}
-		out.colMap = append(out.colMap, j)
-		out.Lo, out.Hi = append(out.Lo, ps.lo[j]), append(out.Hi, ps.hi[j])
-		red.obj = append(red.obj, p.obj[j])
-		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-			if i := p.rowIdx[t]; ps.rowAlive[i] && p.coef[t] != 0 {
-				red.rowIdx = append(red.rowIdx, rowMap[i])
-				red.coef = append(red.coef, p.coef[t])
+		for t := ps.rowStart[i]; t < ps.rowEnd[i]; t++ {
+			if ps.rowCoef[t] != 0 {
+				red.colStart[redCol[ps.rowCol[t]]+1]++
+				nnz++
 			}
 		}
-		red.colStart = append(red.colStart, len(red.rowIdx))
 	}
-	red.nvars = len(out.colMap)
+	for r := 0; r < nred; r++ {
+		red.colStart[r+1] += red.colStart[r]
+	}
+	red.rowIdx, red.coef = make([]int32, nnz), make([]float64, nnz)
+	next := append([]int(nil), red.colStart[:nred]...)
+	for i := 0; i < m; i++ {
+		if !ps.rowAlive[i] {
+			continue
+		}
+		row := int32(len(red.rowLo))
+		red.rowLo = append(red.rowLo, ps.rowLo[i])
+		red.rowHi = append(red.rowHi, ps.rowHi[i])
+		for t := ps.rowStart[i]; t < ps.rowEnd[i]; t++ {
+			if a := ps.rowCoef[t]; a != 0 {
+				r := redCol[ps.rowCol[t]]
+				red.rowIdx[next[r]], red.coef[next[r]] = row, a
+				next[r]++
+			}
+		}
+	}
 	red.varLo, red.varHi = append([]float64(nil), out.Lo...), append([]float64(nil), out.Hi...)
 	out.Reduced = red
-	out.RowsRemoved = m - len(red.rowLo)
-	out.ColsRemoved = n - red.nvars
+	out.RowsRemoved = m - mred
+	out.ColsRemoved = n - nred
 }
 
 // tighten intersects variable j's working bounds with [lo, hi], rounding
@@ -254,6 +458,9 @@ func (ps *presolver) tighten(j int, lo, hi float64) {
 			ps.hi[j] = ps.lo[j]
 		}
 	}
+	if ps.integer != nil && ps.integer[j] {
+		ps.fracInt[j] = ps.lo[j] != math.Floor(ps.lo[j]) || ps.hi[j] != math.Floor(ps.hi[j])
+	}
 }
 
 // contrib returns the activity range contribution of coefficient a over
@@ -272,15 +479,30 @@ func (ps *presolver) rowPass() {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		row := ps.rowStart[i]
-		cols, coefs := ps.rowCol[row:ps.rowStart[i+1]], ps.rowCoef[row:ps.rowStart[i+1]]
+		cols, coefs := ps.rowCol[ps.rowStart[i]:ps.rowEnd[i]], ps.rowCoef[ps.rowStart[i]:ps.rowEnd[i]]
+		// Term count and activity range with infinity counting, in one walk.
 		nnz := 0
 		var sj int
 		var sa float64
+		minSum, maxSum := 0.0, 0.0
+		minInf, maxInf := 0, 0
 		for k, j := range cols {
-			if ps.colAlive[j] {
-				nnz++
-				sj, sa = int(j), coefs[k]
+			a := coefs[k]
+			if a == 0 {
+				continue
+			}
+			nnz++
+			sj, sa = int(j), a
+			cmin, cmax := ps.contrib(int(j), a)
+			if isNegInf(cmin) {
+				minInf++
+			} else {
+				minSum += cmin
+			}
+			if isPosInf(cmax) {
+				maxInf++
+			} else {
+				maxSum += cmax
 			}
 		}
 		switch nnz {
@@ -300,25 +522,6 @@ func (ps *presolver) rowPass() {
 			ps.killRow(i)
 			continue
 		}
-		// Activity range with infinity counting.
-		minSum, maxSum := 0.0, 0.0
-		minInf, maxInf := 0, 0
-		for k, j := range cols {
-			if !ps.colAlive[j] {
-				continue
-			}
-			cmin, cmax := ps.contrib(int(j), coefs[k])
-			if isNegInf(cmin) {
-				minInf++
-			} else {
-				minSum += cmin
-			}
-			if isPosInf(cmax) {
-				maxInf++
-			} else {
-				maxSum += cmax
-			}
-		}
 		actMin, actMax := minSum, maxSum
 		if minInf > 0 {
 			actMin = math.Inf(-1)
@@ -336,18 +539,43 @@ func (ps *presolver) rowPass() {
 		}
 		// Implied bounds per entry from the row's residual activity.
 		for k, j := range cols {
-			if !ps.colAlive[j] {
+			a := coefs[k]
+			if a == 0 {
 				continue
 			}
-			cmin, cmax := ps.contrib(int(j), coefs[k])
-			lo, hi := impliedEntryBounds(ps.rowLo[i], ps.rowHi[i], coefs[k],
+			cmin, cmax := ps.contrib(int(j), a)
+			aLo, aHi := impliedSides(ps.rowLo[i], ps.rowHi[i],
 				residual(minSum, minInf, maxSum, maxInf, [2]float64{cmin, cmax}))
+			if ps.quiet(int(j), a, aLo, aHi) {
+				continue
+			}
+			lo, hi := impliedEntryRange(aLo, aHi, a)
 			ps.tighten(int(j), lo, hi)
 			if ps.infeasible {
 				return
 			}
 		}
 	}
+}
+
+// quiet reports that aLo ≤ a·x_j ≤ aHi provably leaves x_j's bounds where
+// they are, so tighten would change nothing and the divisions can be
+// skipped. With exact products (one rounding, whose sign is the exact
+// sign), a·hi_j < aHi gives aHi/a > hi_j for a > 0, so the rounded quotient
+// is at least hi_j, the slack only raises it, and integer rounding keeps an
+// integral hi_j; the other three sides are symmetric. Anything not proved
+// this way (an infinite or fractional bound, a tie) is computed.
+func (ps *presolver) quiet(j int, a, aLo, aHi float64) bool {
+	if ps.fracInt[j] {
+		return false
+	}
+	lo, hi := ps.lo[j], ps.hi[j]
+	if a > 0 {
+		return (isPosInf(aHi) || math.FMA(a, hi, -aHi) < 0) &&
+			(isNegInf(aLo) || math.FMA(a, lo, -aLo) > 0)
+	}
+	return (isPosInf(aHi) || math.FMA(a, lo, -aHi) < 0) &&
+		(isNegInf(aLo) || math.FMA(a, hi, -aLo) > 0)
 }
 
 // residualRange is the activity range of a row excluding one entry.
@@ -397,21 +625,27 @@ func safeDiv(v, a float64) float64 {
 	return v / a
 }
 
-// impliedEntryBounds derives variable bounds from one row entry given the
+// impliedSides bounds one row entry's activity by the row's sides less the
 // residual activity of the remaining entries:
 //
 //	rowLo − othersMax ≤ a·x_j ≤ rowHi − othersMin
 //
-// Unbounded residuals or row sides yield ±Inf (no information). A tiny
-// relaxation keeps floating-point rounding from cutting the true optimum.
-func impliedEntryBounds(rowLo, rowHi, a float64, oth residualRange) (float64, float64) {
-	aLo, aHi := math.Inf(-1), math.Inf(1)
+// Unbounded residuals or row sides yield ±Inf (no information).
+func impliedSides(rowLo, rowHi float64, oth residualRange) (aLo, aHi float64) {
+	aLo, aHi = math.Inf(-1), math.Inf(1)
 	if !isNegInf(rowLo) && !isPosInf(oth.max) {
 		aLo = rowLo - oth.max
 	}
 	if !isPosInf(rowHi) && !isNegInf(oth.min) {
 		aHi = rowHi - oth.min
 	}
+	return aLo, aHi
+}
+
+// impliedEntryRange turns an entry's activity bounds into bounds on x_j. A
+// tiny relaxation keeps floating-point rounding from cutting the true
+// optimum.
+func impliedEntryRange(aLo, aHi, a float64) (float64, float64) {
 	lo, hi := impliedFromRange(aLo, aHi, a)
 	if !isNegInf(lo) {
 		lo -= presolveTol
@@ -422,7 +656,9 @@ func impliedEntryBounds(rowLo, rowHi, a float64, oth residualRange) (float64, fl
 	return lo, hi
 }
 
-// colPass eliminates fixed and empty columns.
+// colPass eliminates fixed and empty columns. Their values reach the row
+// bounds in substitute, once the pass has decided every column: no decision
+// here reads a row bound.
 func (ps *presolver) colPass() {
 	for j := range ps.colAlive {
 		if !ps.colAlive[j] {
@@ -436,18 +672,11 @@ func (ps *presolver) colPass() {
 			ps.fixColumn(j, v)
 			continue
 		}
-		// Empty column: no surviving row touches it.
-		empty := true
-		for _, i := range ps.p.rowIdx[ps.p.colStart[j]:ps.p.colStart[j+1]] {
-			if ps.rowAlive[i] {
-				empty = false
-				break
-			}
-		}
-		if !empty {
+		if ps.colRows[j] > 0 {
 			continue
 		}
-		c := ps.p.obj[j]
+		// Empty column: no surviving row touches it.
+		c := ps.obj[j]
 		switch {
 		case c > presolveTol:
 			if isNegInf(ps.lo[j]) {
@@ -474,32 +703,53 @@ func (ps *presolver) colPass() {
 	}
 }
 
-// fixColumn eliminates variable j at value v, substituting its contribution
-// into the bounds of every row it appears in.
+// fixColumn eliminates variable j at value v.
 func (ps *presolver) fixColumn(j int, v float64) {
-	p := ps.p
-	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-		i, a := p.rowIdx[t], p.coef[t]
-		if !ps.rowAlive[i] {
-			continue
-		}
-		if !isNegInf(ps.rowLo[i]) {
-			ps.rowLo[i] -= a * v
-		}
-		if !isPosInf(ps.rowHi[i]) {
-			ps.rowHi[i] -= a * v
-		}
-	}
 	ps.colAlive[j] = false
 	ps.elim[j] = true
 	ps.fixed[j] = v
-	ps.objOffset += ps.p.obj[j] * v
+	ps.objOffset += ps.obj[j] * v
 	ps.changed = true
+	ps.fixedAny = true
 }
 
+// substitute moves the columns colPass eliminated into the bounds of every
+// live row they appear in and compacts them out of those rows, keeping the
+// order of the rest. A row meets its eliminated columns in column order,
+// the order in which eliminating them one column at a time would subtract.
+func (ps *presolver) substitute() {
+	for i := range ps.rowAlive {
+		if !ps.rowAlive[i] {
+			continue
+		}
+		w := ps.rowStart[i]
+		for t := w; t < ps.rowEnd[i]; t++ {
+			j, a := ps.rowCol[t], ps.rowCoef[t]
+			if ps.colAlive[j] {
+				ps.rowCol[w], ps.rowCoef[w] = j, a
+				w++
+				continue
+			}
+			v := ps.fixed[j]
+			if !isNegInf(ps.rowLo[i]) {
+				ps.rowLo[i] -= a * v
+			}
+			if !isPosInf(ps.rowHi[i]) {
+				ps.rowHi[i] -= a * v
+			}
+		}
+		ps.rowEnd[i] = w
+	}
+	ps.fixedAny = false
+}
+
+// killRow drops row i; its columns lose one live row each.
 func (ps *presolver) killRow(i int) {
 	ps.rowAlive[i] = false
 	ps.changed = true
+	for _, j := range ps.rowCol[ps.rowStart[i]:ps.rowEnd[i]] {
+		ps.colRows[j]--
+	}
 }
 
 // RowActivity caches per-row activity ranges (with infinity counting) over a
@@ -561,7 +811,8 @@ func (p *Problem) ImpliedVarBounds(act *RowActivity, j int, integer bool) (float
 		i, a := p.rowIdx[t], p.coef[t]
 		cmin, cmax := contribRange(a, act.lo[j], act.hi[j])
 		oth := residual(act.minSum[i], int(act.minInf[i]), act.maxSum[i], int(act.maxInf[i]), [2]float64{cmin, cmax})
-		elo, ehi := impliedEntryBounds(p.rowLo[i], p.rowHi[i], a, oth)
+		aLo, aHi := impliedSides(p.rowLo[i], p.rowHi[i], oth)
+		elo, ehi := impliedEntryRange(aLo, aHi, a)
 		if elo > lo {
 			lo = elo
 		}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"runtime"
 	"testing"
 
 	"spq/internal/rng"
@@ -11,9 +12,8 @@ import (
 func init() { poisonRecycled = true }
 
 // TestNodeLoopAllocatesNothing is the search's allocation budget. Setting a
-// Solve up allocates (model build, presolve, scratch, the first bases and
-// node slabs while the frontier widens); a node of the steady state must
-// not. The same instance cut at N and at 2N nodes differs by N such nodes.
+// Solve up allocates (presolve, scratch, the first bases and node slabs
+// while the frontier widens); a node of the steady state must not. The same instance cut at N and at 2N nodes differs by N such nodes.
 // The instance is 30 unit-profit binaries of weight 2 under a capacity of
 // 31: every LP optimum is worth 15.5 against an integer 15 and every reduced
 // cost is zero, so reduced-cost fixing cannot close the tree before the node
@@ -131,10 +131,10 @@ func wideModel(n int) *Model {
 }
 
 // TestWideSolveAllocationsFlat: what a Solve allocates does not grow with the
-// column count. The model becomes one column-major matrix in two passes and
-// presolve transposes and filters it into flat arrays, so 5 rows × 20 000
-// columns take as many heap objects as 5 × 2 000 (a per-column slice or a
-// per-row map would add thousands).
+// column count. Presolve reads the model's rows into one flat row store and
+// builds the reduced problem as flat arrays, so 5 rows × 20 000 columns take
+// as many heap objects as 5 × 2 000 (a per-column slice or a per-row map
+// would add thousands).
 func TestWideSolveAllocationsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		m := wideModel(n)
@@ -148,5 +148,64 @@ func TestWideSolveAllocationsFlat(t *testing.T) {
 	t.Logf("allocs/op: %v at 2 000 columns, %v at 20 000", narrow, wide)
 	if wide > narrow+4 {
 		t.Fatalf("%v allocations at 20 000 columns against %v at 2 000: allocation grows with the column count", wide, narrow)
+	}
+}
+
+// csaModel is the CSA root's shape: n integer tuple variables, a dense
+// knapsack row, z binaries whose dense indicator rows hold only when few
+// heavy tuples are taken, and Σy ≥ z, which fixes the binaries and turns
+// the indicator rows into knapsacks that presolve fixes most tuples by.
+func csaModel(n, z int) *Model {
+	s := rng.NewStream(7)
+	m := NewModel()
+	m.Reserve(n+z, 2, z)
+	for j := 0; j < n; j++ {
+		m.AddVar(0, float64(1+s.IntN(3)), -(1 + s.Float64()), true)
+	}
+	dense := func(scale float64) []float64 {
+		c := make([]float64, n)
+		for j := range c {
+			c[j] = 0.5 + s.Float64()*scale
+		}
+		return c
+	}
+	m.AddRow(nil, dense(10), -Inf, float64(n))
+	ys, ones := make([]int, z), make([]float64, z)
+	for k := range ys {
+		ys[k], ones[k] = m.AddBinary(0), 1
+		m.AddIndicatorLE(ys[k], nil, dense(40), 20)
+	}
+	m.AddRow(ys, ones, float64(z), Inf)
+	return m
+}
+
+// TestWideSolveBytes is TestWideSolveAllocationsFlat's budget in bytes: the
+// root of a CSA-shaped 6 × 20 000 model (4 indicators) allocates at most
+// wideBytesPerColumn per column. The objects stay flat however the root is
+// built; the bytes are what a full-size copy of the matrix adds, 60 per
+// column here for a column-major problem built before presolve. The root
+// took 333 bytes per column when the model was built into such a problem
+// and presolve transposed it; it takes 125 since presolve reads the rows.
+func TestWideSolveBytes(t *testing.T) {
+	const n, wideBytesPerColumn = 20000, 150
+	m := csaModel(n, 4)
+	solve := func() {
+		res, err := Solve(m, &Options{MaxNodes: 1})
+		if err != nil || res.PresolveCols < n/2 {
+			t.Fatalf("presolve removed %d columns, err=%v", res.PresolveCols, err)
+		}
+	}
+	solve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	perColumn := float64(after.TotalAlloc-before.TotalAlloc) / runs / (n + 4)
+	t.Logf("%.1f bytes per column", perColumn)
+	if perColumn > wideBytesPerColumn {
+		t.Fatalf("%.1f bytes per column, budget %d", perColumn, wideBytesPerColumn)
 	}
 }

@@ -196,22 +196,32 @@ func TestReducedCostFixing(t *testing.T) {
 	t.Logf("%d nodes with reduced-cost fixing, %d without", on, off)
 }
 
-// buildRowByRow assembles the model's LP the way build did before its
-// two-pass fill: each plain row, then each indicator's terms with its big-M
-// entry appended, one lp.Problem.AddRow call per row (which lp's own tests
-// hold to the map builder it replaced).
+// buildRowByRow assembles the model's LP relaxation as a column-major
+// lp.Problem, one lp.Problem.AddRow call per row: each plain row, then each
+// indicator's terms with its big-M entry appended (which lp's own tests hold
+// to the map builder AddRow replaced).
 func buildRowByRow(m *Model) *lp.Problem {
 	p := lp.NewProblem(len(m.vars))
 	for j, v := range m.vars {
 		p.SetObj(j, v.obj)
 		p.SetVarBounds(j, v.lo, v.hi)
 	}
+	terms := func(idxs []int, coefs []float64) []int {
+		if idxs != nil {
+			return append([]int(nil), idxs...)
+		}
+		dense := make([]int, len(coefs))
+		for k := range dense {
+			dense[k] = k
+		}
+		return dense
+	}
 	for _, r := range m.rows {
-		p.AddRow(r.idxs, r.coefs, r.lo, r.hi)
+		p.AddRow(terms(r.idxs, r.coefs), r.coefs, r.lo, r.hi)
 	}
 	for _, ind := range m.indicators {
 		minV, maxV, _ := m.boxExtremes(ind.idxs, ind.coefs)
-		idxs := append(append([]int(nil), ind.idxs...), ind.bin)
+		idxs := append(terms(ind.idxs, ind.coefs), ind.bin)
 		coefs := append([]float64(nil), ind.coefs...)
 		if ind.ge {
 			bigM := ind.rhs - minV
@@ -232,10 +242,11 @@ func buildRowByRow(m *Model) *lp.Problem {
 	return p
 }
 
-// TestBuildMatchesRowByRow: build's two-pass fill of the column store gives
-// the matrix, bounds and objective of the row-at-a-time builder on the
-// FuzzMILP corpus, the property corpus, and a model whose rows repeat
-// indices, cancel to zero, and name an indicator's binary among its terms.
+// TestBuildMatchesRowByRow: the row form Solve hands to presolve presolves
+// exactly as the column-major problem the row-at-a-time builder makes of
+// the same model, on the FuzzMILP corpus, the property corpus, a model
+// whose rows repeat indices, cancel to zero, and name an indicator's binary
+// among its terms, and one with dense rows and indicators.
 func TestBuildMatchesRowByRow(t *testing.T) {
 	models := propertyCorpus()
 	for seed := uint64(1); seed <= 600; seed++ {
@@ -246,14 +257,29 @@ func TestBuildMatchesRowByRow(t *testing.T) {
 	odd.AddRow([]int{x, y, x, b, y}, []float64{1, 2, -1, 0, 0.5}, -Inf, 4)
 	odd.AddIndicatorGE(b, []int{x, b, x, y}, []float64{2, 1, 1, -3}, 1)
 	odd.AddIndicatorLE(b, []int{y, y}, []float64{1, -1}, 0)
-	models = append(models, odd)
+	dense := NewModel()
+	for j := 0; j < 6; j++ {
+		dense.AddVar(0, float64(j%3+1), float64(j%4)-1.5, j%2 == 0)
+	}
+	bin := dense.AddBinary(0)
+	dense.AddRow(nil, []float64{1, 0, 2, -1, 0, 3}, -Inf, 7)
+	dense.AddRow(nil, []float64{0, 1, 1}, 1, Inf)
+	dense.AddIndicatorGE(bin, nil, []float64{2, 0, -1, 1, 1, 0, 0}, 3)
+	dense.AddIndicatorLE(bin, nil, []float64{1, 1, 1}, 2)
+	models = append(models, odd, dense)
 	for i, m := range models {
-		got, err := m.build()
+		rows, err := m.relaxation()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := buildRowByRow(m); !reflect.DeepEqual(got, want) {
-			t.Fatalf("model %d: two-pass build\n%+v\nrow by row\n%+v", i, got, want)
+		got := lp.PresolveRows(rows)
+		p := buildRowByRow(m)
+		integer := make([]bool, len(m.vars))
+		for j, v := range m.vars {
+			integer[j] = v.integer
+		}
+		if want := lp.PresolveProblem(p, nil, nil, integer); !reflect.DeepEqual(got, want) {
+			t.Fatalf("model %d: presolved row form\n%+v\nrow by row\n%+v", i, got, want)
 		}
 	}
 }

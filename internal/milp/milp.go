@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"spq/internal/lp"
@@ -77,13 +78,16 @@ type variable struct {
 	integer bool
 }
 
+// rowSpec is lo ≤ Σ coefs·x ≤ hi. idxs nil means coefs[k] is the
+// coefficient of variable k.
 type rowSpec struct {
 	idxs   []int
 	coefs  []float64
 	lo, hi float64
 }
 
-// indicator is a constraint of the form: bin = 1 ⟹ Σ coefs·x (ge ? ≥ : ≤) rhs.
+// indicator is a constraint of the form: bin = 1 ⟹ Σ coefs·x (ge ? ≥ : ≤)
+// rhs, its terms read as rowSpec's.
 type indicator struct {
 	bin   int
 	idxs  []int
@@ -92,7 +96,9 @@ type indicator struct {
 	ge    bool
 }
 
-// Model is a MILP instance under construction.
+// Model is a MILP instance under construction. It keeps the index and
+// coefficient slices its rows are given, without copying them: they must
+// not change while the model is in use.
 type Model struct {
 	vars       []variable
 	rows       []rowSpec
@@ -101,6 +107,15 @@ type Model struct {
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
+
+// Reserve makes room for vars more variables, rows more rows and
+// indicators more indicator constraints, so adding them does not grow the
+// model.
+func (m *Model) Reserve(vars, rows, indicators int) {
+	m.vars = slices.Grow(m.vars, vars)
+	m.rows = slices.Grow(m.rows, rows)
+	m.indicators = slices.Grow(m.indicators, indicators)
+}
 
 // NumVars returns the number of variables added so far.
 func (m *Model) NumVars() int { return len(m.vars) }
@@ -120,14 +135,16 @@ func (m *Model) AddBinary(obj float64) int {
 // SetObj overrides the objective coefficient of variable j.
 func (m *Model) SetObj(j int, obj float64) { m.vars[j].obj = obj }
 
-// AddRow adds the range constraint lo ≤ Σ coefs·x ≤ hi.
+// AddRow adds the range constraint lo ≤ Σ coefs·x ≤ hi. idxs names the
+// variable of each coefficient; nil makes the row dense, coefs[k] being
+// the coefficient of variable k.
 func (m *Model) AddRow(idxs []int, coefs []float64, lo, hi float64) {
 	m.rows = append(m.rows, rowSpec{idxs: idxs, coefs: coefs, lo: lo, hi: hi})
 }
 
-// AddIndicatorGE adds: bin = 1 ⟹ Σ coefs·x ≥ rhs. The bin variable must be
-// binary and all involved variables must have finite bounds (needed to derive
-// a valid big-M).
+// AddIndicatorGE adds: bin = 1 ⟹ Σ coefs·x ≥ rhs, its terms given as to
+// AddRow. The bin variable must be binary and all involved variables must
+// have finite bounds (needed to derive a valid big-M).
 func (m *Model) AddIndicatorGE(bin int, idxs []int, coefs []float64, rhs float64) {
 	m.indicators = append(m.indicators, indicator{bin: bin, idxs: idxs, coefs: coefs, rhs: rhs, ge: true})
 }
@@ -137,14 +154,22 @@ func (m *Model) AddIndicatorLE(bin int, idxs []int, coefs []float64, rhs float64
 	m.indicators = append(m.indicators, indicator{bin: bin, idxs: idxs, coefs: coefs, rhs: rhs, ge: false})
 }
 
-// boxMin/boxMax compute the extreme values of Σ coefs·x over the variable
+// col is the variable of term k of a row given as idxs (nil: dense).
+func col(idxs []int, k int) int {
+	if idxs == nil {
+		return k
+	}
+	return idxs[k]
+}
+
+// boxExtremes computes the extreme values of Σ coefs·x over the variable
 // boxes, used to derive valid big-M constants.
 func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, err error) {
-	for k, j := range idxs {
-		c := coefs[k]
+	for k, c := range coefs {
 		if c == 0 {
 			continue
 		}
+		j := col(idxs, k)
 		lo, hi := m.vars[j].lo, m.vars[j].hi
 		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
 			return 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
@@ -160,16 +185,21 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, er
 	return minV, maxV, nil
 }
 
-// build materializes the LP relaxation, expanding indicator constraints into
-// big-M rows: the plain rows, then one row per indicator, its terms followed
-// by the big-M entry on the binary.
-func (m *Model) build() (*lp.Problem, error) {
-	p := lp.NewProblem(len(m.vars))
-	for j, v := range m.vars {
-		p.SetObj(j, v.obj)
-		p.SetVarBounds(j, v.lo, v.hi)
-	}
-	bigM := make([]float64, len(m.indicators))
+// rowForm is the model's LP relaxation as presolve reads it (lp.Rows): the
+// plain rows, then one row per indicator, its terms followed by the big-M
+// entry on the binary. Nothing is copied out of the model but the big-M
+// values.
+type rowForm struct {
+	m     *Model
+	bigM  []float64
+	terms int
+}
+
+// relaxation returns the model's LP relaxation in row form, deriving each
+// indicator's big-M from its terms' boxes. It fails on an indicator whose
+// variable is not binary or whose terms have an infinite bound.
+func (m *Model) relaxation() (*rowForm, error) {
+	f := &rowForm{m: m, bigM: make([]float64, len(m.indicators))}
 	for k, ind := range m.indicators {
 		if !m.vars[ind.bin].integer || m.vars[ind.bin].lo < 0 || m.vars[ind.bin].hi > 1 {
 			return nil, errors.New("milp: indicator variable must be binary")
@@ -184,29 +214,49 @@ func (m *Model) build() (*lp.Problem, error) {
 		if ind.ge {
 			need = ind.rhs - minV
 		}
-		bigM[k] = max(need, 0)*1.01 + 1 // slack for numerical safety; larger M stays valid
+		f.bigM[k] = max(need, 0)*1.01 + 1 // slack for numerical safety; larger M stays valid
+		f.terms += len(ind.coefs) + 1
 	}
-	p.AddRows(len(m.rows)+len(m.indicators), func(i int, add func(int, float64)) (float64, float64) {
-		if i < len(m.rows) {
-			r := &m.rows[i]
-			for k, j := range r.idxs {
-				add(j, r.coefs[k])
-			}
-			return r.lo, r.hi
-		}
-		k := i - len(m.rows)
-		ind := &m.indicators[k]
-		for t, j := range ind.idxs {
-			add(j, ind.coefs[t])
-		}
-		if ind.ge {
-			add(ind.bin, -bigM[k])
-			return ind.rhs - bigM[k], lp.Inf
-		}
-		add(ind.bin, bigM[k])
-		return -lp.Inf, ind.rhs + bigM[k]
-	})
-	return p, nil
+	for _, r := range m.rows {
+		f.terms += len(r.coefs)
+	}
+	return f, nil
+}
+
+func (f *rowForm) NumCols() int  { return len(f.m.vars) }
+func (f *rowForm) NumRows() int  { return len(f.m.rows) + len(f.m.indicators) }
+func (f *rowForm) NumTerms() int { return f.terms }
+
+func (f *rowForm) Col(j int) (obj, lo, hi float64, integer bool) {
+	v := &f.m.vars[j]
+	return v.obj, v.lo, v.hi, v.integer
+}
+
+func (f *rowForm) Row(i int, t *lp.RowTerms) (lo, hi float64) {
+	if i < len(f.m.rows) {
+		r := &f.m.rows[i]
+		addTerms(t, r.idxs, r.coefs)
+		return r.lo, r.hi
+	}
+	k := i - len(f.m.rows)
+	ind := &f.m.indicators[k]
+	addTerms(t, ind.idxs, ind.coefs)
+	if ind.ge {
+		t.Add(ind.bin, -f.bigM[k])
+		return ind.rhs - f.bigM[k], lp.Inf
+	}
+	t.Add(ind.bin, f.bigM[k])
+	return -lp.Inf, ind.rhs + f.bigM[k]
+}
+
+func addTerms(t *lp.RowTerms, idxs []int, coefs []float64) {
+	if idxs == nil {
+		t.AddDense(coefs)
+		return
+	}
+	for k, j := range idxs {
+		t.Add(j, coefs[k])
+	}
 }
 
 // NumCoefficients reports the coefficient count of the materialized DILP

@@ -22,9 +22,9 @@ import (
 // The LP kernel is engaged through three throughput levers (see DESIGN.md
 // "LP kernel"):
 //
-//   - the model is presolved once at the root (lp.PresolveProblem, integer
-//     aware) and the whole search runs in the reduced space; solutions are
-//     postsolved back before they become incumbents;
+//   - the model is presolved once at the root (lp.PresolveRows over the
+//     model's rows, integer aware) and the whole search runs in the reduced
+//     space; solutions are postsolved back before they become incumbents;
 //   - every child node carries its parent's optimal basis and each node LP
 //     is warm-started from it (dual-simplex reinstatement instead of
 //     phase 1), with per-worker lp.Scratch reused across node solves;
@@ -283,7 +283,7 @@ type search struct {
 // Solve runs branch and bound on the model.
 func Solve(m *Model, o *Options) (*Result, error) {
 	opts := o.withDefaults()
-	prob, err := m.build()
+	rows, err := m.relaxation()
 	if err != nil {
 		return nil, err
 	}
@@ -323,13 +323,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	// Root presolve: reduce once, search the reduced space. The reductions
 	// are integrality-aware, so the reduced problem is an equivalent MILP
 	// root and every node bound only tightens it further.
-	fullLo := make([]float64, len(m.vars))
-	fullHi := make([]float64, len(m.vars))
-	integer := make([]bool, len(m.vars))
-	for j, v := range m.vars {
-		fullLo[j], fullHi[j], integer[j] = v.lo, v.hi, v.integer
-	}
-	st.pr = lp.PresolveProblem(prob, fullLo, fullHi, integer)
+	st.pr = lp.PresolveRows(rows)
 	res := &Result{
 		Coefficients: m.NumCoefficients(),
 		Workers:      st.workers,
@@ -356,7 +350,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	nred := st.red.NumVars()
 	st.redInteger = make([]bool, nred)
 	for j := 0; j < nred; j++ {
-		st.redInteger[j] = integer[st.pr.Col(j)]
+		st.redInteger[j] = m.vars[st.pr.Col(j)].integer
 	}
 	st.pc = newPseudocosts(nred)
 	// Root-implied bounds per integer variable: every child interval is
@@ -996,11 +990,7 @@ func (st *search) checkFeasible(x []float64) (float64, bool) {
 		obj += v.obj * x[j]
 	}
 	for _, r := range st.model.rows {
-		dot := 0.0
-		for k, j := range r.idxs {
-			dot += r.coefs[k] * x[j]
-		}
-		if dot < r.lo-tol || dot > r.hi+tol {
+		if dot := dotTerms(r.idxs, r.coefs, x); dot < r.lo-tol || dot > r.hi+tol {
 			return 0, false
 		}
 	}
@@ -1008,10 +998,7 @@ func (st *search) checkFeasible(x []float64) (float64, bool) {
 		if math.Round(x[ind.bin]) != 1 {
 			continue
 		}
-		dot := 0.0
-		for k, j := range ind.idxs {
-			dot += ind.coefs[k] * x[j]
-		}
+		dot := dotTerms(ind.idxs, ind.coefs, x)
 		if ind.ge && dot < ind.rhs-tol {
 			return 0, false
 		}
@@ -1020,4 +1007,15 @@ func (st *search) checkFeasible(x []float64) (float64, bool) {
 		}
 	}
 	return obj, true
+}
+
+// dotTerms is Σ coefs·x over a row's nonzero terms (idxs as in rowSpec).
+func dotTerms(idxs []int, coefs, x []float64) float64 {
+	dot := 0.0
+	for k, c := range coefs {
+		if c != 0 {
+			dot += c * x[col(idxs, k)]
+		}
+	}
+	return dot
 }

@@ -481,17 +481,35 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 			newCols[i] = nc
 			newSrcs[i] = nil
 		}
-		orig := make([]int, len(surviving))
-		for k, t := range surviving {
-			if newOrig != nil {
-				orig[k] = newOrig[t]
-			} else {
-				orig[k] = t
+		// Each stochastic attribute composes its own mapping with the
+		// survivors: one SetVG installed on a compacted base reads the
+		// tuple indices of its day, not the base's original ones.
+		// Attributes that share a mapping share the composition.
+		composed := map[*int][]int{}
+		compose := func(own []int) []int {
+			key := mappingKey(own)
+			if m, ok := composed[key]; ok {
+				return m
 			}
+			m := make([]int, len(surviving))
+			for k, t := range surviving {
+				if own != nil {
+					m[k] = own[t]
+				} else {
+					m[k] = t
+				}
+			}
+			composed[key] = m
+			return m
 		}
-		newOrig = orig
+		newOrig = compose(newOrig)
 		for i := range newStochs {
-			newStochs[i].vg = rewrapVG(newStochs[i].vg, newOrig)
+			sa := &newStochs[i]
+			inner, own := unwrapVG(sa.vg)
+			if own == nil {
+				sa.span = newN
+			}
+			sa.vg = &remappedVG{inner: inner, orig: compose(own)}
 		}
 		for attr, m := range newMeans {
 			nc := make([]float64, len(surviving))
@@ -519,19 +537,38 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 			newCols[i] = nc
 			newSrcs[i] = nil
 		}
+		// A remapped index space grows by fresh indices from its span; an
+		// attribute that reads the tuple indices directly needs nothing.
+		type extension struct {
+			own  *int
+			span int
+		}
+		extended := map[extension][]int{}
+		extend := func(own []int, span int) []int {
+			key := extension{mappingKey(own), span}
+			if m, ok := extended[key]; ok {
+				return m
+			}
+			m := make([]int, newN+a)
+			copy(m, own)
+			for j := 0; j < a; j++ {
+				m[newN+j] = span + j
+			}
+			extended[key] = m
+			return m
+		}
 		if newOrig != nil {
 			if r.nextOrig == 0 {
 				r.nextOrig = r.baseSize()
 			}
-			orig := make([]int, newN+a)
-			copy(orig, newOrig)
-			for j := 0; j < a; j++ {
-				orig[newN+j] = r.nextOrig
-				r.nextOrig++
-			}
-			newOrig = orig
-			for i := range newStochs {
-				newStochs[i].vg = rewrapVG(newStochs[i].vg, newOrig)
+			newOrig = extend(newOrig, r.nextOrig)
+			r.nextOrig += a
+		}
+		for i := range newStochs {
+			sa := &newStochs[i]
+			if inner, own := unwrapVG(sa.vg); own != nil {
+				sa.vg = &remappedVG{inner: inner, orig: extend(own, sa.span)}
+				sa.span += a
 			}
 		}
 		for attr, m := range newMeans {
@@ -655,12 +692,22 @@ func appendable(vg VGFunc) bool {
 	}
 }
 
-// rewrapVG rebinds a (possibly already remapped) VG to a new OrigIndex
-// mapping. The innermost VG is preserved so substream identity follows the
-// original base indices.
-func rewrapVG(vg VGFunc, orig []int) VGFunc {
+// unwrapVG splits a base relation's VG into its innermost VG and the
+// mapping from tuples to that VG's indices (nil: the tuple indices
+// themselves). A base wraps at most once: deletes and appends replace the
+// mapping, never nest it.
+func unwrapVG(vg VGFunc) (VGFunc, []int) {
 	if rv, ok := vg.(*remappedVG); ok {
-		vg = rv.inner
+		return rv.inner, rv.orig
 	}
-	return &remappedVG{inner: vg, orig: orig}
+	return vg, nil
+}
+
+// mappingKey identifies a mapping by its backing array (nil for none), so
+// attributes sharing one compose or extend it once.
+func mappingKey(m []int) *int {
+	if len(m) == 0 {
+		return nil
+	}
+	return &m[0]
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"spq/internal/dist"
@@ -425,4 +426,118 @@ func TestPartitionPatchEveryStrategy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSetVGOnCompactedBase: a VG that SetVG installs on a base a delete has
+// already compacted reads the tuple indices of its day. Later deletes and
+// appends remap it from there, so the attribute realizes the values, under
+// the same row-cache key tuples, of a relation built directly from those
+// tuples with that VG and given the same later deltas. The attribute SetVG
+// did not touch keeps reading the original base indices.
+func TestSetVGOnCompactedBase(t *testing.T) {
+	perTuple := make([]dist.Dist, 8)
+	for i := range perTuple {
+		perTuple[i] = dist.Normal{Mu: float64(100 * i), Sigma: 1}
+	}
+	broadcast := []dist.Dist{dist.Normal{Mu: 5, Sigma: 2}}
+	build := func(n int, vg VGFunc) *Relation {
+		rel := New("r", n)
+		col := make([]float64, n)
+		if err := rel.AddDet("price", col); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.AddStoch("gain", vg); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.AddStoch("loss", &IndependentVG{AttrID: 2, Dists: broadcast}); err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	apply := func(rel *Relation, ds ...*Delta) {
+		for _, d := range ds {
+			if _, err := rel.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows := func(a int) *Delta {
+		rows := make([]map[string]float64, a)
+		for k := range rows {
+			rows[k] = map[string]float64{"price": 1}
+		}
+		return &Delta{Append: rows}
+	}
+	src := rng.NewSource(3)
+	scens := scenRun(0, 300)
+	compare := func(label string, got, want *Relation) {
+		t.Helper()
+		if got.N() != want.N() {
+			t.Fatalf("%s: %d tuples, want %d", label, got.N(), want.N())
+		}
+		ga, err := got.Attr("gain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, err := want.Attr("gain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := make([]float64, len(scens)), make([]float64, len(scens))
+		for i := 0; i < got.N(); i++ {
+			_, gt := innermost(ga.vg, i)
+			_, wt := innermost(wa.vg, i)
+			if gt != wt {
+				t.Fatalf("%s: tuple %d has row-cache key tuple %d, want %d", label, i, gt, wt)
+			}
+			if err := ga.Values(src, i, scens, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := wa.Values(src, i, scens, w); err != nil {
+				t.Fatal(err)
+			}
+			for k := range g {
+				if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+					t.Fatalf("%s: tuple %d scenario %d realizes %v, want %v", label, i, k, g[k], w[k])
+				}
+			}
+		}
+	}
+
+	// delete → SetVG → delete, with a VG of one distribution per tuple:
+	// read through the base's indices it picks a wrong tuple's or none.
+	rel := build(10, &IndependentVG{AttrID: 1, Dists: broadcast})
+	base := rel.Snapshot()
+	apply(rel, &Delta{Delete: []int{1, 4}},
+		&Delta{SetVG: map[string]VGUpdate{"gain": {VG: &IndependentVG{AttrID: 9, Dists: perTuple}}}},
+		&Delta{Delete: []int{2, 5}})
+	direct := build(8, &IndependentVG{AttrID: 9, Dists: perTuple})
+	apply(direct, &Delta{Delete: []int{2, 5}})
+	compare("delete, SetVG, delete", rel, direct)
+	// The untouched attribute still reads the original base tuples.
+	for i := 0; i < rel.N(); i++ {
+		for _, j := range []int{0, 17} {
+			got, err := rel.Value(src, "loss", i, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := base.Value(src, "loss", rel.OrigIndex(i), j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("loss tuple %d (base %d) scenario %d: %v, want %v", i, rel.OrigIndex(i), j, got, want)
+			}
+		}
+	}
+
+	// delete → SetVG → append → delete → append, broadcast, so appends
+	// draw fresh indices of the replaced VG's own index space.
+	rel = build(10, &IndependentVG{AttrID: 1, Dists: broadcast})
+	apply(rel, &Delta{Delete: []int{1, 4}},
+		&Delta{SetVG: map[string]VGUpdate{"gain": {VG: &IndependentVG{AttrID: 9, Dists: broadcast}}}},
+		appendRows(2), &Delta{Delete: []int{0, 9}}, appendRows(3))
+	direct = build(8, &IndependentVG{AttrID: 9, Dists: broadcast})
+	apply(direct, appendRows(2), &Delta{Delete: []int{0, 9}}, appendRows(3))
+	compare("delete, SetVG, append, delete, append", rel, direct)
 }

@@ -169,11 +169,14 @@ func valuesOf(vg VGFunc, src rng.Source, tuple int, scens []int, out []float64) 
 // stochAttr is a stochastic attribute of a relation. id names its innermost
 // VG for the row cache: AddStoch and SetVG draw a fresh one, and every
 // derived relation that keeps the innermost VG (views, snapshots, deletes
-// and appends) keeps the id.
+// and appends) keeps the id. On a base relation, span is the size of the
+// innermost VG's index space once deletes have remapped it, the index the
+// next appended tuple draws; 0 while vg reads the tuple indices directly.
 type stochAttr struct {
 	name string
 	vg   VGFunc
 	id   uint64
+	span int
 }
 
 // stochIDs numbers stochastic attributes process-wide.

@@ -83,14 +83,7 @@ func (c *rowCache) values(a Attr, src rng.Source, tuple int, scens []int, out []
 		return false, a.Values(src, tuple, scens, out)
 	}
 	out = out[:len(scens)]
-	vg := a.vg
-	for {
-		rv, ok := vg.(*remappedVG)
-		if !ok {
-			break
-		}
-		vg, tuple = rv.inner, rv.orig[tuple]
-	}
+	vg, tuple := innermost(a.vg, tuple)
 	key := rowKey{attr: a.id, tuple: tuple, base: src.Base(), first: scens[0], n: len(scens)}
 	if c.get(key, out) {
 		return true, nil
@@ -98,6 +91,18 @@ func (c *rowCache) values(a Attr, src rng.Source, tuple int, scens []int, out []
 	valuesOf(vg, src, tuple, scens, out)
 	c.put(key, out)
 	return false, nil
+}
+
+// innermost follows tuple through vg's remappings to the VG that realizes
+// it and the index it has there, the tuple of its row-cache key.
+func innermost(vg VGFunc, tuple int) (VGFunc, int) {
+	for {
+		rv, ok := vg.(*remappedVG)
+		if !ok {
+			return vg, tuple
+		}
+		vg, tuple = rv.inner, rv.orig[tuple]
+	}
 }
 
 // isRun reports whether scens is 1 to rowChunk consecutive scenarios.

@@ -457,7 +457,16 @@ func (vm *VarMap) PackageOf(dst, x []float64) []float64 {
 // probabilistic constraints (Algorithm 2, line 2): x variables, objective and
 // deterministic rows, which the SAA and CSA formulations extend.
 func (s *SILP) FormulateUnconstrained() (*milp.Model, *VarMap) {
+	return s.formulate(0, 0)
+}
+
+// formulate builds Q0's DILP with room for the indicators (one binary
+// each) and the counting rows a formulation adds. The x variables come
+// first, so x_i is variable i and a row over every tuple is dense: the
+// model reads its coefficients where they are.
+func (s *SILP) formulate(indicators, rows int) (*milp.Model, *VarMap) {
 	m := milp.NewModel()
+	m.Reserve(s.N+indicators, len(s.DetCons)+rows, indicators)
 	vm := &VarMap{X: make([]int, s.N)}
 	for i := 0; i < s.N; i++ {
 		obj := 0.0
@@ -470,35 +479,19 @@ func (s *SILP) FormulateUnconstrained() (*milp.Model, *VarMap) {
 		vm.X[i] = m.AddVar(s.VarLo[i], s.VarHi[i], obj, true)
 	}
 	for _, c := range s.DetCons {
-		idxs := make([]int, 0, s.N)
-		coefs := make([]float64, 0, s.N)
-		for i, a := range c.Coefs {
-			if a != 0 {
-				idxs = append(idxs, vm.X[i])
-				coefs = append(coefs, a)
-			}
-		}
-		m.AddRow(idxs, coefs, c.Lo, c.Hi)
+		m.AddRow(nil, c.Coefs, c.Lo, c.Hi)
 	}
 	return m, vm
 }
 
 // addIndicator adds one scenario/summary indicator for a probabilistic
-// inner constraint over realized values.
-func addIndicator(m *milp.Model, vm *VarMap, vals []float64, geq bool, v float64) int {
+// inner constraint over realized values, one per tuple.
+func addIndicator(m *milp.Model, vals []float64, geq bool, v float64) int {
 	y := m.AddBinary(0)
-	idxs := make([]int, 0, len(vals))
-	coefs := make([]float64, 0, len(vals))
-	for i, a := range vals {
-		if a != 0 {
-			idxs = append(idxs, vm.X[i])
-			coefs = append(coefs, a)
-		}
-	}
 	if geq {
-		m.AddIndicatorGE(y, idxs, coefs, v)
+		m.AddIndicatorGE(y, nil, vals, v)
 	} else {
-		m.AddIndicatorLE(y, idxs, coefs, v)
+		m.AddIndicatorLE(y, nil, vals, v)
 	}
 	return y
 }
@@ -511,12 +504,19 @@ func (s *SILP) FormulateSAA(sets []*scenario.Set, objSet *scenario.Set) (*milp.M
 	if len(sets) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d scenario sets for %d probabilistic constraints", len(sets), len(s.ProbCons))
 	}
-	m, vm := s.FormulateUnconstrained()
+	indicators := 0
+	for _, set := range sets {
+		indicators += set.M()
+	}
+	if s.ObjKind == ObjProbability && objSet != nil {
+		indicators += objSet.M()
+	}
+	m, vm := s.formulate(indicators, len(sets))
 	for k, pc := range s.ProbCons {
 		set := sets[k]
 		ys := make([]int, set.M())
 		for j := 0; j < set.M(); j++ {
-			ys[j] = addIndicator(m, vm, set.Row(j), pc.Geq, pc.V)
+			ys[j] = addIndicator(m, set.Row(j), pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(set.M()))
 		ones := make([]float64, len(ys))
@@ -534,7 +534,7 @@ func (s *SILP) FormulateSAA(sets []*scenario.Set, objSet *scenario.Set) (*milp.M
 		for j := 0; j < objSet.M(); j++ {
 			// Maximize the satisfied fraction: each indicator contributes
 			// −1/M to the canonical minimization objective.
-			y := addIndicator(m, vm, objSet.Row(j), s.ObjGeq, s.ObjV)
+			y := addIndicator(m, objSet.Row(j), s.ObjGeq, s.ObjV)
 			m.SetObj(y, -1/vm.ObjDenom)
 			vm.ObjY = append(vm.ObjY, y)
 		}
@@ -550,7 +550,14 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 	if len(summaries) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d summary groups for %d probabilistic constraints", len(summaries), len(s.ProbCons))
 	}
-	m, vm := s.FormulateUnconstrained()
+	indicators := 0
+	for _, group := range summaries {
+		indicators += len(group)
+	}
+	if s.ObjKind == ObjProbability {
+		indicators += len(objSummaries)
+	}
+	m, vm := s.formulate(indicators, len(summaries))
 	for k, pc := range s.ProbCons {
 		group := summaries[k]
 		if len(group) == 0 {
@@ -558,7 +565,7 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 		}
 		ys := make([]int, len(group))
 		for z, sm := range group {
-			ys[z] = addIndicator(m, vm, sm.Values, pc.Geq, pc.V)
+			ys[z] = addIndicator(m, sm.Values, pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(len(group)))
 		ones := make([]float64, len(ys))
@@ -574,7 +581,7 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 		}
 		vm.ObjDenom = float64(len(objSummaries))
 		for _, sm := range objSummaries {
-			y := addIndicator(m, vm, sm.Values, s.ObjGeq, s.ObjV)
+			y := addIndicator(m, sm.Values, s.ObjGeq, s.ObjV)
 			m.SetObj(y, -1/vm.ObjDenom)
 			vm.ObjY = append(vm.ObjY, y)
 		}
