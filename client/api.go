@@ -375,24 +375,77 @@ type SketchInfo struct {
 	FellBack   bool `json:"fell_back"`
 }
 
+// SolveWork is the work of one MILP solve: branch-and-bound nodes, simplex
+// iterations (root relaxation plus every node LP), node LPs reinstated from
+// a parent basis, degenerate pivots, dual iterations resolved by a bound
+// flip, and the rows and columns the root presolve eliminated.
+// milp.Result, core.Iteration and SolveIteration embed it rather than
+// declare the counters again. All are deterministic for a fixed model and
+// options whenever no wall-clock limit hit, and observational.
+type SolveWork struct {
+	Nodes        int `json:"nodes,omitempty"`
+	LPIters      int `json:"lp_iters,omitempty"`
+	WarmStarts   int `json:"warm_starts,omitempty"`
+	DegenPivots  int `json:"degen_pivots,omitempty"`
+	BoundFlips   int `json:"bound_flips,omitempty"`
+	PresolveRows int `json:"presolve_rows,omitempty"`
+	PresolveCols int `json:"presolve_cols,omitempty"`
+}
+
+// Add sums o into w.
+func (w *SolveWork) Add(o SolveWork) {
+	w.Nodes += o.Nodes
+	w.LPIters += o.LPIters
+	w.WarmStarts += o.WarmStarts
+	w.DegenPivots += o.DegenPivots
+	w.BoundFlips += o.BoundFlips
+	w.PresolveRows += o.PresolveRows
+	w.PresolveCols += o.PresolveCols
+}
+
+// SolveTotals sums the SolveWork of every MILP solve of one evaluation
+// (the unconstrained x(0) solve included); MILPWorkers is the largest
+// per-solve worker bound used. core.Solution and SolveResult embed it; the
+// engine folds it into its /stats counters.
+type SolveTotals struct {
+	MILPSolves   int `json:"milp_solves,omitempty"`
+	MILPNodes    int `json:"milp_nodes,omitempty"`
+	MILPWorkers  int `json:"milp_workers,omitempty"`
+	LPIters      int `json:"lp_iters,omitempty"`
+	WarmStarts   int `json:"warm_starts,omitempty"`
+	DegenPivots  int `json:"degen_pivots,omitempty"`
+	BoundFlips   int `json:"bound_flips,omitempty"`
+	PresolveRows int `json:"presolve_rows,omitempty"`
+	PresolveCols int `json:"presolve_cols,omitempty"`
+}
+
+// Add folds one solve, run with the given worker bound, into the totals.
+func (t *SolveTotals) Add(w SolveWork, workers int) {
+	t.MILPSolves++
+	t.MILPNodes += w.Nodes
+	t.MILPWorkers = max(t.MILPWorkers, workers)
+	t.LPIters += w.LPIters
+	t.WarmStarts += w.WarmStarts
+	t.DegenPivots += w.DegenPivots
+	t.BoundFlips += w.BoundFlips
+	t.PresolveRows += w.PresolveRows
+	t.PresolveCols += w.PresolveCols
+}
+
 // SolveIteration is one optimize/validate round of a raw solution's
 // history. Status is the integer value of the solver's milp.Status (0
 // optimal, 1 feasible, 2 infeasible, 3 unbounded, 4 limit); it is carried
 // so budget-cut evaluations stay recognizable across the wire (servers
 // refuse to cache them).
 type SolveIteration struct {
-	M            int     `json:"m"`
-	Z            int     `json:"z,omitempty"`
-	Status       int     `json:"status"`
-	Coefficients int     `json:"coefficients,omitempty"`
-	Nodes        int     `json:"nodes,omitempty"`
-	LPIters      int     `json:"lp_iters,omitempty"`
-	WarmStarts   int     `json:"warm_starts,omitempty"`
-	DegenPivots  int     `json:"degen_pivots,omitempty"`
-	PresolveRows int     `json:"presolve_rows,omitempty"`
-	PresolveCols int     `json:"presolve_cols,omitempty"`
-	Feasible     bool    `json:"feasible"`
-	Objective    float64 `json:"objective"`
+	M            int `json:"m"`
+	Z            int `json:"z,omitempty"`
+	Status       int `json:"status"`
+	Coefficients int `json:"coefficients,omitempty"`
+	SolveWork
+	Feasible  bool      `json:"feasible"`
+	Objective float64   `json:"objective"`
+	Surpluses []float64 `json:"surpluses,omitempty"`
 }
 
 // SolveResult is the raw, solver-fidelity solution of a job: exact float64
@@ -413,15 +466,8 @@ type SolveResult struct {
 	Z             int              `json:"z,omitempty"`
 	X             []float64        `json:"x"`
 	Iterations    []SolveIteration `json:"iterations,omitempty"`
-	MILPSolves    int              `json:"milp_solves,omitempty"`
-	MILPNodes     int              `json:"milp_nodes,omitempty"`
-	MILPWorkers   int              `json:"milp_workers,omitempty"`
-	LPIters       int              `json:"lp_iters,omitempty"`
-	WarmStarts    int              `json:"warm_starts,omitempty"`
-	DegenPivots   int              `json:"degen_pivots,omitempty"`
-	PresolveRows  int              `json:"presolve_rows,omitempty"`
-	PresolveCols  int              `json:"presolve_cols,omitempty"`
-	TotalMS       int64            `json:"total_ms,omitempty"`
+	SolveTotals
+	TotalMS int64 `json:"total_ms,omitempty"`
 }
 
 // QueryResult is the final result of a succeeded job.

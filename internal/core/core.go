@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"spq/client"
 	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/rng"
@@ -170,25 +171,10 @@ type Iteration struct {
 	Z            int // 0 for Naïve
 	SolverStatus milp.Status
 	Coefficients int
-	// Nodes is the branch-and-bound node count of the iteration's MILP
-	// solve (0 for iterations that never reached a solve or reused the
-	// previous iteration's: the solver counters below likewise).
-	Nodes int
-	// LPIters is the total simplex iterations of the iteration's MILP solve
-	// (root relaxation plus every node LP).
-	LPIters int
-	// WarmStarts counts node LPs of the iteration's MILP solve that were
-	// reinstated from a parent basis instead of solved from scratch;
-	// DegenPivots counts degenerate simplex pivots across those LPs;
-	// BoundFlips counts dual iterations resolved by a bound flip (no basis
-	// exchange, no eta update).
-	WarmStarts  int
-	DegenPivots int
-	BoundFlips  int
-	// PresolveRows and PresolveCols count the rows and columns the MILP
-	// root presolve eliminated before the search started.
-	PresolveRows int
-	PresolveCols int
+	// SolveWork is the work of the iteration's MILP solve (zero for
+	// iterations that never reached a solve or reused the previous
+	// iteration's).
+	client.SolveWork
 	SolveTime    time.Duration
 	ValidateTime time.Duration
 	Feasible     bool
@@ -221,25 +207,10 @@ type Solution struct {
 	Iterations []Iteration
 	// TotalTime is the end-to-end wall-clock time.
 	TotalTime time.Duration
-	// MILPSolves and MILPNodes count the MILP solves the evaluation ran
-	// (including the unconstrained x(0) solve) and the branch-and-bound
-	// nodes they explored; MILPWorkers is the largest per-solve worker
-	// bound used. The engine aggregates them into its /stats counters.
-	MILPSolves  int
-	MILPNodes   int
-	MILPWorkers int
-	// LPIters is the total simplex iterations across every MILP solve of
-	// the evaluation (observational, like the MILP counters above).
-	LPIters int
-	// WarmStarts and DegenPivots aggregate the LP kernel's warm-start and
-	// degenerate-pivot counts across every MILP solve; PresolveRows and
-	// PresolveCols aggregate the root-presolve reductions; BoundFlips the
-	// kernel's flip-instead-of-pivot dual iterations. All observational.
-	WarmStarts   int
-	DegenPivots  int
-	BoundFlips   int
-	PresolveRows int
-	PresolveCols int
+	// SolveTotals sums the work of every MILP solve the evaluation ran
+	// (including the unconstrained x(0) solve). Observational; the engine
+	// aggregates it into its /stats counters.
+	client.SolveTotals
 	// WarmResolve reports that this solution came from the Options.Warm
 	// delta fast path (a patched re-solve of a previous formulation) rather
 	// than the cold Algorithm-2 loop.
@@ -300,17 +271,9 @@ type runner struct {
 	val    *validator
 	valKey []byte
 
-	// MILP accounting across every solve of the evaluation (see
-	// Solution.MILPSolves); stamped onto the returned Solution by finish.
-	milpSolves   int
-	milpNodes    int
-	milpWorkers  int
-	lpIters      int
-	warmStarts   int
-	degenPivots  int
-	boundFlips   int
-	presolveRows int
-	presolveCols int
+	// totals is the MILP accounting across every solve of the evaluation;
+	// finish stamps it onto the returned Solution.
+	totals client.SolveTotals
 
 	// warm is the most recent CSA solve's reusable warm-start state, kept
 	// only under Options.CollectWarm; finish attaches it to the returned
@@ -377,21 +340,6 @@ func (r *runner) solverOptions(initial []float64) *milp.Options {
 	}
 }
 
-// noteSolve accumulates one MILP solve into the runner's accounting.
-func (r *runner) noteSolve(res *milp.Result) {
-	r.milpSolves++
-	r.milpNodes += res.Nodes
-	r.lpIters += res.LPIters
-	r.warmStarts += res.WarmStarts
-	r.degenPivots += res.DegenPivots
-	r.boundFlips += res.BoundFlips
-	r.presolveRows += res.PresolveRows
-	r.presolveCols += res.PresolveCols
-	if res.Workers > r.milpWorkers {
-		r.milpWorkers = res.Workers
-	}
-}
-
 // solveMILP runs one MILP solve under a "solve" trace span carrying the
 // per-solve LP statistics (simplex iterations, branch-and-bound nodes and
 // rounds) and folds the result into the runner's accounting. Tracing is
@@ -420,7 +368,7 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 		sp.SetAttr("guide_incumbent", strconv.FormatBool(res.GuideIncumbent))
 	}
 	sp.End()
-	r.noteSolve(res)
+	r.totals.Add(res.SolveWork, res.Workers)
 	return res, nil
 }
 
@@ -436,15 +384,7 @@ func (r *runner) generateSets(first, m int) ([]*scenario.Set, *scenario.Set, err
 // accounting) onto the solution about to be returned.
 func (r *runner) finish(sol *Solution) *Solution {
 	sol.TotalTime = time.Since(r.start)
-	sol.MILPSolves = r.milpSolves
-	sol.MILPNodes = r.milpNodes
-	sol.MILPWorkers = r.milpWorkers
-	sol.LPIters = r.lpIters
-	sol.WarmStarts = r.warmStarts
-	sol.DegenPivots = r.degenPivots
-	sol.BoundFlips = r.boundFlips
-	sol.PresolveRows = r.presolveRows
-	sol.PresolveCols = r.presolveCols
+	sol.SolveTotals = r.totals
 	// Attach the collected warm-start state only when the returned package
 	// is the one the accepting CSA solve produced (a best-effort solution
 	// from an earlier iteration would not match its formulation).

@@ -314,9 +314,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 				return nil, err
 			}
 			prevRes, prevVM = res, vm
-			it.Nodes, it.LPIters, it.WarmStarts = res.Nodes, res.LPIters, res.WarmStarts
-			it.DegenPivots, it.BoundFlips = res.DegenPivots, res.BoundFlips
-			it.PresolveRows, it.PresolveCols = res.PresolveRows, res.PresolveCols
+			it.SolveWork = res.SolveWork
 			it.SolveTime = time.Since(solveStart)
 		}
 		res, vm := prevRes, prevVM

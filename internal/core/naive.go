@@ -51,13 +51,7 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 			M:            m,
 			SolverStatus: res.Status,
 			Coefficients: res.Coefficients,
-			Nodes:        res.Nodes,
-			LPIters:      res.LPIters,
-			WarmStarts:   res.WarmStarts,
-			DegenPivots:  res.DegenPivots,
-			BoundFlips:   res.BoundFlips,
-			PresolveRows: res.PresolveRows,
-			PresolveCols: res.PresolveCols,
+			SolveWork:    res.SolveWork,
 			SolveTime:    time.Since(solveStart),
 		}
 		if res.X != nil {

@@ -128,13 +128,7 @@ func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
 		Z:            w.Z,
 		SolverStatus: res.Status,
 		Coefficients: res.Coefficients,
-		Nodes:        res.Nodes,
-		LPIters:      res.LPIters,
-		WarmStarts:   res.WarmStarts,
-		DegenPivots:  res.DegenPivots,
-		BoundFlips:   res.BoundFlips,
-		PresolveRows: res.PresolveRows,
-		PresolveCols: res.PresolveCols,
+		SolveWork:    res.SolveWork,
 		SolveTime:    valStart.Sub(solveStart),
 		ValidateTime: time.Since(valStart),
 		Feasible:     val.Feasible,

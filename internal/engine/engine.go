@@ -1106,15 +1106,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	if sol.WarmResolve {
 		e.m.warmResolves.Inc()
 	}
-	e.m.milpSolves.Add(int64(sol.MILPSolves))
-	e.m.milpNodes.Add(int64(sol.MILPNodes))
-	e.m.lpIters.Add(int64(sol.LPIters))
-	e.m.lpWarmStarts.Add(int64(sol.WarmStarts))
-	e.m.lpDegenPivots.Add(int64(sol.DegenPivots))
-	e.m.lpBoundFlips.Add(int64(sol.BoundFlips))
-	e.m.presolveRows.Add(int64(sol.PresolveRows))
-	e.m.presolveCols.Add(int64(sol.PresolveCols))
-	e.m.milpWorkersMax.SetMax(int64(sol.MILPWorkers))
+	e.m.addSolveTotals(sol.SolveTotals)
 
 	// The solution's X indexes p.silp.Rel for every method: the sketch
 	// pipeline maps its refine solution back to the plan's view. A solution

@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"spq/client"
 	"spq/internal/obs"
 	"spq/internal/relation"
 	"spq/internal/resultcache"
@@ -174,6 +175,20 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		r.NewGaugeFunc("spq_remote_workers_down", "Workers currently in failure backoff.", func() float64 { return float64(rs().WorkersDown) })
 	}
 	return m
+}
+
+// addSolveTotals folds one finished evaluation's solver work into the
+// MILP and LP counters.
+func (m *engineMetrics) addSolveTotals(t client.SolveTotals) {
+	m.milpSolves.Add(int64(t.MILPSolves))
+	m.milpNodes.Add(int64(t.MILPNodes))
+	m.lpIters.Add(int64(t.LPIters))
+	m.lpWarmStarts.Add(int64(t.WarmStarts))
+	m.lpDegenPivots.Add(int64(t.DegenPivots))
+	m.lpBoundFlips.Add(int64(t.BoundFlips))
+	m.presolveRows.Add(int64(t.PresolveRows))
+	m.presolveCols.Add(int64(t.PresolveCols))
+	m.milpWorkersMax.SetMax(int64(t.MILPWorkers))
 }
 
 // observeSpan is the Trace → metrics bridge: every finished span feeds the

@@ -751,82 +751,3 @@ func (ps *presolver) killRow(i int) {
 		ps.colRows[j]--
 	}
 }
-
-// RowActivity caches per-row activity ranges (with infinity counting) over a
-// fixed bound vector. The MILP search builds one over the presolved root
-// bounds and uses ImpliedVarBounds for the per-node incremental tightening
-// of the branched variable: O(nnz(column)) per node, no row rescans.
-type RowActivity struct {
-	lo, hi         []float64
-	minSum, maxSum []float64
-	minInf, maxInf []int32
-}
-
-// NewRowActivity computes the activity ranges of every row under lo/hi.
-func (p *Problem) NewRowActivity(lo, hi []float64) *RowActivity {
-	m := len(p.rowLo)
-	act := &RowActivity{
-		lo:     append([]float64(nil), lo...),
-		hi:     append([]float64(nil), hi...),
-		minSum: make([]float64, m),
-		maxSum: make([]float64, m),
-		minInf: make([]int32, m),
-		maxInf: make([]int32, m),
-	}
-	for j := 0; j < p.nvars; j++ {
-		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-			i := p.rowIdx[t]
-			cmin, cmax := contribRange(p.coef[t], lo[j], hi[j])
-			if isNegInf(cmin) {
-				act.minInf[i]++
-			} else {
-				act.minSum[i] += cmin
-			}
-			if isPosInf(cmax) {
-				act.maxInf[i]++
-			} else {
-				act.maxSum[i] += cmax
-			}
-		}
-	}
-	return act
-}
-
-func contribRange(a, lo, hi float64) (float64, float64) {
-	if a > 0 {
-		return a * lo, a * hi
-	}
-	return a * hi, a * lo
-}
-
-// ImpliedVarBounds intersects the implied bounds of variable j across every
-// row it appears in, using the activity ranges act was built from (residuals
-// must subtract the same contributions that were added). integer rounds the
-// result inward. The returned interval may be empty (lo > hi), which proves
-// no point satisfying the rows has x_j inside act's bound box — the MILP
-// layer prunes such children without an LP solve.
-func (p *Problem) ImpliedVarBounds(act *RowActivity, j int, integer bool) (float64, float64) {
-	lo, hi := math.Inf(-1), math.Inf(1)
-	for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-		i, a := p.rowIdx[t], p.coef[t]
-		cmin, cmax := contribRange(a, act.lo[j], act.hi[j])
-		oth := residual(act.minSum[i], int(act.minInf[i]), act.maxSum[i], int(act.maxInf[i]), [2]float64{cmin, cmax})
-		aLo, aHi := impliedSides(p.rowLo[i], p.rowHi[i], oth)
-		elo, ehi := impliedEntryRange(aLo, aHi, a)
-		if elo > lo {
-			lo = elo
-		}
-		if ehi < hi {
-			hi = ehi
-		}
-	}
-	if integer {
-		if !isNegInf(lo) {
-			lo = math.Ceil(lo - presolveIntTol)
-		}
-		if !isPosInf(hi) {
-			hi = math.Floor(hi + presolveIntTol)
-		}
-	}
-	return lo, hi
-}

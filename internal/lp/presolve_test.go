@@ -235,32 +235,6 @@ func TestPresolveSolveEquivalence(t *testing.T) {
 	}
 }
 
-func TestImpliedVarBoundsDetectsEmptyInterval(t *testing.T) {
-	p := NewProblem(2)
-	p.SetVarBounds(0, 0, 1)
-	p.SetVarBounds(1, 0, 10)
-	p.AddRow([]int{0, 1}, []float64{1, 1}, -Inf, 3) // x0 + x1 ≤ 3
-	lo := []float64{0, 0}
-	hi := []float64{1, 10}
-	act := p.NewRowActivity(lo, hi)
-	// With x0 ∈ [0,1]: x1 ≤ 3. Tightening x1's domain to [5,10] has an empty
-	// intersection with the implied interval.
-	l, h := p.ImpliedVarBounds(act, 1, false)
-	if l > 0+1e-9 || h < 3-1e-6 || h > 3+1e-6 {
-		t.Fatalf("implied x1 bounds = [%g, %g], want roughly (-inf valid lo ≤ 0, 3]", l, h)
-	}
-	// Integer rounding path.
-	p2 := NewProblem(2)
-	p2.SetVarBounds(0, 0, 1)
-	p2.SetVarBounds(1, 0, 10)
-	p2.AddRow([]int{0, 1}, []float64{2, 2}, -Inf, 7) // 2x0+2x1 ≤ 7 ⟹ x1 ≤ 3.5 → 3
-	act2 := p2.NewRowActivity(lo, hi)
-	_, h2 := p2.ImpliedVarBounds(act2, 1, true)
-	if h2 != 3 {
-		t.Fatalf("integer implied upper = %g, want 3", h2)
-	}
-}
-
 // TestPresolveCancelledCoefficient: x0 + x1 − x0 ≥ 0.5 over [0, 1]² stores a
 // zero for x0. As a row term that zero divided the implied-bound arithmetic
 // by zero and presolve reported the feasible problem infeasible.

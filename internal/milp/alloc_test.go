@@ -2,6 +2,7 @@ package milp
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"spq/internal/rng"
@@ -136,6 +137,11 @@ func wideModel(n int) *Model {
 // as many heap objects as 5 × 2 000 (a per-column slice or a per-row map
 // would add thousands).
 func TestWideSolveAllocationsFlat(t *testing.T) {
+	// Each GC cycle runs the runtime's unique-map cleanup, which allocates
+	// a few objects that AllocsPerRun would count as Solve's; whether a
+	// cycle lands inside the measured runs depends on the heap's pacing, so
+	// the collector is held off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(n int) float64 {
 		m := wideModel(n)
 		return testing.AllocsPerRun(2, func() {

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"time"
 
+	"spq/client"
 	"spq/internal/lp"
 )
 
@@ -355,38 +356,24 @@ type Result struct {
 	// Bound is the root LP relaxation bound (a valid lower bound for
 	// minimization).
 	Bound float64
-	// Nodes is the number of branch-and-bound nodes explored (deterministic
-	// for a fixed model and options whenever no wall-clock limit hit).
-	Nodes int
+	// SolveWork counts the solve's work: nodes explored, simplex iterations
+	// across the root relaxation and every node LP, node LPs that accepted
+	// their parent's basis as a warm start, degenerate pivots, dual bound
+	// flips, and the rows and columns the root presolve eliminated (node LPs
+	// solve the reduced problem). Deterministic for a fixed model and
+	// options whenever no wall-clock limit hit; observational, never fed
+	// back into the search. A solve that stops at an infeasible, unbounded
+	// or limit-cut root relaxation reports its LP work but no node or warm
+	// start.
+	client.SolveWork
 	// Workers is the resolved branch-and-bound worker bound the search ran
 	// with (1 for a sequential solve).
 	Workers int
 	// Coefficients is the DILP size that was handed to the LP engine.
 	Coefficients int
-	// LPIters is the total number of simplex iterations across the root
-	// relaxation and every node LP solve. Like Nodes it is deterministic for
-	// a fixed model and options whenever no wall-clock limit hit; it is
-	// observational and never feeds back into the search.
-	LPIters int
 	// Rounds is the number of synchronization rounds the search ran (0 when
 	// the root disposition resolved the tree).
 	Rounds int
-	// WarmStarts counts node LP solves that were seeded from their parent's
-	// optimal basis and accepted the seed (dual-simplex reinstatement instead
-	// of phase-1 from the logical basis). Deterministic, like LPIters.
-	WarmStarts int
-	// DegenPivots counts degenerate (zero-step) simplex pivots across all LP
-	// solves — the kernel's stalling indicator.
-	DegenPivots int
-	// BoundFlips counts dual iterations resolved by a bound flip rather than
-	// a basis exchange across all LP solves — each one skipped an eta-file
-	// update. Deterministic, like LPIters.
-	BoundFlips int
-	// PresolveRows and PresolveCols count the constraint rows and variable
-	// columns the root presolve eliminated before the search began; node LPs
-	// solve the reduced problem.
-	PresolveRows int
-	PresolveCols int
 	// RootBasis is the root relaxation's optimal basis, populated when
 	// Options.WantRootBasis is set (nil when the root did not finish with
 	// an optimal basis). It seeds Options.RootBasis of a later re-solve.
@@ -394,8 +381,8 @@ type Result struct {
 	// Hint is what became of Options.InitialX.
 	Hint Hint
 	// GuideNodes counts the nodes, its root included, of the neighbourhood
-	// search an infeasible InitialX guided (0 when none ran). Nodes, LPIters
-	// and the other work counters include that search.
+	// search an infeasible InitialX guided (0 when none ran). SolveWork
+	// includes that search.
 	GuideNodes int
 	// GuideIncumbent reports that the neighbourhood search found a point,
 	// which became the main search's first incumbent.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spq/client"
 	"spq/internal/lp"
 	"spq/internal/par"
 )
@@ -224,24 +225,30 @@ func (pc *pseudocosts) rate(j int, up bool) float64 {
 
 // bbResult is the disposition of one processed node.
 type bbResult struct {
-	done     bool      // false when a limit stopped the worker before this node
-	complete bool      // subtree fully resolved (pruned/feasible/infeasible/branched)
-	kids     [2]bbNode // kids[:nkids] are the open subproblems, in preferred exploration
-	nkids    int       // order; the merge section copies them into nodes of its own
-	cand     incumbent // integer-feasible point found here (x nil if none)
-	lpIters  int       // simplex iterations spent on this node's LP solve
-	warm     bool      // the node LP accepted its warm-start basis
-	degen    int       // degenerate pivots in this node's LP solve
-	flips    int       // dual bound flips in this node's LP solve
-	hasObs   bool      // a pseudocost observation was realized at this node
+	done     bool             // false when a limit stopped the worker before this node
+	complete bool             // subtree fully resolved (pruned/feasible/infeasible/branched)
+	kids     [2]bbNode        // kids[:nkids] are the open subproblems, in preferred exploration
+	nkids    int              // order; the merge section copies them into nodes of its own
+	cand     incumbent        // integer-feasible point found here (x nil if none)
+	work     client.SolveWork // this node and its LP solve's work
+	hasObs   bool             // a pseudocost observation was realized at this node
 	obsVar   int
 	obsUp    bool
 	obsUnit  float64
 	err      error
 }
 
-// search carries the state of one Solve invocation. The incumbent, node
-// counter and pseudocost table are touched only between rounds
+// nodeWork is the work of one node: its LP solve, and the node itself.
+func nodeWork(sol *lp.Solution) client.SolveWork {
+	w := client.SolveWork{Nodes: 1, LPIters: sol.Iters, DegenPivots: sol.DegenPivots, BoundFlips: sol.BoundFlips}
+	if sol.WarmStarted {
+		w.WarmStarts = 1
+	}
+	return w
+}
+
+// search carries the state of one Solve invocation. The incumbent, work
+// record and pseudocost table are touched only between rounds
 // (single-goroutine sections); workers communicate exclusively through their
 // bbResult slots.
 type search struct {
@@ -256,7 +263,6 @@ type search struct {
 
 	rootLo, rootHi []float64 // reduced-space presolved bounds (Postsolve never reads them), tightened by fixRoot
 	redInteger     []bool    // integrality mask in reduced space
-	impLo, impHi   []float64 // root-implied bounds per reduced integer var
 	objOffset      float64   // reduced obj + objOffset = full obj
 	rootD          []float64 // root LP reduced costs, captured once the root branches
 	rootBound      float64   // the root LP's Lagrangian bound under rootD
@@ -265,19 +271,15 @@ type search struct {
 	guideNodes int       // nodes of the neighbourhood search it guided
 	guideWon   bool      // that search supplied the incumbent
 
-	inc        incumbent
-	nodes      int
-	lpIters    int // total simplex iterations, accumulated between rounds
-	warmStarts int
-	degen      int
-	flips      int
-	rounds     int
-	workers    int
-	pc         *pseudocosts
-	scratches  []*bbScratch
-	results    []bbResult // one slot per node of the current round
-	slab       []bbNode   // fresh nodes are appended here; a full slab is left to its nodes
-	free       *bbNode    // retired nodes, linked through parent, reused before the slab grows
+	inc       incumbent
+	work      client.SolveWork // accumulated between rounds
+	rounds    int
+	workers   int
+	pc        *pseudocosts
+	scratches []*bbScratch
+	results   []bbResult // one slot per node of the current round
+	slab      []bbNode   // fresh nodes are appended here; a full slab is left to its nodes
+	free      *bbNode    // retired nodes, linked through parent, reused before the slab grows
 }
 
 // Solve runs branch and bound on the model.
@@ -325,11 +327,10 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	// root and every node bound only tightens it further.
 	st.pr = lp.PresolveRows(rows)
 	res := &Result{
+		SolveWork:    client.SolveWork{PresolveRows: st.pr.RowsRemoved, PresolveCols: st.pr.ColsRemoved},
 		Coefficients: m.NumCoefficients(),
 		Workers:      st.workers,
 		Hint:         hint,
-		PresolveRows: st.pr.RowsRemoved,
-		PresolveCols: st.pr.ColsRemoved,
 	}
 	if st.pr.Infeasible {
 		if st.inc.x != nil {
@@ -353,20 +354,6 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		st.redInteger[j] = m.vars[st.pr.Col(j)].integer
 	}
 	st.pc = newPseudocosts(nred)
-	// Root-implied bounds per integer variable: every child interval is
-	// intersected with these, and an empty intersection drops the child
-	// without an LP solve. Computed once against the root activity ranges —
-	// node bounds only tighten, so the implication stays valid everywhere.
-	act := st.red.NewRowActivity(st.rootLo, st.rootHi)
-	st.impLo = make([]float64, nred)
-	st.impHi = make([]float64, nred)
-	for j := 0; j < nred; j++ {
-		if st.redInteger[j] {
-			st.impLo[j], st.impHi[j] = st.red.ImpliedVarBounds(act, j, true)
-		} else {
-			st.impLo[j], st.impHi[j] = math.Inf(-1), math.Inf(1)
-		}
-	}
 
 	rootOpts := st.lpOpts
 	rootOpts.Basis = st.opts.RootBasis
@@ -375,22 +362,18 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rootSol.WarmStarted {
-		st.warmStarts++
-	}
 	if st.opts.WantRootBasis && rootSol.Status == lp.StatusOptimal {
 		// The caller keeps it across solves: its own copy, never a pooled one.
 		res.RootBasis = new(lp.Basis)
 		rootOpts.Scratch.SnapshotBasis(res.RootBasis)
 	}
-	st.nodes = 1
-	st.lpIters = rootSol.Iters
-	st.degen = rootSol.DegenPivots
-	st.flips = rootSol.BoundFlips
+	st.work = res.SolveWork
+	st.work.Add(nodeWork(rootSol))
 	res.Bound = rootSol.Obj + st.objOffset
-	res.LPIters = st.lpIters
-	res.DegenPivots = st.degen
-	res.BoundFlips = st.flips
+	// A solve that stops at the root's status below reports the root's LP
+	// work, but no node or warm start.
+	res.SolveWork = st.work
+	res.Nodes, res.WarmStarts = 0, 0
 	switch rootSol.Status {
 	case lp.StatusInfeasible:
 		if st.inc.x != nil {
@@ -417,12 +400,8 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Nodes = st.nodes
-	res.LPIters = st.lpIters
+	res.SolveWork = st.work
 	res.Rounds = st.rounds
-	res.WarmStarts = st.warmStarts
-	res.DegenPivots = st.degen
-	res.BoundFlips = st.flips
 	res.GuideNodes, res.GuideIncumbent = st.guideNodes, st.guideWon
 	switch {
 	case st.inc.x != nil && complete:
@@ -469,7 +448,7 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		if st.interrupted() {
 			return false, nil
 		}
-		budget := st.opts.MaxNodes - st.nodes
+		budget := st.opts.MaxNodes - st.work.Nodes
 		if budget <= 0 {
 			return false, nil
 		}
@@ -490,7 +469,6 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		cut := false
 		for i := range results {
 			r := &results[i]
-			st.lpIters += r.lpIters // zero for slots a limit left unwritten
 			if r.err != nil {
 				return false, r.err
 			}
@@ -498,12 +476,7 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 				cut = true // a limit stopped the round partway
 				continue
 			}
-			st.nodes++
-			if r.warm {
-				st.warmStarts++
-			}
-			st.degen += r.degen
-			st.flips += r.flips
+			st.work.Add(r.work)
 			if r.hasObs {
 				st.pc.observe(r.obsVar, r.obsUp, r.obsUnit)
 			}
@@ -547,11 +520,10 @@ const guideCap = 1000
 // basis), on one worker and for at most guideCap nodes. Its best point
 // becomes the incumbent with the empty path, like every seeded incumbent.
 // It runs before the first round, so its outcome is the same for every
-// worker count. It shares the presolved problem and the root-implied bounds
-// (they hold in any smaller box) but has its own box, scratch and
-// pseudocosts: worker 0's scratch still holds the root.
+// worker count. It shares the presolved problem but has its own box,
+// scratch and pseudocosts: worker 0's scratch still holds the root.
 func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
-	budget := min(guideCap, st.opts.MaxNodes-st.nodes)
+	budget := min(guideCap, st.opts.MaxNodes-st.work.Nodes)
 	if budget <= 0 {
 		return nil
 	}
@@ -573,7 +545,7 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	nb := &search{
 		model: st.model, pr: st.pr, red: st.red, opts: st.opts, lpOpts: st.lpOpts,
 		deadline: st.deadline, hasDL: st.hasDL,
-		rootLo: lo, rootHi: hi, redInteger: st.redInteger, impLo: st.impLo, impHi: st.impHi,
+		rootLo: lo, rootHi: hi, redInteger: st.redInteger,
 		objOffset: st.objOffset, inc: incumbent{obj: math.Inf(1)},
 		workers: 1, pc: newPseudocosts(len(lo)),
 	}
@@ -585,20 +557,13 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	if err != nil {
 		return err
 	}
-	nb.nodes, nb.lpIters, nb.degen, nb.flips = 1, sol.Iters, sol.DegenPivots, sol.BoundFlips
-	if sol.WarmStarted {
-		nb.warmStarts = 1
-	}
+	nb.work = nodeWork(sol)
 	if _, err := nb.run(sol); err != nil {
 		return err
 	}
-	st.nodes += nb.nodes
-	st.lpIters += nb.lpIters
-	st.warmStarts += nb.warmStarts
-	st.degen += nb.degen
-	st.flips += nb.flips
+	st.work.Add(nb.work)
 	st.rounds += nb.rounds
-	st.guideNodes = nb.nodes
+	st.guideNodes = nb.work.Nodes
 	if nb.inc.x != nil {
 		st.inc = incumbent{x: nb.inc.x, obj: nb.inc.obj}
 		st.guideWon = true
@@ -732,7 +697,7 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 			sc.touched = append(sc.touched, j)
 			sc.lo[j], sc.hi[j] = max(a.lo, st.rootLo[j]), min(a.hi, st.rootHi[j])
 			if sc.lo[j] > sc.hi[j] {
-				return bbResult{done: true, complete: true}
+				return bbResult{done: true, complete: true, work: client.SolveWork{Nodes: 1}}
 			}
 		}
 	}
@@ -749,10 +714,7 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 	// sol lives in sc.lp until the worker's next solve; dispose copies what
 	// the result keeps.
 	out := st.dispose(n, sol, snap, sc)
-	out.lpIters = sol.Iters
-	out.warm = sol.WarmStarted
-	out.degen = sol.DegenPivots
-	out.flips = sol.BoundFlips
+	out.work = nodeWork(sol)
 	// Realized objective degradation → pseudocost observation. Only optimal
 	// node solves produce one (a pruned-by-status or limited solve has no
 	// trustworthy bound).
@@ -805,27 +767,10 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 	if n != nil {
 		depth = n.depth + 1
 	}
-	// Child intervals, intersected with the root-implied bounds of the
-	// branch variable; an empty intersection proves the child's box holds no
-	// row-feasible point and drops it without an LP solve.
-	dLo, dHi := sc.lo[bv], floorV
-	uLo, uHi := floorV+1, sc.hi[bv]
-	if st.impLo[bv] > dLo {
-		dLo = st.impLo[bv]
-	}
-	if st.impHi[bv] < dHi {
-		dHi = st.impHi[bv]
-	}
-	if st.impLo[bv] > uLo {
-		uLo = st.impLo[bv]
-	}
-	if st.impHi[bv] < uHi {
-		uHi = st.impHi[bv]
-	}
 	frac := val - floorV
-	down := bbNode{parent: n, branchVar: bv, lo: dLo, hi: dHi, digit: 0, depth: depth,
+	down := bbNode{parent: n, branchVar: bv, lo: sc.lo[bv], hi: floorV, digit: 0, depth: depth,
 		parentObj: sol.Obj, frac: frac}
-	up := bbNode{parent: n, branchVar: bv, lo: uLo, hi: uHi, digit: 1, depth: depth,
+	up := bbNode{parent: n, branchVar: bv, lo: floorV + 1, hi: sc.hi[bv], digit: 1, depth: depth,
 		parentObj: sol.Obj, frac: frac}
 	// Explore the side nearer the LP value first.
 	first, second := down, up

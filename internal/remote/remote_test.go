@@ -107,8 +107,8 @@ func runSketch(t *testing.T, solver core.Solver, n int) *engine.Result {
 }
 
 // TestRemoteDeterminismMatrix is the acceptance matrix: the coordinator's
-// sketch result must be bit-identical (Feasible/Objective/X, and M/Z) to
-// pure-local solving for worker pools of size 0, 1, and 2.
+// sketch result must be bit-identical (Feasible/Objective/X, M/Z, and the
+// solver's work) to pure-local solving for worker pools of size 0, 1, and 2.
 func TestRemoteDeterminismMatrix(t *testing.T) {
 	const n = 96
 	baseline := runSketch(t, nil, n)
@@ -203,6 +203,21 @@ func assertSameSolution(t *testing.T, want, got *engine.Result) {
 	}
 	if !reflect.DeepEqual(got.X, want.X) {
 		t.Fatalf("packages differ:\n got %v\nwant %v", got.X, want.X)
+	}
+	// The solver's work is deterministic too, save the worker bound: each
+	// node sizes its own pools.
+	gt, wt := got.SolveTotals, want.SolveTotals
+	gt.MILPWorkers, wt.MILPWorkers = 0, 0
+	if gt != wt {
+		t.Fatalf("solve totals = %+v, want %+v", gt, wt)
+	}
+	if len(got.Iterations) != len(want.Iterations) {
+		t.Fatalf("%d iterations, want %d", len(got.Iterations), len(want.Iterations))
+	}
+	for i := range want.Iterations {
+		if g, w := got.Iterations[i].SolveWork, want.Iterations[i].SolveWork; g != w {
+			t.Fatalf("iteration %d work = %+v, want %+v", i, g, w)
+		}
 	}
 }
 

@@ -11,14 +11,17 @@ import (
 	"spq/internal/translate"
 )
 
-// This file is the lossless (up to wall-clock timings) mapping between
-// core.Solution and the v1 wire's raw SolveResult, shared by both ends of a
-// sub-solve dispatch: the worker-side engine renders its solution with
-// ToWireSolution, the coordinator-side Solver reconstructs it with
-// FromWireSolution, and the replicated result cache ships the same payload
-// between peers. Float64 fields round-trip exactly through encoding/json
-// (Go emits the shortest representation that parses back to the same bits),
-// which is what makes remote solving bit-identical to local.
+// This file is the mapping between core.Solution and the v1 wire's raw
+// SolveResult, shared by both ends of a sub-solve dispatch: the worker-side
+// engine renders its solution with ToWireSolution, the coordinator-side
+// Solver reconstructs it with FromWireSolution, and the replicated result
+// cache ships the same payload between peers. Float64 fields round-trip
+// exactly through encoding/json (Go emits the shortest representation that
+// parses back to the same bits), which is what makes remote solving
+// bit-identical to local. The round trip reproduces every field except
+// these, which are not carried: TotalTime travels at millisecond
+// resolution, each iteration's SolveTime and ValidateTime are dropped, and
+// so are Warm and WarmResolve (process-local warm-start state).
 
 // ToWireSolution renders a solution as the raw v1 payload.
 func ToWireSolution(sol *core.Solution) *client.SolveResult {
@@ -30,14 +33,7 @@ func ToWireSolution(sol *core.Solution) *client.SolveResult {
 		M:             sol.M,
 		Z:             sol.Z,
 		X:             sol.X,
-		MILPSolves:    sol.MILPSolves,
-		MILPNodes:     sol.MILPNodes,
-		MILPWorkers:   sol.MILPWorkers,
-		LPIters:       sol.LPIters,
-		WarmStarts:    sol.WarmStarts,
-		DegenPivots:   sol.DegenPivots,
-		PresolveRows:  sol.PresolveRows,
-		PresolveCols:  sol.PresolveCols,
+		SolveTotals:   sol.SolveTotals,
 		TotalMS:       sol.TotalTime.Milliseconds(),
 	}
 	if math.IsInf(sol.EpsUpper, 1) {
@@ -51,14 +47,10 @@ func ToWireSolution(sol *core.Solution) *client.SolveResult {
 			Z:            it.Z,
 			Status:       int(it.SolverStatus),
 			Coefficients: it.Coefficients,
-			Nodes:        it.Nodes,
-			LPIters:      it.LPIters,
-			WarmStarts:   it.WarmStarts,
-			DegenPivots:  it.DegenPivots,
-			PresolveRows: it.PresolveRows,
-			PresolveCols: it.PresolveCols,
+			SolveWork:    it.SolveWork,
 			Feasible:     it.Feasible,
 			Objective:    it.Objective,
+			Surpluses:    it.Surpluses,
 		})
 	}
 	return out
@@ -66,10 +58,9 @@ func ToWireSolution(sol *core.Solution) *client.SolveResult {
 
 // FromWireSolution reconstructs a core.Solution from the raw payload. n is
 // the expected length of X (the solved view's row count); a mismatched
-// package is a protocol error, not something to guess around. Per-iteration
-// wall-clock timings are not carried (they are observational, not part of
-// the deterministic result), so the rebuilt history has zero durations;
-// TotalTime reports the worker's wall clock.
+// package is a protocol error, not something to guess around. The rebuilt
+// history has zero durations and TotalTime reports the worker's wall clock
+// (see above for what else is not carried).
 func FromWireSolution(sr *client.SolveResult, n int) (*core.Solution, error) {
 	if sr == nil {
 		return nil, fmt.Errorf("remote: missing raw solution payload")
@@ -86,14 +77,7 @@ func FromWireSolution(sr *client.SolveResult, n int) (*core.Solution, error) {
 		SurplusCIHalf: sr.SurplusCIHalf,
 		M:             sr.M,
 		Z:             sr.Z,
-		MILPSolves:    sr.MILPSolves,
-		MILPNodes:     sr.MILPNodes,
-		MILPWorkers:   sr.MILPWorkers,
-		LPIters:       sr.LPIters,
-		WarmStarts:    sr.WarmStarts,
-		DegenPivots:   sr.DegenPivots,
-		PresolveRows:  sr.PresolveRows,
-		PresolveCols:  sr.PresolveCols,
+		SolveTotals:   sr.SolveTotals,
 		TotalTime:     msToDuration(sr.TotalMS),
 	}
 	if sr.EpsUpperInf {
@@ -105,14 +89,10 @@ func FromWireSolution(sr *client.SolveResult, n int) (*core.Solution, error) {
 			Z:            it.Z,
 			SolverStatus: milp.Status(it.Status),
 			Coefficients: it.Coefficients,
-			Nodes:        it.Nodes,
-			LPIters:      it.LPIters,
-			WarmStarts:   it.WarmStarts,
-			DegenPivots:  it.DegenPivots,
-			PresolveRows: it.PresolveRows,
-			PresolveCols: it.PresolveCols,
+			SolveWork:    it.SolveWork,
 			Feasible:     it.Feasible,
 			Objective:    it.Objective,
+			Surpluses:    it.Surpluses,
 		})
 	}
 	return sol, nil
