@@ -1,10 +1,7 @@
 package client
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -13,8 +10,8 @@ import (
 // This file is the v1 wire contract: the JSON types exchanged by the
 // /v1/queries endpoints. It is shared by the server (internal/engine
 // marshals these) and the Client, so the two can never drift. Everything
-// here is plain data — no behaviour beyond Error and the canonical
-// SolveSpec.Key rendering.
+// here is plain data — no behaviour beyond Error, the span-tree rendering
+// and the solver-work sums.
 
 // Stable error codes of the v1 error envelope. Codes are part of the API
 // contract: clients may switch on them; messages are human-readable and may
@@ -39,7 +36,7 @@ const (
 	// CodeTenantQuota reports admission rejection because the request's
 	// tenant hit its own queue-depth quota while the engine still had global
 	// capacity (HTTP 429 + Retry-After). Distinguished from CodeOverloaded so
-	// a tenant can tell "the fleet is full, back off globally" from "my lane
+	// a tenant can tell "the server is full, back off globally" from "my lane
 	// is full, my own traffic is the problem".
 	CodeTenantQuota = "tenant_quota"
 	// CodeDegradedUnavailable reports that an engine-budgeted (query-class or
@@ -53,9 +50,8 @@ const (
 	CodeCancelled = "cancelled"
 	// CodeInfeasible reports a query whose deterministic constraints are
 	// unsatisfiable — a property of the request, not a server fault. It is
-	// distinguished from CodeInvalidQuery so that distributed callers (the
-	// remote solver dispatching sub-problems) can tell "this sub-problem has
-	// no solution" from "this worker is misconfigured" without re-solving.
+	// distinguished from CodeInvalidQuery so that callers can tell "this
+	// query has no solution" from "this query is malformed".
 	CodeInfeasible = "infeasible"
 	// CodeInternal reports a server-side evaluation failure (retryable).
 	CodeInternal = "internal"
@@ -90,9 +86,8 @@ type ErrorEnvelope struct {
 //
 // The set covers the full determinism domain of an evaluation: a request
 // that pins every field (seeds included) is answered bit-identically by any
-// server holding the same relation, which is what lets the remote solver
-// dispatch sub-problems to worker daemons and the result cache replicate
-// entries between peers.
+// server holding the same relation, which is what lets the result cache
+// answer a repeated request without solving.
 type SolveOptions struct {
 	Seed           uint64  `json:"seed,omitempty"`
 	ValidationSeed uint64  `json:"validation_seed,omitempty"`
@@ -110,7 +105,7 @@ type SolveOptions struct {
 	DisableAcceleration bool `json:"disable_acceleration,omitempty"`
 	// TimeLimitMS / SolverTimeMS / SolverNodes / RelGap are the evaluation
 	// and per-MILP-solve budgets. When a budget binds, the result depends on
-	// it, so sub-problem dispatch forwards them verbatim.
+	// it, so they join the result-cache key.
 	TimeLimitMS  int64   `json:"time_limit_ms,omitempty"`
 	SolverTimeMS int64   `json:"solver_time_ms,omitempty"`
 	SolverNodes  int     `json:"solver_nodes,omitempty"`
@@ -128,54 +123,6 @@ type SketchOptions struct {
 	Strategy string `json:"strategy,omitempty"`
 }
 
-// SolveSpec restricts a submission to a sub-problem of the named table: the
-// mechanism the remote solver uses to ship one sketch shard (or any other
-// relation view) to a worker daemon as an ordinary v1 job. The worker
-// rebuilds exactly the coordinator's problem: it selects Subset from the
-// base relation (preserving each tuple's substream identity, so stochastic
-// behaviour is unchanged), lowers the query over that view, and then applies
-// the variable-bound overrides.
-type SolveSpec struct {
-	// Subset lists base-relation tuple indices, strictly ascending. The
-	// query's WHERE clause (if any) is applied on top; for sub-problems
-	// derived from an already-filtered view this re-selects every row.
-	Subset []int `json:"subset"`
-	// VarHi / VarLo, when non-nil, override the translation-derived
-	// per-variable multiplicity bounds (length must equal the built
-	// problem's variable count). The sketch phase inflates medoid bounds to
-	// group capacity; the override carries that mutation across the wire.
-	VarHi []float64 `json:"var_hi,omitempty"`
-	VarLo []float64 `json:"var_lo,omitempty"`
-}
-
-// Key renders the spec canonically (FNV-1a over the subset and the exact
-// bit patterns of the bound overrides). It is node-independent — two
-// processes holding the same relation derive the same key — so it joins the
-// result-cache key and seeds the remote solver's rendezvous hash.
-func (s *SolveSpec) Key() string {
-	if s == nil {
-		return ""
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	mix := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, t := range s.Subset {
-		mix(uint64(t))
-	}
-	mix(0xffffffffffffffff) // domain separator between sections
-	for _, v := range s.VarHi {
-		mix(math.Float64bits(v))
-	}
-	mix(0xfffffffffffffffe)
-	for _, v := range s.VarLo {
-		mix(math.Float64bits(v))
-	}
-	return fmt.Sprintf("n=%d,hi=%d,lo=%d,h=%016x", len(s.Subset), len(s.VarHi), len(s.VarLo), h.Sum64())
-}
-
 // TenantHeader is the HTTP header that names the tenant a request is
 // admitted under. It overrides SubmitRequest.Tenant when both are present;
 // requests carrying neither run as the default tenant. The tenant label is
@@ -183,19 +130,18 @@ func (s *SolveSpec) Key() string {
 // result or joins any cache key.
 const TenantHeader = "X-Spq-Tenant"
 
-// TraceHeader is the HTTP header that propagates a coordinator's trace
-// across a dispatch hop: "<trace-id>/<parent-span-name>". A worker that
-// receives it roots its job's span tree under the caller's trace ID, so the
-// two sides of a remote solve correlate under one trace.
+// TraceHeader is the HTTP header that propagates a caller's trace into the
+// server: "<trace-id>/<parent-span-name>". The server roots the job's span
+// tree under the caller's trace ID, so the two sides correlate under one
+// trace.
 const TraceHeader = "X-Spq-Trace"
 
 // TraceSpan is one node of a job's span tree, served by
 // GET /v1/queries/{id}/trace and embedded in terminal Jobs. It is the only
-// span-tree type: the engine's traces render to it directly, and a worker's
-// tree is grafted into its coordinator's as-is. Start times are absolute
-// unix microseconds (so coordinator and worker spans line up, modulo clock
-// skew), durations are microseconds, and TraceID is set on roots and on
-// grafted subtrees.
+// span-tree type: the engine's traces render to it directly. Start times
+// are absolute unix microseconds (so a caller's spans and the server's line
+// up, modulo clock skew), durations are microseconds, and TraceID is set on
+// roots.
 type TraceSpan struct {
 	TraceID     string            `json:"trace_id,omitempty"`
 	Name        string            `json:"name"`
@@ -265,8 +211,7 @@ type SubmitRequest struct {
 	// Query is the sPaQL text.
 	Query string `json:"query"`
 	// Method selects the algorithm: "" or "summarysearch" (default),
-	// "naive", "sketch", or any solver the server registered (e.g.
-	// "remote" on a coordinator daemon).
+	// "naive" or "sketch".
 	Method string `json:"method,omitempty"`
 	// TimeoutMS bounds the evaluation in milliseconds (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -274,10 +219,6 @@ type SubmitRequest struct {
 	Options *SolveOptions `json:"options,omitempty"`
 	// Sketch tunes the sketch pipeline for method "sketch".
 	Sketch *SketchOptions `json:"sketch,omitempty"`
-	// Solve, when non-nil, restricts the job to a sub-problem of the
-	// query's table (solver-to-solver dispatch). The job's result then
-	// carries the raw solution (QueryResult.Raw).
-	Solve *SolveSpec `json:"solve,omitempty"`
 	// Tenant names the tenant the request is admitted under ("" = default).
 	// The TenantHeader, when present, takes precedence. Tenants shape
 	// admission scheduling only — the evaluation result is bit-identical
@@ -379,9 +320,9 @@ type SketchInfo struct {
 // iterations (root relaxation plus every node LP), node LPs reinstated from
 // a parent basis, degenerate pivots, dual iterations resolved by a bound
 // flip, and the rows and columns the root presolve eliminated.
-// milp.Result, core.Iteration and SolveIteration embed it rather than
-// declare the counters again. All are deterministic for a fixed model and
-// options whenever no wall-clock limit hit, and observational.
+// milp.Result and core.Iteration embed it rather than declare the counters
+// again. All are deterministic for a fixed model and options whenever no
+// wall-clock limit hit, and observational.
 type SolveWork struct {
 	Nodes        int `json:"nodes,omitempty"`
 	LPIters      int `json:"lp_iters,omitempty"`
@@ -405,8 +346,8 @@ func (w *SolveWork) Add(o SolveWork) {
 
 // SolveTotals sums the SolveWork of every MILP solve of one evaluation
 // (the unconstrained x(0) solve included); MILPWorkers is the largest
-// per-solve worker bound used. core.Solution and SolveResult embed it; the
-// engine folds it into its /stats counters.
+// per-solve worker bound used. core.Solution embeds it; the engine folds it
+// into its /stats counters.
 type SolveTotals struct {
 	MILPSolves   int `json:"milp_solves,omitempty"`
 	MILPNodes    int `json:"milp_nodes,omitempty"`
@@ -430,44 +371,6 @@ func (t *SolveTotals) Add(w SolveWork, workers int) {
 	t.BoundFlips += w.BoundFlips
 	t.PresolveRows += w.PresolveRows
 	t.PresolveCols += w.PresolveCols
-}
-
-// SolveIteration is one optimize/validate round of a raw solution's
-// history. Status is the integer value of the solver's milp.Status (0
-// optimal, 1 feasible, 2 infeasible, 3 unbounded, 4 limit); it is carried
-// so budget-cut evaluations stay recognizable across the wire (servers
-// refuse to cache them).
-type SolveIteration struct {
-	M            int `json:"m"`
-	Z            int `json:"z,omitempty"`
-	Status       int `json:"status"`
-	Coefficients int `json:"coefficients,omitempty"`
-	SolveWork
-	Feasible  bool      `json:"feasible"`
-	Objective float64   `json:"objective"`
-	Surpluses []float64 `json:"surpluses,omitempty"`
-}
-
-// SolveResult is the raw, solver-fidelity solution of a job: exact float64
-// multiplicities over the solved view's rows (Go's JSON encoding round-trips
-// float64 exactly), plus the validation and accounting fields of
-// core.Solution. It is rendered for SolveSpec submissions — the remote
-// solver reconstructs a bit-identical core.Solution from it — and it is the
-// payload the replicated result cache ships between peers. EpsUpperInf
-// stands in for +Inf, which JSON cannot carry.
-type SolveResult struct {
-	Feasible      bool             `json:"feasible"`
-	Objective     float64          `json:"objective"`
-	EpsUpper      float64          `json:"eps_upper,omitempty"`
-	EpsUpperInf   bool             `json:"eps_upper_inf,omitempty"`
-	Surpluses     []float64        `json:"surpluses,omitempty"`
-	SurplusCIHalf []float64        `json:"surplus_ci_half,omitempty"`
-	M             int              `json:"m"`
-	Z             int              `json:"z,omitempty"`
-	X             []float64        `json:"x"`
-	Iterations    []SolveIteration `json:"iterations,omitempty"`
-	SolveTotals
-	TotalMS int64 `json:"total_ms,omitempty"`
 }
 
 // QueryResult is the final result of a succeeded job.
@@ -498,10 +401,6 @@ type QueryResult struct {
 	// the evaluation wall-clock.
 	WaitMS  int64 `json:"wait_ms"`
 	SolveMS int64 `json:"solve_ms"`
-	// Raw is the solver-fidelity solution, rendered only for SolveSpec
-	// submissions (solver-to-solver dispatch needs exact multiplicities;
-	// ordinary clients get the compact Package above).
-	Raw *SolveResult `json:"raw,omitempty"`
 }
 
 // Job is the resource served by GET /v1/queries/{id}: submission echo,

@@ -17,13 +17,8 @@
 // Run is Submit+Wait in one call. Overload rejections (HTTP 429) are
 // retried automatically with the server-suggested backoff. This package
 // also defines the v1 wire types (api.go), which the server marshals — the
-// contract cannot drift between the two — and it is the transport the
-// remote solver (internal/remote) dispatches sub-problems over: a
-// SubmitRequest carrying a SolveSpec ships one relation-view sub-problem
-// to a worker daemon, whose job answers with the raw solution
-// (QueryResult.Raw), bit-identical to solving locally. Failed jobs carry
-// stable error codes that survive dispatch hops (a coordinator surfaces a
-// worker's code, not a generic "internal").
+// contract cannot drift between the two. Failed jobs carry stable error
+// codes (client.Error) that callers may switch on.
 //
 // A minimal session against a running spqd:
 //

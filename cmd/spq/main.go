@@ -13,9 +13,8 @@
 // With -server the query is not evaluated in-process: it is submitted to a
 // running spqd through the v1 async API (spq/client), streaming progress
 // (with -trace) and printing the remote result. The spqd must have the
-// query's table loaded (e.g. the same -workload). In server mode -method is
-// passed through verbatim, so any solver the daemon registered — e.g.
-// "remote" on a coordinator — is reachable too:
+// query's table loaded (e.g. the same -workload); -method is passed through
+// verbatim:
 //
 //	spqd -workload portfolio -n 200 &
 //	spq -workload portfolio -paper-query Q1 -n 200 -server http://localhost:8723
@@ -47,7 +46,7 @@ func main() {
 		list       = flag.Bool("list", false, "list the workload's queries and exit")
 		n          = flag.Int("n", 300, "workload size (tuples; stocks for portfolio)")
 		seed       = flag.Uint64("seed", 42, "random seed (data and optimization scenarios)")
-		method     = flag.String("method", "summarysearch", "evaluation method: summarysearch | naive | sketch (with -server: any method the daemon serves)")
+		method     = flag.String("method", "summarysearch", "evaluation method: summarysearch | naive | sketch")
 		valM       = flag.Int("validation", 5000, "out-of-sample validation scenarios (M̂)")
 		initialM   = flag.Int("m", 20, "initial optimization scenarios (M)")
 		maxM       = flag.Int("maxm", 200, "maximum optimization scenarios")

@@ -13,17 +13,12 @@
 //	}'
 //	curl -s 'localhost:8723/v1/queries/q-1?wait_ms=5000'
 //
-// Daemons compose into fleets: -workers turns this instance into a
-// coordinator that dispatches sketch-shard sub-solves to worker daemons
-// (method "remote", or -solver remote to route every sketch sub-problem
-// there), and -peers write-through-replicates the result cache between
-// load-balanced instances. Fleet members must load identical data
-// (identical -workload/-n/-seed/-means), which makes every node's answers
-// bit-identical by construction.
+// One process is the whole deployment: the data, the caches and the solver
+// live in this daemon. Answers are bit-identical for identical data
+// (-workload/-n/-seed/-means) and request options.
 //
 // OPERATIONS.md is the canonical reference for every flag, the /stats
-// field glossary, fleet topologies, and tuning; this comment only sketches
-// the surface.
+// field glossary, and tuning; this comment only sketches the surface.
 package main
 
 import (
@@ -33,10 +28,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only on -pprof-addr
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -46,12 +39,9 @@ import (
 	"time"
 
 	"spq"
-	"spq/internal/core"
 	"spq/internal/engine"
 	"spq/internal/obs"
 	"spq/internal/relation"
-	"spq/internal/remote"
-	"spq/internal/resultcache"
 	"spq/internal/workload"
 )
 
@@ -74,12 +64,6 @@ type config struct {
 	maxJobs     int
 	jobHistory  int
 
-	workers        string
-	solver         string
-	remoteInflight int
-	remoteFallback bool
-	peers          string
-
 	logFormat string
 	slowQuery time.Duration
 	pprofAddr string
@@ -97,7 +81,7 @@ func main() {
 	flag.StringVar(&cfg.workloads, "workload", "portfolio", "comma-separated built-in workloads to load: galaxy | portfolio | tpch")
 	flag.StringVar(&cfg.csvPath, "csv", "", "CSV file to load as an additional (deterministic) table")
 	flag.IntVar(&cfg.n, "n", 300, "workload size (tuples; stocks for portfolio)")
-	flag.Uint64Var(&cfg.seed, "seed", 42, "workload data seed (fleet members must match)")
+	flag.Uint64Var(&cfg.seed, "seed", 42, "workload data seed")
 	flag.IntVar(&cfg.meansM, "means", 2000, "scenarios for attribute-mean precomputation (>= 1)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "max concurrent solves (0 = one per CPU)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "max queries waiting for a solve slot (0 = 4x max-inflight)")
@@ -108,15 +92,10 @@ func main() {
 	flag.IntVar(&cfg.cacheBlocks, "colcache-blocks", 0, "out-of-core column block-cache capacity in 2048-value blocks (0 = 256 blocks = 4 MiB)")
 	flag.IntVar(&cfg.maxJobs, "max-jobs", 0, "max active async jobs (0 = max-inflight + max-queue)")
 	flag.IntVar(&cfg.jobHistory, "job-history", 0, "finished jobs kept pollable (0 = 64, negative disables)")
-	flag.StringVar(&cfg.workers, "workers", "", "comma-separated worker spqd base URLs; enables the \"remote\" solver (coordinator mode)")
-	flag.StringVar(&cfg.solver, "solver", "", "solver for sketch sub-problems: empty = local summarysearch, \"remote\" = dispatch shards to -workers")
-	flag.IntVar(&cfg.remoteInflight, "remote-inflight", 0, "max concurrent remote sub-solve dispatches (0 = 4 per worker)")
-	flag.BoolVar(&cfg.remoteFallback, "remote-fallback", true, "re-solve locally when a worker fails (false surfaces the worker error)")
-	flag.StringVar(&cfg.peers, "peers", "", "comma-separated peer spqd base URLs to replicate the result cache with")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format for structured events: \"text\" or \"json\" (one object per line)")
 	flag.DurationVar(&cfg.slowQuery, "slow-query", 0, "log queries slower than this threshold with their full span tree (0 disables)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty disables; bind it privately)")
-	flag.BoolVar(&cfg.readOnly, "read-only", false, "reject table mutations (POST /v1/tables/{name}/deltas answers 405); run workers read-only so mutations funnel through the coordinator")
+	flag.BoolVar(&cfg.readOnly, "read-only", false, "reject table mutations (POST /v1/tables/{name}/deltas answers 405)")
 	flag.IntVar(&cfg.deltaLog, "delta-log", 0, "change sets retained per relation for delta-scoped cache invalidation (0 = 64; older versions rebuild wholesale)")
 	flag.StringVar(&cfg.tenants, "tenants", "", "weighted-fair admission lanes: \"name:weight[:max_inflight[:max_queue]],...\" inline, or @file.json with a JSON array of tenant objects (empty = single default lane)")
 	flag.StringVar(&cfg.classes, "classes", "", "query-class budgets: \"name:time_limit_ms[:solver_nodes],...\" — a binding class budget degrades to the best-so-far package instead of failing")
@@ -166,57 +145,10 @@ func loadTenants(s string) ([]engine.TenantConfig, error) {
 	return out, nil
 }
 
-// splitURLs parses a comma-separated URL list flag.
-func splitURLs(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// selfWorker best-effort-detects a worker URL that plainly points back at
-// this daemon (a loopback/unspecified host with our own listen port).
-// Dispatching sub-solves to yourself deadlocks admission — parent queries
-// hold solve slots while their shard jobs wait for the same slots — so the
-// obvious misconfiguration is refused at startup. Cross-host cycles cannot
-// be detected here; OPERATIONS.md documents that topologies must stay one
-// level deep.
-func selfWorker(workerURL, listenAddr string) bool {
-	u, err := url.Parse(workerURL)
-	if err != nil {
-		return false
-	}
-	_, ownPort, err := net.SplitHostPort(listenAddr)
-	if err != nil {
-		return false
-	}
-	wport := u.Port()
-	if wport == "" {
-		if u.Scheme == "https" {
-			wport = "443"
-		} else {
-			wport = "80"
-		}
-	}
-	if wport != ownPort {
-		return false
-	}
-	whost := u.Hostname()
-	ownHost, _, _ := net.SplitHostPort(listenAddr)
-	if whost == "localhost" || whost == "" || whost == ownHost {
-		return true
-	}
-	ip := net.ParseIP(whost)
-	return ip != nil && (ip.IsLoopback() || ip.IsUnspecified())
-}
-
 // loadTables registers the -workload instances' tables and the -csv table
 // in db and describes each one. A workload's tables register in name order:
-// DB.Register seeds mean estimation from the registration ordinal, and fleet
-// members must load identical data.
+// DB.Register seeds mean estimation from the registration ordinal, so a
+// fixed order makes boots with the same flags load identical data.
 func loadTables(db *spq.DB, cfg config) ([]string, error) {
 	var tables []string
 	for _, wname := range strings.Split(cfg.workloads, ",") {
@@ -326,55 +258,6 @@ func run(cfg config) error {
 			parts[i] = fmt.Sprintf("%s:w%d", t.Name, t.Weight)
 		}
 		log.Printf("spqd: weighted-fair admission, %d tenant lanes: %s", len(tenants), strings.Join(parts, ", "))
-	}
-
-	// Coordinator mode: build the remote solver over the worker pool and
-	// register it, so method "remote" resolves and -solver remote can route
-	// sketch sub-problems through it.
-	if workers := splitURLs(cfg.workers); len(workers) > 0 {
-		for _, w := range workers {
-			if selfWorker(w, cfg.addr) {
-				return fmt.Errorf("-workers %s points at this daemon's own address %s (self-dispatch deadlocks admission; see OPERATIONS.md)", w, cfg.addr)
-			}
-		}
-		rs, err := remote.New(remote.Options{
-			Workers:     workers,
-			MaxInFlight: cfg.remoteInflight,
-			NoFallback:  !cfg.remoteFallback,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			return err
-		}
-		if err := core.RegisterSolver(rs); err != nil {
-			return err
-		}
-		eopts.RemoteStats = rs.Stats
-		log.Printf("spqd: coordinator mode, %d workers: %s", len(workers), strings.Join(workers, ", "))
-	} else if cfg.solver == "remote" {
-		return errors.New("-solver remote requires -workers")
-	}
-	if cfg.solver != "" {
-		s, err := core.SolverByName(cfg.solver)
-		if err != nil {
-			return fmt.Errorf("-solver: %w", err)
-		}
-		eopts.SketchSolver = s
-	}
-
-	// Fleet mode: replicate the result cache with the listed peers. The
-	// replicating store also mounts the /v1/cache peer endpoint, so list
-	// peers symmetrically on every node.
-	var repl *resultcache.Replicating
-	if peers := splitURLs(cfg.peers); len(peers) > 0 && cfg.resultCache >= 0 {
-		size := cfg.resultCache
-		if size == 0 {
-			size = 256
-		}
-		repl = resultcache.NewReplicating(resultcache.NewMemory(size), peers, nil)
-		defer repl.Close()
-		eopts.ResultCache = repl
-		log.Printf("spqd: replicating result cache with %d peers: %s", len(peers), strings.Join(peers, ", "))
 	}
 
 	eng := spq.NewEngine(db, eopts)

@@ -9,8 +9,8 @@ import (
 )
 
 // TestLoadTablesDeterministic: loading the same workloads again gives every
-// stochastic attribute bit-identical means, as fleet members loading
-// identical data require.
+// stochastic attribute bit-identical means, as daemons booted with the same
+// flags require.
 func TestLoadTablesDeterministic(t *testing.T) {
 	cfg := config{workloads: "galaxy,tpch", n: 40, seed: 42, meansM: 30}
 	load := func() (*spq.DB, []string) {

@@ -11,27 +11,18 @@
 //     statement and invalidated by the registered relation's version
 //     counter, so repeated queries skip WHERE filtering, mask evaluation,
 //     and bound derivation;
-//   - a result cache behind the internal/resultcache.Store seam: evaluation
-//     is fully deterministic for fixed (query, method, options, seeds) —
-//     parallelism is bit-identical to sequential — so identical requests are
-//     served from a response store without solving, or even waiting for a
-//     solve slot. The default store is a node-local LRU; a Replicating store
-//     write-through-shares entries between peer daemons, and the engine
-//     materializes peer-received entries lazily against its own catalog;
+//   - a result cache (an internal/resultcache LRU): evaluation is fully
+//     deterministic for fixed (query, method, options, seeds) — parallelism
+//     is bit-identical to sequential — so identical requests are served
+//     without solving, or even waiting for a solve slot;
 //   - per-query timeouts and cancellation via context.Context, carried all
 //     the way into scenario generation, validation, and the MILP search.
 //
-// Methods resolve through the core.Solver seam (SummarySearch, Naive, any
-// registered solver such as internal/remote's "remote"), plus "sketch",
-// which runs the partition-aware SketchRefine pipeline (internal/sketch)
-// against the cached plan: the relation's cached Partitioning shards the
-// medoid solve, shards solve concurrently, and one global refine follows.
-// With Options.SketchSolver set to a remote solver, those shard sub-solves
-// dispatch to worker daemons as v1 jobs — the multi-node deployment.
-// Symmetrically, the engine is the worker side of that dispatch: a request
-// carrying a client.SolveSpec solves a sub-problem of a registered table
-// (subset view + bound overrides) and answers with the raw, bit-exact
-// solution.
+// Methods resolve through the core.Solver seam (SummarySearch, Naive), plus
+// "sketch", which runs the partition-aware SketchRefine pipeline
+// (internal/sketch) against the cached plan: the relation's cached
+// Partitioning shards the medoid solve, shards solve concurrently, and one
+// global refine follows.
 //
 // Query evaluation itself runs with core.Options.Parallelism workers, so one
 // query exploits all cores when the server is idle while concurrent queries
@@ -43,7 +34,6 @@ package engine
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -56,7 +46,6 @@ import (
 	"spq/internal/core"
 	"spq/internal/obs"
 	"spq/internal/relation"
-	"spq/internal/remote"
 	"spq/internal/resultcache"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
@@ -123,23 +112,8 @@ type Options struct {
 	// JobHistory is the number of finished jobs retained for polling after
 	// completion (default 64; negative retains none).
 	JobHistory int
-	// ResultCache, when non-nil, replaces the default in-memory result
-	// store (a resultcache.Memory of ResultCacheSize entries). A
-	// resultcache.Replicating store shares entries with peer daemons; its
-	// peer endpoint is mounted by Handler and its counters join Stats.
-	ResultCache resultcache.Store
-	// SketchSolver, when non-nil, evaluates method=sketch sub-problems
-	// (shard sketches, refine, fallback) in place of the sketch default
-	// (core.SummarySearchSolver). Coordinator daemons set the remote solver
-	// here to dispatch shards to workers. Per-request sketch options that
-	// name a solver explicitly win.
-	SketchSolver core.Solver
-	// RemoteStats, when non-nil, is snapshotted into the remote_* Stats
-	// fields (set by daemons that registered a remote solver).
-	RemoteStats func() remote.Stats
 	// ReadOnly disables the mutation surface: POST /v1/tables/{name}/deltas
-	// answers 405 and Engine.ApplyDelta fails. Workers in a fleet should run
-	// read-only so every mutation funnels through the coordinator.
+	// answers 405 and Engine.ApplyDelta fails.
 	ReadOnly bool
 	// Logger, when non-nil, receives the engine's structured events — today
 	// the slow-query log (see SlowQuery).
@@ -212,23 +186,15 @@ type Request struct {
 	// Sketch tunes the sketch pipeline when Method is "sketch"; nil uses
 	// sketch defaults. Workers 0 inherits the engine's parallelism.
 	Sketch *sketch.Options
-	// Solve, when non-nil, restricts the evaluation to a sub-problem of the
-	// query's table: the subset view named by the spec (base-relation tuple
-	// indices), with the spec's variable-bound overrides applied after
-	// translation. This is the worker side of remote dispatch
-	// (internal/remote submits these); sub-problem plans are built per
-	// request (no plan cache — every shard's subset differs) but results
-	// are cached with the spec joined into the key.
-	Solve *client.SolveSpec
 	// Progress, when non-nil, receives per-iteration reports while the
 	// solve runs (installed into core.Options; see core.Progress). It never
 	// fires for result-cache hits, where no solve runs.
 	Progress func(core.Progress)
-	// TraceParent, when non-empty, is an obs.TraceParent rendering
-	// ("<trace-id>/<span-name>") propagated from an upstream daemon (the
-	// X-Spq-Trace header): the evaluation's trace adopts the upstream trace
-	// ID so coordinator and worker spans correlate. Like Progress it is
-	// purely observational and never joins cache keys.
+	// TraceParent, when non-empty, is the X-Spq-Trace value
+	// ("<trace-id>/<span-name>") propagated from an upstream caller: the
+	// evaluation's trace adopts the upstream trace ID so the caller's spans
+	// and the engine's correlate. Like Progress it is purely observational
+	// and never joins cache keys.
 	TraceParent string
 	// Tenant names the admission lane ("" and unknown labels fold into the
 	// default tenant). Tenancy shapes scheduling only: it never reaches the
@@ -287,8 +253,8 @@ func (r *Result) Multiplicities() map[int]int {
 }
 
 // lruCache is a tiny string-keyed LRU for the plan cache (the result cache
-// moved behind internal/resultcache.Store, which synchronizes itself).
-// The caller synchronizes access (the engine holds its mutex).
+// is a resultcache.Memory, which synchronizes itself). The caller
+// synchronizes access (the engine holds its mutex).
 type lruCache struct {
 	cap int
 	ll  *list.List // front = most recently used; values are *lruEntry
@@ -353,9 +319,7 @@ type plan struct {
 
 // cachedResult is one result-cache entry's in-process value: a fully
 // evaluated, deterministic response plus the relation identity/version it
-// is valid for. It rides inside resultcache.Entry.Local; the entry's Wire
-// payload is the serialized cacheWire twin a peer daemon can rebuild it
-// from.
+// is valid for. It rides inside resultcache.Entry.Local.
 type cachedResult struct {
 	sol        *core.Solution
 	sketch     *sketch.Stats
@@ -363,19 +327,6 @@ type cachedResult struct {
 	rel        *relation.Relation // WHERE-filtered view the solution indexes
 	table      *relation.Relation
 	relVersion uint64
-}
-
-// cacheWire is the self-contained replication payload of one cached result:
-// everything a peer needs to revalidate the entry against its own catalog
-// and rebuild the cachedResult (canonical query → plan → relation view; raw
-// solution → core.Solution). Float64 fields round-trip exactly through
-// JSON, so a replicated hit is bit-identical to a local one.
-type cacheWire struct {
-	Query  string              `json:"query"`
-	Method string              `json:"method"`
-	Solve  *client.SolveSpec   `json:"solve,omitempty"`
-	Result *client.SolveResult `json:"result"`
-	Sketch *sketch.Stats       `json:"sketch,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the engine's counters, served as one
@@ -477,22 +428,6 @@ type Stats struct {
 	StaleViews         int64 `json:"stale_views"`
 	SummariesPatched   int64 `json:"summary_tuples_patched"`
 	SummariesReused    int64 `json:"summary_tuples_reused"`
-	// Result-cache replication counters, present only when the engine runs
-	// a Replicating store (see internal/resultcache): entries pushed to
-	// peers, accepted from peers, failed deliveries, and local pushes
-	// dropped on queue overflow.
-	CacheReplicated  int64 `json:"cache_replicated,omitempty"`
-	CacheReceived    int64 `json:"cache_received,omitempty"`
-	CachePushErrors  int64 `json:"cache_push_errors,omitempty"`
-	CacheReplDropped int64 `json:"cache_repl_dropped,omitempty"`
-	// Remote-solver counters, present only on daemons that registered a
-	// worker pool (Options.RemoteStats): sub-solves dispatched to workers,
-	// local fallbacks, observed worker failures, and workers currently in
-	// failure backoff.
-	RemoteDispatched  int64 `json:"remote_dispatched,omitempty"`
-	RemoteFallbacks   int64 `json:"remote_fallbacks,omitempty"`
-	RemoteFailures    int64 `json:"remote_failures,omitempty"`
-	RemoteWorkersDown int64 `json:"remote_workers_down,omitempty"`
 }
 
 // Engine is a concurrent sPaQL query-execution engine over a catalog of
@@ -512,11 +447,8 @@ type Engine struct {
 	// delta invalidated, keyed by result key; bounded (see maxWarmHints).
 	warmHints map[string]*warmHint
 
-	// results is nil when result caching is disabled. wantWire reports
-	// whether the store replicates (implements Counters), in which case
-	// every locally solved entry also gets its serialized wire payload.
-	results  resultcache.Store
-	wantWire bool
+	// results is nil when result caching is disabled.
+	results *resultcache.Memory
 
 	// Async job manager state (jobs.go). jobList holds every tracked job in
 	// submission order; jobFinished counts the terminal ones, bounded by
@@ -538,14 +470,8 @@ func New(cat Catalog, o *Options) *Engine {
 		plans:    newLRU(opts.PlanCacheSize),
 		jobsByID: map[string]*Job{},
 	}
-	switch {
-	case opts.ResultCache != nil:
-		e.results = opts.ResultCache
-	case opts.ResultCacheSize > 0:
+	if opts.ResultCacheSize > 0 {
 		e.results = resultcache.NewMemory(opts.ResultCacheSize)
-	}
-	if e.results != nil {
-		_, e.wantWire = e.results.(interface{ Counters() resultcache.Counters })
 	}
 	e.m = newEngineMetrics(e)
 	return e
@@ -630,69 +556,15 @@ func (e *Engine) planDrop(key string) {
 	e.plans.drop(key)
 }
 
-// prepareSolve builds the plan for a sub-problem submission
-// (client.SolveSpec): the query lowered over the spec's subset view of the
-// base relation, with the spec's variable-bound overrides applied after
-// translation. The subset selection preserves each tuple's substream
-// identity, so the rebuilt problem is row-for-row the problem the
-// dispatching coordinator holds, and solving it is bit-identical to the
-// coordinator solving locally. Sub-problem plans are never plan-cached —
-// each shard's subset is unique — but their results are result-cached (the
-// spec joins the key).
-func (e *Engine) prepareSolve(q *spaql.Query, spec *client.SolveSpec) (*plan, error) {
-	rel, ok := e.cat.Table(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown table %q", q.Table)
-	}
-	snap := rel.Snapshot() // pin: deltas must not shift an admitted sub-solve
-	version := snap.Version()
-	n := snap.N()
-	if len(spec.Subset) == 0 {
-		return nil, errors.New("engine: solve spec has an empty subset")
-	}
-	member := make([]bool, n)
-	prev := -1
-	for _, t := range spec.Subset {
-		if t <= prev || t >= n {
-			return nil, fmt.Errorf("engine: solve subset must be strictly ascending base-relation indices below %d", n)
-		}
-		prev = t
-		member[t] = true
-	}
-	sub := snap.Select(func(t int) bool { return member[t] })
-	silp, err := translate.Build(q, sub, nil)
-	if err != nil {
-		return nil, err
-	}
-	if spec.VarHi != nil {
-		if len(spec.VarHi) != silp.N {
-			return nil, fmt.Errorf("engine: solve spec var_hi has %d bounds, problem has %d variables", len(spec.VarHi), silp.N)
-		}
-		silp.VarHi = append([]float64(nil), spec.VarHi...)
-	}
-	if spec.VarLo != nil {
-		if len(spec.VarLo) != silp.N {
-			return nil, fmt.Errorf("engine: solve spec var_lo has %d bounds, problem has %d variables", len(spec.VarLo), silp.N)
-		}
-		silp.VarLo = append([]float64(nil), spec.VarLo...)
-	}
-	return &plan{query: q, silp: silp, table: rel, relVersion: version}, nil
-}
-
 // resultKey renders the full determinism domain of a request: the canonical
 // statement, the method, every result-relevant evaluation option (seeds
 // included, parallelism excluded — it is bit-identical), the effective
-// timeout (when a budget binds, the result depends on it), the sketch
-// options for the sketch method, and the solve spec for sub-problem
-// requests. Every part is node-independent, which is what makes the key
-// safe to share across a replicated fleet.
-func resultKey(qstr, method string, opts *core.Options, timeout time.Duration, sopts *sketch.Options, spec *client.SolveSpec) string {
+// timeout (when a budget binds, the result depends on it), and the sketch
+// options for the sketch method.
+func resultKey(qstr, method string, opts *core.Options, timeout time.Duration, sopts *sketch.Options) string {
 	key := qstr + "\x1f" + method + "\x1f" + opts.Key() + "\x1f" + fmt.Sprint(int64(timeout))
 	if method == "sketch" {
 		key += "\x1f" + sopts.Key()
-	}
-	if spec != nil {
-		key += "\x1f" + spec.Key()
 	}
 	return key
 }
@@ -700,10 +572,7 @@ func resultKey(qstr, method string, opts *core.Options, timeout time.Duration, s
 // resultGet returns a still-valid cached result, dropping entries whose
 // relation changed. The conditional Drop (pointer-matched against the entry
 // we validated) guarantees a stale read can never evict a fresh entry
-// stored by a concurrent solve. Entries that arrived from a peer daemon
-// carry only the wire payload; the first hit materializes them against the
-// local catalog and promotes the in-process value. A nil return is counted
-// as a miss.
+// stored by a concurrent solve. A nil return is counted as a miss.
 func (e *Engine) resultGet(key string) *cachedResult {
 	if e.results == nil {
 		return nil
@@ -713,121 +582,45 @@ func (e *Engine) resultGet(key string) *cachedResult {
 		e.m.resultMisses.Inc()
 		return nil
 	}
-	if rel, live := e.cat.Table(ent.Table); live {
-		if cr, isLocal := ent.Local.(*cachedResult); isLocal {
-			// The identity check (not just name+version) guards against a
-			// different relation re-registered under the same name whose
-			// fresh version counter happens to coincide.
-			if cr.table == rel {
-				if rel.Version() == ent.Version {
-					e.m.resultHits.Inc()
-					return cr
-				}
-				// The relation moved past the entry. Retain it when the
-				// merged delta footprint misses the query's columns and
-				// changed no membership: the solution provably cannot
-				// differ, so the entry is rebased to the new version. The
-				// rebased entry is marked Remote so it never re-replicates
-				// (peers revalidate against their own catalogs). Tuples in
-				// the rendered package read from the admitted snapshot,
-				// whose query-relevant columns are identical by
-				// construction.
-				if cs, have := rel.Changes(ent.Version); have && !cs.MembershipChanged() && !cs.Touches(cr.query.Attrs()) {
-					e.results.Put(key, &resultcache.Entry{
-						Table: ent.Table, Version: cs.To,
-						Local: cr, Wire: ent.Wire, Remote: true,
-					})
-					e.m.resultsRetained.Inc()
-					e.m.resultHits.Inc()
-					return cr
-				}
-				// Invalidated for real — but the dying entry may carry the
-				// previous evaluation's warm-start state. Stash it so the
-				// re-solve of the same request can start from the previous
-				// package, summaries, and root basis instead of cold.
-				e.stashWarm(key, cr)
-				e.m.resultsInvalidated.Inc()
-			}
-		} else if rel.Version() == ent.Version {
-			if cr := e.materialize(ent); cr != nil {
-				e.results.Put(key, &resultcache.Entry{
-					Table: ent.Table, Version: ent.Version,
-					Local: cr, Wire: ent.Wire,
-					Remote: true, // a promoted peer entry still never re-replicates
-				})
-				e.m.resultHits.Inc()
-				return cr
-			}
+	cr := ent.Local.(*cachedResult)
+	// The identity check (not just name+version) guards against a different
+	// relation re-registered under the same name whose fresh version counter
+	// happens to coincide.
+	if rel, live := e.cat.Table(ent.Table); live && cr.table == rel {
+		if rel.Version() == ent.Version {
+			e.m.resultHits.Inc()
+			return cr
 		}
+		// The relation moved past the entry. Retain it when the merged delta
+		// footprint misses the query's columns and changed no membership: the
+		// solution provably cannot differ, so the entry is rebased to the new
+		// version. Tuples in the rendered package read from the admitted
+		// snapshot, whose query-relevant columns are identical by
+		// construction.
+		if cs, have := rel.Changes(ent.Version); have && !cs.MembershipChanged() && !cs.Touches(cr.query.Attrs()) {
+			e.results.Put(key, &resultcache.Entry{Table: ent.Table, Version: cs.To, Local: cr})
+			e.m.resultsRetained.Inc()
+			e.m.resultHits.Inc()
+			return cr
+		}
+		// Invalidated for real — but the dying entry may carry the previous
+		// evaluation's warm-start state. Stash it so the re-solve of the same
+		// request can start from the previous package, summaries, and root
+		// basis instead of cold.
+		e.stashWarm(key, cr)
+		e.m.resultsInvalidated.Inc()
 	}
 	e.results.Drop(key, ent)
 	e.m.resultMisses.Inc()
 	return nil
 }
 
-// materialize rebuilds a peer-replicated entry's in-process value against
-// the local catalog: parse the canonical query, prepare its plan (through
-// the plan cache for whole-table entries; per-spec for sub-problems), check
-// the version still matches, and decode the raw solution onto the plan's
-// relation view. Any mismatch — table gone, version moved, malformed
-// payload, wrong package length — returns nil and the caller drops the
-// entry; replication is best-effort by design.
-func (e *Engine) materialize(ent *resultcache.Entry) *cachedResult {
-	if len(ent.Wire) == 0 {
-		return nil
-	}
-	var cw cacheWire
-	if err := json.Unmarshal(ent.Wire, &cw); err != nil {
-		return nil
-	}
-	q, err := spaql.Parse(cw.Query)
-	if err != nil {
-		return nil
-	}
-	var p *plan
-	if cw.Solve != nil {
-		p, err = e.prepareSolve(q, cw.Solve)
-	} else {
-		p, _, err = e.prepare(q, q.String())
-	}
-	if err != nil || p.relVersion != ent.Version {
-		return nil
-	}
-	sol, err := remote.FromWireSolution(cw.Result, p.silp.Rel.N())
-	if err != nil {
-		return nil
-	}
-	return &cachedResult{
-		sol: sol, sketch: cw.Sketch, query: p.query, rel: p.silp.Rel,
-		table: p.table, relVersion: p.relVersion,
-	}
-}
-
-// resultPut stores one locally solved result. When the store replicates,
-// the entry also carries its self-contained wire payload for the peer push.
-func (e *Engine) resultPut(key, method string, cr *cachedResult, spec *client.SolveSpec) {
+// resultPut stores one locally solved result.
+func (e *Engine) resultPut(key string, cr *cachedResult) {
 	if e.results == nil {
 		return
 	}
-	ent := &resultcache.Entry{Table: cr.query.Table, Version: cr.relVersion, Local: cr}
-	// A warm re-solve was seeded by node-local state (Options.Warm is
-	// excluded from the result key), so its accepted (M, Z) is not
-	// guaranteed to match what a peer solving the same key cold would reach:
-	// the entry stays node-local (Remote entries never replicate).
-	if cr.sol != nil && cr.sol.WarmResolve {
-		ent.Remote = true
-	} else if e.wantWire {
-		if wire, err := json.Marshal(cacheWire{
-			Query:  cr.query.String(),
-			Method: method,
-			Solve:  spec,
-			Result: remote.ToWireSolution(cr.sol),
-			Sketch: cr.sketch,
-		}); err == nil {
-			ent.Wire = wire
-		}
-	}
-	e.results.Put(key, ent)
+	e.results.Put(key, &resultcache.Entry{Table: cr.query.Table, Version: cr.relVersion, Local: cr})
 }
 
 // Query evaluates one request under admission control: it parses the query,
@@ -908,11 +701,8 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	qstr := q.String()
 	ps.End()
 
-	// method is canonicalized through the solver registry to the cache-key
-	// name of the computation: "" and "summarysearch" are the same
-	// computation and must share one result entry, and so are "remote" and
-	// its (bit-identical) inner method — including across fleet nodes with
-	// different solver configurations.
+	// method is canonicalized to the solver's name: "" and "summarysearch"
+	// are the same computation and must share one result entry.
 	method := strings.ToLower(req.Method)
 	var solver core.Solver
 	if method != "sketch" {
@@ -920,7 +710,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 			e.m.failures.Inc()
 			return nil, fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
 		}
-		method = core.SolverCacheKey(solver)
+		method = solver.Name()
 	}
 
 	timeout := req.Timeout
@@ -947,15 +737,12 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 		if s.Workers == 0 {
 			s.Workers = opts.Parallelism
 		}
-		if s.Solver == nil {
-			s.Solver = e.opts.SketchSolver
-		}
 		sopts = &s
 	}
 
 	// Identical deterministic requests are answered without solving (and
 	// without consuming a solve slot or queue capacity).
-	rkey := resultKey(qstr, method, &opts, timeout, sopts, req.Solve)
+	rkey := resultKey(qstr, method, &opts, timeout, sopts)
 	sp.SetAttr("method", method)
 	if cr := e.resultGet(rkey); cr != nil {
 		sp.SetAttr("result_cache", "hit")
@@ -1006,48 +793,37 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	// dying on the context deadline. The clamps are applied strictly after
 	// rkey was rendered from the pristine options, and a clamped (budget-
 	// cut) solution is never cached, so deadlines and classes stay out of
-	// every cache key and determinism is preserved. Only local anytime
-	// solvers are clamped: remote dispatch must keep its budgets verbatim
-	// (a jittery wall-clock budget would mint unique worker cache keys),
-	// and worker-side sub-problems already run under dispatched budgets.
+	// every cache key and determinism is preserved.
 	engineClamped := false
-	if e.clampable(method, solver, sopts, req.Solve) {
-		if cb, ok := e.opts.Classes[req.Class]; ok && req.Class != "" {
-			if cb.TimeLimit > 0 && (opts.TimeLimit <= 0 || cb.TimeLimit < opts.TimeLimit) {
-				opts.TimeLimit = cb.TimeLimit
-				engineClamped = true
-			}
-			if cb.SolverNodes > 0 && (opts.SolverNodes <= 0 || cb.SolverNodes < opts.SolverNodes) {
-				opts.SolverNodes = cb.SolverNodes
-				engineClamped = true
-			}
+	if cb, ok := e.opts.Classes[req.Class]; ok && req.Class != "" {
+		if cb.TimeLimit > 0 && (opts.TimeLimit <= 0 || cb.TimeLimit < opts.TimeLimit) {
+			opts.TimeLimit = cb.TimeLimit
+			engineClamped = true
 		}
-		if dl, ok := ctx.Deadline(); ok {
-			// Leave a margin so the solver's wall-clock budget binds (and
-			// returns best-so-far) before the hard context deadline kills
-			// the evaluation mid-round.
-			rem := time.Until(dl)
-			margin := rem / 10
-			if margin < 20*time.Millisecond {
-				margin = 20 * time.Millisecond
-			} else if margin > 2*time.Second {
-				margin = 2 * time.Second
-			}
-			if budget := rem - margin; budget > 0 && (opts.TimeLimit <= 0 || budget < opts.TimeLimit) {
-				opts.TimeLimit = budget
-				engineClamped = true
-			}
+		if cb.SolverNodes > 0 && (opts.SolverNodes <= 0 || cb.SolverNodes < opts.SolverNodes) {
+			opts.SolverNodes = cb.SolverNodes
+			engineClamped = true
+		}
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		// Leave a margin so the solver's wall-clock budget binds (and
+		// returns best-so-far) before the hard context deadline kills the
+		// evaluation mid-round.
+		rem := time.Until(dl)
+		margin := rem / 10
+		if margin < 20*time.Millisecond {
+			margin = 20 * time.Millisecond
+		} else if margin > 2*time.Second {
+			margin = 2 * time.Second
+		}
+		if budget := rem - margin; budget > 0 && (opts.TimeLimit <= 0 || budget < opts.TimeLimit) {
+			opts.TimeLimit = budget
+			engineClamped = true
 		}
 	}
 
 	pls := sp.StartChild("plan")
-	var p *plan
-	var hit bool
-	if req.Solve != nil {
-		p, err = e.prepareSolve(q, req.Solve)
-	} else {
-		p, hit, err = e.prepare(q, qstr)
-	}
+	p, hit, err := e.prepare(q, qstr)
 	if err != nil {
 		pls.SetAttr("error", err.Error())
 		pls.End()
@@ -1059,12 +835,12 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	}
 	pls.End()
 
-	// Warm re-solve wiring (whole-table core methods only): collect warm
-	// state alongside cacheable results, and consume a hint stashed when a
-	// delta invalidated this request's previous entry. Both are advisory —
-	// neither joins the result key, and a warm solve that fails to validate
-	// falls back to the cold path inside core.
-	if req.Solve == nil && method != "sketch" {
+	// Warm re-solve wiring (core methods only): collect warm state alongside
+	// cacheable results, and consume a hint stashed when a delta invalidated
+	// this request's previous entry. Both are advisory — neither joins the
+	// result key, and a warm solve that fails to validate falls back to the
+	// cold path inside core.
+	if method != "sketch" {
 		opts.CollectWarm = e.results != nil
 		if hint := e.takeWarm(rkey); hint != nil {
 			if w := e.warmStart(hint, p); w != nil {
@@ -1131,28 +907,12 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 			e.m.tenantDegraded.With(tenant).Inc()
 		}
 	} else {
-		e.resultPut(rkey, method, &cachedResult{
+		e.resultPut(rkey, &cachedResult{
 			sol: sol, sketch: sstats, query: p.query, rel: p.silp.Rel,
 			table: p.table, relVersion: p.relVersion,
-		}, req.Solve)
+		})
 	}
 	return &Result{Solution: sol, Query: p.query, Rel: p.silp.Rel, CacheHit: hit, Sketch: sstats, Wait: wait, Degraded: degraded}, nil
-}
-
-// clampable reports whether the engine may tighten the request's evaluation
-// budgets (class budgets, deadline-derived wall-clock clamps). Only local
-// anytime solvers qualify: remote dispatch forwards budgets verbatim into
-// worker cache keys, so a per-request jittery clamp would destroy cache
-// affinity across the fleet, and sub-problem (SolveSpec) requests already
-// run under exactly the budgets their coordinator dispatched.
-func (e *Engine) clampable(method string, solver core.Solver, sopts *sketch.Options, spec *client.SolveSpec) bool {
-	if spec != nil {
-		return false
-	}
-	if method == "sketch" {
-		return sopts.Solver == nil || sopts.Solver == core.SummarySearchSolver || sopts.Solver == core.NaiveSolver
-	}
-	return solver == core.SummarySearchSolver || solver == core.NaiveSolver
 }
 
 // Stats returns a snapshot of the engine's counters. It reads the same
@@ -1235,19 +995,5 @@ func (e *Engine) Stats() Stats {
 	st.StaleViews = ds.StaleViews
 	st.SummariesPatched = sc.SummaryTuplesPatched
 	st.SummariesReused = sc.SummaryTuplesReused
-	if c, ok := e.results.(interface{ Counters() resultcache.Counters }); ok {
-		rc := c.Counters()
-		st.CacheReplicated = rc.Replicated
-		st.CacheReceived = rc.Received
-		st.CachePushErrors = rc.PushErrors
-		st.CacheReplDropped = rc.Dropped
-	}
-	if e.opts.RemoteStats != nil {
-		rs := e.opts.RemoteStats()
-		st.RemoteDispatched = rs.Dispatched
-		st.RemoteFallbacks = rs.Fallbacks
-		st.RemoteFailures = rs.Failures
-		st.RemoteWorkersDown = int64(rs.WorkersDown)
-	}
 	return st
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"spq/client"
-	"spq/internal/resultcache"
 )
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -63,11 +62,6 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("/metrics", methodsHandler(map[string]http.HandlerFunc{
 		http.MethodGet: e.m.reg.Handler().ServeHTTP,
 	}))
-	// A replicating result cache brings its peer endpoint along (POST
-	// receives pushed entries, GET reports replication counters).
-	if ph, ok := e.results.(interface{ Handler() http.Handler }); ok {
-		mux.Handle(resultcache.PeerPath, ph.Handler())
-	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &client.Error{
 			Code:       client.CodeNotFound,

@@ -101,7 +101,6 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 			RelGap:              o.RelGap,
 		}
 	}
-	req.Solve = sr.Solve
 	if s := sr.Sketch; s != nil {
 		var strategy relation.PartitionStrategy
 		switch strings.ToLower(s.Strategy) {
@@ -129,6 +128,16 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 	return req, nil
 }
 
+// submitBody is one v1 submission as the server decodes it: the client
+// contract plus the retired "solve" sub-problem field. A body carrying it
+// asked for a relation-view sub-problem; answering it over the whole table
+// would quietly solve a different problem, so submitOne rejects it instead
+// of letting decodeBody ignore it.
+type submitBody struct {
+	client.SubmitRequest
+	Solve any `json:"solve"`
+}
+
 // decodeBody decodes a bounded JSON request body into v. Unknown fields are
 // ignored, so a body from an older client that still carries a removed
 // option decodes unchanged.
@@ -146,7 +155,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *client.Error {
 
 // submitOne validates and submits one request, mapping failures to wire
 // errors (shared by the single and batch submit paths).
-func (e *Engine) submitOne(sr *client.SubmitRequest) (*Job, *client.Error) {
+func (e *Engine) submitOne(sb *submitBody) (*Job, *client.Error) {
+	sr := &sb.SubmitRequest
+	if sb.Solve != nil {
+		return nil, &client.Error{Code: client.CodeBadRequest, Message: `"solve" sub-problem submissions are not supported`, HTTPStatus: http.StatusBadRequest}
+	}
 	if sr.Query == "" {
 		return nil, &client.Error{Code: client.CodeBadRequest, Message: `missing "query"`, HTTPStatus: http.StatusBadRequest}
 	}
@@ -162,16 +175,16 @@ func (e *Engine) submitOne(sr *client.SubmitRequest) (*Job, *client.Error) {
 }
 
 func (e *Engine) handleV1Submit(w http.ResponseWriter, r *http.Request) {
-	var sr client.SubmitRequest
-	if apiErr := decodeBody(w, r, &sr); apiErr != nil {
+	var sb submitBody
+	if apiErr := decodeBody(w, r, &sb); apiErr != nil {
 		writeError(w, apiErr)
 		return
 	}
-	sr.TraceParent = r.Header.Get(client.TraceHeader)
+	sb.TraceParent = r.Header.Get(client.TraceHeader)
 	if t := r.Header.Get(client.TenantHeader); t != "" {
-		sr.Tenant = t // header wins over the body field
+		sb.Tenant = t // header wins over the body field
 	}
-	j, apiErr := e.submitOne(&sr)
+	j, apiErr := e.submitOne(&sb)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
@@ -242,7 +255,9 @@ func (e *Engine) handleV1Cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleV1Batch(w http.ResponseWriter, r *http.Request) {
-	var br client.BatchRequest
+	var br struct {
+		Queries []submitBody `json:"queries"`
+	}
 	if apiErr := decodeBody(w, r, &br); apiErr != nil {
 		writeError(w, apiErr)
 		return

@@ -14,7 +14,6 @@ import (
 	"spq/internal/core"
 	"spq/internal/obs"
 	"spq/internal/relation"
-	"spq/internal/remote"
 	"spq/internal/spaql"
 )
 
@@ -227,11 +226,8 @@ func packageOf(x []float64, rel *relation.Relation) []client.PackageTuple {
 	return out
 }
 
-// resultToWire renders an engine Result as the v1 result payload. raw adds
-// the solver-fidelity solution (exact multiplicities over the solved view)
-// for sub-problem submissions — the remote solver needs bit-exact values,
-// not the rounded base-tuple package.
-func resultToWire(res *Result, solve time.Duration, raw bool) *client.QueryResult {
+// resultToWire renders an engine Result as the v1 result payload.
+func resultToWire(res *Result, solve time.Duration) *client.QueryResult {
 	out := &client.QueryResult{
 		Feasible:       res.Feasible,
 		Objective:      res.Objective,
@@ -262,26 +258,18 @@ func resultToWire(res *Result, solve time.Duration, raw bool) *client.QueryResul
 			FellBack:   res.Sketch.FellBack,
 		}
 	}
-	if raw {
-		out.Raw = remote.ToWireSolution(res.Solution)
-	}
 	return out
 }
 
 // errToWire maps an engine/evaluation error to the v1 error contract.
-// Deterministic infeasibility gets its own stable code (it is a property of
-// the problem, which distributed callers must distinguish from a worker
-// fault), and a structured worker error already in the chain — the remote
-// solver wraps them with %w — keeps its stable code instead of collapsing
-// to "internal", so codes propagate end-to-end through any number of
-// dispatch hops.
+// Deterministic infeasibility gets its own stable code: it is a property of
+// the problem, which callers must distinguish from a server fault.
 func errToWire(err error) *client.Error {
-	var apiErr *client.Error
 	switch {
 	case errors.Is(err, ErrTenantQuota):
 		// Checked before ErrOverloaded so the finer code wins if both are in
 		// a chain: "my lane is full" is actionable per-tenant backpressure,
-		// "the fleet is full" calls for global backoff.
+		// "the server is full" calls for global backoff.
 		return &client.Error{Code: client.CodeTenantQuota, Message: err.Error(), RetryAfterMS: 1000, HTTPStatus: 429}
 	case errors.Is(err, ErrOverloaded):
 		return &client.Error{Code: client.CodeOverloaded, Message: err.Error(), RetryAfterMS: 1000, HTTPStatus: 429}
@@ -299,17 +287,6 @@ func errToWire(err error) *client.Error {
 		return &client.Error{Code: client.CodeUnknownMethod, Message: err.Error(), HTTPStatus: 400}
 	case errors.Is(err, ErrBadQuery):
 		return &client.Error{Code: client.CodeInvalidQuery, Message: err.Error(), HTTPStatus: 400}
-	case errors.As(err, &apiErr):
-		out := client.Error{
-			Code:         apiErr.Code,
-			Message:      err.Error(), // the full chain, worker context included
-			RetryAfterMS: apiErr.RetryAfterMS,
-			HTTPStatus:   apiErr.HTTPStatus,
-		}
-		if out.HTTPStatus == 0 {
-			out.HTTPStatus = 500
-		}
-		return &out
 	default:
 		return &client.Error{Code: client.CodeInternal, Message: err.Error(), HTTPStatus: 500}
 	}
@@ -432,7 +409,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 	case err == nil:
 		j.state = client.JobSucceeded
 		j.result = res
-		j.wire = resultToWire(res, solve, req.Solve != nil)
+		j.wire = resultToWire(res, solve)
 		// The final package is by definition the best one.
 		j.bestFeas = res.Feasible
 		j.bestObj = res.Objective
@@ -482,11 +459,10 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 	j.bump()
 	elapsed := j.finished.Sub(j.created)
 	j.mu.Unlock()
-	close(j.done)
-	j.cancel() // release the context's resources
-	e.maybeLogSlow(j.trace, j.query, j.method, elapsed)
 
-	// Bound the finished-job history.
+	// Bound the finished-job history before closing done, so a waiter on
+	// Done() sees the job fully accounted: history trimmed, evictions
+	// counted.
 	e.jobsMu.Lock()
 	e.jobFinished++
 	for e.jobFinished > e.opts.JobHistory {
@@ -509,6 +485,10 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 		}
 	}
 	e.jobsMu.Unlock()
+
+	close(j.done)
+	j.cancel() // release the context's resources
+	e.maybeLogSlow(j.trace, j.query, j.method, elapsed)
 }
 
 // observe folds one core progress report into the job's event log and

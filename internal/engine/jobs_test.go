@@ -346,8 +346,10 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := e.Submit(Request{Query: "SELECT NONSENSE"}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("parse failure err = %v, want ErrBadQuery", err)
 	}
-	if _, err := e.Submit(Request{Query: testQuery, Method: "quantum"}); !errors.Is(err, ErrUnknownMethod) {
-		t.Fatalf("unknown method err = %v, want ErrUnknownMethod", err)
+	for _, m := range []string{"quantum", "remote"} {
+		if _, err := e.Submit(Request{Query: testQuery, Method: m}); !errors.Is(err, ErrUnknownMethod) {
+			t.Fatalf("method %q err = %v, want ErrUnknownMethod", m, err)
+		}
 	}
 
 	j, err := e.Submit(hardRequest())

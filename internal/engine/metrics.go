@@ -6,7 +6,6 @@ import (
 	"spq/client"
 	"spq/internal/obs"
 	"spq/internal/relation"
-	"spq/internal/resultcache"
 	"spq/internal/stream"
 )
 
@@ -73,7 +72,7 @@ type engineMetrics struct {
 	// phase records every finished trace span's duration under its bounded
 	// phase label (obs.PhaseName): parse, plan, wait, generate, summarize,
 	// validate, probe, solve, partition, sketch/shard, refine, fallback,
-	// remote/dispatch, and the per-method evaluation spans.
+	// and the per-method evaluation spans.
 	phase *obs.HistogramVec
 }
 
@@ -162,18 +161,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.NewGaugeFunc("spq_stale_view_errors", "Reads rejected with ErrStaleView (view or partitioning superseded by a delta).", func() float64 { return float64(relation.DeltaStats().StaleViews) })
 	r.NewGaugeFunc("spq_summary_tuples_patched", "Summary tuple folds recomputed by delta patches (the k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesPatched) })
 	r.NewGaugeFunc("spq_summary_tuples_reused", "Summary tuple folds reused unchanged by delta patches (the N-k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesReused) })
-	if c, ok := e.results.(interface{ Counters() resultcache.Counters }); ok {
-		r.NewGaugeFunc("spq_cache_replicated", "Result-cache entries pushed to peers.", func() float64 { return float64(c.Counters().Replicated) })
-		r.NewGaugeFunc("spq_cache_received", "Result-cache entries accepted from peers.", func() float64 { return float64(c.Counters().Received) })
-		r.NewGaugeFunc("spq_cache_push_errors", "Failed result-cache peer deliveries.", func() float64 { return float64(c.Counters().PushErrors) })
-		r.NewGaugeFunc("spq_cache_repl_dropped", "Result-cache pushes dropped on queue overflow.", func() float64 { return float64(c.Counters().Dropped) })
-	}
-	if rs := e.opts.RemoteStats; rs != nil {
-		r.NewGaugeFunc("spq_remote_dispatched", "Sub-solves dispatched to worker daemons.", func() float64 { return float64(rs().Dispatched) })
-		r.NewGaugeFunc("spq_remote_fallbacks", "Sub-solves that fell back to solving locally.", func() float64 { return float64(rs().Fallbacks) })
-		r.NewGaugeFunc("spq_remote_failures", "Observed worker dispatch failures (drives backoff).", func() float64 { return float64(rs().Failures) })
-		r.NewGaugeFunc("spq_remote_workers_down", "Workers currently in failure backoff.", func() float64 { return float64(rs().WorkersDown) })
-	}
 	return m
 }
 

@@ -34,19 +34,9 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ContextWithSpan(ctx, child), child
 }
 
-// TraceParent is the X-Spq-Trace wire form: "<trace-id>/<parent-span-name>".
-// The parent span name is informational (nesting happens by grafting the
-// worker's rendered tree under the coordinator's dispatch span); the trace
-// ID is what makes the two sides correlate.
-func TraceParent(s *Span) string {
-	if s == nil {
-		return ""
-	}
-	return s.TraceID() + "/" + s.Name()
-}
-
-// ParseTraceParent splits a wire trace-parent into trace ID and parent span
-// name. An empty or malformed value yields ("", "").
+// ParseTraceParent splits an X-Spq-Trace value,
+// "<trace-id>/<parent-span-name>", into trace ID and parent span name. An
+// empty or malformed value yields ("", "").
 func ParseTraceParent(tp string) (traceID, parent string) {
 	if tp == "" {
 		return "", ""

@@ -206,7 +206,7 @@ func (g *Gauge) write(w io.Writer) {
 // ---- GaugeFunc ----
 
 // gaugeFunc reads its value from a callback at scrape time; used for values
-// owned by other subsystems (cache sizes, remote dispatch stats).
+// owned by other subsystems (cache sizes, process-wide counters).
 type gaugeFunc struct {
 	name, help string
 	fn         func() float64

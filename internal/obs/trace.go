@@ -24,7 +24,7 @@ import (
 const maxSpanChildren = 512
 
 // Trace is one request-scoped span tree. A trace is created at admission
-// (or adopted from an upstream coordinator via its wire parent), carried
+// (adopting a caller's trace ID from the X-Spq-Trace header), carried
 // through the evaluation by context, and rendered on demand — including
 // mid-flight, so the trace endpoint works on running jobs.
 type Trace struct {
@@ -47,9 +47,6 @@ type Span struct {
 	attrs    []Attr
 	children []*Span
 	dropped  int
-	// remote holds grafted subtrees imported from another process (a
-	// worker's rendered trace nested under this dispatch span).
-	remote []*client.TraceSpan
 }
 
 // Attr is one key/value annotation on a span. Values are strings on the
@@ -76,7 +73,7 @@ func NewTrace(name string) *Trace {
 }
 
 // NewTraceWithID starts a trace under an existing (upstream) trace ID, used
-// by workers adopting a coordinator's trace from the wire.
+// when a request adopts its caller's trace from the X-Spq-Trace header.
 func NewTraceWithID(id, name string) *Trace {
 	tr := &Trace{id: id}
 	tr.root = &Span{tr: tr, name: name, start: time.Now()}
@@ -99,9 +96,8 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// OnSpanEnd registers fn to be called for every span that finishes,
-// including grafted remote roots' local parent. Set it before the trace is
-// shared across goroutines.
+// OnSpanEnd registers fn to be called for every span that finishes. Set it
+// before the trace is shared across goroutines.
 func (t *Trace) OnSpanEnd(fn func(name string, d time.Duration)) {
 	if t != nil {
 		t.onEnd = fn
@@ -160,39 +156,11 @@ func (s *Span) SetAttr(key, value string) {
 // SetInt annotates the span with an integer value.
 func (s *Span) SetInt(key string, v int64) { s.SetAttr(key, formatInt(v)) }
 
-// Name returns the span's name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// TraceID returns the owning trace's ID ("" for nil).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.tr.id
-}
-
-// AttachRemote grafts an externally rendered span tree (a worker's trace)
-// under s. The subtree is stored as-is; Data() splices it into the render.
-func (s *Span) AttachRemote(sub *client.TraceSpan) {
-	if s == nil || sub == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.remote = append(s.remote, sub)
-	s.tr.mu.Unlock()
-}
-
 // Data renders a snapshot of the trace as its wire type: what the trace
-// endpoint returns and what travels between worker and coordinator. Start
-// times are absolute unix microseconds so spans from different processes
-// line up (modulo clock skew); durations are microseconds. Unfinished spans
-// report a zero duration; the snapshot is safe to take while the trace is
-// still being written.
+// endpoint returns. Start times are absolute unix microseconds so spans
+// line up with a caller's (modulo clock skew); durations are microseconds.
+// Unfinished spans report a zero duration; the snapshot is safe to take
+// while the trace is still being written.
 func (t *Trace) Data() *client.TraceSpan {
 	if t == nil {
 		return nil
@@ -227,7 +195,6 @@ func (s *Span) dataLocked() *client.TraceSpan {
 	for _, c := range s.children {
 		d.Children = append(d.Children, c.dataLocked())
 	}
-	d.Children = append(d.Children, s.remote...)
 	return d
 }
 

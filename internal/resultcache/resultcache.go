@@ -1,25 +1,11 @@
-// Package resultcache is the storage seam behind the engine's result cache:
-// the LRU of fully evaluated, deterministic query responses that lets
-// identical requests skip solving entirely.
+// Package resultcache holds the engine's result cache: the LRU of fully
+// evaluated, deterministic query responses that lets identical requests
+// skip solving entirely.
 //
-// The engine used to own the LRU directly; extracting it behind Store
-// makes the cache a deployment choice. Memory is the single-node store the
-// engine had before. Replicating (replicate.go) wraps it for a fleet:
-// locally solved entries are pushed write-through to peer daemons over
-// HTTP, so a load balancer can spray identical requests across nodes and
-// still hit warm caches everywhere.
-//
-// Entries are deliberately two-faced. Local holds the engine's in-process
-// value — pointers into live plans and relations, cheap to serve, never
-// serialized. Wire holds the self-contained replication payload (canonical
-// query, options, raw solution) that a peer can validate and materialize
-// against its own catalog. A peer-received entry starts Wire-only and
-// Remote-flagged; the receiving engine materializes it lazily on first hit
-// and never re-replicates it, so pushes cannot echo around the fleet.
-// Version invalidation is preserved by construction: every entry names the
-// relation and version it was solved against, and the engine revalidates
-// (and drops dead entries) on every hit exactly as it did for the
-// single-node LRU.
+// Every entry names the relation and version it was solved against, and
+// the engine revalidates (and drops dead entries) on every hit. Local holds
+// the engine's in-process value — pointers into live plans and relations,
+// cheap to serve, never serialized.
 package resultcache
 
 import (
@@ -32,42 +18,17 @@ import (
 type Entry struct {
 	// Table and Version name the registered relation (and its version
 	// counter) the result was computed against. A hit is only served when
-	// the local catalog still resolves Table to a relation at Version.
+	// the catalog still resolves Table to a relation at Version.
 	Table   string
 	Version uint64
 	// Local is the engine's in-process cached value (opaque to this
-	// package); nil for entries received from a peer until the engine
-	// materializes them.
+	// package).
 	Local any
-	// Wire is the self-contained serialized payload a peer can rebuild the
-	// result from; nil when the owning engine chose not to render one.
-	Wire []byte
-	// Remote marks entries that arrived from a peer: they are never pushed
-	// back out (replication is one generation deep by design — every node
-	// that solves pushes, nobody forwards).
-	Remote bool
 }
 
-// Store is a keyed result store. Implementations must be safe for
-// concurrent use; keys are the engine's canonical result keys (the full
-// determinism domain of a request).
-type Store interface {
-	// Get returns the entry under key, marking it recently used.
-	Get(key string) (*Entry, bool)
-	// Put stores e under key, evicting least-recently-used entries beyond
-	// the store's capacity.
-	Put(key string, e *Entry)
-	// Drop removes the entry under key only while it is still exactly
-	// stale (pointer identity): a validator that saw a dead entry can race
-	// with a fresh Put from a concurrent solve, and must not evict the
-	// fresh value.
-	Drop(key string, stale *Entry)
-	// Len reports the number of entries currently stored.
-	Len() int
-}
-
-// Memory is the in-process LRU store (the engine's original result cache).
-// The zero value is not usable; call NewMemory.
+// Memory is the in-process LRU store, safe for concurrent use; keys are the
+// engine's canonical result keys (the full determinism domain of a
+// request). The zero value is not usable; call NewMemory.
 type Memory struct {
 	mu  sync.Mutex
 	cap int
@@ -90,7 +51,7 @@ func NewMemory(capacity int) *Memory {
 	}
 }
 
-// Get implements Store.
+// Get returns the entry under key, marking it recently used.
 func (s *Memory) Get(key string) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,7 +63,8 @@ func (s *Memory) Get(key string) (*Entry, bool) {
 	return el.Value.(*memEntry).val, true
 }
 
-// Put implements Store.
+// Put stores e under key, evicting least-recently-used entries beyond the
+// store's capacity.
 func (s *Memory) Put(key string, e *Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -119,7 +81,9 @@ func (s *Memory) Put(key string, e *Entry) {
 	}
 }
 
-// Drop implements Store.
+// Drop removes the entry under key only while it is still exactly stale
+// (pointer identity): a validator that saw a dead entry can race with a
+// fresh Put from a concurrent solve, and must not evict the fresh value.
 func (s *Memory) Drop(key string, stale *Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,7 +93,7 @@ func (s *Memory) Drop(key string, stale *Entry) {
 	}
 }
 
-// Len implements Store.
+// Len reports the number of entries currently stored.
 func (s *Memory) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,25 +1,10 @@
 package resultcache_test
 
 import (
-	"context"
-	"fmt"
-	"net/http/httptest"
-	"reflect"
-	"strings"
 	"testing"
-	"time"
 
-	"spq/internal/core"
-	"spq/internal/dist"
-	"spq/internal/engine"
-	"spq/internal/relation"
 	"spq/internal/resultcache"
-	"spq/internal/rng"
 )
-
-// Unit tests of the Memory LRU plus fleet tests of the Replicating store
-// driven through real engines (the external test package exists so the
-// fleet tests can import internal/engine without a cycle).
 
 func TestMemoryLRU(t *testing.T) {
 	m := resultcache.NewMemory(2)
@@ -53,191 +38,5 @@ func TestMemoryLRU(t *testing.T) {
 	m.Drop("k1", fresh)
 	if _, ok := m.Get("k1"); ok {
 		t.Fatal("matched drop left the entry behind")
-	}
-}
-
-// --- fleet helpers ---
-
-type catalog map[string]*relation.Relation
-
-func (c catalog) Table(name string) (*relation.Relation, bool) {
-	rel, ok := c[strings.ToLower(name)]
-	return rel, ok
-}
-
-func newCatalog(t testing.TB, n int) catalog {
-	t.Helper()
-	rel := relation.New("stocks", n)
-	price := make([]float64, n)
-	gains := make([]dist.Dist, n)
-	for i := 0; i < n; i++ {
-		price[i] = float64(40 + 7*(i%9))
-		gains[i] = dist.Normal{Mu: 0.5 + float64(i%5)*0.4, Sigma: 0.5 + float64(i%3)*0.5}
-	}
-	if err := rel.AddDet("price", price); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.AddStoch("gain", &relation.IndependentVG{AttrID: 1, Dists: gains}); err != nil {
-		t.Fatal(err)
-	}
-	rel.ComputeMeans(rng.NewSource(7), 200)
-	return catalog{"stocks": rel}
-}
-
-const testQuery = `SELECT PACKAGE(*) FROM stocks SUCH THAT
-	SUM(price) <= 300 AND
-	SUM(gain) >= -5 WITH PROBABILITY >= 0.8
-	MAXIMIZE EXPECTED SUM(gain)`
-
-func coreOptions() *core.Options {
-	return &core.Options{Seed: 1, ValidationM: 1000, InitialM: 10, IncrementM: 10, MaxM: 40}
-}
-
-// node is one spqd-shaped fleet member: engine + replicating store + HTTP.
-type node struct {
-	cat    catalog
-	store  *resultcache.Replicating
-	engine *engine.Engine
-	srv    *httptest.Server
-}
-
-// newFleet builds k nodes over identical catalogs, fully peered (every
-// node pushes to every other), mirroring `spqd -peers`.
-func newFleet(t *testing.T, k, n int) []*node {
-	t.Helper()
-	nodes := make([]*node, k)
-	for i := range nodes {
-		nodes[i] = &node{cat: newCatalog(t, n)}
-	}
-	// Every node needs the others' URLs before its store exists, so bind
-	// all listeners first (unstarted servers already own their ports).
-	listeners := make([]*httptest.Server, k)
-	peerURLs := make([]string, k)
-	for i := range nodes {
-		listeners[i] = httptest.NewUnstartedServer(nil)
-		peerURLs[i] = "http://" + listeners[i].Listener.Addr().String()
-	}
-	for i, nd := range nodes {
-		var peers []string
-		for j, u := range peerURLs {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		nd.store = resultcache.NewReplicating(resultcache.NewMemory(64), peers, nil)
-		t.Cleanup(nd.store.Close)
-		nd.engine = engine.New(nd.cat, &engine.Options{Parallelism: 1, ResultCache: nd.store})
-		listeners[i].Config.Handler = nd.engine.Handler()
-		listeners[i].Start()
-		t.Cleanup(listeners[i].Close)
-		nd.srv = listeners[i]
-	}
-	return nodes
-}
-
-func query(t *testing.T, nd *node) *engine.Result {
-	t.Helper()
-	res, err := nd.engine.Query(context.Background(), engine.Request{Query: testQuery, Options: coreOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// waitReceived polls until the node's engine reports at least want
-// replicated entries received.
-func waitReceived(t *testing.T, nd *node, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for nd.engine.Stats().CacheReceived < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("node never received %d replicated entries: %+v", want, nd.store.Counters())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestReplicatedCacheHit: solve on node A, and the identical request on
-// node B is a result-cache hit with the bit-identical solution — B never
-// solves. Also asserts the push does not echo (B re-replicating A's entry
-// back would loop forever in a real fleet).
-func TestReplicatedCacheHit(t *testing.T) {
-	nodes := newFleet(t, 2, 20)
-	a, b := nodes[0], nodes[1]
-
-	resA := query(t, a)
-	if resA.ResultCacheHit {
-		t.Fatal("first solve reported a cache hit")
-	}
-	waitReceived(t, b, 1)
-
-	resB := query(t, b)
-	if !resB.ResultCacheHit {
-		t.Fatal("replicated entry did not serve node B's identical request")
-	}
-	if resB.Feasible != resA.Feasible || resB.Objective != resA.Objective || !reflect.DeepEqual(resB.X, resA.X) {
-		t.Fatalf("replicated result differs:\n got %v obj %v\nwant %v obj %v", resB.X, resB.Objective, resA.X, resA.Objective)
-	}
-	if got := b.engine.Stats(); got.ResultCacheHits != 1 {
-		t.Fatalf("node B stats: %+v, want 1 result-cache hit", got)
-	}
-
-	// The hit must not have replicated back: A received nothing.
-	time.Sleep(50 * time.Millisecond) // give an erroneous echo time to land
-	if got := a.store.Counters().Received; got != 0 {
-		t.Fatalf("echo: node A received %d entries for node B's hit", got)
-	}
-	// Repeat hits on B stay local (no re-materialization cost beyond the
-	// first): the promoted entry serves directly.
-	if res := query(t, b); !res.ResultCacheHit {
-		t.Fatal("promoted entry lost")
-	}
-}
-
-// TestReplicatedInvalidation: a replicated entry names the relation
-// version it was solved against; when the receiving node's data moves on,
-// the entry must die at validation, not serve a stale answer.
-func TestReplicatedInvalidation(t *testing.T) {
-	nodes := newFleet(t, 2, 20)
-	a, b := nodes[0], nodes[1]
-
-	query(t, a)
-	waitReceived(t, b, 1)
-
-	// Node B's relation changes (recomputed means bump the version).
-	b.cat["stocks"].ComputeMeans(rng.NewSource(99), 300)
-
-	resB := query(t, b)
-	if resB.ResultCacheHit {
-		t.Fatal("stale replicated entry served after the relation version moved")
-	}
-	if got := b.engine.Stats().ResultCacheHits; got != 0 {
-		t.Fatalf("stats count a hit that should not exist: %d", got)
-	}
-}
-
-// TestReplicationQueueOverflowIsLossy: pushes beyond the queue drop (and
-// count) instead of blocking the solve path. Exercised directly against
-// the store since overflowing it through real solves would be slow.
-func TestReplicationQueueOverflowIsLossy(t *testing.T) {
-	// A peer that never answers promptly: an unstarted server address
-	// (connection refused) keeps the delivery worker churning on errors.
-	dead := httptest.NewUnstartedServer(nil)
-	peer := "http://" + dead.Listener.Addr().String()
-	dead.Close()
-
-	r := resultcache.NewReplicating(resultcache.NewMemory(4096), []string{peer}, nil)
-	defer r.Close()
-	for i := 0; i < 4096; i++ {
-		r.Put(fmt.Sprintf("k%d", i), &resultcache.Entry{
-			Table: "t", Version: 1, Wire: []byte(`{}`),
-		})
-	}
-	c := r.Counters()
-	if c.Dropped == 0 && c.PushErrors == 0 {
-		t.Fatalf("4096 pushes to a dead peer neither dropped nor errored: %+v", c)
-	}
-	if r.Len() != 4096 {
-		t.Fatalf("local store lost entries under push pressure: %d", r.Len())
 	}
 }

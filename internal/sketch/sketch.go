@@ -31,12 +31,8 @@
 // cost of a slightly larger refine problem. DESIGN.md records the
 // deviation.
 //
-// Every sub-problem — shard sketches, the refine, fallbacks — is solved
-// through Options.Solver (core.Solver), so the pipeline scales past one
-// machine without modification: with the remote solver (internal/remote)
-// plugged in, each shard ships to a worker daemon as a v1 job and the
-// merged result stays bit-identical to local solving. The engine wires
-// this via engine.Options.SketchSolver (spqd -solver remote).
+// Every sub-problem — shard sketches, the refine, fallbacks — is solved by
+// core.SummarySearchSolver behind the core.Solver seam.
 package sketch
 
 import (
@@ -80,9 +76,6 @@ type Options struct {
 	// sequentially, negative uses one worker per available CPU. Results are
 	// bit-identical for every value.
 	Workers int
-	// Solver evaluates the sketch, refine, and fallback sub-problems
-	// (default core.SummarySearchSolver).
-	Solver core.Solver
 }
 
 func (o *Options) withDefaults() Options {
@@ -104,24 +97,16 @@ func (o *Options) withDefaults() Options {
 	if out.Shards <= 0 {
 		out.Shards = 1
 	}
-	if out.Solver == nil {
-		out.Solver = core.SummarySearchSolver
-	}
 	return out
 }
 
 // Key renders every result-relevant sketch option canonically, after
 // defaulting, for the engine's result cache. Workers is excluded (any
-// worker count is bit-identical); the solver is included because it
-// changes the answer — by its cache-key name (core.SolverCacheKey), so a
-// dispatching solver that is bit-identical to a local one (remote) shares
-// entries with it across a replicated fleet. Nil receivers key like the
-// zero Options.
+// worker count is bit-identical). Nil receivers key like the zero Options.
 func (o *Options) Key() string {
 	so := o.withDefaults()
-	return fmt.Sprintf("tau=%d,iters=%d,seed=%d,cand=%d,strat=%s,shards=%d,solver=%s",
-		so.GroupSize, so.KMeansIters, so.Seed, so.MaxCandidates, so.Strategy,
-		so.Shards, core.SolverCacheKey(so.Solver))
+	return fmt.Sprintf("tau=%d,iters=%d,seed=%d,cand=%d,strat=%s,shards=%d",
+		so.GroupSize, so.KMeansIters, so.Seed, so.MaxCandidates, so.Strategy, so.Shards)
 }
 
 // Stats reports what the sketch pipeline did.
@@ -226,7 +211,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	if n <= so.MaxCandidates {
 		// Small enough to solve directly.
 		fctx, fsp := obs.StartSpan(ctx, "fallback")
-		sol, err := so.Solver.Solve(fctx, silp, withPhase(copts, "fallback"))
+		sol, err := core.SummarySearchSolver.Solve(fctx, silp, withPhase(copts, "fallback"))
 		fsp.End()
 		stats.FellBack = true
 		stats.Candidates = n
@@ -300,7 +285,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	sketchStart := time.Now()
 	err = par.Ranges(ctx, stats.Shards, so.Workers, func(_, lo, hi int) error {
 		for s := lo; s < hi; s++ {
-			res, err := solveShard(ctx, view, &qNoWhere, part, s, shardSeeds[s], &baseOpts, so.Solver)
+			res, err := solveShard(ctx, view, &qNoWhere, part, s, shardSeeds[s], &baseOpts)
 			if err != nil {
 				return fmt.Errorf("sketch: sketch phase (shard %d): %w", s, err)
 			}
@@ -338,7 +323,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 		stats.SketchObj = 0
 		refineStart := time.Now()
 		fctx, fsp := obs.StartSpan(ctx, "fallback")
-		sol, err := so.Solver.Solve(fctx, silp, withPhase(copts, "fallback"))
+		sol, err := core.SummarySearchSolver.Solve(fctx, silp, withPhase(copts, "fallback"))
 		fsp.End()
 		stats.RefineTime = time.Since(refineStart)
 		stats.Candidates = n
@@ -377,7 +362,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 		rsp.End()
 		return nil, nil, err
 	}
-	refined, err := so.Solver.Solve(rctx, refineSILP, withPhase(copts, "refine"))
+	refined, err := core.SummarySearchSolver.Solve(rctx, refineSILP, withPhase(copts, "refine"))
 	rsp.End()
 	stats.RefineTime = time.Since(refineStart)
 	if err != nil {
@@ -408,7 +393,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 // selects nothing) reports failure and contributes no candidates; any other
 // solver error aborts the pipeline.
 func solveShard(ctx context.Context, view *relation.Relation, qNoWhere *spaql.Query,
-	part *relation.Partitioning, shard int, seed uint64, baseOpts *core.Options, solver core.Solver) (shardResult, error) {
+	part *relation.Partitioning, shard int, seed uint64, baseOpts *core.Options) (shardResult, error) {
 
 	n := view.N()
 	isMedoid := make([]bool, n)
@@ -436,7 +421,7 @@ func solveShard(ctx context.Context, view *relation.Relation, qNoWhere *spaql.Qu
 	opts := *baseOpts
 	opts.Seed = seed
 	sctx, ssp := obs.StartSpan(ctx, fmt.Sprintf("sketch/shard%d", shard))
-	sol, err := solver.Solve(sctx, sketchSILP, withPhase(&opts, fmt.Sprintf("sketch/shard%d", shard)))
+	sol, err := core.SummarySearchSolver.Solve(sctx, sketchSILP, withPhase(&opts, fmt.Sprintf("sketch/shard%d", shard)))
 	if err != nil || !sol.Feasible {
 		ssp.SetAttr("outcome", "failed")
 		ssp.End()

@@ -51,11 +51,7 @@
 // Cancel, Run = Submit + Wait, automatic 429 retries); cmd/spq's -server
 // flag rides on it.
 //
-// Daemons scale out: a coordinator registers a RemoteSolver over a pool of
-// worker daemons (spqd -workers) to ship sketch-shard sub-solves across
-// machines — bit-identical to solving locally — and load-balanced
-// instances replicate their result caches (spqd -peers). See OPERATIONS.md
-// for deployment and DESIGN.md "Multi-node scale-out" for the design.
+// See OPERATIONS.md for running the daemon.
 //
 // The heavy lifting lives in internal packages (solver, translation,
 // algorithms, engine); this package re-exports the types a client needs.
@@ -72,7 +68,6 @@ import (
 	"spq/internal/dist"
 	"spq/internal/engine"
 	"spq/internal/relation"
-	"spq/internal/remote"
 	"spq/internal/rng"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
@@ -252,28 +247,6 @@ var (
 	// NaiveSolver is the SAA baseline.
 	NaiveSolver = core.NaiveSolver
 )
-
-// RegisterSolver makes a custom Solver resolvable by name in the engine's
-// method dispatch (and anywhere else core.SolverByName is consulted). The
-// builtin names are reserved; registering the same name again replaces the
-// earlier solver.
-func RegisterSolver(s Solver) error { return core.RegisterSolver(s) }
-
-// Multi-node re-exports (see internal/remote): a RemoteSolver ships
-// sub-problems to a pool of worker spqd daemons over the v1 API,
-// bit-identical to solving locally. OPERATIONS.md documents deployment.
-type (
-	// RemoteSolverOptions configure NewRemoteSolver (worker URLs, fallback
-	// policy, dispatch bounds).
-	RemoteSolverOptions = remote.Options
-	// RemoteSolver dispatches sub-problems to worker daemons; it implements
-	// Solver and is usually registered via RegisterSolver.
-	RemoteSolver = remote.Solver
-)
-
-// NewRemoteSolver builds a remote Solver over a pool of worker daemon base
-// URLs. An empty pool is valid and solves everything locally.
-func NewRemoteSolver(o RemoteSolverOptions) (*RemoteSolver, error) { return remote.New(o) }
 
 // Concurrent execution engine re-exports (see internal/engine): a
 // bounded-concurrency session layer with a plan cache and per-query
