@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# Coverage audit: runs every test of the packages outside cmd/ and examples/
+# with coverage over those same packages, and fails when an exported function
+# or method never executes unless .github/coverage-allowlist.txt names it.
+# The allowlist holds one "<file> <function>" line per entry, sorted
+# (LC_ALL=C), keyed by name so that moving code does not invalidate it.
+#
+#   bash .github/coverage-audit.sh
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+export LC_ALL=C
+allow=.github/coverage-allowlist.txt
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+pkgs=$(go list ./... | grep -v -e '/cmd/' -e '/examples/')
+go test -coverpkg="$(paste -sd, <<<"$pkgs")" -coverprofile="$work/cover.out" $pkgs >/dev/null
+go tool cover -func="$work/cover.out" |
+	awk '$NF == "0.0%" && $2 ~ /^[A-Z]/ { f = $1; sub(/:[0-9]+:$/, "", f); sub(/^spq\//, "", f); print f, $2 }' |
+	sort -u >"$work/zero.txt"
+
+sort -c -u "$allow"
+missing=$(comm -23 "$work/zero.txt" "$allow")
+stale=$(comm -13 "$work/zero.txt" "$allow")
+if [ -n "$stale" ]; then
+	printf 'allowlisted but executed now (remove from %s):\n%s\n' "$allow" "$stale"
+fi
+if [ -n "$missing" ]; then
+	printf 'exported functions no test executes (delete them, test them, or allowlist them in %s):\n%s\n' "$allow" "$missing"
+	exit 1
+fi
+echo "coverage audit: every exported function runs or is allowlisted ($(wc -l <"$allow") allowlisted)"

@@ -213,13 +213,19 @@ func BenchmarkFig7N750(b *testing.B) { benchmarkFig7(b, 750) }
 func BenchmarkFormulateSAA(b *testing.B) {
 	silp := buildSILP(b, workload.Galaxy(benchConfig()), "Q1")
 	src := rng.NewSource(1)
-	sets, objSet, err := silp.GenerateSets(src, 0, 100)
-	if err != nil {
-		b.Fatal(err)
+	// SAA_{Q,100} is CSA over 100 one-scenario summaries.
+	cur := silp.ConsCursor(0, src, 0)
+	sums := make([]*scenario.Summary, 100)
+	for j := range sums {
+		sm, err := cur.Summarize(context.Background(), []int{j}, silp.ProbCons[0].Direction(), nil, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sums[j] = sm
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model, _, err := silp.FormulateSAA(sets, objSet)
+		model, _, err := silp.FormulateCSA([][]*scenario.Summary{sums}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +238,7 @@ func BenchmarkFormulateSAA(b *testing.B) {
 func BenchmarkFormulateCSA(b *testing.B) {
 	silp := buildSILP(b, workload.Galaxy(benchConfig()), "Q1")
 	src := rng.NewSource(1)
-	sets, _, err := silp.GenerateSets(src, 0, 100)
+	sets, _, err := silp.GenerateSetsP(context.Background(), src, 0, 100, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -113,14 +113,15 @@ type SolveOptions struct {
 }
 
 // SketchOptions tune the partition-aware SketchRefine pipeline for method
-// "sketch". Zero values take the server's defaults.
+// "sketch". Zero values take the server's defaults. Tuples are grouped by
+// k-means, the only grouping: the server still reads a "strategy" field
+// sent by older clients, accepts it absent or "kmeans", and refuses any
+// other value with bad_request.
 type SketchOptions struct {
 	GroupSize     int    `json:"group_size,omitempty"`
 	Shards        int    `json:"shards,omitempty"`
 	MaxCandidates int    `json:"max_candidates,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
-	// Strategy selects the grouping: "" or "kmeans", "hash", "range".
-	Strategy string `json:"strategy,omitempty"`
 }
 
 // TenantHeader is the HTTP header that names the tenant a request is

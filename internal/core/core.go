@@ -15,7 +15,6 @@ import (
 	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/rng"
-	"spq/internal/scenario"
 	"spq/internal/translate"
 )
 
@@ -370,14 +369,6 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	sp.End()
 	r.totals.Add(res.SolveWork, res.Workers)
 	return res, nil
-}
-
-// generateSets is GenerateSetsP under a "generate" trace span.
-func (r *runner) generateSets(first, m int) ([]*scenario.Set, *scenario.Set, error) {
-	sp := obs.SpanFromContext(r.ctx).StartChild("generate")
-	sp.SetInt("m", int64(m))
-	defer sp.End()
-	return r.silp.GenerateSetsP(r.ctx, r.optSrc, first, m, r.opts.Parallelism)
 }
 
 // finish stamps end-of-evaluation bookkeeping (wall-clock time, MILP

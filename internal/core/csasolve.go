@@ -178,10 +178,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 	// bounds the in-sample probability.
 	var objSummaries []*scenario.Summary
 	if silp.ObjKind == translate.ObjProbability {
-		dir := scenario.Max
-		if silp.ObjGeq {
-			dir = scenario.Min
-		}
+		dir := silp.ObjDirection()
 		cur := silp.ObjCursor(r.optSrc, 0)
 		for _, part := range parts {
 			sm, err := cur.Summarize(r.ctx, part, dir, nil, r.opts.Parallelism)

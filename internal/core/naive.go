@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"spq/internal/obs"
 	"spq/internal/scenario"
 	"spq/internal/translate"
 )
@@ -15,6 +16,9 @@ import (
 // out-of-sample scenarios, and grow M until validation succeeds or a limit
 // is reached. The returned Solution reports the best package found (possibly
 // infeasible) along with the full iteration history.
+//
+// SAA_{Q,M} is CSA_{Q,M,M}: the α-summary of a one-scenario partition is
+// that scenario, so the model is FormulateCSA over M singleton summaries.
 func Naive(silp *translate.SILP, o *Options) (*Solution, error) {
 	return NaiveCtx(context.Background(), silp, o)
 }
@@ -26,7 +30,7 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 	sol := &Solution{EpsUpper: infEps()}
 
 	m := r.opts.InitialM
-	sets, objSet, err := r.generateSets(0, m)
+	sums, objSums, err := r.singletons(nil, nil, 0, m)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +39,7 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}
-		model, vm, err := silp.FormulateSAA(sets, objSet)
+		model, vm, err := silp.FormulateCSA(sums, objSums)
 		if err != nil {
 			return nil, err
 		}
@@ -85,15 +89,8 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 		if m+grow > r.opts.MaxM {
 			grow = r.opts.MaxM - m
 		}
-		more, moreObj, err := r.generateSets(m, grow)
-		if err != nil {
+		if sums, objSums, err = r.singletons(sums, objSums, m, grow); err != nil {
 			return nil, err
-		}
-		for k, set := range more {
-			appendRows(sets[k], set)
-		}
-		if objSet != nil {
-			appendRows(objSet, moreObj)
 		}
 		m += grow
 	}
@@ -108,11 +105,29 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 	return r.finish(best), nil
 }
 
-// appendRows appends the scenarios of more to set, keeping their IDs.
-func appendRows(set, more *scenario.Set) {
-	for j, id := range more.IDs {
-		set.AppendRow(id, more.Row(j))
+// singletons appends to sums (one group per probabilistic constraint) and
+// objSums (the probability objective's group) the summaries of the
+// one-scenario partitions {first}, …, {first+m−1}, in scenario order, under
+// a "generate" trace span.
+func (r *runner) singletons(sums [][]*scenario.Summary, objSums []*scenario.Summary, first, m int) ([][]*scenario.Summary, []*scenario.Summary, error) {
+	sp := obs.SpanFromContext(r.ctx).StartChild("generate")
+	sp.SetInt("m", int64(m))
+	defer sp.End()
+	parts := make([][]int, m)
+	for j := range parts {
+		parts[j] = []int{first + j}
 	}
+	more, moreObj, err := r.silp.SummarizeParts(r.ctx, r.optSrc, parts, r.opts.Parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sums == nil {
+		sums = make([][]*scenario.Summary, len(more))
+	}
+	for k := range sums {
+		sums[k] = append(sums[k], more[k]...)
+	}
+	return sums, append(objSums, moreObj...), nil
 }
 
 // asSolution packages a validated point into a Solution snapshot.

@@ -32,7 +32,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -252,56 +251,6 @@ func (r *Result) Multiplicities() map[int]int {
 	return out
 }
 
-// lruCache is a tiny string-keyed LRU for the plan cache (the result cache
-// is a resultcache.Memory, which synchronizes itself). The caller
-// synchronizes access (the engine holds its mutex).
-type lruCache struct {
-	cap int
-	ll  *list.List // front = most recently used; values are *lruEntry
-	m   map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	val any
-}
-
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), m: map[string]*list.Element{}}
-}
-
-func (c *lruCache) get(key string) (any, bool) {
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-func (c *lruCache) put(key string, val any) {
-	if el, ok := c.m[key]; ok {
-		el.Value.(*lruEntry).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*lruEntry).key)
-	}
-}
-
-func (c *lruCache) drop(key string) {
-	if el, ok := c.m[key]; ok {
-		c.ll.Remove(el)
-		delete(c.m, key)
-	}
-}
-
-func (c *lruCache) len() int { return c.ll.Len() }
-
 // plan is one cached prepared query. The SILP is lowered over an immutable
 // snapshot of the table, so a delta applied mid-evaluation cannot mix
 // post-delta values into an admitted solve.
@@ -327,6 +276,7 @@ type cachedResult struct {
 	rel        *relation.Relation // WHERE-filtered view the solution indexes
 	table      *relation.Relation
 	relVersion uint64
+	attrs      []string // the plan's column footprint
 }
 
 // Stats is a point-in-time snapshot of the engine's counters, served as one
@@ -441,8 +391,10 @@ type Engine struct {
 	// Stats() and GET /metrics both read from it.
 	m *engineMetrics
 
-	mu    sync.Mutex
-	plans *lruCache
+	// plans is nil when plan caching is disabled.
+	plans *resultcache.Memory
+
+	mu sync.Mutex // guards warmHints
 	// warmHints holds warm-start state salvaged from result-cache entries a
 	// delta invalidated, keyed by result key; bounded (see maxWarmHints).
 	warmHints map[string]*warmHint
@@ -467,8 +419,10 @@ func New(cat Catalog, o *Options) *Engine {
 		cat:      cat,
 		opts:     opts,
 		sched:    newFairScheduler(opts.MaxInFlight, opts.MaxQueue, opts.Tenants),
-		plans:    newLRU(opts.PlanCacheSize),
 		jobsByID: map[string]*Job{},
+	}
+	if opts.PlanCacheSize > 0 {
+		e.plans = resultcache.NewMemory(opts.PlanCacheSize)
 	}
 	if opts.ResultCacheSize > 0 {
 		e.results = resultcache.NewMemory(opts.ResultCacheSize)
@@ -484,31 +438,27 @@ func New(cat Catalog, o *Options) *Engine {
 // a plan exactly when they denote the same statement — a purely textual key
 // would conflate e.g. queries that differ only inside a "--" line comment.
 // Parsing is cheap; the cache exists to skip the translation (WHERE
-// filtering, mask evaluation, bound derivation). A cached plan is dead as
-// soon as the table name resolves to a different relation or the relation's
-// version counter moved (e.g. re-registered data or recomputed means).
+// filtering, mask evaluation, bound derivation). A cached plan lives while
+// current says so, like a cached result.
 func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
-	if p := e.planGet(key); p != nil {
-		if rel, ok := e.cat.Table(p.query.Table); ok && rel == p.table {
-			if rel.Version() == p.relVersion {
-				e.m.planHits.Inc()
-				return p, true, nil
-			}
-			// The relation moved past the plan. Retain it anyway when the
-			// merged delta footprint misses the query's columns and changed
-			// no membership: re-translating would reproduce the plan
-			// bound-for-bound (the pinned snapshot still reads the same
-			// values for every column the query touches).
-			if cs, have := rel.Changes(p.relVersion); have && !cs.MembershipChanged() && !cs.Touches(p.attrs) {
+	if ent, ok := e.plans.Get(key); ok {
+		p := ent.Local.(*plan)
+		// Re-translating a plan the relation moved past, by a delta that
+		// missed its columns, would reproduce it bound for bound: the pinned
+		// snapshot still reads the same values for every column the query
+		// touches.
+		if version, ok, moved := e.current(ent, p.table, p.attrs); ok {
+			if moved {
 				np := *p
-				np.relVersion = cs.To
-				e.planPut(&np)
+				np.relVersion = version
+				p = &np
+				e.planPut(p)
 				e.m.plansRebased.Inc()
-				e.m.planHits.Inc()
-				return &np, true, nil
 			}
+			e.m.planHits.Inc()
+			return p, true, nil
 		}
-		e.planDrop(key)
+		e.plans.Drop(key, ent)
 	}
 	e.m.planMisses.Inc()
 
@@ -529,31 +479,31 @@ func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
 	return p, false, nil
 }
 
-func (e *Engine) planGet(key string) *plan {
-	if e.opts.PlanCacheSize < 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.plans.get(key); ok {
-		return v.(*plan)
-	}
-	return nil
-}
-
 func (e *Engine) planPut(p *plan) {
-	if e.opts.PlanCacheSize < 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.plans.put(p.key, p)
+	e.plans.Put(p.key, &resultcache.Entry{Table: p.query.Table, Version: p.relVersion, Local: p})
 }
 
-func (e *Engine) planDrop(key string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.plans.drop(key)
+// current decides whether a cache entry (a plan or a result) computed
+// against table at ent.Version still holds. It does while the catalog
+// resolves ent.Table to that very relation (identity, not just name and
+// version: a relation re-registered under the same name can reuse a version
+// number) and either the version is unchanged, or the merged delta since
+// then misses the entry's column footprint attrs and changed no membership.
+// version is the relation's version the entry is current at; moved reports
+// that the same relation has moved past the entry, whether or not the
+// entry survived the move.
+func (e *Engine) current(ent *resultcache.Entry, table *relation.Relation, attrs []string) (version uint64, ok, moved bool) {
+	rel, live := e.cat.Table(ent.Table)
+	if !live || rel != table {
+		return 0, false, false
+	}
+	if v := rel.Version(); v == ent.Version {
+		return v, true, false
+	}
+	if cs, have := rel.Changes(ent.Version); have && !cs.MembershipChanged() && !cs.Touches(attrs) {
+		return cs.To, true, true
+	}
+	return 0, false, true
 }
 
 // resultKey renders the full determinism domain of a request: the canonical
@@ -583,26 +533,20 @@ func (e *Engine) resultGet(key string) *cachedResult {
 		return nil
 	}
 	cr := ent.Local.(*cachedResult)
-	// The identity check (not just name+version) guards against a different
-	// relation re-registered under the same name whose fresh version counter
-	// happens to coincide.
-	if rel, live := e.cat.Table(ent.Table); live && cr.table == rel {
-		if rel.Version() == ent.Version {
-			e.m.resultHits.Inc()
-			return cr
-		}
-		// The relation moved past the entry. Retain it when the merged delta
-		// footprint misses the query's columns and changed no membership: the
-		// solution provably cannot differ, so the entry is rebased to the new
-		// version. Tuples in the rendered package read from the admitted
-		// snapshot, whose query-relevant columns are identical by
-		// construction.
-		if cs, have := rel.Changes(ent.Version); have && !cs.MembershipChanged() && !cs.Touches(cr.query.Attrs()) {
-			e.results.Put(key, &resultcache.Entry{Table: ent.Table, Version: cs.To, Local: cr})
+	// A retained entry's solution provably cannot differ, so it is rebased
+	// to the new version. Tuples in the rendered package read from the
+	// admitted snapshot, whose query-relevant columns are identical by
+	// construction.
+	version, ok, moved := e.current(ent, cr.table, cr.attrs)
+	switch {
+	case ok:
+		if moved {
+			e.results.Put(key, &resultcache.Entry{Table: ent.Table, Version: version, Local: cr})
 			e.m.resultsRetained.Inc()
-			e.m.resultHits.Inc()
-			return cr
 		}
+		e.m.resultHits.Inc()
+		return cr
+	case moved:
 		// Invalidated for real — but the dying entry may carry the previous
 		// evaluation's warm-start state. Stash it so the re-solve of the same
 		// request can start from the previous package, summaries, and root
@@ -617,9 +561,6 @@ func (e *Engine) resultGet(key string) *cachedResult {
 
 // resultPut stores one locally solved result.
 func (e *Engine) resultPut(key string, cr *cachedResult) {
-	if e.results == nil {
-		return
-	}
 	e.results.Put(key, &resultcache.Entry{Table: cr.query.Table, Version: cr.relVersion, Local: cr})
 }
 
@@ -909,7 +850,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	} else {
 		e.resultPut(rkey, &cachedResult{
 			sol: sol, sketch: sstats, query: p.query, rel: p.silp.Rel,
-			table: p.table, relVersion: p.relVersion,
+			table: p.table, relVersion: p.relVersion, attrs: p.attrs,
 		})
 	}
 	return &Result{Solution: sol, Query: p.query, Rel: p.silp.Rel, CacheHit: hit, Sketch: sstats, Wait: wait, Degraded: degraded}, nil
@@ -919,13 +860,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 // registry instruments GET /metrics renders, so the two surfaces agree by
 // construction.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	planLen := e.plans.len()
-	e.mu.Unlock()
-	resultLen := 0
-	if e.results != nil {
-		resultLen = e.results.Len()
-	}
+	planLen, resultLen := e.plans.Len(), e.results.Len()
 	// The queued gauge tracks the engine's total commitment (waiting +
 	// solving) for admission; report only the waiting backlog.
 	waiting := e.m.queued.Value() - e.m.active.Value()

@@ -10,7 +10,6 @@ import (
 
 	"spq/client"
 	"spq/internal/core"
-	"spq/internal/relation"
 	"spq/internal/sketch"
 )
 
@@ -102,40 +101,29 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 		}
 	}
 	if s := sr.Sketch; s != nil {
-		var strategy relation.PartitionStrategy
-		switch strings.ToLower(s.Strategy) {
-		case "", "kmeans":
-			strategy = relation.PartitionKMeans
-		case "hash":
-			strategy = relation.PartitionHash
-		case "range":
-			strategy = relation.PartitionRange
-		default:
-			return Request{}, &client.Error{
-				Code:       client.CodeBadRequest,
-				Message:    "unknown sketch strategy " + strconv.Quote(s.Strategy),
-				HTTPStatus: http.StatusBadRequest,
-			}
-		}
 		req.Sketch = &sketch.Options{
 			GroupSize:     s.GroupSize,
 			Shards:        s.Shards,
 			MaxCandidates: s.MaxCandidates,
 			Seed:          s.Seed,
-			Strategy:      strategy,
 		}
 	}
 	return req, nil
 }
 
 // submitBody is one v1 submission as the server decodes it: the client
-// contract plus the retired "solve" sub-problem field. A body carrying it
-// asked for a relation-view sub-problem; answering it over the whole table
-// would quietly solve a different problem, so submitOne rejects it instead
-// of letting decodeBody ignore it.
+// contract plus two wire fields the Go client no longer has. "solve" (a
+// retired relation-view sub-problem) and a "sketch.strategy" other than
+// k-means each asked for something the engine no longer does; answering
+// either would quietly solve a different problem, so submitOne rejects
+// them instead of letting decodeBody ignore them.
 type submitBody struct {
 	client.SubmitRequest
-	Solve any `json:"solve"`
+	Solve  any `json:"solve"`
+	Sketch *struct {
+		client.SketchOptions
+		Strategy string `json:"strategy"`
+	} `json:"sketch"`
 }
 
 // decodeBody decodes a bounded JSON request body into v. Unknown fields are
@@ -159,6 +147,12 @@ func (e *Engine) submitOne(sb *submitBody) (*Job, *client.Error) {
 	sr := &sb.SubmitRequest
 	if sb.Solve != nil {
 		return nil, &client.Error{Code: client.CodeBadRequest, Message: `"solve" sub-problem submissions are not supported`, HTTPStatus: http.StatusBadRequest}
+	}
+	if sk := sb.Sketch; sk != nil {
+		if s := strings.ToLower(sk.Strategy); s != "" && s != "kmeans" {
+			return nil, &client.Error{Code: client.CodeBadRequest, Message: "unknown sketch strategy " + strconv.Quote(sk.Strategy), HTTPStatus: http.StatusBadRequest}
+		}
+		sr.Sketch = &sk.SketchOptions
 	}
 	if sr.Query == "" {
 		return nil, &client.Error{Code: client.CodeBadRequest, Message: `missing "query"`, HTTPStatus: http.StatusBadRequest}

@@ -226,8 +226,8 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		http.StatusBadRequest, client.CodeUnknownMethod)
 
 	// Unknown sketch strategy.
-	decodeEnvelope(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{
-		Query: testQuery, Method: "sketch", Sketch: &client.SketchOptions{Strategy: "voronoi"},
+	decodeEnvelope(t, postJSON(t, srv.URL+"/v1/queries", map[string]any{
+		"query": testQuery, "method": "sketch", "sketch": map[string]any{"strategy": "voronoi"},
 	}), http.StatusBadRequest, client.CodeBadRequest)
 
 	// Unknown route.

@@ -129,15 +129,9 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.phase = r.NewHistogramVec("spq_phase_latency_seconds", "Per-phase latency from trace spans, labelled by phase.", "phase", nil)
 
 	r.NewGaugeFunc("spq_plan_cache_entries", "Plan cache size in entries.", func() float64 {
-		e.mu.Lock()
-		n := e.plans.len()
-		e.mu.Unlock()
-		return float64(n)
+		return float64(e.plans.Len())
 	})
 	r.NewGaugeFunc("spq_result_cache_entries", "Result cache size in entries.", func() float64 {
-		if e.results == nil {
-			return 0
-		}
 		return float64(e.results.Len())
 	})
 	// Streaming-pipeline and out-of-core block-cache instruments read the

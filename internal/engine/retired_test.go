@@ -82,3 +82,53 @@ func TestRetiredFleetSurface(t *testing.T) {
 		}
 	})
 }
+
+// TestSketchStrategyWire: k-means is the only grouping. A sketch body with
+// no strategy or "kmeans" (any case) is solved; "hash", "range" or any
+// other strategy is refused with bad_request, single and per batch item,
+// and never run as k-means.
+func TestSketchStrategyWire(t *testing.T) {
+	e := New(newCatalog(t, 30), &Options{MaxInFlight: 1, Parallelism: 1})
+	srv := v1Server(t, e)
+	body := func(strategy string) string {
+		sk := `{"group_size":8,"max_candidates":24`
+		if strategy != "" {
+			sk += `,"strategy":` + strconv.Quote(strategy)
+		}
+		return `{"query":` + strconv.Quote(testQuery) + `,"method":"sketch","sketch":` + sk + `},` +
+			`"options":{"seed":1,"validation_m":1500,"initial_m":10,"max_m":60}}`
+	}
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, strategy := range []string{"hash", "range", "HASH", "voronoi"} {
+		decodeEnvelope(t, post("/v1/queries", body(strategy)), http.StatusBadRequest, client.CodeBadRequest)
+		resp := post("/v1/queries:batch", `{"queries":[`+body(strategy)+`]}`)
+		var out client.BatchResponse
+		err := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Jobs) != 1 || out.Jobs[0].Job != nil || out.Jobs[0].Error == nil || out.Jobs[0].Error.Code != client.CodeBadRequest {
+			t.Fatalf("batch item with strategy %q = %+v, want bad_request", strategy, out.Jobs)
+		}
+	}
+	var objective *float64
+	for _, strategy := range []string{"", "kmeans", "KMeans"} {
+		job := waitJob(t, srv, decodeJob(t, post("/v1/queries", body(strategy)), http.StatusAccepted))
+		if job.State != client.JobSucceeded || job.Result == nil {
+			t.Fatalf("strategy %q: job ended %s (%+v)", strategy, job.State, job.Error)
+		}
+		if objective == nil {
+			objective = &job.Result.Objective
+		} else if job.Result.Objective != *objective {
+			t.Fatalf("strategy %q: objective %v, want %v", strategy, job.Result.Objective, *objective)
+		}
+	}
+}

@@ -42,27 +42,31 @@ func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, er
 		return nil, err
 	}
 	src := rng.NewSource(cfg.DataSeed).Derive(99)
-	var out []SizeRecord
+	ctx := context.Background()
 	maxM := 0
 	for _, m := range ms {
-		if m > maxM {
-			maxM = m
-		}
+		maxM = max(maxM, m)
 	}
-	sets, objSet, err := silp.GenerateSets(src, 0, maxM)
+	// SAA_{Q,M} is CSA over the M one-scenario partitions.
+	singles := make([][]int, maxM)
+	for j := range singles {
+		singles[j] = []int{j}
+	}
+	sums, objSums, err := silp.SummarizeParts(ctx, src, singles, 1)
 	if err != nil {
 		return nil, err
 	}
+	var out []SizeRecord
 	for _, m := range ms {
-		sub := make([]*scenario.Set, len(sets))
-		for k, s := range sets {
-			sub[k] = scenario.FromRows(s.Attr, s.IDs[:m], rowsPrefix(s, m))
+		sub := make([][]*scenario.Summary, len(sums))
+		for k, group := range sums {
+			sub[k] = group[:m]
 		}
-		var objSub *scenario.Set
-		if objSet != nil {
-			objSub = scenario.FromRows(objSet.Attr, objSet.IDs[:m], rowsPrefix(objSet, m))
+		var objSub []*scenario.Summary
+		if objSums != nil {
+			objSub = objSums[:m]
 		}
-		model, _, err := silp.FormulateSAA(sub, objSub)
+		model, _, err := silp.FormulateCSA(sub, objSub)
 		if err != nil {
 			return nil, err
 		}
@@ -75,30 +79,9 @@ func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, er
 		if z > maxM {
 			continue
 		}
-		summaries := make([][]*scenario.Summary, len(silp.ProbCons))
-		parts := scenario.PartitionIDs(maxM, z, 1)
-		for k, pc := range silp.ProbCons {
-			for _, part := range parts {
-				sm, err := sets[k].SummarizeP(context.Background(), part, pc.Direction(), nil, 1)
-				if err != nil {
-					return nil, err
-				}
-				summaries[k] = append(summaries[k], sm)
-			}
-		}
-		var objSummaries []*scenario.Summary
-		if objSet != nil {
-			dir := scenario.Max
-			if silp.ObjGeq {
-				dir = scenario.Min
-			}
-			for _, part := range parts {
-				sm, err := objSet.SummarizeP(context.Background(), part, dir, nil, 1)
-				if err != nil {
-					return nil, err
-				}
-				objSummaries = append(objSummaries, sm)
-			}
+		summaries, objSummaries, err := silp.SummarizeParts(ctx, src, scenario.PartitionIDs(maxM, z, 1), 1)
+		if err != nil {
+			return nil, err
 		}
 		model, _, err := silp.FormulateCSA(summaries, objSummaries)
 		if err != nil {
@@ -110,14 +93,6 @@ func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, er
 		})
 	}
 	return out, nil
-}
-
-func rowsPrefix(s *scenario.Set, m int) [][]float64 {
-	rows := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		rows[j] = s.Row(j)
-	}
-	return rows
 }
 
 // RenderSizes renders size records as a text table.

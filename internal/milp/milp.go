@@ -412,20 +412,3 @@ func (h Hint) String() string {
 		return "none"
 	}
 }
-
-// Gap returns the relative optimality gap of the incumbent versus the root
-// bound, or +Inf when no incumbent exists.
-func (r *Result) Gap() float64 {
-	if r.X == nil {
-		return math.Inf(1)
-	}
-	denom := math.Abs(r.Obj)
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	g := (r.Obj - r.Bound) / denom
-	if g < 0 {
-		return 0
-	}
-	return g
-}

@@ -397,17 +397,6 @@ func TestNumCoefficients(t *testing.T) {
 	}
 }
 
-func TestGapOnResult(t *testing.T) {
-	r := &Result{Obj: 10, Bound: 9, X: []float64{1}}
-	if g := r.Gap(); math.Abs(g-0.1) > 1e-12 {
-		t.Fatalf("Gap = %v, want 0.1", g)
-	}
-	empty := &Result{}
-	if !math.IsInf(empty.Gap(), 1) {
-		t.Fatal("Gap of empty result should be +Inf")
-	}
-}
-
 func TestStatusStrings(t *testing.T) {
 	want := map[Status]string{
 		StatusOptimal:    "optimal",

@@ -135,7 +135,9 @@ func (s *mmapColumn) ReadAt(dst []float64, off int) error {
 	return nil
 }
 
-// openColumnHeader validates the magic and returns the value count.
+// openColumnHeader validates the magic and returns the value count, which
+// must fit in the file: a count past its end is refused before any
+// arithmetic on it can wrap.
 func openColumnHeader(f *os.File) (int, error) {
 	var hdr [colHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
@@ -149,8 +151,8 @@ func openColumnHeader(f *os.File) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if want := int64(colHeaderSize + 8*n); fi.Size() < want {
-		return 0, fmt.Errorf("relation: column file %s truncated: %d bytes, want %d", f.Name(), fi.Size(), want)
+	if limit := uint64(fi.Size()-colHeaderSize) / 8; n > limit {
+		return 0, fmt.Errorf("relation: column file %s truncated: header claims %d values, %d bytes hold %d", f.Name(), n, fi.Size(), limit)
 	}
 	return int(n), nil
 }
@@ -201,6 +203,9 @@ func OpenColumnDir(dir string, cache *BlockCache) (*Relation, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("relation: parsing manifest: %w", err)
+	}
+	if m.N < 0 {
+		return nil, fmt.Errorf("relation: manifest of %s claims %d tuples", dir, m.N)
 	}
 	rel := New(m.Name, m.N)
 	for i, name := range m.Columns {

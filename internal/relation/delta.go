@@ -250,12 +250,6 @@ func (r *Relation) Base() *Relation {
 	return r
 }
 
-// Stale reports whether the receiver is a snapshot whose base relation has
-// since moved to a newer version.
-func (r *Relation) Stale() bool {
-	return r.base != nil && r.base.Version() != r.Version()
-}
-
 // Changes returns the merged change set covering (since, current]. The
 // second result is false when the history is unavailable — the version
 // predates a wholesale mutation, or the bounded delta log was trimmed —

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -79,8 +78,8 @@ func TestApplyDeltaPatchAndSnapshotIsolation(t *testing.T) {
 	if snap.Version() != v0 {
 		t.Fatalf("snapshot version moved to %d", snap.Version())
 	}
-	if !snap.Stale() {
-		t.Fatal("snapshot should report Stale after the delta")
+	if snap.Version() == rel.Version() {
+		t.Fatal("snapshot should lag the base after the delta")
 	}
 	if rel.Snapshot() == snap {
 		t.Fatal("post-delta Snapshot returned the stale snapshot")
@@ -225,37 +224,6 @@ func TestChangesMergesAndTrims(t *testing.T) {
 	}
 }
 
-func TestShardStaleViewError(t *testing.T) {
-	rel := partRelation(t, 128)
-	p, err := rel.Partition(PartitionSpec{Strategy: PartitionRange, Features: []string{"v"}, GroupSize: 16, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rel.Shard(p, 0); err != nil {
-		t.Fatalf("fresh shard read failed: %v", err)
-	}
-	snap := rel.Snapshot()
-	if _, err := rel.ApplyDelta(&Delta{Set: map[string]map[int]float64{"v": {0: 5}}}); err != nil {
-		t.Fatal(err)
-	}
-	// The base moved: reading the old partitioning through it must fail.
-	_, err = rel.Shard(p, 0)
-	if err == nil {
-		t.Fatal("stale shard read accepted")
-	}
-	if !errors.Is(err, ErrStaleView) {
-		t.Fatalf("error %v does not match ErrStaleView", err)
-	}
-	var sve *StaleViewError
-	if !errors.As(err, &sve) || sve.ViewVersion >= sve.BaseVersion {
-		t.Fatalf("structured error = %+v", err)
-	}
-	// The pre-delta snapshot still serves the old partitioning.
-	if _, err := snap.Shard(p, 0); err != nil {
-		t.Fatalf("snapshot shard read failed: %v", err)
-	}
-}
-
 func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 	n := 512
 	col := make([]float64, n)
@@ -271,7 +239,7 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 	if err := rel.AddDet("w", other); err != nil {
 		t.Fatal(err)
 	}
-	spec := PartitionSpec{Strategy: PartitionKMeans, Features: []string{"v"}, GroupSize: 32, Shards: 4}
+	spec := PartitionSpec{Features: []string{"v"}, GroupSize: 32, Shards: 4}
 
 	s0 := rel.Snapshot()
 	p0, err := s0.Partition(spec)
@@ -391,41 +359,39 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 	}
 }
 
-// TestPartitionPatchEveryStrategy patches a 4-shard partitioning of each
-// strategy through a feature Set and an Append and checks the result with
-// checkCover, which includes the medoid-shard invariant append routing
-// relies on.
+// TestPartitionPatchEveryStrategy patches a 4-shard partitioning of k-means,
+// the only grouping, through a feature Set and an Append and checks the
+// result with checkCover, which includes the medoid-shard invariant append
+// routing relies on.
 func TestPartitionPatchEveryStrategy(t *testing.T) {
-	for _, strategy := range []PartitionStrategy{PartitionKMeans, PartitionHash, PartitionRange} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			n := 96
-			rel := partRelation(t, n)
-			spec := PartitionSpec{Strategy: strategy, Features: []string{"v"}, GroupSize: 8, Shards: 4, Seed: 3}
-			p0, err := rel.Partition(spec)
+	t.Run("kmeans", func(t *testing.T) {
+		n := 96
+		rel := partRelation(t, n)
+		spec := PartitionSpec{Features: []string{"v"}, GroupSize: 8, Shards: 4, Seed: 3}
+		p0, err := rel.Partition(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCover(t, p0, n)
+		for i, d := range []*Delta{
+			{Set: map[string]map[int]float64{"v": {5: 10.3, 70: 0.2}}},
+			{Append: []map[string]float64{{"v": 0.15}, {"v": 10.6}}},
+		} {
+			before := DeltaStats()
+			if _, err := rel.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			p, err := rel.Snapshot().Partition(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCover(t, p0, n)
-			for i, d := range []*Delta{
-				{Set: map[string]map[int]float64{"v": {5: 10.3, 70: 0.2}}},
-				{Append: []map[string]float64{{"v": 0.15}, {"v": 10.6}}},
-			} {
-				before := DeltaStats()
-				if _, err := rel.ApplyDelta(d); err != nil {
-					t.Fatal(err)
-				}
-				p, err := rel.Snapshot().Partition(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				after := DeltaStats()
-				if after.PartitionsPatched != before.PartitionsPatched+1 {
-					t.Fatalf("delta %d did not patch the partitioning: %+v -> %+v", i, before, after)
-				}
-				checkCover(t, p, rel.N())
+			after := DeltaStats()
+			if after.PartitionsPatched != before.PartitionsPatched+1 {
+				t.Fatalf("delta %d did not patch the partitioning: %+v -> %+v", i, before, after)
 			}
-		})
-	}
+			checkCover(t, p, rel.N())
+		}
+	})
 }
 
 // TestSetVGOnCompactedBase: a VG that SetVG installs on a base a delete has

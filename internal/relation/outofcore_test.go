@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,27 +124,25 @@ func TestPartitionOnLazyFeature(t *testing.T) {
 	if _, err := SpillCSV("r", strings.NewReader(csvText), dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []PartitionStrategy{PartitionKMeans, PartitionRange} {
-		lazy, err := OpenColumnDir(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !lazy.IsLazy("price") {
-			t.Fatal("reopened column should be lazy")
-		}
-		spec := PartitionSpec{Strategy: strategy, Features: []string{"price"}, GroupSize: 16, Seed: 7, Shards: 3}
-		want, err := inMem.Partition(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := lazy.Partition(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Version = want.Version
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: partitioning of the spilled relation differs from the resident one", strategy)
-		}
+	lazy, err := OpenColumnDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lazy.IsLazy("price") {
+		t.Fatal("reopened column should be lazy")
+	}
+	spec := PartitionSpec{Features: []string{"price"}, GroupSize: 16, Seed: 7, Shards: 3}
+	want, err := inMem.Partition(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lazy.Partition(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Version = want.Version
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("partitioning of the spilled relation differs from the resident one")
 	}
 }
 
@@ -225,5 +226,52 @@ func TestColumnFileRoundTrip(t *testing.T) {
 		if got[i] != vals[i] {
 			t.Fatalf("[%d] = %v, want %v", i, got[i], vals[i])
 		}
+	}
+}
+
+// TestCorruptColumnFilesError: a damaged column file or manifest fails to
+// open with an error; it never opens with a count its bytes cannot back,
+// which a later read would panic on.
+func TestCorruptColumnFilesError(t *testing.T) {
+	header := func(magic string, count uint64) []byte {
+		b := []byte(magic)
+		return binary.LittleEndian.AppendUint64(b, count)
+	}
+	values := func(b []byte, vals ...float64) []byte {
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name     string
+		column   []byte
+		manifest string // "" opens the column file alone
+	}{
+		{name: "bad magic", column: values(header("SPQCOLX\n", 1), 1)},
+		{name: "short header", column: []byte("SPQCOL1\n\x02\x00\x00")},
+		{name: "overflowing count", column: header(colMagic, 1<<61)},
+		{name: "count past EOF", column: values(header(colMagic, 3), 1, 2)},
+		{name: "negative n", column: values(header(colMagic, 2), 1, 2), manifest: `{"name":"r","n":-1,"columns":[]}`},
+		{name: "n differs from column", column: values(header(colMagic, 2), 1, 2), manifest: `{"name":"r","n":3,"columns":["a"]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(columnPath(dir, 0), tc.column, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.manifest == "" {
+				if src, err := OpenColumnFile(columnPath(dir, 0), nil); err == nil {
+					t.Fatalf("opened with %d values", src.Len())
+				}
+				return
+			}
+			if err := os.WriteFile(manifestPath(dir), []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if rel, err := OpenColumnDir(dir, nil); err == nil {
+				t.Fatalf("opened with %d tuples", rel.N())
+			}
+		})
 	}
 }

@@ -8,9 +8,8 @@
 // SketchRefine (Brucato et al., VLDB 2018): similar tuples with one
 // representative (medoid) each. *Shards* are contiguous runs of groups that
 // form the unit of parallel sketch solving; a 1-shard partitioning is
-// exactly the classic single-solve sketch. Groups are built by one of three
-// strategies (seeded k-means over feature columns, hash, or range on a
-// feature column); shards always split the group list into near-equal
+// exactly the classic single-solve sketch. Groups are built by seeded
+// k-means over feature columns; shards split the group list into near-equal
 // contiguous runs, which keeps shard composition deterministic and
 // independent of worker count.
 
@@ -25,51 +24,20 @@ import (
 	"spq/internal/rng"
 )
 
-// PartitionStrategy selects how tuples are grouped.
-type PartitionStrategy int
-
-const (
-	// PartitionKMeans clusters tuples by seeded k-means over the spec's
-	// feature columns (the SketchRefine default: groups hold similar
-	// tuples, so a medoid represents its group well).
-	PartitionKMeans PartitionStrategy = iota
-	// PartitionHash assigns tuples to groups by a seeded hash of the tuple
-	// index: uniform, feature-free, and O(N).
-	PartitionHash
-	// PartitionRange sorts tuples by the first feature column and cuts the
-	// order into consecutive τ-sized groups.
-	PartitionRange
-)
-
-func (s PartitionStrategy) String() string {
-	switch s {
-	case PartitionKMeans:
-		return "kmeans"
-	case PartitionHash:
-		return "hash"
-	case PartitionRange:
-		return "range"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
-
 // PartitionSpec describes how to build a Partitioning. The zero value means
 // k-means with τ = 64 over the spec's features, 12 Lloyd iterations, one
 // shard.
 type PartitionSpec struct {
-	// Strategy selects the grouping algorithm.
-	Strategy PartitionStrategy
 	// Features names the attribute columns to cluster on (deterministic
 	// columns pass through; stochastic attributes contribute their cached
-	// mean columns). Required for KMeans and Range; ignored by Hash.
+	// mean columns). Required.
 	Features []string
 	// GroupSize is the partitioning threshold τ: groups hold at most ~τ
 	// tuples (default 64).
 	GroupSize int
 	// KMeansIters bounds Lloyd iterations (default 12).
 	KMeansIters int
-	// Seed drives k-means initialization and the hash strategy.
+	// Seed drives k-means initialization.
 	Seed uint64
 	// Shards is the number of solver shards the groups are split into
 	// (default 1 = the classic single sketch solve). Clamped to the number
@@ -96,8 +64,8 @@ func (s PartitionSpec) withDefaults() PartitionSpec {
 // groupKey renders the grouping-relevant spec fields canonically: two specs
 // differing only in Shards share the (expensive) clustering work.
 func (s PartitionSpec) groupKey() string {
-	return fmt.Sprintf("%s|tau=%d|iters=%d|seed=%d|feat=%s",
-		s.Strategy, s.GroupSize, s.KMeansIters, s.Seed,
+	return fmt.Sprintf("tau=%d|iters=%d|seed=%d|feat=%s",
+		s.GroupSize, s.KMeansIters, s.Seed,
 		strings.Join(s.Features, ","))
 }
 
@@ -313,38 +281,29 @@ func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs 
 		}
 	}
 
-	var features [][]float64
-	if spec.Strategy != PartitionHash {
-		var err error
-		if features, err = r.featureCols(spec.Features); err != nil {
-			return nil, err
-		}
+	features, err := r.featureCols(spec.Features)
+	if err != nil {
+		return nil, err
 	}
 
-	// Route each appended tuple to a shard deterministically: by seeded
-	// index hash for hash partitionings, by nearest medoid (on the current
-	// feature values) otherwise.
+	// Route each appended tuple deterministically to the shard of its
+	// nearest medoid on the current feature values.
 	appendTo := make([][]int, numShards)
 	for t := prevN; t < r.n; t++ {
-		var s int
-		if spec.Strategy == PartitionHash {
-			s = int(rng.Mix(spec.Seed, 0x9a54c1, uint64(t)) % uint64(numShards))
-		} else {
-			best, bestD := 0, math.Inf(1)
-			for g, m := range prev.Medoids {
-				d := 0.0
-				for _, col := range features {
-					diff := col[t] - col[m]
-					d += diff * diff
-				}
-				if d < bestD {
-					best, bestD = g, d
-				}
+		best, bestD := 0, math.Inf(1)
+		for g, m := range prev.Medoids {
+			d := 0.0
+			for _, col := range features {
+				diff := col[t] - col[m]
+				d += diff * diff
 			}
-			// Every strategy picks a group's medoid among its members, so
-			// the medoid's shard is the group's.
-			s = prev.ShardOf[prev.Medoids[best]]
+			if d < bestD {
+				best, bestD = g, d
+			}
 		}
+		// A group's medoid is one of its members, so the medoid's shard is
+		// the group's.
+		s := prev.ShardOf[prev.Medoids[best]]
 		affected[s] = true
 		appendTo[s] = append(appendTo[s], t)
 	}
@@ -365,10 +324,7 @@ func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs 
 		}
 		idx := append(prev.ShardTuples(s), appendTo[s]...)
 		sort.Ints(idx)
-		groups, medoids, err := r.regroupSubset(spec, features, idx)
-		if err != nil {
-			return nil, err
-		}
+		groups, medoids := regroupSubset(spec, features, idx)
 		for gi, g := range groups {
 			gid := len(p.Groups)
 			p.Groups = append(p.Groups, g)
@@ -393,57 +349,28 @@ func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs 
 	return p, nil
 }
 
-// regroupSubset runs the spec's grouping strategy restricted to the given
-// (ascending) tuple indices, returning groups/medoids in the global index
-// space.
-func (r *Relation) regroupSubset(spec PartitionSpec, features [][]float64, idx []int) (groups [][]int, medoids []int, err error) {
+// regroupSubset runs k-means restricted to the given (ascending) tuple
+// indices, returning groups/medoids in the global index space.
+func regroupSubset(spec PartitionSpec, features [][]float64, idx []int) (groups [][]int, medoids []int) {
 	m := len(idx)
 	if m == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	switch spec.Strategy {
-	case PartitionKMeans:
-		sub := make([][]float64, len(features))
-		for d, col := range features {
-			sc := make([]float64, m)
-			for j, t := range idx {
-				sc[j] = col[t]
-			}
-			sub[d] = sc
-		}
-		_, sg, sm := kmeansGroups(sub, m, spec.GroupSize, spec.KMeansIters, spec.Seed)
-		return mapBack(sg, sm, idx)
-	case PartitionHash:
-		// Hash groups carry no similarity structure: chunk the subset in
-		// index order into τ-sized groups.
-		for start := 0; start < m; start += spec.GroupSize {
-			end := start + spec.GroupSize
-			if end > m {
-				end = m
-			}
-			chunk := make([]int, end-start)
-			for j := start; j < end; j++ {
-				chunk[j-start] = idx[j]
-			}
-			groups = append(groups, chunk)
-			medoids = append(medoids, chunk[0])
-		}
-		return groups, medoids, nil
-	case PartitionRange:
+	sub := make([][]float64, len(features))
+	for d, col := range features {
 		sc := make([]float64, m)
 		for j, t := range idx {
-			sc[j] = features[0][t]
+			sc[j] = col[t]
 		}
-		_, sg, sm := rangeGroups(sc, m, spec.GroupSize)
-		return mapBack(sg, sm, idx)
-	default:
-		return nil, nil, fmt.Errorf("relation: unknown partition strategy %v", spec.Strategy)
+		sub[d] = sc
 	}
+	_, sg, sm := kmeansGroups(sub, m, spec.GroupSize, spec.KMeansIters, spec.Seed)
+	return mapBack(sg, sm, idx)
 }
 
 // mapBack translates subset-local group member and medoid indices to the
 // global tuple index space.
-func mapBack(groups [][]int, medoids []int, idx []int) ([][]int, []int, error) {
+func mapBack(groups [][]int, medoids []int, idx []int) ([][]int, []int) {
 	out := make([][]int, len(groups))
 	for gi, g := range groups {
 		og := make([]int, len(g))
@@ -456,28 +383,7 @@ func mapBack(groups [][]int, medoids []int, idx []int) ([][]int, []int, error) {
 	for i, mdx := range medoids {
 		om[i] = idx[mdx]
 	}
-	return out, om, nil
-}
-
-// Shard returns a view of the tuples in one shard of the partitioning,
-// reusing the Select machinery so substream identity (and hence correlation
-// structure) is preserved. The partitioning must have been built for this
-// relation at its current version: reading a shard of a partitioning whose
-// version was superseded by a delta would silently mix post-delta data
-// into pre-delta shard boundaries, so it fails with ErrStaleView instead
-// (take a fresh Snapshot and re-partition).
-func (r *Relation) Shard(p *Partitioning, shard int) (*Relation, error) {
-	if v := r.Version(); p.Version != v {
-		staleViews.Add(1)
-		return nil, &StaleViewError{Table: r.name, ViewVersion: p.Version, BaseVersion: v}
-	}
-	if len(p.ShardOf) != r.n {
-		return nil, fmt.Errorf("relation: partitioning covers %d tuples, relation has %d", len(p.ShardOf), r.n)
-	}
-	if shard < 0 || shard >= p.NumShards() {
-		return nil, fmt.Errorf("relation: shard %d out of range [0, %d)", shard, p.NumShards())
-	}
-	return r.Select(func(t int) bool { return p.ShardOf[t] == shard }), nil
+	return out, om
 }
 
 // groupSet is the cached clustering level of a partitioning, shared by
@@ -489,37 +395,19 @@ type groupSet struct {
 	medoids []int
 }
 
-// buildGroups runs the clustering strategy — the expensive,
-// shard-count-independent half of a partitioning. It only reads the
-// relation's columns (immutable once added), so it is safe to run without
-// the cache lock.
+// buildGroups runs k-means — the expensive, shard-count-independent half of
+// a partitioning. It only reads the relation's columns (immutable once
+// added), so it is safe to run without the cache lock.
 func (r *Relation) buildGroups(spec PartitionSpec, version uint64) (*groupSet, error) {
 	gs := &groupSet{version: version}
 	if r.n == 0 {
 		return gs, nil
 	}
-	var err error
-	switch spec.Strategy {
-	case PartitionKMeans:
-		var features [][]float64
-		features, err = r.featureCols(spec.Features)
-		if err == nil {
-			gs.groupOf, gs.groups, gs.medoids = kmeansGroups(features, r.n, spec.GroupSize, spec.KMeansIters, spec.Seed)
-		}
-	case PartitionHash:
-		gs.groupOf, gs.groups, gs.medoids = hashGroups(r.n, spec.GroupSize, spec.Seed)
-	case PartitionRange:
-		var features [][]float64
-		features, err = r.featureCols(spec.Features)
-		if err == nil {
-			gs.groupOf, gs.groups, gs.medoids = rangeGroups(features[0], r.n, spec.GroupSize)
-		}
-	default:
-		err = fmt.Errorf("relation: unknown partition strategy %v", spec.Strategy)
-	}
+	features, err := r.featureCols(spec.Features)
 	if err != nil {
 		return nil, err
 	}
+	gs.groupOf, gs.groups, gs.medoids = kmeansGroups(features, r.n, spec.GroupSize, spec.KMeansIters, spec.Seed)
 	return gs, nil
 }
 
@@ -825,65 +713,4 @@ func (ix *centroidIndex) nearest(x, cents []float64, dims, a int) int {
 		}
 	}
 	return best
-}
-
-// hashGroups buckets tuples by a seeded hash of the tuple index into
-// ⌈N/τ⌉ buckets, then splits oversized buckets into τ-sized chunks. The
-// first member of each chunk stands as its representative (hash groups
-// carry no similarity structure, so any member is as representative as any
-// other).
-func hashGroups(n, tau int, seed uint64) (groupOf []int, groups [][]int, medoids []int) {
-	k := (n + tau - 1) / tau
-	if k < 1 {
-		k = 1
-	}
-	buckets := make([][]int, k)
-	for t := 0; t < n; t++ {
-		b := int(rng.Mix(seed, 0x9a54c1, uint64(t)) % uint64(k))
-		buckets[b] = append(buckets[b], t)
-	}
-	groupOf = make([]int, n)
-	for _, bucket := range buckets {
-		for start := 0; start < len(bucket); start += tau {
-			end := start + tau
-			if end > len(bucket) {
-				end = len(bucket)
-			}
-			chunk := bucket[start:end]
-			gid := len(groups)
-			groups = append(groups, chunk)
-			medoids = append(medoids, chunk[0])
-			for _, t := range chunk {
-				groupOf[t] = gid
-			}
-		}
-	}
-	return groupOf, groups, medoids
-}
-
-// rangeGroups sorts tuples by the feature column (ties broken by tuple
-// index, so the order is total and deterministic) and cuts the order into
-// consecutive τ-sized groups. The middle member of each run stands as its
-// representative.
-func rangeGroups(col []float64, n, tau int) (groupOf []int, groups [][]int, medoids []int) {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return col[order[a]] < col[order[b]] })
-	groupOf = make([]int, n)
-	for start := 0; start < n; start += tau {
-		end := start + tau
-		if end > n {
-			end = n
-		}
-		chunk := append([]int(nil), order[start:end]...)
-		gid := len(groups)
-		groups = append(groups, chunk)
-		medoids = append(medoids, chunk[len(chunk)/2])
-		for _, t := range chunk {
-			groupOf[t] = gid
-		}
-	}
-	return groupOf, groups, medoids
 }

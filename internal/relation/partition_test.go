@@ -198,42 +198,9 @@ func TestPartitionDeterministicAcrossRelations(t *testing.T) {
 	}
 }
 
-func TestPartitionStrategies(t *testing.T) {
-	n := 50
-	rel := partRelation(t, n)
-	for _, spec := range []PartitionSpec{
-		{Strategy: PartitionHash, GroupSize: 8, Seed: 5, Shards: 4},
-		{Strategy: PartitionRange, Features: []string{"v"}, GroupSize: 8, Shards: 4},
-	} {
-		p, err := rel.Partition(spec)
-		if err != nil {
-			t.Fatalf("%v: %v", spec.Strategy, err)
-		}
-		checkCover(t, p, n)
-		for _, g := range p.Groups {
-			if len(g) > 8 {
-				t.Fatalf("%v: group of %d tuples exceeds τ=8", spec.Strategy, len(g))
-			}
-		}
-	}
-	// Range groups are contiguous in value order.
-	p, err := rel.Partition(PartitionSpec{Strategy: PartitionRange, Features: []string{"v"}, GroupSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, _ := rel.Det("v")
-	for g := 1; g < p.NumGroups(); g++ {
-		prevMax := col[p.Groups[g-1][len(p.Groups[g-1])-1]]
-		curMin := col[p.Groups[g][0]]
-		if curMin < prevMax {
-			t.Fatalf("range groups out of order: group %d starts at %v below %v", g, curMin, prevMax)
-		}
-	}
-}
-
 func TestPartitionEdgeCases(t *testing.T) {
 	empty := New("e", 0)
-	if p, err := empty.Partition(PartitionSpec{Strategy: PartitionHash}); err != nil || len(p.Groups) != 0 {
+	if p, err := empty.Partition(PartitionSpec{}); err != nil || len(p.Groups) != 0 {
 		t.Fatalf("empty relation: p=%+v err=%v", p, err)
 	}
 	rel := New("r", 3)
@@ -298,10 +265,7 @@ func TestShardViewPreservesSubstreams(t *testing.T) {
 	}
 	src := rng.NewSource(11)
 	for s := 0; s < p.NumShards(); s++ {
-		shard, err := rel.Shard(p, s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shard := rel.Select(func(t int) bool { return p.ShardOf[t] == s })
 		want := p.ShardTuples(s)
 		if shard.N() != len(want) {
 			t.Fatalf("shard %d has %d tuples, want %d", s, shard.N(), len(want))
@@ -325,8 +289,5 @@ func TestShardViewPreservesSubstreams(t *testing.T) {
 				t.Fatalf("shard view changed realization: %v vs %v", got, wantV)
 			}
 		}
-	}
-	if _, err := rel.Shard(p, p.NumShards()); err == nil {
-		t.Fatal("out-of-range shard accepted")
 	}
 }

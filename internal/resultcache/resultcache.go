@@ -1,8 +1,9 @@
-// Package resultcache holds the engine's result cache: the LRU of fully
-// evaluated, deterministic query responses that lets identical requests
-// skip solving entirely.
+// Package resultcache holds the engine's LRU store, used for both of its
+// caches: fully evaluated, deterministic query responses, which let
+// identical requests skip solving entirely, and prepared plans, which let
+// them skip translation.
 //
-// Every entry names the relation and version it was solved against, and
+// Every entry names the relation and version it was computed against, and
 // the engine revalidates (and drops dead entries) on every hit. Local holds
 // the engine's in-process value — pointers into live plans and relations,
 // cheap to serve, never serialized.
@@ -27,8 +28,9 @@ type Entry struct {
 }
 
 // Memory is the in-process LRU store, safe for concurrent use; keys are the
-// engine's canonical result keys (the full determinism domain of a
-// request). The zero value is not usable; call NewMemory.
+// engine's canonical plan or result keys. The zero value is not usable; call
+// NewMemory. A nil *Memory is a disabled cache: Get misses, Put and Drop do
+// nothing, and Len is 0.
 type Memory struct {
 	mu  sync.Mutex
 	cap int
@@ -53,6 +55,9 @@ func NewMemory(capacity int) *Memory {
 
 // Get returns the entry under key, marking it recently used.
 func (s *Memory) Get(key string) (*Entry, bool) {
+	if s == nil {
+		return nil, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.m[key]
@@ -66,6 +71,9 @@ func (s *Memory) Get(key string) (*Entry, bool) {
 // Put stores e under key, evicting least-recently-used entries beyond the
 // store's capacity.
 func (s *Memory) Put(key string, e *Entry) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
@@ -85,6 +93,9 @@ func (s *Memory) Put(key string, e *Entry) {
 // (pointer identity): a validator that saw a dead entry can race with a
 // fresh Put from a concurrent solve, and must not evict the fresh value.
 func (s *Memory) Drop(key string, stale *Entry) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok && el.Value.(*memEntry).val == stale {
@@ -95,6 +106,9 @@ func (s *Memory) Drop(key string, stale *Entry) {
 
 // Len reports the number of entries currently stored.
 func (s *Memory) Len() int {
+	if s == nil {
+		return 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ll.Len()

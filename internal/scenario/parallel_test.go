@@ -40,9 +40,9 @@ func TestSummarizePMatchesSequential(t *testing.T) {
 			if accel[i] {
 				d = d.Opposite()
 			}
-			want[i] = set.Value(i, chosen[0])
+			want[i] = set.Row(chosen[0])[i]
 			for _, j := range chosen[1:] {
-				if w := set.Value(i, j); (d == Min && w < want[i]) || (d == Max && w > want[i]) {
+				if w := set.Row(j)[i]; (d == Min && w < want[i]) || (d == Max && w > want[i]) {
 					want[i] = w
 				}
 			}

@@ -3,9 +3,10 @@
 // partitioning of scenario IDs into Z groups (PartitionIDs) and greedy
 // selection of the subset G_z(α) by precomputed scenario score (Pick,
 // §5.3). SummarySearch realizes the scores and summaries themselves through
-// the cursors of package stream. A materialized Set of scenario rows, realized
-// through the same row kernel, serves the Naïve SAA baseline, whose
-// formulation reads whole rows.
+// the cursors of package stream, and so does Naïve, whose SAA model is CSA
+// over one-scenario summaries. A materialized Set of scenario rows,
+// realized through the same row kernel, is the oracle the streamed folds
+// are tested against.
 package scenario
 
 import (
@@ -79,9 +80,6 @@ func (s *Set) AppendRow(id int, row []float64) {
 
 // M returns the number of scenarios in the set.
 func (s *Set) M() int { return len(s.vals) }
-
-// Value returns the realization of tuple i in the set's local scenario j.
-func (s *Set) Value(i, j int) float64 { return s.vals[j][i] }
 
 // Row returns the full realization vector of local scenario j. The returned
 // slice is shared; callers must not modify it.

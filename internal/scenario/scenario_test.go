@@ -93,7 +93,7 @@ func TestGenerateShapeAndDeterminism(t *testing.T) {
 	s2 := generate(t, src, rel, "gain", 0, 5)
 	for j := 0; j < 5; j++ {
 		for i := 0; i < 8; i++ {
-			if s1.Value(i, j) != s2.Value(i, j) {
+			if s1.Row(j)[i] != s2.Row(j)[i] {
 				t.Fatal("regeneration differs")
 			}
 		}
@@ -121,7 +121,7 @@ func TestExtendContinuesScenarioIDs(t *testing.T) {
 	direct := generate(t, src, rel, "gain", 0, 5)
 	for j := 0; j < 5; j++ {
 		for i := 0; i < 4; i++ {
-			if s.Value(i, j) != direct.Value(i, j) {
+			if s.Row(j)[i] != direct.Row(j)[i] {
 				t.Fatal("extension differs from direct generation")
 			}
 		}
@@ -243,7 +243,7 @@ func TestSummarizeIsTupleWiseExtreme(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		want := math.Inf(1)
 		for _, j := range chosen {
-			want = math.Min(want, s.Value(i, j))
+			want = math.Min(want, s.Row(j)[i])
 		}
 		if sm.Values[i] != want {
 			t.Fatalf("summary[%d] = %v, want %v", i, sm.Values[i], want)
@@ -266,14 +266,14 @@ func TestSummarizeAcceleration(t *testing.T) {
 	// Tuple 0 uses MAX (accelerated), others MIN.
 	want0 := math.Inf(-1)
 	for _, j := range chosen {
-		want0 = math.Max(want0, s.Value(0, j))
+		want0 = math.Max(want0, s.Row(j)[0])
 	}
 	if sm.Values[0] != want0 {
 		t.Fatalf("accelerated tuple 0 = %v, want max %v", sm.Values[0], want0)
 	}
 	want1 := math.Inf(1)
 	for _, j := range chosen {
-		want1 = math.Min(want1, s.Value(1, j))
+		want1 = math.Min(want1, s.Row(j)[1])
 	}
 	if sm.Values[1] != want1 {
 		t.Fatalf("non-accelerated tuple 1 = %v, want min %v", sm.Values[1], want1)

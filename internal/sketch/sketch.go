@@ -64,8 +64,6 @@ type Options struct {
 	// MaxCandidates caps the refine problem size; when the sketch selects
 	// more, the groups with the largest allotments win (default 4·τ).
 	MaxCandidates int
-	// Strategy selects how tuples are grouped (default k-means).
-	Strategy relation.PartitionStrategy
 	// Shards splits the sketch phase into this many independent medoid
 	// solves over contiguous runs of groups (default 1 = the classic single
 	// sketch solve). The result is identical for any worker count; shard
@@ -105,8 +103,8 @@ func (o *Options) withDefaults() Options {
 // worker count is bit-identical). Nil receivers key like the zero Options.
 func (o *Options) Key() string {
 	so := o.withDefaults()
-	return fmt.Sprintf("tau=%d,iters=%d,seed=%d,cand=%d,strat=%s,shards=%d",
-		so.GroupSize, so.KMeansIters, so.Seed, so.MaxCandidates, so.Strategy, so.Shards)
+	return fmt.Sprintf("tau=%d,iters=%d,seed=%d,cand=%d,shards=%d",
+		so.GroupSize, so.KMeansIters, so.Seed, so.MaxCandidates, so.Shards)
 }
 
 // Stats reports what the sketch pipeline did.
@@ -224,7 +222,6 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	}
 	partSpan := obs.SpanFromContext(ctx).StartChild("partition")
 	part, err := view.Partition(relation.PartitionSpec{
-		Strategy:    so.Strategy,
 		Features:    attrs,
 		GroupSize:   so.GroupSize,
 		KMeansIters: so.KMeansIters,

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,17 +44,14 @@ func TestFilteredProbConstraintMask(t *testing.T) {
 			t.Fatalf("mask[%d] = %v for vol %v", i, m, vol[i])
 		}
 	}
-	if !pc.Included(2) || pc.Included(0) {
-		t.Fatalf("Included wrong: vol=%v", vol)
-	}
 	// Generated scenario rows must be zero at masked-out tuples.
-	sets, _, err := s.GenerateSets(rng.NewSource(1), 0, 4)
+	sets, _, err := s.GenerateSetsP(context.Background(), rng.NewSource(1), 0, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
 		for i := range pc.Mask {
-			v := sets[0].Value(i, j)
+			v := sets[0].Row(j)[i]
 			if !pc.Mask[i] && v != 0 {
 				t.Fatalf("masked tuple %d has nonzero scenario value %v", i, v)
 			}
@@ -87,11 +85,7 @@ func TestFilteredCountConstraintSolvesCorrectly(t *testing.T) {
 		COUNT(*) = 3 AND
 		(SELECT COUNT(*) WHERE vol >= 0.2 FROM P) <= 1
 		MAXIMIZE EXPECTED SUM(gain)`, rel)
-	sets, objSet, err := s.GenerateSets(rng.NewSource(2), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, vm, err := s.FormulateSAA(sets, objSet)
+	model, vm, err := s.FormulateCSA(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 // Package translate lowers a validated sPaQL query over a Monte Carlo
 // relation into the canonical stochastic ILP of §2.3 (type SILP), and builds
-// the two deterministic approximations the paper studies:
-//
-//   - FormulateSAA — the sample-average approximation DILP of §3.1, with one
-//     indicator variable per scenario per probabilistic constraint and the
-//     counting constraint Σy_j ≥ ⌈pM⌉ (size Θ(NMK));
-//   - FormulateCSA — the conservative summary approximation of §4.1, with
-//     one indicator per summary and Σy_z ≥ ⌈pZ⌉ (size Θ(NZK)).
+// the deterministic approximations the paper studies with one builder,
+// FormulateCSA: the conservative summary approximation of §4.1, with one
+// indicator per summary and Σy_z ≥ ⌈pZ⌉ (size Θ(NZK)). The sample-average
+// approximation of §3.1 (one indicator per scenario and Σy_j ≥ ⌈pM⌉, size
+// Θ(NMK)) is FormulateCSA over M one-scenario summaries, because the
+// α-summary of a single scenario is that scenario.
 //
 // It also derives finite decision-variable bounds from the query's
 // deterministic structure (REPEAT, COUNT, positive-coefficient budget
@@ -51,13 +50,19 @@ type ProbCon struct {
 	Mask []bool
 }
 
-// Included reports whether tuple i participates in the constraint.
-func (c *ProbCon) Included(i int) bool { return c.Mask == nil || c.Mask[i] }
-
 // Direction returns the conservative summary direction for the constraint
 // (Proposition 1: Min for ≥ inner constraints, Max for ≤).
 func (c *ProbCon) Direction() scenario.Direction {
 	if c.Geq {
+		return scenario.Min
+	}
+	return scenario.Max
+}
+
+// ObjDirection is Direction for a probability objective's inner function
+// Pr(Σ f(t_i)·x_i ⊙ ObjV).
+func (s *SILP) ObjDirection() scenario.Direction {
+	if s.ObjGeq {
 		return scenario.Min
 	}
 	return scenario.Max
@@ -455,7 +460,7 @@ func (vm *VarMap) PackageOf(dst, x []float64) []float64 {
 
 // FormulateUnconstrained builds the DILP of Q0, the query without its
 // probabilistic constraints (Algorithm 2, line 2): x variables, objective and
-// deterministic rows, which the SAA and CSA formulations extend.
+// deterministic rows, which FormulateCSA extends.
 func (s *SILP) FormulateUnconstrained() (*milp.Model, *VarMap) {
 	return s.formulate(0, 0)
 }
@@ -494,52 +499,6 @@ func addIndicator(m *milp.Model, vals []float64, geq bool, v float64) int {
 		m.AddIndicatorLE(y, nil, vals, v)
 	}
 	return y
-}
-
-// FormulateSAA builds the SAA_{Q,M} DILP of §3.1. sets must hold one
-// scenario set of realized inner-function values per probabilistic
-// constraint (aligned with s.ProbCons); objSet is required iff the objective
-// is probabilistic and supplies its inner-function realizations.
-func (s *SILP) FormulateSAA(sets []*scenario.Set, objSet *scenario.Set) (*milp.Model, *VarMap, error) {
-	if len(sets) != len(s.ProbCons) {
-		return nil, nil, fmt.Errorf("translate: got %d scenario sets for %d probabilistic constraints", len(sets), len(s.ProbCons))
-	}
-	indicators := 0
-	for _, set := range sets {
-		indicators += set.M()
-	}
-	if s.ObjKind == ObjProbability && objSet != nil {
-		indicators += objSet.M()
-	}
-	m, vm := s.formulate(indicators, len(sets))
-	for k, pc := range s.ProbCons {
-		set := sets[k]
-		ys := make([]int, set.M())
-		for j := 0; j < set.M(); j++ {
-			ys[j] = addIndicator(m, set.Row(j), pc.Geq, pc.V)
-		}
-		need := math.Ceil(pc.P * float64(set.M()))
-		ones := make([]float64, len(ys))
-		for i := range ones {
-			ones[i] = 1
-		}
-		m.AddRow(ys, ones, need, milp.Inf)
-		vm.ConsY = append(vm.ConsY, ys)
-	}
-	if s.ObjKind == ObjProbability {
-		if objSet == nil {
-			return nil, nil, errors.New("translate: probability objective requires an objective scenario set")
-		}
-		vm.ObjDenom = float64(objSet.M())
-		for j := 0; j < objSet.M(); j++ {
-			// Maximize the satisfied fraction: each indicator contributes
-			// −1/M to the canonical minimization objective.
-			y := addIndicator(m, objSet.Row(j), s.ObjGeq, s.ObjV)
-			m.SetObj(y, -1/vm.ObjDenom)
-			vm.ObjY = append(vm.ObjY, y)
-		}
-	}
-	return m, vm, nil
 }
 
 // FormulateCSA builds the CSA_{Q,M,Z} reduced DILP of §4.1: summaries
@@ -670,16 +629,12 @@ func (s *SILP) realizeRows(ctx context.Context, src rng.Source, e spaql.LinExpr,
 	return rows, nil
 }
 
-// GenerateSets materializes scenario sets of inner-function values for every
-// probabilistic constraint (and the probability objective, returned second),
-// covering absolute scenario indices [first, first+m).
-func (s *SILP) GenerateSets(src rng.Source, first, m int) ([]*scenario.Set, *scenario.Set, error) {
-	return s.GenerateSetsP(context.Background(), src, first, m, 1)
-}
-
-// GenerateSetsP is GenerateSets with scenario generation sharded across
-// workers and cancellation via ctx; results are identical to the sequential
-// path for any worker count.
+// GenerateSetsP materializes scenario sets of inner-function values for
+// every probabilistic constraint (and the probability objective, returned
+// second), covering absolute scenario indices [first, first+m), with
+// generation sharded across workers and cancellation via ctx. The sets are
+// identical for any worker count, and hold the values the cursors of
+// ConsCursor and ObjCursor realize.
 func (s *SILP) GenerateSetsP(ctx context.Context, src rng.Source, first, m, workers int) ([]*scenario.Set, *scenario.Set, error) {
 	sets := make([]*scenario.Set, len(s.ProbCons))
 	for k, pc := range s.ProbCons {
@@ -732,6 +687,42 @@ func (s *SILP) ExprCursor(name string, src rng.Source, e spaql.LinExpr, mask []b
 func (s *SILP) ConsCursor(k int, src rng.Source, block int) *stream.ScenarioCursor {
 	pc := &s.ProbCons[k]
 	return s.ExprCursor(pc.Name, src, pc.Expr, pc.Mask, block)
+}
+
+// SummarizeParts folds, off the cursors over src, the summary of every
+// scenario partition in parts with all of its scenarios chosen (α = 1), in
+// partition order: one group per probabilistic constraint, and the group of
+// a probability objective (nil otherwise). The summary of a one-scenario
+// partition is that scenario, so FormulateCSA over parts {0}, …, {M−1} is
+// SAA_{Q,M}.
+func (s *SILP) SummarizeParts(ctx context.Context, src rng.Source, parts [][]int, workers int) ([][]*scenario.Summary, []*scenario.Summary, error) {
+	summarize := func(cur *stream.ScenarioCursor, dir scenario.Direction) ([]*scenario.Summary, error) {
+		group := make([]*scenario.Summary, len(parts))
+		for z, part := range parts {
+			sm, err := cur.Summarize(ctx, part, dir, nil, workers)
+			if err != nil {
+				return nil, err
+			}
+			group[z] = sm
+		}
+		return group, nil
+	}
+	sums := make([][]*scenario.Summary, len(s.ProbCons))
+	for k := range s.ProbCons {
+		group, err := summarize(s.ConsCursor(k, src, 0), s.ProbCons[k].Direction())
+		if err != nil {
+			return nil, nil, err
+		}
+		sums[k] = group
+	}
+	var objSums []*scenario.Summary
+	if cur := s.ObjCursor(src, 0); cur != nil {
+		var err error
+		if objSums, err = summarize(cur, s.ObjDirection()); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sums, objSums, nil
 }
 
 // ObjCursor returns the streaming cursor for a probability objective's inner

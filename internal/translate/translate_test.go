@@ -179,7 +179,7 @@ func TestGenerateSetsShape(t *testing.T) {
 	s := buildQuery(t, `SELECT PACKAGE(*) FROM stocks SUCH THAT
 		SUM(gain) >= -10 WITH PROBABILITY >= 0.9 AND COUNT(*) <= 4`, rel)
 	src := rng.NewSource(1)
-	sets, objSet, err := s.GenerateSets(src, 0, 7)
+	sets, objSet, err := s.GenerateSetsP(context.Background(), src, 0, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,29 +201,31 @@ func TestGenerateSetsShape(t *testing.T) {
 				}
 				want += term.Coef * v
 			}
-			if got := sets[0].Value(i, j); got != want {
+			if got := sets[0].Row(j)[i]; got != want {
 				t.Fatalf("set[%d,%d] = %v, want %v", i, j, got, want)
 			}
 		}
 	}
 }
 
-// TestGenerateSetsContinuesIDs pins how Naïve grows M: generating the new
-// ID range and appending its rows equals generating the whole range at once.
+// TestGenerateSetsContinuesIDs pins how a scenario set grows: generating the
+// new ID range and appending its rows equals generating the whole range at
+// once.
 func TestGenerateSetsContinuesIDs(t *testing.T) {
 	rel := portfolioRelation(t, 3)
 	s := buildQuery(t, `SELECT PACKAGE(*) FROM stocks SUCH THAT
 		SUM(gain) >= 0 WITH PROBABILITY >= 0.9 AND COUNT(*) <= 2
 		MAXIMIZE PROBABILITY OF SUM(gain) >= 1`, rel)
 	src := rng.NewSource(2)
-	sets, objSet, err := s.GenerateSets(src, 0, 3)
+	ctx := context.Background()
+	sets, objSet, err := s.GenerateSetsP(ctx, src, 0, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if objSet == nil {
 		t.Fatal("probability objective should produce an objective set")
 	}
-	more, moreObj, err := s.GenerateSets(src, 3, 2)
+	more, moreObj, err := s.GenerateSetsP(ctx, src, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestGenerateSetsContinuesIDs(t *testing.T) {
 		sets[0].AppendRow(id, more[0].Row(j))
 		objSet.AppendRow(id, moreObj.Row(j))
 	}
-	direct, directObj, err := s.GenerateSets(src, 0, 5)
+	direct, directObj, err := s.GenerateSetsP(ctx, src, 0, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +257,8 @@ func TestFormulateSAASizeComplexity(t *testing.T) {
 		SUM(gain) >= -10 WITH PROBABILITY >= 0.9`, rel)
 	src := rng.NewSource(3)
 	for _, M := range []int{5, 10, 20} {
-		sets, _, err := s.GenerateSets(src, 0, M)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, vm, err := s.FormulateSAA(sets, nil)
+		sums, _ := singletons(t, s, src, 0, M)
+		model, vm, err := s.FormulateCSA(sums, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +283,7 @@ func TestFormulateCSASizeIndependentOfM(t *testing.T) {
 	src := rng.NewSource(4)
 	var sizes []int
 	for _, M := range []int{10, 40} {
-		sets, _, err := s.GenerateSets(src, 0, M)
+		sets, _, err := s.GenerateSetsP(context.Background(), src, 0, M, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,11 +314,8 @@ func TestSAAEndToEndSolve(t *testing.T) {
 		SUM(gain) >= -3 WITH PROBABILITY >= 0.6
 		MAXIMIZE EXPECTED SUM(gain)`, rel)
 	src := rng.NewSource(5)
-	sets, _, err := s.GenerateSets(src, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, vm, err := s.FormulateSAA(sets, nil)
+	sums, _ := singletons(t, s, src, 0, 10)
+	model, vm, err := s.FormulateCSA(sums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +329,7 @@ func TestSAAEndToEndSolve(t *testing.T) {
 	pkg := vm.PackageOf(nil, res.X)
 	// Check the chance constraint holds on the optimization scenarios.
 	need := int(math.Ceil(0.6 * 10))
-	if got := satisfiedBy(sets[0], pkg, allIdx(10), true, -3); got < need {
+	if got := satisfiedBy(sums[0], pkg, true, -3); got < need {
 		t.Fatalf("package satisfies %d/10 scenarios, want ≥ %d", got, need)
 	}
 	// Budget constraint.
@@ -355,13 +351,10 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 		COUNT(*) BETWEEN 1 AND 3 AND
 		SUM(gain) >= -5 WITH PROBABILITY >= 0.7`, rel)
 	src := rng.NewSource(6)
-	sets, _, err := s.GenerateSets(src, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sums, _ := singletons(t, s, src, 0, 8)
 	parts := scenario.PartitionIDs(8, 1, 3)
 	chosen := scenario.Pick(parts[0], 1.0, scenario.Min, nil)
-	sm, err := sets[0].SummarizeP(context.Background(), chosen, scenario.Min, nil, 1)
+	sm, err := s.ConsCursor(0, src, 0).Summarize(context.Background(), chosen, scenario.Min, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +370,7 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 		t.Skipf("CSA infeasible on this draw (acceptable): %v", res.Status)
 	}
 	pkg := vm.PackageOf(nil, res.X)
-	if got := satisfiedBy(sets[0], pkg, allIdx(8), true, -5); got != 8 {
+	if got := satisfiedBy(sums[0], pkg, true, -5); got != 8 {
 		t.Fatalf("1.0-summary solution satisfies %d/8 scenarios, want all", got)
 	}
 }
@@ -388,11 +381,8 @@ func TestProbabilityObjectiveSAA(t *testing.T) {
 		COUNT(*) BETWEEN 1 AND 3
 		MAXIMIZE PROBABILITY OF SUM(gain) >= 0`, rel)
 	src := rng.NewSource(7)
-	sets, objSet, err := s.GenerateSets(src, 0, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, vm, err := s.FormulateSAA(sets, objSet)
+	sums, objSums := singletons(t, s, src, 0, 12)
+	model, vm, err := s.FormulateCSA(sums, objSums)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +406,8 @@ func TestFormulateSAAMismatchedSets(t *testing.T) {
 	rel := portfolioRelation(t, 3)
 	s := buildQuery(t, `SELECT PACKAGE(*) FROM stocks SUCH THAT
 		SUM(gain) >= 0 WITH PROBABILITY >= 0.9 AND COUNT(*) <= 2`, rel)
-	if _, _, err := s.FormulateSAA(nil, nil); err == nil {
-		t.Fatal("expected error for missing scenario sets")
+	if _, _, err := s.FormulateCSA(nil, nil); err == nil {
+		t.Fatal("expected error for missing scenario summaries")
 	}
 }
 
@@ -438,13 +428,29 @@ func TestPackageOfRounds(t *testing.T) {
 	}
 }
 
-// satisfiedBy counts how many of the chosen scenarios of set a package
-// satisfies for the inner constraint Σ a·x ⊙ v.
-func satisfiedBy(set *scenario.Set, x []float64, chosen []int, geq bool, v float64) int {
+// singletons summarizes scenarios first..first+m−1 one at a time: the
+// scenarios of SAA_{Q,M}.
+func singletons(t *testing.T, s *SILP, src rng.Source, first, m int) ([][]*scenario.Summary, []*scenario.Summary) {
+	t.Helper()
+	parts := make([][]int, m)
+	for j := range parts {
+		parts[j] = []int{first + j}
+	}
+	sums, objSums, err := s.SummarizeParts(context.Background(), src, parts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums, objSums
+}
+
+// satisfiedBy counts how many of the scenarios a package satisfies for the
+// inner constraint Σ a·x ⊙ v, one-scenario summaries standing for their
+// scenario.
+func satisfiedBy(scens []*scenario.Summary, x []float64, geq bool, v float64) int {
 	count := 0
-	for _, j := range chosen {
+	for _, sc := range scens {
 		score := 0.0
-		for i, a := range set.Row(j) {
+		for i, a := range sc.Values {
 			score += a * x[i]
 		}
 		if (geq && score >= v) || (!geq && score <= v) {
@@ -452,14 +458,6 @@ func satisfiedBy(set *scenario.Set, x []float64, chosen []int, geq bool, v float
 		}
 	}
 	return count
-}
-
-func allIdx(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // TestObjRangeMemoBounded: a client varying the validation seed cannot grow

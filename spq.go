@@ -170,8 +170,8 @@ func ConfigureBlockCache(blockVals, maxBlocks int) {
 // batch mutation applied to a base relation with Relation.ApplyDelta; the
 // returned ChangeSet records the version transition and footprint that the
 // engine's delta-scoped invalidation keys off. Snapshots taken before a delta
-// keep serving their frozen version; views that straddle a version boundary
-// fail fast with ErrStaleView.
+// keep serving their frozen version. No read path returns ErrStaleView; the
+// type and its counter stay for callers that match on them.
 type (
 	// Delta is a batch mutation: cell upserts, VG replacements, tuple
 	// deletes, and tuple appends, applied atomically as one new version.
@@ -223,21 +223,9 @@ type (
 	Partitioning = relation.Partitioning
 	// PartitionSpec describes how to build a Partitioning.
 	PartitionSpec = relation.PartitionSpec
-	// PartitionStrategy selects k-means, hash, or range grouping.
-	PartitionStrategy = relation.PartitionStrategy
 	// Solver is the pluggable solve seam (SummarySearch, Naive, future
 	// parallel branch-and-bound).
 	Solver = core.Solver
-)
-
-// Partition strategies.
-const (
-	// PartitionKMeans clusters similar tuples (the SketchRefine default).
-	PartitionKMeans = relation.PartitionKMeans
-	// PartitionHash buckets tuples by a seeded hash of the index.
-	PartitionHash = relation.PartitionHash
-	// PartitionRange cuts the first feature's value order into runs.
-	PartitionRange = relation.PartitionRange
 )
 
 // Solvers behind the core.Solver seam.
