@@ -7,14 +7,17 @@
 // queued → running → {succeeded, failed, cancelled} while the server's
 // anytime algorithm (SummarySearch) streams per-iteration progress events —
 // scenario/summary counts, validation verdicts, the best objective so far.
-// The client wraps that lifecycle behind four verbs:
+// A query the server's result cache already answers skips the machine: the
+// Job that POST returns is born succeeded, result included. The client
+// wraps that lifecycle behind four verbs:
 //
 //   - Submit starts a job and returns its handle.
 //   - Wait long-polls until the job is terminal.
 //   - Stream is Wait with a callback per progress event.
 //   - Cancel aborts a queued or running job server-side.
 //
-// Run is Submit+Wait in one call. Overload rejections (HTTP 429) are
+// Run is Submit+Wait in one call, and a single request when the submission
+// came back terminal. Overload rejections (HTTP 429) are
 // retried automatically with the server-suggested backoff. This package
 // also defines the v1 wire types (api.go), which the server marshals — the
 // contract cannot drift between the two. Failed jobs carry stable error
@@ -203,8 +206,8 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Submit starts one asynchronous query evaluation and returns the queued
-// Job. Overload rejections are retried per WithRetries; other submission
+// Submit starts one asynchronous query evaluation and returns its Job:
+// queued, or already succeeded when the server's result cache answered it. Overload rejections are retried per WithRetries; other submission
 // failures (parse errors, unknown methods) return *Error with a stable
 // code.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*Job, error) {
@@ -327,10 +330,13 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 
 // Run is Submit followed by Wait: the synchronous convenience call. The
 // returned Job is terminal; inspect Job.State and Job.Result / Job.Error.
+// When the server answered the submission from its result cache, the Job
+// Submit returns is already terminal and Run returns it without polling:
+// one round trip.
 func (c *Client) Run(ctx context.Context, req SubmitRequest) (*Job, error) {
 	job, err := c.Submit(ctx, req)
-	if err != nil {
-		return nil, err
+	if err != nil || job.State.Terminal() {
+		return job, err
 	}
 	return c.Wait(ctx, job.ID)
 }

@@ -217,6 +217,59 @@ func TestClientRetries429(t *testing.T) {
 	}
 }
 
+// TestClientRunTerminalSubmit: when POST /v1/queries answers with a
+// terminal job (a result-cache hit), Run returns it after that one request;
+// a queued job is polled as before.
+func TestClientRunTerminalSubmit(t *testing.T) {
+	var requests atomic.Int64
+	var submitState atomic.Value
+	done := client.Job{ID: "q-1", State: client.JobSucceeded, Result: &client.QueryResult{Feasible: true, Objective: 4.5, ResultCacheHit: true}}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/queries":
+			job := done
+			job.State = submitState.Load().(client.JobState)
+			if !job.State.Terminal() {
+				job.Result = nil
+			}
+			w.WriteHeader(http.StatusAccepted)
+			_ = json.NewEncoder(w).Encode(job)
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/queries/q-1":
+			_ = json.NewEncoder(w).Encode(done)
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer srv.Close()
+
+	c, err := client.New(srv.URL, client.WithHTTPClient(srv.Client()), client.WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		submit   client.JobState
+		requests int64
+	}{
+		{client.JobSucceeded, 1},
+		{client.JobQueued, 2},
+	} {
+		requests.Store(0)
+		submitState.Store(tc.submit)
+		job, err := c.Run(context.Background(), client.SubmitRequest{Query: testQuery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.State != client.JobSucceeded || job.Result == nil || job.Result.Objective != 4.5 {
+			t.Fatalf("submit %q: Run returned %+v, want the succeeded job", tc.submit, job)
+		}
+		if got := requests.Load(); got != tc.requests {
+			t.Fatalf("submit %q: Run made %d requests, want %d", tc.submit, got, tc.requests)
+		}
+	}
+}
+
 // TestClientBatchAndList covers the remaining verbs over the wire.
 func TestClientBatchAndList(t *testing.T) {
 	e := engine.New(newStocks(15), nil)

@@ -13,7 +13,7 @@ import (
 // relation mutation through the catalog and reconciles engine state with the
 // resulting change set. Invalidation is delta-scoped and mostly lazy — the
 // plan cache and result cache revalidate entries by footprint on their next
-// lookup (see prepare and resultGet) — so applying a delta is O(delta), not
+// lookup (see planFor and resultGet) — so applying a delta is O(delta), not
 // O(caches). The eager part is the job history: terminal jobs pin
 // relation-sized state (the solved snapshot and package vector) that a
 // superseded version has no further use for, so deltas trim it down to the

@@ -223,20 +223,24 @@ type Result struct {
 	// ResultCacheHit reports whether the whole result came from the result
 	// cache (no solve ran; CacheHit is false in that case).
 	ResultCacheHit bool
-	// Sketch reports the sketch pipeline's stats for Method "sketch".
-	Sketch *sketch.Stats
-	// Wait is the time spent in the admission queue before solving.
-	Wait time.Duration
 	// Degraded reports that an engine-applied budget (query class or the
 	// request deadline) cut the evaluation short: the Solution is the
 	// anytime best-so-far feasible package, not the converged answer. Its
 	// achieved gap is Solution.EpsUpper. Degraded results are never cached.
 	Degraded bool
+	// Sketch reports the sketch pipeline's stats for Method "sketch".
+	Sketch *sketch.Stats
+	// Wait is the time spent in the admission queue before solving.
+	Wait time.Duration
 	// Trace is the evaluation's finished span tree, set only when the
 	// engine minted the trace itself (a direct Query call with no ambient
 	// span). Job submissions expose their trace via the job instead
 	// (GET /v1/queries/{id}/trace).
 	Trace *client.TraceSpan
+	// cached is the result-cache entry this result was served from or
+	// stored as (nil for budget-cut results): the wire rendering reads the
+	// entry's package tuples, so a cached package is rendered once.
+	cached *cachedResult
 }
 
 // Multiplicities returns the package as a map from base-relation tuple
@@ -277,6 +281,17 @@ type cachedResult struct {
 	table      *relation.Relation
 	relVersion uint64
 	attrs      []string // the plan's column footprint
+
+	pkgOnce sync.Once
+	pkg     []client.PackageTuple
+}
+
+// packageTuples renders the entry's package as base-relation tuples on the
+// first wire rendering; every later one shares them, read-only. A retained
+// entry keeps them across a delta: its view's membership did not change.
+func (cr *cachedResult) packageTuples() []client.PackageTuple {
+	cr.pkgOnce.Do(func() { cr.pkg = packageOf(cr.sol.X, cr.rel) })
+	return cr.pkg
 }
 
 // Stats is a point-in-time snapshot of the engine's counters, served as one
@@ -431,7 +446,7 @@ func New(cat Catalog, o *Options) *Engine {
 	return e
 }
 
-// prepare returns a cached plan for the parsed query, or validates and
+// planFor returns a cached plan for the parsed query, or validates and
 // lowers it and caches the result. The cache key is the canonical rendering
 // of the *parsed* query (spaql guarantees Parse(q.String()) round-trips), so
 // reformatted, comment-bearing, or otherwise trivially different texts share
@@ -440,7 +455,7 @@ func New(cat Catalog, o *Options) *Engine {
 // Parsing is cheap; the cache exists to skip the translation (WHERE
 // filtering, mask evaluation, bound derivation). A cached plan lives while
 // current says so, like a cached result.
-func (e *Engine) prepare(q *spaql.Query, key string) (*plan, bool, error) {
+func (e *Engine) planFor(q *spaql.Query, key string) (*plan, bool, error) {
 	if ent, ok := e.plans.Get(key); ok {
 		p := ent.Local.(*plan)
 		// Re-translating a plan the relation moved past, by a delta that
@@ -564,10 +579,11 @@ func (e *Engine) resultPut(key string, cr *cachedResult) {
 	e.results.Put(key, &resultcache.Entry{Table: cr.query.Table, Version: cr.relVersion, Local: cr})
 }
 
-// Query evaluates one request under admission control: it parses the query,
-// serves identical requests from the result cache (no solve slot needed),
-// and otherwise waits for a solve slot (rejecting immediately when MaxQueue
-// other queries are already waiting), bounds the evaluation by the request
+// Query evaluates one request under admission control in three steps:
+// prepare parses the query and renders its result key, lookup serves
+// identical requests from the result cache (no solve slot needed), and
+// evaluate waits for a solve slot (rejecting immediately when MaxQueue other
+// queries are already waiting), bounds the evaluation by the request
 // timeout, and runs the selected method with the engine's parallelism.
 //
 // Every evaluation is traced. When the context already carries a span (the
@@ -622,72 +638,114 @@ func (e *Engine) maybeLogSlow(tr *obs.Trace, query, method string, d time.Durati
 // query is Query's body; ctx carries the evaluation's parent span.
 func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	e.m.queries.Inc()
-	sp := obs.SpanFromContext(ctx)
 
 	// An already-cancelled context never evaluates — not even from the
-	// result cache (a job cancelled while queued must not succeed).
+	// result cache.
 	if err := ctx.Err(); err != nil {
 		e.m.failures.Inc()
 		return nil, err
 	}
+	sp := obs.SpanFromContext(ctx)
+	var pr prepared
+	if err := e.prepare(sp, req, &pr); err != nil {
+		return nil, err
+	}
+	if res := e.lookup(sp, &pr); res != nil {
+		return res, nil
+	}
+	return e.evaluate(ctx, &pr)
+}
 
+// prepared is a request after the work every entry point does once: the
+// parsed statement, the canonical method, the effective options and the
+// result key. Submit prepares at submission, so a queued job never parses
+// or keys again.
+type prepared struct {
+	req     Request
+	q       *spaql.Query
+	qstr    string
+	method  string
+	solver  core.Solver // nil for method "sketch"
+	timeout time.Duration
+	opts    core.Options // without Progress, which evaluate installs
+	sopts   *sketch.Options
+	rkey    string
+}
+
+// prepare fills pr from the request: it parses the query under a "parse"
+// child of sp, canonicalizes the method and options, and renders the result
+// key. A failure is counted and wrapped in ErrBadQuery. The caller owns pr,
+// so Engine.Query keeps it off the heap.
+func (e *Engine) prepare(sp *obs.Span, req Request, pr *prepared) error {
 	ps := sp.StartChild("parse")
 	q, err := spaql.Parse(req.Query)
 	if err != nil {
 		ps.SetAttr("error", err.Error())
 		ps.End()
 		e.m.failures.Inc()
-		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
+		return fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
-	qstr := q.String()
+	pr.req, pr.q, pr.qstr = req, q, q.String()
 	ps.End()
 
 	// method is canonicalized to the solver's name: "" and "summarysearch"
 	// are the same computation and must share one result entry.
-	method := strings.ToLower(req.Method)
-	var solver core.Solver
-	if method != "sketch" {
-		if solver, err = core.SolverByName(method); err != nil {
+	pr.method = strings.ToLower(req.Method)
+	if pr.method != "sketch" {
+		if pr.solver, err = core.SolverByName(pr.method); err != nil {
 			e.m.failures.Inc()
-			return nil, fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
+			return fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
 		}
-		method = solver.Name()
+		pr.method = pr.solver.Name()
 	}
 
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = e.opts.DefaultTimeout
+	pr.timeout = req.Timeout
+	if pr.timeout <= 0 {
+		pr.timeout = e.opts.DefaultTimeout
 	}
-
-	var opts core.Options
 	if req.Options != nil {
-		opts = *req.Options
+		pr.opts = *req.Options
 	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = e.opts.Parallelism
+	if pr.opts.Parallelism == 0 {
+		pr.opts.Parallelism = e.opts.Parallelism
 	}
-	if req.Progress != nil {
-		opts.Progress = req.Progress
-	}
-	var sopts *sketch.Options
-	if method == "sketch" {
+	if pr.method == "sketch" {
 		s := sketch.Options{}
 		if req.Sketch != nil {
 			s = *req.Sketch
 		}
 		if s.Workers == 0 {
-			s.Workers = opts.Parallelism
+			s.Workers = pr.opts.Parallelism
 		}
-		sopts = &s
+		pr.sopts = &s
 	}
+	pr.rkey = resultKey(pr.qstr, pr.method, &pr.opts, pr.timeout, pr.sopts)
+	sp.SetAttr("method", pr.method)
+	return nil
+}
 
-	// Identical deterministic requests are answered without solving (and
-	// without consuming a solve slot or queue capacity).
-	rkey := resultKey(qstr, method, &opts, timeout, sopts)
-	sp.SetAttr("method", method)
-	if cr := e.resultGet(rkey); cr != nil {
-		sp.SetAttr("result_cache", "hit")
-		return &Result{Solution: cr.sol, Query: cr.query, Rel: cr.rel, ResultCacheHit: true, Sketch: cr.sketch}, nil
+// lookup answers a prepared request from the result cache, counting one hit
+// or one miss. Identical deterministic requests are answered without
+// solving, and without consuming a solve slot or queue capacity; nil means
+// evaluate must solve.
+func (e *Engine) lookup(sp *obs.Span, pr *prepared) *Result {
+	cr := e.resultGet(pr.rkey)
+	if cr == nil {
+		return nil
+	}
+	sp.SetAttr("result_cache", "hit")
+	return &Result{Solution: cr.sol, Query: cr.query, Rel: cr.rel, ResultCacheHit: true, Sketch: cr.sketch, cached: cr}
+}
+
+// evaluate solves a prepared request the result cache missed: admission,
+// the plan, and the selected method under the request's deadline. ctx
+// carries the evaluation's parent span.
+func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
+	sp := obs.SpanFromContext(ctx)
+	req, method, timeout := pr.req, pr.method, pr.timeout
+	opts := pr.opts
+	if req.Progress != nil {
+		opts.Progress = req.Progress
 	}
 
 	// Admission control: the deficit-round-robin fair scheduler bounds the
@@ -764,7 +822,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	pls := sp.StartChild("plan")
-	p, hit, err := e.prepare(q, qstr)
+	p, hit, err := e.planFor(pr.q, pr.qstr)
 	if err != nil {
 		pls.SetAttr("error", err.Error())
 		pls.End()
@@ -783,7 +841,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	// cold path inside core.
 	if method != "sketch" {
 		opts.CollectWarm = e.results != nil
-		if hint := e.takeWarm(rkey); hint != nil {
+		if hint := e.takeWarm(pr.rkey); hint != nil {
 			if w := e.warmStart(hint, p); w != nil {
 				opts.Warm = w
 				sp.SetAttr("warm", "hint")
@@ -796,14 +854,14 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	var sol *core.Solution
 	var sstats *sketch.Stats
 	if method == "sketch" {
-		sol, sstats, err = sketch.SolveSILP(sctx, p.silp, &opts, sopts)
+		sol, sstats, err = sketch.SolveSILP(sctx, p.silp, &opts, pr.sopts)
 		if sstats != nil {
 			e.m.sketchQueries.Inc()
 			e.m.shardSolves.Add(int64(sstats.ShardSolves))
 			ss.SetInt("shard_solves", int64(sstats.ShardSolves))
 		}
 	} else {
-		sol, err = solver.Solve(sctx, p.silp, &opts)
+		sol, err = pr.solver.Solve(sctx, p.silp, &opts)
 	}
 	if err != nil {
 		ss.SetAttr("error", err.Error())
@@ -833,6 +891,7 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 	// sees the refine solve's iterations; a budget cut inside a shard solve
 	// is not detected.)
 	degraded := false
+	var cr *cachedResult
 	if sol.HitLimit(&opts) {
 		if engineClamped {
 			// An engine-applied budget bound: degrade to the anytime
@@ -848,12 +907,13 @@ func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
 			e.m.tenantDegraded.With(tenant).Inc()
 		}
 	} else {
-		e.resultPut(rkey, &cachedResult{
+		cr = &cachedResult{
 			sol: sol, sketch: sstats, query: p.query, rel: p.silp.Rel,
 			table: p.table, relVersion: p.relVersion, attrs: p.attrs,
-		})
+		}
+		e.resultPut(pr.rkey, cr)
 	}
-	return &Result{Solution: sol, Query: p.query, Rel: p.silp.Rel, CacheHit: hit, Sketch: sstats, Wait: wait, Degraded: degraded}, nil
+	return &Result{Solution: sol, Query: p.query, Rel: p.silp.Rel, CacheHit: hit, Sketch: sstats, Wait: wait, Degraded: degraded, cached: cr}, nil
 }
 
 // Stats returns a snapshot of the engine's counters. It reads the same

@@ -197,10 +197,15 @@ func TestEngineQueryTimeout(t *testing.T) {
 		SUM(price) <= 2000 AND
 		SUM(gain) >= 500 WITH PROBABILITY >= 0.99
 		MAXIMIZE EXPECTED SUM(gain)`
+	// The premise is a solve that outlasts the deadline by far. Without a
+	// deadline this one escalates to MaxM 8000 in 480 CSA iterations and
+	// returns infeasible after about 4.5 s on a 2-core x86-64 VM, 45 times
+	// the 100 ms timeout. (At MaxM 1000 it gave up in about 75 ms, inside
+	// the deadline, with a nil error.)
 	_, err := e.Query(context.Background(), Request{
 		Query:   hard,
 		Timeout: 100 * time.Millisecond,
-		Options: &core.Options{Seed: 1, ValidationM: 200000, InitialM: 50, IncrementM: 50, MaxM: 1000},
+		Options: &core.Options{Seed: 1, ValidationM: 200000, InitialM: 50, IncrementM: 50, MaxM: 8000},
 	})
 	// The engine turns the request deadline into a solver budget; with no
 	// feasible incumbent by the cutoff the query degrades to ErrDegraded

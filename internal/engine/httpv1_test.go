@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -197,6 +199,173 @@ func TestV1Batch(t *testing.T) {
 	if out.Jobs[2].Error == nil || out.Jobs[2].Error.Code != client.CodeUnknownMethod {
 		t.Fatalf("item 2 = %+v, want unknown_method", out.Jobs[2])
 	}
+}
+
+// getStats reads the engine's counters over GET /stats.
+func getStats(t *testing.T, srv *httptest.Server) Stats {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// sameAnswer fails unless two wire results carry the same answer: objective
+// bits, package, M, Z and surpluses.
+func sameAnswer(t *testing.T, what string, got, want *client.QueryResult) {
+	t.Helper()
+	if got == nil || want == nil {
+		t.Fatalf("%s: result %+v, want %+v", what, got, want)
+	}
+	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+		got.M != want.M || got.Z != want.Z ||
+		!reflect.DeepEqual(got.Package, want.Package) || !reflect.DeepEqual(got.Surpluses, want.Surpluses) {
+		t.Fatalf("%s: answer (obj=%v M=%d Z=%d pkg=%v surp=%v) != (obj=%v M=%d Z=%d pkg=%v surp=%v)", what,
+			got.Objective, got.M, got.Z, got.Package, got.Surpluses,
+			want.Objective, want.M, want.Z, want.Package, want.Surpluses)
+	}
+}
+
+// TestV1ResultCacheHitAnsweredInline: a repeated submission is answered
+// inside POST /v1/queries. The 202 body is the succeeded Job with the
+// cached answer, the job never runs, and it is counted exactly once — also
+// in a batch, and also while MaxJobs jobs are active.
+func TestV1ResultCacheHitAnsweredInline(t *testing.T) {
+	e := New(newCatalog(t, 15), &Options{MaxInFlight: 1, MaxQueue: 1, MaxJobs: 1, Parallelism: 1})
+	srv := v1Server(t, e)
+	body := client.SubmitRequest{
+		Query:   testQuery,
+		Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, IncrementM: 10, MaxM: 60},
+	}
+
+	first := waitJob(t, srv, decodeJob(t, postJSON(t, srv.URL+"/v1/queries", body), http.StatusAccepted))
+	if first.State != client.JobSucceeded || first.Result.ResultCacheHit {
+		t.Fatalf("first job = %q (hit %v), want a solved success", first.State, first.Result != nil && first.Result.ResultCacheHit)
+	}
+	// A poller sees the job terminal a moment before it stops counting
+	// against MaxJobs; Done closes after both.
+	if j, ok := e.JobByID(first.ID); ok {
+		<-j.Done()
+	}
+
+	before := getStats(t, srv)
+	hit := decodeJob(t, postJSON(t, srv.URL+"/v1/queries", body), http.StatusAccepted)
+	after := getStats(t, srv)
+	if hit.State != client.JobSucceeded || hit.Result == nil || !hit.Result.ResultCacheHit {
+		t.Fatalf("repeated POST = %q %+v, want a succeeded result-cache hit", hit.State, hit.Result)
+	}
+	if hit.ID == first.ID || hit.StartedAt != nil || hit.FinishedAt == nil {
+		t.Fatalf("hit job id %q started %v finished %v: want a new job that never ran", hit.ID, hit.StartedAt, hit.FinishedAt)
+	}
+	sameAnswer(t, "inline hit", hit.Result, first.Result)
+	if hit.Trace == nil || hit.Trace.Attrs["result_cache"] != "hit" {
+		t.Fatalf("hit trace = %+v, want a result_cache=hit root", hit.Trace)
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/queries/" + hit.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := decodeJob(t, resp, http.StatusOK)
+	if polled.State != client.JobSucceeded {
+		t.Fatalf("GET of the hit = %q, want succeeded", polled.State)
+	}
+	sameAnswer(t, "polled hit", polled.Result, first.Result)
+
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"queries", after.Queries - before.Queries, 1},
+		{"result_cache_hits", after.ResultCacheHits - before.ResultCacheHits, 1},
+		{"result_cache_misses", after.ResultCacheMisses - before.ResultCacheMisses, 0},
+		{"jobs_submitted", after.JobsSubmitted - before.JobsSubmitted, 1},
+		{"jobs_completed", after.JobsCompleted - before.JobsCompleted, 1},
+		{"jobs_running", after.JobsRunning, 0},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s moved by %d, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	// A batch item is answered inline too.
+	resp = postJSON(t, srv.URL+"/v1/queries:batch", client.BatchRequest{Queries: []client.SubmitRequest{body}})
+	var batch client.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(batch.Jobs) != 1 || batch.Jobs[0].Job == nil || batch.Jobs[0].Job.State != client.JobSucceeded {
+		t.Fatalf("batch = %+v, want one succeeded item", batch.Jobs)
+	}
+	sameAnswer(t, "batch hit", batch.Jobs[0].Job.Result, first.Result)
+
+	// With the solve slot held, a miss stays queued and fills MaxJobs. A hit
+	// is still answered; another miss is turned away.
+	if err := e.sched.Acquire(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	other := *body.Options
+	other.Seed = 2
+	queued := decodeJob(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{Query: testQuery, Options: &other}), http.StatusAccepted)
+	if queued.State != client.JobQueued {
+		t.Fatalf("miss behind a held slot = %q, want queued", queued.State)
+	}
+	busy := decodeJob(t, postJSON(t, srv.URL+"/v1/queries", body), http.StatusAccepted)
+	if busy.State != client.JobSucceeded || !busy.Result.ResultCacheHit {
+		t.Fatalf("hit with MaxJobs active = %q, want a succeeded hit", busy.State)
+	}
+	third := other
+	third.Seed = 3
+	decodeEnvelope(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{Query: testQuery, Options: &third}),
+		http.StatusTooManyRequests, client.CodeOverloaded)
+	if st := getStats(t, srv); st.JobsRunning != 0 {
+		t.Fatalf("jobs_running = %d with the slot held, want 0", st.JobsRunning)
+	}
+	e.sched.Release("")
+	if done := waitJob(t, srv, queued); done.State != client.JobSucceeded {
+		t.Fatalf("queued miss ended %q (err %+v), want succeeded", done.State, done.Error)
+	}
+}
+
+// TestV1SubmitMissCountsOnce: a submitted miss is prepared and looked up
+// once, so it moves queries and result_cache_misses by exactly one each, and
+// its answer is the one Engine.Query gives on a fresh engine.
+func TestV1SubmitMissCountsOnce(t *testing.T) {
+	cat := newCatalog(t, 15)
+	e := New(cat, nil)
+	srv := v1Server(t, e)
+
+	before := getStats(t, srv)
+	job := waitJob(t, srv, decodeJob(t, postJSON(t, srv.URL+"/v1/queries", client.SubmitRequest{
+		Query:   testQuery,
+		Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, IncrementM: 10, MaxM: 60},
+	}), http.StatusAccepted))
+	after := getStats(t, srv)
+	if job.State != client.JobSucceeded || job.Result.ResultCacheHit {
+		t.Fatalf("job = %q %+v, want a solved success", job.State, job.Result)
+	}
+	if d := after.Queries - before.Queries; d != 1 {
+		t.Fatalf("queries moved by %d, want 1", d)
+	}
+	if d := after.ResultCacheMisses - before.ResultCacheMisses; d != 1 {
+		t.Fatalf("result_cache_misses moved by %d, want 1", d)
+	}
+	if d := after.ResultCacheHits - before.ResultCacheHits; d != 0 {
+		t.Fatalf("result_cache_hits moved by %d, want 0", d)
+	}
+
+	res, err := New(cat, nil).Query(context.Background(), Request{Query: testQuery, Options: smallCoreOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswer(t, "submitted miss vs Engine.Query", job.Result, resultToWire(res, 0))
 }
 
 // TestV1ErrorEnvelope checks that every HTTP failure path answers with the

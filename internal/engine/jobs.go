@@ -14,17 +14,18 @@ import (
 	"spq/internal/core"
 	"spq/internal/obs"
 	"spq/internal/relation"
-	"spq/internal/spaql"
 )
 
 // This file is the engine's async job manager: the server side of the v1
-// API. A Job wraps one Engine.Query call run on its own goroutine, so
-// callers can submit work, observe per-iteration progress (fed by the
-// core.Progress seam), poll best-so-far packages, and cancel — while the
-// existing admission control, caches, and timeouts keep applying unchanged:
-// the job's query goes through exactly the same Query path as a synchronous
-// call. Wire rendering uses the client package's types, which are the v1
-// JSON contract.
+// API. A Job wraps one query evaluation, so callers can submit work,
+// observe per-iteration progress (fed by the core.Progress seam), poll
+// best-so-far packages, and cancel — while the existing admission control,
+// caches, and timeouts keep applying unchanged: the job runs the same
+// prepare, lookup and evaluate steps as a synchronous Engine.Query call.
+// Submit runs the first two itself, so a result-cache hit is answered
+// inside the submission; only a miss evaluates on its own goroutine. Wire
+// rendering uses the client package's types, which are the v1 JSON
+// contract.
 
 // maxJobEvents bounds each job's retained progress history; older events
 // are dropped (their seq numbers remain monotone, so pollers notice gaps).
@@ -147,14 +148,14 @@ func (j *Job) Snapshot(since int) *client.Job {
 	j.mu.Unlock()
 
 	switch {
-	case bestX != nil:
-		out.BestPackage = packageOf(bestX, bestRel)
 	case out.Result != nil:
-		// A delta trimmed the job's package vector (trimAfterDelta): the
-		// rendered wire result still carries the final package.
+		// The final package is by definition the best one, and its wire
+		// rendering outlives a delta that trims the job (trimAfterDelta).
 		out.BestFeasible = out.Result.Feasible
 		out.BestObjective = out.Result.Objective
 		out.BestPackage = out.Result.Package
+	case bestX != nil:
+		out.BestPackage = packageOf(bestX, bestRel)
 	default:
 		out.BestFeasible = false
 		out.BestObjective = 0
@@ -226,6 +227,15 @@ func packageOf(x []float64, rel *relation.Relation) []client.PackageTuple {
 	return out
 }
 
+// packageTuples renders the result's package as base-relation tuples,
+// sharing the result-cache entry's rendering when there is one.
+func (r *Result) packageTuples() []client.PackageTuple {
+	if r.cached != nil {
+		return r.cached.packageTuples()
+	}
+	return packageOf(r.X, r.Rel)
+}
+
 // resultToWire renders an engine Result as the v1 result payload.
 func resultToWire(res *Result, solve time.Duration) *client.QueryResult {
 	out := &client.QueryResult{
@@ -236,7 +246,7 @@ func resultToWire(res *Result, solve time.Duration) *client.QueryResult {
 		Z:              res.Z,
 		Iterations:     len(res.Iterations),
 		PackageSize:    res.PackageSize(),
-		Package:        packageOf(res.X, res.Rel),
+		Package:        res.packageTuples(),
 		PlanCacheHit:   res.CacheHit,
 		ResultCacheHit: res.ResultCacheHit,
 		WaitMS:         res.Wait.Milliseconds(),
@@ -292,24 +302,27 @@ func errToWire(err error) *client.Error {
 	}
 }
 
-// Submit starts one query evaluation asynchronously and returns its Job.
-// The query text and method are validated synchronously (so malformed
-// submissions fail fast with ErrBadQuery); admission of the solve itself
-// happens inside the job, under the same control as synchronous queries.
-// At most Options.MaxJobs jobs may be active at once; beyond that Submit
-// fails with ErrOverloaded.
+// Submit starts one query evaluation and returns its Job. The request is
+// prepared synchronously (so malformed submissions fail fast with
+// ErrBadQuery) and looked up in the result cache: a hit returns a job born
+// succeeded, which never counts against MaxJobs and never runs. A miss
+// evaluates on the job's own goroutine, under the same admission control as
+// synchronous queries. At most Options.MaxJobs jobs may be active at once;
+// beyond that Submit fails with ErrOverloaded.
 func (e *Engine) Submit(req Request) (*Job, error) {
-	if _, err := spaql.Parse(req.Query); err != nil {
-		e.m.queries.Inc()
-		e.m.failures.Inc()
-		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
+	// Counted once per request on every outcome, as Engine.Query does, so
+	// the queries total means "requests received" on both entry points.
+	e.m.queries.Inc()
+	created := time.Now()
+	tid, parent := obs.ParseTraceParent(req.TraceParent)
+	tr := e.newTrace(tid, "query")
+	root := tr.Root()
+	if parent != "" {
+		root.SetAttr("parent", parent)
 	}
-	if m := strings.ToLower(req.Method); m != "sketch" {
-		if _, err := core.SolverByName(m); err != nil {
-			e.m.queries.Inc()
-			e.m.failures.Inc()
-			return nil, fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
-		}
+	pr := new(prepared)
+	if err := e.prepare(root, req, pr); err != nil {
+		return nil, err
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -317,26 +330,32 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		id:      fmt.Sprintf("q-%d", e.jobSeq.Add(1)),
 		query:   req.Query,
 		method:  strings.ToLower(req.Method),
-		created: time.Now(),
+		created: created,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		state:   client.JobQueued,
 		changed: make(chan struct{}),
+		trace:   tr,
 	}
-	tid, parent := obs.ParseTraceParent(req.TraceParent)
-	j.trace = e.newTrace(tid, "query")
-	j.trace.Root().SetAttr("job", j.id)
-	if parent != "" {
-		j.trace.Root().SetAttr("parent", parent)
+	root.SetAttr("job", j.id)
+
+	if res := e.lookup(root, pr); res != nil {
+		// Settled before it is published: no poller ever sees it queued.
+		e.m.jobsSubmitted.Inc()
+		e.settle(j, res, nil, time.Since(created), req.Tenant)
+		e.jobsMu.Lock()
+		e.jobsByID[j.id] = j
+		e.jobList = append(e.jobList, j)
+		e.retireLocked()
+		e.jobsMu.Unlock()
+		e.release(j)
+		return j, nil
 	}
 
 	e.jobsMu.Lock()
 	if len(e.jobList)-e.jobFinished >= e.opts.MaxJobs {
 		e.jobsMu.Unlock()
 		cancel()
-		// Mirror Engine.Query's counting for rejected requests, so the
-		// queries total means "requests received" on both entry points.
-		e.m.queries.Inc()
 		e.m.rejected.Inc()
 		return nil, ErrOverloaded
 	}
@@ -345,13 +364,13 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	e.jobsMu.Unlock()
 	e.m.jobsSubmitted.Inc()
 
-	go e.runJob(ctx, j, req)
+	go e.runJob(ctx, j, pr)
 	return j, nil
 }
 
-// runJob executes the job's query on the engine and finalizes the job.
-func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
-	req.onAdmit = func() {
+// runJob evaluates the job's prepared request and finalizes the job.
+func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
+	pr.req.onAdmit = func() {
 		e.m.jobsRunning.Add(1)
 		j.mu.Lock()
 		j.state = client.JobRunning
@@ -359,8 +378,8 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 		j.bump()
 		j.mu.Unlock()
 	}
-	userProgress := req.Progress
-	req.Progress = func(p core.Progress) {
+	userProgress := pr.req.Progress
+	pr.req.Progress = func(p core.Progress) {
 		j.observe(p)
 		if userProgress != nil {
 			userProgress(p)
@@ -380,16 +399,28 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 				e.m.failures.Inc()
 			}
 		}()
-		// A job cancelled while still queued must not complete from the
-		// result cache.
+		// A job cancelled while still queued must not complete.
 		if err = ctx.Err(); err != nil {
 			return
 		}
 		start := time.Now()
-		res, err = e.Query(obs.ContextWithSpan(ctx, j.trace.Root()), req)
+		res, err = e.evaluate(obs.ContextWithSpan(ctx, j.trace.Root()), pr)
 		solve = time.Since(start)
 	}()
 
+	e.settle(j, res, err, solve, pr.req.Tenant)
+	// Bound the finished-job history before closing done, so a waiter on
+	// Done() sees the job fully accounted: history trimmed, evictions
+	// counted.
+	e.jobsMu.Lock()
+	e.retireLocked()
+	e.jobsMu.Unlock()
+	e.release(j)
+}
+
+// settle moves a job to its terminal state from its evaluation's outcome
+// and renders the wire result and trace once.
+func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, tenant string) {
 	root := j.trace.Root()
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -397,6 +428,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 	root.End()
 
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state == client.JobRunning {
 		e.m.jobsRunning.Add(-1)
 	}
@@ -410,11 +442,9 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 		j.state = client.JobSucceeded
 		j.result = res
 		j.wire = resultToWire(res, solve)
-		// The final package is by definition the best one.
-		j.bestFeas = res.Feasible
-		j.bestObj = res.Objective
-		j.bestX = res.X
-		j.bestRel = res.Rel
+		// Snapshot serves the best package from the wire result now, so an
+		// earlier candidate need not stay resident.
+		j.bestX, j.bestRel = nil, nil
 		e.m.jobsCompleted.Inc()
 	case j.cancelled && errors.Is(err, context.Canceled):
 		j.state = client.JobCancelled
@@ -450,20 +480,18 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 		}
 		j.wire = w
 		e.m.jobsCompleted.Inc()
-		e.m.tenantDegraded.With(e.sched.Canonical(req.Tenant)).Inc()
+		e.m.tenantDegraded.With(e.sched.Canonical(tenant)).Inc()
 	default:
 		j.state = client.JobFailed
 		j.err = errToWire(err)
 		e.m.jobsCompleted.Inc()
 	}
 	j.bump()
-	elapsed := j.finished.Sub(j.created)
-	j.mu.Unlock()
+}
 
-	// Bound the finished-job history before closing done, so a waiter on
-	// Done() sees the job fully accounted: history trimmed, evictions
-	// counted.
-	e.jobsMu.Lock()
+// retireLocked counts one more finished job and evicts the oldest terminal
+// ones beyond Options.JobHistory. Callers hold e.jobsMu.
+func (e *Engine) retireLocked() {
 	e.jobFinished++
 	for e.jobFinished > e.opts.JobHistory {
 		evicted := false
@@ -484,11 +512,14 @@ func (e *Engine) runJob(ctx context.Context, j *Job, req Request) {
 			break
 		}
 	}
-	e.jobsMu.Unlock()
+}
 
+// release wakes the job's waiters, frees its context, and logs it when it
+// was slow.
+func (e *Engine) release(j *Job) {
 	close(j.done)
 	j.cancel() // release the context's resources
-	e.maybeLogSlow(j.trace, j.query, j.method, elapsed)
+	e.maybeLogSlow(j.trace, j.query, j.method, j.finished.Sub(j.created))
 }
 
 // observe folds one core progress report into the job's event log and

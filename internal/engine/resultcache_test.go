@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"spq/client"
 	"spq/internal/sketch"
 )
 
@@ -210,9 +212,11 @@ func TestResultCacheSketchMethod(t *testing.T) {
 	}
 }
 
-// TestResultCacheConcurrent hammers one cached entry from many goroutines;
-// under -race this is the data-race check for the result cache + admission
-// combination the acceptance criteria name.
+// TestResultCacheConcurrent hammers one cached entry from many goroutines,
+// half of them through Engine.Query and half through Submit, whose inline
+// answers render the entry's package concurrently; under -race this is the
+// data-race check for the result cache + admission combination the
+// acceptance criteria name.
 func TestResultCacheConcurrent(t *testing.T) {
 	cat := newCatalog(t, 15)
 	e := New(cat, &Options{MaxInFlight: 4, Parallelism: 2})
@@ -221,10 +225,12 @@ func TestResultCacheConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refPkg := packageOf(ref.X, ref.Rel)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
 	objs := make([]float64, 16)
+	pkgs := make([][]client.PackageTuple, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -233,12 +239,28 @@ func TestResultCacheConcurrent(t *testing.T) {
 			if g%4 == 3 {
 				opts.Seed = uint64(100 + g) // sprinkle misses between hits
 			}
-			res, err := e.Query(context.Background(), Request{Query: testQuery, Options: opts})
+			req := Request{Query: testQuery, Options: opts}
+			if g%2 == 0 {
+				res, err := e.Query(context.Background(), req)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				objs[g] = res.Objective
+				return
+			}
+			j, err := e.Submit(req)
 			if err != nil {
 				errs[g] = err
 				return
 			}
-			objs[g] = res.Objective
+			<-j.Done()
+			snap := j.Snapshot(0)
+			if snap.Result == nil {
+				errs[g] = snap.Error
+				return
+			}
+			objs[g], pkgs[g] = snap.Result.Objective, snap.Result.Package
 		}(g)
 	}
 	wg.Wait()
@@ -250,6 +272,9 @@ func TestResultCacheConcurrent(t *testing.T) {
 	for g := 0; g < 16; g++ {
 		if g%4 != 3 && objs[g] != ref.Objective {
 			t.Fatalf("goroutine %d: cached objective diverged: %v vs %v", g, objs[g], ref.Objective)
+		}
+		if g%4 == 1 && !reflect.DeepEqual(pkgs[g], refPkg) {
+			t.Fatalf("goroutine %d: cached package diverged: %v vs %v", g, pkgs[g], refPkg)
 		}
 	}
 	if st := e.Stats(); st.ResultCacheHits < 12 {
