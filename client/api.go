@@ -87,7 +87,11 @@ type ErrorEnvelope struct {
 // The set covers the full determinism domain of an evaluation: a request
 // that pins every field (seeds included) is answered bit-identically by any
 // server holding the same relation, which is what lets the result cache
-// answer a repeated request without solving.
+// answer a repeated request without solving. The worker count is the
+// operator's (spqd -parallelism), not the request's: every count gives the
+// same answer, and the server ignores a "parallelism" field that older
+// clients still send. OPERATIONS.md "Knob table" gives each field's effect
+// and the test that shows it.
 type SolveOptions struct {
 	Seed           uint64  `json:"seed,omitempty"`
 	ValidationSeed uint64  `json:"validation_seed,omitempty"`
@@ -99,7 +103,6 @@ type SolveOptions struct {
 	IncrementZ     int     `json:"increment_z,omitempty"`
 	Epsilon        float64 `json:"epsilon,omitempty"`
 	MaxCSAIters    int     `json:"max_csa_iters,omitempty"`
-	Parallelism    int     `json:"parallelism,omitempty"`
 	// DisableAcceleration turns off the monotone-objective summary
 	// modification (ablations).
 	DisableAcceleration bool `json:"disable_acceleration,omitempty"`

@@ -308,3 +308,60 @@ func TestClientBatchAndList(t *testing.T) {
 		t.Fatal("Get of unknown job succeeded")
 	}
 }
+
+// TestClientTraceAndApplyDelta round-trips the two remaining verbs against
+// an in-process engine: Trace returns the span tree of a job submitted under
+// a caller's trace, and ApplyDelta returns the footprint of a mutation,
+// after which the same query re-solves instead of hitting the result cache.
+func TestClientTraceAndApplyDelta(t *testing.T) {
+	e := engine.New(newStocks(15), nil)
+	srv := testServer(t, e)
+	c, err := client.New(srv.URL, client.WithPollInterval(100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	job, err := c.Run(ctx, client.SubmitRequest{Query: testQuery, Options: smallOptions(), TraceParent: "feedc0de00000004/client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != client.JobSucceeded {
+		t.Fatalf("state = %q (error %+v)", job.State, job.Error)
+	}
+	tr, err := c.Trace(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.TraceID != "feedc0de00000004" || tr.Name != "query" || tr.Attrs["parent"] != "client" || tr.Attrs["job"] != job.ID {
+		t.Fatalf("trace root = %+v, want query %s under the caller's trace", tr, job.ID)
+	}
+	var solved bool
+	tr.Walk(func(s *client.TraceSpan) { solved = solved || s.Name == "solve" })
+	if !solved {
+		t.Fatal("served trace has no solve span")
+	}
+	if _, err := c.Trace(ctx, "no-such-job"); err == nil {
+		t.Fatal("Trace of unknown job succeeded")
+	}
+
+	d, err := c.ApplyDelta(ctx, "stocks", &client.DeltaRequest{Set: map[string]map[int]float64{"price": {0: 1000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Table != "stocks" || d.Version != d.FromVersion+1 || len(d.Cols) != 1 || d.Cols[0] != "price" || d.TuplesSet != 1 {
+		t.Fatalf("delta response = %+v, want one price cell patched in one version", d)
+	}
+	again, err := c.Run(ctx, client.SubmitRequest{Query: testQuery, Options: smallOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != client.JobSucceeded || again.Result.ResultCacheHit {
+		t.Fatalf("after a delta on a read column: state %q, cache hit %v; want a fresh solve", again.State, again.Result != nil && again.Result.ResultCacheHit)
+	}
+	var apiErr *client.Error
+	if _, err := c.ApplyDelta(ctx, "nope", &client.DeltaRequest{Delete: []int{0}}); !errors.As(err, &apiErr) {
+		t.Fatalf("delta on an unknown table: err = %v, want *client.Error", err)
+	}
+}

@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +40,6 @@ import (
 	"spq"
 	"spq/internal/engine"
 	"spq/internal/obs"
-	"spq/internal/relation"
 	"spq/internal/workload"
 )
 
@@ -60,7 +58,6 @@ type config struct {
 	resultCache int
 	timeout     time.Duration
 	parallelism int
-	cacheBlocks int
 	maxJobs     int
 	jobHistory  int
 
@@ -69,7 +66,6 @@ type config struct {
 	pprofAddr string
 
 	readOnly bool
-	deltaLog int
 
 	tenants string
 	classes string
@@ -89,15 +85,13 @@ func main() {
 	flag.IntVar(&cfg.resultCache, "result-cache", 256, "result cache capacity in entries (negative disables)")
 	flag.DurationVar(&cfg.timeout, "timeout", 60*time.Second, "default per-query timeout")
 	flag.IntVar(&cfg.parallelism, "parallelism", 0, "per-query worker count (0 = one per CPU)")
-	flag.IntVar(&cfg.cacheBlocks, "colcache-blocks", 0, "out-of-core column block-cache capacity in 2048-value blocks (0 = 256 blocks = 4 MiB)")
 	flag.IntVar(&cfg.maxJobs, "max-jobs", 0, "max active async jobs (0 = max-inflight + max-queue)")
 	flag.IntVar(&cfg.jobHistory, "job-history", 0, "finished jobs kept pollable (0 = 64, negative disables)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format for structured events: \"text\" or \"json\" (one object per line)")
 	flag.DurationVar(&cfg.slowQuery, "slow-query", 0, "log queries slower than this threshold with their full span tree (0 disables)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty disables; bind it privately)")
 	flag.BoolVar(&cfg.readOnly, "read-only", false, "reject table mutations (POST /v1/tables/{name}/deltas answers 405)")
-	flag.IntVar(&cfg.deltaLog, "delta-log", 0, "change sets retained per relation for delta-scoped cache invalidation (0 = 64; older versions rebuild wholesale)")
-	flag.StringVar(&cfg.tenants, "tenants", "", "weighted-fair admission lanes: \"name:weight[:max_inflight[:max_queue]],...\" inline, or @file.json with a JSON array of tenant objects (empty = single default lane)")
+	flag.StringVar(&cfg.tenants, "tenants", "", "weighted-fair admission lanes: \"name:weight[:max_inflight[:max_queue]],...\" (empty = single default lane)")
 	flag.StringVar(&cfg.classes, "classes", "", "query-class budgets: \"name:time_limit_ms[:solver_nodes],...\" — a binding class budget degrades to the best-so-far package instead of failing")
 	flag.Parse()
 
@@ -105,44 +99,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "spqd:", err)
 		os.Exit(1)
 	}
-}
-
-// loadTenants parses the -tenants flag: "@path" loads a JSON array of
-// engine.TenantConfig objects; anything else parses as the inline
-// name:weight[:max_inflight[:max_queue]] list.
-func loadTenants(s string) ([]engine.TenantConfig, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	if !strings.HasPrefix(s, "@") {
-		return engine.ParseTenants(s)
-	}
-	data, err := os.ReadFile(strings.TrimPrefix(s, "@"))
-	if err != nil {
-		return nil, err
-	}
-	var out []engine.TenantConfig
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("%s: %w", strings.TrimPrefix(s, "@"), err)
-	}
-	seen := make(map[string]bool)
-	for _, t := range out {
-		if t.Name == "" {
-			return nil, fmt.Errorf("%s: tenant with empty name", strings.TrimPrefix(s, "@"))
-		}
-		if seen[t.Name] {
-			return nil, fmt.Errorf("%s: duplicate tenant %q", strings.TrimPrefix(s, "@"), t.Name)
-		}
-		seen[t.Name] = true
-		if t.Weight < 1 {
-			return nil, fmt.Errorf("%s: tenant %q: weight must be >= 1", strings.TrimPrefix(s, "@"), t.Name)
-		}
-		if t.MaxInFlight < 0 || t.MaxQueue < 0 {
-			return nil, fmt.Errorf("%s: tenant %q: caps must be >= 0", strings.TrimPrefix(s, "@"), t.Name)
-		}
-	}
-	return out, nil
 }
 
 // loadTables registers the -workload instances' tables and the -csv table
@@ -215,20 +171,7 @@ func run(cfg config) error {
 		return fmt.Errorf("-log-format: %w", err)
 	}
 
-	if cfg.cacheBlocks < 0 {
-		return errors.New("-colcache-blocks must be >= 0")
-	}
-	if cfg.cacheBlocks > 0 {
-		relation.ConfigureBlockCache(2048, cfg.cacheBlocks)
-	}
-	if cfg.deltaLog < 0 {
-		return errors.New("-delta-log must be >= 0")
-	}
-	if cfg.deltaLog > 0 {
-		relation.SetDeltaLogCap(cfg.deltaLog)
-	}
-
-	tenants, err := loadTenants(cfg.tenants)
+	tenants, err := engine.ParseTenants(cfg.tenants)
 	if err != nil {
 		return fmt.Errorf("-tenants: %w", err)
 	}

@@ -31,20 +31,20 @@ var ErrTenantQuota = errors.New("engine: tenant queue quota exceeded")
 // TenantConfig declares one tenant's admission share.
 type TenantConfig struct {
 	// Name identifies the tenant (the X-Spq-Tenant header value).
-	Name string `json:"name"`
+	Name string
 	// Weight is the tenant's relative share of solve slots under contention
 	// (deficit-round-robin credit per round). Minimum 1; a tenant with
 	// weight w is admitted w times per round while backlogged, so two
 	// backlogged tenants with weights 3:1 converge to a 3:1 admission ratio.
-	Weight int `json:"weight"`
+	Weight int
 	// MaxInFlight caps the tenant's concurrently running queries
 	// (0 = no per-tenant cap; the global capacity still applies). The cap
 	// is a ceiling, not a reservation — idle share flows to other tenants.
-	MaxInFlight int `json:"max_inflight,omitempty"`
+	MaxInFlight int
 	// MaxQueue caps the tenant's waiting queries (0 = no per-tenant cap;
 	// the global queue bound still applies). Beyond it the request is
 	// rejected with ErrTenantQuota.
-	MaxQueue int `json:"max_queue,omitempty"`
+	MaxQueue int
 }
 
 // ParseTenants parses the spqd -tenants flag format: a comma-separated list
@@ -364,12 +364,10 @@ func (s *fairScheduler) InFlight() int {
 // anytime best-so-far package instead of failing the query.
 type ClassBudget struct {
 	// TimeLimit bounds the evaluation wall clock (0 = none).
-	TimeLimit time.Duration `json:"-"`
-	// TimeLimitMS is the JSON form of TimeLimit (spqd -classes files).
-	TimeLimitMS int64 `json:"time_limit_ms,omitempty"`
+	TimeLimit time.Duration
 	// SolverNodes bounds each MILP solve's branch-and-bound nodes
 	// (0 = none).
-	SolverNodes int `json:"solver_nodes,omitempty"`
+	SolverNodes int
 }
 
 // ParseClasses parses the spqd -classes flag format: a comma-separated list
@@ -397,7 +395,7 @@ func ParseClasses(s string) (map[string]ClassBudget, error) {
 		if err != nil || ms < 0 {
 			return nil, fmt.Errorf("class %q: time_limit_ms must be an integer >= 0", ent)
 		}
-		cb := ClassBudget{TimeLimit: time.Duration(ms) * time.Millisecond, TimeLimitMS: ms}
+		cb := ClassBudget{TimeLimit: time.Duration(ms) * time.Millisecond}
 		if len(parts) > 2 {
 			if cb.SolverNodes, err = strconv.Atoi(strings.TrimSpace(parts[2])); err != nil || cb.SolverNodes < 0 {
 				return nil, fmt.Errorf("class %q: solver_nodes must be an integer >= 0", ent)

@@ -377,8 +377,8 @@ type Stats struct {
 	// (dropped, possibly leaving a warm-start hint); PlansRebased counts
 	// cached plans carried across versions the same way; WarmResolves counts
 	// queries answered by the warm re-solve fast path. The relation-level
-	// counters (cells patched, partitionings retained/patched/rebuilt, stale
-	// view rejections, summary tuples patched/reused) are process-wide.
+	// counters (cells patched, partitionings retained/patched/rebuilt,
+	// summary tuples patched/reused) are process-wide.
 	DeltasApplied      int64 `json:"deltas_applied"`
 	DeltaCells         int64 `json:"delta_cells_patched"`
 	ResultsRetained    int64 `json:"results_retained_after_delta"`
@@ -390,7 +390,6 @@ type Stats struct {
 	PartsRebuilt       int64 `json:"partitions_rebuilt"`
 	ShardsRebuilt      int64 `json:"shards_rebuilt"`
 	ShardsRetained     int64 `json:"shards_retained"`
-	StaleViews         int64 `json:"stale_views"`
 	SummariesPatched   int64 `json:"summary_tuples_patched"`
 	SummariesReused    int64 `json:"summary_tuples_reused"`
 }
@@ -987,7 +986,6 @@ func (e *Engine) Stats() Stats {
 	st.PartsRebuilt = ds.PartitionsRebuilt
 	st.ShardsRebuilt = ds.ShardsRebuilt
 	st.ShardsRetained = ds.ShardsRetained
-	st.StaleViews = ds.StaleViews
 	st.SummariesPatched = sc.SummaryTuplesPatched
 	st.SummariesReused = sc.SummaryTuplesReused
 	return st

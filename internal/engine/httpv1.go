@@ -71,7 +71,7 @@ func methodsHandler(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 }
 
 // engineRequest lowers a typed v1 submission to the engine's request.
-func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
+func engineRequest(sr *client.SubmitRequest) Request {
 	req := Request{
 		Query:       sr.Query,
 		Method:      sr.Method,
@@ -92,7 +92,6 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 			IncrementZ:          o.IncrementZ,
 			Epsilon:             o.Epsilon,
 			MaxCSAIters:         o.MaxCSAIters,
-			Parallelism:         o.Parallelism,
 			DisableAcceleration: o.DisableAcceleration,
 			TimeLimit:           time.Duration(o.TimeLimitMS) * time.Millisecond,
 			SolverTime:          time.Duration(o.SolverTimeMS) * time.Millisecond,
@@ -108,7 +107,7 @@ func engineRequest(sr *client.SubmitRequest) (Request, *client.Error) {
 			Seed:          s.Seed,
 		}
 	}
-	return req, nil
+	return req
 }
 
 // submitBody is one v1 submission as the server decodes it: the client
@@ -157,15 +156,20 @@ func (e *Engine) submitOne(sb *submitBody) (*Job, *client.Error) {
 	if sr.Query == "" {
 		return nil, &client.Error{Code: client.CodeBadRequest, Message: `missing "query"`, HTTPStatus: http.StatusBadRequest}
 	}
-	req, apiErr := engineRequest(sr)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	j, err := e.Submit(req)
+	j, err := e.Submit(engineRequest(sr))
 	if err != nil {
 		return nil, errToWire(err)
 	}
 	return j, nil
+}
+
+// applyHeaders carries a submission's X-Spq-Trace and X-Spq-Tenant headers
+// into one submitted body; a tenant header wins over the body field.
+func applyHeaders(r *http.Request, sb *submitBody) {
+	sb.TraceParent = r.Header.Get(client.TraceHeader)
+	if t := r.Header.Get(client.TenantHeader); t != "" {
+		sb.Tenant = t
+	}
 }
 
 func (e *Engine) handleV1Submit(w http.ResponseWriter, r *http.Request) {
@@ -174,10 +178,7 @@ func (e *Engine) handleV1Submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	sb.TraceParent = r.Header.Get(client.TraceHeader)
-	if t := r.Header.Get(client.TenantHeader); t != "" {
-		sb.Tenant = t // header wins over the body field
-	}
+	applyHeaders(r, &sb)
 	j, apiErr := e.submitOne(&sb)
 	if apiErr != nil {
 		writeError(w, apiErr)
@@ -261,11 +262,8 @@ func (e *Engine) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := client.BatchResponse{Jobs: make([]client.BatchItem, len(br.Queries))}
-	tenant := r.Header.Get(client.TenantHeader)
 	for i := range br.Queries {
-		if tenant != "" {
-			br.Queries[i].Tenant = tenant // header wins over the body field
-		}
+		applyHeaders(r, &br.Queries[i])
 		j, apiErr := e.submitOne(&br.Queries[i])
 		if apiErr != nil {
 			out.Jobs[i] = client.BatchItem{Error: apiErr}

@@ -201,6 +201,50 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
+// TestBatchTraceHeader: X-Spq-Trace on a batch submission roots every
+// item's span tree under the caller's trace ID, as it does for a single
+// submission.
+func TestBatchTraceHeader(t *testing.T) {
+	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
+	srv := v1Server(t, e)
+
+	body, err := json.Marshal(client.BatchRequest{
+		Queries: []client.SubmitRequest{
+			{Query: testQuery, Options: &client.SolveOptions{Seed: 1, ValidationM: 1500, InitialM: 10, MaxM: 60}},
+			{Query: testQuery, Options: &client.SolveOptions{Seed: 2, ValidationM: 1500, InitialM: 10, MaxM: 60}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/queries:batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(client.TraceHeader, "feedc0de00000003/batch")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out client.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Jobs) != 2 {
+		t.Fatalf("items = %d, want 2", len(out.Jobs))
+	}
+	for i, it := range out.Jobs {
+		if it.Job == nil {
+			t.Fatalf("item %d = %+v, want job", i, it)
+		}
+		job := waitJob(t, srv, it.Job)
+		if job.Trace == nil || job.Trace.TraceID != "feedc0de00000003" || job.Trace.Attrs["parent"] != "batch" {
+			t.Fatalf("item %d trace = %+v, want the caller's trace id and parent", i, job.Trace)
+		}
+	}
+}
+
 // getStats reads the engine's counters over GET /stats.
 func getStats(t *testing.T, srv *httptest.Server) Stats {
 	t.Helper()
@@ -457,10 +501,11 @@ func TestRetiredQueryRoute(t *testing.T) {
 	decodeEnvelope(t, resp, http.StatusNotFound, client.CodeNotFound)
 }
 
-// TestV1IgnoresRemovedMaxResidentScenarios pins wire compatibility for a
-// removed option: a body that still carries "max_resident_scenarios" (here
-// -1, which once asked the server to materialize every scenario matrix) is
-// accepted and answered with the same package as the body without it.
+// TestV1IgnoresRemovedMaxResidentScenarios pins wire compatibility for
+// removed options: a body that still carries "max_resident_scenarios" (here
+// -1, which once asked the server to materialize every scenario matrix) and
+// "parallelism" (a per-request worker count) is accepted and answered with
+// the same package as the body without them.
 func TestV1IgnoresRemovedMaxResidentScenarios(t *testing.T) {
 	e := New(newCatalog(t, 15), &Options{ResultCacheSize: -1})
 	srv := v1Server(t, e)
@@ -478,13 +523,13 @@ func TestV1IgnoresRemovedMaxResidentScenarios(t *testing.T) {
 	}
 	base := map[string]any{"seed": 1, "validation_m": 1500, "initial_m": 10, "increment_m": 10, "max_m": 60}
 	want := solve(base)
-	old := map[string]any{"max_resident_scenarios": -1}
+	old := map[string]any{"max_resident_scenarios": -1, "parallelism": 3}
 	for k, v := range base {
 		old[k] = v
 	}
 	got := solve(old)
 	if got.ResultCacheHit || got.Objective != want.Objective || got.Feasible != want.Feasible || got.M != want.M ||
 		!reflect.DeepEqual(got.Package, want.Package) {
-		t.Fatalf("with max_resident_scenarios: %+v\nwithout: %+v", got, want)
+		t.Fatalf("with removed options: %+v\nwithout: %+v", got, want)
 	}
 }

@@ -152,7 +152,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.NewGaugeFunc("spq_partitions_rebuilt", "Partitionings built from scratch.", func() float64 { return float64(relation.DeltaStats().PartitionsRebuilt) })
 	r.NewGaugeFunc("spq_partition_shards_rebuilt", "Shards re-clustered by partitioning patches.", func() float64 { return float64(relation.DeltaStats().ShardsRebuilt) })
 	r.NewGaugeFunc("spq_partition_shards_retained", "Shards carried over unchanged by partitioning patches and rebases.", func() float64 { return float64(relation.DeltaStats().ShardsRetained) })
-	r.NewGaugeFunc("spq_stale_view_errors", "Reads rejected with ErrStaleView (view or partitioning superseded by a delta).", func() float64 { return float64(relation.DeltaStats().StaleViews) })
 	r.NewGaugeFunc("spq_summary_tuples_patched", "Summary tuple folds recomputed by delta patches (the k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesPatched) })
 	r.NewGaugeFunc("spq_summary_tuples_reused", "Summary tuple folds reused unchanged by delta patches (the N-k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesReused) })
 	return m

@@ -72,14 +72,14 @@ type lpResult struct {
 	x      []float64
 }
 
-// check holds an optimal answer to its bounds and rows within FeasTol and to
+// check holds an optimal answer to its bounds and rows within feasTol and to
 // its own objective.
 func (f *fuzzLP) check(t *testing.T, tag string, r lpResult) {
 	t.Helper()
 	if r.status != StatusOptimal {
 		return
 	}
-	const tol = 1e-7 // Options.FeasTol's default
+	const tol = feasTol
 	cx := 0.0
 	for j, v := range r.x {
 		if v < f.lo[j]-tol || v > f.hi[j]+tol {
@@ -138,7 +138,7 @@ func presolved(t *testing.T, f *fuzzLP) lpResult {
 // under perturbed bounds, and warm again with a reduced-cost Fix whose cutoff
 // (+Inf) must tighten nothing. Every configuration agrees with the cold solve
 // on the status and, to 1e-6 relative, on the objective; every optimal point
-// satisfies its bounds and rows within FeasTol.
+// satisfies its bounds and rows within feasTol.
 func FuzzLP(f *testing.F) {
 	for seed := uint64(1); seed <= 32; seed++ {
 		f.Add(seed)

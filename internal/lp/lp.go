@@ -216,10 +216,6 @@ type Options struct {
 	// MaxIters caps total simplex iterations across both phases.
 	// 0 means a default proportional to the problem size.
 	MaxIters int
-	// FeasTol is the bound-violation tolerance (default 1e-7).
-	FeasTol float64
-	// OptTol is the reduced-cost optimality tolerance (default 1e-9).
-	OptTol float64
 	// Cancel, when non-nil, aborts the solve as soon as the channel is
 	// closed. It is polled every simplex iteration in both phases, so even a
 	// single long solve responds within one iteration rather than running to
@@ -277,12 +273,6 @@ func (o *Options) withDefaults(m, n int) Options {
 	}
 	if out.MaxIters == 0 {
 		out.MaxIters = 200*(m+n) + 10000
-	}
-	if out.FeasTol == 0 {
-		out.FeasTol = 1e-7
-	}
-	if out.OptTol == 0 {
-		out.OptTol = 1e-9
 	}
 	return out
 }

@@ -10,14 +10,14 @@
 //	fixed columns     lo_j = hi_j ⟹ substitute into row bounds, drop
 //	empty columns     no rows ⟹ fix at the cost-minimizing finite bound
 //
-// Reductions run to a fixpoint over a row store: PresolveRows fills it from
-// rows as a caller writes them (the MILP layer's model), PresolveProblem by
-// transposing a column-major Problem. The result is a smaller Problem plus a
-// postsolve map that restores eliminated variables in solution vectors. All
-// reductions are integrality-aware (an `integer` mask rounds tightened
-// bounds inward and keeps fixings integral), so the reduced problem is an
-// equally valid MILP root: the branch-and-bound in internal/milp presolves
-// once at the root and searches entirely in reduced space.
+// Reductions run to a fixpoint over a row store that PresolveRows fills
+// from rows as a caller writes them (the MILP layer's model). The result is
+// a smaller Problem plus a postsolve map that restores eliminated variables
+// in solution vectors. All reductions are integrality-aware (an `integer`
+// mask rounds tightened bounds inward and keeps fixings integral), so the
+// reduced problem is an equally valid MILP root: the branch-and-bound in
+// internal/milp presolves once at the root and searches entirely in reduced
+// space.
 package lp
 
 import (
@@ -84,9 +84,9 @@ func (pr *Presolved) Postsolve(x []float64) []float64 {
 }
 
 // presolver is the working state of one presolve run. Its input is a row
-// store; PresolveProblem fills it by transposing a Problem's columns,
-// PresolveRows straight from rows, and the passes, the reduced problem and
-// every float operation are the same after that.
+// store that PresolveRows fills straight from rows (the tests'
+// PresolveProblem by transposing a Problem's columns); the passes, the
+// reduced problem and every float operation are the same after that.
 type presolver struct {
 	n, m     int
 	obj      []float64
@@ -121,49 +121,6 @@ type presolver struct {
 	fixedAny   bool // colPass eliminated a column since the last substitution
 	infeasible bool
 	unbounded  bool
-}
-
-// PresolveProblem reduces the problem under the given bounds (nil uses the
-// problem's own). integer may be nil (all continuous) or flag, per original
-// variable, that only integral values are meaningful — presolve then rounds
-// tightened bounds inward, which is valid for the MILP but not for its pure
-// LP relaxation. The input problem and bound slices are not mutated.
-func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
-	ps := cscPresolver(p, lo, hi, integer)
-	ps.run()
-	return ps.result()
-}
-
-// cscPresolver transposes p's columns into the row store.
-func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
-	if lo == nil {
-		lo = p.varLo
-	}
-	if hi == nil {
-		hi = p.varHi
-	}
-	ps := newPresolver(p.nvars, len(p.rowLo), len(p.coef))
-	ps.obj, ps.integer = p.obj, integer
-	copy(ps.lo, lo)
-	copy(ps.hi, hi)
-	copy(ps.rowLo, p.rowLo)
-	copy(ps.rowHi, p.rowHi)
-	for _, i := range p.rowIdx {
-		ps.rowStart[i+1]++
-	}
-	for i := 0; i < ps.m; i++ {
-		ps.rowStart[i+1] += ps.rowStart[i]
-	}
-	copy(ps.rowEnd, ps.rowStart[:ps.m])
-	for j := 0; j < ps.n; j++ {
-		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-			i := p.rowIdx[t]
-			ps.rowCol[ps.rowEnd[i]], ps.rowCoef[ps.rowEnd[i]] = int32(j), p.coef[t]
-			ps.rowEnd[i]++
-		}
-		ps.colRows[j] = int32(p.colStart[j+1] - p.colStart[j])
-	}
-	return ps
 }
 
 // Rows is a problem in row form, the input of PresolveRows.
@@ -261,9 +218,9 @@ func (t *RowTerms) normalize() {
 	}
 }
 
-// PresolveRows reduces a problem given in row form. It is PresolveProblem
-// over the Problem the same rows would build through AddRows, bit for bit,
-// without building it: the rows go straight into the presolver's row store.
+// PresolveRows reduces a problem given in row form. It reduces the Problem
+// the same rows would build through AddRows, bit for bit, without building
+// it: the rows go straight into the presolver's row store.
 func PresolveRows(r Rows) *Presolved {
 	ps := rowsPresolver(r)
 	ps.run()

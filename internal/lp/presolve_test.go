@@ -5,6 +5,49 @@ import (
 	"testing"
 )
 
+// PresolveProblem reduces the problem under the given bounds (nil uses the
+// problem's own). integer may be nil (all continuous) or flag, per original
+// variable, that only integral values are meaningful — presolve then rounds
+// tightened bounds inward, which is valid for the MILP but not for its pure
+// LP relaxation. The input problem and bound slices are not mutated.
+func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
+	ps := cscPresolver(p, lo, hi, integer)
+	ps.run()
+	return ps.result()
+}
+
+// cscPresolver transposes p's columns into the row store.
+func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
+	if lo == nil {
+		lo = p.varLo
+	}
+	if hi == nil {
+		hi = p.varHi
+	}
+	ps := newPresolver(p.nvars, len(p.rowLo), len(p.coef))
+	ps.obj, ps.integer = p.obj, integer
+	copy(ps.lo, lo)
+	copy(ps.hi, hi)
+	copy(ps.rowLo, p.rowLo)
+	copy(ps.rowHi, p.rowHi)
+	for _, i := range p.rowIdx {
+		ps.rowStart[i+1]++
+	}
+	for i := 0; i < ps.m; i++ {
+		ps.rowStart[i+1] += ps.rowStart[i]
+	}
+	copy(ps.rowEnd, ps.rowStart[:ps.m])
+	for j := 0; j < ps.n; j++ {
+		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+			i := p.rowIdx[t]
+			ps.rowCol[ps.rowEnd[i]], ps.rowCoef[ps.rowEnd[i]] = int32(j), p.coef[t]
+			ps.rowEnd[i]++
+		}
+		ps.colRows[j] = int32(p.colStart[j+1] - p.colStart[j])
+	}
+	return ps
+}
+
 func TestPresolveEmptyRowDropped(t *testing.T) {
 	p := NewProblem(1)
 	p.SetObj(0, 1)

@@ -17,6 +17,8 @@ const (
 
 const (
 	pivotTol      = 1e-9 // minimum |pivot element|
+	feasTol       = 1e-7 // bound-violation tolerance
+	optTol        = 1e-9 // reduced-cost optimality tolerance
 	refactorEvery = 100  // pivots between basis refactorizations
 )
 
@@ -381,7 +383,7 @@ func (s *simplex) rowCoef(j int) float64 {
 
 // dualBound prices every column against the current basis's duals under the
 // true objective, leaving the reduced costs in s.d (zero for basic columns
-// and inside OptTol), and returns the Lagrangian bound Σ_j min(d_j·lo_j,
+// and inside optTol), and returns the Lagrangian bound Σ_j min(d_j·lo_j,
 // d_j·hi_j): cᵀx = Σ_j d_j·x_j on the rows, so no row-feasible point of the
 // box is below it. A nonzero d_j toward an infinite bound makes it −Inf.
 func (s *simplex) dualBound() float64 {
@@ -392,7 +394,7 @@ func (s *simplex) dualBound() float64 {
 	for j := 0; j < s.total; j++ {
 		d := s.reducedCost(j)
 		switch {
-		case s.status[j] == statusBasic || math.Abs(d) <= s.opts.OptTol:
+		case s.status[j] == statusBasic || math.Abs(d) <= optTol:
 			d = 0
 		case d > 0:
 			bound += d * s.lo[j]
@@ -505,10 +507,10 @@ const (
 
 func (s *simplex) basicFeasibility(k int) int {
 	j := s.basis[k]
-	if s.xb[k] < s.lo[j]-s.opts.FeasTol {
+	if s.xb[k] < s.lo[j]-feasTol {
 		return feaBelow
 	}
-	if s.xb[k] > s.hi[j]+s.opts.FeasTol {
+	if s.xb[k] > s.hi[j]+feasTol {
 		return feaAbove
 	}
 	return feaOK
@@ -627,7 +629,7 @@ func (s *simplex) dualReinstate() (st Status, fallback bool) {
 			return StatusCancelled, false
 		}
 		// Leaving row: the largest bound violation.
-		r, below, viol := -1, false, s.opts.FeasTol
+		r, below, viol := -1, false, feasTol
 		for k := 0; k < s.m; k++ {
 			j := s.basis[k]
 			if d := s.lo[j] - s.xb[k]; d > viol {
@@ -657,7 +659,7 @@ func (s *simplex) dualReinstate() (st Status, fallback bool) {
 		leave := s.basis[r]
 		for enter >= 0 {
 			span := s.hi[enter] - s.lo[enter]
-			if s.status[enter] == statusFree || math.IsInf(span, 1) || span < s.opts.FeasTol {
+			if s.status[enter] == statusFree || math.IsInf(span, 1) || span < feasTol {
 				break
 			}
 			amt := span
@@ -665,9 +667,9 @@ func (s *simplex) dualReinstate() (st Status, fallback bool) {
 				amt = -span
 			}
 			after := s.xb[r] - s.rowCoef(enter)*amt
-			still := after < s.lo[leave]-s.opts.FeasTol
+			still := after < s.lo[leave]-feasTol
 			if !below {
-				still = after > s.hi[leave]+s.opts.FeasTol
+				still = after > s.hi[leave]+feasTol
 			}
 			if !still {
 				break
@@ -701,7 +703,7 @@ func (s *simplex) dualReinstate() (st Status, fallback bool) {
 			// above tolerance this is a proof of infeasibility (see the
 			// function comment); a marginal violation could be rounding, so
 			// hand those to phase 1.
-			if viol > 100*s.opts.FeasTol {
+			if viol > 100*feasTol {
 				return StatusInfeasible, false
 			}
 			return 0, true
@@ -731,11 +733,11 @@ func (s *simplex) dualRatioTest(below bool) int {
 		case statusBasic:
 			continue
 		case statusAtLower:
-			if s.hi[j]-s.lo[j] < s.opts.FeasTol && !math.IsInf(s.hi[j], 1) {
+			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.hi[j], 1) {
 				continue // fixed variable
 			}
 		case statusAtUpper:
-			if s.hi[j]-s.lo[j] < s.opts.FeasTol && !math.IsInf(s.lo[j], -1) {
+			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.lo[j], -1) {
 				continue
 			}
 		}
@@ -850,7 +852,7 @@ func (s *simplex) phase1() (Status, error) {
 		enter, sigma := s.priceForEntering()
 		if enter < 0 {
 			// No improving direction: infeasibility is at its minimum.
-			if s.totalInfeasibility() > 100*s.opts.FeasTol*float64(s.m+1) {
+			if s.totalInfeasibility() > 100*feasTol*float64(s.m+1) {
 				return StatusInfeasible, nil
 			}
 			// Residual infeasibility within tolerance: accept.
@@ -899,13 +901,13 @@ func (s *simplex) phase2() (Status, error) {
 // cost and returns the entering variable and its movement direction
 // (+1 increase, −1 decrease), or (−1, 0) if none improves.
 func (s *simplex) priceForEntering() (int, int) {
-	best, bestScore, bestSigma := -1, s.opts.OptTol, 0
+	best, bestScore, bestSigma := -1, optTol, 0
 	for j := 0; j < s.total; j++ {
 		switch s.status[j] {
 		case statusBasic:
 			continue
 		case statusAtLower:
-			if s.hi[j]-s.lo[j] < s.opts.FeasTol && !math.IsInf(s.hi[j], 1) {
+			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.hi[j], 1) {
 				continue // fixed variable
 			}
 			if d := s.reducedCost(j); d < -bestScore {
@@ -915,7 +917,7 @@ func (s *simplex) priceForEntering() (int, int) {
 				best, bestScore, bestSigma = j, -d, +1
 			}
 		case statusAtUpper:
-			if s.hi[j]-s.lo[j] < s.opts.FeasTol && !math.IsInf(s.lo[j], -1) {
+			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.lo[j], -1) {
 				continue
 			}
 			if d := s.reducedCost(j); d > bestScore {

@@ -196,15 +196,46 @@ func TestReducedCostFixing(t *testing.T) {
 	t.Logf("%d nodes with reduced-cost fixing, %d without", on, off)
 }
 
-// buildRowByRow assembles the model's LP relaxation as a column-major
-// lp.Problem, one lp.Problem.AddRow call per row: each plain row, then each
-// indicator's terms with its big-M entry appended (which lp's own tests hold
-// to the map builder AddRow replaced).
-func buildRowByRow(m *Model) *lp.Problem {
-	p := lp.NewProblem(len(m.vars))
-	for j, v := range m.vars {
-		p.SetObj(j, v.obj)
-		p.SetVarBounds(j, v.lo, v.hi)
+// rowList is a problem in row form written out term by term: a row is its
+// index and coefficient lists, fed to lp.RowTerms.Add one term at a time.
+type rowList struct {
+	obj, lo, hi []float64
+	integer     []bool
+	idxs        [][]int
+	coefs       [][]float64
+	rowLo       []float64
+	rowHi       []float64
+}
+
+func (r *rowList) NumCols() int  { return len(r.obj) }
+func (r *rowList) NumRows() int  { return len(r.idxs) }
+func (r *rowList) NumTerms() int { return 0 }
+
+func (r *rowList) Col(j int) (obj, lo, hi float64, integer bool) {
+	return r.obj[j], r.lo[j], r.hi[j], r.integer[j]
+}
+
+func (r *rowList) Row(i int, t *lp.RowTerms) (lo, hi float64) {
+	for k, j := range r.idxs[i] {
+		t.Add(j, r.coefs[i][k])
+	}
+	return r.rowLo[i], r.rowHi[i]
+}
+
+func (r *rowList) add(idxs []int, coefs []float64, lo, hi float64) {
+	r.idxs, r.coefs = append(r.idxs, idxs), append(r.coefs, coefs)
+	r.rowLo, r.rowHi = append(r.rowLo, lo), append(r.rowHi, hi)
+}
+
+// buildRowByRow writes the model's LP relaxation out one row at a time, with
+// its own big-M arithmetic: each plain row, then each indicator's terms with
+// its big-M entry appended. lp's TestPresolveRowsMatchesCSC holds presolving
+// such rows to presolving the column-major Problem AddRows builds of them.
+func buildRowByRow(m *Model) *rowList {
+	p := &rowList{}
+	for _, v := range m.vars {
+		p.obj, p.lo, p.hi = append(p.obj, v.obj), append(p.lo, v.lo), append(p.hi, v.hi)
+		p.integer = append(p.integer, v.integer)
 	}
 	terms := func(idxs []int, coefs []float64) []int {
 		if idxs != nil {
@@ -217,7 +248,7 @@ func buildRowByRow(m *Model) *lp.Problem {
 		return dense
 	}
 	for _, r := range m.rows {
-		p.AddRow(terms(r.idxs, r.coefs), r.coefs, r.lo, r.hi)
+		p.add(terms(r.idxs, r.coefs), r.coefs, r.lo, r.hi)
 	}
 	for _, ind := range m.indicators {
 		minV, maxV, _ := m.boxExtremes(ind.idxs, ind.coefs)
@@ -229,22 +260,22 @@ func buildRowByRow(m *Model) *lp.Problem {
 				bigM = 0
 			}
 			bigM = bigM*1.01 + 1
-			p.AddRow(idxs, append(coefs, -bigM), ind.rhs-bigM, lp.Inf)
+			p.add(idxs, append(coefs, -bigM), ind.rhs-bigM, lp.Inf)
 		} else {
 			bigM := maxV - ind.rhs
 			if bigM < 0 {
 				bigM = 0
 			}
 			bigM = bigM*1.01 + 1
-			p.AddRow(idxs, append(coefs, bigM), -lp.Inf, ind.rhs+bigM)
+			p.add(idxs, append(coefs, bigM), -lp.Inf, ind.rhs+bigM)
 		}
 	}
 	return p
 }
 
 // TestBuildMatchesRowByRow: the row form Solve hands to presolve presolves
-// exactly as the column-major problem the row-at-a-time builder makes of
-// the same model, on the FuzzMILP corpus, the property corpus, a model
+// exactly as the rows the row-at-a-time builder writes out for the same
+// model, on the FuzzMILP corpus, the property corpus, a model
 // whose rows repeat indices, cancel to zero, and name an indicator's binary
 // among its terms, and one with dense rows and indicators.
 func TestBuildMatchesRowByRow(t *testing.T) {
@@ -273,12 +304,7 @@ func TestBuildMatchesRowByRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := lp.PresolveRows(rows)
-		p := buildRowByRow(m)
-		integer := make([]bool, len(m.vars))
-		for j, v := range m.vars {
-			integer[j] = v.integer
-		}
-		if want := lp.PresolveProblem(p, nil, nil, integer); !reflect.DeepEqual(got, want) {
+		if want := lp.PresolveRows(buildRowByRow(m)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("model %d: presolved row form\n%+v\nrow by row\n%+v", i, got, want)
 		}
 	}

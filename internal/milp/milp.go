@@ -294,8 +294,6 @@ type Options struct {
 	// RelGap stops the search when (incumbent − bound)/|incumbent| falls
 	// below this value. 0 means prove optimality (within tolerance).
 	RelGap float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// InitialX optionally hints a point in model space (e.g. the previous
 	// CSA-Solve package). A feasible hint seeds the incumbent and is not
 	// copied: Result.X may be this slice. An infeasible one is the
@@ -339,9 +337,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MaxNodes == 0 {
 		out.MaxNodes = 500000
-	}
-	if out.IntTol == 0 {
-		out.IntTol = 1e-6
 	}
 	return out
 }

@@ -62,6 +62,10 @@ import (
 // (the snapshot lags the live incumbent by at most one round).
 const roundSize = 64
 
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol = 1e-6
+
 // nodeBasis is a branching node's optimal basis, the warm start of its
 // children. refs counts the children not yet solved; when the merge section
 // brings it to zero the buffer goes back to a worker's free list.
@@ -534,7 +538,7 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 		if !isInt {
 			continue
 		}
-		if g := math.Round(st.guide[st.pr.Col(j)]); math.Abs(x[j]-g) <= st.opts.IntTol {
+		if g := math.Round(st.guide[st.pr.Col(j)]); math.Abs(x[j]-g) <= intTol {
 			lo[j], hi[j] = g, g
 			fixed++
 		}
@@ -865,7 +869,7 @@ func (st *search) pickBranchVar(x []float64) int {
 			continue
 		}
 		f := x[j] - math.Floor(x[j])
-		if math.Min(f, 1-f) <= st.opts.IntTol {
+		if math.Min(f, 1-f) <= intTol {
 			continue // effectively integral
 		}
 		var score float64

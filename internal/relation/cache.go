@@ -84,28 +84,10 @@ func NewBlockCache(blockVals, maxBlocks int) *BlockCache {
 	}
 }
 
-// defaultBlockCache backs lazy columns opened without an explicit cache:
-// 2048 values × 256 blocks × 8 B = 4 MiB.
-var (
-	defaultCacheMu    sync.Mutex
-	defaultBlockCache = NewBlockCache(2048, 256)
-)
-
-// DefaultBlockCache returns the process-wide cache used by OpenColumnDir
-// when no explicit cache is given.
-func DefaultBlockCache() *BlockCache {
-	defaultCacheMu.Lock()
-	defer defaultCacheMu.Unlock()
-	return defaultBlockCache
-}
-
-// ConfigureBlockCache replaces the process-wide default cache (e.g. from a
-// daemon flag). Existing sources keep the cache they were opened with.
-func ConfigureBlockCache(blockVals, maxBlocks int) {
-	defaultCacheMu.Lock()
-	defer defaultCacheMu.Unlock()
-	defaultBlockCache = NewBlockCache(blockVals, maxBlocks)
-}
+// defaultBlockCache backs lazy columns opened without an explicit cache
+// where the file cannot be memory-mapped: 2048 values × 256 blocks × 8 B =
+// 4 MiB.
+var defaultBlockCache = NewBlockCache(2048, 256)
 
 // Wrap returns a ColumnSource that serves src through the cache.
 func (c *BlockCache) Wrap(src ColumnSource) ColumnSource {

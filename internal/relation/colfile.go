@@ -175,7 +175,7 @@ func OpenColumnFile(path string, cache *BlockCache) (ColumnSource, error) {
 		return &mmapColumn{data: data, n: n}, nil
 	}
 	if cache == nil {
-		cache = DefaultBlockCache()
+		cache = defaultBlockCache
 	}
 	return cache.Wrap(&fileColumn{f: f, n: n}), nil
 }

@@ -102,28 +102,6 @@ func (cs *ChangeSet) Empty() bool {
 		len(cs.Cols) == 0 && len(cs.Attrs) == 0
 }
 
-// ErrStaleView is the sentinel matched (via errors.Is) by StaleViewError:
-// a partitioning or view built against a relation version that has since
-// been superseded by a delta.
-var ErrStaleView = errors.New("relation: stale view")
-
-// StaleViewError reports an attempt to read through a view or partitioning
-// whose base version was superseded by a mutation. Callers should re-derive
-// from a fresh Snapshot.
-type StaleViewError struct {
-	Table string
-	// ViewVersion is the version the view/partitioning was built against;
-	// BaseVersion is the relation's current version.
-	ViewVersion, BaseVersion uint64
-}
-
-func (e *StaleViewError) Error() string {
-	return fmt.Sprintf("relation: stale view of %q: built at version %d, relation now at %d",
-		e.Table, e.ViewVersion, e.BaseVersion)
-}
-
-func (e *StaleViewError) Unwrap() error { return ErrStaleView }
-
 // Package-level delta counters, exported through DeltaStats for the
 // engine's /stats and /metrics surfaces.
 var (
@@ -136,7 +114,6 @@ var (
 	partsRebuilt   atomic.Int64
 	shardsRebuilt  atomic.Int64
 	shardsRetained atomic.Int64
-	staleViews     atomic.Int64
 )
 
 // DeltaStatsSnapshot reports the cumulative delta-maintenance counters:
@@ -157,7 +134,8 @@ type DeltaStatsSnapshot struct {
 	// ShardsRebuilt/ShardsRetained split patched partitionings by shard.
 	ShardsRebuilt  int64
 	ShardsRetained int64
-	// StaleViews counts reads rejected with ErrStaleView.
+	// StaleViews is always 0: no read path rejects a stale view. It stays
+	// because the benchmark harness reads it.
 	StaleViews int64
 }
 
@@ -173,24 +151,12 @@ func DeltaStats() DeltaStatsSnapshot {
 		PartitionsRebuilt:  partsRebuilt.Load(),
 		ShardsRebuilt:      shardsRebuilt.Load(),
 		ShardsRetained:     shardsRetained.Load(),
-		StaleViews:         staleViews.Load(),
 	}
 }
 
 // deltaLogCap bounds the per-relation change-set history; consumers whose
 // base version fell off the log rebuild wholesale (Changes returns false).
-var deltaLogCap atomic.Int64
-
-func init() { deltaLogCap.Store(64) }
-
-// SetDeltaLogCap sets the number of change sets each relation retains for
-// Changes (minimum 1). It affects subsequently applied deltas.
-func SetDeltaLogCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	deltaLogCap.Store(int64(n))
-}
+const deltaLogCap = 64
 
 // Snapshot returns an immutable view of the relation at its current
 // version. Mutators replace column containers copy-on-write rather than
@@ -609,8 +575,8 @@ func (r *Relation) ApplyDelta(d *Delta) (*ChangeSet, error) {
 		r.memberEpoch = to
 	}
 	r.deltaLog = append(r.deltaLog, cs)
-	if cap := int(deltaLogCap.Load()); len(r.deltaLog) > cap {
-		r.deltaLog = append([]*ChangeSet(nil), r.deltaLog[len(r.deltaLog)-cap:]...)
+	if len(r.deltaLog) > deltaLogCap {
+		r.deltaLog = append([]*ChangeSet(nil), r.deltaLog[len(r.deltaLog)-deltaLogCap:]...)
 	}
 	r.snap = nil
 

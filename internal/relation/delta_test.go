@@ -209,17 +209,17 @@ func TestChangesMergesAndTrims(t *testing.T) {
 	if _, ok := rel.Changes(v0); ok {
 		t.Fatal("Changes available across a wholesale mutation")
 	}
-	// And a trimmed log severs older versions.
-	SetDeltaLogCap(2)
-	defer SetDeltaLogCap(64)
+	// And a trimmed log severs older versions: one delta more than the log
+	// holds puts vw just past it, and the oldest version it holds stays
+	// available.
 	vw := rel.Version()
-	mustDelta(&Delta{Set: map[string]map[int]float64{"price": {0: 1}}})
-	mustDelta(&Delta{Set: map[string]map[int]float64{"price": {0: 2}}})
-	mustDelta(&Delta{Set: map[string]map[int]float64{"price": {0: 3}}})
+	for k := 0; k <= deltaLogCap; k++ {
+		mustDelta(&Delta{Set: map[string]map[int]float64{"price": {0: float64(k)}}})
+	}
 	if _, ok := rel.Changes(vw); ok {
 		t.Fatal("Changes available past the trimmed log")
 	}
-	if _, ok := rel.Changes(rel.Version() - 2); !ok {
+	if _, ok := rel.Changes(rel.Version() - deltaLogCap); !ok {
 		t.Fatal("Changes unavailable within the log window")
 	}
 }

@@ -24,9 +24,11 @@ import (
 	"spq/internal/rng"
 )
 
+// kmeansIters bounds the Lloyd iterations of every k-means grouping.
+const kmeansIters = 12
+
 // PartitionSpec describes how to build a Partitioning. The zero value means
-// k-means with τ = 64 over the spec's features, 12 Lloyd iterations, one
-// shard.
+// k-means with τ = 64 over the spec's features, one shard.
 type PartitionSpec struct {
 	// Features names the attribute columns to cluster on (deterministic
 	// columns pass through; stochastic attributes contribute their cached
@@ -35,8 +37,6 @@ type PartitionSpec struct {
 	// GroupSize is the partitioning threshold τ: groups hold at most ~τ
 	// tuples (default 64).
 	GroupSize int
-	// KMeansIters bounds Lloyd iterations (default 12).
-	KMeansIters int
 	// Seed drives k-means initialization.
 	Seed uint64
 	// Shards is the number of solver shards the groups are split into
@@ -52,9 +52,6 @@ func (s PartitionSpec) withDefaults() PartitionSpec {
 	if s.GroupSize <= 0 {
 		s.GroupSize = 64
 	}
-	if s.KMeansIters <= 0 {
-		s.KMeansIters = 12
-	}
 	if s.Shards <= 0 {
 		s.Shards = 1
 	}
@@ -64,9 +61,8 @@ func (s PartitionSpec) withDefaults() PartitionSpec {
 // groupKey renders the grouping-relevant spec fields canonically: two specs
 // differing only in Shards share the (expensive) clustering work.
 func (s PartitionSpec) groupKey() string {
-	return fmt.Sprintf("tau=%d|iters=%d|seed=%d|feat=%s",
-		s.GroupSize, s.KMeansIters, s.Seed,
-		strings.Join(s.Features, ","))
+	return fmt.Sprintf("tau=%d|seed=%d|feat=%s",
+		s.GroupSize, s.Seed, strings.Join(s.Features, ","))
 }
 
 // key renders the spec canonically for the relation's partition cache.
@@ -364,7 +360,7 @@ func regroupSubset(spec PartitionSpec, features [][]float64, idx []int) (groups 
 		}
 		sub[d] = sc
 	}
-	_, sg, sm := kmeansGroups(sub, m, spec.GroupSize, spec.KMeansIters, spec.Seed)
+	_, sg, sm := kmeansGroups(sub, m, spec.GroupSize, kmeansIters, spec.Seed)
 	return mapBack(sg, sm, idx)
 }
 
@@ -407,7 +403,7 @@ func (r *Relation) buildGroups(spec PartitionSpec, version uint64) (*groupSet, e
 	if err != nil {
 		return nil, err
 	}
-	gs.groupOf, gs.groups, gs.medoids = kmeansGroups(features, r.n, spec.GroupSize, spec.KMeansIters, spec.Seed)
+	gs.groupOf, gs.groups, gs.medoids = kmeansGroups(features, r.n, spec.GroupSize, kmeansIters, spec.Seed)
 	return gs, nil
 }
 

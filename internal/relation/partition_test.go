@@ -235,7 +235,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		t.Fatal("k-means with no features accepted")
 	}
 	// Negative sizes (unvalidated client input) take defaults, not panics.
-	p3, err := rel.Partition(PartitionSpec{Features: []string{"v"}, GroupSize: -5, KMeansIters: -1, Shards: -2})
+	p3, err := rel.Partition(PartitionSpec{Features: []string{"v"}, GroupSize: -5, Shards: -2})
 	if err != nil {
 		t.Fatal(err)
 	}

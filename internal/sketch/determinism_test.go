@@ -131,6 +131,10 @@ func TestSketchShardedBudgetHolds(t *testing.T) {
 // (single medoid solve over all groups, then refine) exactly, so the
 // 1-shard pipeline can be checked against the behaviour it must preserve.
 
+// legacyKMeansIters is the Lloyd iteration bound every partitioning uses
+// (relation's kmeansIters).
+const legacyKMeansIters = 12
+
 type legacyPartitioning struct {
 	Group   []int
 	Members [][]int
@@ -329,7 +333,7 @@ func legacySolve(q *spaql.Query, rel *relation.Relation, copts *core.Options, so
 	if err != nil {
 		return nil, nil, err
 	}
-	part := legacyPartition(features, n, so.GroupSize, so.KMeansIters, so.Seed)
+	part := legacyPartition(features, n, so.GroupSize, legacyKMeansIters, so.Seed)
 	stats.Groups = len(part.Members)
 	stats.SketchTuples = len(part.Medoids)
 

@@ -57,8 +57,6 @@ type Options struct {
 	// GroupSize is the partitioning threshold τ: groups hold at most ~τ
 	// tuples (default 64).
 	GroupSize int
-	// KMeansIters bounds Lloyd iterations (default 12).
-	KMeansIters int
 	// Seed drives k-means initialization.
 	Seed uint64
 	// MaxCandidates caps the refine problem size; when the sketch selects
@@ -86,9 +84,6 @@ func (o *Options) withDefaults() Options {
 	if out.GroupSize <= 0 {
 		out.GroupSize = 64
 	}
-	if out.KMeansIters <= 0 {
-		out.KMeansIters = 12
-	}
 	if out.MaxCandidates <= 0 {
 		out.MaxCandidates = 4 * out.GroupSize
 	}
@@ -103,8 +98,8 @@ func (o *Options) withDefaults() Options {
 // worker count is bit-identical). Nil receivers key like the zero Options.
 func (o *Options) Key() string {
 	so := o.withDefaults()
-	return fmt.Sprintf("tau=%d,iters=%d,seed=%d,cand=%d,shards=%d",
-		so.GroupSize, so.KMeansIters, so.Seed, so.MaxCandidates, so.Shards)
+	return fmt.Sprintf("tau=%d,seed=%d,cand=%d,shards=%d",
+		so.GroupSize, so.Seed, so.MaxCandidates, so.Shards)
 }
 
 // Stats reports what the sketch pipeline did.
@@ -222,11 +217,10 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	}
 	partSpan := obs.SpanFromContext(ctx).StartChild("partition")
 	part, err := view.Partition(relation.PartitionSpec{
-		Features:    attrs,
-		GroupSize:   so.GroupSize,
-		KMeansIters: so.KMeansIters,
-		Seed:        so.Seed,
-		Shards:      so.Shards,
+		Features:  attrs,
+		GroupSize: so.GroupSize,
+		Seed:      so.Seed,
+		Shards:    so.Shards,
 	})
 	partSpan.End()
 	if err != nil {

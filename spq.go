@@ -133,45 +133,24 @@ func NewRelation(name string, n int) *Relation { return relation.New(name, n) }
 // column names, numeric values).
 func ReadCSV(name string, r io.Reader) (*Relation, error) { return relation.ReadCSV(name, r) }
 
-// BlockCache is a bounded LRU over fixed-size column blocks, shared by lazy
-// columns whose files cannot be memory-mapped.
-type BlockCache = relation.BlockCache
-
-// NewBlockCache builds a private block cache holding up to maxBlocks blocks
-// of blockVals float64s each, for callers who want per-relation isolation
-// instead of the process-wide cache.
-func NewBlockCache(blockVals, maxBlocks int) *BlockCache {
-	return relation.NewBlockCache(blockVals, maxBlocks)
-}
-
 // SpillCSV streams a CSV into per-column files under dir and returns a
 // relation whose deterministic columns load lazily from those files — the
-// out-of-core path for catalogs too large to hold on the heap. Pass a nil
-// cache to share the process-wide block cache (see ConfigureBlockCache).
-func SpillCSV(name string, r io.Reader, dir string, cache *BlockCache) (*Relation, error) {
-	return relation.SpillCSV(name, r, dir, cache)
+// out-of-core path for catalogs too large to hold on the heap.
+func SpillCSV(name string, r io.Reader, dir string) (*Relation, error) {
+	return relation.SpillCSV(name, r, dir, nil)
 }
 
 // OpenColumnDir reopens a relation previously spilled with SpillCSV without
 // re-reading the CSV.
-func OpenColumnDir(dir string, cache *BlockCache) (*Relation, error) {
-	return relation.OpenColumnDir(dir, cache)
-}
-
-// ConfigureBlockCache resizes the process-wide block cache that lazy columns
-// read through when their files cannot be memory-mapped: capacity is
-// maxBlocks blocks of blockVals float64s (the default is 256 × 2048 values =
-// 4 MiB). It only affects relations opened afterwards.
-func ConfigureBlockCache(blockVals, maxBlocks int) {
-	relation.ConfigureBlockCache(blockVals, maxBlocks)
+func OpenColumnDir(dir string) (*Relation, error) {
+	return relation.OpenColumnDir(dir, nil)
 }
 
 // Mutable-relation re-exports (see internal/relation/delta.go): a Delta is a
 // batch mutation applied to a base relation with Relation.ApplyDelta; the
 // returned ChangeSet records the version transition and footprint that the
 // engine's delta-scoped invalidation keys off. Snapshots taken before a delta
-// keep serving their frozen version. No read path returns ErrStaleView; the
-// type and its counter stay for callers that match on them.
+// keep serving their frozen version.
 type (
 	// Delta is a batch mutation: cell upserts, VG replacements, tuple
 	// deletes, and tuple appends, applied atomically as one new version.
@@ -181,23 +160,13 @@ type (
 	// ChangeSet is the footprint of one or more applied deltas: the columns
 	// and tuples touched, and whether membership changed.
 	ChangeSet = relation.ChangeSet
-	// StaleViewError reports a derived view used across a version boundary.
-	StaleViewError = relation.StaleViewError
 	// DeltaStatsSnapshot is a snapshot of the package-wide delta counters.
 	DeltaStatsSnapshot = relation.DeltaStatsSnapshot
 )
 
-// ErrStaleView matches (with errors.Is) any StaleViewError.
-var ErrStaleView = relation.ErrStaleView
-
 // DeltaStats snapshots the process-wide delta and partition-maintenance
-// counters (cells patched, shards rebuilt vs retained, stale-view errors).
+// counters (cells patched, shards rebuilt vs retained).
 func DeltaStats() DeltaStatsSnapshot { return relation.DeltaStats() }
-
-// SetDeltaLogCap bounds how many change sets each relation retains for
-// delta-scoped invalidation (default 64). Older versions fall back to
-// wholesale invalidation.
-func SetDeltaLogCap(n int) { relation.SetDeltaLogCap(n) }
 
 // NewSource creates a root randomness source for scenario generation.
 func NewSource(seed uint64) Source { return rng.NewSource(seed) }
