@@ -447,17 +447,6 @@ type ListResponse struct {
 	Jobs []*Job `json:"jobs"`
 }
 
-// StatsJobs is the job-manager slice of GET /stats (the engine serves the
-// full payload; these fields ride alongside the cache and admission
-// counters).
-type StatsJobs struct {
-	JobsSubmitted int64 `json:"jobs_submitted"`
-	JobsRunning   int64 `json:"jobs_running"`
-	JobsCompleted int64 `json:"jobs_completed"`
-	JobsCancelled int64 `json:"jobs_cancelled"`
-	JobsEvicted   int64 `json:"jobs_evicted"`
-}
-
 // DeltaRequest is the body of POST /v1/tables/{name}/deltas: a batch
 // mutation of a registered table. Set patches deterministic-column cells
 // (tuple indices key the inner map; JSON renders them as strings), Delete

@@ -159,18 +159,10 @@ func run(cfg config) error {
 	if cfg.meansM < 1 {
 		return errors.New("-means must be >= 1")
 	}
-	db := spq.NewDB()
-	db.MeansM = cfg.meansM
-	tables, err := loadTables(db, cfg)
-	if err != nil {
-		return err
-	}
-
 	logger, err := obs.NewLogger(os.Stderr, cfg.logFormat)
 	if err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-
 	tenants, err := engine.ParseTenants(cfg.tenants)
 	if err != nil {
 		return fmt.Errorf("-tenants: %w", err)
@@ -178,6 +170,13 @@ func run(cfg config) error {
 	classes, err := engine.ParseClasses(cfg.classes)
 	if err != nil {
 		return fmt.Errorf("-classes: %w", err)
+	}
+
+	db := spq.NewDB()
+	db.MeansM = cfg.meansM
+	tables, err := loadTables(db, cfg)
+	if err != nil {
+		return err
 	}
 
 	eopts := &engine.Options{

@@ -62,3 +62,23 @@ func TestRunRejectsMeansBelowOne(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadFlagsBeforeLoading: a malformed -tenants, -classes or
+// -log-format is reported before any table is loaded (the unknown workload
+// would fail the load with another error).
+func TestRunRejectsBadFlagsBeforeLoading(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		cfg  config
+	}{
+		{"-tenants", config{tenants: "bad"}},
+		{"-classes", config{classes: "bad"}},
+		{"-log-format", config{logFormat: "xml"}},
+	} {
+		tc.cfg.workloads, tc.cfg.meansM = "nope", 1
+		err := run(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("%s: err = %v, want a %s error", tc.flag, err, tc.flag)
+		}
+	}
+}

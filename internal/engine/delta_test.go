@@ -116,6 +116,57 @@ func TestDeltaResultRetentionAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestDeltaBooleanWhereFootprint: a column read only under OR and NOT in
+// the WHERE clause is part of the query's footprint, so a delta patching it
+// drops the cached result, while a delta on a column the query never reads
+// keeps it.
+func TestDeltaBooleanWhereFootprint(t *testing.T) {
+	cat := deltaCatalog(t, 15)
+	for _, col := range []string{"a", "b", "c"} {
+		vals := make([]float64, 15)
+		for i := range vals {
+			vals[i] = float64(i % 3)
+		}
+		if err := cat["stocks"].AddDet(col, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(cat, nil)
+	query := `SELECT PACKAGE(*) FROM stocks
+		WHERE a >= 0 AND (b <= 1 OR NOT c >= 2)
+		SUCH THAT SUM(price) <= 300 AND SUM(gain) >= -2 WITH PROBABILITY >= 0.95
+		MAXIMIZE EXPECTED SUM(gain)`
+	ask := func() *Result {
+		t.Helper()
+		res, err := e.Query(context.Background(), Request{Query: query, Options: deltaCoreOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	patch := func(col string) {
+		t.Helper()
+		if _, err := e.ApplyDelta("stocks", &relation.Delta{
+			Set: map[string]map[int]float64{col: {1: 5}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ask()
+	patch("fee")
+	if !ask().ResultCacheHit {
+		t.Fatal("result dropped by a delta on a column the query does not read")
+	}
+	patch("c")
+	if ask().ResultCacheHit {
+		t.Fatal("result survived a delta on a column read under OR NOT")
+	}
+	if st := e.Stats(); st.ResultsRetained != 1 || st.ResultsInvalidated != 1 {
+		t.Fatalf("retained/invalidated = %d/%d, want 1/1", st.ResultsRetained, st.ResultsInvalidated)
+	}
+}
+
 // TestDeltaPlanRebase pins the plan-cache analogue: with the result cache
 // off, a footprint-miss delta must not cost a re-translation — the cached
 // plan is carried to the new version and reported as a plan-cache hit.

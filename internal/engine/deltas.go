@@ -140,7 +140,7 @@ func (e *Engine) ApplyDelta(table string, d *relation.Delta) (*relation.ChangeSe
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
-	e.m.deltasApplied.Inc()
+	e.m.inc(statDeltasApplied)
 	e.trimJobs(table)
 	return cs, nil
 }

@@ -48,7 +48,6 @@ import (
 	"spq/internal/resultcache"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
-	"spq/internal/stream"
 	"spq/internal/translate"
 )
 
@@ -295,8 +294,9 @@ func (cr *cachedResult) packageTuples() []client.PackageTuple {
 }
 
 // Stats is a point-in-time snapshot of the engine's counters, served as one
-// JSON payload by GET /stats (admission, both caches, sketch sharding; the
-// fields are documented in DESIGN.md).
+// JSON payload by GET /stats. Every scalar field but Degraded, SolveTimeMS
+// and the two limits is filled by its row of statTable (metrics.go); the
+// fields are documented under their JSON keys in OPERATIONS.md.
 type Stats struct {
 	Queries  int64 `json:"queries"`
 	Failures int64 `json:"failures"`
@@ -401,7 +401,7 @@ type Engine struct {
 	opts  Options
 	sched *fairScheduler
 
-	// m holds every operational instrument (internal/obs registry handles).
+	// m holds every operational instrument (see statTable in metrics.go).
 	// Stats() and GET /metrics both read from it.
 	m *engineMetrics
 
@@ -441,7 +441,7 @@ func New(cat Catalog, o *Options) *Engine {
 	if opts.ResultCacheSize > 0 {
 		e.results = resultcache.NewMemory(opts.ResultCacheSize)
 	}
-	e.m = newEngineMetrics(e)
+	e.m = newEngineMetrics()
 	return e
 }
 
@@ -467,14 +467,14 @@ func (e *Engine) planFor(q *spaql.Query, key string) (*plan, bool, error) {
 				np.relVersion = version
 				p = &np
 				e.planPut(p)
-				e.m.plansRebased.Inc()
+				e.m.inc(statPlansRebased)
 			}
-			e.m.planHits.Inc()
+			e.m.inc(statPlanHits)
 			return p, true, nil
 		}
 		e.plans.Drop(key, ent)
 	}
-	e.m.planMisses.Inc()
+	e.m.inc(statPlanMisses)
 
 	rel, ok := e.cat.Table(q.Table)
 	if !ok {
@@ -543,7 +543,7 @@ func (e *Engine) resultGet(key string) *cachedResult {
 	}
 	ent, ok := e.results.Get(key)
 	if !ok {
-		e.m.resultMisses.Inc()
+		e.m.inc(statResultMisses)
 		return nil
 	}
 	cr := ent.Local.(*cachedResult)
@@ -556,9 +556,9 @@ func (e *Engine) resultGet(key string) *cachedResult {
 	case ok:
 		if moved {
 			e.results.Put(key, &resultcache.Entry{Table: ent.Table, Version: version, Local: cr})
-			e.m.resultsRetained.Inc()
+			e.m.inc(statResultsRetained)
 		}
-		e.m.resultHits.Inc()
+		e.m.inc(statResultHits)
 		return cr
 	case moved:
 		// Invalidated for real — but the dying entry may carry the previous
@@ -566,10 +566,10 @@ func (e *Engine) resultGet(key string) *cachedResult {
 		// request can start from the previous package, summaries, and root
 		// basis instead of cold.
 		e.stashWarm(key, cr)
-		e.m.resultsInvalidated.Inc()
+		e.m.inc(statResultsInvalidated)
 	}
 	e.results.Drop(key, ent)
-	e.m.resultMisses.Inc()
+	e.m.inc(statResultMisses)
 	return nil
 }
 
@@ -636,12 +636,12 @@ func (e *Engine) maybeLogSlow(tr *obs.Trace, query, method string, d time.Durati
 
 // query is Query's body; ctx carries the evaluation's parent span.
 func (e *Engine) query(ctx context.Context, req Request) (*Result, error) {
-	e.m.queries.Inc()
+	e.m.inc(statQueries)
 
 	// An already-cancelled context never evaluates — not even from the
 	// result cache.
 	if err := ctx.Err(); err != nil {
-		e.m.failures.Inc()
+		e.m.inc(statFailures)
 		return nil, err
 	}
 	sp := obs.SpanFromContext(ctx)
@@ -681,7 +681,7 @@ func (e *Engine) prepare(sp *obs.Span, req Request, pr *prepared) error {
 	if err != nil {
 		ps.SetAttr("error", err.Error())
 		ps.End()
-		e.m.failures.Inc()
+		e.m.inc(statFailures)
 		return fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
 	pr.req, pr.q, pr.qstr = req, q, q.String()
@@ -692,7 +692,7 @@ func (e *Engine) prepare(sp *obs.Span, req Request, pr *prepared) error {
 	pr.method = strings.ToLower(req.Method)
 	if pr.method != "sketch" {
 		if pr.solver, err = core.SolverByName(pr.method); err != nil {
-			e.m.failures.Inc()
+			e.m.inc(statFailures)
 			return fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
 		}
 		pr.method = pr.solver.Name()
@@ -752,8 +752,8 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	// globally and by each tenant's own quota. The tenant label folds to
 	// its lane name here so metrics and stats stay bounded-cardinality.
 	tenant := e.sched.Canonical(req.Tenant)
-	e.m.queued.Add(1)
-	defer e.m.queued.Add(-1)
+	e.m.add(statCommitment, 1)
+	defer e.m.add(statCommitment, -1)
 
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -764,27 +764,27 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 		ws.SetAttr("error", err.Error())
 		ws.End()
 		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTenantQuota) {
-			e.m.rejected.Inc()
-			e.m.tenantRejected.With(tenant).Inc()
+			e.m.inc(statRejected)
+			e.m.tenantRejected.With(tenant).Add(1)
 		} else {
 			// The request entered the queue and its context expired waiting.
-			e.m.tenantQueued.With(tenant).Inc()
-			e.m.failures.Inc()
+			e.m.tenantQueued.With(tenant).Add(1)
+			e.m.inc(statFailures)
 		}
 		return nil, err
 	}
 	ws.End()
-	e.m.tenantQueued.With(tenant).Inc()
+	e.m.tenantQueued.With(tenant).Add(1)
 	defer e.sched.Release(tenant)
 	wait := time.Since(enqueued)
 	e.m.admissionWait.Observe(wait.Seconds())
-	e.m.tenantAdmitted.With(tenant).Inc()
+	e.m.tenantAdmitted.With(tenant).Add(1)
 	if req.onAdmit != nil {
 		req.onAdmit()
 	}
 
-	e.m.active.Add(1)
-	defer e.m.active.Add(-1)
+	e.m.add(statActive, 1)
+	defer e.m.add(statActive, -1)
 
 	// Deadline-aware degradation: clamp the evaluation's budgets so a
 	// too-slow solve returns its anytime best-so-far package instead of
@@ -825,7 +825,7 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	if err != nil {
 		pls.SetAttr("error", err.Error())
 		pls.End()
-		e.m.failures.Inc()
+		e.m.inc(statFailures)
 		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
 	if hit {
@@ -855,8 +855,8 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	if method == "sketch" {
 		sol, sstats, err = sketch.SolveSILP(sctx, p.silp, &opts, pr.sopts)
 		if sstats != nil {
-			e.m.sketchQueries.Inc()
-			e.m.shardSolves.Add(int64(sstats.ShardSolves))
+			e.m.inc(statSketchQueries)
+			e.m.add(statShardSolves, int64(sstats.ShardSolves))
 			ss.SetInt("shard_solves", int64(sstats.ShardSolves))
 		}
 	} else {
@@ -868,7 +868,7 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	ss.End()
 	e.m.solveLatency.Observe(time.Since(solveStart).Seconds())
 	if err != nil {
-		e.m.failures.Inc()
+		e.m.inc(statFailures)
 		if errors.Is(err, core.ErrInfeasible) {
 			// The query's deterministic constraints are unsatisfiable:
 			// that is a property of the request, not a server fault.
@@ -878,7 +878,7 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	}
 
 	if sol.WarmResolve {
-		e.m.warmResolves.Inc()
+		e.m.inc(statWarmResolves)
 	}
 	e.m.addSolveTotals(sol.SolveTotals)
 
@@ -898,12 +898,12 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 			// 429 when nothing feasible was found in time.
 			if !sol.Feasible {
 				sp.SetAttr("degraded", "no_feasible")
-				e.m.failures.Inc()
+				e.m.inc(statFailures)
 				return nil, ErrDegraded
 			}
 			degraded = true
 			sp.SetAttr("degraded", "true")
-			e.m.tenantDegraded.With(tenant).Inc()
+			e.m.tenantDegraded.With(tenant).Add(1)
 		}
 	} else {
 		cr = &cachedResult{
@@ -913,80 +913,4 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 		e.resultPut(pr.rkey, cr)
 	}
 	return &Result{Solution: sol, Query: p.query, Rel: p.silp.Rel, CacheHit: hit, Sketch: sstats, Wait: wait, Degraded: degraded, cached: cr}, nil
-}
-
-// Stats returns a snapshot of the engine's counters. It reads the same
-// registry instruments GET /metrics renders, so the two surfaces agree by
-// construction.
-func (e *Engine) Stats() Stats {
-	planLen, resultLen := e.plans.Len(), e.results.Len()
-	// The queued gauge tracks the engine's total commitment (waiting +
-	// solving) for admission; report only the waiting backlog.
-	waiting := e.m.queued.Value() - e.m.active.Value()
-	if waiting < 0 {
-		waiting = 0
-	}
-	st := Stats{
-		Queries:           e.m.queries.Value(),
-		Failures:          e.m.failures.Value(),
-		Rejected:          e.m.rejected.Value(),
-		CacheHits:         e.m.planHits.Value(),
-		CacheMisses:       e.m.planMisses.Value(),
-		ResultCacheHits:   e.m.resultHits.Value(),
-		ResultCacheMisses: e.m.resultMisses.Value(),
-		SketchQueries:     e.m.sketchQueries.Value(),
-		ShardSolves:       e.m.shardSolves.Value(),
-		MilpSolves:        e.m.milpSolves.Value(),
-		MilpNodes:         e.m.milpNodes.Value(),
-		MilpWorkersMax:    e.m.milpWorkersMax.Value(),
-		LpIters:           e.m.lpIters.Value(),
-		LpWarmStarts:      e.m.lpWarmStarts.Value(),
-		LpDegenPivots:     e.m.lpDegenPivots.Value(),
-		LpBoundFlips:      e.m.lpBoundFlips.Value(),
-		PresolveRows:      e.m.presolveRows.Value(),
-		PresolveCols:      e.m.presolveCols.Value(),
-		Active:            e.m.active.Value(),
-		Queued:            waiting,
-		SolveTimeMS:       int64(e.m.solveLatency.Sum() * 1000),
-		MaxInFlight:       e.opts.MaxInFlight,
-		MaxQueue:          e.opts.MaxQueue,
-		PlanCacheLen:      planLen,
-		ResultCacheLen:    resultLen,
-		JobsSubmitted:     e.m.jobsSubmitted.Value(),
-		JobsRunning:       e.m.jobsRunning.Value(),
-		JobsCompleted:     e.m.jobsCompleted.Value(),
-		JobsCancelled:     e.m.jobsCancelled.Value(),
-		JobsEvicted:       e.m.jobsEvicted.Value(),
-	}
-	st.Tenants = e.sched.TenantsSnapshot()
-	for name, ts := range st.Tenants {
-		ts.Degraded = e.m.tenantDegraded.Value(name)
-		st.Tenants[name] = ts
-		st.Degraded += ts.Degraded
-	}
-	sc := stream.Counters()
-	st.StreamBlocks = sc.BlocksGenerated
-	st.StreamValues = sc.ValuesGenerated
-	st.PushdownKept = sc.PushdownKept
-	st.PushdownFiltered = sc.PushdownFiltered
-	cc := relation.CacheStats()
-	st.ColCacheHits = cc.Hits
-	st.ColCacheMisses = cc.Misses
-	st.ColCacheEvicted = cc.Evictions
-	st.ColCacheResident = cc.ResidentBytes
-	st.DeltasApplied = e.m.deltasApplied.Value()
-	st.ResultsRetained = e.m.resultsRetained.Value()
-	st.ResultsInvalidated = e.m.resultsInvalidated.Value()
-	st.PlansRebased = e.m.plansRebased.Value()
-	st.WarmResolves = e.m.warmResolves.Value()
-	ds := relation.DeltaStats()
-	st.DeltaCells = ds.CellsPatched
-	st.PartsRetained = ds.PartitionsRetained
-	st.PartsPatched = ds.PartitionsPatched
-	st.PartsRebuilt = ds.PartitionsRebuilt
-	st.ShardsRebuilt = ds.ShardsRebuilt
-	st.ShardsRetained = ds.ShardsRetained
-	st.SummariesPatched = sc.SummaryTuplesPatched
-	st.SummariesReused = sc.SummaryTuplesReused
-	return st
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"spq/client"
+	"spq/internal/obs"
 )
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -60,7 +62,7 @@ func (e *Engine) Handler() http.Handler {
 		},
 	}))
 	mux.HandleFunc("/metrics", methodsHandler(map[string]http.HandlerFunc{
-		http.MethodGet: e.m.reg.Handler().ServeHTTP,
+		http.MethodGet: obs.MetricsHandler(func(w io.Writer) { e.writeMetrics(w, e.sample()) }).ServeHTTP,
 	}))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &client.Error{

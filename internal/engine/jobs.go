@@ -312,7 +312,7 @@ func errToWire(err error) *client.Error {
 func (e *Engine) Submit(req Request) (*Job, error) {
 	// Counted once per request on every outcome, as Engine.Query does, so
 	// the queries total means "requests received" on both entry points.
-	e.m.queries.Inc()
+	e.m.inc(statQueries)
 	created := time.Now()
 	tid, parent := obs.ParseTraceParent(req.TraceParent)
 	tr := e.newTrace(tid, "query")
@@ -341,7 +341,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 
 	if res := e.lookup(root, pr); res != nil {
 		// Settled before it is published: no poller ever sees it queued.
-		e.m.jobsSubmitted.Inc()
+		e.m.inc(statJobsSubmitted)
 		e.settle(j, res, nil, time.Since(created), req.Tenant)
 		e.jobsMu.Lock()
 		e.jobsByID[j.id] = j
@@ -356,13 +356,13 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	if len(e.jobList)-e.jobFinished >= e.opts.MaxJobs {
 		e.jobsMu.Unlock()
 		cancel()
-		e.m.rejected.Inc()
+		e.m.inc(statRejected)
 		return nil, ErrOverloaded
 	}
 	e.jobsByID[j.id] = j
 	e.jobList = append(e.jobList, j)
 	e.jobsMu.Unlock()
-	e.m.jobsSubmitted.Inc()
+	e.m.inc(statJobsSubmitted)
 
 	go e.runJob(ctx, j, pr)
 	return j, nil
@@ -371,7 +371,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 // runJob evaluates the job's prepared request and finalizes the job.
 func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
 	pr.req.onAdmit = func() {
-		e.m.jobsRunning.Add(1)
+		e.m.add(statJobsRunning, 1)
 		j.mu.Lock()
 		j.state = client.JobRunning
 		j.started = time.Now()
@@ -396,7 +396,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
 		defer func() {
 			if r := recover(); r != nil {
 				res, err = nil, fmt.Errorf("engine: evaluation panicked: %v", r)
-				e.m.failures.Inc()
+				e.m.inc(statFailures)
 			}
 		}()
 		// A job cancelled while still queued must not complete.
@@ -430,7 +430,7 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, ten
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == client.JobRunning {
-		e.m.jobsRunning.Add(-1)
+		e.m.add(statJobsRunning, -1)
 	}
 	j.finished = time.Now()
 	j.wireTr = j.trace.Data()
@@ -445,11 +445,11 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, ten
 		// Snapshot serves the best package from the wire result now, so an
 		// earlier candidate need not stay resident.
 		j.bestX, j.bestRel = nil, nil
-		e.m.jobsCompleted.Inc()
+		e.m.inc(statJobsCompleted)
 	case j.cancelled && errors.Is(err, context.Canceled):
 		j.state = client.JobCancelled
 		j.err = &client.Error{Code: client.CodeCancelled, Message: "job cancelled by caller", HTTPStatus: 504}
-		e.m.jobsCancelled.Inc()
+		e.m.inc(statJobsCancelled)
 	case !j.cancelled && j.bestFeas && j.bestX != nil &&
 		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDegraded)):
 		// Deadline-aware degradation, job-manager side: the evaluation died
@@ -479,12 +479,12 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, ten
 			w.Gap = j.bestEps
 		}
 		j.wire = w
-		e.m.jobsCompleted.Inc()
-		e.m.tenantDegraded.With(e.sched.Canonical(tenant)).Inc()
+		e.m.inc(statJobsCompleted)
+		e.m.tenantDegraded.With(e.sched.Canonical(tenant)).Add(1)
 	default:
 		j.state = client.JobFailed
 		j.err = errToWire(err)
-		e.m.jobsCompleted.Inc()
+		e.m.inc(statJobsCompleted)
 	}
 	j.bump()
 }
@@ -503,7 +503,7 @@ func (e *Engine) retireLocked() {
 				e.jobList = append(e.jobList[:i], e.jobList[i+1:]...)
 				delete(e.jobsByID, old.id)
 				e.jobFinished--
-				e.m.jobsEvicted.Inc()
+				e.m.inc(statJobsEvicted)
 				evicted = true
 				break
 			}

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"io"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"spq/client"
@@ -9,54 +13,149 @@ import (
 	"spq/internal/stream"
 )
 
-// engineMetrics is the engine's single set of operational instruments,
-// registered by name in one obs.Registry. Both operator surfaces read from
-// it — GET /metrics renders the registry, and Stats() (GET /stats) loads
-// the same instruments — so the two cannot drift.
+// stat keys a scalar instrument the engine counts itself: its row of
+// statTable and its live value in engineMetrics.v.
+type stat int
+
+const (
+	statQueries stat = iota
+	statFailures
+	statRejected
+	statPlanHits
+	statPlanMisses
+	statResultHits
+	statResultMisses
+	statSketchQueries
+	statShardSolves
+	statActive
+	// statCommitment is the engine's total admission commitment (waiting +
+	// solving); the queued row derives the waiting backlog from it.
+	statCommitment
+	statJobsSubmitted
+	statJobsRunning
+	statJobsCompleted
+	statJobsCancelled
+	statJobsEvicted
+	statMILPSolves
+	statMILPNodes
+	statMILPWorkersMax
+	statLPIters
+	statLPWarmStarts
+	statLPDegenPivots
+	statLPBoundFlips
+	statPresolveRows
+	statPresolveCols
+	statDeltasApplied
+	statResultsRetained
+	statResultsInvalidated
+	statPlansRebased
+	statWarmResolves
+	numLiveStats
+)
+
+// statRow declares one scalar instrument: the Stats field it fills, named
+// by its /stats key ("" for a series only /metrics carries), its /metrics
+// family, type and HELP text, and, for a value the engine does not count
+// itself, how to read it when sampled.
+type statRow struct {
+	key, name, typ, help string
+	read                 func(*Engine) int64
+}
+
+// statTable is the one declaration of the engine's scalar instruments. The
+// first numLiveStats rows are keyed by stat and read their live value; the
+// rest derive theirs from the caches and the process-wide counters of the
+// streaming and relation layers. Adding a scalar instrument takes one row
+// here plus its Stats field, and a stat key if the engine counts it.
+var statTable = [...]statRow{
+	statQueries:            {"queries", "spq_queries_total", "counter", "Queries accepted for evaluation (including cache hits and failures).", nil},
+	statFailures:           {"failures", "spq_query_failures_total", "counter", "Queries that ended in an error (bad query, timeout, cancellation, solver failure).", nil},
+	statRejected:           {"rejected", "spq_queries_rejected_total", "counter", "Queries rejected by admission control (HTTP 429).", nil},
+	statPlanHits:           {"cache_hits", "spq_plan_cache_hits_total", "counter", "Plan cache hits.", nil},
+	statPlanMisses:         {"cache_misses", "spq_plan_cache_misses_total", "counter", "Plan cache misses.", nil},
+	statResultHits:         {"result_cache_hits", "spq_result_cache_hits_total", "counter", "Queries answered from the result cache without solving.", nil},
+	statResultMisses:       {"result_cache_misses", "spq_result_cache_misses_total", "counter", "Result cache lookups that found no valid entry.", nil},
+	statSketchQueries:      {"sketch_queries", "spq_sketch_queries_total", "counter", "Method=sketch evaluations.", nil},
+	statShardSolves:        {"shard_solves", "spq_sketch_shard_solves_total", "counter", "Per-shard sketch solves fanned out by method=sketch queries.", nil},
+	statActive:             {"active", "spq_active_queries", "gauge", "Queries currently holding a solve slot.", nil},
+	statCommitment:         {"", "spq_admission_commitment", "gauge", "Total admission commitment: queries waiting for a slot plus queries solving.", nil},
+	statJobsSubmitted:      {"jobs_submitted", "spq_jobs_submitted_total", "counter", "Async jobs accepted by Submit.", nil},
+	statJobsRunning:        {"jobs_running", "spq_jobs_running", "gauge", "Jobs currently in the running state.", nil},
+	statJobsCompleted:      {"jobs_completed", "spq_jobs_completed_total", "counter", "Jobs that reached succeeded or failed.", nil},
+	statJobsCancelled:      {"jobs_cancelled", "spq_jobs_cancelled_total", "counter", "Jobs cancelled by the caller.", nil},
+	statJobsEvicted:        {"jobs_evicted", "spq_jobs_evicted_total", "counter", "Finished jobs dropped from the bounded history.", nil},
+	statMILPSolves:         {"milp_solves", "spq_milp_solves_total", "counter", "Branch-and-bound MILP solves run by finished queries.", nil},
+	statMILPNodes:          {"milp_nodes", "spq_milp_nodes_total", "counter", "Branch-and-bound nodes explored by finished queries.", nil},
+	statMILPWorkersMax:     {"milp_workers_max", "spq_milp_workers_max", "gauge", "Largest per-solve branch-and-bound worker bound observed.", nil},
+	statLPIters:            {"lp_iters", "spq_lp_iterations_total", "counter", "Simplex iterations run by finished queries (root and node LP solves).", nil},
+	statLPWarmStarts:       {"lp_warm_starts", "spq_lp_warm_starts_total", "counter", "Node LPs reinstated from a parent basis by dual simplex instead of solved cold.", nil},
+	statLPDegenPivots:      {"lp_degen_pivots", "spq_lp_degen_pivots_total", "counter", "Degenerate simplex pivots (zero step length) across all LP solves.", nil},
+	statLPBoundFlips:       {"lp_bound_flips", "spq_lp_bound_flips_total", "counter", "Dual simplex iterations resolved by a bound flip instead of a basis exchange (eta update skipped).", nil},
+	statPresolveRows:       {"presolve_rows", "spq_presolve_rows_total", "counter", "Constraint rows eliminated by MILP root presolve.", nil},
+	statPresolveCols:       {"presolve_cols", "spq_presolve_cols_total", "counter", "Variable columns eliminated by MILP root presolve.", nil},
+	statDeltasApplied:      {"deltas_applied", "spq_deltas_applied_total", "counter", "Relation deltas accepted by the engine's mutation surface.", nil},
+	statResultsRetained:    {"results_retained_after_delta", "spq_results_retained_after_delta_total", "counter", "Cached results rebased across a delta whose footprint missed their query.", nil},
+	statResultsInvalidated: {"results_invalidated_after_delta", "spq_results_invalidated_after_delta_total", "counter", "Cached results dropped because a delta's footprint hit their query.", nil},
+	statPlansRebased:       {"plans_rebased_after_delta", "spq_plans_rebased_after_delta_total", "counter", "Cached plans carried across a delta whose footprint missed their query.", nil},
+	statWarmResolves:       {"warm_resolves", "spq_warm_resolves_total", "counter", "Queries answered by the warm re-solve fast path (patched summaries + seeded basis).", nil},
+
+	// The clamp absorbs the skew of loading two gauges one after the other.
+	{"queued", "spq_queued_queries", "gauge", "Queries waiting for a solve slot (admission backlog).", func(e *Engine) int64 {
+		return max(e.m.v[statCommitment].Load()-e.m.v[statActive].Load(), 0)
+	}},
+	{"plan_cache_len", "spq_plan_cache_entries", "gauge", "Plan cache size in entries.", func(e *Engine) int64 { return int64(e.plans.Len()) }},
+	{"result_cache_len", "spq_result_cache_entries", "gauge", "Result cache size in entries.", func(e *Engine) int64 { return int64(e.results.Len()) }},
+	{"stream_blocks", "spq_stream_blocks_generated", "gauge", "Scenario value blocks realized on demand by streaming cursors.", func(*Engine) int64 { return stream.Counters().BlocksGenerated }},
+	{"stream_values", "spq_stream_values_generated", "gauge", "Individual scenario values realized by streaming cursors.", func(*Engine) int64 { return stream.Counters().ValuesGenerated }},
+	{"pushdown_kept_tuples", "spq_pushdown_kept_tuples", "gauge", "Tuples that survived WHERE predicate pushdown before scenario generation.", func(*Engine) int64 { return stream.Counters().PushdownKept }},
+	{"pushdown_filtered_tuples", "spq_pushdown_filtered_tuples", "gauge", "Tuples eliminated by WHERE predicate pushdown before scenario generation.", func(*Engine) int64 { return stream.Counters().PushdownFiltered }},
+	{"colcache_hits", "spq_colcache_hits", "gauge", "Out-of-core column block-cache lookups served from cache.", func(*Engine) int64 { return relation.CacheStats().Hits }},
+	{"colcache_misses", "spq_colcache_misses", "gauge", "Out-of-core column block loads (cache misses).", func(*Engine) int64 { return relation.CacheStats().Misses }},
+	{"colcache_evictions", "spq_colcache_evictions", "gauge", "Out-of-core column blocks evicted from the cache.", func(*Engine) int64 { return relation.CacheStats().Evictions }},
+	{"colcache_resident_bytes", "spq_colcache_resident_bytes", "gauge", "Bytes of out-of-core column blocks currently cached.", func(*Engine) int64 { return relation.CacheStats().ResidentBytes }},
+	{"delta_cells_patched", "spq_delta_cells_patched", "gauge", "Deterministic column cells patched by applied deltas.", func(*Engine) int64 { return relation.DeltaStats().CellsPatched }},
+	{"partitions_retained", "spq_partitions_retained", "gauge", "Cached partitionings rebased across a delta untouched (footprint disjoint from the features).", func(*Engine) int64 { return relation.DeltaStats().PartitionsRetained }},
+	{"partitions_patched", "spq_partitions_patched", "gauge", "Cached partitionings patched shard-wise (only affected shards re-clustered).", func(*Engine) int64 { return relation.DeltaStats().PartitionsPatched }},
+	{"partitions_rebuilt", "spq_partitions_rebuilt", "gauge", "Partitionings built from scratch.", func(*Engine) int64 { return relation.DeltaStats().PartitionsRebuilt }},
+	{"shards_rebuilt", "spq_partition_shards_rebuilt", "gauge", "Shards re-clustered by partitioning patches.", func(*Engine) int64 { return relation.DeltaStats().ShardsRebuilt }},
+	{"shards_retained", "spq_partition_shards_retained", "gauge", "Shards carried over unchanged by partitioning patches and rebases.", func(*Engine) int64 { return relation.DeltaStats().ShardsRetained }},
+	{"summary_tuples_patched", "spq_summary_tuples_patched", "gauge", "Summary tuple folds recomputed by delta patches (the k in kxM).", func(*Engine) int64 { return stream.Counters().SummaryTuplesPatched }},
+	{"summary_tuples_reused", "spq_summary_tuples_reused", "gauge", "Summary tuple folds reused unchanged by delta patches (the N-k in kxM).", func(*Engine) int64 { return stream.Counters().SummaryTuplesReused }},
+}
+
+// statSample is one reading of every statTable row, in table order. Stats
+// and GET /metrics both render a single sample, so the two surfaces cannot
+// disagree on any instrument.
+type statSample [len(statTable)]int64
+
+// statsField[i] is the index of the Stats field row i fills, or -1 for a
+// row only /metrics carries. Resolving the keys here panics at start-up if
+// a row names no Stats field.
+var statsField = func() (idx [len(statTable)]int) {
+	t := reflect.TypeFor[Stats]()
+	byKey := make(map[string]int, t.NumField())
+	for i := range t.NumField() {
+		key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		byKey[key] = i
+	}
+	for i, r := range statTable {
+		f, ok := byKey[r.key]
+		if !ok && r.key != "" {
+			panic("engine: instrument " + r.name + " names no Stats field " + r.key)
+		}
+		idx[i] = -1
+		if ok {
+			idx[i] = f
+		}
+	}
+	return idx
+}()
+
+// engineMetrics holds the live values of the counted table rows and the
+// registry of the instruments that carry a label or buckets.
 type engineMetrics struct {
+	v   [numLiveStats]atomic.Int64
 	reg *obs.Registry
-
-	queries      *obs.Counter
-	failures     *obs.Counter
-	rejected     *obs.Counter
-	planHits     *obs.Counter
-	planMisses   *obs.Counter
-	resultHits   *obs.Counter
-	resultMisses *obs.Counter
-
-	sketchQueries *obs.Counter
-	shardSolves   *obs.Counter
-
-	// Delta-maintenance instruments: mutations accepted, cached state
-	// retained vs invalidated by footprint, and warm re-solves served.
-	deltasApplied      *obs.Counter
-	resultsRetained    *obs.Counter
-	resultsInvalidated *obs.Counter
-	plansRebased       *obs.Counter
-	warmResolves       *obs.Counter
-
-	milpSolves     *obs.Counter
-	milpNodes      *obs.Counter
-	lpIters        *obs.Counter
-	lpWarmStarts   *obs.Counter
-	lpDegenPivots  *obs.Counter
-	lpBoundFlips   *obs.Counter
-	presolveRows   *obs.Counter
-	presolveCols   *obs.Counter
-	milpWorkersMax *obs.Gauge
-
-	// active counts queries holding a solve slot; queued is the engine's
-	// total admission commitment (waiting + solving) — the /metrics queue
-	// gauge reports the waiting backlog, derived at scrape time exactly
-	// like Stats.Queued.
-	active *obs.Gauge
-	queued *obs.Gauge
-
-	jobsSubmitted *obs.Counter
-	jobsCompleted *obs.Counter
-	jobsCancelled *obs.Counter
-	jobsEvicted   *obs.Counter
-	jobsRunning   *obs.Gauge
 
 	// Per-tenant admission counters, labelled by scheduler lane name
 	// (unknown tenant labels fold into the default lane before these are
@@ -76,99 +175,93 @@ type engineMetrics struct {
 	phase *obs.HistogramVec
 }
 
-func newEngineMetrics(e *Engine) *engineMetrics {
+func newEngineMetrics() *engineMetrics {
 	r := obs.NewRegistry()
-	m := &engineMetrics{reg: r}
-
-	m.queries = r.NewCounter("spq_queries_total", "Queries accepted for evaluation (including cache hits and failures).")
-	m.failures = r.NewCounter("spq_query_failures_total", "Queries that ended in an error (bad query, timeout, cancellation, solver failure).")
-	m.rejected = r.NewCounter("spq_queries_rejected_total", "Queries rejected by admission control (HTTP 429).")
-	m.planHits = r.NewCounter("spq_plan_cache_hits_total", "Plan cache hits.")
-	m.planMisses = r.NewCounter("spq_plan_cache_misses_total", "Plan cache misses.")
-	m.resultHits = r.NewCounter("spq_result_cache_hits_total", "Queries answered from the result cache without solving.")
-	m.resultMisses = r.NewCounter("spq_result_cache_misses_total", "Result cache lookups that found no valid entry.")
-	m.deltasApplied = r.NewCounter("spq_deltas_applied_total", "Relation deltas accepted by the engine's mutation surface.")
-	m.resultsRetained = r.NewCounter("spq_results_retained_after_delta_total", "Cached results rebased across a delta whose footprint missed their query.")
-	m.resultsInvalidated = r.NewCounter("spq_results_invalidated_after_delta_total", "Cached results dropped because a delta's footprint hit their query.")
-	m.plansRebased = r.NewCounter("spq_plans_rebased_after_delta_total", "Cached plans carried across a delta whose footprint missed their query.")
-	m.warmResolves = r.NewCounter("spq_warm_resolves_total", "Queries answered by the warm re-solve fast path (patched summaries + seeded basis).")
-	m.sketchQueries = r.NewCounter("spq_sketch_queries_total", "Method=sketch evaluations.")
-	m.shardSolves = r.NewCounter("spq_sketch_shard_solves_total", "Per-shard sketch solves fanned out by method=sketch queries.")
-	m.milpSolves = r.NewCounter("spq_milp_solves_total", "Branch-and-bound MILP solves run by finished queries.")
-	m.milpNodes = r.NewCounter("spq_milp_nodes_total", "Branch-and-bound nodes explored by finished queries.")
-	m.lpIters = r.NewCounter("spq_lp_iterations_total", "Simplex iterations run by finished queries (root and node LP solves).")
-	m.lpWarmStarts = r.NewCounter("spq_lp_warm_starts_total", "Node LPs reinstated from a parent basis by dual simplex instead of solved cold.")
-	m.lpDegenPivots = r.NewCounter("spq_lp_degen_pivots_total", "Degenerate simplex pivots (zero step length) across all LP solves.")
-	m.lpBoundFlips = r.NewCounter("spq_lp_bound_flips_total", "Dual simplex iterations resolved by a bound flip instead of a basis exchange (eta update skipped).")
-	m.presolveRows = r.NewCounter("spq_presolve_rows_total", "Constraint rows eliminated by MILP root presolve.")
-	m.presolveCols = r.NewCounter("spq_presolve_cols_total", "Variable columns eliminated by MILP root presolve.")
-	m.milpWorkersMax = r.NewGauge("spq_milp_workers_max", "Largest per-solve branch-and-bound worker bound observed.")
-	m.active = r.NewGauge("spq_active_queries", "Queries currently holding a solve slot.")
-	m.queued = r.NewGauge("spq_admission_commitment", "Total admission commitment: queries waiting for a slot plus queries solving.")
-	r.NewGaugeFunc("spq_queued_queries", "Queries waiting for a solve slot (admission backlog).", func() float64 {
-		w := m.queued.Value() - m.active.Value()
-		if w < 0 {
-			w = 0
-		}
-		return float64(w)
-	})
-	m.jobsSubmitted = r.NewCounter("spq_jobs_submitted_total", "Async jobs accepted by Submit.")
-	m.jobsCompleted = r.NewCounter("spq_jobs_completed_total", "Jobs that reached succeeded or failed.")
-	m.jobsCancelled = r.NewCounter("spq_jobs_cancelled_total", "Jobs cancelled by the caller.")
-	m.jobsEvicted = r.NewCounter("spq_jobs_evicted_total", "Finished jobs dropped from the bounded history.")
-	m.jobsRunning = r.NewGauge("spq_jobs_running", "Jobs currently in the running state.")
-
-	m.tenantAdmitted = r.NewCounterVec("spq_tenant_admitted_total", "Queries admitted to a solve slot, by tenant lane.", "tenant")
-	m.tenantQueued = r.NewCounterVec("spq_tenant_queued_total", "Queries that entered the admission queue, by tenant lane.", "tenant")
-	m.tenantRejected = r.NewCounterVec("spq_tenant_rejected_total", "Queries rejected by admission control (overloaded or tenant_quota), by tenant lane.", "tenant")
-	m.tenantDegraded = r.NewCounterVec("spq_tenant_degraded_total", "Responses degraded to the anytime best-so-far package by an engine-applied budget, by tenant lane.", "tenant")
-
-	m.admissionWait = r.NewHistogram("spq_admission_wait_seconds", "Time queries waited for a solve slot.", nil)
-	m.solveLatency = r.NewHistogram("spq_solve_seconds", "Evaluation wall-clock per solved query (cache hits excluded).", nil)
-	m.cancelLatency = r.NewHistogram("spq_cancel_latency_seconds", "Time from a cancel request to the job reaching a terminal state.", nil)
-	m.phase = r.NewHistogramVec("spq_phase_latency_seconds", "Per-phase latency from trace spans, labelled by phase.", "phase", nil)
-
-	r.NewGaugeFunc("spq_plan_cache_entries", "Plan cache size in entries.", func() float64 {
-		return float64(e.plans.Len())
-	})
-	r.NewGaugeFunc("spq_result_cache_entries", "Result cache size in entries.", func() float64 {
-		return float64(e.results.Len())
-	})
-	// Streaming-pipeline and out-of-core block-cache instruments read the
-	// process-wide counters at scrape time (same snapshot Stats() reports).
-	r.NewGaugeFunc("spq_stream_blocks_generated", "Scenario value blocks realized on demand by streaming cursors.", func() float64 { return float64(stream.Counters().BlocksGenerated) })
-	r.NewGaugeFunc("spq_stream_values_generated", "Individual scenario values realized by streaming cursors.", func() float64 { return float64(stream.Counters().ValuesGenerated) })
-	r.NewGaugeFunc("spq_pushdown_kept_tuples", "Tuples that survived WHERE predicate pushdown before scenario generation.", func() float64 { return float64(stream.Counters().PushdownKept) })
-	r.NewGaugeFunc("spq_pushdown_filtered_tuples", "Tuples eliminated by WHERE predicate pushdown before scenario generation.", func() float64 { return float64(stream.Counters().PushdownFiltered) })
-	r.NewGaugeFunc("spq_colcache_hits", "Out-of-core column block-cache lookups served from cache.", func() float64 { return float64(relation.CacheStats().Hits) })
-	r.NewGaugeFunc("spq_colcache_misses", "Out-of-core column block loads (cache misses).", func() float64 { return float64(relation.CacheStats().Misses) })
-	r.NewGaugeFunc("spq_colcache_evictions", "Out-of-core column blocks evicted from the cache.", func() float64 { return float64(relation.CacheStats().Evictions) })
-	r.NewGaugeFunc("spq_colcache_resident_bytes", "Bytes of out-of-core column blocks currently cached.", func() float64 { return float64(relation.CacheStats().ResidentBytes) })
-	// Delta-maintenance instruments below read the process-wide counters of
-	// the relation and summarization layers at scrape time.
-	r.NewGaugeFunc("spq_delta_cells_patched", "Deterministic column cells patched by applied deltas.", func() float64 { return float64(relation.DeltaStats().CellsPatched) })
-	r.NewGaugeFunc("spq_partitions_retained", "Cached partitionings rebased across a delta untouched (footprint disjoint from the features).", func() float64 { return float64(relation.DeltaStats().PartitionsRetained) })
-	r.NewGaugeFunc("spq_partitions_patched", "Cached partitionings patched shard-wise (only affected shards re-clustered).", func() float64 { return float64(relation.DeltaStats().PartitionsPatched) })
-	r.NewGaugeFunc("spq_partitions_rebuilt", "Partitionings built from scratch.", func() float64 { return float64(relation.DeltaStats().PartitionsRebuilt) })
-	r.NewGaugeFunc("spq_partition_shards_rebuilt", "Shards re-clustered by partitioning patches.", func() float64 { return float64(relation.DeltaStats().ShardsRebuilt) })
-	r.NewGaugeFunc("spq_partition_shards_retained", "Shards carried over unchanged by partitioning patches and rebases.", func() float64 { return float64(relation.DeltaStats().ShardsRetained) })
-	r.NewGaugeFunc("spq_summary_tuples_patched", "Summary tuple folds recomputed by delta patches (the k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesPatched) })
-	r.NewGaugeFunc("spq_summary_tuples_reused", "Summary tuple folds reused unchanged by delta patches (the N-k in kxM).", func() float64 { return float64(stream.Counters().SummaryTuplesReused) })
-	return m
+	return &engineMetrics{
+		reg:            r,
+		tenantAdmitted: r.NewCounterVec("spq_tenant_admitted_total", "Queries admitted to a solve slot, by tenant lane.", "tenant"),
+		tenantQueued:   r.NewCounterVec("spq_tenant_queued_total", "Queries that entered the admission queue, by tenant lane.", "tenant"),
+		tenantRejected: r.NewCounterVec("spq_tenant_rejected_total", "Queries rejected by admission control (overloaded or tenant_quota), by tenant lane.", "tenant"),
+		tenantDegraded: r.NewCounterVec("spq_tenant_degraded_total", "Responses degraded to the anytime best-so-far package by an engine-applied budget, by tenant lane.", "tenant"),
+		admissionWait:  r.NewHistogram("spq_admission_wait_seconds", "Time queries waited for a solve slot."),
+		solveLatency:   r.NewHistogram("spq_solve_seconds", "Evaluation wall-clock per solved query (cache hits excluded)."),
+		cancelLatency:  r.NewHistogram("spq_cancel_latency_seconds", "Time from a cancel request to the job reaching a terminal state."),
+		phase:          r.NewHistogramVec("spq_phase_latency_seconds", "Per-phase latency from trace spans, labelled by phase.", "phase"),
+	}
 }
+
+// inc adds one to a counted row.
+func (m *engineMetrics) inc(s stat) { m.v[s].Add(1) }
+
+// add moves a counted row by d.
+func (m *engineMetrics) add(s stat, d int64) { m.v[s].Add(d) }
 
 // addSolveTotals folds one finished evaluation's solver work into the
 // MILP and LP counters.
 func (m *engineMetrics) addSolveTotals(t client.SolveTotals) {
-	m.milpSolves.Add(int64(t.MILPSolves))
-	m.milpNodes.Add(int64(t.MILPNodes))
-	m.lpIters.Add(int64(t.LPIters))
-	m.lpWarmStarts.Add(int64(t.WarmStarts))
-	m.lpDegenPivots.Add(int64(t.DegenPivots))
-	m.lpBoundFlips.Add(int64(t.BoundFlips))
-	m.presolveRows.Add(int64(t.PresolveRows))
-	m.presolveCols.Add(int64(t.PresolveCols))
-	m.milpWorkersMax.SetMax(int64(t.MILPWorkers))
+	m.add(statMILPSolves, int64(t.MILPSolves))
+	m.add(statMILPNodes, int64(t.MILPNodes))
+	m.add(statLPIters, int64(t.LPIters))
+	m.add(statLPWarmStarts, int64(t.WarmStarts))
+	m.add(statLPDegenPivots, int64(t.DegenPivots))
+	m.add(statLPBoundFlips, int64(t.BoundFlips))
+	m.add(statPresolveRows, int64(t.PresolveRows))
+	m.add(statPresolveCols, int64(t.PresolveCols))
+	// The workers row is a high-water mark.
+	hw, w := &m.v[statMILPWorkersMax], int64(t.MILPWorkers)
+	for cur := hw.Load(); w > cur; cur = hw.Load() {
+		if hw.CompareAndSwap(cur, w) {
+			break
+		}
+	}
+}
+
+// sample reads every statTable row once.
+func (e *Engine) sample() *statSample {
+	var s statSample
+	for i, r := range statTable {
+		if r.read != nil {
+			s[i] = r.read(e)
+		} else {
+			s[i] = e.m.v[i].Load()
+		}
+	}
+	return &s
+}
+
+// Stats returns a snapshot of the engine's counters: one sample of the
+// instrument table, plus the admission limits, the per-tenant ledger and
+// the figures derived from the labelled and bucketed instruments.
+func (e *Engine) Stats() Stats { return e.statsOf(e.sample()) }
+
+func (e *Engine) statsOf(s *statSample) Stats {
+	st := Stats{
+		Tenants:     e.sched.TenantsSnapshot(),
+		SolveTimeMS: int64(e.m.solveLatency.Sum() * 1000),
+		MaxInFlight: e.opts.MaxInFlight,
+		MaxQueue:    e.opts.MaxQueue,
+	}
+	sv := reflect.ValueOf(&st).Elem()
+	for i, f := range statsField {
+		if f >= 0 {
+			sv.Field(f).SetInt(s[i])
+		}
+	}
+	for name, ts := range st.Tenants {
+		ts.Degraded = e.m.tenantDegraded.Value(name)
+		st.Tenants[name] = ts
+		st.Degraded += ts.Degraded
+	}
+	return st
+}
+
+// writeMetrics renders GET /metrics: a sample of the instrument table, then
+// the registry's labelled and bucketed families.
+func (e *Engine) writeMetrics(w io.Writer, s *statSample) {
+	for i, r := range statTable {
+		obs.WriteSample(w, r.name, r.help, r.typ, s[i])
+	}
+	e.m.reg.WritePrometheus(w)
 }
 
 // observeSpan is the Trace → metrics bridge: every finished span feeds the

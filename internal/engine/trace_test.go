@@ -186,7 +186,7 @@ func TestV1TraceEndpointAndMetrics(t *testing.T) {
 	}
 
 	// /metrics: parseable text, phase histograms populated, counters agreeing
-	// with /stats (both read the same registry, so they cannot drift).
+	// with /stats (both render one sample of the instrument table).
 	mr, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func TestPhaseName(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("spq_test_seconds", "test", []float64{0.1, 1, 10})
+	h := r.NewHistogram("spq_test_seconds", "test")
 	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -159,8 +159,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestCounterVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("spq_tenant_admitted_total", "Admissions by tenant.", "tenant")
-	v.With("zeta").Inc()
-	v.With("acme").Inc()
+	v.With("zeta").Add(1)
+	v.With("acme").Add(1)
 	v.With("acme").Add(2)
 	if got := v.Value("acme"); got != 3 {
 		t.Fatalf("acme = %d, want 3", got)
@@ -211,17 +211,16 @@ func lintPromText(t *testing.T, out string) {
 
 func TestPrometheusTextStableAndParseable(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("spq_queries_total", "Total queries.")
-	g := r.NewGauge("spq_active", "Active queries.")
-	r.NewGaugeFunc("spq_cache_len", "Cache size.", func() float64 { return 3 })
-	v := r.NewHistogramVec("spq_phase_seconds", "Phase latency.", "phase", []float64{0.01, 0.1})
-	c.Add(2)
-	g.Set(1)
+	c := r.NewCounterVec("spq_queries_total", "Total queries.", "tenant")
+	v := r.NewHistogramVec("spq_phase_seconds", "Phase latency.", "phase")
+	c.With("acme").Add(2)
 	v.Observe("solve", 0.05)
 	v.Observe("validate", 0.005)
 
 	render := func() string {
 		var buf bytes.Buffer
+		WriteSample(&buf, "spq_cache_len", "Cache size.", "gauge", 3)
+		WriteSample(&buf, "spq_escaped", `a\b`+"\nc", "counter", 0)
 		r.WritePrometheus(&buf)
 		return buf.String()
 	}
@@ -232,10 +231,11 @@ func TestPrometheusTextStableAndParseable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE spq_queries_total counter",
-		"spq_queries_total 2",
+		`spq_queries_total{tenant="acme"} 2`,
 		`spq_phase_seconds_bucket{phase="solve",le="0.1"} 1`,
 		`spq_phase_seconds_count{phase="validate"} 1`,
-		"spq_cache_len 3",
+		"# HELP spq_cache_len Cache size.\n# TYPE spq_cache_len gauge\nspq_cache_len 3\n",
+		`# HELP spq_escaped a\\b\nc`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -245,13 +245,13 @@ func TestPrometheusTextStableAndParseable(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("spq_x_total", "x").Inc()
+	r.NewCounterVec("spq_x_total", "x", "tenant").With("a").Add(1)
 	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	MetricsHandler(r.WritePrometheus).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "spq_x_total 1") {
+	if !strings.Contains(rec.Body.String(), `spq_x_total{tenant="a"} 1`) {
 		t.Fatalf("body: %s", rec.Body.String())
 	}
 }
@@ -260,19 +260,16 @@ func TestMetricsHandler(t *testing.T) {
 // while scraping; meaningful under -race (CI runs the package with -race).
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("spq_c_total", "c")
-	g := r.NewGauge("spq_g", "g")
-	h := r.NewHistogram("spq_h_seconds", "h", nil)
-	v := r.NewHistogramVec("spq_v_seconds", "v", "phase", nil)
+	c := r.NewCounterVec("spq_c_total", "c", "tenant")
+	h := r.NewHistogram("spq_h_seconds", "h")
+	v := r.NewHistogramVec("spq_v_seconds", "v", "phase")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				c.Inc()
-				g.Add(1)
-				g.SetMax(int64(j))
+				c.With([]string{"a", "b"}[j%2]).Add(1)
 				h.Observe(float64(j) / 100)
 				v.Observe([]string{"solve", "validate", "refine"}[j%3], 0.01)
 			}
@@ -285,8 +282,8 @@ func TestRegistryConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8*500 {
-		t.Fatalf("counter = %d", c.Value())
+	if n := c.Value("a") + c.Value("b"); n != 8*500 {
+		t.Fatalf("counter = %d", n)
 	}
 	if h.Count() != 8*500 {
 		t.Fatalf("histogram count = %d", h.Count())

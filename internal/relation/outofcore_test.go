@@ -229,6 +229,68 @@ func TestColumnFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColumnFilePreadFallback drives the storage path of platforms without
+// mmap: a fileColumn read through a BlockCache. Reads that span block
+// boundaries return the mmap path's values bit for bit, and reads outside
+// the column fail on both the cached and the bare source.
+func TestColumnFilePreadFallback(t *testing.T) {
+	path := t.TempDir() + "/col.col"
+	w, err := NewColumnWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 50)
+	for i := range vals {
+		vals[i] = math.Sqrt(float64(i)) - 3
+		if err := w.Append(vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Count() != len(vals) {
+		t.Fatalf("Count = %d, want %d", w.Count(), len(vals))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mapped, err := OpenColumnFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	bare := &fileColumn{f: f, n: len(vals)}
+	pread := NewBlockCache(8, 3).Wrap(bare)
+	if pread.Len() != len(vals) || bare.Len() != len(vals) {
+		t.Fatalf("Len = %d (cached), %d (bare), want %d", pread.Len(), bare.Len(), len(vals))
+	}
+	want, got := make([]float64, 13), make([]float64, 13)
+	for off := 0; off+len(got) <= len(vals); off += 3 {
+		if err := mapped.ReadAt(want, off); err != nil {
+			t.Fatal(err)
+		}
+		if err := pread.ReadAt(got, off); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("off %d: [%d] = %v, mmap path reads %v", off, i, got[i], want[i])
+			}
+		}
+	}
+	for _, src := range []ColumnSource{pread, bare} {
+		if err := src.ReadAt(got, len(vals)-len(got)+1); err == nil {
+			t.Fatalf("%T: read past the end succeeded", src)
+		}
+		if err := src.ReadAt(got, -1); err == nil {
+			t.Fatalf("%T: read before the start succeeded", src)
+		}
+	}
+}
+
 // TestCorruptColumnFilesError: a damaged column file or manifest fails to
 // open with an error; it never opens with a count its bytes cannot back,
 // which a later read would panic on.

@@ -53,7 +53,6 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) errorf(format string, args ...any) error {

@@ -100,6 +100,23 @@ func TestParseRepeatAndWhere(t *testing.T) {
 	}
 }
 
+// TestQueryAttrsNestedWhere: the column footprint walks every branch of a
+// nested AND/OR/NOT predicate, then the constraints, their filters and the
+// objective, in first-reference order without repeats. A delta keeps a
+// cached plan or result only when it misses this set, so a branch left out
+// here would serve a stale package.
+func TestQueryAttrsNestedWhere(t *testing.T) {
+	q := MustParse(`SELECT PACKAGE(*) FROM t
+		WHERE a >= 1 AND (b <= 2 OR NOT (c >= 3 AND NOT d = 4)) AND a <= 9
+		SUCH THAT SUM(price) <= 10 AND
+			(SELECT COUNT(*) WHERE NOT (e > 0 OR b < 1) FROM P) >= 1
+		MAXIMIZE EXPECTED SUM(gain)`)
+	got := strings.Join(q.Attrs(), ",")
+	if want := "a,b,c,d,price,e,gain"; got != want {
+		t.Fatalf("Attrs() = %s, want %s", got, want)
+	}
+}
+
 func TestParseLinearExpressions(t *testing.T) {
 	q, err := Parse(`SELECT PACKAGE(*) FROM t SUCH THAT SUM(3*a - 2*b + c/4 - 1) >= 0`)
 	if err != nil {
