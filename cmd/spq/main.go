@@ -89,16 +89,9 @@ func run(queryText, queryFile, csvPath, wname, paperQuery string, list bool, n i
 		}
 		fmt.Printf("loaded %s: %d tuples, columns %v\n", name, rel.N(), rel.DetNames())
 	case wname != "":
-		cfg := workload.Config{N: n, Seed: seed}
-		switch wname {
-		case "galaxy":
-			inst = workload.Galaxy(cfg)
-		case "portfolio":
-			inst = workload.Portfolio(cfg)
-		case "tpch":
-			inst = workload.TPCH(cfg)
-		default:
-			return fmt.Errorf("unknown workload %q", wname)
+		var err error
+		if inst, err = workload.ByName(wname, workload.Config{N: n, Seed: seed}); err != nil {
+			return err
 		}
 		for _, name := range inst.TableNames() {
 			if err := db.Register(inst.Tables[name]); err != nil {

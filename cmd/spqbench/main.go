@@ -83,17 +83,9 @@ func runPhases(cfg experiments.Config, wname, query, method string) error {
 	if wname == "" {
 		wname = "galaxy"
 	}
-	wcfg := workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed}
-	var inst *workload.Instance
-	switch wname {
-	case "galaxy":
-		inst = workload.Galaxy(wcfg)
-	case "portfolio":
-		inst = workload.Portfolio(wcfg)
-	case "tpch":
-		inst = workload.TPCH(wcfg)
-	default:
-		return fmt.Errorf("unknown workload %q", wname)
+	inst, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed})
+	if err != nil {
+		return err
 	}
 	db := spq.NewDB()
 	for _, name := range inst.TableNames() {

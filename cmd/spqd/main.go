@@ -112,17 +112,9 @@ func loadTables(db *spq.DB, cfg config) ([]string, error) {
 		if wname == "" {
 			continue
 		}
-		wcfg := workload.Config{N: cfg.n, Seed: cfg.seed, MeansM: cfg.meansM}
-		var inst *workload.Instance
-		switch wname {
-		case "galaxy":
-			inst = workload.Galaxy(wcfg)
-		case "portfolio":
-			inst = workload.Portfolio(wcfg)
-		case "tpch":
-			inst = workload.TPCH(wcfg)
-		default:
-			return nil, fmt.Errorf("unknown workload %q (want galaxy, portfolio, or tpch)", wname)
+		inst, err := workload.ByName(wname, workload.Config{N: cfg.n, Seed: cfg.seed, MeansM: cfg.meansM})
+		if err != nil {
+			return nil, err
 		}
 		for _, name := range inst.TableNames() {
 			rel := inst.Tables[name]

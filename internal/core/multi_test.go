@@ -131,20 +131,6 @@ func TestConfidenceIntervalsPopulated(t *testing.T) {
 	}
 }
 
-func TestConfidentlyFeasible(t *testing.T) {
-	v := &Validation{
-		Surpluses: []float64{0.05, 0.01},
-		CIHalf:    []float64{0.01, 0.02},
-	}
-	if v.ConfidentlyFeasible() {
-		t.Fatal("surplus 0.01 with CI 0.02 should not be confident")
-	}
-	v.CIHalf[1] = 0.005
-	if !v.ConfidentlyFeasible() {
-		t.Fatal("both surpluses clear their CI now")
-	}
-}
-
 func TestSolutionCarriesCIHalf(t *testing.T) {
 	silp := multiSILP(t, twoConQuery)
 	sol, err := SummarySearch(silp, smallOptions(2))

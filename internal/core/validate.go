@@ -28,17 +28,6 @@ type Validation struct {
 	CIHalf []float64
 }
 
-// ConfidentlyFeasible reports feasibility with the satisfied-fraction
-// confidence interval subtracted: every surplus clears its 95% half-width.
-func (v *Validation) ConfidentlyFeasible() bool {
-	for k, s := range v.Surpluses {
-		if s-v.CIHalf[k] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks a package x against the out-of-sample validation protocol
 // of §3.2 under the given options, standing alone from any optimize loop. It
 // is the entry point the concurrent engine and the benchmarks use; the

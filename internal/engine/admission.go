@@ -102,11 +102,12 @@ type tenantState struct {
 	credited bool // quantum granted for the current service turn
 	inflight int
 	queue    []*waiter // FIFO within the tenant
-	// cumulative counters, exported via Stats (metric vecs hold the
-	// authoritative copies; these back the property tests without obs).
-	admitted int64
-	queued   int64
-	rejected int64
+	// The lane's ledger, the one source of /stats tenants, the rejected and
+	// degraded totals and the spq_tenant_*_total families.
+	admitted int64 // dispatched to a slot and kept (a lost race is not)
+	queued   int64 // entered the queue
+	rejected int64 // refused: overloaded, tenant_quota or MaxJobs full
+	degraded int64 // answered with the best-so-far package
 }
 
 // fairScheduler is a deficit-round-robin weighted-fair admission scheduler.
@@ -169,14 +170,6 @@ func (s *fairScheduler) lane(tenant string) *tenantState {
 	return s.tenants[DefaultTenant]
 }
 
-// Canonical returns the lane name a tenant label resolves to — the value
-// metrics and stats are keyed by.
-func (s *fairScheduler) Canonical(tenant string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lane(tenant).cfg.Name
-}
-
 // Acquire blocks until the request is admitted, the context expires, or the
 // request is rejected (ErrOverloaded when global capacity+queue is
 // exhausted, ErrTenantQuota when the tenant's own queue quota is). On nil
@@ -207,15 +200,22 @@ func (s *fairScheduler) Acquire(ctx context.Context, tenant string) error {
 	}
 	select {
 	case <-w.ch:
-		return nil
+		// A context that ended too loses the race, whichever case the
+		// select picked when both were ready.
+		if ctx.Err() == nil {
+			return nil
+		}
 	case <-ctx.Done():
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w.admitted {
-		// Lost the race: dispatch admitted us as the context expired.
-		// Surface the context error but hand the slot straight back.
+		// Lost the race: dispatch admitted us as the context ended.
+		// Surface the context error, take back the admission and hand the
+		// slot to the next waiter, as Release would.
+		ts.admitted--
 		s.releaseLocked(ts)
+		s.dispatchLocked()
 		return ctx.Err()
 	}
 	for i, q := range ts.queue {
@@ -239,6 +239,22 @@ func (s *fairScheduler) Release(tenant string) {
 func (s *fairScheduler) releaseLocked(ts *tenantState) {
 	s.inflight--
 	ts.inflight--
+}
+
+// refuse counts a request refused before it reached the scheduler (the
+// engine's job table was full) as a rejection on its lane.
+func (s *fairScheduler) refuse(tenant string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lane(tenant).rejected++
+}
+
+// degrade counts an answer degraded to the best-so-far package on the
+// request's lane.
+func (s *fairScheduler) degrade(tenant string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lane(tenant).degraded++
 }
 
 // admissible reports whether the lane has a waiter the caps allow to run.
@@ -322,16 +338,23 @@ type TenantStats struct {
 	Admitted    int64 `json:"admitted"`
 	Queued      int64 `json:"queued"`
 	Rejected    int64 `json:"rejected"`
-	Degraded    int64 `json:"degraded"` // filled by the engine from its metric vec
+	Degraded    int64 `json:"degraded"`
 }
 
-// TenantsSnapshot returns per-tenant admission stats keyed by lane name.
-func (s *fairScheduler) TenantsSnapshot() map[string]TenantStats {
+// admission is one reading of the scheduler, taken under its lock: the
+// in-flight and waiting totals and every lane keyed by name.
+type admission struct {
+	inflight, waiting int
+	lanes             map[string]TenantStats
+}
+
+// read returns one consistent reading of the scheduler's ledger.
+func (s *fairScheduler) read() admission {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]TenantStats, len(s.ring))
+	a := admission{inflight: s.inflight, waiting: s.waiting, lanes: make(map[string]TenantStats, len(s.ring))}
 	for _, ts := range s.ring {
-		out[ts.cfg.Name] = TenantStats{
+		a.lanes[ts.cfg.Name] = TenantStats{
 			Weight:      ts.cfg.Weight,
 			MaxInFlight: ts.cfg.MaxInFlight,
 			MaxQueue:    ts.cfg.MaxQueue,
@@ -340,23 +363,10 @@ func (s *fairScheduler) TenantsSnapshot() map[string]TenantStats {
 			Admitted:    ts.admitted,
 			Queued:      ts.queued,
 			Rejected:    ts.rejected,
+			Degraded:    ts.degraded,
 		}
 	}
-	return out
-}
-
-// Waiting returns the number of queued (not yet admitted) requests.
-func (s *fairScheduler) Waiting() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.waiting
-}
-
-// InFlight returns the number of admitted, unreleased requests.
-func (s *fairScheduler) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
+	return a
 }
 
 // ClassBudget is a per-query-class evaluation budget. A class budget is

@@ -123,7 +123,7 @@ func runSchedulerTrial(t *testing.T, s *fairScheduler, tenants []string, perTena
 			}(tenant)
 		}
 	}
-	waitFor(t, "all waiters queued", func() bool { return s.Waiting() == total })
+	waitFor(t, "all waiters queued", func() bool { return s.read().waiting == total })
 	for i := 0; i < capacity; i++ {
 		s.Release("")
 	}
@@ -212,7 +212,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestFairSchedulerWorkConservation checks that free slots never idle while
 // admissible waiters exist: with capacity 3 and 8 requests, exactly 3 run
-// and every Release promotes a waiter.
+// and every Release promotes a waiter; and a waiter that loses the
+// dispatch race to its own cancellation promotes the next one.
 func TestFairSchedulerWorkConservation(t *testing.T) {
 	s := newFairScheduler(3, 100, []TenantConfig{
 		{Name: "a", Weight: 2},
@@ -237,8 +238,8 @@ func TestFairSchedulerWorkConservation(t *testing.T) {
 			admitted <- tenant
 		}(tenant)
 	}
-	waitFor(t, "3 in flight", func() bool { return s.InFlight() == 3 })
-	waitFor(t, "5 waiting", func() bool { return s.Waiting() == 5 })
+	waitFor(t, "3 in flight", func() bool { return s.read().inflight == 3 })
+	waitFor(t, "5 waiting", func() bool { return s.read().waiting == 5 })
 
 	// Each release must promote exactly one waiter (work conservation).
 	for released := 0; released < 5; released++ {
@@ -246,7 +247,8 @@ func TestFairSchedulerWorkConservation(t *testing.T) {
 		s.Release(tenant)
 		want := 5 - released - 1
 		waitFor(t, "waiter promoted", func() bool {
-			return s.InFlight() == 3 && s.Waiting() == want
+			a := s.read()
+			return a.inflight == 3 && a.waiting == want
 		})
 	}
 	// Drain the rest.
@@ -254,9 +256,52 @@ func TestFairSchedulerWorkConservation(t *testing.T) {
 		s.Release(<-admitted)
 	}
 	wg.Wait()
-	if s.InFlight() != 0 || s.Waiting() != 0 {
-		t.Fatalf("scheduler not drained: inflight=%d waiting=%d", s.InFlight(), s.Waiting())
+	if a := s.read(); a.inflight != 0 || a.waiting != 0 {
+		t.Fatalf("scheduler not drained: inflight=%d waiting=%d", a.inflight, a.waiting)
 	}
+
+	// A waiter that loses the dispatch race hands its slot on at once: the
+	// next waiter must not wait for another Acquire or Release. Nor does
+	// the lost admission count on the lane.
+	s = newFairScheduler(1, 100, nil)
+	if err := s.Acquire(ctx, ""); err != nil {
+		t.Fatal(err)
+	}
+	actx, acancel := context.WithCancel(ctx)
+	defer acancel()
+	aerr, berr := make(chan error, 1), make(chan error, 1)
+	go func() { aerr <- s.Acquire(actx, "") }()
+	waitFor(t, "A queued", func() bool { return s.read().waiting == 1 })
+	go func() { berr <- s.Acquire(ctx, "") }()
+	waitFor(t, "B queued", func() bool { return s.read().waiting == 2 })
+	loseDispatchRace(s, "", acancel)
+	if err := <-aerr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("A: err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-berr:
+		if err != nil {
+			t.Fatalf("B: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		a := s.read()
+		t.Fatalf("B still waiting beside a free slot: inflight=%d waiting=%d", a.inflight, a.waiting)
+	}
+	if l := s.read().lanes[DefaultTenant]; l.InFlight != 1 || l.Admitted != 2 || l.Queued != 3 {
+		t.Fatalf("after the lost race: lane %+v, want 1 in flight, 2 admitted, 3 queued", l)
+	}
+}
+
+// loseDispatchRace makes the first waiter queued behind the slot held on
+// lane holder lose the dispatch race: under the scheduler's lock it ends
+// the waiter's context (cancel) and only then frees the slot, so dispatch
+// admits the waiter as its context ends.
+func loseDispatchRace(s *fairScheduler, holder string, cancel context.CancelFunc) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cancel()
+	s.releaseLocked(s.lane(holder))
+	s.dispatchLocked()
 }
 
 // TestFairSchedulerTenantCaps checks that a per-tenant in-flight cap holds
@@ -282,7 +327,7 @@ func TestFairSchedulerTenantCaps(t *testing.T) {
 		}
 	}
 	waitFor(t, "capacity filled around the cap", func() bool {
-		snap := s.TenantsSnapshot()
+		snap := s.read().lanes
 		return snap["capped"].InFlight == 1 && snap["other"].InFlight == 3
 	})
 	cancel()
@@ -312,7 +357,7 @@ func TestFairSchedulerQuotaVsOverload(t *testing.T) {
 		defer wg.Done()
 		_ = s.Acquire(ctx, "lim") // released by cancel below
 	}()
-	waitFor(t, "lim waiter queued", func() bool { return s.Waiting() == 1 })
+	waitFor(t, "lim waiter queued", func() bool { return s.read().waiting == 1 })
 
 	// ...the second trips lim's own quota while global room remains.
 	if err := s.Acquire(ctx, "lim"); !errors.Is(err, ErrTenantQuota) {
@@ -326,12 +371,12 @@ func TestFairSchedulerQuotaVsOverload(t *testing.T) {
 		defer wg.Done()
 		_ = s.Acquire(ctx, "")
 	}()
-	waitFor(t, "global queue full", func() bool { return s.Waiting() == 2 })
+	waitFor(t, "global queue full", func() bool { return s.read().waiting == 2 })
 	if err := s.Acquire(ctx, ""); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("global overload: err = %v, want ErrOverloaded", err)
 	}
 
-	snap := s.TenantsSnapshot()
+	snap := s.read().lanes
 	if snap["lim"].Rejected != 1 || snap[DefaultTenant].Rejected != 1 {
 		t.Fatalf("rejection counters = %+v", snap)
 	}
@@ -407,7 +452,7 @@ func TestHTTPAdmissionCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := decodeJob(t, submit(srv2, "lim"), http.StatusAccepted) // queues behind the held slot
-	waitFor(t, "lim request queued", func() bool { return e2.sched.Waiting() == 1 })
+	waitFor(t, "lim request queued", func() bool { return e2.sched.read().waiting == 1 })
 	over := waitJob(t, srv2, decodeJob(t, submit(srv2, "lim"), http.StatusAccepted))
 	if over.State != client.JobFailed || over.Error == nil || over.Error.Code != client.CodeTenantQuota {
 		t.Fatalf("over-quota job = %q (err %+v), want failed with %q", over.State, over.Error, client.CodeTenantQuota)

@@ -749,42 +749,29 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 
 	// Admission control: the deficit-round-robin fair scheduler bounds the
 	// total commitment (solving + waiting) by MaxInFlight + MaxQueue
-	// globally and by each tenant's own quota. The tenant label folds to
-	// its lane name here so metrics and stats stay bounded-cardinality.
-	tenant := e.sched.Canonical(req.Tenant)
-	e.m.add(statCommitment, 1)
-	defer e.m.add(statCommitment, -1)
-
+	// globally and by each tenant's own quota, and keeps the admission
+	// ledger. It folds an unknown tenant label into the default lane.
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
 	enqueued := time.Now()
 	ws := sp.StartChild("wait")
-	if err := e.sched.Acquire(ctx, tenant); err != nil {
+	if err := e.sched.Acquire(ctx, req.Tenant); err != nil {
 		ws.SetAttr("error", err.Error())
 		ws.End()
-		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTenantQuota) {
-			e.m.inc(statRejected)
-			e.m.tenantRejected.With(tenant).Add(1)
-		} else {
+		if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrTenantQuota) {
 			// The request entered the queue and its context expired waiting.
-			e.m.tenantQueued.With(tenant).Add(1)
 			e.m.inc(statFailures)
 		}
 		return nil, err
 	}
 	ws.End()
-	e.m.tenantQueued.With(tenant).Add(1)
-	defer e.sched.Release(tenant)
+	defer e.sched.Release(req.Tenant)
 	wait := time.Since(enqueued)
 	e.m.admissionWait.Observe(wait.Seconds())
-	e.m.tenantAdmitted.With(tenant).Add(1)
 	if req.onAdmit != nil {
 		req.onAdmit()
 	}
-
-	e.m.add(statActive, 1)
-	defer e.m.add(statActive, -1)
 
 	// Deadline-aware degradation: clamp the evaluation's budgets so a
 	// too-slow solve returns its anytime best-so-far package instead of
@@ -903,7 +890,7 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 			}
 			degraded = true
 			sp.SetAttr("degraded", "true")
-			e.m.tenantDegraded.With(tenant).Add(1)
+			e.sched.degrade(req.Tenant)
 		}
 	} else {
 		cr = &cachedResult{

@@ -533,3 +533,48 @@ func TestV1IgnoresRemovedMaxResidentScenarios(t *testing.T) {
 		t.Fatalf("with removed options: %+v\nwithout: %+v", got, want)
 	}
 }
+
+// TestV1OversizedBody: a body beyond the 1 MiB cap is refused with 400
+// bad_request on every endpoint that reads one, before anything runs: no
+// job is created, no delta applied, no query counted. Each body would be
+// valid but for its 2 MiB of padding.
+func TestV1OversizedBody(t *testing.T) {
+	e := New(newCatalog(t, 15), nil)
+	srv := v1Server(t, e)
+	pad := strings.Repeat(" ", 2<<20)
+
+	c, err := client.New(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Submit(context.Background(), client.SubmitRequest{Query: testQuery + pad})
+	if want := "spqd: bad_request: bad request body: http: request body too large"; err == nil || err.Error() != want {
+		t.Fatalf("Submit: err = %v, want %q", err, want)
+	}
+	for path, body := range map[string]string{
+		"/v1/queries:batch":        `{"queries":[{"query":"x"}],"pad":"` + pad + `"}`,
+		"/v1/tables/stocks/deltas": `{"set":{"price":{"2":90}},"pad":"` + pad + `"}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		decodeEnvelope(t, resp, http.StatusBadRequest, client.CodeBadRequest)
+	}
+
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Queries != 0 || st.JobsSubmitted != 0 || st.DeltasApplied != 0 {
+		t.Fatalf("after refused bodies: queries %d, jobs %d, deltas %d; want all 0", st.Queries, st.JobsSubmitted, st.DeltasApplied)
+	}
+	if jobs, err := c.List(context.Background()); err != nil || len(jobs) != 0 {
+		t.Fatalf("jobs listed: %d (err %v), want none", len(jobs), err)
+	}
+}

@@ -356,7 +356,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	if len(e.jobList)-e.jobFinished >= e.opts.MaxJobs {
 		e.jobsMu.Unlock()
 		cancel()
-		e.m.inc(statRejected)
+		e.sched.refuse(req.Tenant)
 		return nil, ErrOverloaded
 	}
 	e.jobsByID[j.id] = j
@@ -480,7 +480,7 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, ten
 		}
 		j.wire = w
 		e.m.inc(statJobsCompleted)
-		e.m.tenantDegraded.With(e.sched.Canonical(tenant)).Add(1)
+		e.sched.degrade(tenant)
 	default:
 		j.state = client.JobFailed
 		j.err = errToWire(err)

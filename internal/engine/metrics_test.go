@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"spq/internal/core"
 	"spq/internal/relation"
 )
 
@@ -198,6 +200,145 @@ func TestInstrumentsDocumented(t *testing.T) {
 	for _, n := range names {
 		if !bytes.Contains(doc, []byte("`"+n+"`")) && !bytes.Contains(doc, []byte("`"+n+"{")) {
 			t.Errorf("OPERATIONS.md does not document %s", n)
+		}
+	}
+}
+
+// laneSamples parses the tenant-labelled samples of a /metrics exposition:
+// family, then lane, to value.
+func laneSamples(text string) map[string]map[string]int64 {
+	out := map[string]map[string]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		name, rest, ok := strings.Cut(line, `{tenant="`)
+		if !ok {
+			continue
+		}
+		lane, val, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			continue
+		}
+		if out[name] == nil {
+			out[name] = map[string]int64{}
+		}
+		out[name][lane] = v
+	}
+	return out
+}
+
+// TestTenantLedgerMatchesMetrics drives every way a request reaches the
+// admission ledger: cancelled waiters that lose the dispatch race, a
+// tenant-quota rejection, a MaxJobs refusal and a degraded answer. Then,
+// in one sample, every lane must read alike in /stats tenants and in the
+// spq_tenant_*_total families (lanes without traffic included), and the
+// rejected and degraded totals must be the sums over the lanes.
+func TestTenantLedgerMatchesMetrics(t *testing.T) {
+	e := New(newCatalog(t, 40), &Options{
+		MaxInFlight: 1, MaxQueue: 4, MaxJobs: 1, Parallelism: 1,
+		Tenants: []TenantConfig{{Name: "gold", Weight: 3}, {Name: "bronze", Weight: 1, MaxQueue: 1}, {Name: "idle", Weight: 1}},
+	})
+	hold := func() {
+		t.Helper()
+		if err := e.sched.Acquire(context.Background(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeded := func(seed uint64) *core.Options {
+		o := smallCoreOptions()
+		o.Seed = seed
+		return o
+	}
+
+	// Three gold queries lose the dispatch race to their cancellation.
+	for seed := uint64(1); seed <= 3; seed++ {
+		hold()
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := e.Query(ctx, Request{Query: testQuery, Tenant: "gold", Options: seeded(seed)})
+			errc <- err
+		}()
+		waitFor(t, "gold query queued", func() bool { return e.sched.read().waiting == 1 })
+		loseDispatchRace(e.sched, "", cancel)
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("lost race: err = %v, want context.Canceled", err)
+		}
+	}
+
+	// A bronze job queued behind a held slot fills both the job table and
+	// bronze's queue: a second job is refused, a query hits the quota.
+	hold()
+	j, err := e.Submit(Request{Query: testQuery, Tenant: "bronze", Options: seeded(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "bronze job queued", func() bool { return e.sched.read().waiting == 1 })
+	if _, err := e.Submit(Request{Query: testQuery, Tenant: "bronze", Options: seeded(5)}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("full job table: err = %v, want ErrOverloaded", err)
+	}
+	if _, err := e.Query(context.Background(), Request{Query: testQuery, Tenant: "bronze", Options: seeded(6)}); !errors.Is(err, ErrTenantQuota) {
+		t.Fatalf("bronze over quota: err = %v, want ErrTenantQuota", err)
+	}
+	e.sched.Release("")
+	<-j.Done()
+	if _, err := j.Result(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A gold answer degraded by its deadline.
+	res, err := e.Query(context.Background(), Request{
+		Query: testQuery, Tenant: "gold", Timeout: degradeTimeout, Options: degradeOptions(1), Progress: holdFeasible,
+	})
+	if err != nil || !res.Degraded {
+		t.Fatalf("deadline-bound query: err = %v, want a degraded answer", err)
+	}
+
+	s := e.sample()
+	var metrics bytes.Buffer
+	e.writeMetrics(&metrics, s)
+	stats, err := json.Marshal(e.statsOf(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Rejected, Degraded int64
+		Tenants            map[string]map[string]int64
+	}
+	if err := json.Unmarshal(stats, &doc); err != nil {
+		t.Fatal(err)
+	}
+	rows := laneSamples(metrics.String())
+	fields := []string{"admitted", "queued", "rejected", "degraded"}
+	var rejected, degraded int64
+	for lane, l := range doc.Tenants {
+		for _, f := range fields {
+			name := "spq_tenant_" + f + "_total"
+			if got, ok := rows[name][lane]; !ok || got != l[f] {
+				t.Errorf("%s{tenant=%q} = %d (present %v), /stats tenants.%s.%s = %d", name, lane, got, ok, lane, f, l[f])
+			}
+		}
+		rejected += l["rejected"]
+		degraded += l["degraded"]
+	}
+	for name, lanes := range rows {
+		if len(lanes) != len(doc.Tenants) {
+			t.Errorf("%s has %d lanes, /stats tenants %d", name, len(lanes), len(doc.Tenants))
+		}
+	}
+	if rejected != doc.Rejected || degraded != doc.Degraded {
+		t.Errorf("lanes sum to %d rejected, %d degraded; /stats rejected %d, degraded %d", rejected, degraded, doc.Rejected, doc.Degraded)
+	}
+	// The counts this run must have produced, lane by lane.
+	for lane, want := range map[string][4]int64{
+		"gold":        {1, 4, 0, 1},
+		"bronze":      {1, 1, 2, 0},
+		DefaultTenant: {4, 4, 0, 0},
+		"idle":        {0, 0, 0, 0},
+	} {
+		for i, f := range fields {
+			if got := doc.Tenants[lane][f]; got != want[i] {
+				t.Errorf("tenants.%s.%s = %d, want %d", lane, f, got, want[i])
+			}
 		}
 	}
 }

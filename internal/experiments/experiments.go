@@ -98,21 +98,6 @@ type Record struct {
 	Err       string
 }
 
-// buildInstance constructs the named workload.
-func buildInstance(name string, n int, seed uint64, meansM int) (*workload.Instance, error) {
-	cfg := workload.Config{N: n, Seed: seed, MeansM: meansM}
-	switch name {
-	case "galaxy":
-		return workload.Galaxy(cfg), nil
-	case "portfolio":
-		return workload.Portfolio(cfg), nil
-	case "tpch":
-		return workload.TPCH(cfg), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-}
-
 // evaluate runs one method once on one query.
 func evaluate(in *workload.Instance, q workload.Query, method Method, opts *core.Options) Record {
 	rec := Record{Workload: in.Name, Query: q.ID, Method: method}
@@ -154,7 +139,7 @@ func evaluate(in *workload.Instance, q workload.Query, method Method, opts *core
 func RunEndToEnd(cfg Config, workloads []string, queryFilter []string) ([]Record, error) {
 	var out []Record
 	for _, wname := range workloads {
-		in, err := buildInstance(wname, cfg.WorkloadN, cfg.DataSeed, cfg.MeansM)
+		in, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +164,7 @@ func RunEndToEnd(cfg Config, workloads []string, queryFilter []string) ([]Record
 // RunScenarioScaling reproduces Figure 5: pin M at each value (no growth)
 // and compare methods.
 func RunScenarioScaling(cfg Config, wname, queryID string, ms []int) ([]Record, error) {
-	in, err := buildInstance(wname, cfg.WorkloadN, cfg.DataSeed, cfg.MeansM)
+	in, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +193,7 @@ func RunScenarioScaling(cfg Config, wname, queryID string, ms []int) ([]Record, 
 // RunSummaryScaling reproduces Figure 6 (Portfolio): fix M and sweep Z for
 // SummarySearch, with Naïve at the same M as the reference series.
 func RunSummaryScaling(cfg Config, wname, queryID string, m int, zs []int) ([]Record, error) {
-	in, err := buildInstance(wname, cfg.WorkloadN, cfg.DataSeed, cfg.MeansM)
+	in, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +234,7 @@ func RunSummaryScaling(cfg Config, wname, queryID string, m int, zs []int) ([]Re
 func RunSizeScaling(cfg Config, wname, queryID string, ns []int) ([]Record, error) {
 	var out []Record
 	for _, n := range ns {
-		in, err := buildInstance(wname, n, cfg.DataSeed, cfg.MeansM)
+		in, err := workload.ByName(wname, workload.Config{N: n, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 		if err != nil {
 			return nil, err
 		}

@@ -232,7 +232,7 @@ func TestDescribeWorkloads(t *testing.T) {
 }
 
 func TestBuildInstanceUnknown(t *testing.T) {
-	if _, err := buildInstance("nope", 10, 1, 100); err == nil {
+	if _, err := DescribeWorkloads(tinyConfig(), []string{"nope"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"spq/internal/scenario"
 	"spq/internal/spaql"
 	"spq/internal/translate"
+	"spq/internal/workload"
 )
 
 // SizeRecord reports the coefficient count of one generated DILP — the
@@ -25,7 +26,7 @@ type SizeRecord struct {
 // RunSizes builds SAA formulations at each M and CSA formulations at each Z
 // for the first query of a workload and reports DILP sizes.
 func RunSizes(cfg Config, wname, queryID string, ms, zs []int) ([]SizeRecord, error) {
-	in, err := buildInstance(wname, cfg.WorkloadN, cfg.DataSeed, cfg.MeansM)
+	in, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +118,7 @@ func DescribeWorkloads(cfg Config, workloads []string) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("== Table 3: workloads and queries ==\n")
 	for _, wname := range workloads {
-		in, err := buildInstance(wname, cfg.WorkloadN, cfg.DataSeed, cfg.MeansM)
+		in, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed, MeansM: cfg.MeansM})
 		if err != nil {
 			return "", err
 		}

@@ -3,8 +3,10 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,10 +14,11 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a named collection of the instruments that carry a label or
-// buckets, rendered in Prometheus text exposition format. Scalar series are
-// rendered by their owner with WriteSample, from one snapshot of its own
-// values (the engine renders its instrument table that way).
+// Registry is a named collection of bucketed instruments, rendered in
+// Prometheus text exposition format. Counters and gauges are rendered by
+// their owner with WriteSample and WriteLabelled, from one snapshot of its
+// own values (the engine renders its instrument table and its admission
+// ledger that way).
 //
 // All instruments are safe for concurrent use; registration is expected at
 // construction time but is also safe concurrently.
@@ -71,75 +74,13 @@ func WriteSample(w io.Writer, name, help, typ string, v int64) {
 	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
-// ---- CounterVec ----
-
-// CounterVec is a family of counters split by one label (e.g. tenant).
-// Children are created on first use and rendered in label order. Callers
-// are expected to bound label cardinality themselves (the engine folds
-// unknown tenants into the default tenant before touching the vec).
-type CounterVec struct {
-	name, help string
-	label      string
-	mu         sync.Mutex
-	children   map[string]*atomic.Int64
-}
-
-// NewCounterVec registers and returns a counter family keyed by a single
-// label.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label,
-		children: make(map[string]*atomic.Int64)}
-	r.register(name, v)
-	return v
-}
-
-// With returns the child counter for the given label value; callers only
-// add to it.
-func (v *CounterVec) With(value string) *atomic.Int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[value]
-	if !ok {
-		c = new(atomic.Int64)
-		v.children[value] = c
+// WriteLabelled renders one family of type typ split by one label: a
+// sample per key of v, in key order. The caller bounds the label values.
+func WriteLabelled(w io.Writer, name, help, typ, label string, v map[string]int64) {
+	writeHeader(w, name, help, typ)
+	for _, k := range slices.Sorted(maps.Keys(v)) {
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, v[k])
 	}
-	return c
-}
-
-// Value returns the current count for the given label value (0 when the
-// child has never been touched).
-func (v *CounterVec) Value(value string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[value]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-func (v *CounterVec) write(w io.Writer) {
-	writeHeader(w, v.name, v.help, "counter")
-	values, kids := sortedChildren(&v.mu, v.children)
-	for i, c := range kids {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", v.name, v.label, values[i], c.Load())
-	}
-}
-
-// sortedChildren returns a family's label values in order and their
-// children, read under the family's lock.
-func sortedChildren[T any](mu *sync.Mutex, children map[string]T) ([]string, []T) {
-	mu.Lock()
-	defer mu.Unlock()
-	values := make([]string, 0, len(children))
-	for k := range children {
-		values = append(values, k)
-	}
-	sort.Strings(values)
-	kids := make([]T, len(values))
-	for i, k := range values {
-		kids[i] = children[k]
-	}
-	return values, kids
 }
 
 // ---- Histogram ----
@@ -244,7 +185,12 @@ func (v *HistogramVec) Observe(value string, obs float64) { v.With(value).Observ
 
 func (v *HistogramVec) write(w io.Writer) {
 	writeHeader(w, v.name, v.help, "histogram")
-	_, kids := sortedChildren(&v.mu, v.children)
+	v.mu.Lock()
+	kids := make([]*Histogram, 0, len(v.children))
+	for _, k := range slices.Sorted(maps.Keys(v.children)) {
+		kids = append(kids, v.children[k])
+	}
+	v.mu.Unlock()
 	for _, h := range kids {
 		h.writeRows(w)
 	}

@@ -152,24 +152,14 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestCounterVec covers the labelled counter family the engine uses for
-// per-tenant admission counters: lazy child creation, Value for untouched
-// children, sorted deterministic rendering under one TYPE header, and
-// promtext-lintable output with quoted label values.
-func TestCounterVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.NewCounterVec("spq_tenant_admitted_total", "Admissions by tenant.", "tenant")
-	v.With("zeta").Add(1)
-	v.With("acme").Add(1)
-	v.With("acme").Add(2)
-	if got := v.Value("acme"); got != 3 {
-		t.Fatalf("acme = %d, want 3", got)
-	}
-	if got := v.Value("never"); got != 0 {
-		t.Fatalf("untouched child = %d, want 0", got)
-	}
+// TestWriteLabelled covers the labelled family the engine renders its
+// per-tenant admission ledger with: sorted deterministic rendering under
+// one TYPE header, zero samples kept, and promtext-lintable output with
+// quoted label values.
+func TestWriteLabelled(t *testing.T) {
 	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
+	WriteLabelled(&buf, "spq_tenant_admitted_total", "Admissions by tenant.", "counter", "tenant",
+		map[string]int64{"zeta": 1, "acme": 3, `q"x`: 0})
 	out := buf.String()
 	lintPromText(t, out)
 	if n := strings.Count(out, "# TYPE spq_tenant_admitted_total counter"); n != 1 {
@@ -177,11 +167,11 @@ func TestCounterVec(t *testing.T) {
 	}
 	acme := strings.Index(out, `spq_tenant_admitted_total{tenant="acme"} 3`)
 	zeta := strings.Index(out, `spq_tenant_admitted_total{tenant="zeta"} 1`)
-	if acme < 0 || zeta < 0 {
-		t.Fatalf("missing child rows in:\n%s", out)
+	if acme < 0 || zeta < 0 || !strings.Contains(out, `spq_tenant_admitted_total{tenant="q\"x"} 0`) {
+		t.Fatalf("missing rows in:\n%s", out)
 	}
 	if acme > zeta {
-		t.Fatalf("children not rendered in sorted label order:\n%s", out)
+		t.Fatalf("rows not rendered in sorted label order:\n%s", out)
 	}
 }
 
@@ -211,9 +201,7 @@ func lintPromText(t *testing.T, out string) {
 
 func TestPrometheusTextStableAndParseable(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounterVec("spq_queries_total", "Total queries.", "tenant")
 	v := r.NewHistogramVec("spq_phase_seconds", "Phase latency.", "phase")
-	c.With("acme").Add(2)
 	v.Observe("solve", 0.05)
 	v.Observe("validate", 0.005)
 
@@ -221,6 +209,7 @@ func TestPrometheusTextStableAndParseable(t *testing.T) {
 		var buf bytes.Buffer
 		WriteSample(&buf, "spq_cache_len", "Cache size.", "gauge", 3)
 		WriteSample(&buf, "spq_escaped", `a\b`+"\nc", "counter", 0)
+		WriteLabelled(&buf, "spq_queries_total", "Total queries.", "counter", "tenant", map[string]int64{"acme": 2, "b": 0})
 		r.WritePrometheus(&buf)
 		return buf.String()
 	}
@@ -245,13 +234,13 @@ func TestPrometheusTextStableAndParseable(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounterVec("spq_x_total", "x", "tenant").With("a").Add(1)
+	r.NewHistogram("spq_x_seconds", "x").Observe(1)
 	rec := httptest.NewRecorder()
 	MetricsHandler(r.WritePrometheus).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), `spq_x_total{tenant="a"} 1`) {
+	if !strings.Contains(rec.Body.String(), `spq_x_seconds_count 1`) {
 		t.Fatalf("body: %s", rec.Body.String())
 	}
 }
@@ -260,7 +249,6 @@ func TestMetricsHandler(t *testing.T) {
 // while scraping; meaningful under -race (CI runs the package with -race).
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounterVec("spq_c_total", "c", "tenant")
 	h := r.NewHistogram("spq_h_seconds", "h")
 	v := r.NewHistogramVec("spq_v_seconds", "v", "phase")
 	var wg sync.WaitGroup
@@ -269,7 +257,6 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				c.With([]string{"a", "b"}[j%2]).Add(1)
 				h.Observe(float64(j) / 100)
 				v.Observe([]string{"solve", "validate", "refine"}[j%3], 0.01)
 			}
@@ -282,9 +269,6 @@ func TestRegistryConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := c.Value("a") + c.Value("b"); n != 8*500 {
-		t.Fatalf("counter = %d", n)
-	}
 	if h.Count() != 8*500 {
 		t.Fatalf("histogram count = %d", h.Count())
 	}

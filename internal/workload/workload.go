@@ -88,6 +88,19 @@ type Config struct {
 	MeansM int
 }
 
+// ByName generates the named workload: galaxy, portfolio or tpch.
+func ByName(name string, cfg Config) (*Instance, error) {
+	switch name {
+	case "galaxy":
+		return Galaxy(cfg), nil
+	case "portfolio":
+		return Portfolio(cfg), nil
+	case "tpch":
+		return TPCH(cfg), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q (want galaxy, portfolio or tpch)", name)
+}
+
 func (c Config) withDefaults() Config {
 	if c.N == 0 {
 		c.N = 1000

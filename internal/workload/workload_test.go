@@ -321,3 +321,31 @@ func TestWorkloadsSolvableBySummarySearch(t *testing.T) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tables int
+	}{
+		{"galaxy", 8},
+		{"portfolio", 3},
+		{"tpch", 8},
+	} {
+		in, err := ByName(tc.name, Config{N: 20, Seed: 1, MeansM: 50})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if in.Name != tc.name || len(in.Tables) != tc.tables || len(in.Queries) != 8 {
+			t.Fatalf("%s: got %q with %d tables and %d queries", tc.name, in.Name, len(in.Tables), len(in.Queries))
+		}
+	}
+	_, err := ByName("nope", Config{N: 20})
+	if err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	for _, want := range []string{`"nope"`, "galaxy", "portfolio", "tpch"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+}
