@@ -41,7 +41,7 @@ func main() {
 		queryText  = flag.String("query", "", "sPaQL query text")
 		queryFile  = flag.String("query-file", "", "file containing the sPaQL query")
 		csvPath    = flag.String("csv", "", "CSV file to load as a (deterministic) table")
-		wname      = flag.String("workload", "", "built-in workload: galaxy | portfolio | tpch")
+		wname      = flag.String("workload", "", "built-in workload: "+strings.Join(workload.Names(), " | "))
 		paperQuery = flag.String("paper-query", "", "run a Table 3 query of the workload (Q1..Q8)")
 		list       = flag.Bool("list", false, "list the workload's queries and exit")
 		n          = flag.Int("n", 300, "workload size (tuples; stocks for portfolio)")

@@ -158,7 +158,7 @@ func runPhases(cfg experiments.Config, wname, query, method string) error {
 func run(cfg experiments.Config, exp, wname, query string) error {
 	switch exp {
 	case "fig4":
-		workloads := experiments.WorkloadNames()
+		workloads := workload.Names()
 		if wname != "" {
 			workloads = strings.Split(wname, ",")
 		}
@@ -198,7 +198,7 @@ func run(cfg experiments.Config, exp, wname, query string) error {
 		}
 		fmt.Print(experiments.RenderPoints("Figure 7: time/feasibility/1+eps vs N", experiments.Aggregate(recs)))
 	case "table3":
-		out, err := experiments.DescribeWorkloads(cfg, experiments.WorkloadNames())
+		out, err := experiments.DescribeWorkloads(cfg, workload.Names())
 		if err != nil {
 			return err
 		}

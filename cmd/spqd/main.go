@@ -74,7 +74,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8723", "listen address")
-	flag.StringVar(&cfg.workloads, "workload", "portfolio", "comma-separated built-in workloads to load: galaxy | portfolio | tpch")
+	flag.StringVar(&cfg.workloads, "workload", "portfolio", "comma-separated built-in workloads to load: "+strings.Join(workload.Names(), " | "))
 	flag.StringVar(&cfg.csvPath, "csv", "", "CSV file to load as an additional (deterministic) table")
 	flag.IntVar(&cfg.n, "n", 300, "workload size (tuples; stocks for portfolio)")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "workload data seed")

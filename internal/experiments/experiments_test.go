@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spq/internal/workload"
 )
 
 // tinyConfig keeps experiment tests fast.
@@ -220,7 +222,7 @@ func TestRunSizesShowsComplexitySeparation(t *testing.T) {
 }
 
 func TestDescribeWorkloads(t *testing.T) {
-	out, err := DescribeWorkloads(tinyConfig(), WorkloadNames())
+	out, err := DescribeWorkloads(tinyConfig(), workload.Names())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,6 +140,3 @@ func oneLine(s string) string {
 	fields := strings.Fields(s)
 	return strings.Join(fields, " ")
 }
-
-// WorkloadNames lists the supported workloads.
-func WorkloadNames() []string { return []string{"galaxy", "portfolio", "tpch"} }

@@ -1,5 +1,7 @@
 package lp
 
+import "math"
+
 // Basis is an exported snapshot of a simplex basis: the variable occupying
 // each basis position plus the bound status of every structural and logical
 // variable. It is the warm-start currency between LP solves — the MILP
@@ -27,10 +29,10 @@ type Basis struct {
 	n, m   int
 	packed []uint64 // 2-bit status codes, structural vars then logical rows
 	basis  []int32  // basis[k] = variable basic at position k
-}
-
-func (b *Basis) statusAt(j int) byte {
-	return byte(b.packed[j>>5] >> uint((j&31)*2) & 3)
+	// gen counts the rewrites of this snapshot (SnapshotBasis, Reset), so a
+	// Scratch that priced it can tell a recycled buffer from the seed it
+	// priced.
+	gen uint64
 }
 
 // SnapshotBasis writes the final basis and statuses of the Scratch's most
@@ -42,6 +44,7 @@ func (b *Basis) statusAt(j int) byte {
 func (sc *Scratch) SnapshotBasis(dst *Basis) {
 	s := &sc.sim
 	dst.n, dst.m = s.n, s.m
+	dst.gen++
 	dst.packed = grow(dst.packed, (s.total+31)/32)
 	for w := range dst.packed {
 		var bits uint64
@@ -57,13 +60,20 @@ func (sc *Scratch) SnapshotBasis(dst *Basis) {
 }
 
 // ReducedCosts writes the structural columns' reduced costs at the final
-// basis of the Scratch's most recent solve into d and returns that solve's
-// bound L (see Fix). Meaningful only after a StatusOptimal solve.
+// basis of the Scratch's most recent solve into d (zero for basic columns and
+// those inside optTol) and returns that solve's bound L (see Fix).
+// Meaningful only after a StatusOptimal solve.
 func (sc *Scratch) ReducedCosts(d []float64) float64 {
 	s := &sc.sim
-	bound := s.dualBound()
-	copy(d, s.d[:s.n])
-	return bound
+	s.price()
+	sc.priced = seedKey{} // s.d now prices the final basis, not a seed
+	for j := range d[:s.n] {
+		d[j] = 0
+		if s.status[j] != statusBasic && math.Abs(s.d[j]) > optTol {
+			d[j] = s.d[j]
+		}
+	}
+	return s.dualBound()
 }
 
 // Reset empties the snapshot and keeps its buffers for a later
@@ -72,27 +82,47 @@ func (sc *Scratch) ReducedCosts(d []float64) float64 {
 // cold path instead of reading another solve's basis.
 func (b *Basis) Reset() {
 	b.n, b.m = 0, 0
+	b.gen++
 	b.packed, b.basis = b.packed[:0], b.basis[:0]
 }
 
 // loadBasis installs a snapshot as the solver's starting basis: statuses and
 // basis order are restored, nonbasic statuses are normalized against the
 // current (possibly changed) bounds, and the basis inverse is rebuilt by a
-// dense refactorization. It reports false — leaving the solver in an
-// undefined state the caller must reset — when the snapshot's shape does not
-// match the problem, its basic set is inconsistent, or the basis matrix is
-// singular under the current problem.
+// dense factorization; x_B is left for the caller to compute. It reports
+// false — leaving the solver in an undefined state the caller must reset —
+// when the snapshot's shape does not match the problem, its basic set is
+// inconsistent, or the basis matrix is singular under the current problem.
 func (s *simplex) loadBasis(b *Basis) bool {
 	if b == nil || b.n != s.n || b.m != s.m {
 		return false
 	}
+	// One pass unpacks the statuses and normalizes the nonbasic ones: a
+	// snapshot taken under different bounds may pin a variable to a bound
+	// that no longer exists. Mirrors initialStatus's preference order.
 	basics := 0
-	for j := 0; j < s.total; j++ {
-		st := b.statusAt(j)
-		s.status[j] = st
-		s.pos[j] = -1
-		if st == statusBasic {
-			basics++
+	for w, bits := range b.packed {
+		for j := w * 32; j < min(w*32+32, s.total); j++ {
+			st := byte(bits & 3)
+			bits >>= 2
+			switch st {
+			case statusBasic:
+				basics++
+			case statusAtLower:
+				if isNegInf(s.lo[j]) {
+					st = s.initialStatus(j)
+				}
+			case statusAtUpper:
+				if isPosInf(s.hi[j]) {
+					st = s.initialStatus(j)
+				}
+			case statusFree:
+				if !isNegInf(s.lo[j]) || !isPosInf(s.hi[j]) {
+					st = s.initialStatus(j)
+				}
+			}
+			s.status[j] = st
+			s.pos[j] = -1
 		}
 	}
 	if basics != s.m {
@@ -104,31 +134,7 @@ func (s *simplex) loadBasis(b *Basis) bool {
 			return false
 		}
 		s.basis[k] = j
-		s.pos[j] = k
+		s.pos[j] = int32(k)
 	}
-	// Normalize nonbasic statuses against the current bounds: a snapshot
-	// taken under different bounds may pin a variable to a bound that no
-	// longer exists. Mirrors initialStatus's preference order.
-	for j := 0; j < s.total; j++ {
-		switch s.status[j] {
-		case statusBasic:
-			continue
-		case statusAtLower:
-			if isNegInf(s.lo[j]) {
-				s.status[j] = s.initialStatus(j)
-			}
-		case statusAtUpper:
-			if isPosInf(s.hi[j]) {
-				s.status[j] = s.initialStatus(j)
-			}
-		case statusFree:
-			if !isNegInf(s.lo[j]) || !isPosInf(s.hi[j]) {
-				s.status[j] = s.initialStatus(j)
-			}
-		}
-	}
-	if err := s.refactorize(); err != nil {
-		return false
-	}
-	return true
+	return s.invert() == nil
 }

@@ -133,12 +133,36 @@ func presolved(t *testing.T, f *fuzzLP) lpResult {
 	return lpResult{StatusOptimal, red.obj + pr.ObjOffset, pr.Postsolve(red.x)}
 }
 
+// siblings solves two children of one seed — the unperturbed box and a
+// freshly perturbed one, under a cutoff that lets fixing act — back to back
+// on one Scratch, the second reading the first's pricing of the seed, and
+// demands each match its solve on a fresh Scratch bit for bit.
+func siblings(t *testing.T, seed uint64, fl *fuzzLP, s *rng.Stream, basis *Basis, integer []bool, cold lpResult) {
+	t.Helper()
+	fix := Fix{Integer: integer, Cutoff: math.Inf(1)}
+	if cold.status == StatusOptimal {
+		fix.Cutoff = cold.obj + 0.5*math.Abs(cold.obj) + 1e-3
+	}
+	lo2, hi2 := fl.perturbed(s)
+	kids := [2][2][]float64{{fl.p.varLo, fl.p.varHi}, {lo2, hi2}}
+	sc := &Scratch{}
+	for k, box := range kids {
+		got := solveInto(t, fl.p, box[0], box[1], Options{Basis: basis, Fix: fix, Scratch: sc})
+		want := solveInto(t, fl.p, box[0], box[1], Options{Basis: basis, Fix: fix, Scratch: &Scratch{}})
+		if d := sameSolve(got, want); d != "" {
+			t.Fatalf("seed %d sibling %d: %s differs from a fresh Scratch", seed, k, d)
+		}
+	}
+}
+
 // FuzzLP is the LP kernel's differential: one random boxed LP solved cold,
 // through presolve and postsolve, warm from the optimal basis of a solve
 // under perturbed bounds, and warm again with a reduced-cost Fix whose cutoff
 // (+Inf) must tighten nothing. Every configuration agrees with the cold solve
 // on the status and, to 1e-6 relative, on the objective; every optimal point
-// satisfies its bounds and rows within feasTol.
+// satisfies its bounds and rows within feasTol. Two children of that warm
+// basis solved on one Scratch match fresh-Scratch solves bit for bit
+// (siblings).
 func FuzzLP(f *testing.F) {
 	for seed := uint64(1); seed <= 32; seed++ {
 		f.Add(seed)
@@ -168,6 +192,7 @@ func FuzzLP(f *testing.F) {
 				solveResult(t, "warm", fl.p, nil, nil, &Options{Basis: node.Basis}),
 				solveResult(t, "warm+fix", fl.p, nil, nil,
 					&Options{Basis: node.Basis, Fix: Fix{Integer: integer, Cutoff: math.Inf(1)}}))
+			siblings(t, seed, fl, s, node.Basis, integer, cold)
 		}
 		for k, r := range results {
 			tag := fmt.Sprintf("seed %d %s", seed, tags[k])

@@ -93,6 +93,10 @@ type Problem struct {
 	varHi    []float64
 	rowLo    []float64
 	rowHi    []float64
+	// gen counts SetObj calls, so a Scratch can tell that reduced costs it
+	// priced for this Problem are stale. (AddRows needs no count: a basis
+	// snapshot taken before it no longer matches the Problem's shape.)
+	gen uint64
 }
 
 // NewProblem creates a problem with nvars structural variables, each with
@@ -118,7 +122,10 @@ func (p *Problem) NumVars() int { return p.nvars }
 func (p *Problem) NumRows() int { return len(p.rowLo) }
 
 // SetObj sets the objective coefficient of variable j.
-func (p *Problem) SetObj(j int, c float64) { p.obj[j] = c }
+func (p *Problem) SetObj(j int, c float64) {
+	p.obj[j] = c
+	p.gen++
+}
 
 // SetVarBounds sets the bounds of variable j. lo may be -Inf and hi may be
 // Inf.

@@ -31,11 +31,28 @@ const (
 // and is overwritten by the Scratch's next solve. Not safe for concurrent
 // solves — callers that solve in parallel (the MILP branch-and-bound) keep
 // one per worker.
+//
+// A Scratch also remembers the last seed basis it priced: sim.d holds that
+// seed's raw reduced costs. A later solve that loads the same seed — the
+// sibling of a branch-and-bound node, solved next on the same worker —
+// refactorizes the same basis order into the same inverse, so it reads them
+// instead of pricing again and gets the same bits.
 type Scratch struct {
-	sim  simplex
-	sol  Solution
-	x    []float64
-	snap Basis
+	sim    simplex
+	sol    Solution
+	x      []float64
+	snap   Basis
+	priced seedKey
+}
+
+// seedKey names a seed basis under one objective. The pointers keep both
+// alive, so neither address is reused while the key stands; the counts
+// change with every SetObj on the Problem and every rewrite of the Basis.
+type seedKey struct {
+	p    *Problem
+	pgen uint64
+	b    *Basis
+	bgen uint64
 }
 
 // grow returns buf resized to n elements, reallocating only when its
@@ -63,19 +80,17 @@ type simplex struct {
 	lo, hi []float64 // bounds for all vars (structural then logical)
 	status []byte    // statusAtLower / statusAtUpper / statusFree / statusBasic
 
-	basis    []int       // basis[k] = variable basic in position k
-	pos      []int       // pos[j] = basis position of var j, or -1
-	binv     [][]float64 // dense refactorized basis inverse, m×m
-	binvBack []float64   // backing of binv's rows
-	xb       []float64   // values of basic variables
+	basis []int     // basis[k] = variable basic in position k
+	pos   []int32   // pos[j] = basis position of var j, or -1
+	binv  []float64 // dense refactorized basis inverse, m×m by rows
+	xb    []float64 // values of basic variables
 
 	cost []float64 // current phase cost for all vars
 	y    []float64 // duals c_Bᵀ·B⁻¹
-	w    []float64 // ftran scratch
-	v    []float64 // rhs scratch
+	w    []float64 // ftran scratch; computeXB's right-hand side
 	rho  []float64 // dual-simplex pivot row e_rᵀ·B⁻¹
 	cb   []float64 // btran input scratch
-	d    []float64 // reduced costs of every column (dualBound)
+	d    []float64 // raw reduced costs of every column (price)
 
 	// Eta file: pivot k replaced basis position etaR[k] with a column whose
 	// ftran image was w; the eta stores w's pivot entry (etaWr) and its
@@ -96,6 +111,15 @@ type simplex struct {
 	boundFlips  int // dual iterations resolved by a bound flip (no eta)
 	blandActive bool
 
+	// dFresh: d holds the raw reduced costs of the current basis under the
+	// true objective, so readers look them up instead of pricing. Set when a
+	// loaded seed is priced (or its pricing reused); the first pivot clears
+	// it, a bound flip does not (it leaves the basis, hence y, unchanged).
+	dFresh bool
+	// objCost: cost holds the true objective (structural) and zeros
+	// (logical); phase 1 overwrites it.
+	objCost bool
+
 	hasDL bool     // opts.Deadline is set
 	sc    *Scratch // the Scratch this state lives in
 }
@@ -112,6 +136,9 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 		sc = &Scratch{}
 	}
 	s := &sc.sim
+	if cap(s.d) < n+m {
+		sc.priced = seedKey{} // grow below drops the priced d
+	}
 	*s = simplex{
 		p:         p,
 		opts:      opts,
@@ -123,13 +150,11 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 		status:    grow(s.status, n+m),
 		basis:     grow(s.basis, m),
 		pos:       grow(s.pos, n+m),
-		binv:      grow(s.binv, m),
-		binvBack:  grow(s.binvBack, m*m),
+		binv:      grow(s.binv, m*m),
 		xb:        grow(s.xb, m),
 		cost:      grow(s.cost, n+m),
 		y:         grow(s.y, m),
 		w:         grow(s.w, m),
-		v:         grow(s.v, m),
 		rho:       grow(s.rho, m),
 		cb:        grow(s.cb, m),
 		d:         grow(s.d, n+m),
@@ -144,7 +169,6 @@ func newSimplex(p *Problem, varLo, varHi []float64, o *Options) *simplex {
 		sc:        sc,
 	}
 	for i := 0; i < m; i++ {
-		s.binv[i] = s.binvBack[i*m : (i+1)*m]
 		s.refacRows[i] = s.refacBack[2*m*i : 2*m*(i+1)]
 	}
 	copy(s.lo, varLo)
@@ -168,18 +192,17 @@ func (s *simplex) resetToLogicalBasis() {
 	}
 	for i := 0; i < s.m; i++ {
 		s.basis[i] = s.n + i
-		s.pos[s.n+i] = i
+		s.pos[s.n+i] = int32(i)
 		s.status[s.n+i] = statusBasic
-		row := s.binv[i]
-		for t := range row {
-			row[t] = 0
-		}
+		row := s.binv[i*s.m : (i+1)*s.m]
+		clear(row)
 		row[i] = -1 // logical columns have coefficient -1
 	}
 	s.clearEtas()
 	s.sincePivot = 0
 	s.degenerate = 0
 	s.blandActive = false
+	s.dFresh = false
 	s.computeXB()
 }
 
@@ -241,6 +264,7 @@ func (s *simplex) appendEta(r int) {
 	}
 	s.etaOff = append(s.etaOff, len(s.etaIdx))
 	s.sincePivot++
+	s.dFresh = false
 }
 
 // applyEtasFtran applies the eta inverses oldest→newest to v in place:
@@ -283,7 +307,7 @@ func (s *simplex) denseBtran(v, out []float64) {
 		if c == 0 {
 			continue
 		}
-		row := s.binv[k]
+		row := s.binv[k*s.m : (k+1)*s.m]
 		for i := 0; i < s.m; i++ {
 			out[i] += c * row[i]
 		}
@@ -292,9 +316,8 @@ func (s *simplex) denseBtran(v, out []float64) {
 
 // computeXB recomputes basic variable values from scratch: x_B = −B⁻¹·N x_N.
 func (s *simplex) computeXB() {
-	for i := range s.v {
-		s.v[i] = 0
-	}
+	v := s.w
+	clear(v)
 	for j := 0; j < s.total; j++ {
 		if s.status[j] == statusBasic {
 			continue
@@ -304,14 +327,14 @@ func (s *simplex) computeXB() {
 			continue
 		}
 		s.column(j, func(row int, coef float64) {
-			s.v[row] += coef * val
+			v[row] += coef * val
 		})
 	}
 	for k := 0; k < s.m; k++ {
 		sum := 0.0
-		row := s.binv[k]
+		row := s.binv[k*s.m : (k+1)*s.m]
 		for i := 0; i < s.m; i++ {
-			sum += row[i] * s.v[i]
+			sum += row[i] * v[i]
 		}
 		s.xb[k] = sum
 	}
@@ -329,7 +352,7 @@ func (s *simplex) ftran(j int) {
 	}
 	s.column(j, func(row int, coef float64) {
 		for k := 0; k < s.m; k++ {
-			s.w[k] += coef * s.binv[k][row]
+			s.w[k] += coef * s.binv[k*s.m+row]
 		}
 	})
 	s.applyEtasFtran(s.w)
@@ -381,35 +404,67 @@ func (s *simplex) rowCoef(j int) float64 {
 	return a
 }
 
-// dualBound prices every column against the current basis's duals under the
-// true objective, leaving the reduced costs in s.d (zero for basic columns
-// and inside optTol), and returns the Lagrangian bound Σ_j min(d_j·lo_j,
-// d_j·hi_j): cᵀx = Σ_j d_j·x_j on the rows, so no row-feasible point of the
-// box is below it. A nonzero d_j toward an infinite bound makes it −Inf.
-func (s *simplex) dualBound() float64 {
-	clear(s.cost)
-	copy(s.cost, s.p.obj)
+// rc returns the reduced cost of nonbasic column j under the current
+// phase's costs: looked up while d is fresh, priced otherwise.
+func (s *simplex) rc(j int) float64 {
+	if s.dFresh {
+		return s.d[j]
+	}
+	return s.reducedCost(j)
+}
+
+// setObjCost loads the true objective into cost, once per phase change.
+func (s *simplex) setObjCost() {
+	if !s.objCost {
+		copy(s.cost, s.p.obj)
+		clear(s.cost[s.n:])
+		s.objCost = true
+	}
+}
+
+// price prices every column against the current basis's duals under the
+// true objective. d gets the raw reduced costs, basic columns and those
+// inside optTol included, so that the ratio test and phase 2 can read them
+// as they would price them; dualBound, fixing and ReducedCosts treat those
+// as zero.
+func (s *simplex) price() {
+	s.setObjCost()
 	s.btran()
-	bound := 0.0
 	for j := 0; j < s.total; j++ {
-		d := s.reducedCost(j)
+		s.d[j] = s.reducedCost(j)
+	}
+	s.dFresh = true
+}
+
+// dualBound returns the Lagrangian bound Σ_j min(d_j·lo_j, d_j·hi_j) under
+// the reduced costs price left, basic columns and those inside optTol
+// counting as d_j = 0: cᵀx = Σ_j d_j·x_j on the rows, so no row-feasible
+// point of the box is below it. A nonzero d_j toward an infinite bound makes
+// it −Inf.
+func (s *simplex) dualBound() float64 {
+	bound := 0.0
+	for j, d := range s.d[:s.total] {
 		switch {
 		case s.status[j] == statusBasic || math.Abs(d) <= optTol:
-			d = 0
 		case d > 0:
 			bound += d * s.lo[j]
 		default:
 			bound += d * s.hi[j]
 		}
-		s.d[j] = d
 	}
 	return bound
 }
 
 // fixByReducedCost applies Options.Fix to the freshly loaded seed basis (see
-// Fix). Only the bound a nonbasic column does not sit at moves, so x_B stays
-// valid. It reports false when the box holds no point below the cutoff.
+// Fix), pricing it unless this Scratch priced the same seed last. Only the
+// bound a nonbasic column does not sit at moves, so the x_B computed after it
+// is the one computed before. It reports false when the box holds no point
+// below the cutoff.
 func (s *simplex) fixByReducedCost() bool {
+	if !s.dFresh {
+		s.price()
+		s.sc.priced = s.seed()
+	}
 	gap := s.opts.Fix.Cutoff - s.dualBound()
 	if gap < 0 {
 		return false
@@ -417,20 +472,37 @@ func (s *simplex) fixByReducedCost() bool {
 	for j, isInt := range s.opts.Fix.Integer {
 		switch d := s.d[j]; {
 		case !isInt:
-		case d > 0 && s.status[j] == statusAtLower:
+		case d > optTol && s.status[j] == statusAtLower:
 			s.hi[j] = min(s.hi[j], s.lo[j]+math.Floor(gap/d+1e-9))
-		case d < 0 && s.status[j] == statusAtUpper:
+		case d < -optTol && s.status[j] == statusAtUpper:
 			s.lo[j] = max(s.lo[j], s.hi[j]-math.Floor(gap/-d+1e-9))
 		}
 	}
 	return true
 }
 
-// refactorize rebuilds the dense basis inverse from the basis columns by
-// Gauss-Jordan elimination with partial pivoting and empties the eta file.
-// On failure (singular basis) the current inverse and eta file are left
-// untouched.
+// seed is the key of the solve's seed basis (Options.Basis, non-nil).
+func (s *simplex) seed() seedKey {
+	b := s.opts.Basis
+	return seedKey{p: s.p, pgen: s.p.gen, b: b, bgen: b.gen}
+}
+
+// refactorize rebuilds the basis inverse (invert) and recomputes x_B from
+// it.
 func (s *simplex) refactorize() error {
+	if err := s.invert(); err != nil {
+		return err
+	}
+	s.computeXB()
+	return nil
+}
+
+// invert rebuilds the dense basis inverse from the basis columns by
+// Gauss-Jordan elimination with partial pivoting and empties the eta file.
+// It reads only the basis order and the matrix, so the same basis always
+// gets the same bits. On failure (singular basis) the current inverse and
+// eta file are left untouched.
+func (s *simplex) invert() error {
 	m := s.m
 	b := s.refacRows
 	for i := 0; i < m; i++ {
@@ -474,11 +546,10 @@ func (s *simplex) refactorize() error {
 		}
 	}
 	for i := 0; i < m; i++ {
-		copy(s.binv[i], b[i][m:])
+		copy(s.binv[i*m:(i+1)*m], b[i][m:])
 	}
 	s.clearEtas()
 	s.sincePivot = 0
-	s.computeXB()
 	return nil
 }
 
@@ -536,22 +607,27 @@ func (s *simplex) solve() (*Solution, error) {
 	st := StatusOptimal
 	warmed := false
 	switch {
-	case s.opts.Basis == nil:
-		s.resetToLogicalBasis()
-	case !s.loadBasis(s.opts.Basis):
+	case s.opts.Basis == nil || !s.loadBasis(s.opts.Basis):
 		// loadBasis leaves the solver in an undefined state on failure.
 		s.resetToLogicalBasis()
-	case s.opts.Fix.Integer != nil && !s.fixByReducedCost():
-		warmed, st = true, StatusInfeasible
 	default:
+		warmed = true
+		// The seed this Scratch priced last is still priced (see Scratch).
+		s.dFresh = s.sc.priced == s.seed()
+		if s.opts.Fix.Integer != nil && !s.fixByReducedCost() {
+			// Settled before x_B is computed: X reads zero, as for crossed
+			// bounds.
+			return s.finish(StatusInfeasible, warmed, false), nil
+		}
+		s.computeXB()
 		dst, fallback := s.dualReinstate()
 		if fallback {
 			// Dual reinstatement could not finish (stall, or no entering
 			// candidate — which may mean infeasibility, but tolerances make
 			// that call unsafe here); restart cold and let phase 1 decide.
 			s.resetToLogicalBasis()
+			warmed = false
 		} else {
-			warmed = true
 			st = dst
 		}
 	}
@@ -568,36 +644,43 @@ func (s *simplex) solve() (*Solution, error) {
 			return nil, err
 		}
 	}
+	return s.finish(st, warmed, true), nil
+}
+
+// finish fills the Scratch's Solution. With haveX it extracts X and cᵀX in
+// one ascending pass (basic columns from x_B, nonbasic ones at their bound);
+// without, X is all zero.
+func (s *simplex) finish(st Status, warmed, haveX bool) *Solution {
+	s.sc.x = grow(s.sc.x, s.n)
+	x := s.sc.x
+	obj := 0.0
+	if !haveX {
+		clear(x)
+	} else {
+		for j := range x {
+			v := s.nbVal(j)
+			if s.status[j] == statusBasic {
+				v = s.xb[s.pos[j]]
+			}
+			x[j] = v
+			obj += s.p.obj[j] * v
+		}
+	}
 	sol := &s.sc.sol
 	*sol = Solution{
 		Status:      st,
-		X:           s.extractX(),
+		X:           x,
+		Obj:         obj,
 		Iters:       s.iters,
 		DegenPivots: s.degenTotal,
 		BoundFlips:  s.boundFlips,
 		WarmStarted: warmed,
 	}
-	for j := 0; j < s.n; j++ {
-		sol.Obj += s.p.obj[j] * sol.X[j]
-	}
 	if s.opts.WantBasis && st == StatusOptimal {
 		sol.Basis = &s.sc.snap
 		s.sc.SnapshotBasis(sol.Basis)
 	}
-	return sol, nil
-}
-
-func (s *simplex) extractX() []float64 {
-	s.sc.x = grow(s.sc.x, s.n)
-	x := s.sc.x
-	for j := 0; j < s.n; j++ {
-		if s.status[j] == statusBasic {
-			x[j] = s.xb[s.pos[j]]
-		} else {
-			x[j] = s.nbVal(j)
-		}
-	}
-	return x
+	return sol
 }
 
 // dualReinstate restores primal feasibility from a warm-started basis with a
@@ -614,12 +697,7 @@ func (s *simplex) extractX() []float64 {
 // close to tolerance, a numerically unusable pivot, or a degeneracy stall —
 // in which case the caller must reset the basis and run phase 1.
 func (s *simplex) dualReinstate() (st Status, fallback bool) {
-	for j := 0; j < s.n; j++ {
-		s.cost[j] = s.p.obj[j]
-	}
-	for j := s.n; j < s.total; j++ {
-		s.cost[j] = 0
-	}
+	s.setObjCost()
 	stall := 0
 	for {
 		if s.iters >= s.opts.MaxIters {
@@ -642,7 +720,9 @@ func (s *simplex) dualReinstate() (st Status, fallback bool) {
 		if r < 0 {
 			return StatusOptimal, false // primal feasible: hand over to phase 2
 		}
-		s.btran()
+		if !s.dFresh {
+			s.btran()
+		}
 		s.btranRow(r)
 		enter := s.dualRatioTest(below)
 		// Bound-flip fast path: when the cheapest entering candidate is a
@@ -757,7 +837,7 @@ func (s *simplex) dualRatioTest(below bool) int {
 		if !ok {
 			continue
 		}
-		t := math.Abs(s.reducedCost(j) / a)
+		t := math.Abs(s.rc(j) / a)
 		aa := math.Abs(a)
 		if t < bestT-1e-10 || (t < bestT+1e-10 && aa > bestA) {
 			best, bestT, bestA = j, t, aa
@@ -791,7 +871,7 @@ func (s *simplex) dualPivot(enter, r int, below bool, stall *int) bool {
 	s.status[leave] = leaveAt
 	s.pos[leave] = -1
 	s.basis[r] = enter
-	s.pos[enter] = r
+	s.pos[enter] = int32(r)
 	s.status[enter] = statusBasic
 	s.xb[r] = enterVal
 	s.appendEta(r)
@@ -826,9 +906,8 @@ func (s *simplex) phase1() (Status, error) {
 		}
 		// Phase-1 costs live only on basic variables; clear stale entries
 		// from variables that left the basis before reassigning.
-		for j := range s.cost {
-			s.cost[j] = 0
-		}
+		clear(s.cost)
+		s.objCost = false
 		infeasible := false
 		for k := 0; k < s.m; k++ {
 			switch s.basicFeasibility(k) {
@@ -869,12 +948,7 @@ func (s *simplex) phase1() (Status, error) {
 
 // phase2 minimizes the true objective starting from a feasible basis.
 func (s *simplex) phase2() (Status, error) {
-	for j := 0; j < s.n; j++ {
-		s.cost[j] = s.p.obj[j]
-	}
-	for j := s.n; j < s.total; j++ {
-		s.cost[j] = 0
-	}
+	s.setObjCost()
 	for {
 		if s.iters >= s.opts.MaxIters {
 			return StatusIterLimit, nil
@@ -882,7 +956,9 @@ func (s *simplex) phase2() (Status, error) {
 		if s.interrupted() {
 			return StatusCancelled, nil
 		}
-		s.btran()
+		if !s.dFresh {
+			s.btran()
+		}
 		enter, sigma := s.priceForEntering()
 		if enter < 0 {
 			return StatusOptimal, nil
@@ -910,7 +986,7 @@ func (s *simplex) priceForEntering() (int, int) {
 			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.hi[j], 1) {
 				continue // fixed variable
 			}
-			if d := s.reducedCost(j); d < -bestScore {
+			if d := s.rc(j); d < -bestScore {
 				if s.blandActive {
 					return j, +1
 				}
@@ -920,14 +996,14 @@ func (s *simplex) priceForEntering() (int, int) {
 			if s.hi[j]-s.lo[j] < feasTol && !math.IsInf(s.lo[j], -1) {
 				continue
 			}
-			if d := s.reducedCost(j); d > bestScore {
+			if d := s.rc(j); d > bestScore {
 				if s.blandActive {
 					return j, -1
 				}
 				best, bestScore, bestSigma = j, d, -1
 			}
 		case statusFree:
-			d := s.reducedCost(j)
+			d := s.rc(j)
 			if d < -bestScore {
 				if s.blandActive {
 					return j, +1
@@ -1073,7 +1149,7 @@ func (s *simplex) applyStep(enter, sigma int, res ratioResult) {
 	s.status[leave] = res.leaveAt
 	s.pos[leave] = -1
 	s.basis[res.leaveK] = enter
-	s.pos[enter] = res.leaveK
+	s.pos[enter] = int32(res.leaveK)
 	s.status[enter] = statusBasic
 	s.xb[res.leaveK] = enterVal
 	s.appendEta(res.leaveK)

@@ -20,7 +20,7 @@ import (
 // the old dive's unbounded goroutine-stack growth (one frame per fixed
 // binary) and is what makes concurrent exploration possible at all.
 //
-// The LP kernel is engaged through three throughput levers (see DESIGN.md
+// The LP kernel is engaged through four throughput levers (see DESIGN.md
 // "LP kernel"):
 //
 //   - the model is presolved once at the root (lp.PresolveRows over the
@@ -28,7 +28,11 @@ import (
 //     space; solutions are postsolved back before they become incumbents;
 //   - every child node carries its parent's optimal basis and each node LP
 //     is warm-started from it (dual-simplex reinstatement instead of
-//     phase 1), with per-worker lp.Scratch reused across node solves;
+//     phase 1), with per-worker lp.Scratch reused across node solves. A
+//     node's LP prices its seed once, for reduced-cost fixing, the first
+//     dual ratio test and the first phase-2 pricing alike, and both children
+//     of a branching node are solved back to back on one worker, so the
+//     second reads the first's pricing of their shared seed;
 //   - the node loop allocates nothing: a node's LP solve lives in its
 //     worker's lp.Scratch, bases are snapshotted only at branching nodes into
 //     buffers recycled through per-worker free lists, nodes come from slabs,
@@ -630,6 +634,10 @@ func (st *search) recycle(b *nodeBasis) {
 // incumbent snapshot. Workers steal the next unclaimed node from the round's
 // shared pool via an atomic cursor; results land in per-node slots. round is
 // a segment of the frontier stack, so the round's node i is round[k-1-i].
+// Siblings are adjacent there and share their seed: whoever claims the first
+// solves the second right after it on the same lp.Scratch, which then reads
+// the seed's pricing instead of repeating it, and a claim of the second is
+// void.
 func (st *search) processRound(round []*bbNode, results []bbResult) {
 	snap := st.inc
 	k := len(round)
@@ -656,7 +664,14 @@ func (st *search) processRound(round []*bbNode, results []bbResult) {
 				if i >= k || st.interrupted() {
 					return
 				}
-				results[i] = st.process(round[k-1-i], snap, sc)
+				n := round[k-1-i]
+				if i > 0 && round[k-i].seed == n.seed {
+					continue // solved with its sibling
+				}
+				results[i] = st.process(n, snap, sc)
+				if i+1 < k && round[k-2-i].seed == n.seed && !st.interrupted() {
+					results[i+1] = st.process(round[k-2-i], snap, sc)
+				}
 			}
 		}(sc)
 	}

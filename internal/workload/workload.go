@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"spq/internal/relation"
 	"spq/internal/rng"
@@ -88,17 +89,34 @@ type Config struct {
 	MeansM int
 }
 
-// ByName generates the named workload: galaxy, portfolio or tpch.
-func ByName(name string, cfg Config) (*Instance, error) {
-	switch name {
-	case "galaxy":
-		return Galaxy(cfg), nil
-	case "portfolio":
-		return Portfolio(cfg), nil
-	case "tpch":
-		return TPCH(cfg), nil
+// generators is the one list of built-in workloads: ByName, its error and
+// Names read it.
+var generators = []struct {
+	name string
+	gen  func(Config) *Instance
+}{
+	{"galaxy", Galaxy},
+	{"portfolio", Portfolio},
+	{"tpch", TPCH},
+}
+
+// Names lists the built-in workloads ByName generates, in a fixed order.
+func Names() []string {
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		names[i] = g.name
 	}
-	return nil, fmt.Errorf("unknown workload %q (want galaxy, portfolio or tpch)", name)
+	return names
+}
+
+// ByName generates the named built-in workload (see Names).
+func ByName(name string, cfg Config) (*Instance, error) {
+	for _, g := range generators {
+		if g.name == name {
+			return g.gen(cfg), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 func (c Config) withDefaults() Config {

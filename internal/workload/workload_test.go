@@ -349,3 +349,26 @@ func TestByName(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesResolve: every name Names lists is one ByName generates, under
+// that name, and Names lists each once.
+func TestNamesResolve(t *testing.T) {
+	names := Names()
+	if len(names) == 0 {
+		t.Fatal("no workload listed")
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Fatalf("%s listed twice", name)
+		}
+		seen[name] = true
+		in, err := ByName(name, Config{N: 20, Seed: 1, MeansM: 50})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if in.Name != name {
+			t.Fatalf("%s generates instance %q", name, in.Name)
+		}
+	}
+}
