@@ -171,7 +171,8 @@ func sampleGamma(s *rng.Stream, shape float64) float64 {
 
 // GBM is a geometric Brownian motion price process with initial price S0,
 // annualized drift Mu and volatility Sigma, advanced in time steps of Dt
-// years. As a Dist it is the one-step marginal (the price after Dt).
+// years. It is not a Dist: a VG function realizes whole paths with Path and
+// takes their expectations from MeanAt.
 type GBM struct {
 	S0    float64
 	Mu    float64
@@ -196,12 +197,6 @@ func (d GBM) Path(st *rng.Stream, path []float64) {
 
 // MeanAt returns the expected price after h steps: S0·exp(Mu·h·Dt).
 func (d GBM) MeanAt(h int) float64 { return d.S0 * math.Exp(d.Mu*float64(h)*d.Dt) }
-
-// Sample implements Dist (the one-step price).
-func (d GBM) Sample(s *rng.Stream) float64 { return d.step(d.S0, s.Norm()) }
-
-// Mean implements Dist (the one-step expected price).
-func (d GBM) Mean() float64 { return d.MeanAt(1) }
 
 // Degenerate is a point mass at Value.
 type Degenerate struct {

@@ -18,8 +18,9 @@
 //   - per-query timeouts and cancellation via context.Context, carried all
 //     the way into scenario generation, validation, and the MILP search.
 //
-// Methods resolve through the core.Solver seam (SummarySearch, Naive), plus
-// "sketch", which runs the partition-aware SketchRefine pipeline
+// A request names one of three methods: "summarysearch" (the default) and
+// "naive" run core's SummarySearch and Naive on the cached plan's SILP, and
+// "sketch" runs the partition-aware SketchRefine pipeline
 // (internal/sketch) against the cached plan: the relation's cached
 // Partitioning shards the medoid solve, shards solve concurrently, and one
 // global refine follows.
@@ -664,7 +665,6 @@ type prepared struct {
 	q       *spaql.Query
 	qstr    string
 	method  string
-	solver  core.Solver // nil for method "sketch"
 	timeout time.Duration
 	opts    core.Options // without Progress, which evaluate installs
 	sopts   *sketch.Options
@@ -687,15 +687,15 @@ func (e *Engine) prepare(sp *obs.Span, req Request, pr *prepared) error {
 	pr.req, pr.q, pr.qstr = req, q, q.String()
 	ps.End()
 
-	// method is canonicalized to the solver's name: "" and "summarysearch"
-	// are the same computation and must share one result entry.
-	pr.method = strings.ToLower(req.Method)
-	if pr.method != "sketch" {
-		if pr.solver, err = core.SolverByName(pr.method); err != nil {
-			e.m.inc(statFailures)
-			return fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
-		}
-		pr.method = pr.solver.Name()
+	// method is canonicalized: "" and "summarysearch" are the same
+	// computation and must share one result entry.
+	switch pr.method = strings.ToLower(req.Method); pr.method {
+	case "":
+		pr.method = "summarysearch"
+	case "summarysearch", "naive", "sketch":
+	default:
+		e.m.inc(statFailures)
+		return fmt.Errorf("%w %q", ErrUnknownMethod, req.Method)
 	}
 
 	pr.timeout = req.Timeout
@@ -839,15 +839,18 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	sctx, ss := obs.StartSpan(ctx, method)
 	var sol *core.Solution
 	var sstats *sketch.Stats
-	if method == "sketch" {
+	switch method {
+	case "summarysearch":
+		sol, err = core.SummarySearchCtx(sctx, p.silp, &opts)
+	case "naive":
+		sol, err = core.NaiveCtx(sctx, p.silp, &opts)
+	case "sketch":
 		sol, sstats, err = sketch.SolveSILP(sctx, p.silp, &opts, pr.sopts)
 		if sstats != nil {
 			e.m.inc(statSketchQueries)
 			e.m.add(statShardSolves, int64(sstats.ShardSolves))
 			ss.SetInt("shard_solves", int64(sstats.ShardSolves))
 		}
-	} else {
-		sol, err = pr.solver.Solve(sctx, p.silp, &opts)
 	}
 	if err != nil {
 		ss.SetAttr("error", err.Error())

@@ -279,21 +279,21 @@ type Point struct {
 // is the best feasible objective at the same (workload, query, param value)
 // across all methods.
 func Aggregate(records []Record) []Point {
-	type groupKey struct {
+	type cellKey struct {
 		w, q, param string
 		value       int
 	}
 	type pointKey struct {
-		groupKey
+		cellKey
 		method Method
 	}
-	bestObj := map[groupKey]float64{}
-	haveBest := map[groupKey]bool{}
+	bestObj := map[cellKey]float64{}
+	haveBest := map[cellKey]bool{}
 	for _, r := range records {
 		if !r.Feasible {
 			continue
 		}
-		gk := groupKey{r.Workload, r.Query, r.Param, r.Value}
+		gk := cellKey{r.Workload, r.Query, r.Param, r.Value}
 		if !haveBest[gk] {
 			bestObj[gk], haveBest[gk] = r.Objective, true
 			continue
@@ -305,7 +305,7 @@ func Aggregate(records []Record) []Point {
 	pts := map[pointKey]*Point{}
 	var order []pointKey
 	for _, r := range records {
-		pk := pointKey{groupKey{r.Workload, r.Query, r.Param, r.Value}, r.Method}
+		pk := pointKey{cellKey{r.Workload, r.Query, r.Param, r.Value}, r.Method}
 		p, ok := pts[pk]
 		if !ok {
 			p = &Point{Workload: r.Workload, Query: r.Query, Method: r.Method, Param: r.Param, Value: r.Value, ApproxRatio: math.NaN()}
@@ -327,7 +327,7 @@ func Aggregate(records []Record) []Point {
 		p.MeanTime /= time.Duration(p.Runs)
 		if feasRuns > 0 {
 			p.MeanObjective /= feasRuns
-			gk := pk.groupKey
+			gk := pk.cellKey
 			if haveBest[gk] {
 				best := bestObj[gk]
 				p.ApproxRatio = ratio(p.MeanObjective, best, recordsMaximize(records, pk.q))

@@ -884,7 +884,7 @@ func (st *search) pickBranchVar(x []float64) int {
 			continue
 		}
 		f := x[j] - math.Floor(x[j])
-		if math.Min(f, 1-f) <= intTol {
+		if f <= intTol || 1-f <= intTol {
 			continue // effectively integral
 		}
 		var score float64

@@ -93,9 +93,9 @@ func TestAttrValuesMatchesValue(t *testing.T) {
 	base := attrTestRelation(t, 12)
 	attrs := []string{"price", "gain", "flux", "path", "foreign"}
 	assertRowsMatchValue(t, "base", base, attrs)
-	view := base.SelectIndices([]int{1, 2, 5, 6, 7, 11})
+	view := mustSelect(t, base, 1, 2, 5, 6, 7, 11)
 	assertRowsMatchValue(t, "view", view, attrs)
-	assertRowsMatchValue(t, "view of view", view.SelectIndices([]int{0, 3, 5}), attrs)
+	assertRowsMatchValue(t, "view of view", mustSelect(t, view, 0, 3, 5), attrs)
 	if _, err := base.Attr("nope"); err == nil {
 		t.Fatal("unknown attribute resolved")
 	}
@@ -113,14 +113,14 @@ func TestAttrValuesLazyColumn(t *testing.T) {
 	if !lazy.IsLazy("price") {
 		t.Fatal("Attr.Values promoted the lazy column")
 	}
-	assertRowsMatchValue(t, "spilled view", lazy.SelectIndices([]int{3, 4, 40}), []string{"price"})
+	assertRowsMatchValue(t, "spilled view", mustSelect(t, lazy, 3, 4, 40), []string{"price"})
 }
 
 // TestAttrValuesAllocatesNothing: a row reuses one recycled stream, so
 // realizing it allocates nothing for the package's own VG functions.
 func TestAttrValuesAllocatesNothing(t *testing.T) {
 	r := attrTestRelation(t, 8)
-	view := r.SelectIndices([]int{1, 4, 6})
+	view := mustSelect(t, r, 1, 4, 6)
 	src := rng.NewSource(5)
 	scens := []int{0, 3, 8, 64, 65}
 	out := make([]float64, len(scens))

@@ -127,7 +127,8 @@ type DeltaStatsSnapshot struct {
 	// PartitionsRetained counts cached partitionings rebased to a new
 	// version untouched (delta footprint disjoint from the features);
 	// PartitionsPatched counts those with only affected shards
-	// re-clustered; PartitionsRebuilt counts full builds.
+	// re-clustered; PartitionsRebuilt counts every k-means build of a
+	// whole partitioning.
 	PartitionsRetained int64
 	PartitionsPatched  int64
 	PartitionsRebuilt  int64

@@ -129,7 +129,11 @@ func TestComputeMeansMatchesPerValue(t *testing.T) {
 				if n < 3 {
 					continue
 				}
-				assertMeansMatchPerValue(t, label+" view", base.SelectIndices([]int{0, 2, n - 1}), src, m)
+				view, err := base.SelectIndices([]int{0, 2, n - 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMeansMatchPerValue(t, label+" view", view, src, m)
 				if _, err := base.ApplyDelta(&relation.Delta{Delete: []int{1, n - 2}}); err != nil {
 					t.Fatal(err)
 				}

@@ -96,7 +96,7 @@ func TestSelectIndicesGathersLazyColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := []int{3, 17, 42, 199}
-	view := lazy.SelectIndices(idx)
+	view := mustSelect(t, lazy, idx...)
 	if view.N() != len(idx) {
 		t.Fatalf("view N = %d, want %d", view.N(), len(idx))
 	}

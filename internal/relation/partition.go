@@ -58,16 +58,10 @@ func (s PartitionSpec) withDefaults() PartitionSpec {
 	return s
 }
 
-// groupKey renders the grouping-relevant spec fields canonically: two specs
-// differing only in Shards share the (expensive) clustering work.
-func (s PartitionSpec) groupKey() string {
-	return fmt.Sprintf("tau=%d|seed=%d|feat=%s",
-		s.GroupSize, s.Seed, strings.Join(s.Features, ","))
-}
-
 // key renders the spec canonically for the relation's partition cache.
 func (s PartitionSpec) key() string {
-	return fmt.Sprintf("%s|shards=%d", s.groupKey(), s.Shards)
+	return fmt.Sprintf("tau=%d|seed=%d|feat=%s|shards=%d",
+		s.GroupSize, s.Seed, strings.Join(s.Features, ","), s.Shards)
 }
 
 // Partitioning is a cached tuple partitioning of one relation version.
@@ -108,10 +102,10 @@ func (p *Partitioning) ShardTuples(shard int) []int {
 	return out
 }
 
-// maxCachedPartitionings bounds each of the per-relation partition caches.
-// Specs are influenced by clients (the engine's sketch options come from
-// the request), so the caches cannot be allowed to grow with spec churn;
-// past the cap they reset wholesale — the next request simply recomputes.
+// maxCachedPartitionings bounds the per-relation partition cache. Specs are
+// influenced by clients (the engine's sketch options come from the
+// request), so the cache cannot be allowed to grow with spec churn; past
+// the cap it resets wholesale — the next request simply recomputes.
 const maxCachedPartitionings = 16
 
 // Partition returns the relation's partitioning for the spec, building and
@@ -126,7 +120,6 @@ const maxCachedPartitionings = 16
 func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 	spec = spec.withDefaults()
 	key := spec.key()
-	gkey := spec.groupKey()
 
 	// Snapshots delegate to the base relation's cache: every snapshot of
 	// one version shares the cached partitionings, and partitionings of
@@ -135,22 +128,14 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 
 	host.partMu.Lock()
 	version := r.Version()
-	if p, ok := host.parts[key]; ok && p.Version == version {
-		host.partMu.Unlock()
-		return p, nil
-	}
-	var prev *Partitioning
-	if p, ok := host.parts[key]; ok && p.Version < version {
-		prev = p
-	}
-	gs, ok := host.groupSets[gkey]
-	if !ok || gs.version != version {
-		gs = nil
-	}
+	prev := host.parts[key]
 	host.partMu.Unlock()
+	if prev != nil && prev.Version == version {
+		return prev, nil
+	}
 
 	var p *Partitioning
-	if gs == nil && prev != nil {
+	if prev != nil && prev.Version < version {
 		// Delta-scoped reuse: a cached partitioning of an older version is
 		// retained (rebased) when the delta footprint is disjoint from the
 		// clustering inputs, or patched (only affected shards re-clustered)
@@ -161,16 +146,11 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 		}
 	}
 	if p == nil {
-		if gs == nil {
-			var err error
-			if gs, err = r.buildGroups(spec, version); err != nil {
-				return nil, err
-			}
-			partsRebuilt.Add(1)
+		var err error
+		if p, err = r.buildPartitioning(spec, version); err != nil {
+			return nil, err
 		}
-		p = assemblePartitioning(spec, gs, r.n)
-	} else {
-		gs = &groupSet{version: version, groupOf: p.GroupOf, groups: p.Groups, medoids: p.Medoids}
+		partsRebuilt.Add(1)
 	}
 
 	host.partMu.Lock()
@@ -178,13 +158,10 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 	if host.parts == nil {
 		host.parts = map[string]*Partitioning{}
 	}
-	if host.groupSets == nil {
-		host.groupSets = map[string]*groupSet{}
-	}
 	cur := host.Version()
 	// Purge entries that can no longer serve as patch sources (their
-	// version fell off the delta log), then bound both caches (specs are
-	// client-influenced via the engine, so they must not grow unboundedly).
+	// version fell off the delta log), then bound the cache (specs are
+	// client-influenced via the engine, so it must not grow unboundedly).
 	for k, v := range host.parts {
 		if v.Version == cur {
 			continue
@@ -193,19 +170,8 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 			delete(host.parts, k)
 		}
 	}
-	for k, v := range host.groupSets {
-		if v.version == cur {
-			continue
-		}
-		if _, ok := host.Changes(v.version); !ok {
-			delete(host.groupSets, k)
-		}
-	}
 	if len(host.parts) >= maxCachedPartitionings {
 		clear(host.parts)
-	}
-	if len(host.groupSets) >= maxCachedPartitionings {
-		clear(host.groupSets)
 	}
 	if incumbent, ok := host.parts[key]; ok {
 		if incumbent.Version == version {
@@ -219,7 +185,6 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 		}
 	}
 	host.parts[key] = p
-	host.groupSets[gkey] = gs
 	return p, nil
 }
 
@@ -382,41 +347,20 @@ func mapBack(groups [][]int, medoids []int, idx []int) ([][]int, []int) {
 	return out, om
 }
 
-// groupSet is the cached clustering level of a partitioning, shared by
-// every shard count over the same grouping spec.
-type groupSet struct {
-	version uint64
-	groupOf []int
-	groups  [][]int
-	medoids []int
-}
-
-// buildGroups runs k-means — the expensive, shard-count-independent half of
-// a partitioning. It only reads the relation's columns (immutable once
-// added), so it is safe to run without the cache lock.
-func (r *Relation) buildGroups(spec PartitionSpec, version uint64) (*groupSet, error) {
-	gs := &groupSet{version: version}
-	if r.n == 0 {
-		return gs, nil
+// buildPartitioning clusters the tuples by k-means and splits the group
+// order into near-equal contiguous shard runs. It only reads the relation's
+// columns (immutable once added), so it is safe to run without the cache
+// lock.
+func (r *Relation) buildPartitioning(spec PartitionSpec, version uint64) (*Partitioning, error) {
+	p := &Partitioning{Spec: spec, Version: version}
+	if r.n > 0 {
+		features, err := r.featureCols(spec.Features)
+		if err != nil {
+			return nil, err
+		}
+		p.GroupOf, p.Groups, p.Medoids = kmeansGroups(features, r.n, spec.GroupSize, kmeansIters, spec.Seed)
 	}
-	features, err := r.featureCols(spec.Features)
-	if err != nil {
-		return nil, err
-	}
-	gs.groupOf, gs.groups, gs.medoids = kmeansGroups(features, r.n, spec.GroupSize, kmeansIters, spec.Seed)
-	return gs, nil
-}
-
-// assemblePartitioning splits the group order into near-equal contiguous
-// shard runs around a (possibly shared) group set.
-func assemblePartitioning(spec PartitionSpec, gs *groupSet, n int) *Partitioning {
-	p := &Partitioning{Spec: spec, Version: gs.version}
-	p.GroupOf, p.Groups, p.Medoids = gs.groupOf, gs.groups, gs.medoids
-
-	shards := spec.Shards
-	if g := len(p.Groups); shards > g {
-		shards = g
-	}
+	shards := min(spec.Shards, len(p.Groups))
 	p.ShardGroups = make([][]int, shards)
 	for s := 0; s < shards; s++ {
 		lo := s * len(p.Groups) / shards
@@ -425,7 +369,7 @@ func assemblePartitioning(spec PartitionSpec, gs *groupSet, n int) *Partitioning
 			p.ShardGroups[s] = append(p.ShardGroups[s], g)
 		}
 	}
-	p.ShardOf = make([]int, n)
+	p.ShardOf = make([]int, r.n)
 	for s, groups := range p.ShardGroups {
 		for _, g := range groups {
 			for _, t := range p.Groups[g] {
@@ -433,7 +377,7 @@ func assemblePartitioning(spec PartitionSpec, gs *groupSet, n int) *Partitioning
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 func (r *Relation) featureCols(names []string) ([][]float64, error) {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"reflect"
 	"testing"
 
 	"spq/internal/dist"
@@ -143,28 +144,47 @@ func TestPartitionCachePerVersion(t *testing.T) {
 	}
 }
 
-func TestPartitionGroupCacheSharedAcrossShardCounts(t *testing.T) {
+// TestPartitionShardCountsSameGroups: k-means is a pure function of the
+// features, τ and the seed, so every shard count of one grouping has the
+// same groups and medoids, each in its own cached Partitioning.
+func TestPartitionShardCountsSameGroups(t *testing.T) {
 	rel := partRelation(t, 40)
 	spec := PartitionSpec{Features: []string{"v"}, GroupSize: 10, Seed: 3}
-	a, err := rel.Partition(spec)
-	if err != nil {
-		t.Fatal(err)
+	var parts []*Partitioning
+	for _, shards := range []int{1, 2, 4} {
+		spec.Shards = shards
+		before := DeltaStats().PartitionsRebuilt
+		p, err := rel.Partition(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DeltaStats().PartitionsRebuilt - before; got != 1 {
+			t.Fatalf("shards=%d: PartitionsRebuilt rose by %d, want 1", shards, got)
+		}
+		if p.NumShards() != shards {
+			t.Fatalf("shards = %d, want %d", p.NumShards(), shards)
+		}
+		again, err := rel.Partition(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != p {
+			t.Fatalf("shards=%d: a repeated spec missed the cache", shards)
+		}
+		if DeltaStats().PartitionsRebuilt != before+1 {
+			t.Fatalf("shards=%d: a cache hit counted as a build", shards)
+		}
+		parts = append(parts, p)
 	}
-	spec.Shards = 4
-	b, err := rel.Partition(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("different shard counts shared one Partitioning")
-	}
-	// The clustering level is computed once: both partitionings must share
-	// the same backing arrays.
-	if &a.GroupOf[0] != &b.GroupOf[0] || &a.Medoids[0] != &b.Medoids[0] {
-		t.Fatal("shard-count change re-ran the clustering")
-	}
-	if b.NumShards() != 4 {
-		t.Fatalf("shards = %d, want 4", b.NumShards())
+	ref := parts[0]
+	for _, p := range parts[1:] {
+		if p == ref {
+			t.Fatal("different shard counts shared one Partitioning")
+		}
+		if !reflect.DeepEqual(p.GroupOf, ref.GroupOf) || !reflect.DeepEqual(p.Groups, ref.Groups) ||
+			!reflect.DeepEqual(p.Medoids, ref.Medoids) {
+			t.Fatalf("%d shards grouped differently from 1 shard", p.NumShards())
+		}
 	}
 }
 
@@ -265,7 +285,10 @@ func TestShardViewPreservesSubstreams(t *testing.T) {
 	}
 	src := rng.NewSource(11)
 	for s := 0; s < p.NumShards(); s++ {
-		shard := rel.Select(func(t int) bool { return p.ShardOf[t] == s })
+		shard, err := rel.Select(func(t int) bool { return p.ShardOf[t] == s })
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := p.ShardTuples(s)
 		if shard.N() != len(want) {
 			t.Fatalf("shard %d has %d tuples, want %d", s, shard.N(), len(want))

@@ -236,12 +236,10 @@ type Relation struct {
 	deltaLog       []*ChangeSet
 	nextOrig       int
 
-	// parts caches Partitionings by canonical spec, and groupSets the
-	// shard-count-independent clustering level, each entry tagged with the
+	// parts caches Partitionings by canonical spec, each tagged with the
 	// version it was built against (see partition.go).
-	partMu    sync.Mutex
-	parts     map[string]*Partitioning
-	groupSets map[string]*groupSet
+	partMu sync.Mutex
+	parts  map[string]*Partitioning
 }
 
 // Version returns a counter incremented by every mutation of the relation.
@@ -598,8 +596,9 @@ func (r *Relation) Means(attr string) ([]float64, error) {
 // Select returns a view containing only the tuples for which keep returns
 // true (the sPaQL WHERE clause). The view preserves each kept tuple's
 // substream identity, so its stochastic behaviour (including cross-tuple
-// correlation) is unchanged. OrigIndex reports the mapping.
-func (r *Relation) Select(keep func(tuple int) bool) *Relation {
+// correlation) is unchanged. OrigIndex reports the mapping. It fails as
+// SelectIndices does.
+func (r *Relation) Select(keep func(tuple int) bool) (*Relation, error) {
 	var orig []int
 	for t := 0; t < r.n; t++ {
 		if keep(t) {
@@ -614,8 +613,9 @@ func (r *Relation) Select(keep func(tuple int) bool) *Relation {
 // the caller scans deterministic columns block-wise, decides which tuples
 // survive, and the view costs O(len(orig)) — not O(N) — in resident memory
 // even when the parent's columns are lazy, because only the kept tuples'
-// deterministic values are gathered.
-func (r *Relation) SelectIndices(orig []int) *Relation {
+// deterministic values are gathered. A lazy column whose source fails to
+// read (truncated or unreadable data) fails the gather with its error.
+func (r *Relation) SelectIndices(orig []int) (*Relation, error) {
 	out := New(r.name, len(orig))
 	out.view = true
 	// Construction below mutates the view; snapshot the parent's version
@@ -640,10 +640,7 @@ func (r *Relation) SelectIndices(orig []int) *Relation {
 				// Gather through the source (and its block cache, if any)
 				// without promoting the parent column.
 				if err := src.ReadAt(buf[:], t); err != nil {
-					// Sources backed by local files fail only on truncated
-					// or unreadable data; surface that as a zero column
-					// would hide corruption, so panic like an OOB index.
-					panic(fmt.Sprintf("relation: gathering column %q: %v", name, err))
+					return nil, fmt.Errorf("relation: gathering column %q: %w", name, err)
 				}
 				col[k] = buf[0]
 			}
@@ -660,7 +657,7 @@ func (r *Relation) SelectIndices(orig []int) *Relation {
 		}
 		out.means[attr] = col
 	}
-	return out
+	return out, nil
 }
 
 // OrigIndex returns the base-relation tuple index for a view tuple; for a

@@ -9,6 +9,16 @@ import (
 	"spq/internal/rng"
 )
 
+// mustSelect is SelectIndices for views whose gather cannot fail.
+func mustSelect(t *testing.T, r *Relation, idx ...int) *Relation {
+	t.Helper()
+	view, err := r.SelectIndices(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
 func newTestRelation(t *testing.T, n int) *Relation {
 	t.Helper()
 	r := New("test", n)
@@ -186,7 +196,10 @@ func TestSetMeans(t *testing.T) {
 func TestSelectPreservesSubstreamIdentity(t *testing.T) {
 	r := newTestRelation(t, 10)
 	src := rng.NewSource(9)
-	view := r.Select(func(tuple int) bool { return tuple%2 == 1 })
+	view, err := r.Select(func(tuple int) bool { return tuple%2 == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if view.N() != 5 {
 		t.Fatalf("view has %d tuples, want 5", view.N())
 	}
@@ -211,7 +224,10 @@ func TestSelectPreservesSubstreamIdentity(t *testing.T) {
 func TestSelectCopiesMeans(t *testing.T) {
 	r := newTestRelation(t, 4)
 	r.ComputeMeans(rng.NewSource(2), 10)
-	view := r.Select(func(tuple int) bool { return tuple >= 2 })
+	view, err := r.Select(func(tuple int) bool { return tuple >= 2 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := view.Means("gain")
 	if err != nil {
 		t.Fatal(err)

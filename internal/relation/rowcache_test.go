@@ -149,16 +149,16 @@ func TestRowCacheMatchesValues(t *testing.T) {
 
 func testRowCacheMatchesValues(t *testing.T, c *rowCache) {
 	base := rowCacheRelation(t, 24, false)
-	view := base.SelectIndices([]int{1, 2, 5, 6, 7, 11, 20, 23})
+	view := mustSelect(t, base, 1, 2, 5, 6, 7, 11, 20, 23)
 	for _, sh := range []struct {
 		label string
 		r     *Relation
 	}{
 		{"base", base},
 		{"view", view},
-		{"view of view", view.SelectIndices([]int{0, 3, 5, 7})},
+		{"view of view", mustSelect(t, view, 0, 3, 5, 7)},
 		{"snapshot", base.Snapshot()},
-		{"view of snapshot", base.Snapshot().SelectIndices([]int{4, 9, 10})},
+		{"view of snapshot", mustSelect(t, base.Snapshot(), 4, 9, 10)},
 	} {
 		assertCachedMatchValues(t, sh.label, c, sh.r)
 	}
@@ -186,7 +186,7 @@ func testRowCacheMatchesValues(t *testing.T, c *rowCache) {
 		}
 		assertCachedMatchValues(t, st.label, c, mut)
 		assertCachedMatchValues(t, st.label+": snapshot before", c, before)
-		assertCachedMatchValues(t, st.label+": view", c, mut.SelectIndices([]int{0, 2, mut.N() - 1}))
+		assertCachedMatchValues(t, st.label+": view", c, mustSelect(t, mut, 0, 2, mut.N()-1))
 	}
 }
 

@@ -62,7 +62,7 @@ func BenchmarkSketchSharded(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var candidates int
 			for i := 0; i < b.N; i++ {
-				sol, stats, err := Solve(q, rel, benchCoreOpts(), &bc.opts)
+				sol, stats, err := solveQuery(q, rel, benchCoreOpts(), &bc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,7 @@ package sketch
 //     packages (shard composition, per-shard seeds, and the merge order are
 //     all independent of scheduling);
 //  2. a 1-shard pipeline reproduces the pre-refactor single-solve
-//     sketch.Solve exactly (verified against legacySolve below, a
+//     sketch exactly (verified against legacySolve below, a
 //     line-for-line transcription of the pre-pipeline implementation).
 
 import (
@@ -59,7 +59,7 @@ func TestSketchWorkerCountBitIdentical(t *testing.T) {
 	q := spaql.MustParse(sketchQuery)
 	base := &Options{GroupSize: 16, Seed: 2, Shards: 4, Workers: 1}
 
-	ref, refStats, err := Solve(q, rel, coreOpts(), base)
+	ref, refStats, err := solveQuery(q, rel, coreOpts(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSketchWorkerCountBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 8, -1} {
 		opts := *base
 		opts.Workers = workers
-		sol, stats, err := Solve(q, rel, coreOpts(), &opts)
+		sol, stats, err := solveQuery(q, rel, coreOpts(), &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestSketchOneShardMatchesLegacy(t *testing.T) {
 		q := spaql.MustParse(sketchQuery)
 		sopts := &Options{GroupSize: 16, Seed: 2}
 
-		got, gotStats, err := Solve(q, rel, coreOpts(), sopts)
+		got, gotStats, err := solveQuery(q, rel, coreOpts(), sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestSketchOneShardMatchesLegacy(t *testing.T) {
 func TestSketchShardedBudgetHolds(t *testing.T) {
 	rel := sketchRelation(t, 320)
 	q := spaql.MustParse(sketchQuery)
-	sol, stats, err := Solve(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 2, Shards: 8, Workers: -1})
+	sol, stats, err := solveQuery(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 2, Shards: 8, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,10 @@ func legacySolve(q *spaql.Query, rel *relation.Relation, copts *core.Options, so
 			groupOfMedoidRow = append(groupOfMedoidRow, part.Group[i])
 		}
 	}
-	sketchRel := view.Select(func(t int) bool { return isMedoid[t] })
+	sketchRel, err := view.Select(func(t int) bool { return isMedoid[t] })
+	if err != nil {
+		return nil, nil, err
+	}
 	qNoWhere := *q
 	qNoWhere.Where = nil
 	sketchStart := time.Now()
@@ -405,7 +408,10 @@ func legacySolve(q *spaql.Query, rel *relation.Relation, copts *core.Options, so
 	}
 	stats.Candidates = count
 
-	candRel := view.Select(func(t int) bool { return inCandidate[t] })
+	candRel, err := view.Select(func(t int) bool { return inCandidate[t] })
+	if err != nil {
+		return nil, nil, err
+	}
 	refineStart := time.Now()
 	refineSILP, err := translate.Build(&qNoWhere, candRel, nil)
 	if err != nil {

@@ -3,14 +3,13 @@
 // large datasets (§6.2.4, §8; SketchRefine is from Brucato et al., VLDB
 // 2018).
 //
-// The relation is partitioned into groups of similar tuples (by default
-// seeded k-means on the query-relevant attributes, using attribute means for
-// stochastic columns; see relation.PartitionSpec for the hash and range
-// alternatives). The SKETCH phase solves the stochastic package query over
-// one medoid tuple per group — a problem with ⌈N/τ⌉ variables instead of
-// N — producing a per-group allotment. The REFINE phase re-solves the query
-// over only the tuples of the groups the sketch selected, a candidate set
-// that is typically a small fraction of N.
+// The relation is partitioned into groups of similar tuples by seeded
+// k-means on the query-relevant attributes, using attribute means for
+// stochastic columns (relation.PartitionSpec). The SKETCH phase solves the
+// stochastic package query over one medoid tuple per group — a problem with
+// ⌈N/τ⌉ variables instead of N — producing a per-group allotment. The
+// REFINE phase re-solves the query over only the tuples of the groups the
+// sketch selected, a candidate set that is typically a small fraction of N.
 //
 // The sketch phase is a partition-aware pipeline rather than one big medoid
 // solve: the partitioning's groups are split into Options.Shards contiguous
@@ -32,7 +31,7 @@
 // deviation.
 //
 // Every sub-problem — shard sketches, the refine, fallbacks — is solved by
-// core.SummarySearchSolver behind the core.Solver seam.
+// core.SummarySearchCtx.
 package sketch
 
 import (
@@ -178,17 +177,6 @@ type shardResult struct {
 	failed bool // no feasible shard-local sketch
 }
 
-// Solve evaluates a stochastic package query with the sketch-refine layer.
-// The returned solution's X indexes the (WHERE-filtered) relation exactly
-// like core.SummarySearch's.
-func Solve(q *spaql.Query, rel *relation.Relation, copts *core.Options, sopts *Options) (*core.Solution, *Stats, error) {
-	silp, err := translate.Build(q, rel, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SolveSILP(context.Background(), silp, copts, sopts)
-}
-
 // SolveSILP runs the partition-aware sketch pipeline on an already-lowered
 // problem (the engine calls it with a cached plan's SILP, skipping
 // re-translation). Cancellation of ctx aborts the pipeline promptly.
@@ -203,11 +191,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 
 	if n <= so.MaxCandidates {
 		// Small enough to solve directly.
-		fctx, fsp := obs.StartSpan(ctx, "fallback")
-		sol, err := core.SummarySearchSolver.Solve(fctx, silp, withPhase(copts, "fallback"))
-		fsp.End()
-		stats.FellBack = true
-		stats.Candidates = n
+		sol, err := fallback(ctx, silp, copts, stats)
 		return sol, stats, err
 	}
 
@@ -310,14 +294,10 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	if len(chosen) == 0 {
 		// Every shard's sketch failed (or selected nothing): fall back to
 		// the full problem.
-		stats.FellBack = true
 		stats.SketchObj = 0
 		refineStart := time.Now()
-		fctx, fsp := obs.StartSpan(ctx, "fallback")
-		sol, err := core.SummarySearchSolver.Solve(fctx, silp, withPhase(copts, "fallback"))
-		fsp.End()
+		sol, err := fallback(ctx, silp, copts, stats)
 		stats.RefineTime = time.Since(refineStart)
-		stats.Candidates = n
 		return sol, stats, err
 	}
 
@@ -344,7 +324,10 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	stats.Candidates = count
 
 	// REFINE: one global solve over the tuples of the selected groups.
-	candRel := view.Select(func(t int) bool { return inCandidate[t] })
+	candRel, err := view.Select(func(t int) bool { return inCandidate[t] })
+	if err != nil {
+		return nil, nil, err
+	}
 	refineStart := time.Now()
 	rctx, rsp := obs.StartSpan(ctx, "refine")
 	rsp.SetInt("candidates", int64(count))
@@ -353,7 +336,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 		rsp.End()
 		return nil, nil, err
 	}
-	refined, err := core.SummarySearchSolver.Solve(rctx, refineSILP, withPhase(copts, "refine"))
+	refined, err := core.SummarySearchCtx(rctx, refineSILP, withPhase(copts, "refine"))
 	rsp.End()
 	stats.RefineTime = time.Since(refineStart)
 	if err != nil {
@@ -378,6 +361,16 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	return &out, stats, nil
 }
 
+// fallback solves the whole (WHERE-filtered) problem with SummarySearch and
+// records in stats that the pipeline fell back.
+func fallback(ctx context.Context, silp *translate.SILP, copts *core.Options, stats *Stats) (*core.Solution, error) {
+	stats.FellBack = true
+	stats.Candidates = silp.Rel.N()
+	fctx, fsp := obs.StartSpan(ctx, "fallback")
+	defer fsp.End()
+	return core.SummarySearchCtx(fctx, silp, withPhase(copts, "fallback"))
+}
+
 // solveShard runs the sketch solve for one shard: the query over the
 // medoids of the shard's groups, each medoid's multiplicity bound inflated
 // to stand for its whole group. A shard whose sketch is infeasible (or
@@ -398,7 +391,10 @@ func solveShard(ctx context.Context, view *relation.Relation, qNoWhere *spaql.Qu
 			groupOfMedoidRow = append(groupOfMedoidRow, part.GroupOf[i])
 		}
 	}
-	sketchRel := view.Select(func(t int) bool { return isMedoid[t] })
+	sketchRel, err := view.Select(func(t int) bool { return isMedoid[t] })
+	if err != nil {
+		return shardResult{}, err
+	}
 	sketchSILP, err := translate.Build(qNoWhere, sketchRel, nil)
 	if err != nil {
 		return shardResult{}, err
@@ -412,7 +408,7 @@ func solveShard(ctx context.Context, view *relation.Relation, qNoWhere *spaql.Qu
 	opts := *baseOpts
 	opts.Seed = seed
 	sctx, ssp := obs.StartSpan(ctx, fmt.Sprintf("sketch/shard%d", shard))
-	sol, err := core.SummarySearchSolver.Solve(sctx, sketchSILP, withPhase(&opts, fmt.Sprintf("sketch/shard%d", shard)))
+	sol, err := core.SummarySearchCtx(sctx, sketchSILP, withPhase(&opts, fmt.Sprintf("sketch/shard%d", shard)))
 	if err != nil || !sol.Feasible {
 		ssp.SetAttr("outcome", "failed")
 		ssp.End()

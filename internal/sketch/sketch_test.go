@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"context"
 	"testing"
 
 	"spq/internal/core"
@@ -37,6 +38,15 @@ func coreOpts() *core.Options {
 	return &core.Options{Seed: 1, ValidationM: 800, InitialM: 10, IncrementM: 10, MaxM: 40, FixedZ: 1}
 }
 
+// solveQuery lowers q against rel and runs the sketch pipeline on it.
+func solveQuery(q *spaql.Query, rel *relation.Relation, copts *core.Options, sopts *Options) (*core.Solution, *Stats, error) {
+	silp, err := translate.Build(q, rel, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return SolveSILP(context.Background(), silp, copts, sopts)
+}
+
 const sketchQuery = `SELECT PACKAGE(*) FROM r SUCH THAT
 	SUM(price) <= 200 AND
 	SUM(gain) >= -4 WITH PROBABILITY >= 0.8
@@ -45,7 +55,7 @@ const sketchQuery = `SELECT PACKAGE(*) FROM r SUCH THAT
 func TestSketchSolveFeasibleAndValid(t *testing.T) {
 	rel := sketchRelation(t, 240)
 	q := spaql.MustParse(sketchQuery)
-	sol, stats, err := Solve(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 2})
+	sol, stats, err := solveQuery(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestSketchSolveFeasibleAndValid(t *testing.T) {
 func TestSketchSmallInstanceFallsBack(t *testing.T) {
 	rel := sketchRelation(t, 30)
 	q := spaql.MustParse(sketchQuery)
-	sol, stats, err := Solve(q, rel, coreOpts(), &Options{GroupSize: 16, MaxCandidates: 64})
+	sol, stats, err := solveQuery(q, rel, coreOpts(), &Options{GroupSize: 16, MaxCandidates: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +100,7 @@ func TestSketchSmallInstanceFallsBack(t *testing.T) {
 func TestSketchQualityCloseToDirect(t *testing.T) {
 	rel := sketchRelation(t, 160)
 	q := spaql.MustParse(sketchQuery)
-	skSol, _, err := Solve(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 3})
+	skSol, _, err := solveQuery(q, rel, coreOpts(), &Options{GroupSize: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +130,7 @@ func TestSketchInfeasibleQueryReported(t *testing.T) {
 		MAXIMIZE EXPECTED SUM(gain)`)
 	opts := coreOpts()
 	opts.MaxM = 20
-	sol, stats, err := Solve(q, rel, opts, &Options{GroupSize: 16})
+	sol, stats, err := solveQuery(q, rel, opts, &Options{GroupSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestSketchWithWhereClause(t *testing.T) {
 		SUM(price) <= 150 AND
 		SUM(gain) >= -4 WITH PROBABILITY >= 0.7
 		MAXIMIZE EXPECTED SUM(gain)`)
-	sol, _, err := Solve(q, rel, coreOpts(), &Options{GroupSize: 8, Seed: 4})
+	sol, _, err := solveQuery(q, rel, coreOpts(), &Options{GroupSize: 8, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,7 +294,9 @@ func Build(q *spaql.Query, rel *relation.Relation, o *Options) (*SILP, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel = rel.SelectIndices(kept)
+		if rel, err = rel.SelectIndices(kept); err != nil {
+			return nil, err
+		}
 	}
 	n := rel.N()
 	if n == 0 {

@@ -2,8 +2,10 @@ package translate
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"spq/internal/dist"
@@ -503,5 +505,30 @@ func TestVerdictMemoBounded(t *testing.T) {
 	full.SetVerdict(key(0), 0)
 	if len(full.memo.verdicts) != maxVerdicts {
 		t.Fatalf("storing a held key at the cap left %d verdicts, want %d", len(full.memo.verdicts), maxVerdicts)
+	}
+}
+
+// failingSource is a lazy column whose every read fails, as a truncated or
+// unreadable column file does.
+type failingSource struct{ n int }
+
+func (s failingSource) Len() int { return s.n }
+func (s failingSource) ReadAt([]float64, int) error {
+	return errors.New("column file truncated")
+}
+
+// TestBuildUnreadableColumnErrors: the WHERE pushdown gathers every
+// deterministic column of the surviving tuples, so an unreadable lazy
+// column fails Build with the read error, even one the query never names.
+func TestBuildUnreadableColumnErrors(t *testing.T) {
+	rel := portfolioRelation(t, 6)
+	if err := rel.AddDetSource("broken", failingSource{n: 6}); err != nil {
+		t.Fatal(err)
+	}
+	q := spaql.MustParse(`SELECT PACKAGE(*) FROM stocks WHERE vol >= 0.1 SUCH THAT
+		SUM(price) <= 200 MAXIMIZE EXPECTED SUM(gain)`)
+	_, err := Build(q, rel, nil)
+	if err == nil || !strings.Contains(err.Error(), "column file truncated") {
+		t.Fatalf("Build over an unreadable column: err = %v, want the read error", err)
 	}
 }

@@ -182,27 +182,15 @@ func ParseQuery(text string) (*Query, error) { return spaql.Parse(text) }
 // unsatisfiable.
 var ErrInfeasible = core.ErrInfeasible
 
-// Partition-aware pipeline re-exports (see internal/relation and
-// internal/core): a Partitioning is a first-class, per-version-cached
-// shard/group descriptor the sketch layer and the engine plan against; a
-// Solver is the seam between problem producers and the algorithms.
+// Partition-aware pipeline re-exports (see internal/relation): a
+// Partitioning is a first-class, per-version-cached shard/group descriptor
+// the sketch layer and the engine plan against.
 type (
 	// Partitioning is a cached tuple partitioning (shards → groups →
 	// tuples) of one relation version.
 	Partitioning = relation.Partitioning
 	// PartitionSpec describes how to build a Partitioning.
 	PartitionSpec = relation.PartitionSpec
-	// Solver is the pluggable solve seam (SummarySearch, Naive, future
-	// parallel branch-and-bound).
-	Solver = core.Solver
-)
-
-// Solvers behind the core.Solver seam.
-var (
-	// SummarySearchSolver is the paper's algorithm (the default).
-	SummarySearchSolver = core.SummarySearchSolver
-	// NaiveSolver is the SAA baseline.
-	NaiveSolver = core.NaiveSolver
 )
 
 // Concurrent execution engine re-exports (see internal/engine): a
