@@ -279,6 +279,10 @@ func (s JobState) Terminal() bool {
 
 // Progress is one streamed progress event: a snapshot of the anytime
 // algorithm after one optimize/validate round (see core.Progress).
+// BestFeasible and BestObjective describe the solve's one incumbent, the
+// package it returns: within a phase, BestFeasible never goes from true to
+// false and BestObjective never gets worse, and the last event of a
+// successful direct solve equals the result's Feasible and Objective.
 type Progress struct {
 	// Seq is the job's monotone event sequence number; poll with
 	// since=<seq> to receive only newer events.

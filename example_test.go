@@ -1,20 +1,17 @@
-// The quickstart example walks through Figure 1 of the paper: a tiny
-// Stock_Investments table with an uncertain Gain attribute, the sPaQL query
-// from the introduction, and the resulting investment package.
-//
-// Run with:
-//
-//	go run ./examples/quickstart
-package main
+package spq_test
 
 import (
 	"fmt"
-	"log"
+	"maps"
+	"slices"
 
 	"spq"
 )
 
-func main() {
+// Example walks through Figure 1 of the paper: a tiny Stock_Investments
+// table with an uncertain Gain attribute, the sPaQL query from the
+// introduction, its plan, and the resulting investment package.
+func Example() {
 	// The Figure 1 table: six possible trades over three stocks, each with
 	// a known current price and an uncertain future gain. Gains of trades
 	// on the same stock are correlated: they read the same simulated price
@@ -46,10 +43,10 @@ func main() {
 		horizon[i] = h
 	}
 	if err := rel.AddDet("price", price); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if err := rel.AddDet("sell_in", sellIn); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// The VG function: one GBM path per stock per scenario; each trade's
@@ -67,12 +64,12 @@ func main() {
 		},
 	}
 	if err := rel.AddStoch("gain", vg); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	db := spq.NewDB()
 	if err := db.Register(rel); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// The paper's introductory query: invest at most $1000, keep the loss
@@ -84,14 +81,10 @@ func main() {
 			SUM(gain) >= -10 WITH PROBABILITY >= 0.95
 		MAXIMIZE EXPECTED SUM(gain)`
 
-	fmt.Println("query:")
-	fmt.Println(query)
-
 	plan, err := db.Explain(query, 100)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-	fmt.Println("\nplan:")
 	fmt.Print(plan)
 
 	res, err := db.Query(query, &spq.Options{
@@ -101,16 +94,30 @@ func main() {
 		MaxM:        400,
 	})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
-	fmt.Println("\nresult:", res)
+	fmt.Println("result:", res)
 	fmt.Printf("loss < $10 with probability %.1f%% (target 95%%)\n",
 		100*(0.95+res.Surpluses[0]))
-	fmt.Println("\nportfolio:")
+	fmt.Println("portfolio:")
 	names := []string{"AAPL", "MSFT", "TSLA"}
-	for id, count := range res.Multiplicities() {
+	mult := res.Multiplicities()
+	for _, id := range slices.Sorted(maps.Keys(mult)) {
 		fmt.Printf("  buy %d share(s) of %s, sell in %g day(s) — price $%.0f each\n",
-			count, names[group[id]], sellIn[id], price[id])
+			mult[id], names[group[id]], sellIn[id], price[id])
 	}
+	// Output:
+	// query: SELECT PACKAGE(*) AS Portfolio FROM stock_investments SUCH THAT SUM(price) <= 1000 AND SUM(gain) >= -10 WITH PROBABILITY >= 0.95 MAXIMIZE EXPECTED SUM(gain)
+	// tuples after WHERE: 6
+	// deterministic/expectation constraints: 1
+	// probabilistic constraints: 1
+	//   c2: Pr(SUM(gain) >= -10) >= 0.95  [summary direction: min]
+	// objective: maximize expected linear sum
+	// SAA DILP size at M=100: ~600 coefficients (Θ(NMK))
+	// CSA DILP size at Z=1: ~6 coefficients (Θ(NZK))
+	// result: package: feasible, 1 distinct tuples, size 1, objective 0.373071 (M=50, Z=1)
+	// loss < $10 with probability 99.2% (target 95%)
+	// portfolio:
+	//   buy 1 share(s) of MSFT, sell in 5 day(s) — price $140 each
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -218,15 +219,19 @@ type Solution struct {
 	// Options.CollectWarm was set; nil otherwise. Never serialized: bases
 	// and summaries are process-local.
 	Warm *WarmStart `json:"-"`
+	// deadlineCut marks the incumbent a context deadline ended the
+	// evaluation with (see runner.settle).
+	deadlineCut bool
 }
 
 // HitLimit reports whether the evaluation was cut short by a wall-clock or
 // node budget — the one way a fixed (query, options, seeds) evaluation can
 // come out different between runs, since how far a budget lets the search
-// get depends on machine load. The engine's result cache refuses to cache
-// such best-effort solutions.
+// get depends on machine load. A context deadline counts whatever
+// o.TimeLimit is. The engine's result cache refuses to cache such
+// best-effort solutions.
 func (s *Solution) HitLimit(o *Options) bool {
-	if o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit {
+	if s.deadlineCut || (o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit) {
 		return true
 	}
 	for _, it := range s.Iterations {
@@ -273,6 +278,14 @@ type runner struct {
 	// totals is the MILP accounting across every solve of the evaluation;
 	// finish stamps it onto the returned Solution.
 	totals client.SolveTotals
+
+	// iters is the evaluation's optimize/validate history.
+	iters []Iteration
+
+	// best is the evaluation's one incumbent, the anytime answer: offer
+	// proposes every validated candidate to it under better, progress
+	// reports read it, and a context deadline ends the evaluation with it.
+	best *Solution
 
 	// warm is the most recent CSA solve's reusable warm-start state, kept
 	// only under Options.CollectWarm; finish attaches it to the returned
@@ -369,6 +382,20 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	sp.End()
 	r.totals.Add(res.SolveWork, res.Workers)
 	return res, nil
+}
+
+// settle applies the anytime contract to an evaluation's outcome. A context
+// deadline is a budget like Options.TimeLimit: once a feasible incumbent
+// exists, a DeadlineExceeded from any phase ends the evaluation with that
+// incumbent, which HitLimit then reports as budget-cut. Without one the
+// error stands, and cancellation is always an error.
+func (r *runner) settle(sol *Solution, err error) (*Solution, error) {
+	if !errors.Is(err, context.DeadlineExceeded) || r.best == nil || !r.best.Feasible {
+		return sol, err
+	}
+	r.best.Iterations = r.iters
+	r.best.deadlineCut = true
+	return r.finish(r.best), nil
 }
 
 // finish stamps end-of-evaluation bookkeeping (wall-clock time, MILP

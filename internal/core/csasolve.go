@@ -151,10 +151,11 @@ func solutionKey(x []float64, alphas []float64) string {
 // csaSolve is Algorithm 3: with M scenarios and Z summaries fixed, search
 // for the best (minimally conservative) CSA formulation. It returns the best
 // solution found (feasible if any iteration validated feasible) or nil when
-// every CSA was unsolvable. Iteration records are appended to *iters.
-// Scenarios are never materialized: the cursors realize the values each
-// greedy score and summary needs, block-wise, on demand.
-func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) (*Solution, error) {
+// every CSA was unsolvable. It offers every validated candidate to the
+// runner's incumbent and appends its iteration records to the runner's
+// history. Scenarios are never materialized: the cursors realize the values
+// each greedy score and summary needs, block-wise, on demand.
+func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 	silp := r.silp
 	k := len(silp.ProbCons)
 
@@ -225,16 +226,15 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 			Objective:    val.Objective,
 			Surpluses:    val.Surpluses,
 		}
-		*iters = append(*iters, iter)
+		r.iters = append(r.iters, iter)
 		for ck := 0; ck < k; ck++ {
 			st.histories[ck] = append(st.histories[ck], alphaObs{alpha: st.alphas[ck], surplus: val.Surpluses[ck]})
 		}
 		cand := r.asSolution(x, val, mCount, zCount, nil)
-		improved := better(silp, cand, best)
-		if improved {
+		r.offer(len(r.iters), cand)
+		if better(silp, cand, best) {
 			best = cand
 		}
-		r.progress(len(*iters), mCount, zCount, val, cand.X, improved, best)
 		// Termination: feasible and (1+ε)-approximate. For probability
 		// objectives require at least one CSA solve so the objective has
 		// actually been optimized (the unconstrained x(0) ignores it).
@@ -269,7 +269,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 			}
 			for _, part := range parts {
 				// Greedy selection (§5.3) by score under the previous package.
-				scores, err := cur.ScoreMap(r.ctx, part, x, r.opts.Parallelism)
+				scores, err := cur.Scores(r.ctx, part, x, r.opts.Parallelism)
 				if err != nil {
 					sumSpan.End()
 					return nil, err
@@ -287,7 +287,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int, iters *[]Iteration) 
 			}
 		}
 		sumSpan.End()
-		it := &(*iters)[len(*iters)-1]
+		it := &r.iters[len(r.iters)-1]
 		// A new α often picks the same scenarios: the formulation (objective
 		// summaries are fixed per call) is then the one just solved, and a
 		// search that ran to completion on it would return the same result.

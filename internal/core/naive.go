@@ -27,14 +27,17 @@ func Naive(silp *translate.SILP, o *Options) (*Solution, error) {
 // promptly and returns ctx's error (see SummarySearchCtx).
 func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution, error) {
 	r := newRunner(ctx, silp, o)
-	sol := &Solution{EpsUpper: infEps()}
+	return r.settle(r.naive())
+}
 
+// naive is Algorithm 1 on the runner's evaluation.
+func (r *runner) naive() (*Solution, error) {
+	silp := r.silp
 	m := r.opts.InitialM
 	sums, objSums, err := r.singletons(nil, nil, 0, m)
 	if err != nil {
 		return nil, err
 	}
-	var best *Solution
 	for {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
@@ -69,18 +72,14 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 			iter.Feasible = val.Feasible
 			iter.Objective = val.Objective
 			iter.Surpluses = val.Surpluses
-			sol.Iterations = append(sol.Iterations, iter)
-			cand := r.asSolution(x, val, m, 0, sol.Iterations)
-			improved := better(silp, cand, best)
-			if improved {
-				best = cand
-			}
-			r.progress(len(sol.Iterations), m, 0, val, cand.X, improved, best)
+			r.iters = append(r.iters, iter)
+			cand := r.asSolution(x, val, m, 0, r.iters)
+			r.offer(len(r.iters), cand)
 			if val.Feasible {
-				return r.finish(best), nil
+				return r.finish(r.best), nil
 			}
 		} else {
-			sol.Iterations = append(sol.Iterations, iter)
+			r.iters = append(r.iters, iter)
 		}
 		if m >= r.opts.MaxM || r.timeUp() {
 			break
@@ -98,8 +97,9 @@ func NaiveCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution,
 		return nil, err
 	}
 	// Failure: report the best (infeasible) attempt, or an empty solution.
+	best := r.best
 	if best == nil {
-		best = sol
+		best = &Solution{EpsUpper: infEps(), Iterations: r.iters}
 	}
 	best.M = m // report the final scenario count reached before giving up
 	return r.finish(best), nil

@@ -14,6 +14,13 @@ import (
 // while it runs: the engine's job manager turns these into the streamed
 // progress of the v1 async API.
 //
+// Improved and Best* read the evaluation's one incumbent, the package it
+// returns: BestFeasible never goes from true to false, BestObjective never
+// gets worse in the query's sense, and the last report of a solve that
+// returns a package describes that package. Each sketch shard, the refine
+// and the fallback are evaluations of their own, so their incumbents are
+// phase-local.
+//
 // All slices and the relation are shared with the running evaluation and
 // must be treated as read-only.
 type Progress struct {
@@ -33,10 +40,6 @@ type Progress struct {
 	Objective float64
 	EpsUpper  float64
 	Surpluses []float64
-	// Maximize is the query's objective sense, so consumers can compare
-	// candidates across phases (a sketch pipeline's shards each track
-	// their own incumbent; Improved/Best* below are phase-local).
-	Maximize bool
 	// Improved reports whether this round's candidate became the incumbent;
 	// BestFeasible/BestObjective describe the incumbent after this round.
 	Improved      bool
@@ -52,31 +55,29 @@ type Progress struct {
 	Elapsed time.Duration
 }
 
-// progress emits one report when a callback is installed. val may carry the
-// iteration's validation verdict; best is the incumbent after the round.
-func (r *runner) progress(iter, m, z int, val *Validation, x []float64, improved bool, best *Solution) {
-	if r.opts.Progress == nil {
-		return
+// offer proposes a validated candidate, the iter-th round's, to the
+// evaluation's incumbent under better, and emits the round's progress
+// report when a callback is installed.
+func (r *runner) offer(iter int, cand *Solution) {
+	improved := better(r.silp, cand, r.best)
+	if improved {
+		r.best = cand
 	}
-	p := Progress{
-		Iteration: iter,
-		M:         m,
-		Z:         z,
-		Improved:  improved,
-		Maximize:  r.silp.Maximize,
-		X:         x,
-		Rel:       r.silp.Rel,
-		Elapsed:   time.Since(r.start),
+	if r.opts.Progress != nil {
+		r.opts.Progress(Progress{
+			Iteration:     iter,
+			M:             cand.M,
+			Z:             cand.Z,
+			Feasible:      cand.Feasible,
+			Objective:     cand.Objective,
+			EpsUpper:      cand.EpsUpper,
+			Surpluses:     cand.Surpluses,
+			Improved:      improved,
+			BestFeasible:  r.best.Feasible,
+			BestObjective: r.best.Objective,
+			X:             cand.X,
+			Rel:           r.silp.Rel,
+			Elapsed:       time.Since(r.start),
+		})
 	}
-	if val != nil {
-		p.Feasible = val.Feasible
-		p.Objective = val.Objective
-		p.EpsUpper = val.EpsUpper
-		p.Surpluses = val.Surpluses
-	}
-	if best != nil {
-		p.BestFeasible = best.Feasible
-		p.BestObjective = best.Objective
-	}
-	r.opts.Progress(p)
 }

@@ -71,23 +71,30 @@ func SummarySearch(silp *translate.SILP, o *Options) (*Solution, error) {
 // SummarySearchCtx is SummarySearch under a context: cancellation aborts the
 // evaluation promptly (scenario generation, validation, and the MILP search
 // all observe ctx) and returns ctx's error. A context deadline acts like
-// Options.TimeLimit except that expiry is an error rather than a best-effort
-// result, which is the behaviour a query server wants.
+// Options.TimeLimit once a feasible package has been validated: the
+// evaluation ends with the best one, which HitLimit reports as budget-cut
+// (see runner.settle). Before that, expiry is ctx's error.
 func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*Solution, error) {
 	r := newRunner(ctx, silp, o)
+	return r.settle(r.summarySearch())
+}
 
-	var iters []Iteration
+// summarySearch is Algorithm 2 on the runner's evaluation. csaSolve returns
+// the best of its own call, which drives the Z/M decisions; the answer is
+// the runner's incumbent, the best of every call.
+func (r *runner) summarySearch() (*Solution, error) {
+	silp := r.silp
 
 	// Delta re-solve fast path (Options.Warm): patch the previous accepted
 	// formulation and re-solve warm. Any miss — stale shape, unsolvable,
 	// validation-infeasible — falls through to the cold loop below.
 	if r.opts.Warm != nil {
-		sol, err := r.tryWarm(&iters)
+		sol, err := r.tryWarm()
 		if err != nil {
 			return nil, err
 		}
 		if sol != nil {
-			sol.Iterations = iters
+			sol.Iterations = r.iters
 			return r.finish(sol), nil
 		}
 	}
@@ -104,9 +111,9 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		if err != nil {
 			return nil, err
 		}
-		sol := r.finish(r.asSolution(x0, val, 0, 0, iters))
-		r.progress(1, 0, 0, val, sol.X, true, sol)
-		return sol, nil
+		sol := r.asSolution(x0, val, 0, 0, r.iters)
+		r.offer(1, sol)
+		return r.finish(sol), nil
 	}
 
 	m := r.opts.InitialM
@@ -115,7 +122,6 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		z = r.opts.FixedZ
 	}
 
-	var best *Solution
 	for {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
@@ -123,26 +129,23 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 		if z > m {
 			z = m
 		}
-		sol, err := r.csaSolve(x0, m, z, &iters)
+		sol, err := r.csaSolve(x0, m, z)
 		if err != nil {
 			return nil, err
-		}
-		if better(silp, sol, best) {
-			best = sol
 		}
 		switch {
 		case sol != nil && sol.Feasible && sol.EpsUpper <= r.opts.Epsilon:
 			// Feasible and (1+ε)-approximate: done (Alg 2 line 7).
-			best.Iterations = iters
-			return r.finish(best), nil
+			r.best.Iterations = r.iters
+			return r.finish(r.best), nil
 		case sol != nil && sol.Feasible && r.opts.FixedZ == 0 && z < m && !r.timeUp():
 			// Feasible but not accurate enough: more summaries (line 9).
 			z += r.opts.IncrementZ
 			continue
 		case sol != nil && sol.Feasible:
 			// Feasible but Z cannot grow (pinned or at M): best effort.
-			best.Iterations = iters
-			return r.finish(best), nil
+			r.best.Iterations = r.iters
+			return r.finish(r.best), nil
 		}
 		// Infeasible: more scenarios (line 11).
 		if m >= r.opts.MaxM || r.timeUp() {
@@ -153,10 +156,11 @@ func SummarySearchCtx(ctx context.Context, silp *translate.SILP, o *Options) (*S
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
+	best := r.best
 	if best == nil {
 		best = &Solution{Z: z, EpsUpper: infEps()}
 	}
 	best.M = m // report the final scenario count reached before giving up
-	best.Iterations = iters
+	best.Iterations = r.iters
 	return r.finish(best), nil
 }

@@ -51,7 +51,7 @@ type WarmStart struct {
 // validates feasible within ε. It returns (nil, nil) when the warm state does
 // not fit this evaluation or the warm solve does not reach an acceptable
 // solution — the caller then runs the cold path from the top.
-func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
+func (r *runner) tryWarm() (*Solution, error) {
 	w := r.opts.Warm
 	silp := r.silp
 	if w == nil || len(w.X) != silp.N || len(w.Summaries) != len(silp.ProbCons) {
@@ -123,7 +123,7 @@ func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	*iters = append(*iters, Iteration{
+	r.iters = append(r.iters, Iteration{
 		M:            w.M,
 		Z:            w.Z,
 		SolverStatus: res.Status,
@@ -143,7 +143,7 @@ func (r *runner) tryWarm(iters *[]Iteration) (*Solution, error) {
 	if r.opts.CollectWarm {
 		r.warm = &WarmStart{X: sol.X, Summaries: summaries, ObjSummaries: objSummaries, Basis: res.RootBasis, M: w.M, Z: w.Z}
 	}
-	r.progress(len(*iters), w.M, w.Z, val, sol.X, true, sol)
+	r.offer(len(r.iters), sol)
 	return sol, nil
 }
 

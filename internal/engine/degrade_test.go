@@ -3,12 +3,17 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spq/client"
 	"spq/internal/core"
+	"spq/internal/dist"
+	"spq/internal/rng"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
 	"spq/internal/translate"
@@ -153,6 +158,91 @@ func TestEngineDegradedJobWire(t *testing.T) {
 	}
 	if wres.Gap <= 0 {
 		t.Fatalf("degraded wire result has no gap: %+v", wres)
+	}
+}
+
+// slowGain is a gain distribution whose every sampled value costs 200 µs
+// once slow is set.
+type slowGain struct {
+	dist.Dist
+	slow *atomic.Bool
+}
+
+func (d slowGain) Sample(s *rng.Stream) float64 {
+	if d.slow.Load() {
+		time.Sleep(200 * time.Microsecond)
+	}
+	return d.Dist.Sample(s)
+}
+
+// TestQueryDeadlineInsidePhaseDegrades: once the first feasible candidate
+// is reported, realisation slows so far that the request deadline expires
+// inside a phase (validating the next candidate) rather than between
+// rounds, where the time budget is checked. Engine.Query and Submit must
+// both answer with the same degraded feasible package, the incumbent; a
+// deadline that expires before any feasible candidate must fail with
+// timeout on both.
+func TestQueryDeadlineInsidePhaseDegrades(t *testing.T) {
+	const query = `SELECT PACKAGE(*) FROM stocks SUCH THAT
+		SUM(price) <= 300 AND
+		SUM(gain) <= 6 WITH PROBABILITY >= 0.9
+		MAXIMIZE EXPECTED SUM(gain)`
+	// run answers the query on a fresh catalog and engine (no realised row
+	// or plan carries over), slow from the start or from the first feasible
+	// report on, through Engine.Query or a job.
+	run := func(slowFromStart, submit bool) (*client.QueryResult, *client.Error) {
+		var slow atomic.Bool
+		slow.Store(slowFromStart)
+		cat := gainCatalog(t, 40, func(d dist.Dist) dist.Dist { return slowGain{d, &slow} })
+		e := New(cat, &Options{Parallelism: 1})
+		req := Request{
+			Query:   query,
+			Timeout: degradeTimeout,
+			Options: degradeOptions(1),
+			Progress: func(p core.Progress) {
+				if p.Feasible {
+					slow.Store(true)
+				}
+			},
+		}
+		if !submit {
+			res, err := e.Query(context.Background(), req)
+			if err != nil {
+				return nil, errToWire(err)
+			}
+			return resultToWire(res, 0), nil
+		}
+		j, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		snap := j.Poll(context.Background(), 0, 0)
+		return snap.Result, snap.Error
+	}
+
+	direct, derr := run(false, false)
+	job, jerr := run(false, true)
+	for _, c := range []struct {
+		path string
+		res  *client.QueryResult
+		err  *client.Error
+	}{{"Engine.Query", direct, derr}, {"Submit", job, jerr}} {
+		if c.err != nil {
+			t.Fatalf("%s: %s (%s), want a degraded package", c.path, c.err.Code, c.err.Message)
+		}
+		if !c.res.Degraded || !c.res.Feasible || len(c.res.Package) == 0 {
+			t.Fatalf("%s: want a degraded feasible package, got %+v", c.path, c.res)
+		}
+	}
+	if direct.Objective != job.Objective || !slices.Equal(direct.Package, job.Package) {
+		t.Fatalf("Engine.Query served %v at %v, Submit %v at %v", direct.Package, direct.Objective, job.Package, job.Objective)
+	}
+
+	for _, submit := range []bool{false, true} {
+		if res, err := run(true, submit); err == nil || err.Code != client.CodeTimeout {
+			t.Fatalf("submit=%v, slow before any feasible candidate: got %+v, error %+v; want code %s", submit, res, err, client.CodeTimeout)
+		}
 	}
 }
 

@@ -792,8 +792,9 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		// Leave a margin so the solver's wall-clock budget binds (and
-		// returns best-so-far) before the hard context deadline kills the
-		// evaluation mid-round.
+		// returns best-so-far) before the hard context deadline cuts a
+		// round short, which core answers with its incumbent only once a
+		// feasible one exists.
 		rem := time.Until(dl)
 		margin := rem / 10
 		if margin < 20*time.Millisecond {
@@ -882,10 +883,11 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	degraded := false
 	var cr *cachedResult
 	if sol.HitLimit(&opts) {
-		if engineClamped {
-			// An engine-applied budget bound: degrade to the anytime
-			// best-so-far package when one exists, fail with the dedicated
-			// 429 when nothing feasible was found in time.
+		if engineClamped || ctx.Err() != nil {
+			// An engine-applied budget bound, or the request deadline that
+			// core answered with its feasible incumbent: degrade to the
+			// anytime best-so-far package when one exists, fail with the
+			// dedicated 429 when nothing feasible was found in time.
 			if !sol.Feasible {
 				sp.SetAttr("degraded", "no_feasible")
 				e.m.inc(statFailures)

@@ -29,12 +29,22 @@ func (c testCatalog) Table(name string) (*relation.Relation, bool) {
 // newCatalog builds a small tractable stocks table with precomputed means.
 func newCatalog(t *testing.T, n int) testCatalog {
 	t.Helper()
+	return gainCatalog(t, n, nil)
+}
+
+// gainCatalog is newCatalog with every gain distribution passed through
+// wrap when it is non-nil.
+func gainCatalog(t *testing.T, n int, wrap func(dist.Dist) dist.Dist) testCatalog {
+	t.Helper()
 	rel := relation.New("stocks", n)
 	price := make([]float64, n)
 	gains := make([]dist.Dist, n)
 	for i := 0; i < n; i++ {
 		price[i] = float64(40 + 7*(i%9))
 		gains[i] = dist.Normal{Mu: 0.5 + float64(i%5)*0.4, Sigma: 0.5 + float64(i%3)*0.5}
+		if wrap != nil {
+			gains[i] = wrap(gains[i])
+		}
 	}
 	if err := rel.AddDet("price", price); err != nil {
 		t.Fatal(err)

@@ -47,23 +47,16 @@ type Job struct {
 	// without it.
 	trace *obs.Trace
 
-	mu       sync.Mutex
-	state    client.JobState
-	started  time.Time
-	finished time.Time
-	seq      int
-	events   []client.Progress
-	bestFeas bool
-	bestObj  float64
-	bestX    []float64
-	bestRel  *relation.Relation
-	// bestEps/bestM/bestZ/bestIter describe the adopted incumbent's round:
-	// the achieved validation gap and scenario/summary counts. They render
-	// the degraded wire result when a deadline salvages the best-so-far.
-	bestEps   float64
-	bestM     int
-	bestZ     int
-	bestIter  int
+	mu        sync.Mutex
+	state     client.JobState
+	started   time.Time
+	finished  time.Time
+	seq       int
+	events    []client.Progress
+	bestFeas  bool
+	bestObj   float64
+	bestX     []float64
+	bestRel   *relation.Relation
 	result    *Result
 	wire      *client.QueryResult // rendered once at completion
 	wireTr    *client.TraceSpan   // rendered once at completion
@@ -342,7 +335,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	if res := e.lookup(root, pr); res != nil {
 		// Settled before it is published: no poller ever sees it queued.
 		e.m.inc(statJobsSubmitted)
-		e.settle(j, res, nil, time.Since(created), req.Tenant)
+		e.settle(j, res, nil, time.Since(created))
 		e.jobsMu.Lock()
 		e.jobsByID[j.id] = j
 		e.jobList = append(e.jobList, j)
@@ -408,7 +401,7 @@ func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
 		solve = time.Since(start)
 	}()
 
-	e.settle(j, res, err, solve, pr.req.Tenant)
+	e.settle(j, res, err, solve)
 	// Bound the finished-job history before closing done, so a waiter on
 	// Done() sees the job fully accounted: history trimmed, evictions
 	// counted.
@@ -419,8 +412,10 @@ func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
 }
 
 // settle moves a job to its terminal state from its evaluation's outcome
-// and renders the wire result and trace once.
-func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, tenant string) {
+// and renders the wire result and trace once. A deadline that cut the
+// evaluation after a feasible package was validated arrives here as a
+// degraded Result, the same one Engine.Query returns.
+func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration) {
 	root := j.trace.Root()
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -450,37 +445,6 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration, ten
 		j.state = client.JobCancelled
 		j.err = &client.Error{Code: client.CodeCancelled, Message: "job cancelled by caller", HTTPStatus: 504}
 		e.m.inc(statJobsCancelled)
-	case !j.cancelled && j.bestFeas && j.bestX != nil &&
-		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDegraded)):
-		// Deadline-aware degradation, job-manager side: the evaluation died
-		// on its deadline, but the progress seam already delivered a
-		// validated feasible incumbent (every report is a candidate that
-		// passed validation against the pinned snapshot). Serve it as a
-		// degraded success instead of failing — the paper's anytime
-		// contract: the best package found within the budget.
-		j.state = client.JobSucceeded
-		size := 0.0
-		for _, v := range j.bestX {
-			size += v
-		}
-		w := &client.QueryResult{
-			Feasible:    true,
-			Degraded:    true,
-			Objective:   j.bestObj,
-			M:           j.bestM,
-			Z:           j.bestZ,
-			Iterations:  j.bestIter,
-			PackageSize: size,
-			Package:     packageOf(j.bestX, j.bestRel),
-			SolveMS:     solve.Milliseconds(),
-		}
-		if !math.IsInf(j.bestEps, 0) && !math.IsNaN(j.bestEps) {
-			w.EpsUpper = j.bestEps
-			w.Gap = j.bestEps
-		}
-		j.wire = w
-		e.m.inc(statJobsCompleted)
-		e.sched.degrade(tenant)
 	default:
 		j.state = client.JobFailed
 		j.err = errToWire(err)
@@ -523,11 +487,11 @@ func (e *Engine) release(j *Job) {
 }
 
 // observe folds one core progress report into the job's event log and
-// best-so-far tracking. Reports may arrive concurrently (sketch shards).
-// The report's Improved/Best* fields are phase-local (each sketch shard
-// tracks its own incumbent), so the job-level best compares candidates
-// itself — feasibility first, then objective in the query's sense — the
-// same rule the core solvers apply.
+// best-so-far package. Reports may arrive concurrently (sketch shards). A
+// report whose X is a package of the query becomes the best-so-far exactly
+// when it improved its evaluation's incumbent: the one evaluation whose
+// packages are the query's (a direct solve, or the sketch's refine or
+// fallback) keeps that incumbent, and returns it.
 func (j *Job) observe(p core.Progress) {
 	// Relation-sized work stays outside the mutex (see Snapshot).
 	size := 0.0
@@ -540,27 +504,9 @@ func (j *Job) observe(p core.Progress) {
 	queryPackage := p.Phase == "" || p.Phase == "refine" || p.Phase == "fallback"
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if p.X != nil && queryPackage {
-		adopt := j.bestX == nil
-		if !adopt && p.Feasible != j.bestFeas {
-			adopt = p.Feasible
-		} else if !adopt && p.Feasible == j.bestFeas {
-			if p.Maximize {
-				adopt = p.Objective > j.bestObj
-			} else {
-				adopt = p.Objective < j.bestObj
-			}
-		}
-		if adopt {
-			j.bestFeas = p.Feasible
-			j.bestObj = p.Objective
-			j.bestX = p.X
-			j.bestRel = p.Rel
-			j.bestEps = p.EpsUpper
-			j.bestM = p.M
-			j.bestZ = p.Z
-			j.bestIter = p.Iteration
-		}
+	if p.Improved && queryPackage {
+		j.bestFeas, j.bestObj = p.Feasible, p.Objective
+		j.bestX, j.bestRel = p.X, p.Rel
 	}
 	j.bump()
 	j.events = append(j.events, client.Progress{

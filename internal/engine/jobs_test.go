@@ -10,6 +10,9 @@ import (
 	"spq/client"
 	"spq/internal/core"
 	"spq/internal/sketch"
+	"spq/internal/spaql"
+	"spq/internal/translate"
+	"spq/internal/workload"
 )
 
 // hardRequest builds a query that cannot finish quickly: a near-infeasible
@@ -361,4 +364,74 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	e.CancelJob(j.ID())
 	<-j.Done()
+}
+
+// TestProgressIncumbentMonotone: the Best* fields of a solve's progress
+// read the one incumbent the solve returns. Portfolio Q2 with a gap no
+// round reaches (ε = 1e-9) grows Z and M through rounds whose per-call
+// best is worse than an earlier one; the reported incumbent must still
+// never lose feasibility or get worse, and the last report must describe
+// the returned package. Checked on a direct solve and on a v1 job.
+func TestProgressIncumbentMonotone(t *testing.T) {
+	in := workload.Portfolio(workload.Config{N: 30, Seed: 1, MeansM: 200})
+	q, _ := in.QueryByID("Q2")
+	opts := func() *core.Options {
+		return &core.Options{Seed: 3, ValidationM: 1000, InitialM: 10, IncrementM: 10, MaxM: 60, SolverNodes: 5000, Epsilon: 1e-9}
+	}
+	silp, err := translate.Build(spaql.MustParse(q.SPaQL), in.Table(q.Table), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worse := func(a, b float64) bool { // a is worse than b in the query's sense
+		if silp.Maximize {
+			return a < b
+		}
+		return a > b
+	}
+	check := func(path string, reports []client.Progress, feasible bool, objective float64) {
+		t.Helper()
+		if len(reports) < 2 {
+			t.Fatalf("%s: %d progress reports, want several rounds", path, len(reports))
+		}
+		for i := 1; i < len(reports); i++ {
+			prev, cur := reports[i-1], reports[i]
+			if prev.BestFeasible && !cur.BestFeasible {
+				t.Fatalf("%s: report %d: best_feasible went true → false", path, i)
+			}
+			if prev.BestFeasible == cur.BestFeasible && worse(cur.BestObjective, prev.BestObjective) {
+				t.Fatalf("%s: report %d: best_objective got worse, %v → %v", path, i, prev.BestObjective, cur.BestObjective)
+			}
+		}
+		last := reports[len(reports)-1]
+		if last.BestFeasible != feasible || last.BestObjective != objective {
+			t.Fatalf("%s: last report has best (%v, %v), the result is (%v, %v)",
+				path, last.BestFeasible, last.BestObjective, feasible, objective)
+		}
+	}
+
+	var direct []client.Progress
+	o := opts()
+	o.Progress = func(p core.Progress) {
+		direct = append(direct, client.Progress{BestFeasible: p.BestFeasible, BestObjective: p.BestObjective})
+	}
+	sol, err := core.SummarySearchCtx(context.Background(), silp, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("direct", direct, sol.Feasible, sol.Objective)
+
+	e := New(testCatalog(in.Tables), &Options{ResultCacheSize: -1})
+	j, err := e.Submit(Request{Query: q.SPaQL, Options: opts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	snap := j.Snapshot(0)
+	if snap.Result == nil {
+		t.Fatalf("job ended %s without a result: %+v", snap.State, snap.Error)
+	}
+	check("job", snap.Events, snap.Result.Feasible, snap.Result.Objective)
+	if snap.Result.Objective != sol.Objective {
+		t.Fatalf("job objective %v, direct %v", snap.Result.Objective, sol.Objective)
+	}
 }

@@ -114,12 +114,13 @@ func PartitionIDs(m, z int, seed uint64) [][]int {
 }
 
 // Pick is the greedy selection of §5.3: given the scores Σ_i s_ij·x_i of
-// part's scenarios under the previous solution x, it returns the ⌈α·|part|⌉
-// whose scores are most favourable — for a ≥ inner constraint (dir == Min)
-// the highest-scoring keep x feasible, for ≤ (dir == Max) the lowest-scoring
-// do. The sort is stable, so ties keep part's order. With nil scores (no
-// previous solution) the first ⌈α·|part|⌉ scenarios of part are used.
-func Pick(part []int, alpha float64, dir Direction, scores map[int]float64) []int {
+// part's scenarios under the previous solution x (aligned with part), it
+// returns the ⌈α·|part|⌉ whose scores are most favourable — for a ≥ inner
+// constraint (dir == Min) the highest-scoring keep x feasible, for ≤
+// (dir == Max) the lowest-scoring do. The sort is stable, so ties keep
+// part's order. With nil scores (no previous solution) the first ⌈α·|part|⌉
+// scenarios of part are used.
+func Pick(part []int, alpha float64, dir Direction, scores []float64) []int {
 	n := int(math.Ceil(alpha * float64(len(part))))
 	if n <= 0 {
 		return nil
@@ -127,16 +128,24 @@ func Pick(part []int, alpha float64, dir Direction, scores map[int]float64) []in
 	if n > len(part) {
 		n = len(part)
 	}
-	chosen := append([]int(nil), part...)
-	if scores != nil {
-		sort.SliceStable(chosen, func(a, b int) bool {
-			if dir == Min {
-				return scores[chosen[a]] > scores[chosen[b]] // descending for ≥
-			}
-			return scores[chosen[a]] < scores[chosen[b]] // ascending for ≤
-		})
+	if scores == nil {
+		return append([]int(nil), part[:n]...)
 	}
-	return chosen[:n]
+	pos := make([]int, len(part))
+	for k := range pos {
+		pos[k] = k
+	}
+	sort.SliceStable(pos, func(a, b int) bool {
+		if dir == Min {
+			return scores[pos[a]] > scores[pos[b]] // descending for ≥
+		}
+		return scores[pos[a]] < scores[pos[b]] // ascending for ≤
+	})
+	chosen := make([]int, n)
+	for k := range chosen {
+		chosen[k] = part[pos[k]]
+	}
+	return chosen
 }
 
 // Summary is an α-summary: a synthetic deterministic realization S̃ such

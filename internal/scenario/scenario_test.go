@@ -61,11 +61,12 @@ func score(s *Set, j int, x []float64) float64 {
 	return sum
 }
 
-// scoreMap scores every scenario of part, the shape Pick consumes.
-func scoreMap(s *Set, part []int, x []float64) map[int]float64 {
-	scores := make(map[int]float64, len(part))
-	for _, j := range part {
-		scores[j] = score(s, j, x)
+// partScores scores every scenario of part, aligned with part: the shape
+// Pick consumes.
+func partScores(s *Set, part []int, x []float64) []float64 {
+	scores := make([]float64, len(part))
+	for k, j := range part {
+		scores[k] = score(s, j, x)
 	}
 	return scores
 }
@@ -174,8 +175,8 @@ func TestPickOrdering(t *testing.T) {
 	rel := testRelation(t, 3)
 	s := generate(t, rng.NewSource(6), rel, "gain", 0, 6)
 	x := []float64{1, 1, 1}
-	part := []int{0, 1, 2, 3, 4, 5}
-	scores := scoreMap(s, part, x)
+	part := []int{0, 1, 2, 3, 4, 5} // the identity, so scores[j] is scenario j's
+	scores := partScores(s, part, x)
 	picked := Pick(part, 0.5, Min, scores) // ⌈3⌉ highest-scoring for ≥
 	if len(picked) != 3 {
 		t.Fatalf("picked %d, want 3", len(picked))
@@ -213,7 +214,7 @@ func TestPickOrdering(t *testing.T) {
 		}
 	}
 	// Ties keep the partition's order (the sort is stable).
-	tied := map[int]float64{0: 1, 1: 2, 2: 1, 3: 2}
+	tied := []float64{2, 1, 2, 1} // scenarios 3, 2, 1, 0
 	if got := Pick([]int{3, 2, 1, 0}, 0.5, Min, tied); got[0] != 3 || got[1] != 1 {
 		t.Fatalf("tied ≥ pick = %v, want [3 1]", got)
 	}

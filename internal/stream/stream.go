@@ -494,16 +494,3 @@ func (c *ScenarioCursor) Scores(ctx context.Context, ids []int, x []float64, wor
 	}
 	return scores, nil
 }
-
-// ScoreMap is Scores keyed by scenario ID, the shape scenario.Pick consumes.
-func (c *ScenarioCursor) ScoreMap(ctx context.Context, ids []int, x []float64, workers int) (map[int]float64, error) {
-	scores, err := c.Scores(ctx, ids, x, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(ids))
-	for k, id := range ids {
-		out[id] = scores[k]
-	}
-	return out, nil
-}

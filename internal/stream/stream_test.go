@@ -212,23 +212,23 @@ func TestCursorPickMatchesMaterialized(t *testing.T) {
 			for _, dir := range []scenario.Direction{Min, Max} {
 				// Reference scores: Σ v·x_i over the package's tuples in
 				// tuple order, from the materialized rows.
-				wantScores := make(map[int]float64, len(part))
-				for _, j := range part {
+				wantScores := make([]float64, len(part))
+				for k, j := range part {
 					for i, v := range set.Row(j) {
 						if x[i] != 0 {
-							wantScores[j] += v * x[i]
+							wantScores[k] += v * x[i]
 						}
 					}
 				}
 				want := scenario.Pick(part, alpha, dir, wantScores)
 				for _, workers := range []int{1, 2, 8, -1} {
-					scores, err := cur.ScoreMap(ctx, part, x, workers)
+					scores, err := cur.Scores(ctx, part, x, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for j, v := range wantScores {
-						if scores[j] != v {
-							t.Fatalf("workers=%d: score[%d] = %v, want %v", workers, j, scores[j], v)
+					for k, v := range wantScores {
+						if scores[k] != v {
+							t.Fatalf("workers=%d: score of scenario %d = %v, want %v", workers, part[k], scores[k], v)
 						}
 					}
 					got := scenario.Pick(part, alpha, dir, scores)
