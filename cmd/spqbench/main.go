@@ -7,7 +7,6 @@
 //	spqbench -experiment fig7 -query Q1          # dataset-size scaling on Galaxy (Figure 7)
 //	spqbench -experiment table3                  # the 24 workload queries (Table 3)
 //	spqbench -experiment sizes                   # SAA vs CSA DILP sizes (§3.1 vs §4.1)
-//	spqbench -phases -workload galaxy -query Q2  # per-phase latency breakdown from trace spans
 //
 // Absolute numbers differ from the paper (pure-Go solver, synthetic data,
 // reduced scale — see bench/README.md); the comparisons the paper draws
@@ -16,20 +15,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"spq"
-	"spq/client"
-	"spq/internal/core"
-	"spq/internal/engine"
 	"spq/internal/experiments"
-	"spq/internal/obs"
 	"spq/internal/workload"
 )
 
@@ -46,8 +38,6 @@ func main() {
 		maxM     = flag.Int("maxm", 80, "maximum optimization scenarios")
 		solverS  = flag.Duration("solver-time", 10*time.Second, "per-solve time limit")
 		queryCap = flag.Duration("time-limit", 2*time.Minute, "per-evaluation time limit")
-		phases   = flag.Bool("phases", false, "run -workload/-query once and print the per-phase latency breakdown from its trace spans")
-		method   = flag.String("method", "summarysearch", "evaluation method for -phases: summarysearch | naive | sketch")
 	)
 	flag.Parse()
 
@@ -62,97 +52,10 @@ func main() {
 	cfg.SolverTime = *solverS
 	cfg.TimeLimit = *queryCap
 
-	if *phases {
-		if err := runPhases(cfg, *wname, *query, *method); err != nil {
-			fmt.Fprintln(os.Stderr, "spqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(cfg, *exp, *wname, *query); err != nil {
 		fmt.Fprintln(os.Stderr, "spqbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runPhases evaluates one workload query through the engine and prints the
-// per-phase latency table its trace spans add up to. Durations are
-// inclusive (a parent covers its children), so the query row is the total
-// and nested phases overlap rather than sum to it.
-func runPhases(cfg experiments.Config, wname, query, method string) error {
-	if wname == "" {
-		wname = "galaxy"
-	}
-	inst, err := workload.ByName(wname, workload.Config{N: cfg.WorkloadN, Seed: cfg.DataSeed})
-	if err != nil {
-		return err
-	}
-	db := spq.NewDB()
-	for _, name := range inst.TableNames() {
-		if err := db.Register(inst.Tables[name]); err != nil {
-			return err
-		}
-	}
-	q, ok := inst.QueryByID(strings.ToUpper(query))
-	if !ok {
-		return fmt.Errorf("workload %s has no query %s", wname, query)
-	}
-
-	eng := spq.NewEngine(db, &engine.Options{DefaultTimeout: cfg.TimeLimit})
-	res, err := eng.Query(context.Background(), engine.Request{
-		Query:  q.SPaQL,
-		Method: method,
-		Options: &core.Options{
-			Seed:        cfg.DataSeed,
-			ValidationM: cfg.ValidationM,
-			InitialM:    cfg.InitialM,
-			IncrementM:  cfg.IncrementM,
-			MaxM:        cfg.MaxM,
-			FixedZ:      q.FixedZ,
-			SolverTime:  cfg.SolverTime,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if res.Trace == nil {
-		return fmt.Errorf("engine returned no trace")
-	}
-
-	type row struct {
-		phase string
-		count int
-		usec  int64
-	}
-	agg := map[string]*row{}
-	var order []string
-	res.Trace.Walk(func(d *client.TraceSpan) {
-		phase := obs.PhaseName(d.Name)
-		r := agg[phase]
-		if r == nil {
-			r = &row{phase: phase}
-			agg[phase] = r
-			order = append(order, phase)
-		}
-		r.count++
-		r.usec += d.DurationUS
-	})
-
-	fmt.Printf("phase breakdown: %s %s via %s (trace %s, objective %.6g, feasible %v)\n\n",
-		wname, q.ID, method, res.Trace.TraceID, res.Objective, res.Feasible)
-	fmt.Printf("%-16s %7s %12s %12s %8s\n", "phase", "count", "total(ms)", "mean(ms)", "%query")
-	total := res.Trace.DurationUS
-	sort.SliceStable(order, func(a, b int) bool { return agg[order[a]].usec > agg[order[b]].usec })
-	for _, phase := range order {
-		r := agg[phase]
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(r.usec) / float64(total)
-		}
-		fmt.Printf("%-16s %7d %12.2f %12.2f %7.1f%%\n",
-			r.phase, r.count, float64(r.usec)/1000, float64(r.usec)/1000/float64(r.count), pct)
-	}
-	return nil
 }
 
 func run(cfg experiments.Config, exp, wname, query string) error {

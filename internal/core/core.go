@@ -393,15 +393,16 @@ func (r *runner) settle(sol *Solution, err error) (*Solution, error) {
 	if !errors.Is(err, context.DeadlineExceeded) || r.best == nil || !r.best.Feasible {
 		return sol, err
 	}
-	r.best.Iterations = r.iters
 	r.best.deadlineCut = true
 	return r.finish(r.best), nil
 }
 
-// finish stamps end-of-evaluation bookkeeping (wall-clock time, MILP
-// accounting) onto the solution about to be returned.
+// finish stamps end-of-evaluation bookkeeping (wall-clock time, the full
+// iteration history, MILP accounting) onto the solution about to be
+// returned.
 func (r *runner) finish(sol *Solution) *Solution {
 	sol.TotalTime = time.Since(r.start)
+	sol.Iterations = r.iters
 	sol.SolveTotals = r.totals
 	// Attach the collected warm-start state only when the returned package
 	// is the one the accepting CSA solve produced (a best-effort solution

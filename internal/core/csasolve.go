@@ -230,7 +230,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 		for ck := 0; ck < k; ck++ {
 			st.histories[ck] = append(st.histories[ck], alphaObs{alpha: st.alphas[ck], surplus: val.Surpluses[ck]})
 		}
-		cand := r.asSolution(x, val, mCount, zCount, nil)
+		cand := r.asSolution(x, val, mCount, zCount)
 		r.offer(len(r.iters), cand)
 		if better(silp, cand, best) {
 			best = cand

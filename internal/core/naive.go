@@ -73,7 +73,7 @@ func (r *runner) naive() (*Solution, error) {
 			iter.Objective = val.Objective
 			iter.Surpluses = val.Surpluses
 			r.iters = append(r.iters, iter)
-			cand := r.asSolution(x, val, m, 0, r.iters)
+			cand := r.asSolution(x, val, m, 0)
 			r.offer(len(r.iters), cand)
 			if val.Feasible {
 				return r.finish(r.best), nil
@@ -99,7 +99,7 @@ func (r *runner) naive() (*Solution, error) {
 	// Failure: report the best (infeasible) attempt, or an empty solution.
 	best := r.best
 	if best == nil {
-		best = &Solution{EpsUpper: infEps(), Iterations: r.iters}
+		best = &Solution{EpsUpper: infEps()}
 	}
 	best.M = m // report the final scenario count reached before giving up
 	return r.finish(best), nil
@@ -130,8 +130,9 @@ func (r *runner) singletons(sums [][]*scenario.Summary, objSums []*scenario.Summ
 	return sums, append(objSums, moreObj...), nil
 }
 
-// asSolution packages a validated point into a Solution snapshot.
-func (r *runner) asSolution(x []float64, val *Validation, m, z int, iters []Iteration) *Solution {
+// asSolution packages a validated point into a Solution snapshot; finish
+// stamps the iteration history on the one that is returned.
+func (r *runner) asSolution(x []float64, val *Validation, m, z int) *Solution {
 	return &Solution{
 		X:             append([]float64(nil), x...),
 		Feasible:      val.Feasible,
@@ -141,7 +142,6 @@ func (r *runner) asSolution(x []float64, val *Validation, m, z int, iters []Iter
 		SurplusCIHalf: append([]float64(nil), val.CIHalf...),
 		M:             m,
 		Z:             z,
-		Iterations:    iters,
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"spq/internal/milp"
 	"spq/internal/spaql"
 	"spq/internal/translate"
 	"spq/internal/workload"
@@ -89,6 +90,8 @@ var naiveGolden = []goldenCase{
 		m:         30, feasible: false,
 		iters: []goldenIter{
 			{10, 0, false, 0x3fdf8a94d3575dc0},
+			{20, 0, false, 0x3fcaf3143b2fdb00},
+			{30, 0, false, 0x3fc9f4fb3d084380},
 		},
 	},
 	{
@@ -139,4 +142,29 @@ var naiveGolden = []goldenCase{
 // per-iteration trace — for every worker count.
 func TestNaiveGolden(t *testing.T) {
 	checkGolden(t, naiveGolden, Naive)
+}
+
+// TestNaiveHitLimitLaterRound pins that an infeasible Naïve answer reports
+// its whole history, not the history as it stood at its best round: here the
+// only candidate comes from the first SAA solve, and the M = 20 solve that
+// follows runs out of nodes without one. HitLimit must see that round.
+func TestNaiveHitLimitLaterRound(t *testing.T) {
+	o := naiveOptions(20)()
+	o.SolverNodes = 1000
+	sol, err := Naive(workloadSILP(t, workload.Portfolio, 30, "Q3"), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Feasible || sol.M != 20 {
+		t.Fatalf("feasible=%v M=%d, want an infeasible answer at M=20", sol.Feasible, sol.M)
+	}
+	if len(sol.Iterations) != 2 {
+		t.Fatalf("%d iterations, want both SAA rounds", len(sol.Iterations))
+	}
+	if st := sol.Iterations[1].SolverStatus; st != milp.StatusLimit {
+		t.Fatalf("second round status %v, want the node limit", st)
+	}
+	if !sol.HitLimit(o) {
+		t.Fatal("HitLimit misses the node-capped later round")
+	}
 }

@@ -94,7 +94,6 @@ func (r *runner) summarySearch() (*Solution, error) {
 			return nil, err
 		}
 		if sol != nil {
-			sol.Iterations = r.iters
 			return r.finish(sol), nil
 		}
 	}
@@ -111,7 +110,7 @@ func (r *runner) summarySearch() (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol := r.asSolution(x0, val, 0, 0, r.iters)
+		sol := r.asSolution(x0, val, 0, 0)
 		r.offer(1, sol)
 		return r.finish(sol), nil
 	}
@@ -136,7 +135,6 @@ func (r *runner) summarySearch() (*Solution, error) {
 		switch {
 		case sol != nil && sol.Feasible && sol.EpsUpper <= r.opts.Epsilon:
 			// Feasible and (1+ε)-approximate: done (Alg 2 line 7).
-			r.best.Iterations = r.iters
 			return r.finish(r.best), nil
 		case sol != nil && sol.Feasible && r.opts.FixedZ == 0 && z < m && !r.timeUp():
 			// Feasible but not accurate enough: more summaries (line 9).
@@ -144,7 +142,6 @@ func (r *runner) summarySearch() (*Solution, error) {
 			continue
 		case sol != nil && sol.Feasible:
 			// Feasible but Z cannot grow (pinned or at M): best effort.
-			r.best.Iterations = r.iters
 			return r.finish(r.best), nil
 		}
 		// Infeasible: more scenarios (line 11).
@@ -161,6 +158,5 @@ func (r *runner) summarySearch() (*Solution, error) {
 		best = &Solution{Z: z, EpsUpper: infEps()}
 	}
 	best.M = m // report the final scenario count reached before giving up
-	best.Iterations = r.iters
 	return r.finish(best), nil
 }

@@ -138,7 +138,7 @@ func (r *runner) tryWarm() (*Solution, error) {
 	if !val.Feasible || val.EpsUpper > r.opts.Epsilon {
 		return nil, nil
 	}
-	sol := r.asSolution(x, val, w.M, w.Z, nil)
+	sol := r.asSolution(x, val, w.M, w.Z)
 	sol.WarmResolve = true
 	if r.opts.CollectWarm {
 		r.warm = &WarmStart{X: sol.X, Summaries: summaries, ObjSummaries: objSummaries, Basis: res.RootBasis, M: w.M, Z: w.Z}

@@ -272,10 +272,10 @@ func TestDeltaWarmResolve(t *testing.T) {
 	}
 }
 
-// TestDeltaTrimsJobHistory pins the eager half of invalidation: a delta
-// releases terminal jobs' pinned snapshots and package vectors, while their
-// rendered wire results keep serving polls.
-func TestDeltaTrimsJobHistory(t *testing.T) {
+// TestDeltaKeepsJobWireResult pins that a finished job is served from its
+// rendered wire answer alone: it holds no package vector or pinned snapshot,
+// and a delta on its table leaves every poll unchanged.
+func TestDeltaKeepsJobWireResult(t *testing.T) {
 	cat := deltaCatalog(t, 15)
 	e := New(cat, &Options{ResultCacheSize: -1})
 
@@ -284,12 +284,15 @@ func TestDeltaTrimsJobHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-j.Done()
-	if res, err := j.Result(); err != nil || res == nil {
-		t.Fatalf("job result = %v, %v", res, err)
-	}
 	before := j.Snapshot(0)
+	if err := before.Err(); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
 	if before.Result == nil || len(before.BestPackage) == 0 {
 		t.Fatalf("finished job has no package: %+v", before)
+	}
+	if j.bestX != nil || j.bestRel != nil {
+		t.Fatal("succeeded job still pins its package vector or relation")
 	}
 
 	if _, err := e.ApplyDelta("stocks", &relation.Delta{
@@ -298,21 +301,17 @@ func TestDeltaTrimsJobHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The engine-level result (and its pinned snapshot) is gone...
-	if res, err := j.Result(); err != nil || res != nil {
-		t.Fatalf("trimmed job still pins its result: %v, %v", res, err)
-	}
-	// ...but the wire rendering still answers polls, package included.
+	// The wire rendering still answers polls, package included.
 	after := j.Snapshot(0)
 	if after.Result == nil {
-		t.Fatal("trim dropped the wire result")
+		t.Fatal("delta dropped the wire result")
 	}
 	if len(after.BestPackage) != len(before.BestPackage) {
-		t.Fatalf("trimmed snapshot lost the package: %d vs %d tuples",
+		t.Fatalf("snapshot lost the package: %d vs %d tuples",
 			len(after.BestPackage), len(before.BestPackage))
 	}
 	if after.BestObjective != before.BestObjective {
-		t.Fatalf("trimmed snapshot changed the objective: %v vs %v",
+		t.Fatalf("snapshot changed the objective: %v vs %v",
 			after.BestObjective, before.BestObjective)
 	}
 }

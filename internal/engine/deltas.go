@@ -10,73 +10,30 @@ import (
 )
 
 // This file is the engine's mutation surface: ApplyDelta funnels a batch
-// relation mutation through the catalog and reconciles engine state with the
-// resulting change set. Invalidation is delta-scoped and mostly lazy — the
-// plan cache and result cache revalidate entries by footprint on their next
-// lookup (see planFor and resultGet) — so applying a delta is O(delta), not
-// O(caches). The eager part is the job history: terminal jobs pin
-// relation-sized state (the solved snapshot and package vector) that a
-// superseded version has no further use for, so deltas trim it down to the
-// rendered wire result.
+// relation mutation through the catalog, and a delta touches only the
+// relation. Invalidation is delta-scoped and lazy — the plan cache and result
+// cache revalidate entries by footprint on their next lookup (see planFor and
+// resultGet) — so applying a delta is O(delta), not O(caches). A finished job
+// keeps only its rendered wire answer, so the job history pins no relation
+// version a delta could supersede.
 
-// warmHint is the warm-start state salvaged from a result-cache entry that a
-// delta invalidated: enough to re-seed the same request's re-solve from the
-// previous evaluation's package, summaries, and root basis. Advisory and
-// node-local, like everything warm-start.
-type warmHint struct {
-	warm    *core.WarmStart
-	table   *relation.Relation // registered base relation
-	rel     *relation.Relation // the (possibly WHERE-filtered) view warm.X indexes
-	version uint64             // relation version the entry was valid for
-}
-
-// maxWarmHints bounds the hint stash: hints are free speed, not correctness,
-// so overflow just forgets one.
-const maxWarmHints = 64
-
-// stashWarm keeps an invalidated entry's warm-start state for the next
-// identical request. Entries solved without CollectWarm carry none.
-func (e *Engine) stashWarm(key string, cr *cachedResult) {
-	if cr.sol == nil || cr.sol.Warm == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.warmHints == nil {
-		e.warmHints = map[string]*warmHint{}
-	}
-	if _, exists := e.warmHints[key]; !exists && len(e.warmHints) >= maxWarmHints {
-		for k := range e.warmHints {
-			delete(e.warmHints, k)
-			break
-		}
-	}
-	e.warmHints[key] = &warmHint{warm: cr.sol.Warm, table: cr.table, rel: cr.rel, version: cr.relVersion}
-}
-
-// takeWarm removes and returns the hint stashed under a result key, if any.
-func (e *Engine) takeWarm(key string) *warmHint {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := e.warmHints[key]
-	if h != nil {
-		delete(e.warmHints, key)
-	}
-	return h
-}
-
-// warmStart resolves a stashed hint against a freshly prepared plan: it
-// checks the hint still describes the same relation lineage, computes the
-// merged change footprint since the hint's version, and translates the
-// touched base tuples into the plan view's index space. Returns nil when the
-// hint no longer applies (membership changed, history trimmed, views
-// enumerate different tuples) — the query then solves cold.
-func (e *Engine) warmStart(hint *warmHint, p *plan) *core.WarmStart {
-	rel, ok := e.cat.Table(p.query.Table)
-	if !ok || rel != hint.table || rel != p.table {
+// warmStart resolves the entry a delta invalidated for this request (see
+// lookup) against a freshly prepared plan: it checks the entry still
+// describes the same relation lineage, computes the merged change footprint
+// since the entry's version, and translates the touched base tuples into the
+// plan view's index space. Returns nil when there is no such entry, it was
+// solved without CollectWarm, or its warm state no longer applies
+// (membership changed, history trimmed, views enumerate different tuples) —
+// the query then solves cold.
+func (e *Engine) warmStart(cr *cachedResult, p *plan) *core.WarmStart {
+	if cr == nil || cr.sol.Warm == nil {
 		return nil
 	}
-	cs, ok := rel.Changes(hint.version)
+	rel, ok := e.cat.Table(p.query.Table)
+	if !ok || rel != cr.table || rel != p.table {
+		return nil
+	}
+	cs, ok := rel.Changes(cr.relVersion)
 	if !ok || cs.MembershipChanged() {
 		return nil
 	}
@@ -86,9 +43,9 @@ func (e *Engine) warmStart(hint *warmHint, p *plan) *core.WarmStart {
 	if bn := rel.N(); bn > 0 && rel.OrigIndex(bn-1) != bn-1 {
 		return nil
 	}
-	nv, ov := p.silp.Rel, hint.rel
+	nv, ov := p.silp.Rel, cr.rel
 	n := nv.N()
-	if ov.N() != n || len(hint.warm.X) != n {
+	if ov.N() != n || len(cr.sol.Warm.X) != n {
 		return nil
 	}
 	// The warm X indexes the old view; it transfers only when both views
@@ -117,17 +74,16 @@ func (e *Engine) warmStart(hint *warmHint, p *plan) *core.WarmStart {
 			}
 		}
 	}
-	w := *hint.warm
+	w := *cr.sol.Warm
 	w.Touched = touched
 	return &w
 }
 
-// ApplyDelta applies a batch mutation to a registered table and reconciles
-// engine state: the job history drops relation-sized state of terminal jobs
-// solved against the table (their rendered wire results keep serving polls),
-// while the plan and result caches revalidate lazily by footprint on their
-// next lookup. Validation failures (unknown table, bad column, out-of-range
-// tuple) wrap ErrBadQuery for the HTTP 400 mapping.
+// ApplyDelta applies a batch mutation to a registered table. It touches
+// only the relation: the plan and result caches revalidate lazily by
+// footprint on their next lookup, and finished jobs hold no relation state.
+// Validation failures (unknown table, bad column, out-of-range tuple) wrap
+// ErrBadQuery for the HTTP 400 mapping.
 func (e *Engine) ApplyDelta(table string, d *relation.Delta) (*relation.ChangeSet, error) {
 	if e.opts.ReadOnly {
 		return nil, fmt.Errorf("%w: server is read-only", ErrBadQuery)
@@ -141,15 +97,7 @@ func (e *Engine) ApplyDelta(table string, d *relation.Delta) (*relation.ChangeSe
 		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
 	e.m.inc(statDeltasApplied)
-	e.trimJobs(table)
 	return cs, nil
-}
-
-// trimJobs trims the terminal jobs that solved against the mutated table.
-func (e *Engine) trimJobs(table string) {
-	for _, j := range e.Jobs() {
-		j.trimAfterDelta(table)
-	}
 }
 
 // handleV1Delta serves POST /v1/tables/{name}/deltas.

@@ -409,11 +409,6 @@ type Engine struct {
 	// plans is nil when plan caching is disabled.
 	plans *resultcache.Memory
 
-	mu sync.Mutex // guards warmHints
-	// warmHints holds warm-start state salvaged from result-cache entries a
-	// delta invalidated, keyed by result key; bounded (see maxWarmHints).
-	warmHints map[string]*warmHint
-
 	// results is nil when result caching is disabled.
 	results *resultcache.Memory
 
@@ -537,15 +532,16 @@ func resultKey(qstr, method string, opts *core.Options, timeout time.Duration, s
 // resultGet returns a still-valid cached result, dropping entries whose
 // relation changed. The conditional Drop (pointer-matched against the entry
 // we validated) guarantees a stale read can never evict a fresh entry
-// stored by a concurrent solve. A nil return is counted as a miss.
-func (e *Engine) resultGet(key string) *cachedResult {
+// stored by a concurrent solve. A nil hit is counted as a miss; stale is the
+// entry a delta invalidated, if that is why it missed.
+func (e *Engine) resultGet(key string) (hit, stale *cachedResult) {
 	if e.results == nil {
-		return nil
+		return nil, nil
 	}
 	ent, ok := e.results.Get(key)
 	if !ok {
 		e.m.inc(statResultMisses)
-		return nil
+		return nil, nil
 	}
 	cr := ent.Local.(*cachedResult)
 	// A retained entry's solution provably cannot differ, so it is rebased
@@ -560,18 +556,17 @@ func (e *Engine) resultGet(key string) *cachedResult {
 			e.m.inc(statResultsRetained)
 		}
 		e.m.inc(statResultHits)
-		return cr
+		return cr, nil
 	case moved:
 		// Invalidated for real — but the dying entry may carry the previous
-		// evaluation's warm-start state. Stash it so the re-solve of the same
-		// request can start from the previous package, summaries, and root
-		// basis instead of cold.
-		e.stashWarm(key, cr)
+		// evaluation's warm-start state, which the re-solve of this request
+		// can start from instead of cold (see warmStart).
+		stale = cr
 		e.m.inc(statResultsInvalidated)
 	}
 	e.results.Drop(key, ent)
 	e.m.inc(statResultMisses)
-	return nil
+	return nil, stale
 }
 
 // resultPut stores one locally solved result.
@@ -669,6 +664,9 @@ type prepared struct {
 	opts    core.Options // without Progress, which evaluate installs
 	sopts   *sketch.Options
 	rkey    string
+	// stale is the result-cache entry a delta invalidated for this request,
+	// set by lookup: its warm-start state rides to evaluate.
+	stale *cachedResult
 }
 
 // prepare fills pr from the request: it parses the query under a "parse"
@@ -726,9 +724,10 @@ func (e *Engine) prepare(sp *obs.Span, req Request, pr *prepared) error {
 // lookup answers a prepared request from the result cache, counting one hit
 // or one miss. Identical deterministic requests are answered without
 // solving, and without consuming a solve slot or queue capacity; nil means
-// evaluate must solve.
+// evaluate must solve, and pr.stale then holds the entry a delta invalidated.
 func (e *Engine) lookup(sp *obs.Span, pr *prepared) *Result {
-	cr := e.resultGet(pr.rkey)
+	var cr *cachedResult
+	cr, pr.stale = e.resultGet(pr.rkey)
 	if cr == nil {
 		return nil
 	}
@@ -822,17 +821,15 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	pls.End()
 
 	// Warm re-solve wiring (core methods only): collect warm state alongside
-	// cacheable results, and consume a hint stashed when a delta invalidated
-	// this request's previous entry. Both are advisory — neither joins the
-	// result key, and a warm solve that fails to validate falls back to the
-	// cold path inside core.
+	// cacheable results, and start from the entry a delta invalidated for
+	// this request. Both are advisory — neither joins the result key, and a
+	// warm solve that fails to validate falls back to the cold path inside
+	// core.
 	if method != "sketch" {
 		opts.CollectWarm = e.results != nil
-		if hint := e.takeWarm(pr.rkey); hint != nil {
-			if w := e.warmStart(hint, p); w != nil {
-				opts.Warm = w
-				sp.SetAttr("warm", "hint")
-			}
+		if w := e.warmStart(pr.stale, p); w != nil {
+			opts.Warm = w
+			sp.SetAttr("warm", "hint")
 		}
 	}
 

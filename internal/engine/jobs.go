@@ -25,7 +25,9 @@ import (
 // Submit runs the first two itself, so a result-cache hit is answered
 // inside the submission; only a miss evaluates on its own goroutine. Wire
 // rendering uses the client package's types, which are the v1 JSON
-// contract.
+// contract. A finished job keeps only its wire answer: the result or error,
+// and for a failed or cancelled job its best package rendered once, so the
+// job history pins no relation.
 
 // maxJobEvents bounds each job's retained progress history; older events
 // are dropped (their seq numbers remain monotone, so pollers notice gaps).
@@ -33,7 +35,9 @@ const maxJobEvents = 1024
 
 // Job is one asynchronous query evaluation tracked by the engine. All
 // exported access goes through Snapshot/Poll (wire-typed, race-free);
-// Done() closes when the job reaches a terminal state.
+// Done() closes when the job reaches a terminal state. While it runs, the
+// best-so-far package is held as a vector over its pinned relation; once it
+// is terminal, only the rendered wire answer remains.
 type Job struct {
 	id      string
 	query   string
@@ -57,9 +61,9 @@ type Job struct {
 	bestObj   float64
 	bestX     []float64
 	bestRel   *relation.Relation
-	result    *Result
-	wire      *client.QueryResult // rendered once at completion
-	wireTr    *client.TraceSpan   // rendered once at completion
+	bestPkg   []client.PackageTuple // bestX rendered once at failure or cancellation
+	wire      *client.QueryResult   // rendered once at completion
+	wireTr    *client.TraceSpan     // rendered once at completion
 	err       *client.Error
 	cancelled bool          // CancelJob was called before the job finished
 	cancelAt  time.Time     // first CancelJob call (cancel-latency metric)
@@ -71,22 +75,6 @@ func (j *Job) ID() string { return j.id }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Result returns the engine-level result and error of a finished job
-// (nil, nil if the job is still active). Cancelled jobs report a
-// context.Canceled-wrapping error via the wire Error only; here they
-// return (nil, non-nil).
-func (j *Job) Result() (*Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, nil
-	}
-	if j.err != nil {
-		return nil, j.err
-	}
-	return j.result, nil
-}
 
 // bump advances the job's sequence number and wakes every poller. Callers
 // hold j.mu.
@@ -132,7 +120,7 @@ func (j *Job) Snapshot(since int) *client.Job {
 			}
 		}
 	}
-	bestX, bestRel := j.bestX, j.bestRel
+	bestX, bestRel, bestPkg := j.bestX, j.bestRel, j.bestPkg
 	out.BestFeasible = j.bestFeas
 	out.BestObjective = j.bestObj
 	out.Result = j.wire
@@ -142,38 +130,19 @@ func (j *Job) Snapshot(since int) *client.Job {
 
 	switch {
 	case out.Result != nil:
-		// The final package is by definition the best one, and its wire
-		// rendering outlives a delta that trims the job (trimAfterDelta).
+		// The final package is by definition the best one.
 		out.BestFeasible = out.Result.Feasible
 		out.BestObjective = out.Result.Objective
 		out.BestPackage = out.Result.Package
 	case bestX != nil:
 		out.BestPackage = packageOf(bestX, bestRel)
+	case bestPkg != nil:
+		out.BestPackage = bestPkg
 	default:
 		out.BestFeasible = false
 		out.BestObjective = 0
 	}
 	return out
-}
-
-// trimAfterDelta releases a terminal job's relation-sized state once its
-// table was mutated: the full Solution, the package vector, and — most
-// importantly — the pinned pre-delta snapshot they reference are dropped, so
-// a long job history cannot keep every superseded relation version resident.
-// The rendered wire result (OrigIndex-mapped package tuples, objective,
-// counters) keeps serving polls unchanged.
-func (j *Job) trimAfterDelta(table string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() || j.wire == nil || j.result == nil {
-		return
-	}
-	if j.result.Query == nil || !strings.EqualFold(j.result.Query.Table, table) {
-		return
-	}
-	j.result = nil
-	j.bestX = nil
-	j.bestRel = nil
 }
 
 // Poll blocks until the job's sequence number exceeds since, the job is
@@ -414,13 +383,29 @@ func (e *Engine) runJob(ctx context.Context, j *Job, pr *prepared) {
 // settle moves a job to its terminal state from its evaluation's outcome
 // and renders the wire result and trace once. A deadline that cut the
 // evaluation after a feasible package was validated arrives here as a
-// degraded Result, the same one Engine.Query returns.
+// degraded Result, the same one Engine.Query returns. Every terminal state
+// drops the package vector and its pinned relation: a failed or cancelled
+// job keeps its best package as rendered here. The O(N) renderings happen
+// outside j.mu (see Snapshot).
 func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration) {
 	root := j.trace.Root()
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
 	root.End()
+
+	var wire *client.QueryResult
+	var bestPkg []client.PackageTuple
+	if err == nil {
+		wire = resultToWire(res, solve)
+	} else {
+		j.mu.Lock()
+		bestX, bestRel := j.bestX, j.bestRel
+		j.mu.Unlock()
+		if bestX != nil {
+			bestPkg = packageOf(bestX, bestRel)
+		}
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -435,11 +420,7 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration) {
 	switch {
 	case err == nil:
 		j.state = client.JobSucceeded
-		j.result = res
-		j.wire = resultToWire(res, solve)
-		// Snapshot serves the best package from the wire result now, so an
-		// earlier candidate need not stay resident.
-		j.bestX, j.bestRel = nil, nil
+		j.wire = wire
 		e.m.inc(statJobsCompleted)
 	case j.cancelled && errors.Is(err, context.Canceled):
 		j.state = client.JobCancelled
@@ -450,6 +431,7 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration) {
 		j.err = errToWire(err)
 		e.m.inc(statJobsCompleted)
 	}
+	j.bestX, j.bestRel, j.bestPkg = nil, nil, bestPkg
 	j.bump()
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"spq/client"
 	"spq/internal/core"
+	"spq/internal/relation"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
 	"spq/internal/translate"
@@ -60,12 +62,11 @@ func TestJobLifecycleParity(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("job did not finish")
 	}
-	res, jerr := j.Result()
-	if jerr != nil {
+	snap := j.Snapshot(0)
+	if jerr := snap.Err(); jerr != nil {
 		t.Fatalf("job failed: %v", jerr)
 	}
-
-	snap := j.Snapshot(0)
+	res := snap.Result
 	if snap.State != client.JobSucceeded {
 		t.Fatalf("state = %q, want succeeded", snap.State)
 	}
@@ -81,8 +82,8 @@ func TestJobLifecycleParity(t *testing.T) {
 	if last.BestObjective != res.Objective {
 		t.Fatalf("final event best objective %v != result objective %v", last.BestObjective, res.Objective)
 	}
-	if snap.Result == nil || !snap.Result.Feasible || len(snap.Result.Package) == 0 {
-		t.Fatalf("bad wire result: %+v", snap.Result)
+	if res == nil || !res.Feasible || len(res.Package) == 0 {
+		t.Fatalf("bad wire result: %+v", res)
 	}
 
 	// Synchronous path, same request: must be bit-identical.
@@ -94,12 +95,13 @@ func TestJobLifecycleParity(t *testing.T) {
 		t.Fatalf("async (obj=%v M=%d Z=%d) != sync (obj=%v M=%d Z=%d)",
 			res.Objective, res.M, res.Z, sres.Objective, sres.M, sres.Z)
 	}
-	if len(sres.X) != len(res.X) {
-		t.Fatalf("package length diverged: %d vs %d", len(res.X), len(sres.X))
+	spkg := packageOf(sres.X, sres.Rel)
+	if len(spkg) != len(res.Package) {
+		t.Fatalf("package length diverged: %d vs %d tuples", len(res.Package), len(spkg))
 	}
-	for i := range sres.X {
-		if sres.X[i] != res.X[i] {
-			t.Fatalf("package diverged at %d: %v vs %v", i, res.X[i], sres.X[i])
+	for i := range spkg {
+		if spkg[i] != res.Package[i] {
+			t.Fatalf("package diverged at %d: %+v vs %+v", i, res.Package[i], spkg[i])
 		}
 	}
 }
@@ -125,10 +127,10 @@ func TestJobSketchProgressPhases(t *testing.T) {
 	case <-time.After(120 * time.Second):
 		t.Fatal("sketch job did not finish")
 	}
-	if _, jerr := j.Result(); jerr != nil {
+	snap := j.Snapshot(0)
+	if jerr := snap.Err(); jerr != nil {
 		t.Fatalf("sketch job failed: %v", jerr)
 	}
-	snap := j.Snapshot(0)
 	phases := map[string]bool{}
 	for _, ev := range snap.Events {
 		phases[ev.Phase] = true
@@ -235,7 +237,7 @@ func TestJobCancelFreesSlot(t *testing.T) {
 	if s := j.Snapshot(0); s.State != client.JobCancelled {
 		t.Fatalf("state = %q, want cancelled", s.State)
 	}
-	if _, jerr := j.Result(); jerr == nil {
+	if j.Snapshot(0).Err() == nil {
 		t.Fatal("cancelled job reported no error")
 	}
 
@@ -300,6 +302,69 @@ func TestJobCancelMidMILP(t *testing.T) {
 	}
 	if s := j.Snapshot(0); s.State != client.JobCancelled {
 		t.Fatalf("state = %q, want cancelled", s.State)
+	}
+}
+
+// TestJobTerminalPinsNoRelation pins that a job cancelled after reporting a
+// candidate keeps only its rendered best package: settle drops the package
+// vector and the snapshot relation it indexes, and the served best package
+// does not move when a delta then mutates the job's table.
+func TestJobTerminalPinsNoRelation(t *testing.T) {
+	cat := deltaCatalog(t, 15)
+	e := New(cat, &Options{ResultCacheSize: -1})
+	submitted := make(chan *Job, 1)
+	var once sync.Once
+	req := Request{Query: deltaQuery, Options: deltaCoreOptions()}
+	req.Progress = func(p core.Progress) {
+		if p.Improved {
+			once.Do(func() { e.CancelJob((<-submitted).ID()) })
+		}
+	}
+	j, err := e.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted <- j
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("cancelled job did not finish")
+	}
+
+	before := j.Snapshot(0)
+	if before.State != client.JobCancelled {
+		t.Fatalf("state = %q, want cancelled", before.State)
+	}
+	if len(before.BestPackage) == 0 {
+		t.Fatal("cancelled job lost the candidate it reported")
+	}
+	if j.bestX != nil || j.bestRel != nil {
+		t.Fatal("terminal job still pins its package vector or relation")
+	}
+
+	patch := map[int]float64{}
+	for _, pt := range before.BestPackage {
+		patch[pt.Tuple] = 1000
+	}
+	if _, err := e.ApplyDelta("stocks", &relation.Delta{
+		Set: map[string]map[int]float64{"price": patch},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := j.Snapshot(0)
+	if after.BestFeasible != before.BestFeasible || after.BestObjective != before.BestObjective {
+		t.Fatalf("best moved across a delta: (%v, %v) -> (%v, %v)",
+			before.BestFeasible, before.BestObjective, after.BestFeasible, after.BestObjective)
+	}
+	if len(after.BestPackage) != len(before.BestPackage) {
+		t.Fatalf("best package changed size across a delta: %d -> %d tuples",
+			len(before.BestPackage), len(after.BestPackage))
+	}
+	for i := range before.BestPackage {
+		if after.BestPackage[i] != before.BestPackage[i] {
+			t.Fatalf("best package tuple %d moved across a delta: %+v -> %+v",
+				i, before.BestPackage[i], after.BestPackage[i])
+		}
 	}
 }
 

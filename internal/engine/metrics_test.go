@@ -131,7 +131,7 @@ func TestMetricsMatchStats(t *testing.T) {
 			return
 		}
 		<-j.Done()
-		if _, err := j.Result(); err != nil {
+		if err := j.Snapshot(0).Err(); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -281,7 +281,7 @@ func TestTenantLedgerMatchesMetrics(t *testing.T) {
 	}
 	e.sched.Release("")
 	<-j.Done()
-	if _, err := j.Result(); err != nil {
+	if err := j.Snapshot(0).Err(); err != nil {
 		t.Fatal(err)
 	}
 
