@@ -170,6 +170,8 @@ type Iteration struct {
 	M            int
 	Z            int // 0 for Naïve
 	SolverStatus milp.Status
+	// SolverStop is why the iteration's MILP solve ended (see milp.Stop).
+	SolverStop   milp.Stop
 	Coefficients int
 	// SolveWork is the work of the iteration's MILP solve (zero for
 	// iterations that never reached a solve or reused the previous
@@ -219,19 +221,23 @@ type Solution struct {
 	// Options.CollectWarm was set; nil otherwise. Never serialized: bases
 	// and summaries are process-local.
 	Warm *WarmStart `json:"-"`
-	// deadlineCut marks the incumbent a context deadline ended the
-	// evaluation with (see runner.settle).
-	deadlineCut bool
+	// timeCut marks an evaluation that a wall-clock budget or a
+	// cancellation cut short: a context deadline ended it (runner.settle),
+	// or one of its MILP solves, x(0)'s included, stopped on time or
+	// cancellation (runner.solveMILP).
+	timeCut bool
 }
 
-// HitLimit reports whether the evaluation was cut short by a wall-clock or
-// node budget — the one way a fixed (query, options, seeds) evaluation can
-// come out different between runs, since how far a budget lets the search
-// get depends on machine load. A context deadline counts whatever
-// o.TimeLimit is. The engine's result cache refuses to cache such
-// best-effort solutions.
+// HitLimit reports whether a budget cut the evaluation short. The engine's
+// result cache refuses to cache such best-effort solutions. It counts an
+// evaluation past o.TimeLimit; a context deadline, whatever o.TimeLimit is;
+// any MILP solve that stopped on time or cancellation, with or without a
+// package, since how far a wall-clock budget lets the search get depends on
+// machine load; and a round that any budget left without a package. A node
+// cap that still found a package repeats run to run, and budgets are part of
+// Options.Key, so it does not count.
 func (s *Solution) HitLimit(o *Options) bool {
-	if s.deadlineCut || (o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit) {
+	if s.timeCut || (o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit) {
 		return true
 	}
 	for _, it := range s.Iterations {
@@ -276,8 +282,9 @@ type runner struct {
 	valKey []byte
 
 	// totals is the MILP accounting across every solve of the evaluation;
-	// finish stamps it onto the returned Solution.
-	totals client.SolveTotals
+	// finish stamps it onto the returned Solution, with timeCut.
+	totals  client.SolveTotals
+	timeCut bool // see Solution.timeCut
 
 	// iters is the evaluation's optimize/validate history.
 	iters []Iteration
@@ -381,6 +388,9 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	}
 	sp.End()
 	r.totals.Add(res.SolveWork, res.Workers)
+	if res.Stop == milp.StopTimeCap || res.Stop == milp.StopCancelled {
+		r.timeCut = true
+	}
 	return res, nil
 }
 
@@ -393,7 +403,7 @@ func (r *runner) settle(sol *Solution, err error) (*Solution, error) {
 	if !errors.Is(err, context.DeadlineExceeded) || r.best == nil || !r.best.Feasible {
 		return sol, err
 	}
-	r.best.deadlineCut = true
+	r.timeCut = true
 	return r.finish(r.best), nil
 }
 
@@ -404,6 +414,7 @@ func (r *runner) finish(sol *Solution) *Solution {
 	sol.TotalTime = time.Since(r.start)
 	sol.Iterations = r.iters
 	sol.SolveTotals = r.totals
+	sol.timeCut = r.timeCut
 	// Attach the collected warm-start state only when the returned package
 	// is the one the accepting CSA solve produced (a best-effort solution
 	// from an earlier iteration would not match its formulation).

@@ -316,7 +316,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 		}
 		res, vm := prevRes, prevVM
 		prevSummaries = summaries
-		it.SolverStatus, it.Coefficients = res.Status, res.Coefficients
+		it.SolverStatus, it.SolverStop, it.Coefficients = res.Status, res.Stop, res.Coefficients
 		if res.X == nil {
 			// The conservative problem is unsolvable at these α's: back off
 			// toward the grid floor; if already there, give up and let the

@@ -57,6 +57,7 @@ func (r *runner) naive() (*Solution, error) {
 		iter := Iteration{
 			M:            m,
 			SolverStatus: res.Status,
+			SolverStop:   res.Stop,
 			Coefficients: res.Coefficients,
 			SolveWork:    res.SolveWork,
 			SolveTime:    time.Since(solveStart),

@@ -127,6 +127,7 @@ func (r *runner) tryWarm() (*Solution, error) {
 		M:            w.M,
 		Z:            w.Z,
 		SolverStatus: res.Status,
+		SolverStop:   res.Stop,
 		Coefficients: res.Coefficients,
 		SolveWork:    res.SolveWork,
 		SolveTime:    valStart.Sub(solveStart),

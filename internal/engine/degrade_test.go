@@ -13,6 +13,8 @@ import (
 	"spq/client"
 	"spq/internal/core"
 	"spq/internal/dist"
+	"spq/internal/milp"
+	"spq/internal/relation"
 	"spq/internal/rng"
 	"spq/internal/sketch"
 	"spq/internal/spaql"
@@ -347,6 +349,61 @@ func TestEngineTenantLabelDeterminism(t *testing.T) {
 	for tuple, count := range ma {
 		if mc[tuple] != count {
 			t.Fatalf("package differs at tuple %d: %d vs %d", tuple, count, mc[tuple])
+		}
+	}
+}
+
+// TestTimeCappedIncumbentDegrades: a MILP solve that runs out of
+// SolverTime after finding a package makes a load-dependent answer, whether
+// it is a Naïve round or the x(0) solve that answers a query with no
+// probabilistic constraint. Under an engine-applied budget (here the request
+// deadline) the answer is served degraded, and a second identical request is
+// not answered from the result cache. The table is a parity problem: 41
+// tuples weighing 2 under a budget of 40.5. The root LP takes 20¼ tuples and
+// rounds to a package of 20 at once, and proving that no better package
+// exists enumerates more nodes than the cap allows.
+func TestTimeCappedIncumbentDegrades(t *testing.T) {
+	const n = 41
+	rel := relation.New("tokens", n)
+	w, one := make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], one[i] = 2, 1
+	}
+	if err := rel.AddDet("w", w); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AddDet("one", one); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"naive", "summarysearch"} {
+		e := New(testCatalog{"tokens": rel}, &Options{Parallelism: 1})
+		req := func() Request {
+			return Request{
+				Query:   `SELECT PACKAGE(*) FROM tokens REPEAT 0 SUCH THAT SUM(w) <= 40.5 MAXIMIZE SUM(one)`,
+				Method:  method,
+				Timeout: time.Minute,
+				Options: &core.Options{Seed: 1, ValidationM: 100, MaxM: 10, SolverTime: 200 * time.Millisecond, SolverNodes: 1 << 30},
+			}
+		}
+		res, err := e.Query(context.Background(), req())
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if !res.Feasible || res.Objective != 20 {
+			t.Fatalf("%s: feasible=%t objective=%v, want the 20-tuple package", method, res.Feasible, res.Objective)
+		}
+		if method == "naive" && (len(res.Iterations) != 1 || res.Iterations[0].SolverStop != milp.StopTimeCap) {
+			t.Fatalf("naive: iterations %+v, want one round stopped by its time cap", res.Iterations)
+		}
+		if !res.Degraded {
+			t.Fatalf("%s: a time-capped answer under the request deadline is not degraded", method)
+		}
+		again, err := e.Query(context.Background(), req())
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if again.ResultCacheHit {
+			t.Fatalf("%s: a time-capped answer was served from the result cache", method)
 		}
 	}
 }

@@ -365,12 +365,6 @@ type Stats struct {
 	StreamValues     int64 `json:"stream_values"`
 	PushdownKept     int64 `json:"pushdown_kept_tuples"`
 	PushdownFiltered int64 `json:"pushdown_filtered_tuples"`
-	// Out-of-core column block-cache counters (process-wide): lookups served
-	// from cache, block loads, evictions, and bytes currently resident.
-	ColCacheHits     int64 `json:"colcache_hits"`
-	ColCacheMisses   int64 `json:"colcache_misses"`
-	ColCacheEvicted  int64 `json:"colcache_evictions"`
-	ColCacheResident int64 `json:"colcache_resident_bytes"`
 	// Delta-maintenance counters. DeltasApplied counts mutations accepted by
 	// the engine's delta surface; ResultsRetained/ResultsInvalidated split
 	// the cached results revalidated after a delta by whether the change
@@ -872,11 +866,11 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 
 	// The solution's X indexes p.silp.Rel for every method: the sketch
 	// pipeline maps its refine solution back to the plan's view. A solution
-	// cut short by a wall-clock/node budget is best-effort, not
+	// cut short by a budget (see core.Solution.HitLimit) is best-effort, not
 	// deterministic — serving it to future identical requests would pin a
 	// load-degraded answer — so it is not cached. (For sketch, the check
-	// sees the refine solve's iterations; a budget cut inside a shard solve
-	// is not detected.)
+	// sees the refine evaluation's solves; a budget cut inside a shard
+	// solve is not detected.)
 	degraded := false
 	var cr *cachedResult
 	if sol.HitLimit(&opts) {

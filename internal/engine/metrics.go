@@ -109,10 +109,6 @@ var statTable = [...]statRow{
 	{"stream_values", "spq_stream_values_generated", "gauge", "Individual scenario values realized by streaming cursors.", func(*Engine, *admission) int64 { return stream.Counters().ValuesGenerated }},
 	{"pushdown_kept_tuples", "spq_pushdown_kept_tuples", "gauge", "Tuples that survived WHERE predicate pushdown before scenario generation.", func(*Engine, *admission) int64 { return stream.Counters().PushdownKept }},
 	{"pushdown_filtered_tuples", "spq_pushdown_filtered_tuples", "gauge", "Tuples eliminated by WHERE predicate pushdown before scenario generation.", func(*Engine, *admission) int64 { return stream.Counters().PushdownFiltered }},
-	{"colcache_hits", "spq_colcache_hits", "gauge", "Out-of-core column block-cache lookups served from cache.", func(*Engine, *admission) int64 { return relation.CacheStats().Hits }},
-	{"colcache_misses", "spq_colcache_misses", "gauge", "Out-of-core column block loads (cache misses).", func(*Engine, *admission) int64 { return relation.CacheStats().Misses }},
-	{"colcache_evictions", "spq_colcache_evictions", "gauge", "Out-of-core column blocks evicted from the cache.", func(*Engine, *admission) int64 { return relation.CacheStats().Evictions }},
-	{"colcache_resident_bytes", "spq_colcache_resident_bytes", "gauge", "Bytes of out-of-core column blocks currently cached.", func(*Engine, *admission) int64 { return relation.CacheStats().ResidentBytes }},
 	{"delta_cells_patched", "spq_delta_cells_patched", "gauge", "Deterministic column cells patched by applied deltas.", func(*Engine, *admission) int64 { return relation.DeltaStats().CellsPatched }},
 	{"partitions_retained", "spq_partitions_retained", "gauge", "Cached partitionings rebased across a delta untouched (footprint disjoint from the features).", func(*Engine, *admission) int64 { return relation.DeltaStats().PartitionsRetained }},
 	{"partitions_patched", "spq_partitions_patched", "gauge", "Cached partitionings patched shard-wise (only affected shards re-clustered).", func(*Engine, *admission) int64 { return relation.DeltaStats().PartitionsPatched }},

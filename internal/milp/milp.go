@@ -72,6 +72,24 @@ func (s Status) String() string {
 	}
 }
 
+// Stop reports why a MILP search ended. Unlike Status, which says what the
+// search found, it says whether a budget cut the search short, and which one.
+type Stop int
+
+const (
+	// StopComplete means no budget ended the search: it exhausted its tree,
+	// or presolve or the root relaxation settled the problem.
+	StopComplete Stop = iota
+	// StopNodeCap means a deterministic work budget ended the search:
+	// Options.MaxNodes, or the root relaxation's LP iteration cap.
+	StopNodeCap
+	// StopTimeCap means the wall-clock budget ended the search:
+	// Options.TimeLimit or Options.LP.Deadline.
+	StopTimeCap
+	// StopCancelled means Options.Cancel (or Options.LP.Cancel) closed.
+	StopCancelled
+)
+
 // variable describes one decision variable.
 type variable struct {
 	lo, hi  float64
@@ -344,6 +362,9 @@ func (o *Options) withDefaults() Options {
 // Result is the outcome of a MILP solve.
 type Result struct {
 	Status Status
+	// Stop is why the search ended. StopTimeCap and StopCancelled depend on
+	// machine load; StopNodeCap, like StopComplete, repeats run to run.
+	Stop Stop
 	// X is the incumbent solution (valid for StatusOptimal/StatusFeasible).
 	X []float64
 	// Obj is the incumbent objective value.

@@ -226,6 +226,46 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestStopReason: Result.Stop names the budget that ended a search, apart
+// from what it found. The model is the parity model with Σ 2x ≤ n − ½: the
+// root LP's one fractional value is ¼, so rounding finds an incumbent at the
+// root, and every budget below binds after that. Each stop keeps a package
+// and reports StatusFeasible: the status alone cannot tell a node cap, which
+// repeats run to run, from a time cap or a cancellation, which do not.
+func TestStopReason(t *testing.T) {
+	const n = 41
+	model := func() *Model {
+		m := NewModel()
+		idxs, twos := make([]int, n), make([]float64, n)
+		for j := range idxs {
+			idxs[j], twos[j] = m.AddBinary(-1), 2
+		}
+		m.AddRow(idxs, twos, -Inf, n-0.5)
+		return m
+	}
+	closed := make(chan struct{})
+	close(closed)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		status Status
+		stop   Stop
+	}{
+		{"time cap", Options{TimeLimit: 50 * time.Millisecond, MaxNodes: 1 << 30}, StatusFeasible, StopTimeCap},
+		{"time cap at the root", Options{TimeLimit: time.Nanosecond, InitialX: make([]float64, n)}, StatusFeasible, StopTimeCap},
+		{"cancelled", Options{Cancel: closed, InitialX: make([]float64, n)}, StatusFeasible, StopCancelled},
+		{"node cap", Options{MaxNodes: 50}, StatusFeasible, StopNodeCap},
+	} {
+		res := solveOK(t, model(), &tc.opts)
+		if res.Status != tc.status || res.Stop != tc.stop || res.X == nil {
+			t.Fatalf("%s: status %v, stop %d, package %t; want %v, stop %d, a package", tc.name, res.Status, res.Stop, res.X != nil, tc.status, tc.stop)
+		}
+	}
+	if res := solveOK(t, parityModel(7), nil); res.Status != StatusOptimal || res.Stop != StopComplete {
+		t.Fatalf("small parity model: status %v, stop %d; want optimal, complete", res.Status, res.Stop)
+	}
+}
+
 func TestGapTermination(t *testing.T) {
 	m := NewModel()
 	s := rng.NewStream(5)

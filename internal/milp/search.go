@@ -264,10 +264,7 @@ type search struct {
 	pr     *lp.Presolved
 	red    *lp.Problem // presolved problem; all node LPs solve this
 	opts   Options
-	lpOpts lp.Options
-
-	deadline time.Time
-	hasDL    bool
+	lpOpts lp.Options // carries the search's cancellation and deadline too
 
 	rootLo, rootHi []float64 // reduced-space presolved bounds (Postsolve never reads them), tightened by fixRoot
 	redInteger     []bool    // integrality mask in reduced space
@@ -280,6 +277,7 @@ type search struct {
 	guideWon   bool      // that search supplied the incumbent
 
 	inc       incumbent
+	stop      Stop             // why run ended (StopComplete until a budget ends it)
 	work      client.SolveWork // accumulated between rounds
 	rounds    int
 	workers   int
@@ -302,10 +300,6 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		opts:  opts,
 		inc:   incumbent{obj: math.Inf(1)},
 	}
-	if opts.TimeLimit > 0 {
-		st.deadline = time.Now().Add(opts.TimeLimit)
-		st.hasDL = true
-	}
 	// Node LP solves inherit the caller's LP options plus the search's
 	// cancellation channel and deadline, so aborts land mid-iteration. A
 	// caller-supplied LP.Cancel/LP.Deadline is kept when the search adds
@@ -315,8 +309,10 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	if opts.Cancel != nil {
 		st.lpOpts.Cancel = opts.Cancel
 	}
-	if st.hasDL && (st.lpOpts.Deadline.IsZero() || st.deadline.Before(st.lpOpts.Deadline)) {
-		st.lpOpts.Deadline = st.deadline
+	if opts.TimeLimit > 0 {
+		if dl := time.Now().Add(opts.TimeLimit); st.lpOpts.Deadline.IsZero() || dl.Before(st.lpOpts.Deadline) {
+			st.lpOpts.Deadline = dl
+		}
 	}
 	st.workers = par.Workers(opts.Parallelism, roundSize)
 	hint := HintNone
@@ -394,6 +390,10 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		res.Status = StatusUnbounded
 		return res, nil
 	case lp.StatusIterLimit, lp.StatusCancelled:
+		res.Stop = StopNodeCap
+		if rootSol.Status == lp.StatusCancelled {
+			res.Stop = st.interruption()
+		}
 		if st.inc.x != nil {
 			res.Status, res.X, res.Obj = StatusFeasible, st.inc.x, st.inc.obj
 			return res, nil
@@ -409,6 +409,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		return nil, err
 	}
 	res.SolveWork = st.work
+	res.Stop = st.stop
 	res.Rounds = st.rounds
 	res.GuideNodes, res.GuideIncumbent = st.guideNodes, st.guideWon
 	switch {
@@ -454,10 +455,12 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 
 	for len(stack) > 0 {
 		if st.interrupted() {
+			st.stop = st.interruption()
 			return false, nil
 		}
 		budget := st.opts.MaxNodes - st.work.Nodes
 		if budget <= 0 {
+			st.stop = StopNodeCap
 			return false, nil
 		}
 		k := min(roundSize, len(stack), budget)
@@ -507,12 +510,17 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 			st.retire(n)
 		}
 		if cut {
+			st.stop = st.interruption()
 			return false, nil
 		}
 		stack = stack[:len(stack)-k]
 		for i := k - 1; i >= 0; i-- {
 			stack = st.pushKids(stack, &results[i])
 		}
+	}
+	if !complete {
+		// A node LP cut short by an interruption left its subtree open.
+		st.stop = st.interruption()
 	}
 	return complete, nil
 }
@@ -552,7 +560,6 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	}
 	nb := &search{
 		model: st.model, pr: st.pr, red: st.red, opts: st.opts, lpOpts: st.lpOpts,
-		deadline: st.deadline, hasDL: st.hasDL,
 		rootLo: lo, rootHi: hi, redInteger: st.redInteger,
 		objOffset: st.objOffset, inc: incumbent{obj: math.Inf(1)},
 		workers: 1, pc: newPseudocosts(len(lo)),
@@ -817,15 +824,24 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 
 // interrupted reports whether the search hit its wall-clock limit or was
 // cancelled. Safe for concurrent use (reads immutable fields only).
-func (st *search) interrupted() bool {
-	if st.opts.Cancel != nil {
+func (st *search) interrupted() bool { return st.interruption() != StopComplete }
+
+// interruption names what has interrupted the search: StopCancelled once the
+// cancellation channel its LPs poll is closed, StopTimeCap once their
+// deadline (the search's own or an earlier Options.LP.Deadline) has passed,
+// and StopComplete while neither has happened.
+func (st *search) interruption() Stop {
+	if c := st.lpOpts.Cancel; c != nil {
 		select {
-		case <-st.opts.Cancel:
-			return true
+		case <-c:
+			return StopCancelled
 		default:
 		}
 	}
-	return st.hasDL && time.Now().After(st.deadline)
+	if dl := st.lpOpts.Deadline; !dl.IsZero() && time.Now().After(dl) {
+		return StopTimeCap
+	}
+	return StopComplete
 }
 
 // cutoff is the objective at and above which a node is pruned, by bound or by

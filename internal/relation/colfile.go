@@ -2,8 +2,8 @@
 // lazy deterministic columns. A column file is the 8-byte magic "SPQCOL1\n",
 // a little-endian uint64 value count, then count little-endian float64
 // values. Files open mmap'd where the platform supports it — mapped pages
-// are file-backed and never count toward the Go heap — with a pread-based
-// fallback served through the block cache elsewhere.
+// are file-backed and never count toward the Go heap, and the OS page cache
+// keeps hot blocks resident — and are read with a plain pread elsewhere.
 package relation
 
 import (
@@ -21,20 +21,21 @@ const (
 	colHeaderSize = 16 // magic + uint64 count
 )
 
-// WriteColumnFile writes a resident column to path in column-file format.
-func WriteColumnFile(path string, vals []float64) error {
-	w, err := NewColumnWriter(path)
-	if err != nil {
-		return err
-	}
-	for _, v := range vals {
-		if err := w.Append(v); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
+// ColumnSource supplies deterministic column values block-wise for lazy
+// (out-of-core) columns. ReadAt fills dst with the values at positions
+// [off, off+len(dst)); implementations must be safe for concurrent readers.
+type ColumnSource interface {
+	// Len returns the number of values in the column.
+	Len() int
+	// ReadAt fills dst with values [off, off+len(dst)).
+	ReadAt(dst []float64, off int) error
 }
+
+// BlockCache is an empty placeholder that keeps the type of the last
+// parameter of SpillCSV and OpenColumnDir, which the benchmark harness passes
+// as nil. The argument is ignored: column files are read through mmap or a
+// plain pread. ROADMAP item 3(c) removes the parameter and this type.
+type BlockCache struct{}
 
 // ColumnWriter streams values into a column file in constant memory; the
 // value count in the header is fixed up at Close.
@@ -91,8 +92,8 @@ func (w *ColumnWriter) Close() error {
 	return w.f.Close()
 }
 
-// fileColumn is the pread fallback ColumnSource when mmap is unavailable;
-// OpenColumnFile wraps it in a BlockCache so hot blocks stay resident.
+// fileColumn is the ColumnSource of a column file that could not be
+// memory-mapped: every ReadAt is one pread of the values asked for.
 type fileColumn struct {
 	f *os.File
 	n int
@@ -158,8 +159,8 @@ func openColumnHeader(f *os.File) (int, error) {
 }
 
 // OpenColumnFile opens a column file as a lazy ColumnSource: mmap'd where
-// available, otherwise pread through cache (nil cache → the process default).
-func OpenColumnFile(path string, cache *BlockCache) (ColumnSource, error) {
+// available, otherwise read with pread.
+func OpenColumnFile(path string) (ColumnSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -174,10 +175,7 @@ func OpenColumnFile(path string, cache *BlockCache) (ColumnSource, error) {
 		f.Close()
 		return &mmapColumn{data: data, n: n}, nil
 	}
-	if cache == nil {
-		cache = defaultBlockCache
-	}
-	return cache.Wrap(&fileColumn{f: f, n: n}), nil
+	return &fileColumn{f: f, n: n}, nil
 }
 
 // manifest describes a spilled relation directory: the relation name, tuple
@@ -194,8 +192,9 @@ func columnPath(dir string, i int) string { return filepath.Join(dir, fmt.Sprint
 
 // OpenColumnDir opens a spilled relation directory (see SpillCSV) as a lazy
 // relation: every deterministic column is backed by its column file and
-// loaded block-wise on demand. nil cache → the process default.
-func OpenColumnDir(dir string, cache *BlockCache) (*Relation, error) {
+// loaded block-wise on demand. The cache argument is ignored (see
+// BlockCache).
+func OpenColumnDir(dir string, _ *BlockCache) (*Relation, error) {
 	raw, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading manifest: %w", err)
@@ -209,7 +208,7 @@ func OpenColumnDir(dir string, cache *BlockCache) (*Relation, error) {
 	}
 	rel := New(m.Name, m.N)
 	for i, name := range m.Columns {
-		src, err := OpenColumnFile(columnPath(dir, i), cache)
+		src, err := OpenColumnFile(columnPath(dir, i))
 		if err != nil {
 			return nil, err
 		}

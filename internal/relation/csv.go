@@ -9,28 +9,44 @@ import (
 	"strconv"
 )
 
+// csvBlockRows is how many rows WriteCSV reads from a lazy column at a time:
+// stream.DefaultBlockSize, the granularity TupleIter walks relations in.
+const csvBlockRows = 1024
+
 // WriteCSV writes the deterministic columns as CSV with a header row.
 // Stochastic attributes have no deterministic values and are omitted;
 // persist their definitions in code or export realized scenarios instead.
-// Lazy columns are written block-wise without promotion.
+// Lazy columns are read a block of rows at a time, without promotion.
 func (r *Relation) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(r.detNames); err != nil {
 		return err
 	}
 	record := make([]string, len(r.detNames))
-	row := make([]float64, len(r.detNames))
-	for t := 0; t < r.n; t++ {
+	block := make([][]float64, len(r.detNames)) // rows [lo, hi) of each column
+	bufs := make([][]float64, len(r.detNames))  // a lazy column's block buffer
+	for lo := 0; lo < r.n; lo += csvBlockRows {
+		hi := min(lo+csvBlockRows, r.n)
 		for i, name := range r.detNames {
 			if col := r.detCols[i]; col != nil {
-				row[i] = col[t]
-			} else if err := r.DetBlock(name, t, row[i:i+1]); err != nil {
+				block[i] = col[lo:hi]
+				continue
+			}
+			if bufs[i] == nil {
+				bufs[i] = make([]float64, csvBlockRows)
+			}
+			block[i] = bufs[i][:hi-lo]
+			if err := r.DetBlock(name, lo, block[i]); err != nil {
 				return err
 			}
-			record[i] = strconv.FormatFloat(row[i], 'g', -1, 64)
 		}
-		if err := cw.Write(record); err != nil {
-			return err
+		for t := range hi - lo {
+			for i, col := range block {
+				record[i] = strconv.FormatFloat(col[t], 'g', -1, 64)
+			}
+			if err := cw.Write(record); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()
@@ -116,8 +132,8 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 // file per header column plus a manifest) in constant memory, then opens the
 // result as a lazy relation. It is the out-of-core load path: a 10M-tuple
 // catalog spills once and every subsequent open maps the columns lazily.
-// nil cache → the process default block cache for the non-mmap fallback.
-func SpillCSV(name string, rd io.Reader, dir string, cache *BlockCache) (*Relation, error) {
+// The cache argument is ignored (see BlockCache).
+func SpillCSV(name string, rd io.Reader, dir string, _ *BlockCache) (*Relation, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -175,5 +191,5 @@ func SpillCSV(name string, rd io.Reader, dir string, cache *BlockCache) (*Relati
 	if err := os.WriteFile(manifestPath(dir), raw, 0o644); err != nil {
 		return nil, err
 	}
-	return OpenColumnDir(dir, cache)
+	return OpenColumnDir(dir, nil)
 }

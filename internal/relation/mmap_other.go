@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// mmapFile is unavailable on this platform; callers fall back to pread
-// through the block cache.
+// mmapFile is unavailable on this platform; OpenColumnFile falls back to
+// pread.
 func mmapFile(f *os.File, size int) ([]byte, error) {
 	return nil, errors.New("relation: mmap unsupported on this platform")
 }

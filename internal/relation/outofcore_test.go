@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -146,38 +147,44 @@ func TestPartitionOnLazyFeature(t *testing.T) {
 	}
 }
 
-func TestBlockCacheEvictionAndParity(t *testing.T) {
-	// A 4-values × 2-blocks cache forced over a 64-value column must evict,
-	// and every read must still return the backing values exactly.
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64(i) * 1.5
+// TestWriteCSVLazyMatchesResident: WriteCSV of a relation reopened from its
+// column files, which reads each lazy column a block of rows at a time, writes
+// the same bytes as WriteCSV of its resident twin, with one column promoted
+// and the other still lazy, over a row count that ends mid-block.
+func TestWriteCSVLazyMatchesResident(t *testing.T) {
+	csvText, _, _ := spillTestCSV(2*csvBlockRows + 77)
+	inMem, err := ReadCSV("r", strings.NewReader(csvText))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cache := NewBlockCache(4, 2)
-	src := cache.Wrap(SliceSource(vals))
-	before := CacheStats()
-	dst := make([]float64, 7)
-	for pass := 0; pass < 3; pass++ {
-		for off := 0; off+len(dst) <= len(vals); off += 5 {
-			if err := src.ReadAt(dst, off); err != nil {
+	dir := t.TempDir()
+	if _, err := SpillCSV("r", strings.NewReader(csvText), dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := OpenColumnDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := inMem.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, promote := range []bool{false, true} {
+		if promote {
+			if _, err := lazy.Det("id"); err != nil {
 				t.Fatal(err)
 			}
-			for i := range dst {
-				if dst[i] != vals[off+i] {
-					t.Fatalf("pass %d off %d: [%d] = %v, want %v", pass, off, i, dst[i], vals[off+i])
-				}
-			}
+		}
+		var got bytes.Buffer
+		if err := lazy.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("promoted id=%t: WriteCSV of the reopened relation differs from its resident twin", promote)
 		}
 	}
-	after := CacheStats()
-	if after.Misses <= before.Misses {
-		t.Fatal("expected cache misses")
-	}
-	if after.Evictions <= before.Evictions {
-		t.Fatal("expected evictions from the 2-block cache")
-	}
-	if after.ResidentBytes <= 0 {
-		t.Fatal("expected resident bytes to be tracked")
+	if !lazy.IsLazy("price") {
+		t.Fatal("WriteCSV promoted the lazy column")
 	}
 }
 
@@ -204,14 +211,31 @@ func TestReadCSVReportsLineNumbers(t *testing.T) {
 	}
 }
 
-func TestColumnFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/col.col"
-	vals := []float64{1, -2.5, 3.25, 0, 1e18}
-	if err := WriteColumnFile(path, vals); err != nil {
+// writeColumn writes vals to a column file at path through a ColumnWriter.
+func writeColumn(t *testing.T, path string, vals []float64) {
+	t.Helper()
+	w, err := NewColumnWriter(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenColumnFile(path, nil)
+	for _, v := range vals {
+		if err := w.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Count() != len(vals) {
+		t.Fatalf("Count = %d, want %d", w.Count(), len(vals))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestColumnFileRoundTrip(t *testing.T) {
+	path := t.TempDir() + "/col.col"
+	vals := []float64{1, -2.5, 3.25, 0, 1e18}
+	writeColumn(t, path, vals)
+	src, err := OpenColumnFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,30 +254,18 @@ func TestColumnFileRoundTrip(t *testing.T) {
 }
 
 // TestColumnFilePreadFallback drives the storage path of platforms without
-// mmap: a fileColumn read through a BlockCache. Reads that span block
-// boundaries return the mmap path's values bit for bit, and reads outside
-// the column fail on both the cached and the bare source.
+// mmap, a bare fileColumn: every read returns the values written and, bit
+// for bit, what OpenColumnFile's mmap path reads, and reads outside the column
+// fail on both paths.
 func TestColumnFilePreadFallback(t *testing.T) {
 	path := t.TempDir() + "/col.col"
-	w, err := NewColumnWriter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	vals := make([]float64, 50)
 	for i := range vals {
 		vals[i] = math.Sqrt(float64(i)) - 3
-		if err := w.Append(vals[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if w.Count() != len(vals) {
-		t.Fatalf("Count = %d, want %d", w.Count(), len(vals))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeColumn(t, path, vals)
 
-	mapped, err := OpenColumnFile(path, nil)
+	mapped, err := OpenColumnFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +274,9 @@ func TestColumnFilePreadFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	bare := &fileColumn{f: f, n: len(vals)}
-	pread := NewBlockCache(8, 3).Wrap(bare)
-	if pread.Len() != len(vals) || bare.Len() != len(vals) {
-		t.Fatalf("Len = %d (cached), %d (bare), want %d", pread.Len(), bare.Len(), len(vals))
+	pread := &fileColumn{f: f, n: len(vals)}
+	if pread.Len() != len(vals) {
+		t.Fatalf("Len = %d, want %d", pread.Len(), len(vals))
 	}
 	want, got := make([]float64, 13), make([]float64, 13)
 	for off := 0; off+len(got) <= len(vals); off += 3 {
@@ -276,12 +287,12 @@ func TestColumnFilePreadFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("off %d: [%d] = %v, mmap path reads %v", off, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || got[i] != vals[off+i] {
+				t.Fatalf("off %d: [%d] = %v, mmap path reads %v, written %v", off, i, got[i], want[i], vals[off+i])
 			}
 		}
 	}
-	for _, src := range []ColumnSource{pread, bare} {
+	for _, src := range []ColumnSource{mapped, pread} {
 		if err := src.ReadAt(got, len(vals)-len(got)+1); err == nil {
 			t.Fatalf("%T: read past the end succeeded", src)
 		}
@@ -323,7 +334,7 @@ func TestCorruptColumnFilesError(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.manifest == "" {
-				if src, err := OpenColumnFile(columnPath(dir, 0), nil); err == nil {
+				if src, err := OpenColumnFile(columnPath(dir, 0)); err == nil {
 					t.Fatalf("opened with %d values", src.Len())
 				}
 				return

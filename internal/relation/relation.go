@@ -637,8 +637,8 @@ func (r *Relation) SelectIndices(orig []int) (*Relation, error) {
 			src := r.detSrcs[i]
 			var buf [1]float64
 			for k, t := range orig {
-				// Gather through the source (and its block cache, if any)
-				// without promoting the parent column.
+				// Gather through the source without promoting the
+				// parent column.
 				if err := src.ReadAt(buf[:], t); err != nil {
 					return nil, fmt.Errorf("relation: gathering column %q: %w", name, err)
 				}
