@@ -405,6 +405,12 @@ type QueryResult struct {
 	// served from or stored into the result cache.
 	Degraded bool    `json:"degraded,omitempty"`
 	Gap      float64 `json:"gap,omitempty"`
+	// Stop names the budget that bound the evaluation: "time_cap" (a
+	// wall-clock budget: solver_time_ms, time_limit_ms or a deadline),
+	// "cancelled", or "node_cap" (solver_nodes); the gravest when several
+	// did. Omitted when none did. A time cap or a cancellation is never
+	// cached; a node cap repeats run to run and may be.
+	Stop string `json:"stop,omitempty"`
 	// WaitMS is the time the query spent waiting for a solve slot; SolveMS
 	// the evaluation wall-clock.
 	WaitMS  int64 `json:"wait_ms"`

@@ -221,12 +221,20 @@ type Solution struct {
 	// Options.CollectWarm was set; nil otherwise. Never serialized: bases
 	// and summaries are process-local.
 	Warm *WarmStart `json:"-"`
-	// timeCut marks an evaluation that a wall-clock budget or a
-	// cancellation cut short: a context deadline ended it (runner.settle),
-	// or one of its MILP solves, x(0)'s included, stopped on time or
-	// cancellation (runner.solveMILP).
-	timeCut bool
+	// stop marks the budget that bound the evaluation, the gravest in
+	// milp.Stop's order: where any of its MILP solves stopped, x(0)'s
+	// included (runner.solveMILP), or a time cap when a context deadline
+	// ended it (runner.settle) or it ran past Options.TimeLimit
+	// (runner.finish).
+	stop milp.Stop
 }
+
+// Stop reports the budget that bound the evaluation: milp.StopTimeCap for
+// a wall-clock one (SolverTime, TimeLimit, a deadline), milp.StopCancelled,
+// or milp.StopNodeCap (SolverNodes, or a root LP's iteration cap); the
+// gravest when several did, milp.StopComplete when none did. It is the
+// mark HitLimit reads.
+func (s *Solution) Stop() milp.Stop { return s.stop }
 
 // HitLimit reports whether a budget cut the evaluation short. The engine's
 // result cache refuses to cache such best-effort solutions. It counts an
@@ -237,7 +245,7 @@ type Solution struct {
 // cap that still found a package repeats run to run, and budgets are part of
 // Options.Key, so it does not count.
 func (s *Solution) HitLimit(o *Options) bool {
-	if s.timeCut || (o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit) {
+	if s.stop == milp.StopTimeCap || s.stop == milp.StopCancelled || (o != nil && o.TimeLimit > 0 && s.TotalTime >= o.TimeLimit) {
 		return true
 	}
 	for _, it := range s.Iterations {
@@ -282,9 +290,9 @@ type runner struct {
 	valKey []byte
 
 	// totals is the MILP accounting across every solve of the evaluation;
-	// finish stamps it onto the returned Solution, with timeCut.
-	totals  client.SolveTotals
-	timeCut bool // see Solution.timeCut
+	// finish stamps it onto the returned Solution, with stop.
+	totals client.SolveTotals
+	stop   milp.Stop // see Solution.stop
 
 	// iters is the evaluation's optimize/validate history.
 	iters []Iteration
@@ -361,7 +369,8 @@ func (r *runner) solverOptions(initial []float64) *milp.Options {
 
 // solveMILP runs one MILP solve under a "solve" trace span carrying the
 // per-solve LP statistics (simplex iterations, branch-and-bound nodes and
-// rounds) and folds the result into the runner's accounting. Tracing is
+// rounds, the root presolve's time and the variables the formulation
+// pinned) and folds the result into the runner's accounting. Tracing is
 // observational: on an untraced context the span calls are inert no-ops.
 func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (*milp.Result, error) {
 	sp := obs.SpanFromContext(r.ctx).StartChild("solve")
@@ -381,6 +390,10 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	sp.SetInt("bound_flips", int64(res.BoundFlips))
 	sp.SetInt("presolve_rows", int64(res.PresolveRows))
 	sp.SetInt("presolve_cols", int64(res.PresolveCols))
+	sp.SetInt("presolve_us", res.PresolveTime.Microseconds())
+	if sp != nil { // counting the pins walks the model
+		sp.SetInt("pinned_cols", int64(model.NumPinned()))
+	}
 	sp.SetAttr("hint", res.Hint.String())
 	if res.Hint == milp.HintGuide {
 		sp.SetInt("guide_nodes", int64(res.GuideNodes))
@@ -388,9 +401,11 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	}
 	sp.End()
 	r.totals.Add(res.SolveWork, res.Workers)
-	if res.Stop == milp.StopTimeCap || res.Stop == milp.StopCancelled {
-		r.timeCut = true
+	stop := res.Stop
+	if stop == milp.StopCancelled && errors.Is(r.ctx.Err(), context.DeadlineExceeded) {
+		stop = milp.StopTimeCap // the context's deadline closed Options.Cancel
 	}
+	r.stop = max(r.stop, stop)
 	return res, nil
 }
 
@@ -403,7 +418,7 @@ func (r *runner) settle(sol *Solution, err error) (*Solution, error) {
 	if !errors.Is(err, context.DeadlineExceeded) || r.best == nil || !r.best.Feasible {
 		return sol, err
 	}
-	r.timeCut = true
+	r.stop = max(r.stop, milp.StopTimeCap)
 	return r.finish(r.best), nil
 }
 
@@ -414,7 +429,10 @@ func (r *runner) finish(sol *Solution) *Solution {
 	sol.TotalTime = time.Since(r.start)
 	sol.Iterations = r.iters
 	sol.SolveTotals = r.totals
-	sol.timeCut = r.timeCut
+	if r.opts.TimeLimit > 0 && sol.TotalTime >= r.opts.TimeLimit {
+		r.stop = max(r.stop, milp.StopTimeCap)
+	}
+	sol.stop = r.stop
 	// Attach the collected warm-start state only when the returned package
 	// is the one the accepting CSA solve produced (a best-effort solution
 	// from an earlier iteration would not match its formulation).

@@ -167,4 +167,7 @@ func TestNaiveHitLimitLaterRound(t *testing.T) {
 	if !sol.HitLimit(o) {
 		t.Fatal("HitLimit misses the node-capped later round")
 	}
+	if sol.Stop() != milp.StopNodeCap {
+		t.Fatalf("stop %v, want node_cap", sol.Stop())
+	}
 }

@@ -353,6 +353,45 @@ func TestEngineTenantLabelDeterminism(t *testing.T) {
 	}
 }
 
+// TestNodeCappedNaiveNamesItsBudget: a Naïve answer whose MILP solve stops
+// at SolverNodes after finding a package repeats run to run: it is cached,
+// not degraded, and its wire result names node_cap, from the cache too. On
+// the parity table of TestTimeCappedIncumbentDegrades, the root LP rounds
+// to the 20-tuple package and the proof outlasts 50 nodes.
+func TestNodeCappedNaiveNamesItsBudget(t *testing.T) {
+	const n = 41
+	rel := relation.New("tokens", n)
+	w, one := make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], one[i] = 2, 1
+	}
+	if err := rel.AddDet("w", w); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AddDet("one", one); err != nil {
+		t.Fatal(err)
+	}
+	e := New(testCatalog{"tokens": rel}, &Options{Parallelism: 1})
+	req := Request{
+		Query:   `SELECT PACKAGE(*) FROM tokens REPEAT 0 SUCH THAT SUM(w) <= 40.5 MAXIMIZE SUM(one)`,
+		Method:  "naive",
+		Options: &core.Options{Seed: 1, ValidationM: 100, MaxM: 10, SolverNodes: 50},
+	}
+	for _, cached := range []bool{false, true} {
+		res, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Feasible || res.Objective != 20 || res.Degraded || res.ResultCacheHit != cached {
+			t.Fatalf("feasible=%t objective=%v degraded=%t cache hit=%t, want the 20-tuple package, cache hit %t",
+				res.Feasible, res.Objective, res.Degraded, res.ResultCacheHit, cached)
+		}
+		if stop := resultToWire(res, 0).Stop; stop != "node_cap" {
+			t.Fatalf("cache hit %t: wire stop %q, want node_cap", cached, stop)
+		}
+	}
+}
+
 // TestTimeCappedIncumbentDegrades: a MILP solve that runs out of
 // SolverTime after finding a package makes a load-dependent answer, whether
 // it is a Naïve round or the x(0) solve that answers a query with no
@@ -397,6 +436,9 @@ func TestTimeCappedIncumbentDegrades(t *testing.T) {
 		}
 		if !res.Degraded {
 			t.Fatalf("%s: a time-capped answer under the request deadline is not degraded", method)
+		}
+		if stop := resultToWire(res, 0).Stop; stop != "time_cap" {
+			t.Fatalf("%s: wire stop %q, want time_cap", method, stop)
 		}
 		again, err := e.Query(context.Background(), req())
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"spq/client"
 	"spq/internal/core"
+	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/relation"
 )
@@ -221,6 +222,9 @@ func resultToWire(res *Result, solve time.Duration) *client.QueryResult {
 	if res.Degraded {
 		out.Degraded = true
 		out.Gap = out.EpsUpper // the achieved (not converged) validation gap
+	}
+	if st := res.Stop(); st != milp.StopComplete {
+		out.Stop = st.String()
 	}
 	if res.Sketch != nil {
 		out.Sketch = &client.SketchInfo{

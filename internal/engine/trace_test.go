@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,18 @@ func TestQueryTrace(t *testing.T) {
 	if probes != 1 {
 		t.Fatalf("%d probe spans, want 1", probes)
 	}
+	// Every solve span times its root presolve and counts the variables
+	// its formulation pinned.
+	res.Trace.Walk(func(d *client.TraceSpan) {
+		if d.Name != "solve" {
+			return
+		}
+		for _, key := range []string{"presolve_us", "pinned_cols"} {
+			if _, err := strconv.Atoi(d.Attrs[key]); err != nil {
+				t.Fatalf("solve span attrs %v: %s is not a count", d.Attrs, key)
+			}
+		}
+	})
 
 	// A caller that already carries a span gets instrumented into the
 	// caller's trace instead of minting a fresh one: no Result.Trace.

@@ -170,7 +170,7 @@ func TestCSCMatchesMapBuilder(t *testing.T) {
 			integer[j] = s.IntN(2) == 0
 		}
 		label := fmt.Sprintf("trial %d", trial)
-		ps := cscPresolver(p, nil, nil, integer)
+		ps := cscStore(p, nil, nil, integer, false) // every column's entries
 		oraRows := ora.transpose()
 		for i, row := range oraRows {
 			lo := ps.rowStart[i]

@@ -24,7 +24,15 @@ func (r *testRows) NumRows() int { return len(r.rows) }
 func (r *testRows) NumTerms() int {
 	n := 0
 	for _, row := range r.rows {
-		n += len(row.coefs)
+		for k, a := range row.coefs {
+			j := k
+			if row.idxs != nil {
+				j = row.idxs[k]
+			}
+			if a != 0 && (r.lo[j] != 0 || r.hi[j] != 0) {
+				n++
+			}
+		}
 	}
 	if r.short {
 		return n / 2
@@ -225,21 +233,37 @@ func (ps *presolver) oracleColPass(p *Problem) {
 
 // oraclePresolve is PresolveProblem with the passes as they were before
 // the row store was compacted: oracleRowPass and oracleColPass to a
-// fixpoint. The dead columns leave the rows, untouched, only for reduce.
-func oraclePresolve(p *Problem, integer []bool) *Presolved {
-	ps := cscPresolver(p, nil, nil, integer)
+// fixpoint, over a store that holds every column, zero-fixed ones
+// included, and until a pass neither changes a bound nor drops a row
+// (killOnly counts the passes that only dropped rows). The dead columns
+// leave the rows, untouched, only for reduce.
+func oraclePresolve(p *Problem, integer []bool) (pr *Presolved, killOnly int) {
+	ps := cscStore(p, nil, nil, integer, false)
 	for j := 0; j < ps.n; j++ {
 		ps.tighten(j, ps.lo[j], ps.hi[j])
 	}
+	liveRows := func() int {
+		n := 0
+		for _, alive := range ps.rowAlive {
+			if alive {
+				n++
+			}
+		}
+		return n
+	}
 	for pass := 0; pass < presolveMaxPasses && !ps.infeasible && !ps.unbounded; pass++ {
 		ps.changed = false
+		rows := liveRows()
 		ps.oracleRowPass()
 		if ps.infeasible {
 			break
 		}
 		ps.oracleColPass(p)
 		if !ps.changed {
-			break
+			if liveRows() == rows {
+				break
+			}
+			killOnly++
 		}
 	}
 	for i := range ps.rowAlive {
@@ -252,7 +276,7 @@ func oraclePresolve(p *Problem, integer []bool) *Presolved {
 		}
 		ps.rowEnd[i] = w
 	}
-	return ps.result()
+	return ps.result(), killOnly
 }
 
 // nearTies are one-row problems whose implied bound lands just inside,
@@ -456,12 +480,187 @@ func csaRows(s *rng.Stream, n, z int, messy bool) *testRows {
 	return r
 }
 
+// zeroFixed returns r with about a third of its columns fixed at [0, 0],
+// some integer and some continuous.
+func zeroFixed(s *rng.Stream, r *testRows) *testRows {
+	z := &testRows{obj: r.obj, lo: slices.Clone(r.lo), hi: slices.Clone(r.hi), integer: r.integer, rows: r.rows, short: r.short}
+	for j := range z.lo {
+		if s.IntN(3) == 0 {
+			z.lo[j], z.hi[j] = 0, 0
+		}
+	}
+	return z
+}
+
+// dropShapes counts, among the rows of r with a term on a zero-fixed
+// column, those that dropping these columns leaves with no term and with
+// one.
+func dropShapes(r *testRows) (none, one int) {
+	for _, row := range r.rows {
+		sum := map[int]float64{}
+		for k, a := range row.coefs {
+			j := k
+			if row.idxs != nil {
+				j = row.idxs[k]
+			}
+			sum[j] += a
+		}
+		live, dead := 0, 0
+		for j, a := range sum {
+			switch {
+			case a == 0:
+			case r.lo[j] == 0 && r.hi[j] == 0:
+				dead++
+			default:
+				live++
+			}
+		}
+		if dead > 0 && live == 0 {
+			none++
+		}
+		if dead > 0 && live == 1 {
+			one++
+		}
+	}
+	return none, one
+}
+
+// zeroFixedTies are one-row problems over up to two columns in [0, 1] and
+// one or two zero-fixed ones, whose live terms miss a side of the row by
+// about presolveTol, on either side of it: where an implied bound of a
+// zero-fixed column can find the problem infeasible, and where the
+// singleton and empty-row tests, which count the zero-fixed terms, decide;
+// some repeat a zero-fixed column. Others have a side of −0 that a
+// zero-fixed term of −0 turns +0.
+func zeroFixedTies() []*testRows {
+	var out []*testRows
+	for live := 0; live <= 2; live++ {
+		for _, a := range []float64{1e-4, 0.1, 1, 10, -0.1, -10} {
+			for _, d := range []float64{-1e-9, -1e-12, 0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-7, 1e-5} {
+				for _, integer := range []bool{false, true} {
+					for _, dead := range []int{1, 2} {
+						for _, ge := range []bool{true, false} {
+							n := live + dead
+							r := &testRows{obj: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n), integer: make([]bool, n)}
+							row := oracleRow{lo: math.Inf(-1), hi: math.Inf(1)}
+							for j := 0; j < n; j++ {
+								r.obj[j] = float64(j%3) - 1
+								row.idxs = append(row.idxs, j)
+								if j < live {
+									r.hi[j] = 1
+									row.coefs = append(row.coefs, 1)
+								} else {
+									r.integer[j] = integer
+									row.coefs = append(row.coefs, a*float64(j-live+1))
+								}
+							}
+							if ge { // the live terms reach at most live
+								row.lo = float64(live) + d
+							} else { // and at least 0
+								row.hi = -d
+							}
+							r.rows = []oracleRow{row}
+							out = append(out, r)
+						}
+					}
+				}
+			}
+		}
+	}
+	// A zero-fixed column repeated: its terms cancel beside a continuous
+	// live term, which is a singleton row then, or sum to one term whose
+	// implied bound and the empty-row test disagree on a side of 2e-9.
+	for _, a := range []float64{10, 0.1} {
+		for _, cancel := range []bool{false, true} {
+			r := &testRows{obj: []float64{-1, 0}, lo: []float64{0, 0}, hi: []float64{3, 0}}
+			row := oracleRow{idxs: []int{1, 0, 1}, coefs: []float64{a / 2, 1, a / 2}, lo: math.Inf(-1), hi: 2.5}
+			if cancel {
+				row.coefs[2] = -a / 2
+			} else {
+				row = oracleRow{idxs: []int{1, 1}, coefs: []float64{a / 2, a / 2}, lo: 2e-9, hi: math.Inf(1)}
+			}
+			r.rows = []oracleRow{row}
+			out = append(out, r)
+		}
+	}
+	for _, side := range []float64{math.Copysign(0, -1), 0} {
+		for _, a := range []float64{-2, 2} {
+			for _, ge := range []bool{true, false} {
+				// x − y + a·z over x, y in [0, 1] and z fixed at 0: the row
+				// survives presolve with its side of ±0.
+				r := &testRows{obj: []float64{1, -1, 0}, lo: make([]float64, 3), hi: []float64{1, 1, 0}}
+				row := oracleRow{idxs: []int{0, 1, 2}, coefs: []float64{1, -1, a}, lo: side, hi: math.Inf(1)}
+				if !ge {
+					row.lo, row.hi = math.Inf(-1), side
+				}
+				r.rows = []oracleRow{row}
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// killOnlyPasses are problems one of whose passes only drops a row: a
+// singleton row tightens x after a row that its new bound makes redundant,
+// beside a row that bounds nothing; one variant holds a zero-fixed column.
+// In the last, dropping a zero-fixed column is all the first pass changes.
+func killOnlyPasses() []*testRows {
+	var out []*testRows
+	for _, integer := range []bool{false, true} {
+		for _, zero := range []bool{false, true} {
+			r := &testRows{obj: []float64{-1, -1, 1}, lo: []float64{0, 0, 0}, hi: []float64{3, 3, 2}, integer: []bool{integer, integer, false}}
+			if zero {
+				r.hi[2] = 0
+			}
+			r.rows = []oracleRow{
+				{idxs: []int{0, 1, 2}, coefs: []float64{1, 1, 1}, lo: math.Inf(-1), hi: 5.5},
+				{idxs: []int{0}, coefs: []float64{1}, lo: math.Inf(-1), hi: 2},
+				{idxs: []int{0, 1}, coefs: []float64{1, 1}, lo: 0.5, hi: math.Inf(1)},
+			}
+			if !zero {
+				r.rows[0].hi = 7.5 // redundant once x ≤ 2
+			}
+			out = append(out, r)
+		}
+	}
+	// The drop is the first pass's only change: x + 2z ≤ 3 − 5e-7 bounds
+	// the integer x in [0, 3] to within its rounding slack, so the row is
+	// not redundant and moves nothing while z's term counts; only the next
+	// pass finds it a singleton row and drops it.
+	out = append(out, &testRows{obj: []float64{-1, 1}, lo: []float64{0, 0}, hi: []float64{3, 0}, integer: []bool{true, true},
+		rows: []oracleRow{{idxs: []int{0, 1}, coefs: []float64{1, 2}, lo: math.Inf(-1), hi: 3 - 5e-7}}})
+	return out
+}
+
+// pinnedCSA is a CSA-shaped root as milp.Solve writes it, the Σy row ahead
+// of the indicator rows, with every other tuple column pinned at [0, 0]
+// (the big-M values still from its declared box).
+func pinnedCSA(s *rng.Stream, n, z int, messy bool) *testRows {
+	return pinnedRoot(csaRows(s, n, z, messy))
+}
+
+// pinnedRoot is a copy of the CSA-shaped root r with its last row, Σy,
+// moved first and every other tuple column pinned.
+func pinnedRoot(r *testRows) *testRows {
+	p := &testRows{obj: r.obj, lo: r.lo, hi: slices.Clone(r.hi), integer: r.integer, short: r.short}
+	last := len(r.rows) - 1
+	p.rows = append(slices.Clone(r.rows[last:]), r.rows[:last]...)
+	for j := 0; j < len(p.hi)-4; j += 2 {
+		p.hi[j] = 0
+	}
+	return p
+}
+
 // TestPresolveRowsMatchesCSC: presolving rows straight from their source
 // gives, bit for bit, PresolveProblem over the AddRows matrix of the same
-// rows, on FuzzLP's generator (under random integrality), on near ties of
-// an implied bound and on CSA-shaped 6 × 20 000 roots; and so does
-// presolve with the passes as they were before compaction, quiet and
-// substitute (oraclePresolve).
+// rows, on FuzzLP's generator (under random integrality, and with a third
+// of its columns fixed at 0), on near ties of an implied bound, of a row
+// side that only zero-fixed columns reach, on passes that only drop rows
+// and on CSA-shaped 6 × 20 000 roots, half of them pinned; and so does
+// presolve with the passes as they were before compaction, quiet,
+// substitute, the zero-fixed columns' drop and the end at a pass that only
+// drops rows (oraclePresolve).
 func TestPresolveRowsMatchesCSC(t *testing.T) {
 	var inputs []*testRows
 	for seed := uint64(1); seed <= 400; seed++ {
@@ -471,21 +670,33 @@ func TestPresolveRowsMatchesCSC(t *testing.T) {
 		for j := range r.integer {
 			r.integer[j] = s.IntN(2) == 0
 		}
-		inputs = append(inputs, r)
+		inputs = append(inputs, r, zeroFixed(s, r))
 	}
 	inputs = append(inputs, nearTies()...)
+	inputs = append(inputs, zeroFixedTies()...)
+	inputs = append(inputs, killOnlyPasses()...)
 	s := rng.NewStream(99)
 	for k := 0; k < 6; k++ {
 		inputs = append(inputs, csaRows(s, 20000, 4, k < 4))
 	}
-	reduced, eliminated := 0, 0
+	for k := 0; k < 6; k++ {
+		inputs = append(inputs, pinnedCSA(s, 20000, 4, k < 2))
+	}
+	reduced, eliminated, killOnly, noneLive, oneLive, infeasible := 0, 0, 0, 0, 0, 0
 	for i, r := range inputs {
 		label := fmt.Sprintf("input %d (%d×%d)", i, len(r.rows), len(r.obj))
 		p := r.csc()
 		sameStore(t, label, rowsPresolver(r), cscPresolver(p, nil, nil, r.integer))
 		want := PresolveProblem(p, nil, nil, r.integer)
 		samePresolved(t, label+" rows", PresolveRows(r), want)
-		samePresolved(t, label+" oracle passes", oraclePresolve(p, r.integer), want)
+		oracle, kills := oraclePresolve(p, r.integer)
+		samePresolved(t, label+" oracle passes", oracle, want)
+		killOnly += kills
+		none, one := dropShapes(r)
+		noneLive, oneLive = noneLive+none, oneLive+one
+		if want.Infeasible {
+			infeasible++
+		}
 		if want.Reduced != nil && want.ColsRemoved > 0 {
 			reduced++
 			if len(r.obj) > 1000 {
@@ -493,15 +704,19 @@ func TestPresolveRowsMatchesCSC(t *testing.T) {
 			}
 		}
 	}
-	if reduced < 50 || eliminated < 6*5000 {
-		t.Fatalf("corpus too tame: %d partly reduced problems, %d CSA columns eliminated", reduced, eliminated)
+	if reduced < 50 || eliminated < 12*5000 || killOnly < 50 || noneLive < 100 || oneLive < 100 || infeasible < 100 {
+		t.Fatalf("corpus too tame: %d partly reduced problems, %d CSA columns eliminated, %d passes that only drop rows, "+
+			"%d and %d rows left with no and one term by zero-fixed columns, %d infeasible", reduced, eliminated, killOnly, noneLive, oneLive, infeasible)
 	}
-	t.Logf("%d partly reduced problems, %d CSA columns eliminated", reduced, eliminated)
+	t.Logf("%d partly reduced problems, %d CSA columns eliminated, %d passes that only drop rows, "+
+		"%d and %d rows left with no and one term by zero-fixed columns, %d infeasible", reduced, eliminated, killOnly, noneLive, oneLive, infeasible)
 }
 
 // BenchmarkPresolveWide presolves a CSA-shaped 6 × 20 000 root (4
 // indicators) from its rows, as the MILP layer does, and through the
-// column-major problem the same rows build, matrix prebuilt.
+// column-major problem the same rows build, matrix prebuilt; and, from its
+// rows, the same root as milp.Solve orders it, the Σy row first, with every
+// other tuple column pinned at [0, 0] (pinned).
 func BenchmarkPresolveWide(b *testing.B) {
 	s := rng.NewStream(99)
 	r := csaRows(s, 20000, 4, false)
@@ -509,6 +724,13 @@ func BenchmarkPresolveWide(b *testing.B) {
 		r = csaRows(s, 20000, 4, false)
 	}
 	p := r.csc()
+	pinned := pinnedRoot(r)
+	b.Run("pinned", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			PresolveRows(pinned)
+		}
+	})
 	b.Run("rows", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

@@ -16,8 +16,15 @@ func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 	return ps.result()
 }
 
-// cscPresolver transposes p's columns into the row store.
+// cscPresolver transposes p's columns into the row store, less those of
+// the columns whose bounds are both 0, as rowsPresolver leaves them out.
 func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
+	return cscStore(p, lo, hi, integer, true)
+}
+
+// cscStore transposes p's columns into the row store; with drop, it first
+// eliminates the zero-fixed columns and leaves their entries out.
+func cscStore(p *Problem, lo, hi []float64, integer []bool, drop bool) *presolver {
 	if lo == nil {
 		lo = p.varLo
 	}
@@ -30,14 +37,29 @@ func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	copy(ps.hi, hi)
 	copy(ps.rowLo, p.rowLo)
 	copy(ps.rowHi, p.rowHi)
-	for _, i := range p.rowIdx {
-		ps.rowStart[i+1]++
+	if drop {
+		ps.dropZeroFixed(cscRows{p})
+	}
+	for j := 0; j < ps.n; j++ {
+		if ps.colAlive[j] {
+			for _, i := range p.rowIdx[p.colStart[j]:p.colStart[j+1]] {
+				ps.rowStart[i+1]++
+			}
+		}
 	}
 	for i := 0; i < ps.m; i++ {
 		ps.rowStart[i+1] += ps.rowStart[i]
 	}
 	copy(ps.rowEnd, ps.rowStart[:ps.m])
 	for j := 0; j < ps.n; j++ {
+		if !ps.colAlive[j] {
+			for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
+				if p.coef[t] != 0 {
+					ps.dead[p.rowIdx[t]]++
+				}
+			}
+			continue
+		}
 		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
 			i := p.rowIdx[t]
 			ps.rowCol[ps.rowEnd[i]], ps.rowCoef[ps.rowEnd[i]] = int32(j), p.coef[t]
@@ -46,6 +68,29 @@ func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
 		ps.colRows[j] = int32(p.colStart[j+1] - p.colStart[j])
 	}
 	return ps
+}
+
+// cscRows reads a Problem's rows back out of its columns, for the first
+// pass to read a row whole (presolver.fullRow).
+type cscRows struct{ p *Problem }
+
+func (r cscRows) NumCols() int  { return r.p.nvars }
+func (r cscRows) NumRows() int  { return len(r.p.rowLo) }
+func (r cscRows) NumTerms() int { return len(r.p.coef) }
+
+func (r cscRows) Col(j int) (obj, lo, hi float64, integer bool) {
+	return r.p.obj[j], r.p.varLo[j], r.p.varHi[j], false
+}
+
+func (r cscRows) Row(i int, t *RowTerms) (lo, hi float64) {
+	for j := 0; j < r.p.nvars; j++ {
+		for k := r.p.colStart[j]; k < r.p.colStart[j+1]; k++ {
+			if int(r.p.rowIdx[k]) == i {
+				t.Add(j, r.p.coef[k])
+			}
+		}
+	}
+	return r.p.rowLo[i], r.p.rowHi[i]
 }
 
 func TestPresolveEmptyRowDropped(t *testing.T) {

@@ -234,7 +234,8 @@ func (r *rowList) add(idxs []int, coefs []float64, lo, hi float64) {
 func buildRowByRow(m *Model) *rowList {
 	p := &rowList{}
 	for _, v := range m.vars {
-		p.obj, p.lo, p.hi = append(p.obj, v.obj), append(p.lo, v.lo), append(p.hi, v.hi)
+		lo, hi := v.box()
+		p.obj, p.lo, p.hi = append(p.obj, v.obj), append(p.lo, lo), append(p.hi, hi)
 		p.integer = append(p.integer, v.integer)
 	}
 	terms := func(idxs []int, coefs []float64) []int {
@@ -251,7 +252,7 @@ func buildRowByRow(m *Model) *rowList {
 		p.add(terms(r.idxs, r.coefs), r.coefs, r.lo, r.hi)
 	}
 	for _, ind := range m.indicators {
-		minV, maxV, _ := m.boxExtremes(ind.idxs, ind.coefs)
+		minV, maxV, _, _ := m.boxExtremes(ind.idxs, ind.coefs)
 		idxs := append(terms(ind.idxs, ind.coefs), ind.bin)
 		coefs := append([]float64(nil), ind.coefs...)
 		if ind.ge {
@@ -277,7 +278,8 @@ func buildRowByRow(m *Model) *rowList {
 // exactly as the rows the row-at-a-time builder writes out for the same
 // model, on the FuzzMILP corpus, the property corpus, a model
 // whose rows repeat indices, cancel to zero, and name an indicator's binary
-// among its terms, and one with dense rows and indicators.
+// among its terms, one with dense rows and indicators, and one with pinned
+// variables.
 func TestBuildMatchesRowByRow(t *testing.T) {
 	models := propertyCorpus()
 	for seed := uint64(1); seed <= 600; seed++ {
@@ -297,7 +299,20 @@ func TestBuildMatchesRowByRow(t *testing.T) {
 	dense.AddRow(nil, []float64{0, 1, 1}, 1, Inf)
 	dense.AddIndicatorGE(bin, nil, []float64{2, 0, -1, 1, 1, 0, 0}, 3)
 	dense.AddIndicatorLE(bin, nil, []float64{1, 1, 1}, 2)
-	models = append(models, odd, dense)
+	// Pinned variables: their terms stay out of the row store, while the
+	// big-M values still come from their declared boxes.
+	pinned := NewModel()
+	for j := 0; j < 6; j++ {
+		pinned.AddVar(0, float64(j%3+1), float64(j%4)-1.5, j%2 == 0)
+	}
+	pb := pinned.AddBinary(0)
+	pinned.AddRow(nil, []float64{1, 0, 2, -1, 0, 3}, -Inf, 7)
+	pinned.AddRow([]int{1, 4}, []float64{1, 1}, 1, Inf)
+	pinned.AddIndicatorLE(pb, nil, []float64{3, 1, 5, 1, 4, 2}, 4)
+	pinned.AddRow([]int{pb}, []float64{1}, 1, Inf)
+	pinned.SetPinned(0, true)
+	pinned.SetPinned(4, true)
+	models = append(models, odd, dense, pinned)
 	for i, m := range models {
 		rows, err := m.relaxation()
 		if err != nil {

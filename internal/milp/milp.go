@@ -90,11 +90,54 @@ const (
 	StopCancelled
 )
 
+// String returns the stop's name on the v1 wire: "complete", "node_cap",
+// "time_cap" or "cancelled".
+func (s Stop) String() string {
+	switch s {
+	case StopComplete:
+		return "complete"
+	case StopNodeCap:
+		return "node_cap"
+	case StopTimeCap:
+		return "time_cap"
+	case StopCancelled:
+		return "cancelled"
+	default:
+		return fmt.Sprintf("milp.Stop(%d)", int(s))
+	}
+}
+
 // variable describes one decision variable.
 type variable struct {
 	lo, hi  float64
 	obj     float64
 	integer bool
+	// zlo and zhi are 1 where the declared lo is +0 and hi is 0; pin is 1
+	// where the variable is fixed at 0 but for big-M derivation
+	// (Model.SetPinned).
+	zlo, zhi, pin uint8
+}
+
+// box is the variable's bounds as presolve and the feasibility check read
+// them: the declared ones, or [lo, 0] when pinned.
+func (v *variable) box() (lo, hi float64) {
+	if v.pin != 0 {
+		return v.lo, 0
+	}
+	return v.lo, v.hi
+}
+
+// live is 0 where the variable's box is [+0, 0], whose terms presolve
+// leaves out of its row store, else 1. It is counted for every term of
+// every row, so it takes no branch.
+func (v *variable) live() int { return int(1 &^ (v.zlo & (v.zhi | v.pin))) }
+
+// flag is 1 for true, 0 for false.
+func flag(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // rowSpec is lo ≤ Σ coefs·x ≤ hi. idxs nil means coefs[k] is the
@@ -142,7 +185,8 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // AddVar adds a variable with bounds [lo, hi], objective coefficient obj and
 // integrality flag, returning its index.
 func (m *Model) AddVar(lo, hi, obj float64, integer bool) int {
-	m.vars = append(m.vars, variable{lo: lo, hi: hi, obj: obj, integer: integer})
+	m.vars = append(m.vars, variable{lo: lo, hi: hi, obj: obj, integer: integer,
+		zlo: flag(math.Float64bits(lo) == 0), zhi: flag(hi == 0)})
 	return len(m.vars) - 1
 }
 
@@ -153,6 +197,26 @@ func (m *Model) AddBinary(obj float64) int {
 
 // SetObj overrides the objective coefficient of variable j.
 func (m *Model) SetObj(j int, obj float64) { m.vars[j].obj = obj }
+
+// SetPinned pins variable j, whose lower bound must be 0, at 0, or unpins
+// it. A pinned variable's upper bound is 0 for presolve and for the
+// feasibility check of candidate points, but every indicator's big-M is
+// still derived from its declared box. A formulator pins a variable that
+// one of its rows alone excludes: the model presolves as it would unpinned,
+// without carrying the variable's terms.
+func (m *Model) SetPinned(j int, pinned bool) { m.vars[j].pin = flag(pinned) }
+
+// Pinned reports whether variable j is pinned.
+func (m *Model) Pinned(j int) bool { return m.vars[j].pin != 0 }
+
+// NumPinned counts the pinned variables.
+func (m *Model) NumPinned() int {
+	n := 0
+	for _, v := range m.vars {
+		n += int(v.pin)
+	}
+	return n
+}
 
 // AddRow adds the range constraint lo ≤ Σ coefs·x ≤ hi. idxs names the
 // variable of each coefficient; nil makes the row dense, coefs[k] being
@@ -181,18 +245,21 @@ func col(idxs []int, k int) int {
 	return idxs[k]
 }
 
-// boxExtremes computes the extreme values of Σ coefs·x over the variable
-// boxes, used to derive valid big-M constants.
-func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, err error) {
+// boxExtremes computes the extreme values of Σ coefs·x over the declared
+// variable boxes, used to derive valid big-M constants, and counts the
+// row's terms on live variables.
+func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, live int, err error) {
 	for k, c := range coefs {
 		if c == 0 {
 			continue
 		}
 		j := col(idxs, k)
-		lo, hi := m.vars[j].lo, m.vars[j].hi
+		v := &m.vars[j]
+		lo, hi := v.lo, v.hi
 		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
+			return 0, 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
 		}
+		live += v.live()
 		if c > 0 {
 			minV += c * lo
 			maxV += c * hi
@@ -201,13 +268,23 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, er
 			maxV += c * lo
 		}
 	}
-	return minV, maxV, nil
+	return minV, maxV, live, nil
+}
+
+// liveTerms counts a row's terms on live variables.
+func (m *Model) liveTerms(idxs []int, coefs []float64) int {
+	live := 0
+	for k, c := range coefs {
+		live += int(flag(c != 0)) & m.vars[col(idxs, k)].live()
+	}
+	return live
 }
 
 // rowForm is the model's LP relaxation as presolve reads it (lp.Rows): the
 // plain rows, then one row per indicator, its terms followed by the big-M
 // entry on the binary. Nothing is copied out of the model but the big-M
-// values.
+// values. Its term count leaves out the terms on variables that are not
+// live, which presolve keeps out of its row store.
 type rowForm struct {
 	m     *Model
 	bigM  []float64
@@ -223,7 +300,7 @@ func (m *Model) relaxation() (*rowForm, error) {
 		if !m.vars[ind.bin].integer || m.vars[ind.bin].lo < 0 || m.vars[ind.bin].hi > 1 {
 			return nil, errors.New("milp: indicator variable must be binary")
 		}
-		minV, maxV, err := m.boxExtremes(ind.idxs, ind.coefs)
+		minV, maxV, live, err := m.boxExtremes(ind.idxs, ind.coefs)
 		if err != nil {
 			return nil, err
 		}
@@ -234,12 +311,22 @@ func (m *Model) relaxation() (*rowForm, error) {
 			need = ind.rhs - minV
 		}
 		f.bigM[k] = max(need, 0)*1.01 + 1 // slack for numerical safety; larger M stays valid
-		f.terms += len(ind.coefs) + 1
+		f.terms += live + 1
 	}
 	for _, r := range m.rows {
-		f.terms += len(r.coefs)
+		f.terms += m.liveTerms(r.idxs, r.coefs)
 	}
 	return f, nil
+}
+
+// Presolve runs the root presolve of the model's LP relaxation, as Solve
+// does before its search.
+func (m *Model) Presolve() (*lp.Presolved, error) {
+	rows, err := m.relaxation()
+	if err != nil {
+		return nil, err
+	}
+	return lp.PresolveRows(rows), nil
 }
 
 func (f *rowForm) NumCols() int  { return len(f.m.vars) }
@@ -248,7 +335,8 @@ func (f *rowForm) NumTerms() int { return f.terms }
 
 func (f *rowForm) Col(j int) (obj, lo, hi float64, integer bool) {
 	v := &f.m.vars[j]
-	return v.obj, v.lo, v.hi, v.integer
+	lo, hi = v.box()
+	return v.obj, lo, hi, v.integer
 }
 
 func (f *rowForm) Row(i int, t *lp.RowTerms) (lo, hi float64) {
@@ -382,6 +470,9 @@ type Result struct {
 	// or limit-cut root relaxation reports its LP work but no node or warm
 	// start.
 	client.SolveWork
+	// PresolveTime is the wall-clock time of the root presolve
+	// (Model.Presolve), the relaxation's big-M derivation included.
+	PresolveTime time.Duration
 	// Workers is the resolved branch-and-bound worker bound the search ran
 	// with (1 for a sequential solve).
 	Workers int

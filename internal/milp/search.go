@@ -291,10 +291,6 @@ type search struct {
 // Solve runs branch and bound on the model.
 func Solve(m *Model, o *Options) (*Result, error) {
 	opts := o.withDefaults()
-	rows, err := m.relaxation()
-	if err != nil {
-		return nil, err
-	}
 	st := &search{
 		model: m,
 		opts:  opts,
@@ -329,9 +325,15 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	// Root presolve: reduce once, search the reduced space. The reductions
 	// are integrality-aware, so the reduced problem is an equivalent MILP
 	// root and every node bound only tightens it further.
-	st.pr = lp.PresolveRows(rows)
+	start := time.Now()
+	pr, err := m.Presolve()
+	if err != nil {
+		return nil, err
+	}
+	st.pr = pr
 	res := &Result{
 		SolveWork:    client.SolveWork{PresolveRows: st.pr.RowsRemoved, PresolveCols: st.pr.ColsRemoved},
+		PresolveTime: time.Since(start),
 		Coefficients: m.NumCoefficients(),
 		Workers:      st.workers,
 		Hint:         hint,
@@ -961,7 +963,7 @@ func (st *search) checkFeasible(x []float64) (float64, bool) {
 	}
 	obj := 0.0
 	for j, v := range st.model.vars {
-		if x[j] < v.lo-tol || x[j] > v.hi+tol {
+		if lo, hi := v.box(); x[j] < lo-tol || x[j] > hi+tol {
 			return 0, false
 		}
 		if v.integer && math.Abs(x[j]-math.Round(x[j])) > tol {

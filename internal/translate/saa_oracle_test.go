@@ -19,7 +19,9 @@ import (
 // sets, kept as the oracle for FormulateCSA over one-scenario summaries: one
 // indicator per scenario and per probabilistic constraint, the count row
 // Σy_j ≥ ⌈pM⌉, and for a probability objective one indicator per objective
-// scenario worth −1/M.
+// scenario worth −1/M. When the count row forces every scenario of a "≤"
+// constraint, each scenario row pins the tuples it alone excludes, as a
+// forced summary row does.
 func formulateSAA(s *SILP, sets []*scenario.Set, objSet *scenario.Set) (*milp.Model, *VarMap, error) {
 	if len(sets) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d scenario sets for %d probabilistic constraints", len(sets), len(s.ProbCons))
@@ -32,6 +34,7 @@ func formulateSAA(s *SILP, sets []*scenario.Set, objSet *scenario.Set) (*milp.Mo
 		indicators += objSet.M()
 	}
 	m, vm := s.formulate(indicators, len(sets))
+	var pin *pinner
 	for k, pc := range s.ProbCons {
 		set := sets[k]
 		ys := make([]int, set.M())
@@ -39,6 +42,14 @@ func formulateSAA(s *SILP, sets []*scenario.Set, objSet *scenario.Set) (*milp.Mo
 			ys[j] = addIndicator(m, set.Row(j), pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(set.M()))
+		if pc.pins(need, set.M()) {
+			if pin == nil {
+				pin = newPinner(m, s.VarLo, s.VarHi)
+			}
+			for j := 0; j < set.M(); j++ {
+				pin.exclude(set.Row(j), pc.V)
+			}
+		}
 		ones := make([]float64, len(ys))
 		for i := range ones {
 			ones[i] = 1
@@ -104,10 +115,11 @@ func randomSAAQuery(r *rand.Rand) string {
 // TestSingletonCSAIsSAA: FormulateCSA over the one-scenario summaries of
 // scenarios 0..M−1, grown in two steps as Naïve grows M, builds the model
 // formulateSAA builds over the materialized scenario sets, bit for bit:
-// variables, rows, indicators and the variable map.
+// variables (pins included), rows, indicators and the variable map.
 func TestSingletonCSAIsSAA(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewPCG(37, 1))
+	pinned := 0
 	for trial := 0; trial < 40; trial++ {
 		rel := realizeRelation(t, 5+r.IntN(30))
 		q := randomSAAQuery(r)
@@ -141,8 +153,14 @@ func TestSingletonCSAIsSAA(t *testing.T) {
 		if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", *want); g != w || !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (%s, M=%d): singleton CSA model differs from SAA", trial, q, m)
 		}
+		if got.NumPinned() > 0 {
+			pinned++
+		}
 		if !reflect.DeepEqual(gotVM, wantVM) {
 			t.Fatalf("trial %d (%s, M=%d): variable maps differ: %+v vs %+v", trial, q, m, gotVM, wantVM)
 		}
+	}
+	if pinned == 0 {
+		t.Fatal("no trial's forced rows pinned a tuple")
 	}
 }

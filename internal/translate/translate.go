@@ -50,6 +50,12 @@ type ProbCon struct {
 	Mask []bool
 }
 
+// pins reports whether the constraint's summary rows pin tuples (pinner):
+// a "≤" constraint with v ≥ 0 whose count row needs all z indicators.
+func (c *ProbCon) pins(need float64, z int) bool {
+	return need >= float64(z) && !c.Geq && c.V >= 0
+}
+
 // Direction returns the conservative summary direction for the constraint
 // (Proposition 1: Min for ≥ inner constraints, Max for ≤).
 func (c *ProbCon) Direction() scenario.Direction {
@@ -503,10 +509,105 @@ func addIndicator(m *milp.Model, vals []float64, geq bool, v float64) int {
 	return y
 }
 
+// pinMargin is how far past v a summary value must lie, relative to it,
+// for its row alone to pin the tuple (pinner.exclude). Presolve fixes the
+// tuple at 0 from the same row once v/value is below 1 − 1e-6 or so: its
+// integer rounding slack, plus rounding in the big-M arithmetic.
+const pinMargin = 1e-5
+
+// pinner pins, over one formulation, the tuple variables that a summary
+// row alone excludes (milp.Model.SetPinned). Take a probabilistic "≤"
+// constraint whose count row forces every indicator (⌈p·Z⌉ ≥ Z), with
+// v ≥ 0, over the integer tuple variables, whose lower bounds are 0: a row
+// of nonnegative values then holds only where every tuple whose value
+// exceeds v is absent.
+// Presolve finds this again from each such row, walking all of it; a
+// pinned tuple leaves the rows presolve stores. Only tuples presolve fixes
+// at 0 from the row itself are pinned, so the presolved problem does not
+// change: the value must exceed v by pinMargin, and the row must be scaled
+// so that rounding in its big-M arithmetic stays below that margin.
+type pinner struct {
+	m     *milp.Model
+	off   bool // a tuple's lower bound is not 0: nothing is pinned
+	maxHi float64
+	// rows and vs are the rows that pinned and their v, in order.
+	rows [][]float64
+	vs   []float64
+}
+
+// newPinner returns the pinner of a model whose first len(lo) variables
+// are the tuples with bounds lo and hi.
+func newPinner(m *milp.Model, lo, hi []float64) *pinner {
+	maxHi := 0.0
+	for i := range lo {
+		if math.Float64bits(lo[i]) != 0 {
+			return &pinner{off: true}
+		}
+		if hi[i] > maxHi {
+			maxHi = hi[i]
+		}
+	}
+	return &pinner{m: m, maxHi: maxHi}
+}
+
+// excludes reports that a forced row Σ vals·x ≤ v pins a tuple of value a.
+func excludes(a, v float64) bool { return v < a*(1-pinMargin) }
+
+// exclude pins, in one pass over a forced row Σ vals·x ≤ v (v ≥ 0), each
+// tuple it excludes. A row with a negative value, or one whose scale (as
+// in milp's big-M derivation, over the tuple bounds) dwarfs the margin,
+// pins nothing: what this pass pinned before finding so is unpinned.
+func (p *pinner) exclude(vals []float64, v float64) {
+	if p.off {
+		return
+	}
+	most := 0.0
+	for i, a := range vals {
+		if !(a >= 0) {
+			p.undo(vals[:i], v)
+			return
+		}
+		if a > most {
+			most = a
+		}
+		// Both computed before the store, which is then no branch on data.
+		ex, pinned := excludes(a, v), p.m.Pinned(i)
+		p.m.SetPinned(i, pinned || ex)
+	}
+	// Presolve fixes a pinned tuple from this row when its margin, above
+	// v·1e-5, exceeds the redundancy slack (1e-9) and the rounding of v and
+	// of the row's activity against big-M, at most 1e-15·(v + Σ vals·hi + 1).
+	if v*8e-6 <= 1.1e-9+1e-15*(v+(1+float64(len(vals))*p.maxHi)*most+1) {
+		p.undo(vals, v)
+		return
+	}
+	p.rows, p.vs = append(p.rows, vals), append(p.vs, v)
+}
+
+// undo unpins the tuples of vals that row excludes and no earlier row does.
+func (p *pinner) undo(vals []float64, v float64) {
+	for i, a := range vals {
+		if excludes(a, v) && !p.excludedBefore(i) {
+			p.m.SetPinned(i, false)
+		}
+	}
+}
+
+// excludedBefore reports that a row that pinned excludes tuple i.
+func (p *pinner) excludedBefore(i int) bool {
+	for k, row := range p.rows {
+		if excludes(row[i], p.vs[k]) {
+			return true
+		}
+	}
+	return false
+}
+
 // FormulateCSA builds the CSA_{Q,M,Z} reduced DILP of §4.1: summaries
 // replace scenarios. summaries must hold, per probabilistic constraint, the
 // Z α-summaries of its partitions; objSummaries (may be nil when the
-// objective is not probabilistic) replace the objective scenario set.
+// objective is not probabilistic) replace the objective scenario set. A
+// tuple that a forced summary row alone excludes is pinned (pinner).
 func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Model, *VarMap, error) {
 	if len(summaries) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d summary groups for %d probabilistic constraints", len(summaries), len(s.ProbCons))
@@ -519,6 +620,7 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 		indicators += len(objSummaries)
 	}
 	m, vm := s.formulate(indicators, len(summaries))
+	var pin *pinner // made for the first forced row
 	for k, pc := range s.ProbCons {
 		group := summaries[k]
 		if len(group) == 0 {
@@ -529,6 +631,14 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 			ys[z] = addIndicator(m, sm.Values, pc.Geq, pc.V)
 		}
 		need := math.Ceil(pc.P * float64(len(group)))
+		if pc.pins(need, len(group)) {
+			if pin == nil {
+				pin = newPinner(m, s.VarLo, s.VarHi)
+			}
+			for _, sm := range group {
+				pin.exclude(sm.Values, pc.V)
+			}
+		}
 		ones := make([]float64, len(ys))
 		for i := range ones {
 			ones[i] = 1
