@@ -141,11 +141,10 @@ const TenantHeader = "X-Spq-Tenant"
 const TraceHeader = "X-Spq-Trace"
 
 // TraceSpan is one node of a job's span tree, served by
-// GET /v1/queries/{id}/trace and embedded in terminal Jobs. It is the only
-// span-tree type: the engine's traces render to it directly. Start times
-// are absolute unix microseconds (so a caller's spans and the server's line
-// up, modulo clock skew), durations are microseconds, and TraceID is set on
-// roots.
+// GET /v1/queries/{id}/trace. It is the only span-tree type: the engine's
+// traces render to it directly. Start times are absolute unix microseconds
+// (so a caller's spans and the server's line up, modulo clock skew),
+// durations are microseconds, and TraceID is set on roots.
 type TraceSpan struct {
 	TraceID     string            `json:"trace_id,omitempty"`
 	Name        string            `json:"name"`
@@ -419,7 +418,8 @@ type QueryResult struct {
 
 // Job is the resource served by GET /v1/queries/{id}: submission echo,
 // lifecycle state, latest progress, the best-so-far package, and — once
-// terminal — the result or error.
+// terminal — the result or error. Its span tree is not part of it: that is
+// read from GET /v1/queries/{id}/trace (Client.Trace), running or finished.
 type Job struct {
 	ID     string   `json:"id"`
 	State  JobState `json:"state"`
@@ -446,10 +446,6 @@ type Job struct {
 	// cancelled.
 	Result *QueryResult `json:"result,omitempty"`
 	Error  *Error       `json:"error,omitempty"`
-	// Trace is the job's rendered span tree, attached once the job is
-	// terminal (the live tree is always available at
-	// GET /v1/queries/{id}/trace). List responses omit it.
-	Trace *TraceSpan `json:"trace,omitempty"`
 }
 
 // ListResponse answers GET /v1/queries.

@@ -260,14 +260,9 @@ func runRemote(server, text, method string, seed uint64, valM, initialM, maxM, f
 		fmt.Printf("constraint %d p-surplus: %+.4f\n", k+1, surplus)
 	}
 	if traceTree {
-		// The terminal job carries the tree, but fetch through the trace
-		// endpoint: it works on running and historical jobs alike.
-		tr := final.Trace
-		if tr == nil {
-			tr, err = c.Trace(ctx, job.ID)
-			if err != nil {
-				return fmt.Errorf("fetch trace: %w", err)
-			}
+		tr, err := c.Trace(ctx, job.ID)
+		if err != nil {
+			return fmt.Errorf("fetch trace: %w", err)
 		}
 		fmt.Println()
 		fmt.Printf("trace %s:\n", tr.TraceID)

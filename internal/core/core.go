@@ -236,6 +236,11 @@ type Solution struct {
 // mark HitLimit reads.
 func (s *Solution) Stop() milp.Stop { return s.stop }
 
+// RaiseStop raises the stop mark to stop when that is graver. A pipeline
+// that composes evaluations (sketch's shard solves ahead of its refine)
+// folds the budgets that bound the earlier ones into its answer's mark.
+func (s *Solution) RaiseStop(stop milp.Stop) { s.stop = max(s.stop, stop) }
+
 // HitLimit reports whether a budget cut the evaluation short. The engine's
 // result cache refuses to cache such best-effort solutions. It counts an
 // evaluation past o.TimeLimit; a context deadline, whatever o.TimeLimit is;

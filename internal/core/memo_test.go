@@ -181,7 +181,7 @@ func assertSameVerdict(t *testing.T, label string, got, want *Validation) {
 // "validate" span.
 func validateTraced(t *testing.T, ctx context.Context, silp *translate.SILP, x []float64, o *Options) (*Validation, bool, error) {
 	t.Helper()
-	tr := obs.NewTrace("test")
+	tr := obs.NewTrace("", "test")
 	val, err := Validate(obs.ContextWithSpan(ctx, tr.Root()), silp, x, o)
 	tr.Root().End()
 	memos, runs := 0, 0

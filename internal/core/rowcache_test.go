@@ -30,7 +30,7 @@ func (vg scaledVG) ExactMean(tuple int) float64 { return vg.k * vg.inner.ExactMe
 // the validate span's row_hits and row_misses.
 func validateRows(t *testing.T, silp *translate.SILP, x []float64, o *Options) (val *Validation, hits, misses int) {
 	t.Helper()
-	tr := obs.NewTrace("test")
+	tr := obs.NewTrace("", "test")
 	val, err := Validate(obs.ContextWithSpan(context.Background(), tr.Root()), silp, x, o)
 	tr.Root().End()
 	if err != nil {

@@ -107,7 +107,7 @@ func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	wopts := smallOptions(3)
 	wopts.CollectWarm = true
 	wopts.Warm = w
-	tr := obs.NewTrace("warm")
+	tr := obs.NewTrace("", "warm")
 	warm, err := SummarySearchCtx(obs.ContextWithSpan(context.Background(), tr.Root()), buildSILP(t, post, warmQuery), wopts)
 	if err != nil {
 		t.Fatal(err)

@@ -449,3 +449,51 @@ func TestTimeCappedIncumbentDegrades(t *testing.T) {
 		}
 	}
 }
+
+// TestShardTimeCapReachesStop: a time cap inside one sketch shard's solve
+// changes the candidates the refine sees, so it marks the answer even when
+// the refine itself finishes inside its own, fresh budget. The progress hook
+// sleeps past TimeLimit on the first shard report; the answer names the time
+// cap, HitLimit reads it, and the repeated request solves again instead of
+// being served from the result cache.
+func TestShardTimeCapReachesStop(t *testing.T) {
+	e := New(newCatalog(t, 80), &Options{Parallelism: 1})
+	const limit = 200 * time.Millisecond
+	var once sync.Once
+	req := func() Request {
+		opts := smallCoreOptions()
+		opts.TimeLimit = limit
+		return Request{
+			Query:   testQuery,
+			Method:  "sketch",
+			Options: opts,
+			Sketch:  &sketch.Options{GroupSize: 8, MaxCandidates: 32, Shards: 2, Seed: 5},
+			Progress: func(p core.Progress) {
+				if strings.HasPrefix(p.Phase, "sketch/shard") {
+					once.Do(func() { time.Sleep(limit + 50*time.Millisecond) })
+				}
+			},
+		}
+	}
+	r := req()
+	res, err := e.Query(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sketch == nil || res.Sketch.FellBack {
+		t.Fatalf("sketch stats %+v, want a refined answer", res.Sketch)
+	}
+	if stop := res.Stop(); stop != milp.StopTimeCap {
+		t.Fatalf("stop = %v, want time_cap from the cut shard", stop)
+	}
+	if !res.HitLimit(r.Options) {
+		t.Fatal("HitLimit misses the time cap of a shard solve")
+	}
+	again, err := e.Query(context.Background(), req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ResultCacheHit {
+		t.Fatal("an answer whose shard was cut by time was served from the result cache")
+	}
+}

@@ -232,16 +232,21 @@ type Result struct {
 	Sketch *sketch.Stats
 	// Wait is the time spent in the admission queue before solving.
 	Wait time.Duration
-	// Trace is the evaluation's finished span tree, set only when the
-	// engine minted the trace itself (a direct Query call with no ambient
-	// span). Job submissions expose their trace via the job instead
-	// (GET /v1/queries/{id}/trace).
-	Trace *client.TraceSpan
+	// trace is the evaluation's span tree, kept only when the engine minted
+	// the trace itself (a direct Query call with no ambient span); Trace
+	// renders it.
+	trace *obs.Trace
 	// cached is the result-cache entry this result was served from or
 	// stored as (nil for budget-cut results): the wire rendering reads the
 	// entry's package tuples, so a cached package is rendered once.
 	cached *cachedResult
 }
+
+// Trace renders the evaluation's finished span tree. It is nil when the
+// evaluation ran under an ambient span (a job's evaluation, whose tree is
+// read through GET /v1/queries/{id}/trace), and nothing is rendered unless
+// it is called.
+func (r *Result) Trace() *client.TraceSpan { return r.trace.Data() }
 
 // Multiplicities returns the package as a map from base-relation tuple
 // index to copy count.
@@ -578,8 +583,8 @@ func (e *Engine) resultPut(key string, cr *cachedResult) {
 // Every evaluation is traced. When the context already carries a span (the
 // async job manager installs the job's root span), the evaluation's phases
 // nest under it; otherwise the engine mints a trace of its own — honoring
-// Request.TraceParent's trace ID — and returns the finished tree in
-// Result.Trace. Tracing is purely observational: spans never join cache
+// Request.TraceParent's trace ID — which Result.Trace renders on demand.
+// Tracing is purely observational: spans never join cache
 // keys and never feed solver state, so traced and untraced runs are
 // bit-identical.
 func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
@@ -589,12 +594,8 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	if obs.SpanFromContext(ctx) != nil {
 		return e.query(ctx, req)
 	}
-	id, parent := obs.ParseTraceParent(req.TraceParent)
-	tr := e.newTrace(id, "query")
+	tr := e.startTrace(req.TraceParent)
 	root := tr.Root()
-	if parent != "" {
-		root.SetAttr("parent", parent)
-	}
 	start := time.Now()
 	res, err := e.query(obs.ContextWithSpan(ctx, root), req)
 	if err != nil {
@@ -603,7 +604,7 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 	root.End()
 	e.maybeLogSlow(tr, req.Query, req.Method, time.Since(start))
 	if res != nil {
-		res.Trace = tr.Data()
+		res.trace = tr
 	}
 	return res, err
 }
@@ -612,15 +613,16 @@ func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
 // the configured threshold: one structured event carrying the trace ID and
 // the rendered span tree.
 func (e *Engine) maybeLogSlow(tr *obs.Trace, query, method string, d time.Duration) {
-	if tr == nil || e.opts.Logger == nil || e.opts.SlowQuery <= 0 || d < e.opts.SlowQuery {
+	if e.opts.Logger == nil || e.opts.SlowQuery <= 0 || d < e.opts.SlowQuery {
 		return
 	}
+	data := tr.Data()
 	e.opts.Logger.Event("slow_query", map[string]any{
-		"trace_id":    tr.ID(),
+		"trace_id":    data.TraceID,
 		"method":      method,
 		"query":       query,
 		"duration_ms": d.Milliseconds(),
-		"trace":       tr.Data().Render(),
+		"trace":       data.Render(),
 	})
 }
 
@@ -868,9 +870,8 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	// pipeline maps its refine solution back to the plan's view. A solution
 	// cut short by a budget (see core.Solution.HitLimit) is best-effort, not
 	// deterministic — serving it to future identical requests would pin a
-	// load-degraded answer — so it is not cached. (For sketch, the check
-	// sees the refine evaluation's solves; a budget cut inside a shard
-	// solve is not detected.)
+	// load-degraded answer — so it is not cached. (For sketch, the mark
+	// also carries the gravest stop of its shard solves.)
 	degraded := false
 	var cr *cachedResult
 	if sol.HitLimit(&opts) {

@@ -191,9 +191,7 @@ func (e *Engine) handleV1List(w http.ResponseWriter, r *http.Request) {
 	jobs := e.Jobs()
 	out := client.ListResponse{Jobs: make([]*client.Job, 0, len(jobs))}
 	for _, j := range jobs {
-		snap := j.Snapshot(math.MaxInt) // no event bodies in listings
-		snap.Trace = nil                // trace trees neither (GET the job or its /trace)
-		out.Jobs = append(out.Jobs, snap)
+		out.Jobs = append(out.Jobs, j.Snapshot(math.MaxInt)) // no event bodies in listings
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -35,17 +36,82 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	return resp
 }
 
+// decodeJob reads one job payload and fails if it carries a span tree: a
+// job's trace is read only from GET /v1/queries/{id}/trace.
 func decodeJob(t *testing.T, resp *http.Response, wantStatus int) *client.Job {
 	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("status = %d, want %d", resp.StatusCode, wantStatus)
 	}
+	var raw json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	noTraceKey(t, raw)
 	var job client.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+	if err := json.Unmarshal(raw, &job); err != nil {
 		t.Fatal(err)
 	}
 	return &job
+}
+
+// decodeBatch reads a batch response; no item's job carries a span tree.
+func decodeBatch(t *testing.T, resp *http.Response) *client.BatchResponse {
+	t.Helper()
+	defer resp.Body.Close()
+	var raw struct {
+		Jobs []struct {
+			Job json.RawMessage `json:"job"`
+		} `json:"jobs"`
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range raw.Jobs {
+		if it.Job != nil {
+			noTraceKey(t, it.Job)
+		}
+	}
+	var out client.BatchResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// noTraceKey fails if the JSON object job has a "trace" key.
+func noTraceKey(t *testing.T, job json.RawMessage) {
+	t.Helper()
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(job, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["trace"]; ok {
+		t.Fatalf("job payload carries a trace key: %s", job)
+	}
+}
+
+// fetchTrace reads a job's span tree from GET /v1/queries/{id}/trace.
+func fetchTrace(t *testing.T, srv *httptest.Server, id string) *client.TraceSpan {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/queries/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace endpoint status = %d", resp.StatusCode)
+	}
+	var tr client.TraceSpan
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	return &tr
 }
 
 // waitJob long-polls a submitted job until it is terminal.
@@ -179,14 +245,10 @@ func TestV1Batch(t *testing.T) {
 			{Query: testQuery, Method: "quantum"},
 		},
 	})
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d, want 202", resp.StatusCode)
 	}
-	var out client.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	out := decodeBatch(t, resp)
 	if len(out.Jobs) != 3 {
 		t.Fatalf("items = %d, want 3", len(out.Jobs))
 	}
@@ -226,11 +288,7 @@ func TestBatchTraceHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out client.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	out := decodeBatch(t, resp)
 	if len(out.Jobs) != 2 {
 		t.Fatalf("items = %d, want 2", len(out.Jobs))
 	}
@@ -239,8 +297,8 @@ func TestBatchTraceHeader(t *testing.T) {
 			t.Fatalf("item %d = %+v, want job", i, it)
 		}
 		job := waitJob(t, srv, it.Job)
-		if job.Trace == nil || job.Trace.TraceID != "feedc0de00000003" || job.Trace.Attrs["parent"] != "batch" {
-			t.Fatalf("item %d trace = %+v, want the caller's trace id and parent", i, job.Trace)
+		if tr := fetchTrace(t, srv, job.ID); tr.TraceID != "feedc0de00000003" || tr.Attrs["parent"] != "batch" {
+			t.Fatalf("item %d trace = %+v, want the caller's trace id and parent", i, tr)
 		}
 	}
 }
@@ -308,8 +366,8 @@ func TestV1ResultCacheHitAnsweredInline(t *testing.T) {
 		t.Fatalf("hit job id %q started %v finished %v: want a new job that never ran", hit.ID, hit.StartedAt, hit.FinishedAt)
 	}
 	sameAnswer(t, "inline hit", hit.Result, first.Result)
-	if hit.Trace == nil || hit.Trace.Attrs["result_cache"] != "hit" {
-		t.Fatalf("hit trace = %+v, want a result_cache=hit root", hit.Trace)
+	if tr := fetchTrace(t, srv, hit.ID); tr.Attrs["result_cache"] != "hit" {
+		t.Fatalf("hit trace = %+v, want a result_cache=hit root", tr)
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/queries/" + hit.ID)
@@ -339,12 +397,7 @@ func TestV1ResultCacheHitAnsweredInline(t *testing.T) {
 	}
 
 	// A batch item is answered inline too.
-	resp = postJSON(t, srv.URL+"/v1/queries:batch", client.BatchRequest{Queries: []client.SubmitRequest{body}})
-	var batch client.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	batch := decodeBatch(t, postJSON(t, srv.URL+"/v1/queries:batch", client.BatchRequest{Queries: []client.SubmitRequest{body}}))
 	if len(batch.Jobs) != 1 || batch.Jobs[0].Job == nil || batch.Jobs[0].Job.State != client.JobSucceeded {
 		t.Fatalf("batch = %+v, want one succeeded item", batch.Jobs)
 	}

@@ -64,7 +64,6 @@ type Job struct {
 	bestRel   *relation.Relation
 	bestPkg   []client.PackageTuple // bestX rendered once at failure or cancellation
 	wire      *client.QueryResult   // rendered once at completion
-	wireTr    *client.TraceSpan     // rendered once at completion
 	err       *client.Error
 	cancelled bool          // CancelJob was called before the job finished
 	cancelAt  time.Time     // first CancelJob call (cancel-latency metric)
@@ -125,7 +124,6 @@ func (j *Job) Snapshot(since int) *client.Job {
 	out.BestFeasible = j.bestFeas
 	out.BestObjective = j.bestObj
 	out.Result = j.wire
-	out.Trace = j.wireTr // rendered once the job is terminal
 	out.Error = j.err
 	j.mu.Unlock()
 
@@ -280,12 +278,8 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	// the queries total means "requests received" on both entry points.
 	e.m.inc(statQueries)
 	created := time.Now()
-	tid, parent := obs.ParseTraceParent(req.TraceParent)
-	tr := e.newTrace(tid, "query")
+	tr := e.startTrace(req.TraceParent)
 	root := tr.Root()
-	if parent != "" {
-		root.SetAttr("parent", parent)
-	}
 	pr := new(prepared)
 	if err := e.prepare(root, req, pr); err != nil {
 		return nil, err
@@ -417,7 +411,6 @@ func (e *Engine) settle(j *Job, res *Result, err error, solve time.Duration) {
 		e.m.add(statJobsRunning, -1)
 	}
 	j.finished = time.Now()
-	j.wireTr = j.trace.Data()
 	if !j.cancelAt.IsZero() {
 		e.m.cancelLatency.Observe(j.finished.Sub(j.cancelAt).Seconds())
 	}

@@ -276,13 +276,15 @@ func (m *engineMetrics) observeSpan(name string, d time.Duration) {
 	m.phase.Observe(obs.PhaseName(name), d.Seconds())
 }
 
-// newTrace mints a trace whose span completions feed the engine's
-// phase-latency histograms. id "" mints a fresh trace ID.
-func (e *Engine) newTrace(id, rootName string) *obs.Trace {
-	if id == "" {
-		id = obs.NewTraceID()
-	}
-	tr := obs.NewTraceWithID(id, rootName)
+// startTrace mints a request's trace under Request.TraceParent (its trace
+// ID, or a fresh one, and its parent span as the root's "parent"
+// attribute); span completions feed the phase-latency histograms.
+func (e *Engine) startTrace(traceParent string) *obs.Trace {
+	id, parent := obs.ParseTraceParent(traceParent)
+	tr := obs.NewTrace(id, "query")
 	tr.OnSpanEnd(e.m.observeSpan)
+	if parent != "" {
+		tr.Root().SetAttr("parent", parent)
+	}
 	return tr
 }

@@ -29,19 +29,20 @@ func TestQueryTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
+	qt := res.Trace()
+	if qt == nil {
 		t.Fatal("direct query returned no trace")
 	}
-	if res.Trace.TraceID != "feedc0de00000001" {
-		t.Fatalf("trace id = %q, want the upstream id from TraceParent", res.Trace.TraceID)
+	if qt.TraceID != "feedc0de00000001" {
+		t.Fatalf("trace id = %q, want the upstream id from TraceParent", qt.TraceID)
 	}
-	if res.Trace.Name != "query" || res.Trace.Attrs["parent"] != "coordinator-span" {
-		t.Fatalf("bad root span: name=%q attrs=%v", res.Trace.Name, res.Trace.Attrs)
+	if qt.Name != "query" || qt.Attrs["parent"] != "coordinator-span" {
+		t.Fatalf("bad root span: name=%q attrs=%v", qt.Name, qt.Attrs)
 	}
 	phases := map[string]int{}
-	res.Trace.Walk(func(d *client.TraceSpan) {
+	qt.Walk(func(d *client.TraceSpan) {
 		phases[obs.PhaseName(d.Name)]++
-		if d != res.Trace && d.DurationUS < 0 {
+		if d != qt && d.DurationUS < 0 {
 			t.Fatalf("span %s has negative duration %d", d.Name, d.DurationUS)
 		}
 	})
@@ -62,7 +63,7 @@ func TestQueryTrace(t *testing.T) {
 	// The ε′ probe runs once per evaluation, inside the first validation,
 	// and says how much it realized.
 	probes := 0
-	res.Trace.Walk(func(d *client.TraceSpan) {
+	qt.Walk(func(d *client.TraceSpan) {
 		for _, c := range d.Children {
 			if c.Name != "probe" {
 				continue
@@ -78,7 +79,7 @@ func TestQueryTrace(t *testing.T) {
 	}
 	// Every solve span times its root presolve and counts the variables
 	// its formulation pinned.
-	res.Trace.Walk(func(d *client.TraceSpan) {
+	qt.Walk(func(d *client.TraceSpan) {
 		if d.Name != "solve" {
 			return
 		}
@@ -91,7 +92,7 @@ func TestQueryTrace(t *testing.T) {
 
 	// A caller that already carries a span gets instrumented into the
 	// caller's trace instead of minting a fresh one: no Result.Trace.
-	tr := obs.NewTrace("outer")
+	tr := obs.NewTrace("", "outer")
 	res2, err := e.Query(obs.ContextWithSpan(context.Background(), tr.Root()), Request{
 		Query:   testQuery,
 		Options: smallCoreOptions(),
@@ -99,7 +100,7 @@ func TestQueryTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Trace != nil {
+	if res2.Trace() != nil {
 		t.Fatal("ambient-span query must not mint its own trace")
 	}
 	tr.Root().End()
@@ -165,22 +166,9 @@ func TestV1TraceEndpointAndMetrics(t *testing.T) {
 	if job.State != client.JobSucceeded {
 		t.Fatalf("state = %q (%+v)", job.State, job.Error)
 	}
-	// The terminal job embeds the tree; the endpoint serves the same one.
-	if job.Trace == nil || job.Trace.TraceID != "feedc0de00000002" {
-		t.Fatalf("terminal job trace = %+v, want upstream trace id", job.Trace)
-	}
-	r, err := http.Get(srv.URL + "/v1/queries/" + job.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("trace endpoint status = %d", r.StatusCode)
-	}
-	var tr client.TraceSpan
-	if err := json.NewDecoder(r.Body).Decode(&tr); err != nil {
-		t.Fatal(err)
-	}
+	// The terminal job carries no tree (decodeJob checks); the endpoint
+	// serves it.
+	tr := fetchTrace(t, srv, job.ID)
 	if tr.TraceID != "feedc0de00000002" || tr.Name != "query" {
 		t.Fatalf("trace root = %q/%q, want query under the upstream id", tr.TraceID, tr.Name)
 	}
@@ -275,10 +263,11 @@ func TestSlowQueryLogRendersTrace(t *testing.T) {
 		t.Fatalf("slow-query log %q: %v", buf.String(), err)
 	}
 	tree, _ := ev["trace"].(string)
-	if ev["event"] != "slow_query" || ev["trace_id"] != res.Trace.TraceID {
-		t.Fatalf("slow-query event %v, want trace %s", ev, res.Trace.TraceID)
+	id := res.Trace().TraceID
+	if ev["event"] != "slow_query" || ev["trace_id"] != id {
+		t.Fatalf("slow-query event %v, want trace %s", ev, id)
 	}
-	if !strings.HasPrefix(tree, "trace "+res.Trace.TraceID+"\nquery  ") || !strings.Contains(tree, "\n  parse  ") {
+	if !strings.HasPrefix(tree, "trace "+id+"\nquery  ") || !strings.Contains(tree, "\n  parse  ") {
 		t.Fatalf("slow-query tree:\n%s", tree)
 	}
 }

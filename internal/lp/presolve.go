@@ -357,9 +357,14 @@ func (ps *presolver) signDroppedZeros() {
 // dropped rows, and leaves the next pass nothing to do: the loop ends
 // there.
 func (ps *presolver) run() {
+	// Rounding moves only an integer column's fractional bound (a dropped
+	// column's [+0, 0] is integral); any other column gets only tighten's
+	// crossed-bounds check.
 	for j := 0; j < ps.n; j++ {
-		if ps.colAlive[j] { // a dropped column's [+0, 0] is integral
-			ps.tighten(j, ps.lo[j], ps.hi[j])
+		if lo, hi := ps.lo[j], ps.hi[j]; ps.integer != nil && ps.integer[j] && (lo != math.Floor(lo) || hi != math.Floor(hi)) {
+			ps.tighten(j, lo, hi)
+		} else if lo > hi+presolveTol {
+			ps.infeasible = true
 		}
 	}
 	for pass := 0; pass < presolveMaxPasses && !ps.infeasible && !ps.unbounded; pass++ {

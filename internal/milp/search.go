@@ -283,9 +283,11 @@ type search struct {
 	workers   int
 	pc        *pseudocosts
 	scratches []*bbScratch
-	results   []bbResult // one slot per node of the current round
-	slab      []bbNode   // fresh nodes are appended here; a full slab is left to its nodes
-	free      *bbNode    // retired nodes, linked through parent, reused before the slab grows
+	results   []bbResult     // one slot per node of the current round
+	cursor    atomic.Int64   // the current round's next unclaimed node
+	wg        sync.WaitGroup // the round's workers besides the calling goroutine
+	slab      []bbNode       // fresh nodes are appended here; a full slab is left to its nodes
+	free      *bbNode        // retired nodes, linked through parent, reused before the slab grows
 }
 
 // Solve runs branch and bound on the model.
@@ -649,42 +651,39 @@ func (st *search) recycle(b *nodeBasis) {
 // void.
 func (st *search) processRound(round []*bbNode, results []bbResult) {
 	snap := st.inc
-	k := len(round)
-	workers := min(st.workers, k)
-	if workers <= 1 {
-		sc := st.scratch(0)
-		for i := range results {
-			if st.interrupted() {
-				return
-			}
-			results[i] = st.process(round[k-1-i], snap, sc)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sc := st.scratch(w)
-		wg.Add(1)
+	workers := min(st.workers, len(round))
+	sc0 := st.scratch(0)
+	st.cursor.Store(0)
+	for w := 1; w < workers; w++ {
+		st.wg.Add(1)
 		go func(sc *bbScratch) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= k || st.interrupted() {
-					return
-				}
-				n := round[k-1-i]
-				if i > 0 && round[k-i].seed == n.seed {
-					continue // solved with its sibling
-				}
-				results[i] = st.process(n, snap, sc)
-				if i+1 < k && round[k-2-i].seed == n.seed && !st.interrupted() {
-					results[i+1] = st.process(round[k-2-i], snap, sc)
-				}
-			}
-		}(sc)
+			defer st.wg.Done()
+			st.claim(round, results, snap, sc)
+		}(st.scratch(w))
 	}
-	wg.Wait()
+	st.claim(round, results, snap, sc0) // the calling goroutine is worker 0
+	st.wg.Wait()
+}
+
+// claim is one worker's loop over a round: it claims the next node from
+// st.cursor, and with it the node's sibling, until the round is spent or
+// the search is interrupted.
+func (st *search) claim(round []*bbNode, results []bbResult, snap incumbent, sc *bbScratch) {
+	k := len(round)
+	for {
+		i := int(st.cursor.Add(1)) - 1
+		if i >= k || st.interrupted() {
+			return
+		}
+		n := round[k-1-i]
+		if i > 0 && round[k-i].seed == n.seed {
+			continue // solved with its sibling
+		}
+		results[i] = st.process(n, snap, sc)
+		if i+1 < k && round[k-2-i].seed == n.seed && !st.interrupted() {
+			results[i+1] = st.process(round[k-2-i], snap, sc)
+		}
+	}
 }
 
 // scratch returns worker w's reusable buffers, allocating on first use.

@@ -15,7 +15,7 @@ import (
 )
 
 func TestTraceTreeAndContext(t *testing.T) {
-	tr := NewTrace("query")
+	tr := NewTrace("", "query")
 	ctx := ContextWithSpan(context.Background(), tr.Root())
 
 	ctx2, solve := StartSpan(ctx, "solve")
@@ -29,7 +29,7 @@ func TestTraceTreeAndContext(t *testing.T) {
 	tr.Root().End()
 
 	d := tr.Data()
-	if d.TraceID != tr.ID() || d.Name != "query" {
+	if len(d.TraceID) != 16 || d.TraceID != tr.id || d.Name != "query" {
 		t.Fatalf("root = %+v", d)
 	}
 	if len(d.Children) != 1 || d.Children[0].Name != "solve" {
@@ -71,7 +71,7 @@ func TestUntracedContextIsInert(t *testing.T) {
 }
 
 func TestSpanChildCap(t *testing.T) {
-	tr := NewTrace("root")
+	tr := NewTrace("", "root")
 	for i := 0; i < maxSpanChildren+10; i++ {
 		tr.Root().StartChild("c").End()
 	}
@@ -96,7 +96,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 }
 
 func TestOnSpanEndFeedsHook(t *testing.T) {
-	tr := NewTrace("query")
+	tr := NewTrace("", "query")
 	var mu sync.Mutex
 	seen := map[string]int{}
 	tr.OnSpanEnd(func(name string, d time.Duration) {
@@ -278,7 +278,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTrace("query")
+	tr := NewTrace("", "query")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)

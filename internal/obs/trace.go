@@ -56,8 +56,8 @@ type Attr struct {
 	Value string
 }
 
-// NewTraceID mints a random 16-hex-digit trace identifier.
-func NewTraceID() string {
+// newTraceID mints a random 16-hex-digit trace identifier.
+func newTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere; fall back to a
@@ -67,34 +67,20 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewTrace starts a trace with a fresh ID and a root span named name.
-func NewTrace(name string) *Trace {
-	return NewTraceWithID(NewTraceID(), name)
-}
-
-// NewTraceWithID starts a trace under an existing (upstream) trace ID, used
-// when a request adopts its caller's trace from the X-Spq-Trace header.
-func NewTraceWithID(id, name string) *Trace {
+// NewTrace starts a trace with a root span named name under trace ID id: an
+// upstream ID when a request adopts its caller's trace from the
+// X-Spq-Trace header, or a fresh one when id is "".
+func NewTrace(id, name string) *Trace {
+	if id == "" {
+		id = newTraceID()
+	}
 	tr := &Trace{id: id}
 	tr.root = &Span{tr: tr, name: name, start: time.Now()}
 	return tr
 }
 
-// ID returns the trace identifier.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Root returns the root span.
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
+func (t *Trace) Root() *Span { return t.root }
 
 // OnSpanEnd registers fn to be called for every span that finishes. Set it
 // before the trace is shared across goroutines.

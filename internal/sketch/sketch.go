@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"spq/internal/core"
+	"spq/internal/milp"
 	"spq/internal/obs"
 	"spq/internal/par"
 	"spq/internal/relation"
@@ -174,7 +175,8 @@ type allot struct {
 type shardResult struct {
 	chosen []allot
 	obj    float64
-	failed bool // no feasible shard-local sketch
+	failed bool      // no feasible shard-local sketch
+	stop   milp.Stop // the shard evaluation's Solution.Stop
 }
 
 // SolveSILP runs the partition-aware sketch pipeline on an already-lowered
@@ -275,8 +277,10 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 	}
 
 	// Merge per-shard candidate sets in shard order (deterministic for any
-	// worker count).
+	// worker count). A budget that cut a shard changed the candidates, so
+	// the gravest shard stop marks the answer too.
 	var chosen []allot
+	var shardStop milp.Stop
 	better := math.Max
 	stats.SketchObj = math.Inf(-1)
 	if !silp.Maximize {
@@ -284,6 +288,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 		stats.SketchObj = math.Inf(1)
 	}
 	for _, res := range results {
+		shardStop = max(shardStop, res.stop)
 		if res.failed {
 			stats.ShardFailures++
 			continue
@@ -298,6 +303,9 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 		refineStart := time.Now()
 		sol, err := fallback(ctx, silp, copts, stats)
 		stats.RefineTime = time.Since(refineStart)
+		if sol != nil {
+			sol.RaiseStop(shardStop)
+		}
 		return sol, stats, err
 	}
 
@@ -345,6 +353,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 
 	// Map the refined solution back to view indexing.
 	out := *refined
+	out.RaiseStop(shardStop)
 	out.X = make([]float64, n)
 	candRow := 0
 	for t := 0; t < n; t++ {
@@ -415,10 +424,14 @@ func solveShard(ctx context.Context, view *relation.Relation, qNoWhere *spaql.Qu
 		if err != nil && !errors.Is(err, core.ErrInfeasible) {
 			return shardResult{}, err
 		}
-		return shardResult{failed: true}, nil
+		res := shardResult{failed: true}
+		if sol != nil {
+			res.stop = sol.Stop()
+		}
+		return res, nil
 	}
 	ssp.End()
-	res := shardResult{obj: sol.Objective}
+	res := shardResult{obj: sol.Objective, stop: sol.Stop()}
 	for row, x := range sol.X {
 		if x > 0 {
 			res.chosen = append(res.chosen, allot{group: groupOfMedoidRow[row], count: x})
