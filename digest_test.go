@@ -1,6 +1,7 @@
 package spq
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -31,31 +32,98 @@ var digestSketch = &SketchOptions{GroupSize: 8, Shards: 2, Workers: -1}
 var digestNaive = map[string]bool{"galaxy": true, "portfolio": true}
 
 // digestLine renders one answer: the error, or feasibility, the objective's
-// bits, M, Z, an FNV-64a digest of X's bits and the solver totals.
-// MILPWorkers is the resolved worker bound, which follows GOMAXPROCS, so it
-// is left out: every other field is the same for any worker count.
+// bits, ε′'s bits, M, Z, an FNV-64a digest of X's bits and the solver
+// totals. MILPWorkers is the resolved worker bound, which follows
+// GOMAXPROCS, so it is left out: every other field is the same for any
+// worker count.
 func digestLine(id string, res *Result, err error) string {
 	if err != nil {
 		return fmt.Sprintf("%s err=%q", id, err.Error())
 	}
+	return id + " " + solutionDigest(res.Solution)
+}
+
+func solutionDigest(sol *Solution) string {
 	h := fnv.New64a()
 	var b [8]byte
-	for _, x := range res.X {
+	for _, x := range sol.X {
 		bits := math.Float64bits(x)
 		for i := range b {
 			b[i] = byte(bits >> (8 * i))
 		}
 		h.Write(b[:])
 	}
-	tot := res.SolveTotals
+	tot := sol.SolveTotals
 	tot.MILPWorkers = 0
-	return fmt.Sprintf("%s feasible=%t obj=%016x m=%d z=%d x=%016x totals=%+v",
-		id, res.Feasible, math.Float64bits(res.Objective), res.M, res.Z, h.Sum64(), tot)
+	return fmt.Sprintf("feasible=%t obj=%016x eps=%016x m=%d z=%d x=%016x totals=%+v",
+		sol.Feasible, math.Float64bits(sol.Objective), math.Float64bits(sol.EpsUpper), sol.M, sol.Z, h.Sum64(), tot)
+}
+
+// deltaDigest runs a fixed delta script through an engine: Portfolio Q3 at
+// test size is asked cold, then again after each of three deltas, one line
+// per answer with the result-cache hit and the warm flag. A Set on a column
+// the query does not read keeps the cached entry; a Set raising the price
+// of three tuples outside the package invalidates it and re-solves warm; a
+// Delete invalidates it and changes membership, so the plan is rebuilt and
+// solved cold. The flags each step must show are checked here, so the
+// script cannot drift off the paths it pins.
+func deltaDigest(t *testing.T) []string {
+	inst, err := workload.ByName("portfolio", workload.Config{N: 40, Seed: 3, MeansM: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok := inst.QueryByID("Q3")
+	if !ok {
+		t.Fatal("portfolio has no Q3")
+	}
+	db := NewDB()
+	db.MeansM = 200
+	if err := db.Register(inst.Table(q.Table)); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(db, nil)
+	var lines []string
+	ask := func(step string, hit, warm bool) *EngineResult {
+		t.Helper()
+		res, err := eng.Query(context.Background(), EngineRequest{Query: q.SPaQL, Options: digestOptions()})
+		id := "delta portfolio Q3 " + step
+		if err != nil {
+			lines = append(lines, fmt.Sprintf("%s err=%q", id, err.Error()))
+			t.Fatalf("%s: %v", id, err)
+		}
+		lines = append(lines, fmt.Sprintf("%s %s result_cache_hit=%t warm=%t",
+			id, solutionDigest(res.Solution), res.ResultCacheHit, res.WarmResolve))
+		if res.ResultCacheHit != hit || res.WarmResolve != warm {
+			t.Errorf("%s: result_cache_hit=%t warm=%t, want %t and %t", id, res.ResultCacheHit, res.WarmResolve, hit, warm)
+		}
+		return res
+	}
+	apply := func(d *Delta) {
+		t.Helper()
+		if _, err := eng.ApplyDelta(q.Table, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := ask("cold", false, false)
+	apply(&Delta{Set: map[string]map[int]float64{"volatility": {0: 9, 3: 9}}})
+	ask("retained", true, false)
+	priced := map[int]float64{}
+	for i := len(cold.X) - 1; i >= 0 && len(priced) < 3; i-- {
+		if cold.X[i] == 0 {
+			priced[i] = 5000
+		}
+	}
+	apply(&Delta{Set: map[string]map[int]float64{"price": priced}})
+	ask("warm", false, true)
+	apply(&Delta{Delete: []int{0, 1}})
+	ask("rebuilt", false, false)
+	return lines
 }
 
 // answerDigest answers every Table 3 query of every built-in workload at
 // test size with SummarySearch and with sketch (see digestSketch), and the Galaxy and
-// Portfolio queries with Naïve too (unless skipNaive), one line each.
+// Portfolio queries with Naïve too (unless skipNaive), one line each, and
+// then runs the delta script of deltaDigest.
 func answerDigest(t *testing.T, skipNaive bool) []string {
 	var lines []string
 	for _, name := range workload.Names() {
@@ -82,12 +150,12 @@ func answerDigest(t *testing.T, skipNaive bool) []string {
 			}
 		}
 	}
-	return lines
+	return append(lines, deltaDigest(t)...)
 }
 
-// TestAnswerDigest pins the answer of every paper query at test size: a
-// change that moves any answer or any solver counter changes a line of
-// testdata/answers.digest. The bits hold per GOARCH, which the file's header
+// TestAnswerDigest pins the answer of every paper query at test size, and
+// of an engine re-asking one across deltas: a change that moves any answer,
+// ε′ or any solver counter changes a line of testdata/answers.digest. The bits hold per GOARCH, which the file's header
 // records; run with -update to rewrite it. Race builds skip the Naïve lines,
 // which take most of the time.
 func TestAnswerDigest(t *testing.T) {
