@@ -43,6 +43,7 @@ func digestLine(id string, res *Result, err error) string {
 	return id + " " + solutionDigest(res.Solution)
 }
 
+// solutionDigest renders a solution's fields of a digest line.
 func solutionDigest(sol *Solution) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -88,7 +89,6 @@ func deltaDigest(t *testing.T) []string {
 		res, err := eng.Query(context.Background(), EngineRequest{Query: q.SPaQL, Options: digestOptions()})
 		id := "delta portfolio Q3 " + step
 		if err != nil {
-			lines = append(lines, fmt.Sprintf("%s err=%q", id, err.Error()))
 			t.Fatalf("%s: %v", id, err)
 		}
 		lines = append(lines, fmt.Sprintf("%s %s result_cache_hit=%t warm=%t",
@@ -155,9 +155,10 @@ func answerDigest(t *testing.T, skipNaive bool) []string {
 
 // TestAnswerDigest pins the answer of every paper query at test size, and
 // of an engine re-asking one across deltas: a change that moves any answer,
-// ε′ or any solver counter changes a line of testdata/answers.digest. The bits hold per GOARCH, which the file's header
-// records; run with -update to rewrite it. Race builds skip the Naïve lines,
-// which take most of the time.
+// ε′ or any solver counter changes a line of testdata/answers.digest. The
+// bits hold per GOARCH, which the file's header records; run with -update
+// to rewrite it. Race builds skip the Naïve lines, which take most of the
+// time.
 func TestAnswerDigest(t *testing.T) {
 	header := "# GOARCH " + runtime.GOARCH
 	if *updateDigest {

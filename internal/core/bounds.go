@@ -6,6 +6,7 @@ import (
 
 	"spq/internal/obs"
 	"spq/internal/par"
+	"spq/internal/relation"
 	"spq/internal/spaql"
 	"spq/internal/stream"
 	"spq/internal/translate"
@@ -35,6 +36,12 @@ const probeScenarios = 64
 // probeCheckEvery is how many tuples a probe shard realizes between
 // cancellation checks.
 const probeCheckEvery = 64
+
+// probeCachedRows is the most rows a probe reads through the process-wide
+// row cache: a quarter of it, so that a probe over a large table, which
+// realizes one row per tuple and stochastic term, never flushes the rows
+// validation reuses. A larger probe realizes its rows without the cache.
+const probeCachedRows = relation.RowCacheSlots / 4
 
 // packageSizeBounds derives (A2) from the SILP: COUNT rows are recognized as
 // deterministic rows whose coefficients are all exactly 1.
@@ -141,6 +148,14 @@ func extremes(vs []float64) (lo, hi float64) {
 // across Options.Parallelism workers, one row per tuple; math.Min and
 // math.Max fold to the same result in any order (NaN, ±Inf and ±0
 // included), so the range is bit-identical for every worker count.
+//
+// A row is a pure function of its coordinates, and a delta that rebuilds
+// the SILP leaves every tuple's coordinates in place unless it replaced the
+// attribute's VG. So the rows go through the process-wide row cache
+// (Rows.RunRow, bit-identical to Rows.Row), and the probe of a rebuilt SILP
+// copies them instead of realizing them again, unless the probe needs more
+// than probeCachedRows rows. The probe span's row_hits counts rows the
+// cache served and row_misses rows realized.
 func (r *runner) probeRealized(ctx context.Context, expr spaql.LinExpr) (sLo, sHi float64, err error) {
 	silp := r.silp
 	sp := obs.SpanFromContext(ctx).StartChild("probe")
@@ -151,8 +166,20 @@ func (r *runner) probeRealized(ctx context.Context, expr spaql.LinExpr) (sLo, sH
 	if err != nil {
 		return 0, 0, err
 	}
+	stoch := 0
+	for _, t := range expr.Terms {
+		if silp.Rel.IsStochastic(t.Attr) {
+			stoch++
+		}
+	}
+	cached := silp.N*stoch <= probeCachedRows
 	workers := par.Workers(r.opts.Parallelism, silp.N)
 	los, his := make([]float64, workers), make([]float64, workers)
+	hits, misses := make([]int, workers), make([]int, workers)
+	defer func() {
+		sp.SetInt("row_hits", int64(sum(hits)))
+		sp.SetInt("row_misses", int64(sum(misses)))
+	}()
 	for w := range los {
 		los[w], his[w] = math.Inf(1), math.Inf(-1)
 	}
@@ -170,10 +197,20 @@ func (r *runner) probeRealized(ctx context.Context, expr spaql.LinExpr) (sLo, sH
 					return err
 				}
 			}
-			row, err := rows.Row(i, scens, buf)
+			var row []float64
+			var h, m int
+			var err error
+			if cached {
+				row, h, m, err = rows.RunRow(i, 0, probeScenarios, buf)
+			} else {
+				row, err = rows.Row(i, scens, buf)
+				m = stoch
+			}
 			if err != nil {
 				return err
 			}
+			hits[shard] += h
+			misses[shard] += m
 			rowLo, rowHi := extremes(row)
 			sLo, sHi = math.Min(sLo, rowLo), math.Max(sHi, rowHi)
 		}
@@ -186,6 +223,15 @@ func (r *runner) probeRealized(ctx context.Context, expr spaql.LinExpr) (sLo, sH
 	sLo, _ = extremes(los)
 	_, sHi = extremes(his)
 	return sLo, sHi, nil
+}
+
+// sum adds up per-shard counts.
+func sum(vs []int) int {
+	total := 0
+	for _, v := range vs {
+		total += v
+	}
+	return total
 }
 
 // exprColumnDet evaluates a deterministic expression per tuple.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -36,24 +37,47 @@ func validateRows(t *testing.T, silp *translate.SILP, x []float64, o *Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits, misses = spanRows(t, tr, "validate")
+	return val, hits, misses
+}
+
+// probeRows probes silp's objective range under a fresh trace, as the first
+// validation of a new plan does, and returns it with the probe span's
+// row_hits and row_misses.
+func probeRows(t *testing.T, silp *translate.SILP, o *Options) (lo, hi float64, hits, misses int) {
+	t.Helper()
+	tr := obs.NewTrace("", "test")
+	ctx := obs.ContextWithSpan(context.Background(), tr.Root())
+	lo, hi, err := newRunner(ctx, silp, o).probeObjectiveRange(ctx)
+	tr.Root().End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses = spanRows(t, tr, "probe")
+	return lo, hi, hits, misses
+}
+
+// spanRows returns the row_hits and row_misses of the one span called name.
+func spanRows(t *testing.T, tr *obs.Trace, name string) (hits, misses int) {
+	t.Helper()
 	spans := 0
 	tr.Data().Walk(func(d *client.TraceSpan) {
-		if d.Name != "validate" {
+		if d.Name != name {
 			return
 		}
 		spans++
 		var err error
 		if hits, err = strconv.Atoi(d.Attrs["row_hits"]); err != nil {
-			t.Fatalf("row_hits %q: %v", d.Attrs["row_hits"], err)
+			t.Fatalf("%s row_hits %q: %v", name, d.Attrs["row_hits"], err)
 		}
 		if misses, err = strconv.Atoi(d.Attrs["row_misses"]); err != nil {
-			t.Fatalf("row_misses %q: %v", d.Attrs["row_misses"], err)
+			t.Fatalf("%s row_misses %q: %v", name, d.Attrs["row_misses"], err)
 		}
 	})
 	if spans != 1 {
-		t.Fatalf("%d validate spans for one validation", spans)
+		t.Fatalf("%d %s spans, want 1", spans, name)
 	}
-	return val, hits, misses
+	return hits, misses
 }
 
 // TestValidateWarmRowsMatchCold: validation served from the process-wide row
@@ -82,11 +106,7 @@ func TestValidateWarmRowsMatchCold(t *testing.T) {
 			},
 			func(*relation.Relation) *relation.Delta { return &relation.Delta{Delete: []int{2, 7}} },
 			func(rel *relation.Relation) *relation.Delta {
-				vg, err := rel.VG(tc.attr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return &relation.Delta{SetVG: map[string]relation.VGUpdate{tc.attr: {VG: scaledVG{vg, 1.5}}}}
+				return &relation.Delta{SetVG: map[string]relation.VGUpdate{tc.attr: {VG: scaledVG{mustVG(t, rel, tc.attr), 1.5}}}}
 			},
 			func(rel *relation.Relation) *relation.Delta {
 				return &relation.Delta{Set: map[string]map[int]float64{rel.DetNames()[0]: {0: 1}}}
@@ -176,4 +196,145 @@ func TestValidateChunksIgnoreWorkers(t *testing.T) {
 			assertSameValidation(t, "workers", val, first)
 		}
 	}
+}
+
+// TestProbeRowsMatchRealizeLoop: the ε′ probe reading its rows through the
+// process-wide row cache finds the per-value loop's range bit for bit, on
+// Portfolio (grouped GBM paths), Galaxy (shifted Pareto) and TPC-H (uniform
+// choices, the probability objective's inner function) SILPs over each
+// state of a Set, Delete, SetVG and Set sequence, on the table and on a
+// view of a view of it, at workers {1, 2, 8}. After the first probe of a
+// SILP every row comes from the cache.
+func TestProbeRowsMatchRealizeLoop(t *testing.T) {
+	cases := []struct {
+		gen      func(workload.Config) *workload.Instance
+		id, attr string
+	}{
+		{workload.Portfolio, "Q1", "gain"},
+		{workload.Galaxy, "Q5", "petromag_r"},
+		{workload.TPCH, "Q6", "revenue"},
+	}
+	for _, tc := range cases {
+		in := tc.gen(workload.Config{N: 30, Seed: 1, MeansM: 200})
+		q, ok := in.QueryByID(tc.id)
+		if !ok {
+			t.Fatalf("no query %s", tc.id)
+		}
+		rel := in.Table(q.Table)
+		deltas := []func() *relation.Delta{
+			func() *relation.Delta { return nil },
+			func() *relation.Delta {
+				return &relation.Delta{Set: map[string]map[int]float64{rel.DetNames()[0]: {1: 3, 4: 5}}}
+			},
+			func() *relation.Delta { return &relation.Delta{Delete: []int{2, 7}} },
+			func() *relation.Delta {
+				return &relation.Delta{SetVG: map[string]relation.VGUpdate{tc.attr: {VG: scaledVG{mustVG(t, rel, tc.attr), 1.5}}}}
+			},
+			func() *relation.Delta {
+				return &relation.Delta{Set: map[string]map[int]float64{rel.DetNames()[0]: {0: 1}}}
+			},
+		}
+		for step, d := range deltas {
+			if delta := d(); delta != nil {
+				if _, err := rel.ApplyDelta(delta); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := rel.Snapshot()
+			outer, err := snap.Select(func(i int) bool { return i%4 != 1 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := outer.Select(func(i int) bool { return i%3 != 2 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for view, r := range map[string]*relation.Relation{"table": snap, "view of a view": inner} {
+				label := fmt.Sprintf("%s/%s step %d %s", tc.id, tc.attr, step, view)
+				silp := buildSILP(t, r, q.SPaQL)
+				wantLo, wantHi := probeByRealize(t, newRunner(context.Background(), silp, smallOptions(5)), silp.ObjExpr)
+				for k, workers := range []int{1, 2, 8} {
+					o := smallOptions(5)
+					o.Parallelism = workers
+					lo, hi, hits, misses := probeRows(t, buildSILP(t, r, q.SPaQL), o)
+					if !sameBits(lo, wantLo) || !sameBits(hi, wantHi) {
+						t.Fatalf("%s workers=%d: range [%v, %v], loop [%v, %v]", label, workers, lo, hi, wantLo, wantHi)
+					}
+					if hits+misses != silp.N {
+						t.Fatalf("%s workers=%d: %d hits + %d misses, want one row per tuple (%d)", label, workers, hits, misses, silp.N)
+					}
+					if k > 0 && misses != 0 {
+						t.Fatalf("%s workers=%d: %d rows realized again", label, workers, misses)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProbeRowsAfterDelta: a delta drops the plan and rebuilds the SILP,
+// but the probe of the rebuilt SILP realizes no row a Set left in place,
+// and serves none from an attribute whose VG SetVG replaced.
+func TestProbeRowsAfterDelta(t *testing.T) {
+	const n = 12
+	rel := mutablePortfolio(t, n)
+	o := smallOptions(2)
+	probe := func() (hits, misses int) {
+		t.Helper()
+		_, _, hits, misses = probeRows(t, buildSILP(t, rel.Snapshot(), warmQuery), o)
+		return hits, misses
+	}
+	probe()
+	if _, err := rel.ApplyDelta(&relation.Delta{Set: map[string]map[int]float64{"price": {0: 500, 5: 41}}}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := probe(); misses != 0 || hits != n {
+		t.Fatalf("after Set: %d rows served, %d realized; want %d and 0", hits, misses, n)
+	}
+	vg := mustVG(t, rel, "gain")
+	if _, err := rel.ApplyDelta(&relation.Delta{SetVG: map[string]relation.VGUpdate{"gain": {VG: scaledVG{vg, 2}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := probe(); hits != 0 || misses != n {
+		t.Fatalf("after SetVG: %d rows served, %d realized; want 0 and %d", hits, misses, n)
+	}
+}
+
+// TestProbeRowsBypassKeepsValidation: a probe needing more rows than
+// probeCachedRows, here more than the whole cache holds, realizes them
+// without the cache, so it does not evict the rows validation reuses:
+// revalidating a package on a fresh SILP, whose probe runs again, is served
+// every row the first validation realized.
+func TestProbeRowsBypassKeepsValidation(t *testing.T) {
+	n := relation.RowCacheSlots * 5 / 4
+	rel := mutablePortfolio(t, n)
+	x := make([]float64, n)
+	x[1], x[6], x[n-3] = 1, 2, 1
+	o := smallOptions(4)
+	o.ValidationM = 1000
+	first, hits, misses := validateRows(t, buildSILP(t, rel, warmQuery), x, o)
+	if misses == 0 {
+		t.Fatal("the first validation realized no row")
+	}
+	want := hits + misses
+	for k := 0; k < 2; k++ {
+		val, hits, misses := validateRows(t, buildSILP(t, rel, warmQuery), x, o)
+		if hits != want || misses != 0 {
+			t.Fatalf("revalidation %d: %d rows served, %d realized; want %d and 0", k, hits, misses, want)
+		}
+		assertSameValidation(t, "revalidation", val, first)
+	}
+	if _, _, hits, misses := probeRows(t, buildSILP(t, rel, warmQuery), o); hits != 0 || misses != n {
+		t.Fatalf("probe of %d tuples: %d rows served, %d realized; want 0 and %d", n, hits, misses, n)
+	}
+}
+
+// mustVG returns the VG of rel's stochastic attribute attr.
+func mustVG(t *testing.T, rel *relation.Relation, attr string) relation.VGFunc {
+	t.Helper()
+	vg, err := rel.VG(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vg
 }

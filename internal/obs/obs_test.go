@@ -84,6 +84,31 @@ func TestSpanChildCap(t *testing.T) {
 	}
 }
 
+// TestTraceSpanInstantIsFinished: a finished span shorter than a
+// microsecond, such as a memo hit's, encodes as 1 µs and renders with a
+// duration, never as running; a span not yet ended still encodes as 0.
+func TestTraceSpanInstantIsFinished(t *testing.T) {
+	tr := NewTrace("", "query")
+	memo := tr.Root().StartChild("memo")
+	memo.SetAttr("kind", "validate")
+	memo.End()
+	tr.mu.Lock()
+	memo.end = memo.start
+	tr.mu.Unlock()
+	tr.Root().StartChild("validate")
+	d := tr.Data()
+	if got := d.Children[0].DurationUS; got != 1 {
+		t.Fatalf("instant span encodes %d µs, want 1", got)
+	}
+	if got := d.Children[1].DurationUS; got != 0 {
+		t.Fatalf("running span encodes %d µs, want 0", got)
+	}
+	want := "query  (running)\n  memo  0s  kind=validate\n  validate  (running)\n"
+	if got := strings.TrimPrefix(d.Render(), "trace "+d.TraceID+"\n"); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTraceParentRoundTrip(t *testing.T) {
 	const tp = "abcdef0123456789/remote/dispatch"
 	id, parent := ParseTraceParent(tp)

@@ -145,8 +145,9 @@ func (s *Span) SetInt(key string, v int64) { s.SetAttr(key, formatInt(v)) }
 // Data renders a snapshot of the trace as its wire type: what the trace
 // endpoint returns. Start times are absolute unix microseconds so spans
 // line up with a caller's (modulo clock skew); durations are microseconds.
-// Unfinished spans report a zero duration; the snapshot is safe to take
-// while the trace is still being written.
+// Unfinished spans report a zero duration, and a finished span shorter
+// than a microsecond reports 1, so zero always means running; the snapshot
+// is safe to take while the trace is still being written.
 func (t *Trace) Data() *client.TraceSpan {
 	if t == nil {
 		return nil
@@ -164,7 +165,7 @@ func (s *Span) dataLocked() *client.TraceSpan {
 		StartUnixUS: s.start.UnixMicro(),
 	}
 	if !s.end.IsZero() {
-		d.DurationUS = s.end.Sub(s.start).Microseconds()
+		d.DurationUS = max(1, s.end.Sub(s.start).Microseconds())
 	}
 	if len(s.attrs) > 0 {
 		d.Attrs = make(map[string]string, len(s.attrs)+1)

@@ -6,9 +6,10 @@ import (
 	"spq/internal/rng"
 )
 
-// rowCacheSlots is the number of rows the process-wide row cache holds:
-// 4 096 slots × rowChunk float64s = 8 MiB.
-const rowCacheSlots = 4096
+// RowCacheSlots is the number of rows the process-wide row cache holds:
+// 4 096 slots × rowChunk float64s = 8 MiB. Callers that may realize many
+// rows at once size their use of the cache against it.
+const RowCacheSlots = 4096
 
 // rowKey names one realized row: a stochastic attribute (by id, never by VG
 // pointer, so an evicted row pins nothing), the tuple index its innermost
@@ -61,7 +62,7 @@ func newRowCache(slots int) *rowCache {
 }
 
 // sharedRows is the process-wide row cache, allocated on first use.
-var sharedRows = sync.OnceValue(func() *rowCache { return newRowCache(rowCacheSlots) })
+var sharedRows = sync.OnceValue(func() *rowCache { return newRowCache(RowCacheSlots) })
 
 // CachedValues is Values for a run of consecutive scenarios (scens[k] =
 // scens[0]+k, at most 256 of them), served through the process-wide row

@@ -142,7 +142,7 @@ func assertCachedMatchValuesFrom(t *testing.T, label string, c *rowCache, r *Rel
 // are served after it wherever their keys still match: a full-size cache
 // keeps every row the test realizes, a small one evicts along the way.
 func TestRowCacheMatchesValues(t *testing.T) {
-	for _, slots := range []int{64, rowCacheSlots} {
+	for _, slots := range []int{64, RowCacheSlots} {
 		testRowCacheMatchesValues(t, newRowCache(slots))
 	}
 }
