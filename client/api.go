@@ -119,7 +119,9 @@ type SolveOptions struct {
 // "sketch". Zero values take the server's defaults. Tuples are grouped by
 // k-means, the only grouping: the server still reads a "strategy" field
 // sent by older clients, accepts it absent or "kmeans", and refuses any
-// other value with bad_request.
+// other value with bad_request. Shards deals the tuples round-robin to that
+// many shards, each clustered on its own, so the shard count changes the
+// groups as well as the candidates the sketch proposes.
 type SketchOptions struct {
 	GroupSize     int    `json:"group_size,omitempty"`
 	Shards        int    `json:"shards,omitempty"`

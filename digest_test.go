@@ -120,10 +120,73 @@ func deltaDigest(t *testing.T) []string {
 	return lines
 }
 
+// sketchDeltaDigest asks Galaxy Q3 with a SUM(base_r) row added, so that
+// the sketch (see digestSketch) clusters on base_r, cold and again after a
+// Set of two base_r cells. The second answer must be a fresh engine's over
+// the same data: a partitioning carried across a delta equals a cold one.
+func sketchDeltaDigest(t *testing.T) []string {
+	gen := func() (*DB, workload.Query) {
+		inst, err := workload.ByName("galaxy", workload.Config{N: 40, Seed: 3, MeansM: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, ok := inst.QueryByID("Q3")
+		if !ok {
+			t.Fatal("galaxy has no Q3")
+		}
+		const marker = "COUNT(*) BETWEEN 5 AND 10 AND"
+		at := strings.Index(q.SPaQL, marker)
+		if at < 0 {
+			t.Fatalf("galaxy Q3 changed shape: %s", q.SPaQL)
+		}
+		at += len(marker)
+		q.SPaQL = q.SPaQL[:at] + " SUM(base_r) <= 1000 AND" + q.SPaQL[at:]
+		db := NewDB()
+		db.MeansM = 200
+		if err := db.Register(inst.Table(q.Table)); err != nil {
+			t.Fatal(err)
+		}
+		return db, q
+	}
+	set := &Delta{Set: map[string]map[int]float64{"base_r": {5: 14.5, 22: 5.5}}}
+	ask := func(eng *Engine, q workload.Query) *EngineResult {
+		t.Helper()
+		res, err := eng.Query(context.Background(), EngineRequest{Query: q.SPaQL, Method: "sketch", Options: digestOptions(), Sketch: digestSketch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	db, q := gen()
+	eng := NewEngine(db, nil)
+	var lines []string
+	var after string
+	for _, step := range []string{"cold", "set"} {
+		if step == "set" {
+			if _, err := eng.ApplyDelta(q.Table, set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := ask(eng, q)
+		after = solutionDigest(res.Solution)
+		lines = append(lines, fmt.Sprintf("delta galaxy Q3+base_r sketch %s %s result_cache_hit=%t warm=%t",
+			step, after, res.ResultCacheHit, res.WarmResolve))
+	}
+	db, q = gen()
+	cold := NewEngine(db, nil)
+	if _, err := cold.ApplyDelta(q.Table, set); err != nil {
+		t.Fatal(err)
+	}
+	if want := solutionDigest(ask(cold, q).Solution); after != want {
+		t.Errorf("after the Set the engine answered\n%s\na fresh engine over the same data answered\n%s", after, want)
+	}
+	return lines
+}
+
 // answerDigest answers every Table 3 query of every built-in workload at
 // test size with SummarySearch and with sketch (see digestSketch), and the Galaxy and
 // Portfolio queries with Naïve too (unless skipNaive), one line each, and
-// then runs the delta script of deltaDigest.
+// then runs the delta scripts of deltaDigest and sketchDeltaDigest.
 func answerDigest(t *testing.T, skipNaive bool) []string {
 	var lines []string
 	for _, name := range workload.Names() {
@@ -150,7 +213,7 @@ func answerDigest(t *testing.T, skipNaive bool) []string {
 			}
 		}
 	}
-	return append(lines, deltaDigest(t)...)
+	return append(append(lines, deltaDigest(t)...), sketchDeltaDigest(t)...)
 }
 
 // TestAnswerDigest pins the answer of every paper query at test size, and

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"spq/internal/dist"
@@ -273,10 +275,10 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 
 	// Delta touching the feature column at a handful of tuples: only the
 	// affected shards rebuild.
-	k := p1.ShardOf[3] // all touched tuples in one shard
+	k := 3 % p1.NumShards() // all touched tuples in one shard
 	touched := map[int]float64{}
 	for t2 := 0; t2 < n && len(touched) < 3; t2++ {
-		if p1.ShardOf[t2] == k {
+		if t2%p1.NumShards() == k {
 			touched[t2] = col[t2] + 0.25
 		}
 	}
@@ -326,7 +328,8 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 	// Every tuple is still covered exactly once.
 	checkCover(t, p2, n)
 
-	// Appends route to a deterministic shard and only that shard rebuilds.
+	// An appended tuple i is dealt to shard i mod 4, and only that shard
+	// rebuilds.
 	before = DeltaStats()
 	if _, err := rel.ApplyDelta(&Delta{Append: []map[string]float64{{"v": 0.5, "w": 999}}}); err != nil {
 		t.Fatal(err)
@@ -361,8 +364,8 @@ func TestPartitionDeltaRetainAndPatch(t *testing.T) {
 
 // TestPartitionPatchEveryStrategy patches a 4-shard partitioning of k-means,
 // the only grouping, through a feature Set and an Append and checks the
-// result with checkCover, which includes the medoid-shard invariant append
-// routing relies on.
+// result with checkCover, which includes the invariant that every group
+// lies in the shard its tuples are dealt to.
 func TestPartitionPatchEveryStrategy(t *testing.T) {
 	t.Run("kmeans", func(t *testing.T) {
 		n := 96
@@ -392,6 +395,162 @@ func TestPartitionPatchEveryStrategy(t *testing.T) {
 			checkCover(t, p, rel.N())
 		}
 	})
+}
+
+// TestPartitionIncrementalMatchesRebuild: after every delta of a random
+// sequence (feature and non-feature Sets, Appends, Deletes, a SetVG of a
+// feature), the partitioning carried forward from the last one equals that
+// of a fresh relation holding the same values. A patch re-clusters exactly
+// the shards holding touched or appended tuples; a rebase re-clusters none.
+// Small relations make ⌈n/τ⌉ cross the shard count, so that path is walked
+// too.
+func TestPartitionIncrementalMatchesRebuild(t *testing.T) {
+	gain := &IndependentVG{AttrID: 1, Dists: []dist.Dist{dist.Normal{Mu: 1, Sigma: 0.1}}}
+	// fresh builds a relation from column values: v and the means of g are
+	// the features, w is read by no partitioning.
+	fresh := func(t *testing.T, v, w, means []float64) *Relation {
+		t.Helper()
+		rel := New("r", len(v))
+		if err := rel.AddDet("v", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.AddDet("w", w); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.AddStoch("g", gain); err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.SetMeans("g", means); err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	column := func(t *testing.T, rel *Relation, name string) []float64 {
+		t.Helper()
+		col, err := rel.Means(name) // det columns pass through
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), col...)
+	}
+	for _, size := range []struct{ n, tau int }{{120, 6}, {14, 5}} {
+		for _, shards := range []int{1, 2, 3, 4} {
+			for _, seed := range []uint64{1, 2} {
+				s := rng.NewStream(rng.Mix(seed, uint64(shards), uint64(size.n)))
+				draw := func(n int) []float64 {
+					out := make([]float64, n)
+					for i := range out {
+						// Three bands, so k-means has clusters to find.
+						out[i] = 10*float64(s.IntN(3)) + s.Float64()
+					}
+					return out
+				}
+				spec := PartitionSpec{Features: []string{"v", "g"}, GroupSize: size.tau, Shards: shards, Seed: seed}
+				rel := fresh(t, draw(size.n), draw(size.n), draw(size.n))
+				if _, err := rel.Partition(spec); err != nil {
+					t.Fatal(err)
+				}
+				setVG := 7 + s.IntN(6) // the step that replaces g
+				for step := 0; step < 16; step++ {
+					n := rel.N()
+					d := &Delta{}
+					touched := map[int]bool{}
+					cells := func(col string) {
+						patch := map[int]float64{}
+						for range 1 + s.IntN(4) {
+							tup := s.IntN(n)
+							patch[tup] = 10*float64(s.IntN(3)) + s.Float64()
+							touched[tup] = true
+						}
+						if d.Set == nil {
+							d.Set = map[string]map[int]float64{}
+						}
+						d.Set[col] = patch
+					}
+					kind := s.IntN(5)
+					if step == setVG {
+						kind = 5
+					}
+					switch kind {
+					case 0: // feature Set
+						cells("v")
+					case 1: // non-feature Set
+						cells("w")
+					case 2: // both in one delta
+						cells("v")
+						cells("w")
+					case 3:
+						for range 1 + s.IntN(3) {
+							d.Append = append(d.Append, map[string]float64{"v": draw(1)[0], "w": draw(1)[0]})
+						}
+					case 4:
+						if n <= 2*size.tau {
+							d.Append = []map[string]float64{{"v": draw(1)[0], "w": draw(1)[0]}}
+							break
+						}
+						d.Delete = []int{s.IntN(n)}
+					case 5:
+						d.SetVG = map[string]VGUpdate{"g": {VG: gain, Means: draw(n)}}
+					}
+					prev, err := rel.Snapshot().Partition(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := rel.ApplyDelta(d); err != nil {
+						t.Fatal(err)
+					}
+					snap := rel.Snapshot()
+					before := DeltaStats()
+					got, err := snap.Partition(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					after := DeltaStats()
+					want, err := fresh(t, column(t, snap, "v"), column(t, snap, "w"), column(t, snap, "g")).Partition(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("n0=%d τ=%d shards=%d seed=%d step %d (%+v)", size.n, size.tau, shards, seed, step, d)
+					norm := *want
+					norm.Version = got.Version
+					if !reflect.DeepEqual(got, &norm) {
+						t.Fatalf("%s: carried-forward partitioning differs from a cold build", name)
+					}
+					checkCover(t, got, snap.N())
+
+					// The work the carry-forward did.
+					retained := after.PartitionsRetained - before.PartitionsRetained
+					patched := after.PartitionsPatched - before.PartitionsPatched
+					rebuilt := after.PartitionsRebuilt - before.PartitionsRebuilt
+					shardsRebuilt := after.ShardsRebuilt - before.ShardsRebuilt
+					switch {
+					case len(d.Delete) > 0 || d.SetVG != nil || prev.NumShards() != got.NumShards():
+						if rebuilt != 1 || patched != 0 || shardsRebuilt != 0 {
+							t.Fatalf("%s: want a full rebuild, got %+v -> %+v", name, before, after)
+						}
+					case d.Set["v"] == nil && len(d.Append) == 0:
+						if retained != 1 || shardsRebuilt != 0 {
+							t.Fatalf("%s: want a rebase, got %+v -> %+v", name, before, after)
+						}
+					default:
+						dirty := map[int]bool{}
+						for tup := range touched {
+							dirty[tup%got.NumShards()] = true
+						}
+						for tup := n; tup < snap.N(); tup++ {
+							dirty[tup%got.NumShards()] = true
+						}
+						if patched != 1 || rebuilt != 0 || shardsRebuilt != int64(len(dirty)) {
+							t.Fatalf("%s: want a patch of %d shards, got %+v -> %+v", name, len(dirty), before, after)
+						}
+						if kept := after.ShardsRetained - before.ShardsRetained; kept != int64(got.NumShards()-len(dirty)) {
+							t.Fatalf("%s: retained %d shards, want %d", name, kept, got.NumShards()-len(dirty))
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSetVGOnCompactedBase: a VG that SetVG installs on a base a delete has

@@ -6,12 +6,13 @@
 //
 // A partitioning has two levels. *Groups* are the τ-sized cells of
 // SketchRefine (Brucato et al., VLDB 2018): similar tuples with one
-// representative (medoid) each. *Shards* are contiguous runs of groups that
-// form the unit of parallel sketch solving; a 1-shard partitioning is
-// exactly the classic single-solve sketch. Groups are built by seeded
-// k-means over feature columns; shards split the group list into near-equal
-// contiguous runs, which keeps shard composition deterministic and
-// independent of worker count.
+// representative (medoid) each. *Shards* are the unit of parallel sketch
+// solving: tuple i belongs to shard i mod S, and each shard's groups come
+// from seeded k-means over that shard's tuples alone. A 1-shard
+// partitioning is exactly the classic single-solve sketch. Because a
+// shard's groups depend only on its own tuples, a delta re-clusters just
+// the shards it touches and still equals a cold build, and shard
+// composition never depends on worker count.
 
 package relation
 
@@ -39,9 +40,9 @@ type PartitionSpec struct {
 	GroupSize int
 	// Seed drives k-means initialization.
 	Seed uint64
-	// Shards is the number of solver shards the groups are split into
-	// (default 1 = the classic single sketch solve). Clamped to the number
-	// of groups.
+	// Shards is the number of solver shards the tuples are dealt to
+	// (default 1 = the classic single sketch solve), each clustered on its
+	// own, so the count changes the groups too. Clamped to ⌈n/τ⌉.
 	Shards int
 }
 
@@ -79,10 +80,9 @@ type Partitioning struct {
 	// Medoids holds the representative tuple per group.
 	Medoids []int
 
-	// ShardOf maps each tuple to its shard.
-	ShardOf []int
-	// ShardGroups lists the group ids of each shard (contiguous runs of the
-	// group order).
+	// ShardGroups lists the group ids of each shard: shard s holds the
+	// tuples i with i mod NumShards() = s, and its groups are one
+	// contiguous run of ids, shard 0's first.
 	ShardGroups [][]int
 }
 
@@ -91,16 +91,6 @@ func (p *Partitioning) NumGroups() int { return len(p.Groups) }
 
 // NumShards returns the number of shards.
 func (p *Partitioning) NumShards() int { return len(p.ShardGroups) }
-
-// ShardTuples returns the tuple index set of one shard, in tuple order
-// within each group, groups in shard order.
-func (p *Partitioning) ShardTuples(shard int) []int {
-	var out []int
-	for _, g := range p.ShardGroups[shard] {
-		out = append(out, p.Groups[g]...)
-	}
-	return out
-}
 
 // maxCachedPartitionings bounds the per-relation partition cache. Specs are
 // influenced by clients (the engine's sketch options come from the
@@ -138,9 +128,10 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 	if prev != nil && prev.Version < version {
 		// Delta-scoped reuse: a cached partitioning of an older version is
 		// retained (rebased) when the delta footprint is disjoint from the
-		// clustering inputs, or patched (only affected shards re-clustered)
-		// when per-tuple changes are known. Falls through to a full rebuild
-		// when the history is unavailable or the change is structural.
+		// clustering inputs, or patched (only affected shards re-clustered,
+		// bit-identical to a rebuild) when per-tuple changes are known.
+		// Falls through to a full rebuild when the history is unavailable
+		// or the change is structural.
 		if cs, ok := host.Changes(prev.Version); ok && cs.To == version && !cs.Wholesale {
 			p = r.reusePartitioning(prev, spec, cs, version)
 		}
@@ -188,11 +179,13 @@ func (r *Relation) Partition(spec PartitionSpec) (*Partitioning, error) {
 	return p, nil
 }
 
-// reusePartitioning tries to carry a cached partitioning of an older
-// version forward through a change set: rebased untouched when the
-// footprint misses the clustering inputs, patched shard-wise when only
-// deterministic feature cells changed or tuples were appended. Returns nil
-// when a full rebuild is required.
+// reusePartitioning carries a cached partitioning of an older version
+// forward through a change set: rebased untouched when the footprint misses
+// the clustering inputs, patched when only deterministic feature cells
+// changed or tuples were appended. A patch re-clusters just the shards
+// holding touched or appended tuples, the same per-shard call a build
+// makes, so it equals a cold build. Returns nil when a full rebuild is
+// required.
 func (r *Relation) reusePartitioning(prev *Partitioning, spec PartitionSpec, cs *ChangeSet, version uint64) *Partitioning {
 	featuresTouched := cs.Touches(spec.Features)
 	if !featuresTouched && !cs.MembershipChanged() {
@@ -202,8 +195,9 @@ func (r *Relation) reusePartitioning(prev *Partitioning, spec PartitionSpec, cs 
 		shardsRetained.Add(int64(prev.NumShards()))
 		return &np
 	}
-	if cs.Deleted || cs.Wholesale {
-		return nil // the index space shifted: per-tuple patching is unsound
+	shards := prev.NumShards()
+	if cs.Deleted || cs.Wholesale || shards != numShards(spec, r.n) {
+		return nil // the index space or the dealing of tuples to shards moved
 	}
 	for _, a := range cs.Attrs {
 		for _, f := range spec.Features {
@@ -212,172 +206,108 @@ func (r *Relation) reusePartitioning(prev *Partitioning, spec PartitionSpec, cs 
 			}
 		}
 	}
-	if prev.NumShards() == 0 || len(prev.ShardOf) == 0 {
-		return nil
+	dirty := make([]bool, shards)
+	if featuresTouched {
+		for _, t := range cs.Tuples {
+			dirty[t%shards] = true
+		}
 	}
-	p, err := r.patchPartitioning(prev, spec, cs, version)
+	for t := r.n - cs.Appended; t < r.n; t++ {
+		dirty[t%shards] = true
+	}
+	p, err := r.partitionShards(spec, version, prev, dirty)
 	if err != nil {
 		return nil
 	}
+	rebuilt := 0
+	for _, d := range dirty {
+		if d {
+			rebuilt++
+		}
+	}
+	partsPatched.Add(1)
+	shardsRebuilt.Add(int64(rebuilt))
+	shardsRetained.Add(int64(shards - rebuilt))
 	return p
 }
 
-// patchPartitioning re-clusters only the shards whose tuples were touched
-// by the change set (plus the shards that deterministically receive the
-// appended tuples) and splices them into the previous partitioning. The
-// patched result is a valid partitioning of the new version but is not
-// guaranteed to be bit-identical to a cold rebuild — clustering is local to
-// the affected shards, which is the point.
-func (r *Relation) patchPartitioning(prev *Partitioning, spec PartitionSpec, cs *ChangeSet, version uint64) (*Partitioning, error) {
-	numShards := prev.NumShards()
-	prevN := len(prev.ShardOf)
-	affected := make([]bool, numShards)
-	// Tuples whose feature cells changed may belong in a different group.
-	touchesFeatures := cs.Touches(spec.Features)
-	if touchesFeatures {
-		for _, t := range cs.Tuples {
-			if t < prevN {
-				affected[prev.ShardOf[t]] = true
-			}
-		}
-	}
+// numShards is the shard count S = min(spec.Shards, ⌈n/τ⌉) of an n-tuple
+// partitioning, so that every shard holds at least one tuple.
+func numShards(spec PartitionSpec, n int) int {
+	return min(spec.Shards, (n+spec.GroupSize-1)/spec.GroupSize)
+}
 
-	features, err := r.featureCols(spec.Features)
-	if err != nil {
-		return nil, err
-	}
+// buildPartitioning clusters every shard of the relation. It only reads the
+// relation's columns (immutable once added), so it is safe to run without
+// the cache lock.
+func (r *Relation) buildPartitioning(spec PartitionSpec, version uint64) (*Partitioning, error) {
+	return r.partitionShards(spec, version, nil, nil)
+}
 
-	// Route each appended tuple deterministically to the shard of its
-	// nearest medoid on the current feature values.
-	appendTo := make([][]int, numShards)
-	for t := prevN; t < r.n; t++ {
-		best, bestD := 0, math.Inf(1)
-		for g, m := range prev.Medoids {
-			d := 0.0
-			for _, col := range features {
-				diff := col[t] - col[m]
-				d += diff * diff
+// partitionShards deals tuple i to shard i mod S and clusters each shard
+// alone, by kmeansGroups over the shard's own tuples seeded with spec.Seed,
+// so a shard's groups depend on nothing but its tuples. Shard s's groups
+// take the next run of group ids. A shard not marked dirty copies its
+// groups from prev, a partitioning with the same S whose shard s held the
+// same tuples with the same features; a nil dirty marks every shard.
+func (r *Relation) partitionShards(spec PartitionSpec, version uint64, prev *Partitioning, dirty []bool) (*Partitioning, error) {
+	shards := numShards(spec, r.n)
+	p := &Partitioning{Spec: spec, Version: version, GroupOf: make([]int, r.n), ShardGroups: make([][]int, shards)}
+	var features [][]float64
+	for s := range shards {
+		var groups [][]int
+		var medoids []int
+		if dirty != nil && !dirty[s] {
+			run := prev.ShardGroups[s]
+			lo, hi := run[0], run[len(run)-1]+1
+			groups, medoids = prev.Groups[lo:hi], prev.Medoids[lo:hi]
+		} else {
+			if features == nil {
+				var err error
+				if features, err = r.featureCols(spec.Features); err != nil {
+					return nil, err
+				}
 			}
-			if d < bestD {
-				best, bestD = g, d
-			}
+			groups, medoids = clusterShard(spec, features, s, shards)
 		}
-		// A group's medoid is one of its members, so the medoid's shard is
-		// the group's.
-		s := prev.ShardOf[prev.Medoids[best]]
-		affected[s] = true
-		appendTo[s] = append(appendTo[s], t)
-	}
-
-	p := &Partitioning{Spec: spec, Version: version}
-	p.ShardGroups = make([][]int, numShards)
-	rebuilt, retained := 0, 0
-	for s := 0; s < numShards; s++ {
-		if !affected[s] {
-			for _, g := range prev.ShardGroups[s] {
-				gid := len(p.Groups)
-				p.Groups = append(p.Groups, prev.Groups[g])
-				p.Medoids = append(p.Medoids, prev.Medoids[g])
-				p.ShardGroups[s] = append(p.ShardGroups[s], gid)
-			}
-			retained++
-			continue
-		}
-		idx := append(prev.ShardTuples(s), appendTo[s]...)
-		sort.Ints(idx)
-		groups, medoids := regroupSubset(spec, features, idx)
 		for gi, g := range groups {
 			gid := len(p.Groups)
 			p.Groups = append(p.Groups, g)
 			p.Medoids = append(p.Medoids, medoids[gi])
 			p.ShardGroups[s] = append(p.ShardGroups[s], gid)
-		}
-		rebuilt++
-	}
-	p.GroupOf = make([]int, r.n)
-	p.ShardOf = make([]int, r.n)
-	for s, groups := range p.ShardGroups {
-		for _, g := range groups {
-			for _, t := range p.Groups[g] {
-				p.GroupOf[t] = g
-				p.ShardOf[t] = s
+			for _, t := range g {
+				p.GroupOf[t] = gid
 			}
 		}
 	}
-	partsPatched.Add(1)
-	shardsRebuilt.Add(int64(rebuilt))
-	shardsRetained.Add(int64(retained))
 	return p, nil
 }
 
-// regroupSubset runs k-means restricted to the given (ascending) tuple
-// indices, returning groups/medoids in the global index space.
-func regroupSubset(spec PartitionSpec, features [][]float64, idx []int) (groups [][]int, medoids []int) {
-	m := len(idx)
-	if m == 0 {
-		return nil, nil
-	}
+// clusterShard runs kmeansGroups over the tuples s, s+S, s+2S, … and
+// returns their groups and medoids as tuple indices of the relation. With
+// one shard that is the clustering of every tuple.
+func clusterShard(spec PartitionSpec, features [][]float64, s, shards int) (groups [][]int, medoids []int) {
+	m := (len(features[0]) - s + shards - 1) / shards
 	sub := make([][]float64, len(features))
 	for d, col := range features {
 		sc := make([]float64, m)
-		for j, t := range idx {
-			sc[j] = col[t]
+		for j := range sc {
+			sc[j] = col[s+j*shards]
 		}
 		sub[d] = sc
 	}
-	_, sg, sm := kmeansGroups(sub, m, spec.GroupSize, kmeansIters, spec.Seed)
-	return mapBack(sg, sm, idx)
-}
-
-// mapBack translates subset-local group member and medoid indices to the
-// global tuple index space.
-func mapBack(groups [][]int, medoids []int, idx []int) ([][]int, []int) {
-	out := make([][]int, len(groups))
-	for gi, g := range groups {
-		og := make([]int, len(g))
+	_, groups, medoids = kmeansGroups(sub, m, spec.GroupSize, kmeansIters, spec.Seed)
+	// Local index j is tuple s+j·S; the group slices are disjoint, so the
+	// indices are translated in place.
+	for _, g := range groups {
 		for j, t := range g {
-			og[j] = idx[t]
-		}
-		out[gi] = og
-	}
-	om := make([]int, len(medoids))
-	for i, mdx := range medoids {
-		om[i] = idx[mdx]
-	}
-	return out, om
-}
-
-// buildPartitioning clusters the tuples by k-means and splits the group
-// order into near-equal contiguous shard runs. It only reads the relation's
-// columns (immutable once added), so it is safe to run without the cache
-// lock.
-func (r *Relation) buildPartitioning(spec PartitionSpec, version uint64) (*Partitioning, error) {
-	p := &Partitioning{Spec: spec, Version: version}
-	if r.n > 0 {
-		features, err := r.featureCols(spec.Features)
-		if err != nil {
-			return nil, err
-		}
-		p.GroupOf, p.Groups, p.Medoids = kmeansGroups(features, r.n, spec.GroupSize, kmeansIters, spec.Seed)
-	}
-	shards := min(spec.Shards, len(p.Groups))
-	p.ShardGroups = make([][]int, shards)
-	for s := 0; s < shards; s++ {
-		lo := s * len(p.Groups) / shards
-		hi := (s + 1) * len(p.Groups) / shards
-		for g := lo; g < hi; g++ {
-			p.ShardGroups[s] = append(p.ShardGroups[s], g)
+			g[j] = s + t*shards
 		}
 	}
-	p.ShardOf = make([]int, r.n)
-	for s, groups := range p.ShardGroups {
-		for _, g := range groups {
-			for _, t := range p.Groups[g] {
-				p.ShardOf[t] = s
-			}
-		}
+	for i, t := range medoids {
+		medoids[i] = s + t*shards
 	}
-	return p, nil
+	return groups, medoids
 }
 
 func (r *Relation) featureCols(names []string) ([][]float64, error) {

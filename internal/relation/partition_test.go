@@ -56,8 +56,9 @@ func checkCover(t *testing.T, p *Partitioning, n int) {
 			t.Fatalf("tuple %d not in its own group %d", i, g)
 		}
 	}
-	// Shards cover every group exactly once, in contiguous runs.
-	seen := 0
+	// Shards cover every group exactly once, in contiguous runs, and a
+	// group of shard s holds only tuples t with t mod S = s.
+	shards := p.NumShards()
 	next := 0
 	for s, groups := range p.ShardGroups {
 		for _, g := range groups {
@@ -65,24 +66,15 @@ func checkCover(t *testing.T, p *Partitioning, n int) {
 				t.Fatalf("shard %d holds group %d, want contiguous run at %d", s, g, next)
 			}
 			next++
-			seen++
-		}
-	}
-	if seen != p.NumGroups() {
-		t.Fatalf("shards cover %d groups, want %d", seen, p.NumGroups())
-	}
-	for s, groups := range p.ShardGroups {
-		for _, tup := range p.ShardTuples(s) {
-			if p.ShardOf[tup] != s {
-				t.Fatalf("tuple %d in ShardTuples(%d) but ShardOf = %d", tup, s, p.ShardOf[tup])
+			for _, tup := range p.Groups[g] {
+				if tup%shards != s {
+					t.Fatalf("group %d of shard %d holds tuple %d, which is dealt to shard %d", g, s, tup, tup%shards)
+				}
 			}
 		}
-		// Appended tuples reach a group's shard through its medoid.
-		for _, g := range groups {
-			if got := p.ShardOf[p.Medoids[g]]; got != s {
-				t.Fatalf("group %d is in shard %d but its medoid %d is in shard %d", g, s, p.Medoids[g], got)
-			}
-		}
+	}
+	if next != p.NumGroups() {
+		t.Fatalf("shards cover %d groups, want %d", next, p.NumGroups())
 	}
 }
 
@@ -144,13 +136,17 @@ func TestPartitionCachePerVersion(t *testing.T) {
 	}
 }
 
-// TestPartitionShardCountsSameGroups: k-means is a pure function of the
-// features, τ and the seed, so every shard count of one grouping has the
-// same groups and medoids, each in its own cached Partitioning.
-func TestPartitionShardCountsSameGroups(t *testing.T) {
-	rel := partRelation(t, 40)
+// TestPartitionShardsClusterAlone: one shard is kmeansGroups over every
+// tuple, and S shards are S separate clusterings of the tuples i mod S = s,
+// each in its own cached Partitioning.
+func TestPartitionShardsClusterAlone(t *testing.T) {
+	const n = 40
+	rel := partRelation(t, n)
 	spec := PartitionSpec{Features: []string{"v"}, GroupSize: 10, Seed: 3}
-	var parts []*Partitioning
+	col, err := rel.Det("v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{1, 2, 4} {
 		spec.Shards = shards
 		before := DeltaStats().PartitionsRebuilt
@@ -164,6 +160,7 @@ func TestPartitionShardCountsSameGroups(t *testing.T) {
 		if p.NumShards() != shards {
 			t.Fatalf("shards = %d, want %d", p.NumShards(), shards)
 		}
+		checkCover(t, p, n)
 		again, err := rel.Partition(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -174,16 +171,29 @@ func TestPartitionShardCountsSameGroups(t *testing.T) {
 		if DeltaStats().PartitionsRebuilt != before+1 {
 			t.Fatalf("shards=%d: a cache hit counted as a build", shards)
 		}
-		parts = append(parts, p)
-	}
-	ref := parts[0]
-	for _, p := range parts[1:] {
-		if p == ref {
-			t.Fatal("different shard counts shared one Partitioning")
+		// Shard s, written out: k-means over its own tuples, local index j
+		// standing for tuple s + j·shards.
+		var groups [][]int
+		var medoids []int
+		for s := range shards {
+			var sub []float64
+			for tup := s; tup < n; tup += shards {
+				sub = append(sub, col[tup])
+			}
+			_, g, m := kmeansGroups([][]float64{sub}, len(sub), spec.GroupSize, kmeansIters, spec.Seed)
+			for _, members := range g {
+				global := make([]int, len(members))
+				for j, local := range members {
+					global[j] = s + local*shards
+				}
+				groups = append(groups, global)
+			}
+			for _, local := range m {
+				medoids = append(medoids, s+local*shards)
+			}
 		}
-		if !reflect.DeepEqual(p.GroupOf, ref.GroupOf) || !reflect.DeepEqual(p.Groups, ref.Groups) ||
-			!reflect.DeepEqual(p.Medoids, ref.Medoids) {
-			t.Fatalf("%d shards grouped differently from 1 shard", p.NumShards())
+		if !reflect.DeepEqual(p.Groups, groups) || !reflect.DeepEqual(p.Medoids, medoids) {
+			t.Fatalf("%d shards: groups %v medoids %v, want %v and %v", shards, p.Groups, p.Medoids, groups, medoids)
 		}
 	}
 }
@@ -211,10 +221,8 @@ func TestPartitionDeterministicAcrossRelations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.GroupOf {
-		if a.GroupOf[i] != b.GroupOf[i] || a.ShardOf[i] != b.ShardOf[i] {
-			t.Fatal("partitioning not deterministic for fixed seed")
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("partitioning not deterministic for fixed seed")
 	}
 }
 
@@ -235,7 +243,7 @@ func TestPartitionEdgeCases(t *testing.T) {
 		t.Fatalf("got %d groups, want 1 (τ larger than n)", len(p.Groups))
 	}
 	if p.NumShards() != 1 {
-		t.Fatalf("shards not clamped to group count: %d", p.NumShards())
+		t.Fatalf("shards not clamped to ⌈n/τ⌉: %d", p.NumShards())
 	}
 	// Constant feature column: still valid (span guard).
 	flat := New("f", 4)
@@ -284,19 +292,19 @@ func TestShardViewPreservesSubstreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.NewSource(11)
-	for s := 0; s < p.NumShards(); s++ {
-		shard, err := rel.Select(func(t int) bool { return p.ShardOf[t] == s })
+	shards := p.NumShards()
+	for s := range shards {
+		shard, err := rel.Select(func(t int) bool { return t%shards == s })
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := p.ShardTuples(s)
-		if shard.N() != len(want) {
-			t.Fatalf("shard %d has %d tuples, want %d", s, shard.N(), len(want))
+		if want := (n - s + shards - 1) / shards; shard.N() != want {
+			t.Fatalf("shard %d has %d tuples, want %d", s, shard.N(), want)
 		}
 		for row := 0; row < shard.N(); row++ {
 			base := shard.OrigIndex(row)
-			if p.ShardOf[base] != s {
-				t.Fatalf("shard %d row %d maps to tuple %d of shard %d", s, row, base, p.ShardOf[base])
+			if base != s+row*shards {
+				t.Fatalf("shard %d row %d maps to tuple %d, want %d", s, row, base, s+row*shards)
 			}
 			// Substream identity: the view realizes exactly the base tuple's
 			// values.

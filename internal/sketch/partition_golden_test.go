@@ -113,8 +113,11 @@ func gaussianCols(seed uint64, n, dims int) [][]float64 {
 }
 
 // TestKMeansGroupsGolden pins the k-means clustering (group of every tuple,
-// group members, medoids) to digests recorded before the assignment step
-// learnt to skip centroids, on the full build and on the per-shard patch.
+// group members, medoids) on the full build and on the per-shard patch.
+// The 1-shard digests were recorded when shards were still contiguous runs
+// of one global clustering, which a single shard is, bit for bit, and
+// before the assignment step learnt to skip centroids; the 4-shard digests
+// are those of round-robin shards clustered alone.
 func TestKMeansGroupsGolden(t *testing.T) {
 	type golden struct {
 		name   string
@@ -129,22 +132,20 @@ func TestKMeansGroupsGolden(t *testing.T) {
 		}
 		return p
 	}
-	galaxy := func(id string, seed uint64) func(t *testing.T) *relation.Partitioning {
+	galaxy := func(id string, seed uint64, shards int) func(t *testing.T) *relation.Partitioning {
 		return func(t *testing.T) *relation.Partitioning {
 			rel, attrs := featureSketchAttrs(t, galaxy8000(), id)
-			return partition(t, rel, relation.PartitionSpec{Features: attrs, GroupSize: 64, Shards: 4, Seed: seed})
+			return partition(t, rel, relation.PartitionSpec{Features: attrs, GroupSize: 64, Shards: shards, Seed: seed})
 		}
 	}
-	cases := []golden{
-		{"galaxy Q3 seed 1", galaxy("Q3", 1), 0x1cf59bd07b79ef27},
-		{"galaxy Q3 seed 2", galaxy("Q3", 2), 0x8a609f9bde23e75a},
-		{"galaxy Q7 seed 1", galaxy("Q7", 1), 0xd3de588e6ae1bd35},
-		{"galaxy Q7 seed 2", galaxy("Q7", 2), 0x7b6aeebf0ff30bbf},
-		{"patched shard", func(t *testing.T) *relation.Partitioning {
-			// A private Galaxy copy: the delta must not reach the shared one.
+	// patched sets 4 base_r cells of a private Galaxy copy (the delta must
+	// not reach the shared one) and partitions again through the shard
+	// patch path.
+	patched := func(shards int) func(t *testing.T) *relation.Partitioning {
+		return func(t *testing.T) *relation.Partitioning {
 			in := workload.Galaxy(workload.Config{N: 8000, Seed: 42, MeansM: 50})
 			rel, attrs := featureSketchAttrs(t, in, "Q3")
-			spec := relation.PartitionSpec{Features: attrs, GroupSize: 64, Shards: 4, Seed: 1}
+			spec := relation.PartitionSpec{Features: attrs, GroupSize: 64, Shards: shards, Seed: 1}
 			partition(t, rel, spec)
 			base, err := rel.Det("base_r")
 			if err != nil {
@@ -163,7 +164,19 @@ func TestKMeansGroupsGolden(t *testing.T) {
 				t.Fatalf("expected the shard patch path: %+v -> %+v", before, after)
 			}
 			return p
-		}, 0xdcf6edbec4a4a0e4},
+		}
+	}
+	cases := []golden{
+		{"galaxy Q3 seed 1 1 shard", galaxy("Q3", 1, 1), 0x1cf59bd07b79ef27},
+		{"galaxy Q3 seed 2 1 shard", galaxy("Q3", 2, 1), 0x8a609f9bde23e75a},
+		{"galaxy Q7 seed 1 1 shard", galaxy("Q7", 1, 1), 0xd3de588e6ae1bd35},
+		{"galaxy Q7 seed 2 1 shard", galaxy("Q7", 2, 1), 0x7b6aeebf0ff30bbf},
+		{"galaxy Q3 seed 1", galaxy("Q3", 1, 4), 0xa64ff7806c403ec5},
+		{"galaxy Q3 seed 2", galaxy("Q3", 2, 4), 0xa4283668e731421b},
+		{"galaxy Q7 seed 1", galaxy("Q7", 1, 4), 0xcd9b046be52afde5},
+		{"galaxy Q7 seed 2", galaxy("Q7", 2, 4), 0xaf60976bc001fd9e},
+		{"patched shard 1 shard", patched(1), 0x4b6c2fc2dbf8b2b8},
+		{"patched shard", patched(4), 0x5637ac574815b4ea},
 		{"quantised 3 levels", func(t *testing.T) *relation.Partitioning {
 			cols := gaussianCols(7, 3000, 2)
 			for _, col := range cols {

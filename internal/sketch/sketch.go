@@ -12,12 +12,12 @@
 // sketch selected, a candidate set that is typically a small fraction of N.
 //
 // The sketch phase is a partition-aware pipeline rather than one big medoid
-// solve: the partitioning's groups are split into Options.Shards contiguous
-// shards, each shard's medoid problem is solved independently (concurrently
-// on internal/par when Options.Workers allows), and the per-shard candidate
-// sets are merged under MaxCandidates before the single global refine.
-// Shard solves are deterministic — shard composition depends only on the
-// partitioning, each shard's scenario RNG is derived from
+// solve: the tuples are dealt round-robin to Options.Shards shards, each
+// clustered on its own, each shard's medoid problem is solved independently
+// (concurrently on internal/par when Options.Workers allows), and the
+// per-shard candidate sets are merged under MaxCandidates before the single
+// global refine. Shard solves are deterministic — shard composition depends
+// only on the partitioning, each shard's scenario RNG is derived from
 // rng.Source.Split keyed by the shard id, and the merge consumes shards in
 // order — so any worker count returns bit-identical packages, and a 1-shard
 // run is exactly the classic single-solve sketch. Partitionings are built
@@ -63,10 +63,11 @@ type Options struct {
 	// more, the groups with the largest allotments win (default 4·τ).
 	MaxCandidates int
 	// Shards splits the sketch phase into this many independent medoid
-	// solves over contiguous runs of groups (default 1 = the classic single
-	// sketch solve). The result is identical for any worker count; shard
-	// count changes which candidates the sketch proposes, not the refine
-	// semantics.
+	// solves (default 1 = the classic single sketch solve). Tuple i goes to
+	// shard i mod Shards and each shard is clustered on its own, so the
+	// shard count changes the groups as well as which candidates the sketch
+	// proposes, but not the refine semantics. The result is identical for
+	// any worker count.
 	Shards int
 	// Workers bounds the goroutines running shard solves: 0 or 1 run
 	// sequentially, negative uses one worker per available CPU. Results are
