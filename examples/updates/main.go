@@ -5,9 +5,11 @@
 //   - a delta outside a query's column footprint retains the cached result
 //     (no re-solve at all);
 //   - a delta touching a read column invalidates the entry but salvages its
-//     warm-start state, so the re-solve starts from the previous package,
-//     patched summaries, and root LP basis — fewer simplex iterations than
-//     a cold solve, bit-identical answer;
+//     warm-start state, so the re-solve starts from the previous package
+//     and summaries patched at the touched tuples — fewer simplex
+//     iterations than a cold solve. Here the delta leaves the optimum in
+//     place, so the answer is bit-identical to a cold solve's; a delta that
+//     moves the optimum may settle on another package;
 //   - every counter involved is visible in the engine stats (the same
 //     numbers spqd serves at /stats and /metrics).
 //
@@ -67,7 +69,7 @@ func main() {
 	ctx := context.Background()
 
 	// 1. Cold solve. The engine caches the result together with its
-	// warm-start state (package, summaries, root basis).
+	// warm-start state (package, summaries, M and Z).
 	cold, err := eng.Query(ctx, spq.EngineRequest{Query: query, Options: options()})
 	if err != nil {
 		log.Fatal(err)
@@ -109,8 +111,9 @@ func main() {
 	fmt.Printf("price delta:   warm re-solve = %v, objective %.6g, %d LP iterations, %d MILP solves\n",
 		warm.WarmResolve, warm.Objective, warm.LPIters, warm.MILPSolves)
 
-	// 4. Referee: a cold solve of the post-delta relation. The warm re-solve
-	// must reach the same answer bit for bit, in strictly less work.
+	// 4. Referee: a cold solve of the post-delta relation. With the optimum
+	// left in place, the warm re-solve must reach the same answer bit for
+	// bit, in strictly less work.
 	coldEng := spq.NewEngine(db, &spq.EngineOptions{ResultCacheSize: -1})
 	ref, err := coldEng.Query(ctx, spq.EngineRequest{Query: query, Options: options()})
 	if err != nil {

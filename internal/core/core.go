@@ -79,20 +79,15 @@ type Options struct {
 	// invoke it concurrently. It observes the evaluation without influencing
 	// it, so it is excluded from Key().
 	Progress func(Progress)
-	// CollectWarm asks the evaluation to retain the warm-start state of the
-	// accepting CSA solve on Solution.Warm so a later delta re-solve can skip
-	// straight to a patched formulation. Purely additive (it never changes
-	// the solution), so it is excluded from Key().
-	CollectWarm bool
 	// Warm, when non-nil, attempts the delta re-solve fast path before the
 	// cold Algorithm-2 loop: patch the previous accepted formulation's
-	// summaries at Warm.Touched, re-solve seeded with the previous package
-	// and root basis, and accept if the result validates feasible within ε.
-	// A warm solve that does not reach an acceptable solution falls back to
-	// the cold path, whose result is bit-identical to an evaluation without
-	// Warm. Excluded from Key(); callers caching warm results must account
-	// for the weaker identity themselves (the engine marks them
-	// non-replicable).
+	// summaries at Warm.Touched, re-solve seeded with the previous package,
+	// and accept if the result validates feasible within ε. A warm solve
+	// that does not reach an acceptable solution falls back to the cold
+	// path, whose result is bit-identical to an evaluation without Warm. An
+	// accepted warm answer may be another package than a cold solve's when
+	// the delta moved the optimum. Excluded from Key(); callers caching warm
+	// results must account for that weaker identity themselves.
 	Warm *WarmStart
 }
 
@@ -217,9 +212,10 @@ type Solution struct {
 	// delta fast path (a patched re-solve of a previous formulation) rather
 	// than the cold Algorithm-2 loop.
 	WarmResolve bool
-	// Warm holds the reusable warm-start state of the accepting solve when
-	// Options.CollectWarm was set; nil otherwise. Never serialized: bases
-	// and summaries are process-local.
+	// Warm holds the formulation of the CSA solve that produced the
+	// returned package (see WarmStart); nil when no CSA solve did, as for
+	// x(0), Naïve and sketch answers. Never serialized: summaries are
+	// process-local.
 	Warm *WarmStart `json:"-"`
 	// stop marks the budget that bound the evaluation, the gravest in
 	// milp.Stop's order: where any of its MILP solves stopped, x(0)'s
@@ -307,10 +303,10 @@ type runner struct {
 	// reports read it, and a context deadline ends the evaluation with it.
 	best *Solution
 
-	// warm is the most recent CSA solve's reusable warm-start state, kept
-	// only under Options.CollectWarm; finish attaches it to the returned
-	// solution when the accepted package is the one it was collected for.
-	warm *WarmStart
+	// warm is the latest CSA solve's formulation, recorded by reference by
+	// solveCSA: X is the buffer that holds its package. finish attaches it
+	// to the returned solution when the accepted package is that one.
+	warm WarmStart
 
 	// hint is the buffer every CSA solve of the evaluation receives its
 	// previous package in (SILP.CSAPoint, milp.Options.InitialX). A solve's
@@ -438,11 +434,13 @@ func (r *runner) finish(sol *Solution) *Solution {
 		r.stop = max(r.stop, milp.StopTimeCap)
 	}
 	sol.stop = r.stop
-	// Attach the collected warm-start state only when the returned package
-	// is the one the accepting CSA solve produced (a best-effort solution
-	// from an earlier iteration would not match its formulation).
-	if r.warm != nil && sol.Feasible && sameX(sol.X, r.warm.X) {
-		sol.Warm = r.warm
+	// Attach the latest CSA formulation only when the returned package is
+	// the one its solve produced (a best-effort solution from an earlier
+	// iteration would not match it).
+	if r.warm.X != nil && sol.Feasible && sameX(sol.X, r.warm.X) {
+		w := r.warm
+		w.X = sol.X
+		sol.Warm = &w
 	}
 	return sol
 }

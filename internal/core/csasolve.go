@@ -197,14 +197,12 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 	seen := map[string]bool{}
 	var best *Solution
 	// x is the current package: x(0) (read only) until the first solve, then
-	// the last solve's package, kept in pkg.
+	// the last solve's package, kept in r.warm.X.
 	x := x0
-	var pkg []float64
 	prevAlphas := make([]float64, k)
 	lastFeasible := false
 	var prevSummaries [][]*scenario.Summary // the last formulation solved, and its solve
-	var prevRes *milp.Result                // its X may alias r.hint
-	var prevVM *translate.VarMap
+	var prevRes *milp.Result
 
 	for q := 0; q < r.opts.MaxCSAIters; q++ {
 		key := solutionKey(x, st.alphas)
@@ -293,28 +291,11 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 		// search that ran to completion on it would return the same result.
 		if prevRes == nil || !sameSummaries(summaries, prevSummaries) ||
 			(prevRes.Status != milp.StatusOptimal && prevRes.Status != milp.StatusInfeasible) {
-			model, vm, err := silp.FormulateCSA(summaries, objSummaries)
-			if err != nil {
+			if prevRes, err = r.solveCSA("csa", it, x, summaries, objSummaries); err != nil {
 				return nil, err
 			}
-			solveStart := time.Now()
-			// The current package is the solve's incumbent when it satisfies
-			// the new formulation and its neighbourhood guide otherwise.
-			r.hint = silp.CSAPoint(r.hint, x, model.NumVars(), vm, summaries, objSummaries)
-			solveOpts := r.solverOptions(r.hint)
-			solveOpts.WantRootBasis = r.opts.CollectWarm
-			res, err := r.solveMILP("csa", model, solveOpts)
-			if err != nil {
-				return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", mCount, zCount, err)
-			}
-			if err := r.ctx.Err(); err != nil {
-				return nil, err
-			}
-			prevRes, prevVM = res, vm
-			it.SolveWork = res.SolveWork
-			it.SolveTime = time.Since(solveStart)
 		}
-		res, vm := prevRes, prevVM
+		res := prevRes
 		prevSummaries = summaries
 		it.SolverStatus, it.SolverStop, it.Coefficients = res.Status, res.Stop, res.Coefficients
 		if res.X == nil {
@@ -334,21 +315,36 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 			}
 			continue
 		}
-		pkg = vm.PackageOf(pkg, res.X)
-		x = pkg
-		if r.opts.CollectWarm {
-			// Remember this solve's formulation and basis: if x validates
-			// feasible next iteration and is the accepted package, finish
-			// attaches it as the result's warm-start state.
-			r.warm = &WarmStart{
-				X:            append([]float64(nil), x...),
-				Summaries:    summaries,
-				ObjSummaries: objSummaries,
-				Basis:        res.RootBasis,
-				M:            mCount,
-				Z:            zCount,
-			}
-		}
+		x = r.warm.X // res's package, solveCSA's record of it
 	}
 	return best, nil
+}
+
+// solveCSA is the one CSA solve of an evaluation, cold or warm: it
+// formulates CSA_{Q,M,Z} over the summaries, solves it with package x as
+// the incumbent when x satisfies the formulation and as its neighbourhood
+// guide otherwise (SILP.CSAPoint), and stamps the solve's work and time on
+// it, whose M and Z name the formulation. A solve that finds a package
+// records it as r.warm, by reference: the package (written into r.warm.X's
+// buffer), the summaries, M and Z. This is the only place the warm state is
+// written. The result's X may alias r.hint.
+func (r *runner) solveCSA(kind string, it *Iteration, x []float64, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Result, error) {
+	model, vm, err := r.silp.FormulateCSA(summaries, objSummaries)
+	if err != nil {
+		return nil, err
+	}
+	solveStart := time.Now()
+	r.hint = r.silp.CSAPoint(r.hint, x, model.NumVars(), vm, summaries, objSummaries)
+	res, err := r.solveMILP(kind, model, r.solverOptions(r.hint))
+	if err != nil {
+		return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", it.M, it.Z, err)
+	}
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if res.X != nil {
+		r.warm = WarmStart{X: vm.PackageOf(r.warm.X, res.X), Summaries: summaries, ObjSummaries: objSummaries, M: it.M, Z: it.Z}
+	}
+	it.SolveWork, it.SolveTime = res.SolveWork, time.Since(solveStart)
+	return res, nil
 }

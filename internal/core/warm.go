@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"spq/internal/lp"
 	"spq/internal/obs"
 	"spq/internal/scenario"
 	"spq/internal/translate"
@@ -12,17 +11,17 @@ import (
 // WarmStart carries the reusable state of a completed SummarySearch
 // evaluation so a re-solve after a small relation delta can start from the
 // previous CSA formulation instead of from scratch: the accepted package, the
-// α-summaries the accepting MILP was built from, the root relaxation's
-// optimal basis, and the (M, Z) the evaluation converged at. The engine
-// collects one per cached result (Options.CollectWarm) and, when a delta
-// later touches the relation, hands it back with the delta's tuple footprint
-// in Touched (see Options.Warm).
+// α-summaries the accepting MILP was built from, and the (M, Z) the
+// evaluation converged at. Every evaluation records it (runner.solveCSA) and
+// attaches it to an answer a CSA solve produced (Solution.Warm); when a delta
+// later touches the relation, the engine hands it back with the delta's
+// tuple footprint in Touched (see Options.Warm).
 //
-// A warm start is advisory at every layer: summaries are patched only at the
-// touched tuples (bit-identical to re-summarizing, because realizations are
-// pure per-coordinate functions), the LP kernel rejects a basis whose shape
-// no longer matches, and a warm solve that fails to validate falls back to
-// the cold path. It never crosses process boundaries (not serialized).
+// A warm start is advisory: summaries are patched only at the touched tuples
+// (bit-identical to re-summarizing, because realizations are pure
+// per-coordinate functions), and a warm solve that fails to validate falls
+// back to the cold path. It never crosses process boundaries (not
+// serialized).
 type WarmStart struct {
 	// X is the accepted package of the previous evaluation. Mapped into the
 	// patched formulation's variable space, it is the re-solve's incumbent
@@ -34,8 +33,6 @@ type WarmStart struct {
 	// summaries (nil otherwise).
 	Summaries    [][]*scenario.Summary
 	ObjSummaries []*scenario.Summary
-	// Basis is the accepting solve's root-relaxation optimal basis.
-	Basis *lp.Basis
 	// M and Z are the scenario and summary counts the evaluation accepted at.
 	M, Z int
 	// Touched lists the tuple indices (in the evaluation's relation indexing)
@@ -47,10 +44,10 @@ type WarmStart struct {
 
 // tryWarm attempts the delta re-solve fast path: patch the previous accepted
 // CSA formulation's summaries at the touched tuples, re-solve the MILP seeded
-// with the previous package and root basis, and accept the result if it
-// validates feasible within ε. It returns (nil, nil) when the warm state does
-// not fit this evaluation or the warm solve does not reach an acceptable
-// solution — the caller then runs the cold path from the top.
+// with the previous package, and accept the result if it validates feasible
+// within ε. It returns (nil, nil) when the warm state does not fit this
+// evaluation or the warm solve does not reach an acceptable solution — the
+// caller then runs the cold path from the top.
 func (r *runner) tryWarm() (*Solution, error) {
 	w := r.opts.Warm
 	silp := r.silp
@@ -98,52 +95,25 @@ func (r *runner) tryWarm() (*Solution, error) {
 	}
 	sp.End()
 
-	model, vm, err := silp.FormulateCSA(summaries, objSummaries)
-	if err != nil {
-		return nil, nil // formulation no longer fits: cold fallback
-	}
-	r.hint = silp.CSAPoint(r.hint, w.X, model.NumVars(), vm, summaries, objSummaries)
-	opts := r.solverOptions(r.hint)
-	opts.RootBasis = w.Basis
-	opts.WantRootBasis = r.opts.CollectWarm
-	solveStart := time.Now()
-	res, err := r.solveMILP("csa-warm", model, opts)
-	if err != nil {
+	it := Iteration{M: w.M, Z: w.Z}
+	res, err := r.solveCSA("csa-warm", &it, w.X, summaries, objSummaries)
+	if err != nil || res.X == nil {
 		return nil, err
 	}
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if res.X == nil {
-		return nil, nil
-	}
-	x := vm.PackageOf(nil, res.X)
 	valStart := time.Now()
-	val, err := r.validate(x)
+	val, err := r.validate(r.warm.X)
 	if err != nil {
 		return nil, err
 	}
-	r.iters = append(r.iters, Iteration{
-		M:            w.M,
-		Z:            w.Z,
-		SolverStatus: res.Status,
-		SolverStop:   res.Stop,
-		Coefficients: res.Coefficients,
-		SolveWork:    res.SolveWork,
-		SolveTime:    valStart.Sub(solveStart),
-		ValidateTime: time.Since(valStart),
-		Feasible:     val.Feasible,
-		Objective:    val.Objective,
-		Surpluses:    val.Surpluses,
-	})
+	it.SolverStatus, it.SolverStop, it.Coefficients = res.Status, res.Stop, res.Coefficients
+	it.ValidateTime = time.Since(valStart)
+	it.Feasible, it.Objective, it.Surpluses = val.Feasible, val.Objective, val.Surpluses
+	r.iters = append(r.iters, it)
 	if !val.Feasible || val.EpsUpper > r.opts.Epsilon {
 		return nil, nil
 	}
-	sol := r.asSolution(x, val, w.M, w.Z)
+	sol := r.asSolution(r.warm.X, val, w.M, w.Z)
 	sol.WarmResolve = true
-	if r.opts.CollectWarm {
-		r.warm = &WarmStart{X: sol.X, Summaries: summaries, ObjSummaries: objSummaries, Basis: res.RootBasis, M: w.M, Z: w.Z}
-	}
 	r.offer(len(r.iters), sol)
 	return sol, nil
 }

@@ -57,19 +57,18 @@ func buildSILP(t *testing.T, rel *relation.Relation, query string) *translate.SI
 }
 
 // TestWarmResolveMatchesColdAfterDelta pins the delta re-solve contract: a
-// warm re-solve from the previous evaluation's package, summaries, and root
-// basis converges to the same package — hence a bit-identical validation
-// objective — as a cold from-scratch evaluation of the post-delta relation,
-// in strictly fewer simplex iterations. The previous package reaches the
+// warm re-solve from the previous evaluation's package and summaries, after a
+// delta that leaves the optimum in place, converges to the same package —
+// hence a bit-identical validation objective — as a cold from-scratch
+// evaluation of the post-delta relation, in strictly fewer simplex
+// iterations. The previous package reaches the
 // solver as its incumbent (an N-entry package would be refused by length).
 func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	const n = 15
 	rel := mutablePortfolio(t, n)
 	pre := rel.Snapshot()
 
-	opts := smallOptions(3)
-	opts.CollectWarm = true
-	cold, err := SummarySearch(buildSILP(t, pre, warmQuery), opts)
+	cold, err := SummarySearch(buildSILP(t, pre, warmQuery), smallOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 		t.Fatalf("cold solve infeasible: %+v", cold)
 	}
 	if cold.Warm == nil {
-		t.Fatal("CollectWarm left Solution.Warm nil")
+		t.Fatal("a CSA answer left Solution.Warm nil")
 	}
 
 	// Delta: push three non-package tuples far over the budget. The optimum
@@ -105,7 +104,6 @@ func TestWarmResolveMatchesColdAfterDelta(t *testing.T) {
 	w := cold.Warm
 	w.Touched = touched
 	wopts := smallOptions(3)
-	wopts.CollectWarm = true
 	wopts.Warm = w
 	tr := obs.NewTrace("", "warm")
 	warm, err := SummarySearchCtx(obs.ContextWithSpan(context.Background(), tr.Root()), buildSILP(t, post, warmQuery), wopts)

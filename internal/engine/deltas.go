@@ -21,10 +21,10 @@ import (
 // lookup) against a freshly prepared plan: it checks the entry still
 // describes the same relation lineage, computes the merged change footprint
 // since the entry's version, and translates the touched base tuples into the
-// plan view's index space. Returns nil when there is no such entry, it was
-// solved without CollectWarm, or its warm state no longer applies
-// (membership changed, history trimmed, views enumerate different tuples) —
-// the query then solves cold.
+// plan view's index space. Returns nil when there is no such entry, its
+// answer carries no warm state (no CSA solve produced it), or that state no
+// longer applies (membership changed, history trimmed, views enumerate
+// different tuples) — the query then solves cold.
 func (e *Engine) warmStart(cr *cachedResult, p *plan) *core.WarmStart {
 	if cr == nil || cr.sol.Warm == nil {
 		return nil

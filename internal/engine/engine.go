@@ -816,13 +816,11 @@ func (e *Engine) evaluate(ctx context.Context, pr *prepared) (*Result, error) {
 	}
 	pls.End()
 
-	// Warm re-solve wiring (core methods only): collect warm state alongside
-	// cacheable results, and start from the entry a delta invalidated for
-	// this request. Both are advisory — neither joins the result key, and a
-	// warm solve that fails to validate falls back to the cold path inside
-	// core.
+	// Warm re-solve wiring (core methods only): start from the warm state of
+	// the entry a delta invalidated for this request. Advisory — it does not
+	// join the result key, and a warm solve that fails to validate falls back
+	// to the cold path inside core.
 	if method != "sketch" {
-		opts.CollectWarm = e.results != nil
 		if w := e.warmStart(pr.stale, p); w != nil {
 			opts.Warm = w
 			sp.SetAttr("warm", "hint")

@@ -91,7 +91,7 @@ var statTable = [...]statRow{
 	statResultsRetained:    {"results_retained_after_delta", "spq_results_retained_after_delta_total", "counter", "Cached results rebased across a delta whose footprint missed their query.", nil},
 	statResultsInvalidated: {"results_invalidated_after_delta", "spq_results_invalidated_after_delta_total", "counter", "Cached results dropped because a delta's footprint hit their query.", nil},
 	statPlansRebased:       {"plans_rebased_after_delta", "spq_plans_rebased_after_delta_total", "counter", "Cached plans carried across a delta whose footprint missed their query.", nil},
-	statWarmResolves:       {"warm_resolves", "spq_warm_resolves_total", "counter", "Queries answered by the warm re-solve fast path (patched summaries + seeded basis).", nil},
+	statWarmResolves:       {"warm_resolves", "spq_warm_resolves_total", "counter", "Queries answered by the warm re-solve fast path (previous package + patched summaries).", nil},
 
 	{"rejected", "spq_queries_rejected_total", "counter", "Queries rejected by admission control (HTTP 429).", func(_ *Engine, a *admission) int64 {
 		var n int64

@@ -6,8 +6,8 @@ import "math"
 // each basis position plus the bound status of every structural and logical
 // variable. It is the warm-start currency between LP solves — the MILP
 // branch-and-bound seeds each child node's solve from its parent's optimal
-// basis (Options.Basis) and asks for a fresh snapshot back
-// (Options.WantBasis), so a child that differs from its parent by one
+// basis (Options.Basis) and takes a fresh snapshot back
+// (Scratch.SnapshotBasis), so a child that differs from its parent by one
 // variable bound is reinstated by a handful of dual-simplex pivots instead of
 // a full phase-1 run from the logical basis.
 //
@@ -36,11 +36,11 @@ type Basis struct {
 }
 
 // SnapshotBasis writes the final basis and statuses of the Scratch's most
-// recent solve into dst, reusing dst's buffers when they are large enough. It
-// is the lazy form of Options.WantBasis: the state stays live until the
-// Scratch's next solve, so a caller that needs the basis of only some solves
-// (branch-and-bound keeps one per branching node) asks after the fact and
-// supplies recycled memory. Meaningful only after a StatusOptimal solve.
+// recent solve into dst, reusing dst's buffers when they are large enough.
+// The state stays live until the Scratch's next solve, so a caller that needs
+// the basis of only some solves (branch-and-bound keeps one per branching
+// node) asks after the fact and supplies recycled memory. It is the only way
+// a basis leaves the solver. Meaningful only after a StatusOptimal solve.
 func (sc *Scratch) SnapshotBasis(dst *Basis) {
 	s := &sc.sim
 	dst.n, dst.m = s.n, s.m

@@ -178,21 +178,17 @@ func FuzzLP(f *testing.F) {
 		tags, results := []string{"presolved"}, []lpResult{presolved(t, fl)}
 
 		plo, phi := fl.perturbed(s)
-		node, err := SolveWithBounds(fl.p, plo, phi, &Options{WantBasis: true})
-		if err != nil {
-			t.Fatalf("perturbed: %v", err)
-		}
-		if node.Basis != nil {
+		if _, basis := solveBasis(t, fl.p, plo, phi); basis != nil {
 			integer := make([]bool, fl.p.NumVars())
 			for j := range integer {
 				integer[j] = s.IntN(2) == 0
 			}
 			tags = append(tags, "warm", "warm+fix")
 			results = append(results,
-				solveResult(t, "warm", fl.p, nil, nil, &Options{Basis: node.Basis}),
+				solveResult(t, "warm", fl.p, nil, nil, &Options{Basis: basis}),
 				solveResult(t, "warm+fix", fl.p, nil, nil,
-					&Options{Basis: node.Basis, Fix: Fix{Integer: integer, Cutoff: math.Inf(1)}}))
-			siblings(t, seed, fl, s, node.Basis, integer, cold)
+					&Options{Basis: basis, Fix: Fix{Integer: integer, Cutoff: math.Inf(1)}}))
+			siblings(t, seed, fl, s, basis, integer, cold)
 		}
 		for k, r := range results {
 			tag := fmt.Sprintf("seed %d %s", seed, tags[k])

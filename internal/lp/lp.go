@@ -244,18 +244,15 @@ type Options struct {
 	// (Problem, bounds, Options) including Basis, so callers that cache or
 	// compare results must treat it like any other Options field.
 	Basis *Basis
-	// WantBasis asks the solver to attach a basis snapshot of the optimal
-	// basis to the Solution (nil unless Status is StatusOptimal). See
-	// Scratch.SnapshotBasis for taking it after the fact.
-	WantBasis bool
 	// Scratch, when non-nil, lends the solver all the memory a solve needs —
-	// its own state, the returned Solution, X and Basis, basis-inverse rows,
-	// eta file, pricing vectors — so repeated solves (branch-and-bound
-	// explores thousands of near-identical LPs) allocate nothing. The
-	// returned *Solution then aliases the Scratch: it, its X and its Basis
-	// are valid until the Scratch's next solve, which overwrites them in
-	// place; copy what must outlive that. A Scratch must not be shared by
-	// concurrent solves; the MILP layer keeps one per worker.
+	// its own state, the returned Solution and X, basis-inverse rows, eta
+	// file, pricing vectors — so repeated solves (branch-and-bound explores
+	// thousands of near-identical LPs) allocate nothing. The returned
+	// *Solution then aliases the Scratch: it and its X are valid until the
+	// Scratch's next solve, which overwrites them in place; copy what must
+	// outlive that, and take the final basis with Scratch.SnapshotBasis. A
+	// Scratch must not be shared by concurrent solves; the MILP layer keeps
+	// one per worker.
 	Scratch *Scratch
 	// Fix is the branch-and-bound's reduced-cost fixing hook; zero is off.
 	Fix Fix
@@ -307,9 +304,6 @@ type Solution struct {
 	// the seed was accepted (dual-simplex reinstatement ran instead of
 	// phase 1 from the logical basis).
 	WarmStarted bool
-	// Basis is a snapshot of the optimal basis, present only when
-	// Options.WantBasis was set and Status is StatusOptimal.
-	Basis *Basis
 }
 
 // Solve optimizes the problem with its stored bounds.

@@ -62,9 +62,9 @@ type child struct {
 func branchyFamily(t *testing.T) (*Problem, *Basis, []child) {
 	t.Helper()
 	p := buildBranchy(24)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v", parent)
 	}
 	integer := make([]bool, p.NumVars())
 	for j := range integer {
@@ -90,7 +90,7 @@ func branchyFamily(t *testing.T) (*Problem, *Basis, []child) {
 	dLo, dHi := box(bv, p.varLo[bv], f)
 	uLo, uHi := box(bv, f+1, p.varHi[bv])
 	loose := Fix{Integer: integer, Cutoff: parent.Obj / 2}
-	return p, parent.Basis, []child{
+	return p, basis, []child{
 		{"down", dLo, dHi, loose},
 		{"up", uLo, uHi, loose},
 		{"down, fixed infeasible", dLo, dHi, Fix{Integer: integer, Cutoff: parent.Obj - 1}},
@@ -248,11 +248,11 @@ func TestSeedPricingFallback(t *testing.T) {
 		p.SetVarBounds(j, 0, 4)
 	}
 	p.AddRow([]int{0, 1}, []float64{1, 1}, 5, Inf)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v", parent)
 	}
-	opts := Options{Basis: parent.Basis, Fix: Fix{Integer: []bool{true, true}, Cutoff: Inf}}
+	opts := Options{Basis: basis, Fix: Fix{Integer: []bool{true, true}, Cutoff: Inf}}
 	lo, hi := []float64{0, 0}, []float64{2.5, 2.5 - 5e-7}
 	want := solveInto(t, p, lo, hi, opts)
 	if want.status != StatusOptimal || want.warm {

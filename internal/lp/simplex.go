@@ -24,13 +24,12 @@ const (
 
 // Scratch is everything a solve allocates: the solver state itself (basis
 // inverse rows, eta file, pricing and ratio-test vectors, refactorization
-// workspace) and the returned Solution with its X and, under WantBasis, its
-// Basis. A zero Scratch is ready to use; buffers grow to the largest problem
-// seen and are retained across solves, so a solve on a warm Scratch
-// allocates nothing. The Solution a solve returns points into the Scratch
-// and is overwritten by the Scratch's next solve. Not safe for concurrent
-// solves — callers that solve in parallel (the MILP branch-and-bound) keep
-// one per worker.
+// workspace) and the returned Solution with its X. A zero Scratch is ready
+// to use; buffers grow to the largest problem seen and are retained across
+// solves, so a solve on a warm Scratch allocates nothing. The Solution a
+// solve returns points into the Scratch and is overwritten by the Scratch's
+// next solve. Not safe for concurrent solves — callers that solve in
+// parallel (the MILP branch-and-bound) keep one per worker.
 //
 // A Scratch also remembers the last seed basis it priced: sim.d holds that
 // seed's raw reduced costs. A later solve that loads the same seed — the
@@ -41,7 +40,6 @@ type Scratch struct {
 	sim    simplex
 	sol    Solution
 	x      []float64
-	snap   Basis
 	priced seedKey
 }
 
@@ -675,10 +673,6 @@ func (s *simplex) finish(st Status, warmed, haveX bool) *Solution {
 		DegenPivots: s.degenTotal,
 		BoundFlips:  s.boundFlips,
 		WarmStarted: warmed,
-	}
-	if s.opts.WantBasis && st == StatusOptimal {
-		sol.Basis = &s.sc.snap
-		s.sc.SnapshotBasis(sol.Basis)
 	}
 	return sol
 }

@@ -25,14 +25,30 @@ func buildBranchy(n int) *Problem {
 	return p
 }
 
+// solveBasis solves p under the box lo, hi (nil for p's own bounds) on a
+// fresh Scratch and snapshots the final basis out of it, the way the MILP
+// search takes its node bases. The basis is nil unless the solve ended
+// optimal.
+func solveBasis(t testing.TB, p *Problem, lo, hi []float64) (*Solution, *Basis) {
+	t.Helper()
+	sc := &Scratch{}
+	sol, err := SolveWithBounds(p, lo, hi, &Options{Scratch: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusOptimal {
+		return sol, nil
+	}
+	b := new(Basis)
+	sc.SnapshotBasis(b)
+	return sol, b
+}
+
 func TestWarmStartReproducesColdOptimum(t *testing.T) {
 	p := buildBranchy(24)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent solve: %+v err=%v", parent, err)
-	}
-	if parent.Basis == nil {
-		t.Fatal("WantBasis set but no basis returned")
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent solve: %+v", parent)
 	}
 	if parent.WarmStarted {
 		t.Fatal("cold solve must not report WarmStarted")
@@ -52,7 +68,7 @@ func TestWarmStartReproducesColdOptimum(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold child: %v", err)
 			}
-			warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: parent.Basis})
+			warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: basis})
 			if err != nil {
 				t.Fatalf("warm child: %v", err)
 			}
@@ -76,16 +92,16 @@ func TestWarmStartReproducesColdOptimum(t *testing.T) {
 
 func TestWarmStartDeterministic(t *testing.T) {
 	p := buildBranchy(16)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent solve: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent solve: %+v", parent)
 	}
 	lo := append([]float64(nil), p.varLo...)
 	hi := append([]float64(nil), p.varHi...)
 	hi[3] = 1
 	var first *Solution
 	for rep := 0; rep < 3; rep++ {
-		sol, err := SolveWithBounds(p, lo, hi, &Options{Basis: parent.Basis, WantBasis: true})
+		sol, err := SolveWithBounds(p, lo, hi, &Options{Basis: basis})
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -107,12 +123,9 @@ func TestWarmStartDeterministic(t *testing.T) {
 
 func TestWarmStartShapeMismatchFallsBack(t *testing.T) {
 	p := buildBranchy(16)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, basis := solveBasis(t, p, nil, nil)
 	other := buildBranchy(8)
-	sol, err := Solve(other, &Options{Basis: parent.Basis})
+	sol, err := Solve(other, &Options{Basis: basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +148,13 @@ func TestWarmStartInfeasibleChild(t *testing.T) {
 	p.SetVarBounds(0, 0, 4)
 	p.SetVarBounds(1, 0, 4)
 	p.AddRow([]int{0, 1}, []float64{1, 1}, 5, Inf) // x0 + x1 ≥ 5
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v", parent)
 	}
 	lo := []float64{0, 0}
 	hi := []float64{2, 2} // now x0+x1 ≤ 4 < 5: infeasible
-	warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: parent.Basis})
+	warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +167,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	p := buildBranchy(20)
 	sc := &Scratch{}
 	for rep := 0; rep < 4; rep++ {
-		sol, err := Solve(p, &Options{Scratch: sc, WantBasis: true})
+		sol, err := Solve(p, &Options{Scratch: sc})
 		if err != nil || sol.Status != StatusOptimal {
 			t.Fatalf("rep %d: %+v err=%v", rep, sol, err)
 		}
-		fresh, err := Solve(p, &Options{WantBasis: true})
+		fresh, err := Solve(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +198,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // TestScratchSolutionAliasing states the contract of a lent Scratch: the
-// Solution, its X and its Basis live in the Scratch and the next solve
-// overwrites them in place; what the caller copied out is its own, and a
+// Solution and its X live in the Scratch and the next solve overwrites them
+// in place; what the caller copied out is its own, and a
 // solve that was lent nothing returns memory nobody else touches.
 func TestScratchSolutionAliasing(t *testing.T) {
 	p := buildBranchy(20)
@@ -208,19 +221,19 @@ func TestScratchSolutionAliasing(t *testing.T) {
 	}
 
 	sc := &Scratch{}
-	first, err := Solve(p, &Options{Scratch: sc, WantBasis: true})
+	first, err := Solve(p, &Options{Scratch: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := append([]float64(nil), first.X...)
 	var keptBasis Basis
 	sc.SnapshotBasis(&keptBasis)
-	second, err := SolveWithBounds(p, lo, hi, &Options{Scratch: sc, WantBasis: true})
+	second, err := SolveWithBounds(p, lo, hi, &Options{Scratch: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != second || &first.X[0] != &second.X[0] || first.Basis != second.Basis {
-		t.Fatal("solves on one Scratch must return the Scratch's one Solution, X and Basis")
+	if first != second || &first.X[0] != &second.X[0] {
+		t.Fatal("solves on one Scratch must return the Scratch's one Solution and X")
 	}
 	if first.Obj != wantChild.Obj {
 		t.Fatalf("the first Solution must now read as the second solve: obj %v, want %v", first.Obj, wantChild.Obj)
@@ -246,32 +259,35 @@ func TestScratchSolutionAliasing(t *testing.T) {
 		t.Fatalf("reset basis: %+v err=%v", cold, err)
 	}
 	// Unlent solves share nothing.
-	a, _ := Solve(p, &Options{WantBasis: true})
-	b, _ := SolveWithBounds(p, lo, hi, &Options{WantBasis: true})
-	if a == b || &a.X[0] == &b.X[0] || a.Basis == b.Basis || a.Obj != want.Obj {
+	a, _ := Solve(p, nil)
+	b, _ := SolveWithBounds(p, lo, hi, nil)
+	if a == b || &a.X[0] == &b.X[0] || a.Obj != want.Obj {
 		t.Fatal("solves without a Scratch must not share memory")
 	}
 }
 
 // TestWarmSolveAllocatesNothing is the kernel's allocation budget: a
 // warm-started solve on a Scratch that has seen the problem, basis snapshot
-// included, allocates nothing — state, Solution, X and Basis all live in the
-// Scratch. Branch-and-bound runs this tens of thousands of times per query.
+// included, allocates nothing — state, Solution and X live in the Scratch,
+// and the snapshot reuses the kept Basis's buffers. Branch-and-bound runs
+// this tens of thousands of times per query.
 func TestWarmSolveAllocatesNothing(t *testing.T) {
 	p := buildBranchy(24)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v", parent)
 	}
 	lo := append([]float64(nil), p.varLo...)
 	hi := append([]float64(nil), p.varHi...)
 	hi[3] = 1
-	opts := &Options{Basis: parent.Basis, WantBasis: true, Scratch: &Scratch{}}
+	opts := &Options{Basis: basis, Scratch: &Scratch{}}
+	var kept Basis
 	solve := func() {
 		sol, err := SolveWithBounds(p, lo, hi, opts)
-		if err != nil || sol.Status != StatusOptimal || !sol.WarmStarted || sol.Iters == 0 || sol.Basis == nil {
+		if err != nil || sol.Status != StatusOptimal || !sol.WarmStarted || sol.Iters == 0 {
 			t.Fatalf("warm child: %+v err=%v", sol, err)
 		}
+		opts.Scratch.SnapshotBasis(&kept)
 	}
 	solve() // grows the Scratch
 	if n := testing.AllocsPerRun(50, solve); n != 0 {
@@ -317,9 +333,9 @@ func TestDualBoundFlipFastPath(t *testing.T) {
 	p.SetObj(4, -6)
 	p.SetVarBounds(4, 0, 1)
 	p.AddRow([]int{0, 1, 2, 3, 4}, []float64{0.2, 0.2, 0.2, 0.2, 1}, -Inf, 1.55)
-	parent, err := Solve(p, &Options{WantBasis: true})
-	if err != nil || parent.Status != StatusOptimal {
-		t.Fatalf("parent: %+v err=%v", parent, err)
+	parent, basis := solveBasis(t, p, nil, nil)
+	if parent.Status != StatusOptimal {
+		t.Fatalf("parent: %+v", parent)
 	}
 	if parent.BoundFlips != 0 {
 		t.Fatalf("cold solve recorded %d bound flips (dual path never ran)", parent.BoundFlips)
@@ -331,7 +347,7 @@ func TestDualBoundFlipFastPath(t *testing.T) {
 	if err != nil || cold.Status != StatusOptimal {
 		t.Fatalf("cold child: %+v err=%v", cold, err)
 	}
-	warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: parent.Basis})
+	warm, err := SolveWithBounds(p, lo, hi, &Options{Basis: basis})
 	if err != nil || warm.Status != StatusOptimal {
 		t.Fatalf("warm child: %+v err=%v", warm, err)
 	}
@@ -345,7 +361,7 @@ func TestDualBoundFlipFastPath(t *testing.T) {
 		t.Fatalf("warm obj %.12g != cold %.12g", warm.Obj, cold.Obj)
 	}
 	// The fast path must stay deterministic like every other kernel counter.
-	rep, err := SolveWithBounds(p, lo, hi, &Options{Basis: parent.Basis})
+	rep, err := SolveWithBounds(p, lo, hi, &Options{Basis: basis})
 	if err != nil || rep.BoundFlips != warm.BoundFlips || rep.Iters != warm.Iters {
 		t.Fatalf("flip counter unstable: (%d,%d) vs (%d,%d), err=%v",
 			rep.BoundFlips, rep.Iters, warm.BoundFlips, warm.Iters, err)

@@ -77,41 +77,6 @@ func TestGoldenKernelCounters(t *testing.T) {
 	}
 }
 
-// TestRootBasisSurvivesLaterSolves: Result.RootBasis crosses the Solve
-// boundary (the engine keeps it to warm-start a re-solve after a delta), so
-// it must be the caller's own copy, out of reach of the search's recycling
-// and of any later Solve on the same model.
-func TestRootBasisSurvivesLaterSolves(t *testing.T) {
-	m := knapsackModel(rng.NewStream(5), 26, 13)
-	first, err := Solve(m, &Options{WantRootBasis: true})
-	if err != nil || first.RootBasis == nil {
-		t.Fatalf("first solve: %+v err=%v", first, err)
-	}
-	cold, err := Solve(m, &Options{MaxNodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seeded with its own optimal basis the root re-solve needs no pivot.
-	rootIters := func() int {
-		res, err := Solve(m, &Options{RootBasis: first.RootBasis, WantRootBasis: true, MaxNodes: 1})
-		if err != nil || res.WarmStarts != 1 || res.RootBasis == first.RootBasis {
-			t.Fatalf("re-solve from RootBasis: %+v err=%v", res, err)
-		}
-		return res.LPIters
-	}
-	if cold.LPIters == 0 || rootIters() != 0 {
-		t.Fatalf("root LP: %d iterations cold, %d from RootBasis, want > 0 and 0", cold.LPIters, rootIters())
-	}
-	for _, w := range workerMatrix {
-		if _, err := Solve(m, &Options{Parallelism: w, RootBasis: first.RootBasis}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rootIters() != 0 {
-		t.Fatal("RootBasis changed under later solves of the same model")
-	}
-}
-
 // wideModel is the scan-shaped MILP: n binaries under five dense knapsack
 // rows, as many columns as tuples and only a few rows.
 func wideModel(n int) *Model {

@@ -423,15 +423,6 @@ type Options struct {
 	// round-start incumbent snapshot, and equal-objective incumbents are
 	// resolved toward the smaller canonical path id.
 	Parallelism int
-	// RootBasis optionally seeds the root relaxation's simplex from a basis
-	// of a previous, structurally similar solve (a delta re-solve of the
-	// same CSA formulation). The LP layer rejects a basis whose shape does
-	// not match and falls back to a cold solve, so callers may pass bases
-	// across solves without dimension checks.
-	RootBasis *lp.Basis
-	// WantRootBasis asks for the root relaxation's optimal basis in
-	// Result.RootBasis so the caller can warm-start a later re-solve.
-	WantRootBasis bool
 	// LP tunes the node LP solves.
 	LP lp.Options
 }
@@ -481,10 +472,6 @@ type Result struct {
 	// Rounds is the number of synchronization rounds the search ran (0 when
 	// the root disposition resolved the tree).
 	Rounds int
-	// RootBasis is the root relaxation's optimal basis, populated when
-	// Options.WantRootBasis is set (nil when the root did not finish with
-	// an optimal basis). It seeds Options.RootBasis of a later re-solve.
-	RootBasis *lp.Basis
 	// Hint is what became of Options.InitialX.
 	Hint Hint
 	// GuideNodes counts the nodes, its root included, of the neighbourhood

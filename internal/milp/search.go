@@ -364,16 +364,10 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	st.pc = newPseudocosts(nred)
 
 	rootOpts := st.lpOpts
-	rootOpts.Basis = st.opts.RootBasis
 	rootOpts.Scratch = st.scratch(0).lp
 	rootSol, err := lp.SolveWithBounds(st.red, st.rootLo, st.rootHi, &rootOpts)
 	if err != nil {
 		return nil, err
-	}
-	if st.opts.WantRootBasis && rootSol.Status == lp.StatusOptimal {
-		// The caller keeps it across solves: its own copy, never a pooled one.
-		res.RootBasis = new(lp.Basis)
-		rootOpts.Scratch.SnapshotBasis(res.RootBasis)
 	}
 	st.work = res.SolveWork
 	st.work.Add(nodeWork(rootSol))

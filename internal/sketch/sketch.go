@@ -182,7 +182,10 @@ type shardResult struct {
 
 // SolveSILP runs the partition-aware sketch pipeline on an already-lowered
 // problem (the engine calls it with a cached plan's SILP, skipping
-// re-translation). Cancellation of ctx aborts the pipeline promptly.
+// re-translation). Cancellation of ctx aborts the pipeline promptly. The
+// answer carries no core warm state (Solution.Warm): a refine's formulation
+// indexes the candidate view, not silp's, and the engine never warm-starts a
+// sketch query.
 func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, sopts *Options) (*core.Solution, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -354,6 +357,7 @@ func SolveSILP(ctx context.Context, silp *translate.SILP, copts *core.Options, s
 
 	// Map the refined solution back to view indexing.
 	out := *refined
+	out.Warm = nil // indexes the candidate view
 	out.RaiseStop(shardStop)
 	out.X = make([]float64, n)
 	candRow := 0
@@ -378,7 +382,11 @@ func fallback(ctx context.Context, silp *translate.SILP, copts *core.Options, st
 	stats.Candidates = silp.Rel.N()
 	fctx, fsp := obs.StartSpan(ctx, "fallback")
 	defer fsp.End()
-	return core.SummarySearchCtx(fctx, silp, withPhase(copts, "fallback"))
+	sol, err := core.SummarySearchCtx(fctx, silp, withPhase(copts, "fallback"))
+	if sol != nil {
+		sol.Warm = nil // see SolveSILP
+	}
+	return sol, err
 }
 
 // solveShard runs the sketch solve for one shard: the query over the
