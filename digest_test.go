@@ -262,3 +262,33 @@ func TestAnswerDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestPortfolioAnswersAtN120: every Portfolio query of Table 3 answers at
+// the size of solve_bound's Portfolio table (N = 120, workload seed 1) under
+// the digest's options, so x(0) must find a package within 2 000 nodes.
+// With the root rounded to nearest as the only rounding, Q3–Q8 failed with
+// "unconstrained solve failed: limit".
+func TestPortfolioAnswersAtN120(t *testing.T) {
+	inst, err := workload.ByName("portfolio", workload.Config{N: 120, Seed: 1, MeansM: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	db.MeansM = 200
+	for _, tn := range inst.TableNames() {
+		if err := db.Register(inst.Table(tn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(inst.Queries) != 8 {
+		t.Fatalf("portfolio has %d queries, want Table 3's 8", len(inst.Queries))
+	}
+	for _, q := range inst.Queries {
+		res, err := db.Query(q.SPaQL, digestOptions())
+		if err != nil {
+			t.Errorf("%s: %v", q.ID, err)
+			continue
+		}
+		t.Logf("%s: feasible=%t objective %v, %d nodes", q.ID, res.Feasible, res.Objective, res.SolveTotals.MILPNodes)
+	}
+}

@@ -137,6 +137,17 @@ func (p *Problem) SetVarBounds(j int, lo, hi float64) {
 // VarBounds returns the bounds of variable j.
 func (p *Problem) VarBounds(j int) (lo, hi float64) { return p.varLo[j], p.varHi[j] }
 
+// Column returns variable j's objective coefficient and its nonzero
+// entries: their rows, in increasing order, and coefficients. The slices
+// are the problem's own and must not be written.
+func (p *Problem) Column(j int) (obj float64, rows []int32, coefs []float64) {
+	s, e := p.colStart[j], p.colStart[j+1]
+	return p.obj[j], p.rowIdx[s:e], p.coef[s:e]
+}
+
+// RowBounds returns the range [lo, hi] of row i.
+func (p *Problem) RowBounds(i int) (lo, hi float64) { return p.rowLo[i], p.rowHi[i] }
+
 // AddRow appends the constraint lo ≤ Σ coefs[k]·x[idxs[k]] ≤ hi and returns
 // its row index. Zero coefficients are skipped; a variable index repeated
 // within the row sums into its first nonzero occurrence.

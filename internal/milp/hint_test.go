@@ -75,15 +75,26 @@ func parityModel(n int) *Model {
 	return m
 }
 
+// lockedParityModel is parityModel with the row's lower side at n−1: the
+// two-sided row locks every column both ways, so simple rounding settles no
+// node, and the integer optimum is still −(n−1)/2.
+func lockedParityModel(n int) *Model {
+	m := parityModel(n)
+	m.rows[0].lo = float64(n - 1)
+	return m
+}
+
 // TestGuideCapKeepsStatus: a neighbourhood search that stops at its node cap
 // still hands over the point it found, and the main search still proves the
 // optimum: the cap never reaches Result.Status. Each guide is out of bounds
 // (so infeasible) except at three random columns, so it fixes at most three
 // columns of the root and leaves a neighbourhood too large for the cap; the
-// seeds are searched for the first guide that fixes any.
+// seeds are searched for the first guide that fixes any. The model's row
+// locks every column both ways, so no rounded point ends the neighbourhood
+// search before its cap.
 func TestGuideCapKeepsStatus(t *testing.T) {
 	const n = 15
-	m := parityModel(n)
+	m := lockedParityModel(n)
 	s := rng.NewStream(3)
 	for try := 0; try < 20; try++ {
 		guide := make([]float64, n)

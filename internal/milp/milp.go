@@ -11,11 +11,15 @@
 // nodes carry immutable bound deltas, workers claim them from deterministic
 // synchronization rounds, and the shared incumbent breaks objective ties
 // toward the smaller canonical path id, so results are bit-identical for
-// every worker count (see search.go). A hinted point (Options.InitialX)
-// becomes the incumbent when it is feasible; otherwise, before the first
-// round, it guides a capped search of the root's neighbourhood for one
-// (relaxation-induced neighbourhood search: Danna, Rothberg & Le Pape,
-// Math. Prog. 2005). Cancellation (Options.Cancel) and the
+// every worker count (see search.go). Every node whose LP point is
+// fractional, the root included, is rounded in the directions its rows
+// leave free (simple rounding: Achterberg, Constraint Integer Programming,
+// 2007), so incumbents appear within the first nodes; the root is no longer
+// rounded to nearest. A hinted point (Options.InitialX) becomes the
+// incumbent when it is feasible; otherwise, when rounding the root finds
+// none, it guides a capped search of the root's neighbourhood for one
+// before the first round (relaxation-induced neighbourhood search: Danna,
+// Rothberg & Le Pape, Math. Prog. 2005). Cancellation (Options.Cancel) and the
 // time limit reach into the simplex iteration loop itself via lp.Options, so
 // an abort takes effect within one LP iteration, not one LP solve.
 //
@@ -404,7 +408,7 @@ type Options struct {
 	// CSA-Solve package). A feasible hint seeds the incumbent and is not
 	// copied: Result.X may be this slice. An infeasible one is the
 	// neighbourhood guide: when the root relaxation is fractional and no
-	// incumbent exists, the integer columns on which the root LP point equals
+	// incumbent exists after rounding the root, the integer columns on which the root LP point equals
 	// the rounded hint are fixed and a capped search of that smaller box
 	// supplies the first incumbent (see Result.Hint). A hint of the wrong
 	// length is ignored.

@@ -40,6 +40,12 @@ import (
 //   - branch variables are chosen by pseudocosts seeded from
 //     most-fractional, learned from realized objective degradations.
 //
+// Incumbents come early from simple rounding (simpleRound): every node whose
+// LP point is fractional, the root included, rounds each fractional integer
+// column in a direction no row locks, and a rounded point that beats the
+// cutoff and satisfies the rows is the node's candidate. There is no other
+// rounding: the root is not rounded to nearest.
+//
 // Determinism contract: results (Status, X, Obj, Bound, Nodes) are
 // bit-identical for every Options.Parallelism value. The search processes the
 // frontier in synchronization rounds of at most roundSize nodes. Within a
@@ -50,9 +56,11 @@ import (
 // are merged back in frontier order, with objective ties broken toward the
 // smaller canonical path id (down-branch = 0, up-branch = 1, compared
 // lexicographically), so simultaneous equal-objective discoveries in one
-// round resolve identically no matter which worker got there first. The new
-// kernel state stays inside this contract: a node's warm-start basis is its
-// parent's optimal basis — itself a pure function of the parent's bounds,
+// round resolve identically no matter which worker got there first. A
+// rounded candidate is a pure function of its node's LP point and box and
+// the snapshot, so it merges like any integral node's. The new kernel state
+// stays inside this contract: a node's warm-start basis is its parent's
+// optimal basis — itself a pure function of the parent's bounds,
 // seed basis and options, by induction on the tree — and the pseudocost
 // table mutates only between rounds, folded in frontier merge order, so
 // every in-round pickBranchVar reads the same table snapshot regardless of
@@ -105,10 +113,10 @@ type bbNode struct {
 }
 
 // pathOf materializes the node's canonical path id (root = empty). Seeded
-// incumbents (InitialX, root rounding, the guided neighbourhood search's
-// point) use the empty path, so they win objective ties against any
-// search-discovered point — the same "strict improvement only" rule the
-// sequential dive applied to them.
+// incumbents (InitialX, the guided neighbourhood search's point) and the
+// root's rounded point use the empty path, so they win objective ties
+// against any search-discovered point — the same "strict improvement only"
+// rule the sequential dive applied to them.
 func pathOf(n *bbNode) []byte {
 	if n == nil {
 		return nil
@@ -158,6 +166,10 @@ type bbScratch struct {
 	// bases is popped by the worker during a round and refilled only by the
 	// merge section between rounds, so it needs no lock.
 	bases []*nodeBasis
+	// point and act are simple rounding's rounded point and its row
+	// activities (reduced space), allocated by the first rounded point that
+	// beats the cutoff.
+	point, act []float64
 }
 
 func (sc *bbScratch) takeBasis() *nodeBasis {
@@ -268,6 +280,7 @@ type search struct {
 
 	rootLo, rootHi []float64 // reduced-space presolved bounds (Postsolve never reads them), tightened by fixRoot
 	redInteger     []bool    // integrality mask in reduced space
+	locks          []uint8   // lockDown|lockUp per reduced column (columnLocks)
 	objOffset      float64   // reduced obj + objOffset = full obj
 	rootD          []float64 // root LP reduced costs, captured once the root branches
 	rootBound      float64   // the root LP's Lagrangian bound under rootD
@@ -361,6 +374,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	for j := 0; j < nred; j++ {
 		st.redInteger[j] = m.vars[st.pr.Col(j)].integer
 	}
+	st.locks = columnLocks(st.red)
 	st.pc = newPseudocosts(nred)
 
 	rootOpts := st.lpOpts
@@ -399,9 +413,6 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		res.Status = StatusLimit
 		return res, nil
 	}
-	// Rounding heuristic on the root relaxation for an early incumbent.
-	st.tryRounding(rootSol.X)
-
 	complete, err := st.run(rootSol)
 	if err != nil {
 		return nil, err
@@ -558,7 +569,7 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	}
 	nb := &search{
 		model: st.model, pr: st.pr, red: st.red, opts: st.opts, lpOpts: st.lpOpts,
-		rootLo: lo, rootHi: hi, redInteger: st.redInteger,
+		rootLo: lo, rootHi: hi, redInteger: st.redInteger, locks: st.locks,
 		objOffset: st.objOffset, inc: incumbent{obj: math.Inf(1)},
 		workers: 1, pc: newPseudocosts(len(lo)),
 	}
@@ -782,6 +793,10 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 		return bbResult{done: true, complete: true,
 			cand: incumbent{x: st.pr.Postsolve(st.roundedCopy(sol.X)), obj: adjObj, path: pathOf(n)}}
 	}
+	out := bbResult{done: true, complete: true}
+	if rounding {
+		out.cand = st.simpleRound(n, sol.X, snap, sc)
+	}
 	val := sol.X[bv]
 	floorV := math.Floor(val)
 	depth := int32(1)
@@ -798,7 +813,6 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 	if frac > 0.5 {
 		first, second = up, down
 	}
-	out := bbResult{done: true, complete: true}
 	for _, c := range [2]bbNode{first, second} {
 		if c.lo <= c.hi {
 			out.kids[out.nkids] = c
@@ -850,6 +864,8 @@ func (st *search) cutoff(snap incumbent) float64 {
 }
 
 var fixing = true // reduced-cost fixing; only tests turn it off
+
+var rounding = true // simple rounding of fractional nodes; only tests turn it off
 
 // fixRoot tightens the root box by the root LP's reduced costs against the
 // live incumbent (see lp.Fix) and pushes each change into every worker's
@@ -924,26 +940,102 @@ func (st *search) roundedCopy(x []float64) []float64 {
 	return out
 }
 
-// tryRounding rounds the root relaxation point (reduced space), clamps it
-// into the root box, and installs the postsolved point as incumbent if it is
-// feasible for the full model.
-func (st *search) tryRounding(x []float64) {
-	cand := st.roundedCopy(x)
-	for j := range cand {
-		if cand[j] < st.rootLo[j] {
-			cand[j] = st.rootLo[j]
-		}
-		if cand[j] > st.rootHi[j] {
-			cand[j] = st.rootHi[j]
+// Lock flags of a reduced column (Achterberg, "Constraint Integer
+// Programming", 2007, §9.1): a row locks the column down when lowering the
+// column can violate it, and up when raising it can.
+const (
+	lockDown uint8 = 1 << iota
+	lockUp
+)
+
+// columnLocks computes every column's lock flags from the presolved
+// problem's rows, the linearized indicator rows among them. A row with a
+// finite upper side locks its positive entries up and its negative ones
+// down; a finite lower side does the reverse.
+func columnLocks(p *lp.Problem) []uint8 {
+	locks := make([]uint8, p.NumVars())
+	for j := range locks {
+		_, rows, coefs := p.Column(j)
+		for k, i := range rows {
+			lo, hi := p.RowBounds(int(i))
+			if coefs[k] < 0 {
+				lo, hi = -hi, -lo
+			}
+			if !math.IsInf(lo, -1) {
+				locks[j] |= lockDown
+			}
+			if !math.IsInf(hi, 1) {
+				locks[j] |= lockUp
+			}
 		}
 	}
-	full := st.pr.Postsolve(cand)
-	if obj, ok := st.checkFeasible(full); ok {
-		c := incumbent{x: full, obj: obj}
-		if replaces(c, st.inc) {
-			st.inc = c
+	return locks
+}
+
+// simpleRound is simple rounding (Achterberg, §9.1.1) of a node's fractional
+// LP point x: every fractional integer column moves to the neighbouring
+// integer in a direction no row locks, so every row the LP point satisfies
+// stays satisfied. It gives up at the first column locked both ways, or
+// whose rounded value leaves the node's box. A rounded point priced below
+// the snapshot's cutoff is checked against the reduced rows and, when they
+// hold, returned postsolved as the node's candidate, with the node's path.
+// It reads only x, the node's box and snap, so its result is the same for
+// every worker count; it allocates only for a point that beats the cutoff.
+func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScratch) incumbent {
+	obj := st.objOffset
+	for j, v := range x {
+		r, ok := st.roundCol(j, v, sc)
+		if !ok {
+			return incumbent{}
+		}
+		c, _, _ := st.red.Column(j)
+		obj += c * r
+	}
+	if obj >= st.cutoff(snap) {
+		return incumbent{}
+	}
+	if sc.point == nil {
+		sc.point = make([]float64, len(x))
+		sc.act = make([]float64, st.red.NumRows())
+	}
+	clear(sc.act)
+	for j, v := range x {
+		r, _ := st.roundCol(j, v, sc)
+		sc.point[j] = r
+		_, rows, coefs := st.red.Column(j)
+		for k, i := range rows {
+			sc.act[i] += coefs[k] * r
 		}
 	}
+	const tol = 1e-6 // checkFeasible's
+	for i, a := range sc.act {
+		if lo, hi := st.red.RowBounds(i); a < lo-tol || a > hi+tol {
+			return incumbent{}
+		}
+	}
+	return incumbent{x: st.pr.Postsolve(sc.point), obj: obj, path: pathOf(n)}
+}
+
+// roundCol is column j's value v rounded by simpleRound: kept when the
+// column is continuous, snapped when within intTol of an integer, else
+// rounded down unless a row locks it down, else up unless a row locks it
+// up. ok is false when both locks hold or the value leaves the node's box.
+func (st *search) roundCol(j int, v float64, sc *bbScratch) (r float64, ok bool) {
+	if !st.redInteger[j] {
+		return v, true
+	}
+	r = math.Floor(v)
+	switch f := v - r; {
+	case f <= intTol:
+	case 1-f <= intTol:
+		r++
+	case st.locks[j]&lockDown == 0:
+	case st.locks[j]&lockUp == 0:
+		r++
+	default:
+		return 0, false
+	}
+	return r, r >= sc.lo[j] && r <= sc.hi[j]
 }
 
 // checkFeasible verifies a candidate point against all rows, indicator
