@@ -54,8 +54,8 @@ func TestNodeLoopAllocatesNothing(t *testing.T) {
 // interval the root box has emptied counts as a node without an LP solve,
 // hence warm starts well below nodes. Re-pinned again when simple rounding
 // of fractional nodes replaced rounding the root to nearest (1623 / 2277 /
-// 1727 before): the corpus's knapsacks and one-sided rows now have a good
-// incumbent from the root on; the knapsack line did not move.
+// 1727 before): rounded points give the corpus's searches early
+// incumbents; the knapsack line did not move.
 func TestGoldenKernelCounters(t *testing.T) {
 	total := func(models []*Model, o *Options) (lpIters, nodes, warm int) {
 		for _, m := range models {

@@ -19,9 +19,10 @@
 // incumbent when it is feasible; otherwise, when rounding the root finds
 // none, it guides a capped search of the root's neighbourhood for one
 // before the first round (relaxation-induced neighbourhood search: Danna,
-// Rothberg & Le Pape, Math. Prog. 2005). Cancellation (Options.Cancel) and the
-// time limit reach into the simplex iteration loop itself via lp.Options, so
-// an abort takes effect within one LP iteration, not one LP solve.
+// Rothberg & Le Pape, Math. Prog. 2005). Cancellation (Options.Cancel) and
+// the time limit reach into the simplex iteration loop itself via
+// lp.Options, so an abort takes effect within one LP iteration, not one LP
+// solve.
 //
 // Minimization is canonical; callers maximize by negating objective
 // coefficients.
@@ -408,9 +409,10 @@ type Options struct {
 	// CSA-Solve package). A feasible hint seeds the incumbent and is not
 	// copied: Result.X may be this slice. An infeasible one is the
 	// neighbourhood guide: when the root relaxation is fractional and no
-	// incumbent exists after rounding the root, the integer columns on which the root LP point equals
-	// the rounded hint are fixed and a capped search of that smaller box
-	// supplies the first incumbent (see Result.Hint). A hint of the wrong
+	// incumbent exists after rounding the root, the integer columns on
+	// which the root LP point equals the rounded hint are fixed and a capped
+	// search of that smaller box supplies the first incumbent (see
+	// Result.Hint). A hint of the wrong
 	// length is ignored.
 	InitialX []float64
 	// Cancel, when non-nil, aborts the search as soon as the channel is
