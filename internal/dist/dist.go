@@ -30,7 +30,10 @@ type Normal struct {
 }
 
 // Sample implements Dist.
-func (d Normal) Sample(s *rng.Stream) float64 { return d.Mu + d.Sigma*s.Norm() }
+func (d Normal) Sample(s *rng.Stream) float64 { return d.FromStd(s.Norm()) }
+
+// FromStd returns the variate of standard normal z: Mu + Sigma·z.
+func (d Normal) FromStd(z float64) float64 { return d.Mu + d.Sigma*z }
 
 // Mean implements Dist.
 func (d Normal) Mean() float64 { return d.Mu }
@@ -42,7 +45,10 @@ type Uniform struct {
 }
 
 // Sample implements Dist.
-func (d Uniform) Sample(s *rng.Stream) float64 { return d.Lo + (d.Hi-d.Lo)*s.Float64() }
+func (d Uniform) Sample(s *rng.Stream) float64 { return d.FromUniform(s.Float64()) }
+
+// FromUniform returns the variate of u in [0, 1): Lo + (Hi−Lo)·u.
+func (d Uniform) FromUniform(u float64) float64 { return d.Lo + (d.Hi-d.Lo)*u }
 
 // Mean implements Dist.
 func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
@@ -55,7 +61,11 @@ type Exponential struct {
 }
 
 // Sample implements Dist.
-func (d Exponential) Sample(s *rng.Stream) float64 { return d.Loc + s.Exp()/d.Lambda }
+func (d Exponential) Sample(s *rng.Stream) float64 { return d.FromUniform(s.OpenFloat64()) }
+
+// FromUniform returns the variate of u in (0, 1) by the inverse survival
+// function: Loc − ln(u)/Lambda, with the operations of Loc + Exp()/Lambda.
+func (d Exponential) FromUniform(u float64) float64 { return d.Loc + -math.Log(u)/d.Lambda }
 
 // Mean implements Dist.
 func (d Exponential) Mean() float64 { return d.Loc + 1/d.Lambda }
@@ -68,9 +78,11 @@ type Pareto struct {
 }
 
 // Sample implements Dist (inverse CDF).
-func (d Pareto) Sample(s *rng.Stream) float64 {
-	return d.Sigma * d.tail(s.OpenFloat64())
-}
+func (d Pareto) Sample(s *rng.Stream) float64 { return d.FromUniform(s.OpenFloat64()) }
+
+// FromUniform returns the variate of u in (0, 1) by the inverse survival
+// function: Sigma·u^(−1/Alpha).
+func (d Pareto) FromUniform(u float64) float64 { return d.Sigma * d.tail(u) }
 
 // tail returns u^(-1/Alpha) for u in (0, 1), bit for bit as math.Pow. For
 // Alpha = 1 that is the reciprocal: Pow with the integral exponent -1 splits
@@ -180,17 +192,17 @@ type GBM struct {
 	Dt    float64
 }
 
-// step advances one price by a single Dt increment.
-func (d GBM) step(price float64, z float64) float64 {
-	return price * math.Exp((d.Mu-0.5*d.Sigma*d.Sigma)*d.Dt+d.Sigma*math.Sqrt(d.Dt)*z)
-}
-
 // Path fills path with the price after 1, 2, …, len(path) steps of one
-// realized trajectory, consuming one normal variate per step from st.
+// realized trajectory, consuming one normal variate per step from st. A
+// step multiplies the price by exp((Mu−Sigma²/2)·Dt + Sigma·√Dt·z); the
+// drift and the scale of z are the same every step, so they are computed
+// once, with the operations a step would use.
 func (d GBM) Path(st *rng.Stream, path []float64) {
+	drift := (d.Mu - 0.5*d.Sigma*d.Sigma) * d.Dt
+	scale := d.Sigma * math.Sqrt(d.Dt)
 	price := d.S0
 	for i := range path {
-		price = d.step(price, st.Norm())
+		price *= math.Exp(drift + scale*st.Norm())
 		path[i] = price
 	}
 }
@@ -277,8 +289,11 @@ type UniformChoice struct {
 }
 
 // Sample implements Dist.
-func (d UniformChoice) Sample(s *rng.Stream) float64 {
-	return d.Values[choiceIndex(s.Float64()*float64(len(d.Values)), len(d.Values))]
+func (d UniformChoice) Sample(s *rng.Stream) float64 { return d.FromUniform(s.Float64()) }
+
+// FromUniform returns the value u in [0, 1) picks.
+func (d UniformChoice) FromUniform(u float64) float64 {
+	return d.Values[choiceIndex(u*float64(len(d.Values)), len(d.Values))]
 }
 
 // choiceIndex is the component the mixture's scan picks for u = U·n with

@@ -46,6 +46,15 @@ type VGFunc interface {
 // the same value bit for bit. Dists and Evals must not retain the stream.
 var streams = sync.Pool{New: func() any { return new(rng.Stream) }}
 
+// sample draws d from a recycled stream seeded with seed.
+func sample(d dist.Dist, seed uint64) float64 {
+	s := streams.Get().(*rng.Stream)
+	s.Reseed(seed)
+	v := d.Sample(s)
+	streams.Put(s)
+	return v
+}
+
 // IndependentVG realizes each tuple's variable independently from its own
 // distribution. Dists is indexed by tuple; a single-element slice is
 // broadcast to all tuples.
@@ -65,22 +74,93 @@ func (vg *IndependentVG) distFor(tuple int) dist.Dist {
 
 // Value implements VGFunc.
 func (vg *IndependentVG) Value(src rng.Source, tuple, scenario int) float64 {
-	s := streams.Get().(*rng.Stream)
-	s.Reseed(src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
-	v := vg.distFor(tuple).Sample(s)
-	streams.Put(s)
-	return v
+	return sample(vg.distFor(tuple), src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
 }
 
+// values realizes a row of the leaf families the workloads draw from, and
+// Shifted of them, with one loop per family. Each value takes its generator
+// from SeedRow.Core by value and draws with the distribution's Sample
+// operations, from the uniform or normal variate up. The core reports the
+// draws where Sample would draw again (an open uniform of 0, a non-finite
+// Box–Muller result), and that one value is then sampled from a stream,
+// like Value. Any other distribution samples every value from one recycled
+// stream.
 func (vg *IndependentVG) values(src rng.Source, tuple int, scens []int, out []float64) {
 	d := vg.distFor(tuple)
 	seeds := src.Row(vg.AttrID, uint64(tuple))
-	s := streams.Get().(*rng.Stream)
-	for k, j := range scens {
-		s.Reseed(seeds.At(uint64(j)))
-		out[k] = d.Sample(s)
+	leaf, sh := d, shift{}
+	if s, ok := d.(dist.Shifted); ok {
+		leaf, sh = s.D, shift{off: s.Off, on: true}
 	}
-	streams.Put(s)
+	switch l := leaf.(type) {
+	case *dist.UniformChoice:
+		choiceRow(*l, sh, seeds, scens, out)
+	case dist.UniformChoice:
+		choiceRow(l, sh, seeds, scens, out)
+	case dist.Uniform:
+		for k, j := range scens {
+			c := seeds.Core(uint64(j))
+			out[k] = sh.add(l.FromUniform(c.Float64()))
+		}
+	case dist.Normal:
+		for k, j := range scens {
+			c := seeds.Core(uint64(j))
+			if z, ok := c.Norm(); ok {
+				out[k] = sh.add(l.FromStd(z))
+			} else {
+				out[k] = sample(d, seeds.At(uint64(j)))
+			}
+		}
+	case dist.Pareto:
+		for k, j := range scens {
+			c := seeds.Core(uint64(j))
+			u := c.Float64()
+			if u > 0 {
+				out[k] = sh.add(l.FromUniform(u))
+			} else {
+				out[k] = sample(d, seeds.At(uint64(j)))
+			}
+		}
+	case dist.Exponential:
+		for k, j := range scens {
+			c := seeds.Core(uint64(j))
+			u := c.Float64()
+			if u > 0 {
+				out[k] = sh.add(l.FromUniform(u))
+			} else {
+				out[k] = sample(d, seeds.At(uint64(j)))
+			}
+		}
+	default:
+		s := streams.Get().(*rng.Stream)
+		for k, j := range scens {
+			s.Reseed(seeds.At(uint64(j)))
+			out[k] = d.Sample(s)
+		}
+		streams.Put(s)
+	}
+}
+
+// choiceRow is values' loop for a UniformChoice.
+func choiceRow(d dist.UniformChoice, sh shift, seeds rng.SeedRow, scens []int, out []float64) {
+	for k, j := range scens {
+		c := seeds.Core(uint64(j))
+		out[k] = sh.add(d.FromUniform(c.Float64()))
+	}
+}
+
+// shift is the offset of a dist.Shifted, applied as its Sample does: Off +
+// the inner variate. The zero shift leaves a value alone.
+type shift struct {
+	off float64
+	on  bool
+}
+
+func (sh shift) add(v float64) float64 {
+	if sh.on {
+		return sh.off + v
+	}
+	return v
 }
 
 // ExactMean implements VGFunc.

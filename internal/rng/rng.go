@@ -13,13 +13,23 @@
 // never depends on generation order.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// golden is SplitMix64's state increment.
+const golden = 0x9e3779b97f4a7c15
 
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 passes BigCrush and is the standard generator for seeding.
 func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += golden
+	return mix64(*state)
+}
+
+// mix64 is SplitMix64's output function of an advanced state.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -30,24 +40,104 @@ func splitmix64(state *uint64) uint64 {
 func Mix(words ...uint64) uint64 {
 	state := uint64(0x8e2f_19a6_3c5d_71bb)
 	for _, w := range words {
-		mixWord(&state, w)
+		state = absorb(state, w)
 	}
 	return splitmix64(&state)
 }
 
-// mixWord absorbs one word into a Mix state.
-func mixWord(state *uint64, w uint64) {
-	*state ^= w
-	_ = splitmix64(state)
-	*state = *state*0x2545f4914f6cdd1d + 0x9e3779b97f4a7c15
+// absorb returns a Mix state after it absorbs one word: the word xored in,
+// a SplitMix64 step whose output is unused, and a multiply-add.
+func absorb(state, w uint64) uint64 {
+	return ((state^w)+golden)*0x2545f4914f6cdd1d + golden
 }
 
-// Stream is a small, fast PCG-XSH-RR 64/32-like generator. Each Stream is an
-// independent substream identified by the seed passed to NewStream. The zero
-// value is not valid; use NewStream.
-type Stream struct {
+// Core is the generator every Stream draws from: a PCG-XSH-RR 64/32-like
+// state and its odd increment, two words a caller can hold by value. A row
+// kernel takes one per value from SeedRow.Core and draws from it with the
+// state in registers: Uint32, Uint64 and Float64 inline. Stream adds the
+// Box–Muller spare on top. The zero value is not valid; use Seeded or
+// SeedRow.Core.
+type Core struct {
 	state uint64
 	inc   uint64
+}
+
+// Seeded returns the core Reseed(seed) leaves: its draws are a fresh
+// stream's, bit for bit.
+func Seeded(seed uint64) Core {
+	// The state and the increment are the first two SplitMix64 outputs of
+	// seed; the increment must be odd.
+	sm := seed + golden
+	inc := mix64(sm+golden) | 1
+	// Warm up: decorrelates streams whose seeds differ in few bits. Two
+	// discarded Uint64 draws are four steps state·a + inc, taken as one
+	// jump: state·a⁴ + inc·(a³+a²+a+1), exact mod 2⁶⁴.
+	return Core{state: mix64(sm)*warmMul + inc*warmAdd, inc: inc}
+}
+
+// stepMul is the multiplier a of the generator's step state·a + inc;
+// warmMul and warmAdd are a⁴ and a³+a²+a+1, mod 2⁶⁴.
+const (
+	stepMul = 6364136223846793005
+	warmMul = 0xfb4d3ae39272be11
+	warmAdd = 0xcbb5f646404a560c
+)
+
+// output is the 32 bits a step from state old draws: the XSH-RR
+// permutation of old.
+func output(old uint64) uint32 {
+	return bits.RotateLeft32(uint32(((old>>18)^old)>>27), -int(old>>59))
+}
+
+// Uint32 returns the next 32 uniformly distributed bits.
+func (c *Core) Uint32() uint32 {
+	old := c.state
+	c.state = old*stepMul + c.inc
+	return output(old)
+}
+
+// Uint64 returns the next 64 uniformly distributed bits: two Uint32 draws,
+// the first the high word.
+func (c *Core) Uint64() uint64 {
+	s0 := c.state
+	s1 := s0*stepMul + c.inc
+	c.state = s1*stepMul + c.inc
+	return uint64(output(s0))<<32 | uint64(output(s1))
+}
+
+// Float64 returns a uniform variate in the half-open interval [0, 1) with 53
+// bits of precision.
+func (c *Core) Float64() float64 {
+	return float64(c.Uint64()>>11) / (1 << 53)
+}
+
+// Norm returns the standard normal variate a freshly seeded Stream's Norm
+// returns first, and draws what it draws. ok is false where Norm would draw
+// again, a first uniform of 0 or a non-finite result; the caller then takes
+// the value from a Stream instead.
+func (c *Core) Norm() (z float64, ok bool) {
+	u := c.Float64()
+	z, _, _ = boxMuller(u, c.Float64())
+	return z, u > 0 && finite(z)
+}
+
+// boxMuller is the Box–Muller transform of uniforms u in (0, 1) and v in
+// [0, 1): the pair's first variate z = r·cos θ, and r and θ for its spare
+// r·sin θ.
+func boxMuller(u, v float64) (z, r, theta float64) {
+	r = math.Sqrt(-2 * math.Log(u))
+	theta = 2 * math.Pi * v
+	return r * math.Cos(theta), r, theta
+}
+
+// finite reports whether z is neither infinite nor NaN.
+func finite(z float64) bool { return !math.IsInf(z, 0) && !math.IsNaN(z) }
+
+// Stream is a Core with the Box–Muller pair's spare variate on top. Each
+// Stream is an independent substream identified by the seed passed to
+// NewStream. The zero value is not valid; use NewStream.
+type Stream struct {
+	core Core
 	// The Box-Muller pair's spare variate, r·sin θ, is computed only when it
 	// is read: Reseed discards it, and single draws never read it.
 	spareR, spareTheta float64
@@ -66,44 +156,19 @@ func NewStream(seed uint64) *Stream {
 // Reseed resets the stream to the deterministic state implied by seed,
 // discarding any cached variates.
 func (s *Stream) Reseed(seed uint64) {
-	sm := seed
-	s.state = splitmix64(&sm)
-	s.inc = splitmix64(&sm) | 1 // stream increment must be odd
+	s.core = Seeded(seed)
 	s.hasSpare = false
-	// Warm up: decorrelates streams whose seeds differ in few bits. Two
-	// discarded Uint64 draws are four steps state·a + inc, taken as one
-	// jump: state·a⁴ + inc·(a³+a²+a+1), exact mod 2⁶⁴.
-	s.state = s.state*warmMul + s.inc*warmAdd
 }
-
-// warmMul and warmAdd are a⁴ and a³+a²+a+1 for the step multiplier a of
-// Uint32, mod 2⁶⁴.
-const (
-	warmMul = 0xfb4d3ae39272be11
-	warmAdd = 0xcbb5f646404a560c
-)
 
 // Uint32 returns the next 32 uniformly distributed bits.
-func (s *Stream) Uint32() uint32 {
-	old := s.state
-	s.state = old*6364136223846793005 + s.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
-}
+func (s *Stream) Uint32() uint32 { return s.core.Uint32() }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (s *Stream) Uint64() uint64 {
-	hi := uint64(s.Uint32())
-	lo := uint64(s.Uint32())
-	return hi<<32 | lo
-}
+func (s *Stream) Uint64() uint64 { return s.core.Uint64() }
 
 // Float64 returns a uniform variate in the half-open interval [0, 1) with 53
 // bits of precision.
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
+func (s *Stream) Float64() float64 { return s.core.Float64() }
 
 // OpenFloat64 returns a uniform variate in the open interval (0, 1), suitable
 // for inverse-CDF transforms that evaluate log or reciprocal at the sample.
@@ -136,22 +201,14 @@ func (s *Stream) Norm() float64 {
 	}
 	for {
 		u := s.OpenFloat64()
-		v := s.Float64()
-		r := math.Sqrt(-2 * math.Log(u))
-		theta := 2 * math.Pi * v
-		z0 := r * math.Cos(theta)
-		if math.IsInf(z0, 0) || math.IsNaN(z0) {
+		z0, r, theta := boxMuller(u, s.Float64())
+		if !finite(z0) {
 			continue
 		}
 		s.spareR, s.spareTheta = r, theta
 		s.hasSpare = true
 		return z0
 	}
-}
-
-// Exp returns a standard (rate 1) exponential variate.
-func (s *Stream) Exp() float64 {
-	return -math.Log(s.OpenFloat64())
 }
 
 // Source derives substreams for the coordinates used by scenario generation.
@@ -214,16 +271,17 @@ type SeedRow struct{ state uint64 }
 // Row returns the seed row of coordinate prefix (attr, group).
 func (src Source) Row(attr, group uint64) SeedRow {
 	state := uint64(0x8e2f_19a6_3c5d_71bb)
-	mixWord(&state, src.base)
-	mixWord(&state, attr)
-	mixWord(&state, group)
+	for _, w := range [3]uint64{src.base, attr, group} {
+		state = absorb(state, w)
+	}
 	return SeedRow{state: state}
 }
 
 // At returns the substream seed of the row's variable in one scenario; it
 // equals SeedAt(attr, group, scenario) bit for bit.
 func (r SeedRow) At(scenario uint64) uint64 {
-	state := r.state
-	mixWord(&state, scenario)
-	return splitmix64(&state)
+	return mix64(absorb(r.state, scenario) + golden)
 }
+
+// Core returns the core that Reseed(At(scenario)) leaves a Stream with.
+func (r SeedRow) Core(scenario uint64) Core { return Seeded(r.At(scenario)) }

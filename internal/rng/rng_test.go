@@ -108,18 +108,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := NewStream(8)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestIntNBounds(t *testing.T) {
 	s := NewStream(11)
 	counts := make([]int, 7)
@@ -337,8 +325,8 @@ func TestLazySpareMatchesEager(t *testing.T) {
 func reseedBySteps(seed uint64) *Stream {
 	s := &Stream{}
 	sm := seed
-	s.state = splitmix64(&sm)
-	s.inc = splitmix64(&sm) | 1
+	s.core.state = splitmix64(&sm)
+	s.core.inc = splitmix64(&sm) | 1
 	s.Uint64()
 	s.Uint64()
 	return s
@@ -360,13 +348,112 @@ func TestReseedJumpMatchesSteps(t *testing.T) {
 		}
 		want := reseedBySteps(seed)
 		s.Reseed(seed)
-		if s.state != want.state || s.inc != want.inc {
-			t.Fatalf("seed %#x: state %#x inc %#x, stepped %#x inc %#x", seed, s.state, s.inc, want.state, want.inc)
+		if s.core != want.core {
+			t.Fatalf("seed %#x: state %#x inc %#x, stepped %#x inc %#x", seed, s.core.state, s.core.inc, want.core.state, want.core.inc)
 		}
 		for k := 0; k < 64; k++ {
 			if a, b := s.Uint64(), want.Uint64(); a != b {
 				t.Fatalf("seed %#x draw %d: %#x, stepped %#x", seed, k, a, b)
 			}
 		}
+	}
+}
+
+// TestCoreMatchesStream: over 10⁵ seeds, the core Seeded returns draws what
+// a reseeded Stream draws, bit for bit: Uint32, Uint64, Float64, the
+// uniform OpenFloat64 takes when it is not 0, and Norm's first variate,
+// after which both draw the same words. SeedRow.Core is Seeded of At.
+func TestCoreMatchesStream(t *testing.T) {
+	seeds := NewStream(23)
+	src := NewSource(5)
+	s := &Stream{}
+	for i := 0; i < 100000; i++ {
+		row := src.Row(uint64(i%7), uint64(i))
+		scen := seeds.Uint64()
+		if i == 0 {
+			scen = math.MaxUint64
+		}
+		c := row.Core(scen)
+		if want := Seeded(row.At(scen)); c != want {
+			t.Fatalf("scenario %#x: SeedRow.Core %+v, Seeded(At) %+v", scen, c, want)
+		}
+		s.Reseed(row.At(scen))
+		switch i % 4 {
+		case 0:
+			if a, b := c.Uint32(), s.Uint32(); a != b {
+				t.Fatalf("draw %d: core Uint32 %#x, stream %#x", i, a, b)
+			}
+			if a, b := c.Uint64(), s.Uint64(); a != b {
+				t.Fatalf("draw %d: core Uint64 %#x, stream %#x", i, a, b)
+			}
+		case 1:
+			if a, b := c.Float64(), s.Float64(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("draw %d: core Float64 %v, stream %v", i, a, b)
+			}
+		case 2:
+			u := c.Float64()
+			if !(u > 0) {
+				t.Fatalf("draw %d: a uniform of 0 from a hashed seed", i)
+			}
+			if b := s.OpenFloat64(); math.Float64bits(u) != math.Float64bits(b) {
+				t.Fatalf("draw %d: core uniform %v, stream OpenFloat64 %v", i, u, b)
+			}
+		case 3:
+			z, ok := c.Norm()
+			if !ok {
+				t.Fatalf("draw %d: core Norm would draw again", i)
+			}
+			if b := s.Norm(); math.Float64bits(z) != math.Float64bits(b) {
+				t.Fatalf("draw %d: core Norm %v, stream %v", i, z, b)
+			}
+			s.hasSpare = false // the spare is the stream's, not the core's
+		}
+		for k := 0; k < 4; k++ {
+			if a, b := c.Uint32(), s.Uint32(); a != b {
+				t.Fatalf("draw %d: core and stream apart after %d words: %#x, %#x", i, k, a, b)
+			}
+		}
+	}
+}
+
+// TestCoreRedraws drives the draws where Stream draws again, which no seed
+// reaches: a first uniform of 0 and a non-finite Box–Muller result. A row
+// kernel reads them off the core and samples that one value from a Stream,
+// which draws past them.
+func TestCoreRedraws(t *testing.T) {
+	// output(0) = output(1) = 0, so the first Float64 of this state is 0.
+	zero := Core{state: 0, inc: 1}
+	c := zero
+	if u := c.Float64(); u != 0 {
+		t.Fatalf("first uniform %v, want 0", u)
+	}
+	c = zero
+	if _, ok := c.Norm(); ok {
+		t.Fatal("Norm over a first uniform of 0 reported no redraw")
+	}
+	// The stream skips the zero: OpenFloat64 is the second uniform, and
+	// Norm the pair of the second and third.
+	past := zero
+	past.Float64()
+	wantU := past
+	u := wantU.Float64()
+	if got := (&Stream{core: zero}).OpenFloat64(); math.Float64bits(got) != math.Float64bits(u) {
+		t.Fatalf("stream OpenFloat64 %v, want the second uniform %v", got, u)
+	}
+	wantZ, ok := past.Norm()
+	if !ok {
+		t.Fatal("the second and third uniforms redraw too")
+	}
+	if got := (&Stream{core: zero}).Norm(); math.Float64bits(got) != math.Float64bits(wantZ) {
+		t.Fatalf("stream Norm %v, want the next pair's %v", got, wantZ)
+	}
+	// The transform itself is non-finite where the check must catch it.
+	for _, uv := range [][2]float64{{0, 0}, {0, 0.5}, {math.NaN(), 0.25}, {-1, 0}} {
+		if z, _, _ := boxMuller(uv[0], uv[1]); finite(z) {
+			t.Fatalf("boxMuller(%v, %v) = %v, finite", uv[0], uv[1], z)
+		}
+	}
+	if z, _, _ := boxMuller(0.5, 0.125); !finite(z) {
+		t.Fatalf("boxMuller(0.5, 0.125) = %v, not finite", z)
 	}
 }

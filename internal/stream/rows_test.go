@@ -33,15 +33,22 @@ func perValue(t *testing.T, c *ScenarioCursor, tuple, scen int) float64 {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // rowCursors returns single- and multi-term cursors, masked and unmasked,
-// over a relation with a deterministic and two stochastic attributes.
+// over a relation with a deterministic and three stochastic attributes. One
+// single-term cursor has a constant and a negative, non-unit coefficient,
+// so a fold that reassociated Const + Coef·v would not match.
 func rowCursors(t *testing.T, n int) []*ScenarioCursor {
 	t.Helper()
 	rel := testRelation(t, n)
 	ds := make([]dist.Dist, n)
+	choices := make([]dist.Dist, n)
 	for i := range ds {
 		ds[i] = dist.Pareto{Sigma: 0.5, Alpha: 1}
+		choices[i] = &dist.UniformChoice{Values: []float64{0.1 * float64(i), -3.7, 1e-3, float64(i % 4)}}
 	}
 	if err := rel.AddStoch("tail", &relation.IndependentVG{AttrID: 8, Dists: ds}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AddStoch("choice", &relation.IndependentVG{AttrID: 9, Dists: choices}); err != nil {
 		t.Fatal(err)
 	}
 	mask := make([]bool, n)
@@ -54,6 +61,7 @@ func rowCursors(t *testing.T, n int) []*ScenarioCursor {
 	for _, m := range [][]bool{nil, mask} {
 		out = append(out,
 			&ScenarioCursor{Name: "one", Src: src, Rel: rel, Terms: []Term{{Coef: 1, Attr: "gain"}}, Mask: m},
+			&ScenarioCursor{Name: "affine", Src: src, Rel: rel, Const: 0.3, Terms: []Term{{Coef: -1.7, Attr: "choice"}}, Mask: m},
 			&ScenarioCursor{Name: "multi", Src: src, Rel: rel, Const: 0.75, Terms: multi, Mask: m, Block: 3})
 	}
 	return out

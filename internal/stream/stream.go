@@ -325,8 +325,48 @@ func (r *Rows) row(tuple int, scens []int, buf *RowBuf, cached bool) (out []floa
 
 // fold realizes one tuple across chosen and folds it in direction d, in the
 // order of scenario.Set.SummarizeP: initialize from chosen[0], then compare
-// chosen[1:] in order.
+// chosen[1:] in order. A one-term function folds Const + Coef·v, Row's
+// value, straight off the attribute's values, in one loop per direction;
+// any other goes through Row.
 func (r *Rows) fold(tuple int, chosen []int, d scenario.Direction, buf *RowBuf) (float64, error) {
+	c := r.c
+	if len(r.attrs) != 1 {
+		return r.foldRows(tuple, chosen, d, buf)
+	}
+	if c.Mask != nil && !c.Mask[tuple] {
+		return 0, nil
+	}
+	a, cst, coef := r.attrs[0], c.Const, c.Terms[0].Coef
+	var v float64
+	for lo := 0; lo < len(chosen); lo += RowChunk {
+		scens := chosen[lo:min(lo+RowChunk, len(chosen))]
+		vals := buf.tmp[:len(scens)]
+		if err := a.Values(c.Src, tuple, scens, vals); err != nil {
+			return 0, err
+		}
+		if lo == 0 {
+			v, vals = cst+coef*vals[0], vals[1:]
+		}
+		switch d {
+		case Min:
+			for _, x := range vals {
+				if w := cst + coef*x; w < v {
+					v = w
+				}
+			}
+		case Max:
+			for _, x := range vals {
+				if w := cst + coef*x; w > v {
+					v = w
+				}
+			}
+		}
+	}
+	return v, nil
+}
+
+// foldRows is fold over Row's values.
+func (r *Rows) foldRows(tuple int, chosen []int, d scenario.Direction, buf *RowBuf) (float64, error) {
 	var v float64
 	for lo := 0; lo < len(chosen); lo += RowChunk {
 		row, err := r.Row(tuple, chosen[lo:min(lo+RowChunk, len(chosen))], buf)
