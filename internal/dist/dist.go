@@ -45,10 +45,7 @@ type Uniform struct {
 }
 
 // Sample implements Dist.
-func (d Uniform) Sample(s *rng.Stream) float64 { return d.FromUniform(s.Float64()) }
-
-// FromUniform returns the variate of u in [0, 1): Lo + (Hi−Lo)·u.
-func (d Uniform) FromUniform(u float64) float64 { return d.Lo + (d.Hi-d.Lo)*u }
+func (d Uniform) Sample(s *rng.Stream) float64 { return d.Lo + (d.Hi-d.Lo)*s.Float64() }
 
 // Mean implements Dist.
 func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
@@ -61,11 +58,7 @@ type Exponential struct {
 }
 
 // Sample implements Dist.
-func (d Exponential) Sample(s *rng.Stream) float64 { return d.FromUniform(s.OpenFloat64()) }
-
-// FromUniform returns the variate of u in (0, 1) by the inverse survival
-// function: Loc − ln(u)/Lambda, with the operations of Loc + Exp()/Lambda.
-func (d Exponential) FromUniform(u float64) float64 { return d.Loc + -math.Log(u)/d.Lambda }
+func (d Exponential) Sample(s *rng.Stream) float64 { return d.Loc + s.Exp()/d.Lambda }
 
 // Mean implements Dist.
 func (d Exponential) Mean() float64 { return d.Loc + 1/d.Lambda }

@@ -31,19 +31,19 @@ type kernelFamily struct {
 func kernelFamilies() []kernelFamily {
 	choice := []float64{-1.5, 0, 2.25, 7, -0.0}
 	specialized := []kernelFamily{
-		{"UniformChoice", dist.UniformChoice{Values: choice}},
 		{"UniformChoicePtr", &dist.UniformChoice{Values: choice[:3]}},
-		{"Uniform", dist.Uniform{Lo: -0.5, Hi: 3}},
 		{"Normal", dist.Normal{Mu: 4, Sigma: 2.5}},
 		{"ParetoAlpha1", dist.Pareto{Sigma: 0.5, Alpha: 1}},
 		{"ParetoAlpha2.5", dist.Pareto{Sigma: 2, Alpha: 2.5}},
-		{"Exponential", dist.Exponential{Lambda: 1.5, Loc: -1}},
 	}
 	out := append([]kernelFamily(nil), specialized...)
 	for i, f := range specialized {
 		out = append(out, kernelFamily{"Shifted" + f.name, dist.Shifted{Off: float64(i) - 2.5, D: f.d}})
 	}
 	return append(out,
+		kernelFamily{"UniformChoice", dist.UniformChoice{Values: choice}},
+		kernelFamily{"Uniform", dist.Uniform{Lo: -0.5, Hi: 3}},
+		kernelFamily{"Exponential", dist.Exponential{Lambda: 1.5, Loc: -1}},
 		kernelFamily{"Poisson", dist.Poisson{Lambda: 2, Loc: -2}},
 		kernelFamily{"PoissonNormalApprox", dist.Poisson{Lambda: 40, Loc: 0}},
 		kernelFamily{"StudentT", dist.StudentT{Nu: 2, Loc: 0, Scale: 1}},

@@ -77,9 +77,10 @@ func (vg *IndependentVG) Value(src rng.Source, tuple, scenario int) float64 {
 	return sample(vg.distFor(tuple), src.SeedAt(vg.AttrID, uint64(tuple), uint64(scenario)))
 }
 
-// values realizes a row of the leaf families the workloads draw from, and
-// Shifted of them, with one loop per family. Each value takes its generator
-// from SeedRow.Core by value and draws with the distribution's Sample
+// values realizes a row of the leaf families the workloads realize, and
+// Shifted of them, with one loop per family: *UniformChoice (TPC-H),
+// Normal and Pareto (Galaxy). Each value takes its generator from
+// SeedRow.Core by value and draws with the distribution's Sample
 // operations, from the uniform or normal variate up. The core reports the
 // draws where Sample would draw again (an open uniform of 0, a non-finite
 // Box–Muller result), and that one value is then sampled from a stream,
@@ -94,10 +95,6 @@ func (vg *IndependentVG) values(src rng.Source, tuple int, scens []int, out []fl
 	}
 	switch l := leaf.(type) {
 	case *dist.UniformChoice:
-		choiceRow(*l, sh, seeds, scens, out)
-	case dist.UniformChoice:
-		choiceRow(l, sh, seeds, scens, out)
-	case dist.Uniform:
 		for k, j := range scens {
 			c := seeds.Core(uint64(j))
 			out[k] = sh.add(l.FromUniform(c.Float64()))
@@ -121,16 +118,6 @@ func (vg *IndependentVG) values(src rng.Source, tuple int, scens []int, out []fl
 				out[k] = sample(d, seeds.At(uint64(j)))
 			}
 		}
-	case dist.Exponential:
-		for k, j := range scens {
-			c := seeds.Core(uint64(j))
-			u := c.Float64()
-			if u > 0 {
-				out[k] = sh.add(l.FromUniform(u))
-			} else {
-				out[k] = sample(d, seeds.At(uint64(j)))
-			}
-		}
 	default:
 		s := streams.Get().(*rng.Stream)
 		for k, j := range scens {
@@ -138,14 +125,6 @@ func (vg *IndependentVG) values(src rng.Source, tuple int, scens []int, out []fl
 			out[k] = d.Sample(s)
 		}
 		streams.Put(s)
-	}
-}
-
-// choiceRow is values' loop for a UniformChoice.
-func choiceRow(d dist.UniformChoice, sh shift, seeds rng.SeedRow, scens []int, out []float64) {
-	for k, j := range scens {
-		c := seeds.Core(uint64(j))
-		out[k] = sh.add(d.FromUniform(c.Float64()))
 	}
 }
 

@@ -211,6 +211,11 @@ func (s *Stream) Norm() float64 {
 	}
 }
 
+// Exp returns a standard (rate 1) exponential variate.
+func (s *Stream) Exp() float64 {
+	return -math.Log(s.OpenFloat64())
+}
+
 // Source derives substreams for the coordinates used by scenario generation.
 // It is cheap to copy and safe for concurrent use (it is immutable).
 type Source struct {

@@ -108,6 +108,18 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+func TestExpMean(t *testing.T) {
+	s := NewStream(8)
+	const n = 200000
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += s.Exp()
+	}
+	if mean := sum / n; math.Abs(mean-1) > 0.02 {
+		t.Fatalf("exponential mean = %v, want ~1", mean)
+	}
+}
+
 func TestIntNBounds(t *testing.T) {
 	s := NewStream(11)
 	counts := make([]int, 7)
