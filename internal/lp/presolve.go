@@ -12,9 +12,9 @@
 //
 // Reductions run to a fixpoint over a row store that PresolveRows fills
 // from rows as a caller writes them (the MILP layer's model). A column
-// whose bounds are both 0 never enters the store: it is eliminated at 0
-// before the first pass, which the passes cannot tell from fixing it
-// there. The result is a smaller Problem plus a postsolve map that
+// whose bounds are [+0, 0] never enters the store: it is eliminated at 0
+// before the first pass, and the rest reduces as it would with that column
+// deleted. The result is a smaller Problem plus a postsolve map that
 // restores eliminated variables in solution vectors. All reductions are
 // integrality-aware (an `integer` mask rounds tightened bounds inward and
 // keeps fixings integral), so the reduced problem is an equally valid MILP
@@ -115,14 +115,6 @@ type presolver struct {
 	// fracInt[j] flags an integer column with a fractional bound, which
 	// quiet leaves to the full computation.
 	fracInt []bool
-	// dropped counts the zero-fixed columns eliminated before the store was
-	// built (dropZeroFixed). dead[i] counts row i's nonzero terms on them,
-	// −1 when the row does not say how many (it repeats a column); src
-	// reads a row again, those terms included, for the first pass to decide
-	// a row they could decide (reduceRow).
-	dropped int
-	dead    []int32
-	src     Rows
 
 	fixed      []float64
 	elim       []bool
@@ -143,10 +135,11 @@ type Rows interface {
 	Col(j int) (obj, lo, hi float64, integer bool)
 	// Row reports row i's terms through t and returns its bounds. Terms
 	// follow AddRow's rules: zeros are skipped, a repeated index sums into
-	// its first nonzero occurrence.
+	// its first nonzero occurrence. Terms on a column whose bounds are
+	// [+0, 0] are dropped unread.
 	Row(i int, t *RowTerms) (lo, hi float64)
 	// NumTerms bounds from above the count of terms on columns whose
-	// bounds are not both 0; it sizes the row store, which grows past it if
+	// bounds are not [+0, 0]; it sizes the row store, which grows past it if
 	// it is short.
 	NumTerms() int
 }
@@ -158,9 +151,8 @@ type RowTerms struct {
 	col    []int32
 	coef   []float64
 	start  int  // the current row's first entry
-	last   int  // the current row's last column, dropped terms included
-	sorted bool // the current row's columns strictly increase, likewise
-	dead   int  // the current row's dropped terms
+	last   int  // the current row's last stored column
+	sorted bool // the current row's stored columns strictly increase
 }
 
 // Add adds the term a·x_j.
@@ -171,14 +163,13 @@ func (t *RowTerms) Add(j int, a float64) {
 	if j < 0 || j >= t.n {
 		panic(fmt.Sprintf("lp: row term variable index %d out of range", j))
 	}
+	if t.alive != nil && !t.alive[j] {
+		return
+	}
 	if j <= t.last {
 		t.sorted = false
 	}
 	t.last = j
-	if t.alive != nil && !t.alive[j] {
-		t.dead++
-		return
-	}
 	t.col = append(t.col, int32(j))
 	t.coef = append(t.coef, a)
 }
@@ -190,17 +181,13 @@ func (t *RowTerms) AddDense(coefs []float64) {
 	}
 	alive := t.alive
 	for k, a := range coefs {
-		if a == 0 {
+		if a == 0 || alive != nil && !alive[k] {
 			continue
 		}
 		if k <= t.last {
 			t.sorted = false
 		}
 		t.last = k
-		if alive != nil && !alive[k] {
-			t.dead++
-			continue
-		}
 		t.col = append(t.col, int32(k))
 		t.coef = append(t.coef, a)
 	}
@@ -213,7 +200,7 @@ func (t *RowTerms) next() {
 	if !t.sorted {
 		t.normalize()
 	}
-	t.start, t.last, t.sorted, t.dead = len(t.col), -1, true, 0
+	t.start, t.last, t.sorted = len(t.col), -1, true
 }
 
 func (t *RowTerms) normalize() {
@@ -241,8 +228,9 @@ func (t *RowTerms) normalize() {
 }
 
 // PresolveRows reduces a problem given in row form. It reduces the Problem
-// the same rows would build through AddRows, bit for bit, without building
-// it: the rows go straight into the presolver's row store.
+// the same rows would build through AddRows, less the columns whose bounds
+// are [+0, 0], bit for bit, without building it: the rows go straight into
+// the presolver's row store.
 func PresolveRows(r Rows) *Presolved {
 	ps := rowsPresolver(r)
 	ps.run()
@@ -256,19 +244,12 @@ func rowsPresolver(r Rows) *presolver {
 	for j := 0; j < n; j++ {
 		ps.obj[j], ps.lo[j], ps.hi[j], ps.integer[j] = r.Col(j)
 	}
-	ps.dropZeroFixed(r)
 	t := &RowTerms{n: n, col: make([]int32, 0, r.NumTerms()), coef: make([]float64, 0, r.NumTerms()), last: -1, sorted: true}
-	if ps.dropped > 0 {
+	if ps.dropZeroFixed() {
 		t.alive = ps.colAlive
 	}
 	for i := 0; i < m; i++ {
 		ps.rowLo[i], ps.rowHi[i] = r.Row(i, t)
-		if t.dead > 0 {
-			ps.dead[i] = int32(t.dead)
-			if !t.sorted { // a dropped column may repeat: no count
-				ps.dead[i] = -1
-			}
-		}
 		t.next()
 		ps.rowStart[i+1], ps.rowEnd[i] = len(t.col), len(t.col)
 	}
@@ -309,47 +290,19 @@ func newPresolver(n, m, nnz int) *presolver {
 	return ps
 }
 
-// dropZeroFixed eliminates at 0 every column whose bounds are both 0 (the
-// lower one +0, the value colPass would fix it at), before the row store is
-// built, so that none of its terms enters it. The first colPass would fix
-// such a column there (its bounds can only move to an infeasible verdict),
-// and its terms add ±0 to every activity sum and row side, which changes
-// none of them but the sign of a side of −0 (signDroppedZeros). What the
-// first pass reads of them otherwise, rowPass reads from src.
-func (ps *presolver) dropZeroFixed(src Rows) {
+// dropZeroFixed eliminates at +0 every column whose bounds are [+0, 0],
+// before the row store is built, so that none of its terms enters it and
+// presolve reduces the rest as it would with the column deleted (a pinned
+// column, milp.Model.SetPinned, is one). It reports whether it dropped one.
+func (ps *presolver) dropZeroFixed() bool {
+	dropped := false
 	for j := 0; j < ps.n; j++ {
 		if math.Float64bits(ps.lo[j]) == 0 && ps.hi[j] == 0 {
 			ps.colAlive[j], ps.elim[j] = false, true
-			ps.objOffset += ps.obj[j] * 0
-			ps.dropped++
+			dropped = true
 		}
 	}
-	if ps.dropped > 0 {
-		ps.dead, ps.src = make([]int32, ps.m), src
-	}
-}
-
-// signDroppedZeros subtracts the dropped columns' ±0 terms from the live
-// rows' sides where it shows, after the first pass, where substitute would
-// have subtracted them had they entered the store: a side of −0 less a term
-// of −0 is +0. Every other zero subtraction leaves a side as it is, and a
-// side still −0 after the first substitution had no −0 subtracted, so the
-// columns that pass fixed, which the whole row also holds, change nothing
-// here.
-func (ps *presolver) signDroppedZeros() {
-	negZero := func(v float64) bool { return v == 0 && math.Signbit(v) }
-	for i, alive := range ps.rowAlive {
-		if !alive || ps.dead[i] == 0 || !negZero(ps.rowLo[i]) && !negZero(ps.rowHi[i]) {
-			continue
-		}
-		cols, coefs := ps.fullRow(i)
-		for k, j := range cols {
-			if s := coefs[k] * ps.fixed[j]; !ps.colAlive[j] && negZero(s) {
-				ps.rowLo[i] -= s
-				ps.rowHi[i] -= s
-			}
-		}
-	}
+	return dropped
 }
 
 // run applies the initial integrality rounding and the reduction passes to
@@ -357,9 +310,8 @@ func (ps *presolver) signDroppedZeros() {
 // dropped rows, and leaves the next pass nothing to do: the loop ends
 // there.
 func (ps *presolver) run() {
-	// Rounding moves only an integer column's fractional bound (a dropped
-	// column's [+0, 0] is integral); any other column gets only tighten's
-	// crossed-bounds check.
+	// Rounding moves only an integer column's fractional bound; any other
+	// column gets only tighten's crossed-bounds check.
 	for j := 0; j < ps.n; j++ {
 		if lo, hi := ps.lo[j], ps.hi[j]; ps.integer != nil && ps.integer[j] && (lo != math.Floor(lo) || hi != math.Floor(hi)) {
 			ps.tighten(j, lo, hi)
@@ -368,11 +320,8 @@ func (ps *presolver) run() {
 		}
 	}
 	for pass := 0; pass < presolveMaxPasses && !ps.infeasible && !ps.unbounded; pass++ {
-		// The dropped columns stand in the first pass as if colPass fixed
-		// them there: their rows lose their terms only after it.
-		first := pass == 0 && ps.dropped > 0
-		ps.changed = first
-		ps.rowPass(first)
+		ps.changed = false
+		ps.rowPass()
 		if ps.infeasible {
 			break
 		}
@@ -382,9 +331,6 @@ func (ps *presolver) run() {
 		}
 		if ps.fixedAny {
 			ps.substitute()
-		}
-		if first {
-			ps.signDroppedZeros()
 		}
 		if !ps.changed {
 			break
@@ -520,36 +466,22 @@ func (ps *presolver) contrib(j int, a float64) (cmin, cmax float64) {
 }
 
 // rowPass applies the row reductions: empty, singleton, redundancy, and
-// per-entry implied-bound tightening. In the first pass after columns were
-// dropped (partial), a row whose dropped terms could decide something is
-// read again whole from src (reduceRow).
-func (ps *presolver) rowPass(partial bool) {
+// per-entry implied-bound tightening.
+func (ps *presolver) rowPass() {
 	for i := range ps.rowAlive {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		cols, coefs := ps.rowCol[ps.rowStart[i]:ps.rowEnd[i]], ps.rowCoef[ps.rowStart[i]:ps.rowEnd[i]]
-		if !ps.reduceRow(i, cols, coefs, partial) {
-			cols, coefs = ps.fullRow(i)
-			ps.reduceRow(i, cols, coefs, false)
-		}
+		ps.reduceRow(i)
 		if ps.infeasible {
 			return
 		}
 	}
 }
 
-// reduceRow reduces row i over its terms cols/coefs. With partial, the
-// row's ps.dead[i] terms on dropped columns are missing. Such a column sits
-// at [0, 0], so its term adds ±0 to the activity range; it counts for the
-// empty and singleton tests, and an implied bound of its own can only find
-// the problem infeasible, which needs a side the rest of the row misses
-// (rowLo above its maximum activity, rowHi below its minimum). Where these
-// terms could decide something (beside one live term, in an unknown count;
-// with a side missed, unless two or more make the row's activity [0, 0]),
-// reduceRow returns false before it changes anything, and the row must be
-// reduced whole.
-func (ps *presolver) reduceRow(i int, cols []int32, coefs []float64, partial bool) bool {
+// reduceRow reduces row i over its stored terms.
+func (ps *presolver) reduceRow(i int) {
+	cols, coefs := ps.rowCol[ps.rowStart[i]:ps.rowEnd[i]], ps.rowCoef[ps.rowStart[i]:ps.rowEnd[i]]
 	// Term count and activity range with infinity counting, in one walk.
 	nnz := 0
 	var sj int
@@ -575,35 +507,21 @@ func (ps *presolver) reduceRow(i int, cols []int32, coefs []float64, partial boo
 			maxSum += cmax
 		}
 	}
-	if partial && ps.dead[i] != 0 {
-		d := ps.dead[i]
-		missed := !isNegInf(ps.rowLo[i]) && maxInf == 0 && ps.rowLo[i] > maxSum ||
-			!isPosInf(ps.rowHi[i]) && minInf == 0 && ps.rowHi[i] < minSum
-		switch {
-		case nnz == 0 && d >= 2:
-			// An activity of [0, 0]: the row is tested as an empty one,
-			// and goes infeasible or is dropped before any implied bound.
-		case d < 0 && nnz == 1, missed:
-			return false
-		case nnz == 1:
-			nnz = 2 // not a singleton row while the dropped terms count
-		}
-	}
 	switch nnz {
 	case 0:
 		if ps.rowLo[i] > presolveTol || ps.rowHi[i] < -presolveTol {
 			ps.infeasible = true
-			return true
+			return
 		}
 		ps.killRow(i)
-		return true
+		return
 	case 1:
 		lo, hi := impliedFromRange(ps.rowLo[i], ps.rowHi[i], sa)
 		ps.tighten(sj, lo, hi)
 		if !ps.infeasible {
 			ps.killRow(i)
 		}
-		return true
+		return
 	}
 	actMin, actMax := minSum, maxSum
 	if minInf > 0 {
@@ -614,11 +532,11 @@ func (ps *presolver) reduceRow(i int, cols []int32, coefs []float64, partial boo
 	}
 	if actMin > ps.rowHi[i]+presolveTol || actMax < ps.rowLo[i]-presolveTol {
 		ps.infeasible = true
-		return true
+		return
 	}
 	if actMin >= ps.rowLo[i]-presolveTol && actMax <= ps.rowHi[i]+presolveTol {
 		ps.killRow(i)
-		return true
+		return
 	}
 	// Implied bounds per entry from the row's residual activity.
 	for k, j := range cols {
@@ -635,19 +553,9 @@ func (ps *presolver) reduceRow(i int, cols []int32, coefs []float64, partial boo
 		lo, hi := impliedEntryRange(aLo, aHi, a)
 		ps.tighten(int(j), lo, hi)
 		if ps.infeasible {
-			return true
+			return
 		}
 	}
-	return true
-}
-
-// fullRow reads row i again from src, the terms of dropped columns
-// included, as the row store would hold it had none been dropped.
-func (ps *presolver) fullRow(i int) ([]int32, []float64) {
-	t := &RowTerms{n: ps.n, last: -1, sorted: true}
-	ps.src.Row(i, t)
-	t.next()
-	return t.col, t.coef
 }
 
 // quiet reports that aLo ≤ a·x_j ≤ aHi provably leaves x_j's bounds where

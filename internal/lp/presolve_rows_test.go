@@ -233,12 +233,12 @@ func (ps *presolver) oracleColPass(p *Problem) {
 
 // oraclePresolve is PresolveProblem with the passes as they were before
 // the row store was compacted: oracleRowPass and oracleColPass to a
-// fixpoint, over a store that holds every column, zero-fixed ones
-// included, and until a pass neither changes a bound nor drops a row
-// (killOnly counts the passes that only dropped rows). The dead columns
-// leave the rows, untouched, only for reduce.
+// fixpoint, over the store less the columns whose bounds are [+0, 0], and
+// until a pass neither changes a bound nor drops a row (killOnly counts the
+// passes that only dropped rows). The columns oracleColPass fixed leave the
+// rows, untouched, only for reduce.
 func oraclePresolve(p *Problem, integer []bool) (pr *Presolved, killOnly int) {
-	ps := cscStore(p, nil, nil, integer, false)
+	ps := cscPresolver(p, nil, nil, integer)
 	for j := 0; j < ps.n; j++ {
 		ps.tighten(j, ps.lo[j], ps.hi[j])
 	}
@@ -528,10 +528,10 @@ func dropShapes(r *testRows) (none, one int) {
 // zeroFixedTies are one-row problems over up to two columns in [0, 1] and
 // one or two zero-fixed ones, whose live terms miss a side of the row by
 // about presolveTol, on either side of it: where an implied bound of a
-// zero-fixed column can find the problem infeasible, and where the
-// singleton and empty-row tests, which count the zero-fixed terms, decide;
-// some repeat a zero-fixed column. Others have a side of −0 that a
-// zero-fixed term of −0 turns +0.
+// stored zero-fixed column could find the problem infeasible, and where the
+// singleton and empty-row tests would count its terms; some repeat a
+// zero-fixed column. Others have a side of −0 that subtracting a stored
+// zero-fixed term of −0 would turn +0.
 func zeroFixedTies() []*testRows {
 	var out []*testRows
 	for live := 0; live <= 2; live++ {
@@ -604,7 +604,7 @@ func zeroFixedTies() []*testRows {
 // killOnlyPasses are problems one of whose passes only drops a row: a
 // singleton row tightens x after a row that its new bound makes redundant,
 // beside a row that bounds nothing; one variant holds a zero-fixed column.
-// In the last, dropping a zero-fixed column is all the first pass changes.
+// In the last, the zero-fixed column's deletion leaves a singleton row.
 func killOnlyPasses() []*testRows {
 	var out []*testRows
 	for _, integer := range []bool{false, true} {
@@ -624,10 +624,9 @@ func killOnlyPasses() []*testRows {
 			out = append(out, r)
 		}
 	}
-	// The drop is the first pass's only change: x + 2z ≤ 3 − 5e-7 bounds
-	// the integer x in [0, 3] to within its rounding slack, so the row is
-	// not redundant and moves nothing while z's term counts; only the next
-	// pass finds it a singleton row and drops it.
+	// x + 2z ≤ 3 − 5e-7 bounds the integer x in [0, 3] to within its
+	// rounding slack, so the row would be neither redundant nor a singleton
+	// while z's term counted.
 	out = append(out, &testRows{obj: []float64{-1, 1}, lo: []float64{0, 0}, hi: []float64{3, 0}, integer: []bool{true, true},
 		rows: []oracleRow{{idxs: []int{0, 1}, coefs: []float64{1, 2}, lo: math.Inf(-1), hi: 3 - 5e-7}}})
 	return out
@@ -652,6 +651,18 @@ func pinnedRoot(r *testRows) *testRows {
 	return p
 }
 
+// fuzzRows is FuzzLP's problem of seed under random integrality, and the
+// same with a third of its columns fixed at 0.
+func fuzzRows(seed uint64) (r, zero *testRows) {
+	s := rng.NewStream(seed)
+	f := randomFuzzLP(s)
+	r = &testRows{obj: f.p.obj, lo: f.lo, hi: f.hi, integer: make([]bool, len(f.lo)), rows: f.rows, short: true}
+	for j := range r.integer {
+		r.integer[j] = s.IntN(2) == 0
+	}
+	return r, zeroFixed(s, r)
+}
+
 // TestPresolveRowsMatchesCSC: presolving rows straight from their source
 // gives, bit for bit, PresolveProblem over the AddRows matrix of the same
 // rows, on FuzzLP's generator (under random integrality, and with a third
@@ -659,18 +670,12 @@ func pinnedRoot(r *testRows) *testRows {
 // side that only zero-fixed columns reach, on passes that only drop rows
 // and on CSA-shaped 6 × 20 000 roots, half of them pinned; and so does
 // presolve with the passes as they were before compaction, quiet,
-// substitute, the zero-fixed columns' drop and the end at a pass that only
-// drops rows (oraclePresolve).
+// substitute and the end at a pass that only drops rows (oraclePresolve).
 func TestPresolveRowsMatchesCSC(t *testing.T) {
 	var inputs []*testRows
 	for seed := uint64(1); seed <= 400; seed++ {
-		s := rng.NewStream(seed)
-		f := randomFuzzLP(s)
-		r := &testRows{obj: f.p.obj, lo: f.lo, hi: f.hi, integer: make([]bool, len(f.lo)), rows: f.rows, short: true}
-		for j := range r.integer {
-			r.integer[j] = s.IntN(2) == 0
-		}
-		inputs = append(inputs, r, zeroFixed(s, r))
+		r, zero := fuzzRows(seed)
+		inputs = append(inputs, r, zero)
 	}
 	inputs = append(inputs, nearTies()...)
 	inputs = append(inputs, zeroFixedTies()...)
@@ -710,6 +715,99 @@ func TestPresolveRowsMatchesCSC(t *testing.T) {
 	}
 	t.Logf("%d partly reduced problems, %d CSA columns eliminated, %d passes that only drop rows, "+
 		"%d and %d rows left with no and one term by zero-fixed columns, %d infeasible", reduced, eliminated, killOnly, noneLive, oneLive, infeasible)
+}
+
+// withoutZeroFixed is r with its [+0, 0] columns deleted, and idx, each
+// original column's index in it (−1 where deleted).
+func withoutZeroFixed(r *testRows) (d *testRows, idx []int) {
+	idx = make([]int, len(r.obj))
+	d = &testRows{short: r.short}
+	for j := range r.obj {
+		idx[j] = -1
+		if math.Float64bits(r.lo[j]) == 0 && r.hi[j] == 0 {
+			continue
+		}
+		idx[j] = len(d.obj)
+		d.obj, d.lo, d.hi = append(d.obj, r.obj[j]), append(d.lo, r.lo[j]), append(d.hi, r.hi[j])
+		d.integer = append(d.integer, r.integer != nil && r.integer[j])
+	}
+	for _, row := range r.rows {
+		out := oracleRow{idxs: []int{}, lo: row.lo, hi: row.hi} // sparse, even when empty
+		for k, a := range row.coefs {
+			j := k
+			if row.idxs != nil {
+				j = row.idxs[k]
+			}
+			if idx[j] >= 0 {
+				out.idxs, out.coefs = append(out.idxs, idx[j]), append(out.coefs, a)
+			}
+		}
+		d.rows = append(d.rows, out)
+	}
+	return d, idx
+}
+
+// TestPresolveZeroFixedColumnIsAbsent: presolving a problem gives, bit for
+// bit, the presolve of the same problem with its [+0, 0] columns deleted
+// (verdicts, offset, counts, bounds, column map, reduced problem), and
+// Postsolve writes +0 at the deleted columns; on FuzzLP's generator with a
+// third of its columns fixed at 0, on the near ties of a row side that only
+// zero-fixed columns reach and on pinned CSA-shaped 6 × 20 000 roots.
+func TestPresolveZeroFixedColumnIsAbsent(t *testing.T) {
+	var inputs []*testRows
+	for seed := uint64(1); seed <= 400; seed++ {
+		_, zero := fuzzRows(seed)
+		inputs = append(inputs, zero)
+	}
+	inputs = append(inputs, zeroFixedTies()...)
+	s := rng.NewStream(99)
+	for k := 0; k < 4; k++ {
+		inputs = append(inputs, pinnedCSA(s, 20000, 4, k < 2))
+	}
+	deleted, feasible := 0, 0
+	for i, r := range inputs {
+		label := fmt.Sprintf("input %d (%d×%d)", i, len(r.rows), len(r.obj))
+		d, idx := withoutZeroFixed(r)
+		got, want := PresolveRows(r), PresolveRows(d)
+		// got in the deleted problem's columns; a verdict counts nothing.
+		gone := len(r.obj) - len(d.obj)
+		inDeleted := *got
+		inDeleted.n = len(d.obj)
+		if got.Reduced != nil {
+			inDeleted.ColsRemoved -= gone
+		}
+		inDeleted.fixed, inDeleted.elim = make([]float64, len(d.obj)), make([]bool, len(d.obj))
+		for j, k := range idx {
+			if k >= 0 {
+				inDeleted.fixed[k], inDeleted.elim[k] = got.fixed[j], got.elim[j]
+			} else if !got.elim[j] || math.Float64bits(got.fixed[j]) != 0 {
+				t.Fatalf("%s: deleted column %d eliminated %t at %v, want at +0", label, j, got.elim[j], got.fixed[j])
+			}
+		}
+		inDeleted.colMap = make([]int, len(got.colMap))
+		for c, j := range got.colMap {
+			if idx[j] < 0 {
+				t.Fatalf("%s: deleted column %d left in the reduced problem", label, j)
+			}
+			inDeleted.colMap[c] = idx[j]
+		}
+		samePresolved(t, label, &inDeleted, want)
+		deleted += gone
+		if got.Reduced == nil {
+			continue
+		}
+		feasible++
+		x, dx := got.Postsolve(got.Lo), want.Postsolve(want.Lo)
+		for j, k := range idx {
+			if k >= 0 && !sameBits(x[j], dx[k]) || k < 0 && math.Float64bits(x[j]) != 0 {
+				t.Fatalf("%s: postsolve writes %v at column %d", label, x[j], j)
+			}
+		}
+	}
+	if deleted < 20000 || feasible < 100 {
+		t.Fatalf("corpus too tame: %d columns deleted, %d problems left feasible", deleted, feasible)
+	}
+	t.Logf("%d columns deleted, %d problems left feasible", deleted, feasible)
 }
 
 // BenchmarkPresolveWide presolves a CSA-shaped 6 × 20 000 root (4

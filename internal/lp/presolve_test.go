@@ -17,14 +17,8 @@ func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 }
 
 // cscPresolver transposes p's columns into the row store, less those of
-// the columns whose bounds are both 0, as rowsPresolver leaves them out.
+// the columns whose bounds are [+0, 0], as rowsPresolver leaves them out.
 func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
-	return cscStore(p, lo, hi, integer, true)
-}
-
-// cscStore transposes p's columns into the row store; with drop, it first
-// eliminates the zero-fixed columns and leaves their entries out.
-func cscStore(p *Problem, lo, hi []float64, integer []bool, drop bool) *presolver {
 	if lo == nil {
 		lo = p.varLo
 	}
@@ -37,9 +31,7 @@ func cscStore(p *Problem, lo, hi []float64, integer []bool, drop bool) *presolve
 	copy(ps.hi, hi)
 	copy(ps.rowLo, p.rowLo)
 	copy(ps.rowHi, p.rowHi)
-	if drop {
-		ps.dropZeroFixed(cscRows{p})
-	}
+	ps.dropZeroFixed()
 	for j := 0; j < ps.n; j++ {
 		if ps.colAlive[j] {
 			for _, i := range p.rowIdx[p.colStart[j]:p.colStart[j+1]] {
@@ -53,11 +45,6 @@ func cscStore(p *Problem, lo, hi []float64, integer []bool, drop bool) *presolve
 	copy(ps.rowEnd, ps.rowStart[:ps.m])
 	for j := 0; j < ps.n; j++ {
 		if !ps.colAlive[j] {
-			for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
-				if p.coef[t] != 0 {
-					ps.dead[p.rowIdx[t]]++
-				}
-			}
 			continue
 		}
 		for t := p.colStart[j]; t < p.colStart[j+1]; t++ {
@@ -68,29 +55,6 @@ func cscStore(p *Problem, lo, hi []float64, integer []bool, drop bool) *presolve
 		ps.colRows[j] = int32(p.colStart[j+1] - p.colStart[j])
 	}
 	return ps
-}
-
-// cscRows reads a Problem's rows back out of its columns, for the first
-// pass to read a row whole (presolver.fullRow).
-type cscRows struct{ p *Problem }
-
-func (r cscRows) NumCols() int  { return r.p.nvars }
-func (r cscRows) NumRows() int  { return len(r.p.rowLo) }
-func (r cscRows) NumTerms() int { return len(r.p.coef) }
-
-func (r cscRows) Col(j int) (obj, lo, hi float64, integer bool) {
-	return r.p.obj[j], r.p.varLo[j], r.p.varHi[j], false
-}
-
-func (r cscRows) Row(i int, t *RowTerms) (lo, hi float64) {
-	for j := 0; j < r.p.nvars; j++ {
-		for k := r.p.colStart[j]; k < r.p.colStart[j+1]; k++ {
-			if int(r.p.rowIdx[k]) == i {
-				t.Add(j, r.p.coef[k])
-			}
-		}
-	}
-	return r.p.rowLo[i], r.p.rowHi[i]
 }
 
 func TestPresolveEmptyRowDropped(t *testing.T) {

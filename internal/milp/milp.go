@@ -204,11 +204,12 @@ func (m *Model) AddBinary(obj float64) int {
 func (m *Model) SetObj(j int, obj float64) { m.vars[j].obj = obj }
 
 // SetPinned pins variable j, whose lower bound must be 0, at 0, or unpins
-// it. A pinned variable's upper bound is 0 for presolve and for the
-// feasibility check of candidate points, but every indicator's big-M is
-// still derived from its declared box. A formulator pins a variable that
-// one of its rows alone excludes: the model presolves as it would unpinned,
-// without carrying the variable's terms.
+// it. A pinned variable's upper bound is 0 for presolve, which deletes it
+// before its first pass, and for the feasibility check of candidate points,
+// but every indicator's big-M is still derived from its declared box. A
+// formulator pins a variable that one of its rows alone excludes, which
+// presolve would fix at 0 from that row: the model presolves without
+// carrying the variable's terms.
 func (m *Model) SetPinned(j int, pinned bool) { m.vars[j].pin = flag(pinned) }
 
 // Pinned reports whether variable j is pinned.

@@ -78,6 +78,10 @@ const roundSize = 64
 // counts as integral.
 const intTol = 1e-6
 
+// feasTol is how far a candidate point may miss a bound, a row side or
+// integrality and still count as feasible (checkFeasible, simpleRound).
+const feasTol = 1e-6
+
 // nodeBasis is a branching node's optimal basis, the warm start of its
 // children. refs counts the children not yet solved; when the merge section
 // brings it to zero the buffer goes back to a worker's free list.
@@ -1007,9 +1011,8 @@ func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScra
 			sc.act[i] += coefs[k] * r
 		}
 	}
-	const tol = 1e-6 // checkFeasible's
 	for i, a := range sc.act {
-		if lo, hi := st.red.RowBounds(i); a < lo-tol || a > hi+tol {
+		if lo, hi := st.red.RowBounds(i); a < lo-feasTol || a > hi+feasTol {
 			return incumbent{}
 		}
 	}
@@ -1042,22 +1045,21 @@ func (st *search) roundCol(j int, v float64, sc *bbScratch) (r float64, ok bool)
 // constraints, bounds, and integrality in the full model space; it returns
 // the objective value.
 func (st *search) checkFeasible(x []float64) (float64, bool) {
-	const tol = 1e-6
 	if len(x) != len(st.model.vars) {
 		return 0, false
 	}
 	obj := 0.0
 	for j, v := range st.model.vars {
-		if lo, hi := v.box(); x[j] < lo-tol || x[j] > hi+tol {
+		if lo, hi := v.box(); x[j] < lo-feasTol || x[j] > hi+feasTol {
 			return 0, false
 		}
-		if v.integer && math.Abs(x[j]-math.Round(x[j])) > tol {
+		if v.integer && math.Abs(x[j]-math.Round(x[j])) > feasTol {
 			return 0, false
 		}
 		obj += v.obj * x[j]
 	}
 	for _, r := range st.model.rows {
-		if dot := dotTerms(r.idxs, r.coefs, x); dot < r.lo-tol || dot > r.hi+tol {
+		if dot := dotTerms(r.idxs, r.coefs, x); dot < r.lo-feasTol || dot > r.hi+feasTol {
 			return 0, false
 		}
 	}
@@ -1066,10 +1068,10 @@ func (st *search) checkFeasible(x []float64) (float64, bool) {
 			continue
 		}
 		dot := dotTerms(ind.idxs, ind.coefs, x)
-		if ind.ge && dot < ind.rhs-tol {
+		if ind.ge && dot < ind.rhs-feasTol {
 			return 0, false
 		}
-		if !ind.ge && dot > ind.rhs+tol {
+		if !ind.ge && dot > ind.rhs+feasTol {
 			return 0, false
 		}
 	}

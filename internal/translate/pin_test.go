@@ -147,7 +147,7 @@ func excludesAny(rows []*scenario.Summary, i int, v float64) bool {
 
 // TestPinnerUnpinsUnfitRows: a forced row with a negative value pins
 // nothing, and neither does one whose scale dwarfs the margin; a tuple an
-// earlier row pinned stays pinned when a later row is undone.
+// earlier row pinned stays pinned beside a later unfit row.
 func TestPinnerUnpinsUnfitRows(t *testing.T) {
 	m := milp.NewModel()
 	for i := 0; i < 4; i++ {
@@ -155,7 +155,7 @@ func TestPinnerUnpinsUnfitRows(t *testing.T) {
 	}
 	p := newPinner(m, make([]float64, 4), []float64{2, 2, 2, 2})
 	p.exclude([]float64{5, 0, 1, 5}, 2)
-	p.exclude([]float64{5, 6, 7, -1}, 2) // tuples 1 and 2 pinned, then undone
+	p.exclude([]float64{5, 6, 7, -1}, 2) // would pin tuples 1 and 2
 	p.exclude([]float64{3e6, 1e16, 0, 0}, 0.5)
 	var got []bool
 	for i := 0; i < 4; i++ {

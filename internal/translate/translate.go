@@ -530,9 +530,6 @@ type pinner struct {
 	m     *milp.Model
 	off   bool // a tuple's lower bound is not 0: nothing is pinned
 	maxHi float64
-	// rows and vs are the rows that pinned and their v, in order.
-	rows [][]float64
-	vs   []float64
 }
 
 // newPinner returns the pinner of a model whose first len(lo) variables
@@ -553,54 +550,34 @@ func newPinner(m *milp.Model, lo, hi []float64) *pinner {
 // excludes reports that a forced row Σ vals·x ≤ v pins a tuple of value a.
 func excludes(a, v float64) bool { return v < a*(1-pinMargin) }
 
-// exclude pins, in one pass over a forced row Σ vals·x ≤ v (v ≥ 0), each
-// tuple it excludes. A row with a negative value, or one whose scale (as
-// in milp's big-M derivation, over the tuple bounds) dwarfs the margin,
-// pins nothing: what this pass pinned before finding so is unpinned.
+// exclude pins each tuple that a forced row Σ vals·x ≤ v (v ≥ 0)
+// excludes. The row is checked first: one with a negative value, or one
+// whose scale (as in milp's big-M derivation, over the tuple bounds)
+// dwarfs the margin, pins nothing.
 func (p *pinner) exclude(vals []float64, v float64) {
 	if p.off {
 		return
 	}
 	most := 0.0
-	for i, a := range vals {
+	for _, a := range vals {
 		if !(a >= 0) {
-			p.undo(vals[:i], v)
 			return
 		}
 		if a > most {
 			most = a
 		}
-		// Both computed before the store, which is then no branch on data.
-		ex, pinned := excludes(a, v), p.m.Pinned(i)
-		p.m.SetPinned(i, pinned || ex)
 	}
 	// Presolve fixes a pinned tuple from this row when its margin, above
 	// v·1e-5, exceeds the redundancy slack (1e-9) and the rounding of v and
 	// of the row's activity against big-M, at most 1e-15·(v + Σ vals·hi + 1).
 	if v*8e-6 <= 1.1e-9+1e-15*(v+(1+float64(len(vals))*p.maxHi)*most+1) {
-		p.undo(vals, v)
 		return
 	}
-	p.rows, p.vs = append(p.rows, vals), append(p.vs, v)
-}
-
-// undo unpins the tuples of vals that row excludes and no earlier row does.
-func (p *pinner) undo(vals []float64, v float64) {
 	for i, a := range vals {
-		if excludes(a, v) && !p.excludedBefore(i) {
-			p.m.SetPinned(i, false)
-		}
+		// Both computed before the store, which is then no branch on data.
+		ex, pinned := excludes(a, v), p.m.Pinned(i)
+		p.m.SetPinned(i, pinned || ex)
 	}
-}
-
-// excludedBefore reports that a row that pinned excludes tuple i.
-func (p *pinner) excludedBefore(i int) bool {
-	for k, row := range p.rows {
-		if excludes(row[i], p.vs[k]) {
-			return true
-		}
-	}
-	return false
 }
 
 // FormulateCSA builds the CSA_{Q,M,Z} reduced DILP of §4.1: summaries

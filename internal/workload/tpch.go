@@ -37,7 +37,7 @@ var tpchRows = []tpchRow{
 
 // noiseDist returns the centered per-source perturbation distribution for a
 // Table 3 row (mean-anchored around the original value).
-func noiseDist(kind string, s *rng.Stream) dist.Dist {
+func noiseDist(kind string) dist.Dist {
 	switch kind {
 	case "exp":
 		// Exponential(λ=1) centered: mean 1 subtracted.
@@ -99,12 +99,12 @@ func TPCH(cfg Config) *Instance {
 		// construction. The values of one attribute share one pointer-free
 		// array (see DESIGN.md § Memory model).
 		srcStream := rng.NewStream(rng.Mix(cfg.Seed, 4, uint64(qi)))
+		nd := noiseDist(row.noise)
 		makeAttr := func(base []float64, scale float64, nonneg, positiveNoise bool) []dist.Dist {
 			dists := make([]dist.Dist, n)
 			choices := make([]dist.UniformChoice, n)
 			values := make([]float64, n*row.d)
 			for i := 0; i < n; i++ {
-				nd := noiseDist(row.noise, srcStream)
 				variants := values[i*row.d : (i+1)*row.d : (i+1)*row.d]
 				for dsrc := range variants {
 					draw := nd.Sample(srcStream)
