@@ -327,7 +327,8 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 // it, whose M and Z name the formulation. A solve that finds a package
 // records it as r.warm, by reference: the package (written into r.warm.X's
 // buffer), the summaries, M and Z. This is the only place the warm state is
-// written. The result's X may alias r.hint.
+// written. The result's X may alias r.hint. The model goes back to the
+// SILP (Recycle) once the solve is done with it.
 func (r *runner) solveCSA(kind string, it *Iteration, x []float64, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Result, error) {
 	model, vm, err := r.silp.FormulateCSA(summaries, objSummaries)
 	if err != nil {
@@ -336,6 +337,7 @@ func (r *runner) solveCSA(kind string, it *Iteration, x []float64, summaries [][
 	solveStart := time.Now()
 	r.hint = r.silp.CSAPoint(r.hint, x, model.NumVars(), vm, summaries, objSummaries)
 	res, err := r.solveMILP(kind, model, r.solverOptions(r.hint))
+	r.silp.Recycle(model)
 	if err != nil {
 		return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", it.M, it.Z, err)
 	}
@@ -343,7 +345,7 @@ func (r *runner) solveCSA(kind string, it *Iteration, x []float64, summaries [][
 		return nil, err
 	}
 	if res.X != nil {
-		r.warm = WarmStart{X: vm.PackageOf(r.warm.X, res.X), Summaries: summaries, ObjSummaries: objSummaries, M: it.M, Z: it.Z}
+		r.warm = WarmStart{X: r.silp.PackageOf(r.warm.X, res.X), Summaries: summaries, ObjSummaries: objSummaries, M: it.M, Z: it.Z}
 	}
 	it.SolveWork, it.SolveTime = res.SolveWork, time.Since(solveStart)
 	return res, nil

@@ -42,12 +42,13 @@ func (r *runner) naive() (*Solution, error) {
 		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}
-		model, vm, err := silp.FormulateCSA(sums, objSums)
+		model, _, err := silp.FormulateCSA(sums, objSums)
 		if err != nil {
 			return nil, err
 		}
 		solveStart := time.Now()
 		res, err := r.solveMILP("saa", model, r.solverOptions(nil))
+		silp.Recycle(model)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive solve with M=%d: %w", m, err)
 		}
@@ -63,7 +64,7 @@ func (r *runner) naive() (*Solution, error) {
 			SolveTime:    time.Since(solveStart),
 		}
 		if res.X != nil {
-			x := vm.PackageOf(nil, res.X)
+			x := silp.PackageOf(nil, res.X)
 			valStart := time.Now()
 			val, err := r.validate(x)
 			if err != nil {

@@ -26,8 +26,9 @@ func (r *runner) solveUnconstrained() ([]float64, error) {
 		memoHit(r.ctx, "unconstrained")
 		return x, nil
 	}
-	model, vm := silp.FormulateUnconstrained()
+	model, _ := silp.FormulateUnconstrained()
 	res, err := r.solveMILP("unconstrained", model, r.solverOptions(nil))
+	silp.Recycle(model)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +43,7 @@ func (r *runner) solveUnconstrained() ([]float64, error) {
 	}
 	x := make([]float64, silp.N)
 	for i := range x {
-		x[i] = res.X[vm.X[i]]
+		x[i] = res.X[i] // x_i is variable i
 		if x[i] < 0.5 && x[i] > -0.5 {
 			x[i] = 0
 		}

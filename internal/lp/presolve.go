@@ -88,7 +88,9 @@ func (pr *Presolved) Postsolve(x []float64) []float64 {
 // presolver is the working state of one presolve run. Its input is a row
 // store that PresolveRows fills straight from rows (the tests'
 // PresolveProblem by transposing a Problem's columns); the passes, the
-// reduced problem and every float operation are the same after that.
+// reduced problem and every float operation are the same after that. It
+// also keeps the buffers the reduced problem's bounds, column map and fill
+// cursor are built in, so a Presolver reuses every one of them.
 type presolver struct {
 	n, m     int
 	obj      []float64
@@ -123,6 +125,53 @@ type presolver struct {
 	fixedAny   bool // colPass eliminated a column since the last substitution
 	infeasible bool
 	unbounded  bool
+
+	// The reduced problem's presolved bounds, column map and per-column
+	// fill cursor (reduce).
+	redLo, redHi []float64
+	colMap, next []int
+}
+
+// Presolver is the memory of presolve runs: the working state, the row
+// store, and the Presolved a run returns with its reduced Problem. A zero
+// Presolver is ready. Every run re-initialises what it reads and grows each
+// buffer to the exact size it needs, so a run on a Presolver that has
+// reduced a problem as large allocates nothing, and a run on a fresh one
+// allocates what PresolveRows does. The Presolved a run returns lives in
+// the Presolver and is overwritten by its next run (Postsolve's vector is
+// the caller's). Not safe for concurrent runs.
+type Presolver struct {
+	ps    presolver
+	terms RowTerms
+	red   Problem
+	out   Presolved
+}
+
+// Poison overwrites the Presolver's float buffers with NaN and its index
+// buffers with −1, so that a reader of a Presolved it returned, after the
+// run that overwrites it should have started, or a run that read what the
+// previous one left instead of re-initialising it, changes a result instead
+// of passing by luck. It covers what the last run used: what lies past
+// that, an earlier run used and Poison covered then. Tests of reusing
+// callers switch it on.
+func (a *Presolver) Poison() {
+	ps, red := &a.ps, &a.red
+	for _, f := range [][]float64{ps.obj, ps.lo, ps.hi, ps.rowLo, ps.rowHi, ps.rowCoef, ps.fixed, ps.redLo, ps.redHi,
+		a.terms.coef, red.obj, red.coef, red.varLo, red.varHi, red.rowLo, red.rowHi} {
+		for k := range f {
+			f[k] = math.NaN()
+		}
+	}
+	for _, ix := range [][]int{ps.rowStart, ps.rowEnd, ps.colMap, ps.next, red.colStart} {
+		for k := range ix {
+			ix[k] = -1
+		}
+	}
+	for _, ix := range [][]int32{ps.rowCol, ps.colRows, a.terms.col, red.rowIdx} {
+		for k := range ix {
+			ix[k] = -1
+		}
+	}
 }
 
 // Rows is a problem in row form, the input of PresolveRows.
@@ -230,21 +279,30 @@ func (t *RowTerms) normalize() {
 // PresolveRows reduces a problem given in row form. It reduces the Problem
 // the same rows would build through AddRows, less the columns whose bounds
 // are [+0, 0], bit for bit, without building it: the rows go straight into
-// the presolver's row store.
-func PresolveRows(r Rows) *Presolved {
-	ps := rowsPresolver(r)
+// the presolver's row store. It is Presolver.Rows on fresh memory.
+func PresolveRows(r Rows) *Presolved { return new(Presolver).Rows(r) }
+
+// Rows is PresolveRows in the Presolver's memory: the Presolved it returns
+// is valid until the Presolver's next run.
+func (a *Presolver) Rows(r Rows) *Presolved {
+	ps := a.fill(r)
 	ps.run()
-	return ps.result()
+	return ps.result(&a.out, &a.red)
 }
 
-func rowsPresolver(r Rows) *presolver {
+// fill loads r into the working state: its columns, and its rows into the
+// row store.
+func (a *Presolver) fill(r Rows) *presolver {
+	ps := &a.ps
 	n, m := r.NumCols(), r.NumRows()
-	ps := newPresolver(n, m, 0)
-	ps.obj, ps.integer = make([]float64, n), make([]bool, n)
+	ps.reset(n, m, 0)
+	ps.obj, ps.integer = grow(ps.obj, n), grow(ps.integer, n)
 	for j := 0; j < n; j++ {
 		ps.obj[j], ps.lo[j], ps.hi[j], ps.integer[j] = r.Col(j)
 	}
-	t := &RowTerms{n: n, col: make([]int32, 0, r.NumTerms()), coef: make([]float64, 0, r.NumTerms()), last: -1, sorted: true}
+	nt := r.NumTerms()
+	t := &a.terms
+	*t = RowTerms{n: n, col: emptyWithCap(t.col, nt), coef: emptyWithCap(t.coef, nt), last: -1, sorted: true}
 	if ps.dropZeroFixed() {
 		t.alive = ps.colAlive
 	}
@@ -260,26 +318,43 @@ func rowsPresolver(r Rows) *presolver {
 	return ps
 }
 
-// newPresolver allocates the working state of an n-column, m-row problem
-// with nnz stored entries, every row and column alive.
-func newPresolver(n, m, nnz int) *presolver {
-	ps := &presolver{
+// emptyWithCap returns buf emptied with room for n elements, reallocating,
+// to exactly n, only when its capacity falls short.
+func emptyWithCap[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// reset re-initialises the working state for an n-column, m-row problem
+// with nnz stored entries, every row and column alive, in the buffers of
+// the previous run. The caller sets obj and integer, the bounds and the row
+// store.
+func (ps *presolver) reset(n, m, nnz int) {
+	*ps = presolver{
 		n:        n,
 		m:        m,
-		lo:       make([]float64, n),
-		hi:       make([]float64, n),
-		rowLo:    make([]float64, m),
-		rowHi:    make([]float64, m),
-		rowAlive: make([]bool, m),
-		colAlive: make([]bool, n),
-		rowStart: make([]int, m+1),
-		rowEnd:   make([]int, m),
-		rowCol:   make([]int32, nnz),
-		rowCoef:  make([]float64, nnz),
-		colRows:  make([]int32, n),
-		fracInt:  make([]bool, n),
-		fixed:    make([]float64, n),
-		elim:     make([]bool, n),
+		obj:      ps.obj,
+		integer:  ps.integer,
+		lo:       grow(ps.lo, n),
+		hi:       grow(ps.hi, n),
+		rowLo:    grow(ps.rowLo, m),
+		rowHi:    grow(ps.rowHi, m),
+		rowAlive: grow(ps.rowAlive, m),
+		colAlive: grow(ps.colAlive, n),
+		rowStart: grow(ps.rowStart, m+1),
+		rowEnd:   grow(ps.rowEnd, m),
+		rowCol:   grow(ps.rowCol, nnz),
+		rowCoef:  grow(ps.rowCoef, nnz),
+		colRows:  grow(ps.colRows, n),
+		fracInt:  grow(ps.fracInt, n),
+		fixed:    grow(ps.fixed, n),
+		elim:     grow(ps.elim, n),
+		redLo:    ps.redLo,
+		redHi:    ps.redHi,
+		colMap:   ps.colMap,
+		next:     ps.next,
 	}
 	for i := range ps.rowAlive {
 		ps.rowAlive[i] = true
@@ -287,7 +362,13 @@ func newPresolver(n, m, nnz int) *presolver {
 	for j := range ps.colAlive {
 		ps.colAlive[j] = true
 	}
-	return ps
+	clear(ps.rowStart)
+	clear(ps.rowCol)
+	clear(ps.rowCoef)
+	clear(ps.colRows)
+	clear(ps.fracInt)
+	clear(ps.fixed)
+	clear(ps.elim)
 }
 
 // dropZeroFixed eliminates at +0 every column whose bounds are [+0, 0],
@@ -338,20 +419,22 @@ func (ps *presolver) run() {
 	}
 }
 
-// result is the Presolved of a finished run.
-func (ps *presolver) result() *Presolved {
-	out := &Presolved{n: ps.n, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
+// result writes the Presolved of a finished run into out, its reduced
+// problem into red.
+func (ps *presolver) result(out *Presolved, red *Problem) *Presolved {
+	*out = Presolved{n: ps.n, fixed: ps.fixed, elim: ps.elim, ObjOffset: ps.objOffset,
 		Infeasible: ps.infeasible, Unbounded: ps.unbounded}
 	if !out.Infeasible && !out.Unbounded {
-		ps.reduce(out)
+		ps.reduce(out, red)
 	}
 	return out
 }
 
-// reduce materializes the reduced problem from the row store: a surviving
-// column keeps its nonzero entries in surviving rows, in row order. After
-// the last substitution the surviving rows hold surviving columns only.
-func (ps *presolver) reduce(out *Presolved) {
+// reduce materializes the reduced problem from the row store into red: a
+// surviving column keeps its nonzero entries in surviving rows, in row
+// order. After the last substitution the surviving rows hold surviving
+// columns only.
+func (ps *presolver) reduce(out *Presolved, red *Problem) {
 	n, m := ps.n, ps.m
 	nred, mred := 0, 0
 	redCol := ps.colRows // no longer needed: reused as the reduced column index
@@ -367,9 +450,13 @@ func (ps *presolver) reduce(out *Presolved) {
 			mred++
 		}
 	}
-	red := &Problem{nvars: nred, obj: make([]float64, nred), colStart: make([]int, nred+1),
-		rowLo: make([]float64, 0, mred), rowHi: make([]float64, 0, mred)}
-	out.colMap, out.Lo, out.Hi = make([]int, nred), make([]float64, nred), make([]float64, nred)
+	// red's buffers are reused; gen moves on, so a Scratch that priced a
+	// seed for the problem red held before cannot take it for this one.
+	*red = Problem{nvars: nred, obj: grow(red.obj, nred), colStart: grow(red.colStart, nred+1),
+		rowIdx: red.rowIdx, coef: red.coef, varLo: red.varLo, varHi: red.varHi,
+		rowLo: grow(red.rowLo, mred), rowHi: grow(red.rowHi, mred), gen: red.gen + 1}
+	ps.colMap, ps.redLo, ps.redHi = grow(ps.colMap, nred), grow(ps.redLo, nred), grow(ps.redHi, nred)
+	out.colMap, out.Lo, out.Hi = ps.colMap, ps.redLo, ps.redHi
 	for j := 0; j < n; j++ {
 		if r := redCol[j]; r >= 0 {
 			out.colMap[r] = j
@@ -377,6 +464,7 @@ func (ps *presolver) reduce(out *Presolved) {
 			red.obj[r] = ps.obj[j]
 		}
 	}
+	clear(red.colStart)
 	nnz := 0
 	for i := 0; i < m; i++ {
 		if !ps.rowAlive[i] {
@@ -392,15 +480,16 @@ func (ps *presolver) reduce(out *Presolved) {
 	for r := 0; r < nred; r++ {
 		red.colStart[r+1] += red.colStart[r]
 	}
-	red.rowIdx, red.coef = make([]int32, nnz), make([]float64, nnz)
-	next := append([]int(nil), red.colStart[:nred]...)
+	red.rowIdx, red.coef = grow(red.rowIdx, nnz), grow(red.coef, nnz)
+	ps.next = grow(ps.next, nred)
+	next := ps.next
+	copy(next, red.colStart[:nred])
+	row := int32(0)
 	for i := 0; i < m; i++ {
 		if !ps.rowAlive[i] {
 			continue
 		}
-		row := int32(len(red.rowLo))
-		red.rowLo = append(red.rowLo, ps.rowLo[i])
-		red.rowHi = append(red.rowHi, ps.rowHi[i])
+		red.rowLo[row], red.rowHi[row] = ps.rowLo[i], ps.rowHi[i]
 		for t := ps.rowStart[i]; t < ps.rowEnd[i]; t++ {
 			if a := ps.rowCoef[t]; a != 0 {
 				r := redCol[ps.rowCol[t]]
@@ -408,8 +497,11 @@ func (ps *presolver) reduce(out *Presolved) {
 				next[r]++
 			}
 		}
+		row++
 	}
-	red.varLo, red.varHi = append([]float64(nil), out.Lo...), append([]float64(nil), out.Hi...)
+	red.varLo, red.varHi = grow(red.varLo, nred), grow(red.varHi, nred)
+	copy(red.varLo, out.Lo)
+	copy(red.varHi, out.Hi)
 	out.Reduced = red
 	out.RowsRemoved = m - mred
 	out.ColsRemoved = n - nred

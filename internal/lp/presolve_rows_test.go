@@ -276,7 +276,7 @@ func oraclePresolve(p *Problem, integer []bool) (pr *Presolved, killOnly int) {
 		}
 		ps.rowEnd[i] = w
 	}
-	return ps.result(), killOnly
+	return ps.result(new(Presolved), new(Problem)), killOnly
 }
 
 // nearTies are one-row problems whose implied bound lands just inside,
@@ -691,7 +691,7 @@ func TestPresolveRowsMatchesCSC(t *testing.T) {
 	for i, r := range inputs {
 		label := fmt.Sprintf("input %d (%d×%d)", i, len(r.rows), len(r.obj))
 		p := r.csc()
-		sameStore(t, label, rowsPresolver(r), cscPresolver(p, nil, nil, r.integer))
+		sameStore(t, label, new(Presolver).fill(r), cscPresolver(p, nil, nil, r.integer))
 		want := PresolveProblem(p, nil, nil, r.integer)
 		samePresolved(t, label+" rows", PresolveRows(r), want)
 		oracle, kills := oraclePresolve(p, r.integer)
@@ -814,7 +814,9 @@ func TestPresolveZeroFixedColumnIsAbsent(t *testing.T) {
 // indicators) from its rows, as the MILP layer does, and through the
 // column-major problem the same rows build, matrix prebuilt; and, from its
 // rows, the same root as milp.Solve orders it, the Σy row first, with every
-// other tuple column pinned at [0, 0] (pinned).
+// other tuple column pinned at [0, 0] (pinned), on fresh memory and again
+// in a Presolver that has presolved it before (pinned-reused), as a solve
+// on a warm arena does.
 func BenchmarkPresolveWide(b *testing.B) {
 	s := rng.NewStream(99)
 	r := csaRows(s, 20000, 4, false)
@@ -827,6 +829,14 @@ func BenchmarkPresolveWide(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			PresolveRows(pinned)
+		}
+	})
+	b.Run("pinned-reused", func(b *testing.B) {
+		var a Presolver
+		a.Rows(pinned)
+		b.ReportAllocs()
+		for b.Loop() {
+			a.Rows(pinned)
 		}
 	})
 	b.Run("rows", func(b *testing.B) {

@@ -13,11 +13,11 @@ import (
 func PresolveProblem(p *Problem, lo, hi []float64, integer []bool) *Presolved {
 	ps := cscPresolver(p, lo, hi, integer)
 	ps.run()
-	return ps.result()
+	return ps.result(new(Presolved), new(Problem))
 }
 
 // cscPresolver transposes p's columns into the row store, less those of
-// the columns whose bounds are [+0, 0], as rowsPresolver leaves them out.
+// the columns whose bounds are [+0, 0], as Presolver.fill leaves them out.
 func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	if lo == nil {
 		lo = p.varLo
@@ -25,7 +25,8 @@ func cscPresolver(p *Problem, lo, hi []float64, integer []bool) *presolver {
 	if hi == nil {
 		hi = p.varHi
 	}
-	ps := newPresolver(p.nvars, len(p.rowLo), len(p.coef))
+	ps := new(presolver)
+	ps.reset(p.nvars, len(p.rowLo), len(p.coef))
 	ps.obj, ps.integer = p.obj, integer
 	copy(ps.lo, lo)
 	copy(ps.hi, hi)

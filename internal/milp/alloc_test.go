@@ -1,8 +1,11 @@
 package milp
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"spq/internal/rng"
@@ -154,14 +157,16 @@ func csaModel(n, z int) *Model {
 }
 
 // TestWideSolveBytes is TestWideSolveAllocationsFlat's budget in bytes: the
-// root of a CSA-shaped 6 × 20 000 model (4 indicators) allocates at most
-// wideBytesPerColumn per column. The objects stay flat however the root is
-// built; the bytes are what a full-size copy of the matrix adds, 60 per
-// column here for a column-major problem built before presolve. The root
-// took 333 bytes per column when the model was built into such a problem
-// and presolve transposed it; it takes 125 since presolve reads the rows.
+// root of a CSA-shaped 6 × 20 000 model (4 indicators), solved again on the
+// arena its first solve left, allocates at most wideBytesPerColumn per
+// column: its answer, 8 bytes per column, and a few small objects (8.2 in
+// all). Any buffer the solve's set-up makes afresh adds at least a byte per
+// column. The root took 333 bytes per column when the model was built into
+// a column-major problem and presolve transposed it, 125 once presolve read
+// the rows (budget 150), and takes 8.2 since a solve's working set is
+// pooled.
 func TestWideSolveBytes(t *testing.T) {
-	const n, wideBytesPerColumn = 20000, 150
+	const n, wideBytesPerColumn = 20000, 9
 	m := csaModel(n, 4)
 	solve := func() {
 		res, err := Solve(m, &Options{MaxNodes: 1})
@@ -182,4 +187,109 @@ func TestWideSolveBytes(t *testing.T) {
 	if perColumn > wideBytesPerColumn {
 		t.Fatalf("%.1f bytes per column, budget %d", perColumn, wideBytesPerColumn)
 	}
+}
+
+// TestSolveArenaReuseBitIdentical: a solve on an arena that other solves
+// used, grew to other shapes and released (poisoned, in tests) answers bit
+// for bit as a solve on fresh memory. Four goroutines each run the whole
+// corpus — CSA roots of 2 000 and 20 000 columns, one with pinned
+// columns, the benchmark knapsack
+// whole and cut at a node cap, the property corpus plain and hinted (so
+// neighbourhood searches run too) — in an order of their own, at one, two
+// and four workers, against the same corpus solved one at a time on arenas
+// of its own.
+func TestSolveArenaReuseBitIdentical(t *testing.T) {
+	type job struct {
+		m *Model
+		o *Options
+	}
+	knap := knapsackModel(rng.NewStream(5), 26, 13)
+	pinned := csaModel(2000, 4)
+	for j := 0; j < 2000; j += 3 {
+		pinned.SetPinned(j, true)
+	}
+	jobs := []job{
+		{csaModel(2000, 4), nil},
+		{pinned, nil},
+		{csaModel(20000, 4), &Options{Parallelism: 2}},
+		{knap, &Options{Parallelism: 1}},
+		{knap, &Options{Parallelism: 4, MaxNodes: 5}},
+	}
+	s := rng.NewStream(31)
+	for i, m := range propertyCorpus() {
+		jobs = append(jobs, job{m, &Options{Parallelism: 1 + i%2}},
+			job{m, &Options{Parallelism: 1 + i%4, InitialX: randomHint(m, s)}})
+	}
+	want := make([]*Result, len(jobs))
+	guided := 0
+	for i, j := range jobs {
+		res, err := new(arena).solve(j.m, j.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+		if res.GuideNodes > 0 {
+			guided++
+		}
+	}
+	if guided == 0 {
+		t.Fatal("no neighbourhood search ran: the corpus does not reach the guide's search")
+	}
+	const goroutines = 4
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Goroutine g walks the corpus from its own offset with its own
+			// stride, so neighbouring solves differ in shape from goroutine to
+			// goroutine.
+			stride := []int{1, 3, 5, 7}[g]
+			for k := range jobs {
+				i := (g*len(jobs)/goroutines + k*stride) % len(jobs)
+				res, err := Solve(jobs[i].m, jobs[i].o)
+				if err == nil {
+					err = sameAnswer(res, want[i])
+				}
+				if err != nil {
+					errs[g] = fmt.Errorf("goroutine %d, job %d: %w", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sameAnswer compares two solves' Results: status, stop, objective, bound
+// and point bit for bit, work, coefficient count, rounds and the hint's
+// fate.
+func sameAnswer(got, want *Result) error {
+	switch {
+	case got.Status != want.Status || got.Stop != want.Stop:
+		return fmt.Errorf("status %v / stop %v, fresh memory %v / %v", got.Status, got.Stop, want.Status, want.Stop)
+	case math.Float64bits(got.Obj) != math.Float64bits(want.Obj) || math.Float64bits(got.Bound) != math.Float64bits(want.Bound):
+		return fmt.Errorf("objective %v / bound %v, fresh memory %v / %v", got.Obj, got.Bound, want.Obj, want.Bound)
+	case got.SolveWork != want.SolveWork:
+		return fmt.Errorf("work %+v, fresh memory %+v", got.SolveWork, want.SolveWork)
+	case got.Coefficients != want.Coefficients || got.Rounds != want.Rounds:
+		return fmt.Errorf("%d coefficients / %d rounds, fresh memory %d / %d", got.Coefficients, got.Rounds, want.Coefficients, want.Rounds)
+	case got.Hint != want.Hint || got.GuideNodes != want.GuideNodes || got.GuideIncumbent != want.GuideIncumbent:
+		return fmt.Errorf("hint %v / %d guide nodes / won %t, fresh memory %v / %d / %t",
+			got.Hint, got.GuideNodes, got.GuideIncumbent, want.Hint, want.GuideNodes, want.GuideIncumbent)
+	case (got.X == nil) != (want.X == nil) || len(got.X) != len(want.X):
+		return fmt.Errorf("point of %d entries, fresh memory %d", len(got.X), len(want.X))
+	}
+	for j := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			return fmt.Errorf("x[%d] = %v, fresh memory %v", j, got.X[j], want.X[j])
+		}
+	}
+	return nil
 }

@@ -252,7 +252,7 @@ func buildRowByRow(m *Model) *rowList {
 		p.add(terms(r.idxs, r.coefs), r.coefs, r.lo, r.hi)
 	}
 	for _, ind := range m.indicators {
-		minV, maxV, _, _ := m.boxExtremes(ind.idxs, ind.coefs)
+		minV, maxV, _, _, _ := m.boxExtremes(ind.idxs, ind.coefs)
 		idxs := append(terms(ind.idxs, ind.coefs), ind.bin)
 		coefs := append([]float64(nil), ind.coefs...)
 		if ind.ge {
@@ -279,7 +279,8 @@ func buildRowByRow(m *Model) *rowList {
 // model, on the FuzzMILP corpus, the property corpus, a model
 // whose rows repeat indices, cancel to zero, and name an indicator's binary
 // among its terms, one with dense rows and indicators, and one with pinned
-// variables.
+// variables. The walk that writes the row form counts the coefficients
+// Result.Coefficients reports, and counts them as NumCoefficients does.
 func TestBuildMatchesRowByRow(t *testing.T) {
 	models := propertyCorpus()
 	for seed := uint64(1); seed <= 600; seed++ {
@@ -314,9 +315,12 @@ func TestBuildMatchesRowByRow(t *testing.T) {
 	pinned.SetPinned(4, true)
 	models = append(models, odd, dense, pinned)
 	for i, m := range models {
-		rows, err := m.relaxation()
-		if err != nil {
+		rows := new(rowForm)
+		if err := m.relaxation(rows); err != nil {
 			t.Fatal(err)
+		}
+		if rows.coefs != m.NumCoefficients() {
+			t.Fatalf("model %d: the relaxation counts %d coefficients, NumCoefficients %d", i, rows.coefs, m.NumCoefficients())
 		}
 		got := lp.PresolveRows(rows)
 		if want := lp.PresolveRows(buildRowByRow(m)); !reflect.DeepEqual(got, want) {

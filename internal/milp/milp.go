@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"spq/client"
@@ -165,7 +164,8 @@ type indicator struct {
 
 // Model is a MILP instance under construction. It keeps the index and
 // coefficient slices its rows are given, without copying them: they must
-// not change while the model is in use.
+// not change while the model is in use. Reset empties it for the next
+// formulation and keeps its memory.
 type Model struct {
 	vars       []variable
 	rows       []rowSpec
@@ -177,11 +177,29 @@ func NewModel() *Model { return &Model{} }
 
 // Reserve makes room for vars more variables, rows more rows and
 // indicators more indicator constraints, so adding them does not grow the
-// model.
+// model. Room it lacks is made to exactly that size.
 func (m *Model) Reserve(vars, rows, indicators int) {
-	m.vars = slices.Grow(m.vars, vars)
-	m.rows = slices.Grow(m.rows, rows)
-	m.indicators = slices.Grow(m.indicators, indicators)
+	m.vars = reserve(m.vars, vars)
+	m.rows = reserve(m.rows, rows)
+	m.indicators = reserve(m.indicators, indicators)
+}
+
+// reserve returns s with room for n more elements, reallocating, to
+// exactly that, only when its capacity falls short.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// Reset empties the model and keeps its capacity, so that the next
+// formulation of the same shape, after Reserve, grows nothing. It lets go of
+// the index and coefficient slices its rows were given.
+func (m *Model) Reset() {
+	clear(m.rows)
+	clear(m.indicators)
+	m.vars, m.rows, m.indicators = m.vars[:0], m.rows[:0], m.indicators[:0]
 }
 
 // NumVars returns the number of variables added so far.
@@ -253,8 +271,8 @@ func col(idxs []int, k int) int {
 
 // boxExtremes computes the extreme values of Σ coefs·x over the declared
 // variable boxes, used to derive valid big-M constants, and counts the
-// row's terms on live variables.
-func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, live int, err error) {
+// row's nonzero terms and those among them on live variables.
+func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, nz, live int, err error) {
 	for k, c := range coefs {
 		if c == 0 {
 			continue
@@ -263,8 +281,9 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, li
 		v := &m.vars[j]
 		lo, hi := v.lo, v.hi
 		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return 0, 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
+			return 0, 0, 0, 0, fmt.Errorf("milp: indicator over variable %d with infinite bounds", j)
 		}
+		nz++
 		live += v.live()
 		if c > 0 {
 			minV += c * lo
@@ -274,41 +293,46 @@ func (m *Model) boxExtremes(idxs []int, coefs []float64) (minV, maxV float64, li
 			maxV += c * lo
 		}
 	}
-	return minV, maxV, live, nil
+	return minV, maxV, nz, live, nil
 }
 
-// liveTerms counts a row's terms on live variables.
-func (m *Model) liveTerms(idxs []int, coefs []float64) int {
-	live := 0
+// liveTerms counts a row's nonzero terms and those among them on live
+// variables.
+func (m *Model) liveTerms(idxs []int, coefs []float64) (nz, live int) {
 	for k, c := range coefs {
-		live += int(flag(c != 0)) & m.vars[col(idxs, k)].live()
+		f := int(flag(c != 0))
+		nz += f
+		live += f & m.vars[col(idxs, k)].live()
 	}
-	return live
+	return nz, live
 }
 
 // rowForm is the model's LP relaxation as presolve reads it (lp.Rows): the
 // plain rows, then one row per indicator, its terms followed by the big-M
 // entry on the binary. Nothing is copied out of the model but the big-M
 // values. Its term count leaves out the terms on variables that are not
-// live, which presolve keeps out of its row store.
+// live, which presolve keeps out of its row store; coefs counts every
+// nonzero, big-M entries included (NumCoefficients).
 type rowForm struct {
 	m     *Model
 	bigM  []float64
 	terms int
+	coefs int
 }
 
-// relaxation returns the model's LP relaxation in row form, deriving each
-// indicator's big-M from its terms' boxes. It fails on an indicator whose
-// variable is not binary or whose terms have an infinite bound.
-func (m *Model) relaxation() (*rowForm, error) {
-	f := &rowForm{m: m, bigM: make([]float64, len(m.indicators))}
+// relaxation writes the model's LP relaxation in row form into f, deriving
+// each indicator's big-M from its terms' boxes, in f's big-M buffer. It
+// fails on an indicator whose variable is not binary or whose terms have an
+// infinite bound.
+func (m *Model) relaxation(f *rowForm) error {
+	*f = rowForm{m: m, bigM: grow(f.bigM, len(m.indicators))}
 	for k, ind := range m.indicators {
 		if !m.vars[ind.bin].integer || m.vars[ind.bin].lo < 0 || m.vars[ind.bin].hi > 1 {
-			return nil, errors.New("milp: indicator variable must be binary")
+			return errors.New("milp: indicator variable must be binary")
 		}
-		minV, maxV, live, err := m.boxExtremes(ind.idxs, ind.coefs)
+		minV, maxV, nz, live, err := m.boxExtremes(ind.idxs, ind.coefs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// ≥: a·x − M·b ≥ rhs − M with M ≥ rhs − minbox; ≤: a·x + M·b ≤ rhs + M
 		// with M ≥ maxbox − rhs.
@@ -318,21 +342,33 @@ func (m *Model) relaxation() (*rowForm, error) {
 		}
 		f.bigM[k] = max(need, 0)*1.01 + 1 // slack for numerical safety; larger M stays valid
 		f.terms += live + 1
+		f.coefs += nz + 1
 	}
 	for _, r := range m.rows {
-		f.terms += m.liveTerms(r.idxs, r.coefs)
+		nz, live := m.liveTerms(r.idxs, r.coefs)
+		f.terms += live
+		f.coefs += nz
 	}
-	return f, nil
+	return nil
+}
+
+// grow returns buf resized to n elements, reallocating, to exactly n, only
+// when its capacity falls short. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // Presolve runs the root presolve of the model's LP relaxation, as Solve
-// does before its search.
+// does before its search, on fresh memory.
 func (m *Model) Presolve() (*lp.Presolved, error) {
-	rows, err := m.relaxation()
-	if err != nil {
+	f := new(rowForm)
+	if err := m.relaxation(f); err != nil {
 		return nil, err
 	}
-	return lp.PresolveRows(rows), nil
+	return lp.PresolveRows(f), nil
 }
 
 func (f *rowForm) NumCols() int  { return len(f.m.vars) }

@@ -37,6 +37,9 @@ import (
 //     worker's lp.Scratch, bases are snapshotted only at branching nodes into
 //     buffers recycled through per-worker free lists, nodes come from slabs,
 //     and the frontier is a stack that rounds pop from and push back onto;
+//     and the set-up allocates only on a cold pool: the whole working set
+//     of a Solve, presolve's included, is an arena taken from a pool and
+//     returned before Solve does (see arena);
 //   - branch variables are chosen by pseudocosts seeded from
 //     most-fractional, learned from realized objective degradations.
 //
@@ -160,20 +163,34 @@ func replaces(cand, cur incumbent) bool {
 
 // bbScratch is per-worker reusable state: bound materialization buffers, the
 // worker's lp.Scratch, in which every one of its node solves lives, and its
-// free list of basis buffers.
+// free list of basis buffers. It outlives a solve in the arena; reset
+// re-initialises it for the next.
 type bbScratch struct {
 	lo, hi  []float64 // root bounds, overridden at touched by the previous node's path
 	touched []int
 	stamp   []int // stamp[j] == epoch ⟹ var j already overridden this node
 	epoch   int
-	lp      *lp.Scratch
+	lp      lp.Scratch
 	// bases is popped by the worker during a round and refilled only by the
 	// merge section between rounds, so it needs no lock.
 	bases []*nodeBasis
-	// point and act are simple rounding's rounded point and its row
-	// activities (reduced space), allocated by the first rounded point that
-	// beats the cutoff.
+	// point is an integral node's rounded LP point, or simple rounding's
+	// rounded point, and act the latter's row activities (reduced space),
+	// grown by the first point that needs them.
 	point, act []float64
+}
+
+// reset re-initialises the scratch for a search whose root box is lo, hi.
+// The lp.Scratch and spare bases carry over.
+func (sc *bbScratch) reset(lo, hi []float64) {
+	n := len(lo)
+	sc.lo, sc.hi = grow(sc.lo, n), grow(sc.hi, n)
+	copy(sc.lo, lo)
+	copy(sc.hi, hi)
+	sc.stamp = grow(sc.stamp, n)
+	clear(sc.stamp)
+	sc.epoch = 0
+	sc.touched = sc.touched[:0]
 }
 
 func (sc *bbScratch) takeBasis() *nodeBasis {
@@ -188,8 +205,11 @@ func (sc *bbScratch) takeBasis() *nodeBasis {
 // poisonRecycled is switched on by this package's tests: an LP point the
 // search is done with is overwritten with NaN, so code that still read it
 // after the worker's next solve reused the memory would change a result
-// instead of passing by luck. (A recycled basis needs no switch: Reset makes
-// it unloadable, which the warm-start counters show.)
+// instead of passing by luck, and so is every buffer of an arena going back
+// to the pool (NaN for floats, −1 for indices), so a Solve that read what a
+// previous one left, instead of re-initialising it, would too. (A recycled
+// basis needs no switch: Reset makes it unloadable, which the warm-start
+// counters show.)
 var poisonRecycled bool
 
 func releaseX(x []float64) {
@@ -212,13 +232,14 @@ type pseudocosts struct {
 	gCnt           int
 }
 
-func newPseudocosts(n int) *pseudocosts {
-	return &pseudocosts{
-		downSum: make([]float64, n),
-		upSum:   make([]float64, n),
-		downCnt: make([]int, n),
-		upCnt:   make([]int, n),
-	}
+// reset empties the table for n columns, in the buffers it had.
+func (pc *pseudocosts) reset(n int) {
+	*pc = pseudocosts{downSum: grow(pc.downSum, n), upSum: grow(pc.upSum, n),
+		downCnt: grow(pc.downCnt, n), upCnt: grow(pc.upCnt, n)}
+	clear(pc.downSum)
+	clear(pc.upSum)
+	clear(pc.downCnt)
+	clear(pc.upCnt)
 }
 
 func (pc *pseudocosts) observe(j int, up bool, unit float64) {
@@ -274,7 +295,8 @@ func nodeWork(sol *lp.Solution) client.SolveWork {
 // search carries the state of one Solve invocation. The incumbent, work
 // record and pseudocost table are touched only between rounds
 // (single-goroutine sections); workers communicate exclusively through their
-// bbResult slots.
+// bbResult slots. It lives in an arena, and reset re-initialises it for each
+// solve in the buffers of the previous one.
 type search struct {
 	model  *Model
 	pr     *lp.Presolved
@@ -286,7 +308,7 @@ type search struct {
 	redInteger     []bool    // integrality mask in reduced space
 	locks          []uint8   // lockDown|lockUp per reduced column (columnLocks)
 	objOffset      float64   // reduced obj + objOffset = full obj
-	rootD          []float64 // root LP reduced costs, captured once the root branches
+	rootD          []float64 // root LP reduced costs, captured once the root branches (empty before)
 	rootBound      float64   // the root LP's Lagrangian bound under rootD
 
 	guide      []float64 // an infeasible Options.InitialX (full space), nil otherwise
@@ -298,23 +320,139 @@ type search struct {
 	work      client.SolveWork // accumulated between rounds
 	rounds    int
 	workers   int
-	pc        *pseudocosts
-	scratches []*bbScratch
+	pc        pseudocosts
+	scratches []*bbScratch   // this solve's workers'; spares wait past len, up to cap
 	results   []bbResult     // one slot per node of the current round
 	cursor    atomic.Int64   // the current round's next unclaimed node
 	wg        sync.WaitGroup // the round's workers besides the calling goroutine
 	slab      []bbNode       // fresh nodes are appended here; a full slab is left to its nodes
-	free      *bbNode        // retired nodes, linked through parent, reused before the slab grows
+	slabs     [][]bbNode     // every slab made, reused in order: slabs[:nslab] are this solve's
+	nslab     int
+	free      *bbNode // retired nodes, linked through parent, reused before the slab grows
+	sub       *search // the neighbourhood search's state (searchGuide), made on first use
 }
 
-// Solve runs branch and bound on the model.
-func Solve(m *Model, o *Options) (*Result, error) {
-	opts := o.withDefaults()
-	st := &search{
-		model: m,
-		opts:  opts,
-		inc:   incumbent{obj: math.Inf(1)},
+// reset re-initialises st for a solve of model under opts, keeping the
+// buffers of its previous solve: everything it returns to zero or re-fills
+// before reading.
+func (st *search) reset(model *Model, opts Options) {
+	*st = search{
+		model:      model,
+		opts:       opts,
+		inc:        incumbent{obj: math.Inf(1)},
+		rootLo:     st.rootLo[:0],
+		rootHi:     st.rootHi[:0],
+		redInteger: st.redInteger[:0],
+		locks:      st.locks[:0],
+		rootD:      st.rootD[:0],
+		pc:         st.pc,
+		scratches:  st.scratches[:0],
+		results:    st.results,
+		slabs:      st.slabs,
+		sub:        st.sub,
 	}
+	clear(st.results)
+}
+
+// arena is a Solve's working set, taken from arenas for the solve and put
+// back before Solve returns: the presolver with its row store and reduced
+// problem, the relaxation's row form, and the search with its worker
+// scratches, pseudocosts, node slabs and round results. Solves of one size
+// after the first allocate only their answer; nothing a Result holds is the
+// arena's.
+type arena struct {
+	pre  lp.Presolver
+	form rowForm
+	st   search
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
+// spare is the arena of the last Solve to finish, kept out of the pool: a
+// sequence of solves, SummarySearch's, takes the same arena each time,
+// whichever P its goroutine runs on, where sync.Pool's per-P slots would
+// hand it an arena grown by other problems or a new one, and what the
+// sequence allocates would change run to run. The arenas of concurrent
+// solves go through the pool, which the collector empties.
+var spare atomic.Pointer[arena]
+
+// takeArena is the spare arena, else one from the pool.
+func takeArena() *arena {
+	if a := spare.Swap(nil); a != nil {
+		return a
+	}
+	return arenas.Get().(*arena)
+}
+
+// release lets go of what the solve referenced that is not the arena's (the
+// model, the options, the incumbents) and hands the arena on: as the spare
+// when there is none, else to the pool.
+func (a *arena) release() {
+	if poisonRecycled {
+		a.poison()
+	}
+	a.form.m = nil
+	for st := &a.st; st != nil; st = st.sub {
+		st.reset(nil, Options{})
+	}
+	if !spare.CompareAndSwap(nil, a) {
+		arenas.Put(a)
+	}
+}
+
+// poison overwrites what the solve used of the arena's buffers (see
+// poisonRecycled); what lies past that, an earlier solve used and poison
+// covered then.
+func (a *arena) poison() {
+	a.pre.Poison()
+	nan := func(fs ...[]float64) {
+		for _, f := range fs {
+			for k := range f {
+				f[k] = math.NaN()
+			}
+		}
+	}
+	neg := func(is ...[]int) {
+		for _, ix := range is {
+			for k := range ix {
+				ix[k] = -1
+			}
+		}
+	}
+	nan(a.form.bigM)
+	for st := &a.st; st != nil; st = st.sub {
+		nan(st.rootLo, st.rootHi, st.rootD, st.pc.downSum, st.pc.upSum)
+		neg(st.pc.downCnt, st.pc.upCnt)
+		for _, sc := range st.scratches {
+			nan(sc.lo, sc.hi, sc.point, sc.act)
+			neg(sc.stamp, sc.touched[:cap(sc.touched)])
+		}
+		for k, slab := range st.slabs[:st.nslab] {
+			if k == st.nslab-1 {
+				slab = st.slab
+			} else {
+				slab = slab[:cap(slab)]
+			}
+			for i := range slab {
+				n := &slab[i]
+				n.branchVar, n.lo, n.hi, n.parentObj, n.frac = -1, math.NaN(), math.NaN(), math.NaN(), math.NaN()
+			}
+		}
+	}
+}
+
+// Solve runs branch and bound on the model. Its working set is an arena
+// from a pool, returned before Solve is; the Result is the caller's alone.
+func Solve(m *Model, o *Options) (*Result, error) {
+	a := takeArena()
+	defer a.release()
+	return a.solve(m, o)
+}
+
+func (a *arena) solve(m *Model, o *Options) (*Result, error) {
+	opts := o.withDefaults()
+	st := &a.st
+	st.reset(m, opts)
 	// Node LP solves inherit the caller's LP options plus the search's
 	// cancellation channel and deadline, so aborts land mid-iteration. A
 	// caller-supplied LP.Cancel/LP.Deadline is kept when the search adds
@@ -330,6 +468,9 @@ func Solve(m *Model, o *Options) (*Result, error) {
 		}
 	}
 	st.workers = par.Workers(opts.Parallelism, roundSize)
+	if cap(st.scratches) < st.workers {
+		st.scratches = make([]*bbScratch, 0, st.workers)
+	}
 	hint := HintNone
 	if len(opts.InitialX) > 0 && len(opts.InitialX) == len(m.vars) {
 		if obj, ok := st.checkFeasible(opts.InitialX); ok {
@@ -345,15 +486,14 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	// are integrality-aware, so the reduced problem is an equivalent MILP
 	// root and every node bound only tightens it further.
 	start := time.Now()
-	pr, err := m.Presolve()
-	if err != nil {
+	if err := m.relaxation(&a.form); err != nil {
 		return nil, err
 	}
-	st.pr = pr
+	st.pr = a.pre.Rows(&a.form)
 	res := &Result{
 		SolveWork:    client.SolveWork{PresolveRows: st.pr.RowsRemoved, PresolveCols: st.pr.ColsRemoved},
 		PresolveTime: time.Since(start),
-		Coefficients: m.NumCoefficients(),
+		Coefficients: a.form.coefs,
 		Workers:      st.workers,
 		Hint:         hint,
 	}
@@ -374,15 +514,15 @@ func Solve(m *Model, o *Options) (*Result, error) {
 	st.rootLo = st.pr.Lo
 	st.rootHi = st.pr.Hi
 	nred := st.red.NumVars()
-	st.redInteger = make([]bool, nred)
+	st.redInteger = grow(st.redInteger, nred)
 	for j := 0; j < nred; j++ {
 		st.redInteger[j] = m.vars[st.pr.Col(j)].integer
 	}
-	st.locks = columnLocks(st.red)
-	st.pc = newPseudocosts(nred)
+	st.locks = columnLocks(st.locks, st.red)
+	st.pc.reset(nred)
 
 	rootOpts := st.lpOpts
-	rootOpts.Scratch = st.scratch(0).lp
+	rootOpts.Scratch = &st.scratch(0).lp
 	rootSol, err := lp.SolveWithBounds(st.red, st.rootLo, st.rootHi, &rootOpts)
 	if err != nil {
 		return nil, err
@@ -449,7 +589,7 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 	}
 	if rootRes.nkids > 0 && fixing {
 		// The root solve is still live in worker 0's scratch.
-		st.rootD = make([]float64, st.red.NumVars())
+		st.rootD = grow(st.rootD, st.red.NumVars())
 		st.rootBound = st.scratch(0).lp.ReducedCosts(st.rootD)
 		st.fixRoot()
 	}
@@ -550,14 +690,23 @@ const guideCap = 1000
 // becomes the incumbent with the empty path, like every seeded incumbent.
 // It runs before the first round, so its outcome is the same for every
 // worker count. It shares the presolved problem but has its own box,
-// scratch and pseudocosts: worker 0's scratch still holds the root.
+// scratch and pseudocosts (st.sub, kept in the arena): worker 0's scratch
+// still holds the root.
 func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	budget := min(guideCap, st.opts.MaxNodes-st.work.Nodes)
 	if budget <= 0 {
 		return nil
 	}
-	lo := append([]float64(nil), st.rootLo...)
-	hi := append([]float64(nil), st.rootHi...)
+	if st.sub == nil {
+		st.sub = &search{}
+	}
+	nb := st.sub
+	nb.reset(st.model, st.opts)
+	nb.opts.MaxNodes = budget
+	n := len(st.rootLo)
+	lo, hi := grow(nb.rootLo, n), grow(nb.rootHi, n)
+	copy(lo, st.rootLo)
+	copy(hi, st.rootHi)
 	fixed := 0
 	for j, isInt := range st.redInteger {
 		if !isInt {
@@ -568,19 +717,20 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 			fixed++
 		}
 	}
+	nb.rootLo, nb.rootHi = lo, hi
 	if fixed == 0 {
 		return nil
 	}
-	nb := &search{
-		model: st.model, pr: st.pr, red: st.red, opts: st.opts, lpOpts: st.lpOpts,
-		rootLo: lo, rootHi: hi, redInteger: st.redInteger, locks: st.locks,
-		objOffset: st.objOffset, inc: incumbent{obj: math.Inf(1)},
-		workers: 1, pc: newPseudocosts(len(lo)),
+	nb.pr, nb.red, nb.lpOpts = st.pr, st.red, st.lpOpts
+	nb.redInteger, nb.locks, nb.objOffset = st.redInteger, st.locks, st.objOffset
+	nb.workers = 1
+	if cap(nb.scratches) < 1 {
+		nb.scratches = make([]*bbScratch, 0, 1)
 	}
-	nb.opts.MaxNodes = budget
+	nb.pc.reset(n)
 	opts := st.lpOpts
 	opts.Basis = seed
-	opts.Scratch = nb.scratch(0).lp
+	opts.Scratch = &nb.scratch(0).lp
 	sol, err := lp.SolveWithBounds(st.red, lo, hi, &opts)
 	if err != nil {
 		return err
@@ -626,7 +776,7 @@ func (st *search) pushKids(stack []*bbNode, r *bbResult) []*bbNode {
 			st.free = n.parent
 		} else {
 			if len(st.slab) == cap(st.slab) {
-				st.slab = make([]bbNode, 0, min(2*cap(st.slab)+2, 1024))
+				st.nextSlab()
 			}
 			st.slab = st.slab[:len(st.slab)+1]
 			n = &st.slab[len(st.slab)-1]
@@ -635,6 +785,16 @@ func (st *search) pushKids(stack []*bbNode, r *bbResult) []*bbNode {
 		stack = append(stack, n)
 	}
 	return stack
+}
+
+// nextSlab makes the next slab current: the arena's next one, else a new
+// one that grows the last (2, 6, 14 … 1024 nodes), which the arena keeps.
+func (st *search) nextSlab() {
+	if st.nslab == len(st.slabs) {
+		st.slabs = append(st.slabs, make([]bbNode, 0, min(2*cap(st.slab)+2, 1024)))
+	}
+	st.slab = st.slabs[st.nslab][:0]
+	st.nslab++
 }
 
 // recycle hands a basis no open node is seeded from any more to the worker
@@ -695,19 +855,17 @@ func (st *search) claim(round []*bbNode, results []bbResult, snap incumbent, sc 
 	}
 }
 
-// scratch returns worker w's reusable buffers, allocating on first use.
-// Called only between rounds / before worker launch.
+// scratch returns worker w's reusable buffers, re-initialised on first use
+// in the solve: the spare the arena kept, else a new one. Workers are taken
+// in order, w ≤ len(st.scratches), and st.scratches has room for every
+// worker. Called only between rounds / before worker launch.
 func (st *search) scratch(w int) *bbScratch {
-	for len(st.scratches) <= w {
-		st.scratches = append(st.scratches, nil)
-	}
-	if st.scratches[w] == nil {
-		st.scratches[w] = &bbScratch{
-			lo:    append([]float64(nil), st.rootLo...),
-			hi:    append([]float64(nil), st.rootHi...),
-			stamp: make([]int, st.red.NumVars()),
-			lp:    &lp.Scratch{},
+	if w == len(st.scratches) {
+		st.scratches = st.scratches[:w+1]
+		if st.scratches[w] == nil {
+			st.scratches[w] = &bbScratch{}
 		}
+		st.scratches[w].reset(st.rootLo, st.rootHi)
 	}
 	return st.scratches[w]
 }
@@ -739,7 +897,7 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 	}
 	opts := st.lpOpts
 	opts.Basis = &n.seed.Basis
-	opts.Scratch = sc.lp
+	opts.Scratch = &sc.lp
 	if snap.x != nil && fixing {
 		opts.Fix = lp.Fix{Integer: st.redInteger, Cutoff: st.cutoff(snap) - st.objOffset}
 	}
@@ -795,7 +953,7 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 	if bv < 0 {
 		// Integer feasible: candidate incumbent (postsolved to full space).
 		return bbResult{done: true, complete: true,
-			cand: incumbent{x: st.pr.Postsolve(st.roundedCopy(sol.X)), obj: adjObj, path: pathOf(n)}}
+			cand: incumbent{x: st.pr.Postsolve(st.rounded(sol.X, sc)), obj: adjObj, path: pathOf(n)}}
 	}
 	out := bbResult{done: true, complete: true}
 	if rounding {
@@ -876,7 +1034,7 @@ var rounding = true // simple rounding of fractional nodes; only tests turn it o
 // bounds. It moves only hi_j for d_j > 0 and lo_j for d_j < 0, so the bound
 // each d_j measures from stays the root solve's own. Merge section only.
 func (st *search) fixRoot() {
-	if st.rootD == nil || st.inc.x == nil {
+	if len(st.rootD) == 0 || st.inc.x == nil {
 		return
 	}
 	gap := st.cutoff(st.inc) - st.objOffset - st.rootBound
@@ -907,7 +1065,7 @@ func (st *search) fixRoot() {
 // comparison ties toward the lowest index, and the table is only mutated
 // between rounds, so the choice is deterministic for every worker count.
 func (st *search) pickBranchVar(x []float64) int {
-	usePC := st.pc != nil && st.pc.gCnt > 0
+	usePC := st.pc.gCnt > 0
 	best := -1
 	bestScore := math.Inf(-1)
 	for j, isInt := range st.redInteger {
@@ -932,16 +1090,17 @@ func (st *search) pickBranchVar(x []float64) int {
 	return best
 }
 
-// roundedCopy snaps near-integer values of integer variables exactly
-// (reduced space).
-func (st *search) roundedCopy(x []float64) []float64 {
-	out := append([]float64(nil), x...)
+// rounded is x with near-integer values of integer variables snapped
+// exactly (reduced space), in the worker's point buffer.
+func (st *search) rounded(x []float64, sc *bbScratch) []float64 {
+	sc.point = grow(sc.point, len(x))
+	copy(sc.point, x)
 	for j, isInt := range st.redInteger {
 		if isInt {
-			out[j] = math.Round(out[j])
+			sc.point[j] = math.Round(sc.point[j])
 		}
 	}
-	return out
+	return sc.point
 }
 
 // Lock flags of a reduced column (Achterberg, "Constraint Integer
@@ -953,11 +1112,12 @@ const (
 )
 
 // columnLocks computes every column's lock flags from the presolved
-// problem's rows, the linearized indicator rows among them. A row with a
-// finite upper side locks its positive entries up and its negative ones
-// down; a finite lower side does the reverse.
-func columnLocks(p *lp.Problem) []uint8 {
-	locks := make([]uint8, p.NumVars())
+// problem's rows, the linearized indicator rows among them, into dst's
+// buffer. A row with a finite upper side locks its positive entries up and
+// its negative ones down; a finite lower side does the reverse.
+func columnLocks(dst []uint8, p *lp.Problem) []uint8 {
+	locks := grow(dst, p.NumVars())
+	clear(locks)
 	for j := range locks {
 		_, rows, coefs := p.Column(j)
 		for k, i := range rows {
@@ -984,7 +1144,7 @@ func columnLocks(p *lp.Problem) []uint8 {
 // the snapshot's cutoff is checked against the reduced rows and, when they
 // hold, returned postsolved as the node's candidate, with the node's path.
 // It reads only x, the node's box and snap, so its result is the same for
-// every worker count; it allocates only for a point that beats the cutoff.
+// every worker count; it allocates only the candidate's postsolved point.
 func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScratch) incumbent {
 	obj := st.objOffset
 	for j, v := range x {
@@ -998,10 +1158,7 @@ func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScra
 	if obj >= st.cutoff(snap) {
 		return incumbent{}
 	}
-	if sc.point == nil {
-		sc.point = make([]float64, len(x))
-		sc.act = make([]float64, st.red.NumRows())
-	}
+	sc.point, sc.act = grow(sc.point, len(x)), grow(sc.act, st.red.NumRows())
 	clear(sc.act)
 	for j, v := range x {
 		r, _ := st.roundCol(j, v, sc)

@@ -85,7 +85,7 @@ func TestFilteredCountConstraintSolvesCorrectly(t *testing.T) {
 		COUNT(*) = 3 AND
 		(SELECT COUNT(*) WHERE vol >= 0.2 FROM P) <= 1
 		MAXIMIZE EXPECTED SUM(gain)`, rel)
-	model, vm, err := s.FormulateCSA(nil, nil)
+	model, _, err := s.FormulateCSA(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFilteredCountConstraintSolvesCorrectly(t *testing.T) {
 	if res.Status != milp.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
-	pkg := vm.PackageOf(nil, res.X)
+	pkg := s.PackageOf(nil, res.X)
 	vol, _ := rel.Det("vol")
 	total, highVol := 0.0, 0.0
 	for i, x := range pkg {

@@ -171,3 +171,64 @@ func TestPinnerUnpinsUnfitRows(t *testing.T) {
 		t.Fatal("a lower bound of −0 left pinning on")
 	}
 }
+
+// TestFormulateCSAReusesModel: a model handed back with Recycle is the
+// memory of the SILP's next formulation, and that formulation is the one a
+// SILP with no recycled model builds, pins included: formulations of three
+// and of one forced rows, with different pins and different sizes, each
+// built on the model the other left.
+func TestFormulateCSAReusesModel(t *testing.T) {
+	r := rand.New(rand.NewPCG(53, 1))
+	const n, v = 30, 3.0
+	rel := realizeRelation(t, n)
+	q := fmt.Sprintf(`SELECT PACKAGE(*) AS P FROM assets SUCH THAT COUNT(*) <= 4
+		AND SUM(risk) <= %g WITH PROBABILITY >= 0.95
+		AND SUM(risk) <= %g WITH PROBABILITY >= 0.5
+		MAXIMIZE PROBABILITY OF SUM(gain) >= 1`, v, v)
+	group := func(z int) []*scenario.Summary {
+		g := make([]*scenario.Summary, z)
+		for k := range g {
+			g[k] = &scenario.Summary{Values: pinnedValues(r, n, v)}
+		}
+		return g
+	}
+	type form struct {
+		sums [][]*scenario.Summary
+		obj  []*scenario.Summary
+	}
+	a := form{[][]*scenario.Summary{group(3), group(3)}, group(2)}
+	b := form{[][]*scenario.Summary{group(1), group(3)}, group(1)}
+	s := buildQuery(t, q, rel)
+	var prev *milp.Model
+	for k, f := range []form{a, b, a} {
+		m, vm, err := s.FormulateCSA(f.sums, f.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && m != prev {
+			t.Fatalf("formulation %d: a new model beside the recycled one", k)
+		}
+		want, wantVM, err := buildQuery(t, q, rel).FormulateCSA(f.sums, f.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NumPinned() == 0 {
+			t.Fatalf("formulation %d pins nothing", k)
+		}
+		if !reflect.DeepEqual(m, want) || !reflect.DeepEqual(vm, wantVM) {
+			t.Fatalf("formulation %d on a recycled model differs from a fresh one: %d pinned of %d variables, fresh %d of %d",
+				k, m.NumPinned(), m.NumVars(), want.NumPinned(), want.NumVars())
+		}
+		got, err := m.Presolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPr, err := want.Presolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePresolve(t, fmt.Sprintf("formulation %d", k), got, wantPr)
+		s.Recycle(m)
+		prev = m
+	}
+}

@@ -121,6 +121,15 @@ type SILP struct {
 	VarHi []float64
 
 	memo memo
+	// models holds the models of finished formulations (Recycle), whose
+	// memory the next formulation reuses. It is a free list, not a
+	// sync.Pool: the formulations of one evaluation then take the same
+	// model whichever P they run on, so what they allocate repeats run to
+	// run. It goes with the SILP.
+	models struct {
+		sync.Mutex
+		free []*milp.Model
+	}
 }
 
 // maxObjRanges bounds the objective ranges memoised, one per validation seed.
@@ -441,46 +450,72 @@ func (s *SILP) deriveBounds(maxCopies int) {
 	}
 }
 
-// VarMap records how model variables map back to the query: X lists the
-// tuple-multiplicity variable indices, ConsY the indicator variables per
-// probabilistic constraint, ObjY the objective indicator variables, and
-// ObjDenom the divisor converting the objective indicator count into a
-// probability estimate.
+// VarMap records how the indicator variables of a formulation map back to
+// the query: ConsY the indicator variables per probabilistic constraint,
+// ObjY the objective indicator variables, and ObjDenom the divisor
+// converting the objective indicator count into a probability estimate. The
+// tuple-multiplicity variables need no map: x_i is variable i.
 type VarMap struct {
-	X        []int
 	ConsY    [][]int
 	ObjY     []int
 	ObjDenom float64
 }
 
-// PackageOf extracts the tuple multiplicities from a solver solution into
-// dst, which is grown only when it is too short.
-func (vm *VarMap) PackageOf(dst, x []float64) []float64 {
-	if cap(dst) < len(vm.X) {
-		dst = make([]float64, len(vm.X))
+// PackageOf extracts the tuple multiplicities, the first N entries, from a
+// solver solution of one of the SILP's formulations into dst, which is
+// grown only when it is too short.
+func (s *SILP) PackageOf(dst, x []float64) []float64 {
+	if cap(dst) < s.N {
+		dst = make([]float64, s.N)
 	}
-	out := dst[:len(vm.X)]
-	for i, j := range vm.X {
-		out[i] = math.Round(x[j])
+	out := dst[:s.N]
+	for i, v := range x[:s.N] {
+		out[i] = math.Round(v)
 	}
 	return out
 }
 
 // FormulateUnconstrained builds the DILP of Q0, the query without its
 // probabilistic constraints (Algorithm 2, line 2): x variables, objective and
-// deterministic rows, which FormulateCSA extends.
+// deterministic rows, which FormulateCSA extends. The model may be handed
+// back with Recycle once its solve is done.
 func (s *SILP) FormulateUnconstrained() (*milp.Model, *VarMap) {
 	return s.formulate(0, 0)
 }
 
+// Recycle takes back a model FormulateUnconstrained or FormulateCSA
+// returned, which the caller must not use again: the SILP's next
+// formulation is built in its memory.
+func (s *SILP) Recycle(m *milp.Model) {
+	m.Reset()
+	s.models.Lock()
+	s.models.free = append(s.models.free, m)
+	s.models.Unlock()
+}
+
+// model takes a recycled model, or makes one.
+func (s *SILP) model() *milp.Model {
+	s.models.Lock()
+	defer s.models.Unlock()
+	k := len(s.models.free) - 1
+	if k < 0 {
+		return milp.NewModel()
+	}
+	m := s.models.free[k]
+	s.models.free[k] = nil
+	s.models.free = s.models.free[:k]
+	return m
+}
+
 // formulate builds Q0's DILP with room for the indicators (one binary
-// each) and the counting rows a formulation adds. The x variables come
-// first, so x_i is variable i and a row over every tuple is dense: the
-// model reads its coefficients where they are.
+// each) and the counting rows a formulation adds, in a recycled model's
+// memory when there is one. The x variables come first, so x_i is variable
+// i and a row over every tuple is dense: the model reads its coefficients
+// where they are.
 func (s *SILP) formulate(indicators, rows int) (*milp.Model, *VarMap) {
-	m := milp.NewModel()
+	m := s.model()
 	m.Reserve(s.N+indicators, len(s.DetCons)+rows, indicators)
-	vm := &VarMap{X: make([]int, s.N)}
+	vm := &VarMap{}
 	for i := 0; i < s.N; i++ {
 		obj := 0.0
 		if s.ObjKind == ObjLinear {
@@ -489,7 +524,7 @@ func (s *SILP) formulate(indicators, rows int) (*milp.Model, *VarMap) {
 				obj = -obj
 			}
 		}
-		vm.X[i] = m.AddVar(s.VarLo[i], s.VarHi[i], obj, true)
+		m.AddVar(s.VarLo[i], s.VarHi[i], obj, true)
 	}
 	for _, c := range s.DetCons {
 		m.AddRow(nil, c.Coefs, c.Lo, c.Hi)
@@ -584,7 +619,8 @@ func (p *pinner) exclude(vals []float64, v float64) {
 // replace scenarios. summaries must hold, per probabilistic constraint, the
 // Z α-summaries of its partitions; objSummaries (may be nil when the
 // objective is not probabilistic) replace the objective scenario set. A
-// tuple that a forced summary row alone excludes is pinned (pinner).
+// tuple that a forced summary row alone excludes is pinned (pinner). The
+// model may be handed back with Recycle once its solve is done.
 func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Model, *VarMap, error) {
 	if len(summaries) != len(s.ProbCons) {
 		return nil, nil, fmt.Errorf("translate: got %d summary groups for %d probabilistic constraints", len(summaries), len(s.ProbCons))
@@ -639,20 +675,18 @@ func (s *SILP) FormulateCSA(summaries [][]*scenario.Summary, objSummaries []*sce
 
 // CSAPoint writes package x into the variable space of the CSA formulation
 // FormulateCSA built from summaries and objSummaries (vm is its VarMap, nvars
-// its variable count): x at the tuple variables, and each indicator set to
-// whether its summary row holds under x. A package that satisfies the
-// formulation therefore maps to a feasible point, with every indicator count
-// as high as x allows. The point is written into dst, which is grown only
-// when it is too short.
+// its variable count): x at the tuple variables, the first N, and each
+// indicator set to whether its summary row holds under x. A package that
+// satisfies the formulation therefore maps to a feasible point, with every
+// indicator count as high as x allows. The point is written into dst, which
+// is grown only when it is too short.
 func (s *SILP) CSAPoint(dst, x []float64, nvars int, vm *VarMap, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) []float64 {
 	if cap(dst) < nvars {
 		dst = make([]float64, nvars)
 	}
 	dst = dst[:nvars]
 	clear(dst)
-	for i, j := range vm.X {
-		dst[j] = x[i]
-	}
+	copy(dst, x[:s.N])
 	holds := func(vals []float64, geq bool, v float64) float64 {
 		sum := 0.0
 		for i, a := range vals {

@@ -317,7 +317,7 @@ func TestSAAEndToEndSolve(t *testing.T) {
 		MAXIMIZE EXPECTED SUM(gain)`, rel)
 	src := rng.NewSource(5)
 	sums, _ := singletons(t, s, src, 0, 10)
-	model, vm, err := s.FormulateCSA(sums, nil)
+	model, _, err := s.FormulateCSA(sums, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSAAEndToEndSolve(t *testing.T) {
 	if res.Status != milp.StatusOptimal && res.Status != milp.StatusFeasible {
 		t.Fatalf("status = %v", res.Status)
 	}
-	pkg := vm.PackageOf(nil, res.X)
+	pkg := s.PackageOf(nil, res.X)
 	// Check the chance constraint holds on the optimization scenarios.
 	need := int(math.Ceil(0.6 * 10))
 	if got := satisfiedBy(sums[0], pkg, true, -3); got < need {
@@ -360,7 +360,7 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, vm, err := s.FormulateCSA([][]*scenario.Summary{{sm}}, nil)
+	model, _, err := s.FormulateCSA([][]*scenario.Summary{{sm}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestCSAMoreConservativeThanSAA(t *testing.T) {
 	if res.Status != milp.StatusOptimal {
 		t.Skipf("CSA infeasible on this draw (acceptable): %v", res.Status)
 	}
-	pkg := vm.PackageOf(nil, res.X)
+	pkg := s.PackageOf(nil, res.X)
 	if got := satisfiedBy(sums[0], pkg, true, -5); got != 8 {
 		t.Fatalf("1.0-summary solution satisfies %d/8 scenarios, want all", got)
 	}
@@ -422,10 +422,12 @@ func TestFormulateCSAMissingObjSummaries(t *testing.T) {
 	}
 }
 
+// TestPackageOfRounds: the package is the first N entries of a solution,
+// x_i being variable i, rounded; the indicators after them are not read.
 func TestPackageOfRounds(t *testing.T) {
-	vm := &VarMap{X: []int{0, 1, 2}}
-	pkg := vm.PackageOf(nil, []float64{0.9999999, 2.0000001, 0})
-	if pkg[0] != 1 || pkg[1] != 2 || pkg[2] != 0 {
+	s := &SILP{N: 3}
+	pkg := s.PackageOf(nil, []float64{0.9999999, 2.0000001, 0, 1})
+	if len(pkg) != 3 || pkg[0] != 1 || pkg[1] != 2 || pkg[2] != 0 {
 		t.Fatalf("pkg = %v", pkg)
 	}
 }
