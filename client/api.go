@@ -354,13 +354,11 @@ func (w *SolveWork) Add(o SolveWork) {
 }
 
 // SolveTotals sums the SolveWork of every MILP solve of one evaluation
-// (the unconstrained x(0) solve included); MILPWorkers is the largest
-// per-solve worker bound used. core.Solution embeds it; the engine folds it
-// into its /stats counters.
+// (the unconstrained x(0) solve included). core.Solution embeds it; the
+// engine folds it into its /stats counters.
 type SolveTotals struct {
 	MILPSolves   int `json:"milp_solves,omitempty"`
 	MILPNodes    int `json:"milp_nodes,omitempty"`
-	MILPWorkers  int `json:"milp_workers,omitempty"`
 	LPIters      int `json:"lp_iters,omitempty"`
 	WarmStarts   int `json:"warm_starts,omitempty"`
 	DegenPivots  int `json:"degen_pivots,omitempty"`
@@ -369,11 +367,10 @@ type SolveTotals struct {
 	PresolveCols int `json:"presolve_cols,omitempty"`
 }
 
-// Add folds one solve, run with the given worker bound, into the totals.
-func (t *SolveTotals) Add(w SolveWork, workers int) {
+// Add folds one solve into the totals.
+func (t *SolveTotals) Add(w SolveWork) {
 	t.MILPSolves++
 	t.MILPNodes += w.Nodes
-	t.MILPWorkers = max(t.MILPWorkers, workers)
 	t.LPIters += w.LPIters
 	t.WarmStarts += w.WarmStarts
 	t.DegenPivots += w.DegenPivots

@@ -84,7 +84,7 @@ func main() {
 	flag.IntVar(&cfg.cacheSize, "cache", 128, "plan cache capacity in entries (negative disables)")
 	flag.IntVar(&cfg.resultCache, "result-cache", 256, "result cache capacity in entries (negative disables)")
 	flag.DurationVar(&cfg.timeout, "timeout", 60*time.Second, "default per-query timeout")
-	flag.IntVar(&cfg.parallelism, "parallelism", 0, "per-query worker count (0 = one per CPU)")
+	flag.IntVar(&cfg.parallelism, "parallelism", 0, "per-query worker count for summarization and validation (0 = one per CPU); MILP solves run on one")
 	flag.IntVar(&cfg.maxJobs, "max-jobs", 0, "max active async jobs (0 = max-inflight + max-queue)")
 	flag.IntVar(&cfg.jobHistory, "job-history", 0, "finished jobs kept pollable (0 = 64, negative disables)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format for structured events: \"text\" or \"json\" (one object per line)")

@@ -33,9 +33,7 @@ var digestNaive = map[string]bool{"galaxy": true, "portfolio": true}
 
 // digestLine renders one answer: the error, or feasibility, the objective's
 // bits, ε′'s bits, M, Z, an FNV-64a digest of X's bits and the solver
-// totals. MILPWorkers is the resolved worker bound, which follows
-// GOMAXPROCS, so it is left out: every other field is the same for any
-// worker count.
+// totals.
 func digestLine(id string, res *Result, err error) string {
 	if err != nil {
 		return fmt.Sprintf("%s err=%q", id, err.Error())
@@ -54,10 +52,8 @@ func solutionDigest(sol *Solution) string {
 		}
 		h.Write(b[:])
 	}
-	tot := sol.SolveTotals
-	tot.MILPWorkers = 0
 	return fmt.Sprintf("feasible=%t obj=%016x eps=%016x m=%d z=%d x=%016x totals=%+v",
-		sol.Feasible, math.Float64bits(sol.Objective), math.Float64bits(sol.EpsUpper), sol.M, sol.Z, h.Sum64(), tot)
+		sol.Feasible, math.Float64bits(sol.Objective), math.Float64bits(sol.EpsUpper), sol.M, sol.Z, h.Sum64(), sol.SolveTotals)
 }
 
 // deltaDigest runs a fixed delta script through an engine: Portfolio Q3 at

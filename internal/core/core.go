@@ -65,13 +65,12 @@ type Options struct {
 	// RelGap is the MILP relative optimality gap (default 1e-4).
 	RelGap float64
 	// Parallelism is the number of worker goroutines used for scenario
-	// generation, summarization, out-of-sample validation, and the
-	// branch-and-bound MILP search. 0 or 1 run sequentially; a negative
-	// value uses one worker per available CPU. Results are bit-identical
-	// for every value: realizations are pure functions of their (attribute,
-	// tuple, scenario) coordinates, the engine shards work along those
-	// coordinates, and the MILP search explores nodes in deterministic
-	// rounds with path-id incumbent tie-breaking (see internal/milp).
+	// generation, summarization and out-of-sample validation; each MILP
+	// solve runs on the goroutine that evaluates the query. 0 or 1 run
+	// sequentially; a negative value uses one worker per available CPU.
+	// Results are bit-identical for every value: realizations are pure
+	// functions of their (attribute, tuple, scenario) coordinates, and the
+	// engine shards work along those coordinates.
 	Parallelism int
 	// Progress, when non-nil, receives one report per validated candidate
 	// package while the evaluation runs (see Progress). The callback must be
@@ -359,12 +358,11 @@ func (r *runner) solverOptions(initial []float64) *milp.Options {
 		}
 	}
 	return &milp.Options{
-		TimeLimit:   limit,
-		MaxNodes:    r.opts.SolverNodes,
-		RelGap:      r.opts.RelGap,
-		InitialX:    initial,
-		Cancel:      r.ctx.Done(),
-		Parallelism: r.opts.Parallelism,
+		TimeLimit: limit,
+		MaxNodes:  r.opts.SolverNodes,
+		RelGap:    r.opts.RelGap,
+		InitialX:  initial,
+		Cancel:    r.ctx.Done(),
 	}
 }
 
@@ -401,7 +399,7 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 		sp.SetAttr("guide_incumbent", strconv.FormatBool(res.GuideIncumbent))
 	}
 	sp.End()
-	r.totals.Add(res.SolveWork, res.Workers)
+	r.totals.Add(res.SolveWork)
 	stop := res.Stop
 	if stop == milp.StopCancelled && errors.Is(r.ctx.Err(), context.DeadlineExceeded) {
 		stop = milp.StopTimeCap // the context's deadline closed Options.Cancel

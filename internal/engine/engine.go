@@ -25,11 +25,12 @@
 // Partitioning shards the medoid solve, shards solve concurrently, and one
 // global refine follows.
 //
-// Query evaluation itself runs with core.Options.Parallelism workers, so one
-// query exploits all cores when the server is idle while concurrent queries
-// share them under load. Parallel execution is bit-identical to sequential
-// (see internal/core and internal/sketch), so the caches and the worker
-// pools never change answers.
+// Query evaluation's scenario generation, summarization and validation run
+// with core.Options.Parallelism workers, so one query exploits all cores
+// when the server is idle while concurrent queries share them under load;
+// its MILP solves run on the goroutine evaluating it. Parallel execution is
+// bit-identical to sequential (see internal/core and internal/sketch), so
+// the caches and the worker pools never change answers.
 package engine
 
 import (
@@ -102,6 +103,8 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// Parallelism is the per-query worker count handed to core.Options
 	// when the request does not set one (default: one per available CPU).
+	// It sizes scenario generation, summarization and validation; MILP
+	// solves run on one goroutine.
 	Parallelism int
 	// MaxJobs bounds the async jobs that may be active (queued or running)
 	// at once; Submit beyond it fails with ErrOverloaded (default
@@ -347,13 +350,11 @@ type Stats struct {
 	JobsCancelled int64 `json:"jobs_cancelled"`
 	JobsEvicted   int64 `json:"jobs_evicted"`
 	// MILP search counters: MilpSolves counts branch-and-bound solves run by
-	// finished queries, MilpNodes the nodes they explored, and MilpWorkersMax
-	// the largest per-solve worker bound observed (1 = sequential search).
-	// Sketch shard sub-solves report only through the refine solution they
-	// feed, so these undercount method=sketch traffic.
-	MilpSolves     int64 `json:"milp_solves"`
-	MilpNodes      int64 `json:"milp_nodes"`
-	MilpWorkersMax int64 `json:"milp_workers_max"`
+	// finished queries and MilpNodes the nodes they explored. Sketch shard
+	// sub-solves report only through the refine solution they feed, so these
+	// undercount method=sketch traffic.
+	MilpSolves int64 `json:"milp_solves"`
+	MilpNodes  int64 `json:"milp_nodes"`
 	// LP kernel counters: total simplex iterations, node LPs warm-started
 	// from a parent basis, degenerate pivots, and the rows/columns removed
 	// by MILP root presolve, summed over the same finished queries.

@@ -33,7 +33,6 @@ const (
 	statJobsEvicted
 	statMILPSolves
 	statMILPNodes
-	statMILPWorkersMax
 	statLPIters
 	statLPWarmStarts
 	statLPDegenPivots
@@ -80,7 +79,6 @@ var statTable = [...]statRow{
 	statJobsEvicted:        {"jobs_evicted", "spq_jobs_evicted_total", "counter", "Finished jobs dropped from the bounded history.", nil},
 	statMILPSolves:         {"milp_solves", "spq_milp_solves_total", "counter", "Branch-and-bound MILP solves run by finished queries.", nil},
 	statMILPNodes:          {"milp_nodes", "spq_milp_nodes_total", "counter", "Branch-and-bound nodes explored by finished queries.", nil},
-	statMILPWorkersMax:     {"milp_workers_max", "spq_milp_workers_max", "gauge", "Largest per-solve branch-and-bound worker bound observed.", nil},
 	statLPIters:            {"lp_iters", "spq_lp_iterations_total", "counter", "Simplex iterations run by finished queries (root and node LP solves).", nil},
 	statLPWarmStarts:       {"lp_warm_starts", "spq_lp_warm_starts_total", "counter", "Node LPs reinstated from a parent basis by dual simplex instead of solved cold.", nil},
 	statLPDegenPivots:      {"lp_degen_pivots", "spq_lp_degen_pivots_total", "counter", "Degenerate simplex pivots (zero step length) across all LP solves.", nil},
@@ -207,13 +205,6 @@ func (m *engineMetrics) addSolveTotals(t client.SolveTotals) {
 	m.add(statLPBoundFlips, int64(t.BoundFlips))
 	m.add(statPresolveRows, int64(t.PresolveRows))
 	m.add(statPresolveCols, int64(t.PresolveCols))
-	// The workers row is a high-water mark.
-	hw, w := &m.v[statMILPWorkersMax], int64(t.MILPWorkers)
-	for cur := hw.Load(); w > cur; cur = hw.Load() {
-		if hw.CompareAndSwap(cur, w) {
-			break
-		}
-	}
 }
 
 // sample reads the scheduler once and then every statTable row.

@@ -72,11 +72,9 @@ func TestGoldenKernelCounters(t *testing.T) {
 		}
 		return
 	}
-	knap := []*Model{knapsackModel(rng.NewStream(5), 26, 13)} // BenchmarkSolveParallel's
-	for _, w := range workerMatrix {
-		if it, nd, wm := total(knap, &Options{Parallelism: w}); it != 30 || nd != 13 || wm != 12 {
-			t.Fatalf("knapsack, %d workers: %d LP iters / %d nodes / %d warm starts, want 30 / 13 / 12", w, it, nd, wm)
-		}
+	knap := []*Model{knapsackModel(rng.NewStream(5), 26, 13)} // BenchmarkSolve's
+	if it, nd, wm := total(knap, nil); it != 30 || nd != 13 || wm != 12 {
+		t.Fatalf("knapsack: %d LP iters / %d nodes / %d warm starts, want 30 / 13 / 12", it, nd, wm)
 	}
 	if it, nd, wm := total(propertyCorpus(), nil); it != 319 || nd != 269 || wm != 200 {
 		t.Fatalf("property corpus: %d LP iters / %d nodes / %d warm starts, want 319 / 269 / 200", it, nd, wm)
@@ -195,9 +193,8 @@ func TestWideSolveBytes(t *testing.T) {
 // corpus — CSA roots of 2 000 and 20 000 columns, one with pinned
 // columns, the benchmark knapsack
 // whole and cut at a node cap, the property corpus plain and hinted (so
-// neighbourhood searches run too) — in an order of their own, at one, two
-// and four workers, against the same corpus solved one at a time on arenas
-// of its own.
+// neighbourhood searches run too) — in an order of their own, against the
+// same corpus solved one at a time on arenas of its own.
 func TestSolveArenaReuseBitIdentical(t *testing.T) {
 	type job struct {
 		m *Model
@@ -211,14 +208,13 @@ func TestSolveArenaReuseBitIdentical(t *testing.T) {
 	jobs := []job{
 		{csaModel(2000, 4), nil},
 		{pinned, nil},
-		{csaModel(20000, 4), &Options{Parallelism: 2}},
-		{knap, &Options{Parallelism: 1}},
-		{knap, &Options{Parallelism: 4, MaxNodes: 5}},
+		{csaModel(20000, 4), nil},
+		{knap, nil},
+		{knap, &Options{MaxNodes: 5}},
 	}
 	s := rng.NewStream(31)
-	for i, m := range propertyCorpus() {
-		jobs = append(jobs, job{m, &Options{Parallelism: 1 + i%2}},
-			job{m, &Options{Parallelism: 1 + i%4, InitialX: randomHint(m, s)}})
+	for _, m := range propertyCorpus() {
+		jobs = append(jobs, job{m, nil}, job{m, &Options{InitialX: randomHint(m, s)}})
 	}
 	want := make([]*Result, len(jobs))
 	guided := 0

@@ -144,9 +144,9 @@ func checkOracle(t *testing.T, tag string, o *oracleMILP, res *Result, gap float
 	}
 }
 
-// FuzzMILP is the solver differential: random small MILPs solved at every
-// worker count of the determinism matrix against exhaustive enumeration,
-// once plain and once hinted with a random integer point inside the bounds.
+// FuzzMILP is the solver differential: random small MILPs solved against
+// exhaustive enumeration, once plain and once hinted with a random integer
+// point inside the bounds.
 // The hint is feasible or not, so both the seeded incumbent and the
 // neighbourhood search are held to the enumerated optimum.
 func FuzzMILP(f *testing.F) {
@@ -159,12 +159,8 @@ func FuzzMILP(f *testing.F) {
 		m := o.model()
 		hint := randomHint(m, rng.NewStream(^seed))
 		for _, opts := range []*Options{{RelGap: gap}, {RelGap: gap, InitialX: hint}} {
-			base := solveWith(t, m, workerMatrix[0], opts)
-			tag := fmt.Sprintf("workers=1 hint=%v", base.Hint)
-			checkOracle(t, tag, o, base, gap)
-			for _, w := range workerMatrix[1:] {
-				assertBitIdentical(t, "fuzz "+tag, base, solveWith(t, m, w, opts), w)
-			}
+			res := mustSolve(t, m, opts)
+			checkOracle(t, fmt.Sprintf("hint=%v", res.Hint), o, res, gap)
 		}
 	})
 }
@@ -180,7 +176,7 @@ func TestReducedCostFixing(t *testing.T) {
 		for seed := uint64(1); seed <= 600; seed++ {
 			o := randomOracleMILP(rng.NewStream(seed))
 			for _, gap := range []float64{0, 0.01, 0.1} {
-				res := solveWith(t, o.model(), 1, &Options{RelGap: gap})
+				res := mustSolve(t, o.model(), &Options{RelGap: gap})
 				checkOracle(t, fmt.Sprintf("fixing=%t seed %d gap %v", fixing, seed, gap), o, res, gap)
 				nodes += res.Nodes
 			}

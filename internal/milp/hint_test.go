@@ -7,9 +7,6 @@ import (
 	"spq/internal/rng"
 )
 
-// hintMatrix is the hinted determinism corpus's worker counts.
-var hintMatrix = []int{1, 2, 4, -1}
-
 // randomHint draws an integer point inside the model's bounds, feasible or
 // not.
 func randomHint(m *Model, s *rng.Stream) []float64 {
@@ -21,20 +18,20 @@ func randomHint(m *Model, s *rng.Stream) []float64 {
 }
 
 // assertSameHint extends assertBitIdentical to the hint's fate.
-func assertSameHint(t *testing.T, tag string, base, got *Result, workers int) {
+func assertSameHint(t *testing.T, tag string, base, got *Result) {
 	t.Helper()
-	assertBitIdentical(t, tag, base, got, workers)
+	assertBitIdentical(t, tag, base, got)
 	if got.Hint != base.Hint || got.GuideNodes != base.GuideNodes || got.GuideIncumbent != base.GuideIncumbent {
-		t.Fatalf("%s: workers=%d hint %v / %d guide nodes / won %t != sequential %v / %d / %t", tag, workers,
+		t.Fatalf("%s: hint %v / %d guide nodes / won %t != %v / %d / %t", tag,
 			got.Hint, got.GuideNodes, got.GuideIncumbent, base.Hint, base.GuideNodes, base.GuideIncumbent)
 	}
 }
 
 // TestHintedDeterminismMatrix: solves hinted with a random in-bounds point —
 // an incumbent when it is feasible, the neighbourhood guide when it is not —
-// are bit-identical across worker counts, hint fate included, on the
-// property corpus and the FuzzMILP generator. The corpus must exercise both
-// fates and a neighbourhood search that supplies the incumbent.
+// repeat bit for bit, hint fate included, on the property corpus and the
+// FuzzMILP generator. The corpus must exercise both fates and a
+// neighbourhood search that supplies the incumbent.
 func TestHintedDeterminismMatrix(t *testing.T) {
 	models := propertyCorpus()
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -45,14 +42,12 @@ func TestHintedDeterminismMatrix(t *testing.T) {
 	won := 0
 	for i, m := range models {
 		opts := &Options{InitialX: randomHint(m, s)}
-		base := solveWith(t, m, hintMatrix[0], opts)
+		base := mustSolve(t, m, opts)
 		fates[base.Hint]++
 		if base.GuideIncumbent {
 			won++
 		}
-		for _, w := range hintMatrix[1:] {
-			assertSameHint(t, fmt.Sprintf("model %d", i), base, solveWith(t, m, w, opts), w)
-		}
+		assertSameHint(t, fmt.Sprintf("model %d", i), base, mustSolve(t, m, opts))
 	}
 	if fates[HintIncumbent] == 0 || fates[HintGuide] == 0 || won == 0 {
 		t.Fatalf("corpus too easy: hint fates %v, %d neighbourhood incumbents", fates, won)
@@ -104,7 +99,7 @@ func TestGuideCapKeepsStatus(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			guide[s.IntN(n)] = float64(s.IntN(2))
 		}
-		res := solveWith(t, m, 1, &Options{InitialX: guide})
+		res := mustSolve(t, m, &Options{InitialX: guide})
 		if res.Status != StatusOptimal || res.Obj != -(n-1)/2 {
 			t.Fatalf("try %d: status %v obj %v, want optimal %d", try, res.Status, res.Obj, -(n-1)/2)
 		}
@@ -116,9 +111,6 @@ func TestGuideCapKeepsStatus(t *testing.T) {
 		}
 		if res.GuideNodes != guideCap || !res.GuideIncumbent {
 			t.Fatalf("try %d: %d guided nodes (cap %d), found a point: %t", try, res.GuideNodes, guideCap, res.GuideIncumbent)
-		}
-		for _, w := range hintMatrix[1:] {
-			assertSameHint(t, "capped", res, solveWith(t, m, w, &Options{InitialX: guide}), w)
 		}
 		t.Logf("try %d: %d nodes, %d of them in the capped neighbourhood", try, res.Nodes, res.GuideNodes)
 		return
@@ -149,12 +141,12 @@ func TestGuideSkipped(t *testing.T) {
 		{"integral root", integral, []float64{0}},
 		{"no agreement", parityModel(15), nowhere},
 	} {
-		base := solveWith(t, c.m, 1, nil)
-		res := solveWith(t, c.m, 1, &Options{InitialX: c.guide})
+		base := mustSolve(t, c.m, nil)
+		res := mustSolve(t, c.m, &Options{InitialX: c.guide})
 		if res.Hint != HintGuide || res.GuideNodes != 0 || res.GuideIncumbent {
 			t.Fatalf("%s: hint %v, %d guide nodes, won %t; want a guide that never ran", c.tag, res.Hint, res.GuideNodes, res.GuideIncumbent)
 		}
-		assertBitIdentical(t, c.tag, base, res, 1)
+		assertBitIdentical(t, c.tag, base, res)
 	}
 }
 
@@ -165,14 +157,14 @@ func TestHintFates(t *testing.T) {
 	a, b := m.AddVar(0, 3, -1, true), m.AddVar(0, 3, -1, true)
 	m.AddRow([]int{a, b}, []float64{1, 1}, -Inf, 4)
 	hint := []float64{1, 3}
-	res := solveWith(t, m, 1, &Options{InitialX: hint})
+	res := mustSolve(t, m, &Options{InitialX: hint})
 	if res.Hint != HintIncumbent || res.Status != StatusOptimal || res.Obj != -4 {
 		t.Fatalf("feasible hint: %v, status %v obj %v", res.Hint, res.Status, res.Obj)
 	}
 	if &res.X[0] != &hint[0] {
 		t.Fatal("an optimal feasible hint was copied")
 	}
-	res = solveWith(t, m, 1, &Options{InitialX: []float64{1}})
+	res = mustSolve(t, m, &Options{InitialX: []float64{1}})
 	if res.Hint != HintNone || res.Status != StatusOptimal || res.Obj != -4 {
 		t.Fatalf("short hint: %v, status %v obj %v", res.Hint, res.Status, res.Obj)
 	}

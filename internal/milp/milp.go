@@ -6,12 +6,11 @@
 // variables, range constraints, and indicator ("y = 1 ⟹ linear constraint")
 // constraints, which are linearized with per-row derived big-M values.
 //
-// The search itself is an explicit node pool explored by a bounded set of
-// workers (Options.Parallelism) rather than a recursive depth-first dive:
-// nodes carry immutable bound deltas, workers claim them from deterministic
-// synchronization rounds, and the shared incumbent breaks objective ties
-// toward the smaller canonical path id, so results are bit-identical for
-// every worker count (see search.go). Every node whose LP point is
+// The search itself is an explicit node pool explored on the calling
+// goroutine rather than a recursive depth-first dive: nodes carry bound
+// deltas, the frontier is processed in rounds judged against the
+// round-start incumbent, and the incumbent breaks objective ties toward the
+// smaller canonical path id (see search.go). Every node whose LP point is
 // fractional, the root included, is rounded in the directions its rows
 // leave free (simple rounding: Achterberg, Constraint Integer Programming,
 // 2007), so incumbents appear within the first nodes; the root is no longer
@@ -459,12 +458,10 @@ type Options struct {
 	// cancellation takes effect within one simplex iteration even when a
 	// single LP solve is long.
 	Cancel <-chan struct{}
-	// Parallelism is the number of workers exploring branch-and-bound nodes
-	// concurrently. 0 or 1 explore sequentially; a negative value uses one
-	// worker per available CPU. Results are bit-identical for every value:
-	// nodes are processed in deterministic synchronization rounds against a
-	// round-start incumbent snapshot, and equal-objective incumbents are
-	// resolved toward the smaller canonical path id.
+	// Parallelism is ignored: the search runs on the calling goroutine.
+	// Measured on a two-core host, a second worker did not pay on the
+	// small MILPs SummarySearch solves (DESIGN.md, "The round search").
+	// The field stays until the benchmark harness stops setting it.
 	Parallelism int
 	// LP tunes the node LP solves.
 	LP lp.Options
@@ -507,13 +504,10 @@ type Result struct {
 	// PresolveTime is the wall-clock time of the root presolve
 	// (Model.Presolve), the relaxation's big-M derivation included.
 	PresolveTime time.Duration
-	// Workers is the resolved branch-and-bound worker bound the search ran
-	// with (1 for a sequential solve).
-	Workers int
 	// Coefficients is the DILP size that was handed to the LP engine.
 	Coefficients int
-	// Rounds is the number of synchronization rounds the search ran (0 when
-	// the root disposition resolved the tree).
+	// Rounds is the number of rounds the search ran (0 when the root
+	// disposition resolved the tree).
 	Rounds int
 	// Hint is what became of Options.InitialX.
 	Hint Hint

@@ -15,12 +15,10 @@ import (
 // without a package for its first 1 000–1 200 nodes.
 func TestRoundingFindsParityIncumbent(t *testing.T) {
 	const n = 41
-	for _, w := range []int{1, 2, 4} {
-		res := solveWith(t, parityModel(n), w, &Options{MaxNodes: 50})
-		if res.Status != StatusFeasible || res.X == nil || res.Obj != -(n-1)/2 || res.Stop != StopNodeCap {
-			t.Fatalf("workers=%d: status %v stop %v obj %v, want feasible at the node cap with obj %d",
-				w, res.Status, res.Stop, res.Obj, -(n-1)/2)
-		}
+	res := mustSolve(t, parityModel(n), &Options{MaxNodes: 50})
+	if res.Status != StatusFeasible || res.X == nil || res.Obj != -(n-1)/2 || res.Stop != StopNodeCap {
+		t.Fatalf("status %v stop %v obj %v, want feasible at the node cap with obj %d",
+			res.Status, res.Stop, res.Obj, -(n-1)/2)
 	}
 }
 
@@ -57,10 +55,10 @@ func lockModel(s *rng.Stream, n int) *Model {
 
 // TestRoundingCandidatesDeterministic: with rounding candidates in play,
 // searches cut at node caps that end inside and between rounds, and run to
-// the end, are bit-identical at 1, 2 and 4 workers, and every package they
-// return satisfies the model. The corpus must show that the rounding
-// candidates are what is compared: some capped solves return another
-// package, or none, with rounding switched off.
+// the end, repeat bit for bit, and every package they return satisfies the
+// model. The corpus must show that the rounding candidates are what is
+// compared: some capped solves return another package, or none, with
+// rounding switched off.
 func TestRoundingCandidatesDeterministic(t *testing.T) {
 	models := []*Model{parityModel(41), parityModel(21)}
 	s := rng.NewStream(17)
@@ -76,17 +74,15 @@ func TestRoundingCandidatesDeterministic(t *testing.T) {
 		for _, cap := range []int{1, 10, 64, 100, 1000} {
 			tag := fmt.Sprintf("model %d cap %d", i, cap)
 			opts := &Options{MaxNodes: cap}
-			base := solveWith(t, m, 1, opts)
-			for _, w := range []int{2, 4} {
-				assertBitIdentical(t, tag, base, solveWith(t, m, w, opts), w)
-			}
+			base := mustSolve(t, m, opts)
+			assertBitIdentical(t, tag, base, mustSolve(t, m, opts))
 			if base.X != nil {
 				if obj, ok := (&search{model: m}).checkFeasible(base.X); !ok || math.Abs(obj-base.Obj) > 1e-9 {
 					t.Fatalf("%s: returned an infeasible package (obj %v, reported %v)", tag, obj, base.Obj)
 				}
 			}
 			rounding = false
-			off := solveWith(t, m, 1, opts)
+			off := mustSolve(t, m, opts)
 			rounding = true
 			if off.Status != base.Status || off.Obj != base.Obj {
 				moved++

@@ -9,16 +9,14 @@ import (
 
 	"spq/client"
 	"spq/internal/lp"
-	"spq/internal/par"
 )
 
 // The branch-and-bound search is an explicit node pool rather than a
-// recursive depth-first dive. Nodes are read-only while a round runs: each
-// carries one bound delta (the branching variable's new interval) plus a
-// parent pointer, so any worker can materialize a node's full bound vectors
-// into private scratch space and solve its LP without coordination. This removes
-// the old dive's unbounded goroutine-stack growth (one frame per fixed
-// binary) and is what makes concurrent exploration possible at all.
+// recursive depth-first dive, and it runs on the calling goroutine. Each
+// node carries one bound delta (the branching variable's new interval) plus
+// a parent pointer, and its full bound vectors are materialized into the
+// search's scratch space when its LP is solved. This keeps ancestry on the
+// heap instead of one goroutine-stack frame per fixed binary.
 //
 // The LP kernel is engaged through four throughput levers (see DESIGN.md
 // "LP kernel"):
@@ -28,14 +26,14 @@ import (
 //     space; solutions are postsolved back before they become incumbents;
 //   - every child node carries its parent's optimal basis and each node LP
 //     is warm-started from it (dual-simplex reinstatement instead of
-//     phase 1), with per-worker lp.Scratch reused across node solves. A
-//     node's LP prices its seed once, for reduced-cost fixing, the first
-//     dual ratio test and the first phase-2 pricing alike, and both children
-//     of a branching node are solved back to back on one worker, so the
-//     second reads the first's pricing of their shared seed;
-//   - the node loop allocates nothing: a node's LP solve lives in its
-//     worker's lp.Scratch, bases are snapshotted only at branching nodes into
-//     buffers recycled through per-worker free lists, nodes come from slabs,
+//     phase 1), with one lp.Scratch reused across node solves. A node's LP
+//     prices its seed once, for reduced-cost fixing, the first dual ratio
+//     test and the first phase-2 pricing alike, and both children of a
+//     branching node are solved back to back, so the second reads the
+//     first's pricing of their shared seed;
+//   - the node loop allocates nothing: a node's LP solve lives in the
+//     search's lp.Scratch, bases are snapshotted only at branching nodes into
+//     buffers recycled through a free list, nodes come from slabs,
 //     and the frontier is a stack that rounds pop from and push back onto;
 //     and the set-up allocates only on a cold pool: the whole working set
 //     of a Solve, presolve's included, is an arena taken from a pool and
@@ -49,32 +47,24 @@ import (
 // cutoff and satisfies the rows is the node's candidate. There is no other
 // rounding: the root is not rounded to nearest.
 //
-// Determinism contract: results (Status, X, Obj, Bound, Nodes) are
-// bit-identical for every Options.Parallelism value. The search processes the
-// frontier in synchronization rounds of at most roundSize nodes. Within a
-// round every node's disposition (prune / branch / incumbent candidate) is a
-// pure function of the node and the round-start incumbent snapshot — workers
-// never read the live incumbent — so the round's outcome is a deterministic
-// map over its nodes and worker count only changes the schedule. Candidates
-// are merged back in frontier order, with objective ties broken toward the
-// smaller canonical path id (down-branch = 0, up-branch = 1, compared
-// lexicographically), so simultaneous equal-objective discoveries in one
-// round resolve identically no matter which worker got there first. A
-// rounded candidate is a pure function of its node's LP point and box and
-// the snapshot, so it merges like any integral node's. The new kernel state
-// stays inside this contract: a node's warm-start basis is its parent's
-// optimal basis — itself a pure function of the parent's bounds,
-// seed basis and options, by induction on the tree — and the pseudocost
-// table mutates only between rounds, folded in frontier merge order, so
-// every in-round pickBranchVar reads the same table snapshot regardless of
-// which worker runs it.
+// Rounds: the search processes the frontier in rounds of at most roundSize
+// nodes. Within a round every node's disposition (prune / branch / incumbent
+// candidate) is a function of the node and the round-start incumbent
+// snapshot, never the live incumbent, and the pseudocost table a node's
+// pickBranchVar reads changes only between rounds, folded in frontier merge
+// order. Candidates are merged back in frontier order, with objective ties
+// broken toward the smaller canonical path id (down-branch = 0, up-branch =
+// 1, compared lexicographically). A rounded candidate is a function of its
+// node's LP point and box and the snapshot, so it merges like any integral
+// node's. A node's warm-start basis is its parent's optimal basis. These
+// rules define the answers, Result.Nodes included, bit for bit: pruning
+// against the live incumbent instead would be another search (DESIGN.md,
+// "The round search").
 
-// roundSize is the number of frontier nodes evaluated per synchronization
-// round. It is a fixed constant, NOT derived from Options.Parallelism or
-// GOMAXPROCS: round boundaries decide which incumbent snapshot a node is
-// pruned against, so they must be identical for every worker count. Larger
-// values expose more parallelism per round; smaller values tighten pruning
-// (the snapshot lags the live incumbent by at most one round).
+// roundSize is the number of frontier nodes evaluated per round. Round
+// boundaries decide which incumbent snapshot a node is pruned against;
+// smaller values tighten pruning (the snapshot lags the live incumbent by at
+// most one round).
 const roundSize = 64
 
 // intTol is the integrality tolerance: a value within it of an integer
@@ -87,17 +77,17 @@ const feasTol = 1e-6
 
 // nodeBasis is a branching node's optimal basis, the warm start of its
 // children. refs counts the children not yet solved; when the merge section
-// brings it to zero the buffer goes back to a worker's free list.
+// brings it to zero the buffer goes back to the scratch's free list.
 type nodeBasis struct {
 	lp.Basis
 	refs int
 }
 
 // bbNode is one open branch-and-bound subproblem: the parent's bounds
-// narrowed by [lo, hi] on branchVar. Workers only read nodes and share them
-// without locks; the single-goroutine merge section between rounds is the
-// only writer (it fills nodes in, releases seed once the node has been
-// processed, counts open, and reuses a node whose subtree is retired).
+// narrowed by [lo, hi] on branchVar. A round only reads nodes; the merge
+// section between rounds is the only writer (it fills nodes in, releases
+// seed once the node has been processed, counts open, and reuses a node
+// whose subtree is retired).
 type bbNode struct {
 	parent    *bbNode
 	branchVar int
@@ -161,18 +151,18 @@ func replaces(cand, cur incumbent) bool {
 	return bytes.Compare(cand.path, cur.path) < 0
 }
 
-// bbScratch is per-worker reusable state: bound materialization buffers, the
-// worker's lp.Scratch, in which every one of its node solves lives, and its
-// free list of basis buffers. It outlives a solve in the arena; reset
-// re-initialises it for the next.
+// bbScratch is the search's reusable state: bound materialization buffers,
+// the lp.Scratch in which every node solve lives, and the free list of basis
+// buffers. It outlives a solve in the arena; reset re-initialises it for the
+// next.
 type bbScratch struct {
 	lo, hi  []float64 // root bounds, overridden at touched by the previous node's path
 	touched []int
 	stamp   []int // stamp[j] == epoch ⟹ var j already overridden this node
 	epoch   int
 	lp      lp.Scratch
-	// bases is popped by the worker during a round and refilled only by the
-	// merge section between rounds, so it needs no lock.
+	// bases is popped by dispose during a round and refilled by the merge
+	// section between rounds.
 	bases []*nodeBasis
 	// point is an integral node's rounded LP point, or simple rounding's
 	// rounded point, and act the latter's row activities (reduced space),
@@ -204,7 +194,7 @@ func (sc *bbScratch) takeBasis() *nodeBasis {
 
 // poisonRecycled is switched on by this package's tests: an LP point the
 // search is done with is overwritten with NaN, so code that still read it
-// after the worker's next solve reused the memory would change a result
+// after the next node solve reused the memory would change a result
 // instead of passing by luck, and so is every buffer of an arena going back
 // to the pool (NaN for floats, −1 for indices), so a Solve that read what a
 // previous one left, instead of re-initialising it, would too. (A recycled
@@ -222,9 +212,8 @@ func releaseX(x []float64) {
 
 // pseudocosts is the per-variable branching history: average objective
 // degradation per unit of fractional distance, kept separately for the down
-// and the up branch. It is read (possibly concurrently) during rounds and
-// mutated only between rounds, in frontier merge order, so its state at
-// round start is deterministic for every worker count.
+// and the up branch. It is read during rounds and mutated only between
+// rounds, in frontier merge order.
 type pseudocosts struct {
 	downSum, upSum []float64
 	downCnt, upCnt []int
@@ -270,7 +259,7 @@ func (pc *pseudocosts) rate(j int, up bool) float64 {
 
 // bbResult is the disposition of one processed node.
 type bbResult struct {
-	done     bool             // false when a limit stopped the worker before this node
+	done     bool             // false when a limit stopped the round before this node
 	complete bool             // subtree fully resolved (pruned/feasible/infeasible/branched)
 	kids     [2]bbNode        // kids[:nkids] are the open subproblems, in preferred exploration
 	nkids    int              // order; the merge section copies them into nodes of its own
@@ -293,10 +282,9 @@ func nodeWork(sol *lp.Solution) client.SolveWork {
 }
 
 // search carries the state of one Solve invocation. The incumbent, work
-// record and pseudocost table are touched only between rounds
-// (single-goroutine sections); workers communicate exclusively through their
-// bbResult slots. It lives in an arena, and reset re-initialises it for each
-// solve in the buffers of the previous one.
+// record and pseudocost table are touched only between rounds; a round
+// reports through its bbResult slots. It lives in an arena, and reset
+// re-initialises it for each solve in the buffers of the previous one.
 type search struct {
 	model  *Model
 	pr     *lp.Presolved
@@ -315,21 +303,18 @@ type search struct {
 	guideNodes int       // nodes of the neighbourhood search it guided
 	guideWon   bool      // that search supplied the incumbent
 
-	inc       incumbent
-	stop      Stop             // why run ended (StopComplete until a budget ends it)
-	work      client.SolveWork // accumulated between rounds
-	rounds    int
-	workers   int
-	pc        pseudocosts
-	scratches []*bbScratch   // this solve's workers'; spares wait past len, up to cap
-	results   []bbResult     // one slot per node of the current round
-	cursor    atomic.Int64   // the current round's next unclaimed node
-	wg        sync.WaitGroup // the round's workers besides the calling goroutine
-	slab      []bbNode       // fresh nodes are appended here; a full slab is left to its nodes
-	slabs     [][]bbNode     // every slab made, reused in order: slabs[:nslab] are this solve's
-	nslab     int
-	free      *bbNode // retired nodes, linked through parent, reused before the slab grows
-	sub       *search // the neighbourhood search's state (searchGuide), made on first use
+	inc     incumbent
+	stop    Stop             // why run ended (StopComplete until a budget ends it)
+	work    client.SolveWork // accumulated between rounds
+	rounds  int
+	pc      pseudocosts
+	sc      bbScratch
+	results []bbResult // one slot per node of the current round
+	slab    []bbNode   // fresh nodes are appended here; a full slab is left to its nodes
+	slabs   [][]bbNode // every slab made, reused in order: slabs[:nslab] are this solve's
+	nslab   int
+	free    *bbNode // retired nodes, linked through parent, reused before the slab grows
+	sub     *search // the neighbourhood search's state (searchGuide), made on first use
 }
 
 // reset re-initialises st for a solve of model under opts, keeping the
@@ -346,7 +331,7 @@ func (st *search) reset(model *Model, opts Options) {
 		locks:      st.locks[:0],
 		rootD:      st.rootD[:0],
 		pc:         st.pc,
-		scratches:  st.scratches[:0],
+		sc:         st.sc,
 		results:    st.results,
 		slabs:      st.slabs,
 		sub:        st.sub,
@@ -356,8 +341,8 @@ func (st *search) reset(model *Model, opts Options) {
 
 // arena is a Solve's working set, taken from arenas for the solve and put
 // back before Solve returns: the presolver with its row store and reduced
-// problem, the relaxation's row form, and the search with its worker
-// scratches, pseudocosts, node slabs and round results. Solves of one size
+// problem, the relaxation's row form, and the search with its scratch,
+// pseudocosts, node slabs and round results. Solves of one size
 // after the first allocate only their answer; nothing a Result holds is the
 // arena's.
 type arena struct {
@@ -423,10 +408,8 @@ func (a *arena) poison() {
 	for st := &a.st; st != nil; st = st.sub {
 		nan(st.rootLo, st.rootHi, st.rootD, st.pc.downSum, st.pc.upSum)
 		neg(st.pc.downCnt, st.pc.upCnt)
-		for _, sc := range st.scratches {
-			nan(sc.lo, sc.hi, sc.point, sc.act)
-			neg(sc.stamp, sc.touched[:cap(sc.touched)])
-		}
+		nan(st.sc.lo, st.sc.hi, st.sc.point, st.sc.act)
+		neg(st.sc.stamp, st.sc.touched[:cap(st.sc.touched)])
 		for k, slab := range st.slabs[:st.nslab] {
 			if k == st.nslab-1 {
 				slab = st.slab
@@ -467,10 +450,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 			st.lpOpts.Deadline = dl
 		}
 	}
-	st.workers = par.Workers(opts.Parallelism, roundSize)
-	if cap(st.scratches) < st.workers {
-		st.scratches = make([]*bbScratch, 0, st.workers)
-	}
 	hint := HintNone
 	if len(opts.InitialX) > 0 && len(opts.InitialX) == len(m.vars) {
 		if obj, ok := st.checkFeasible(opts.InitialX); ok {
@@ -494,7 +473,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 		SolveWork:    client.SolveWork{PresolveRows: st.pr.RowsRemoved, PresolveCols: st.pr.ColsRemoved},
 		PresolveTime: time.Since(start),
 		Coefficients: a.form.coefs,
-		Workers:      st.workers,
 		Hint:         hint,
 	}
 	if st.pr.Infeasible {
@@ -520,9 +498,10 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 	}
 	st.locks = columnLocks(st.locks, st.red)
 	st.pc.reset(nred)
+	st.sc.reset(st.rootLo, st.rootHi)
 
 	rootOpts := st.lpOpts
-	rootOpts.Scratch = &st.scratch(0).lp
+	rootOpts.Scratch = &st.sc.lp
 	rootSol, err := lp.SolveWithBounds(st.red, st.rootLo, st.rootHi, &rootOpts)
 	if err != nil {
 		return nil, err
@@ -583,14 +562,14 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 // run explores the tree under the already-solved root. It returns whether
 // the search space was exhausted (i.e. the incumbent, if any, is exact).
 func (st *search) run(rootSol *lp.Solution) (bool, error) {
-	rootRes := st.dispose(nil, rootSol, st.inc, st.scratch(0))
+	rootRes := st.dispose(nil, rootSol, st.inc)
 	if replaces(rootRes.cand, st.inc) {
 		st.inc = rootRes.cand
 	}
 	if rootRes.nkids > 0 && fixing {
-		// The root solve is still live in worker 0's scratch.
+		// The root solve is still live in the scratch.
 		st.rootD = grow(st.rootD, st.red.NumVars())
-		st.rootBound = st.scratch(0).lp.ReducedCosts(st.rootD)
+		st.rootBound = st.sc.lp.ReducedCosts(st.rootD)
 		st.fixRoot()
 	}
 	if rootRes.nkids > 0 && st.inc.x == nil && st.guide != nil {
@@ -623,13 +602,22 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		}
 		results := st.results[:k]
 		clear(results)
-		st.processRound(round, results)
+		// Every node of the round is judged against the round-start
+		// incumbent. Siblings are adjacent in the round and share their
+		// seed, so the second reads the first's pricing of it from the
+		// scratch.
+		snap := st.inc
+		for i := range results {
+			if st.interrupted() {
+				break
+			}
+			results[i] = st.process(round[k-1-i], snap)
+		}
 		st.rounds++
 
-		// Merge in round order: deterministic regardless of which worker
-		// produced which result. Pseudocost observations fold in here, in the
-		// same order, so the table every worker reads next round is
-		// schedule-independent.
+		// Merge in round order. Pseudocost observations fold in here, in the
+		// same order, so the table the next round reads is fixed before it
+		// starts.
 		cut := false
 		for i := range results {
 			r := &results[i]
@@ -650,7 +638,8 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 			b := n.seed
 			n.seed = nil
 			if b.refs--; b.refs == 0 {
-				st.recycle(b)
+				b.Reset()
+				st.sc.bases = append(st.sc.bases, b)
 			}
 			if !r.complete {
 				complete = false
@@ -686,11 +675,10 @@ const guideCap = 1000
 // (RINS: Danna, Rothberg & Le Pape, Math. Prog. 2005). It fixes every integer
 // column on which the root LP point x equals the rounded guide and runs the
 // same branch-and-bound over that smaller box, from seed (the root's optimal
-// basis), on one worker and for at most guideCap nodes. Its best point
-// becomes the incumbent with the empty path, like every seeded incumbent.
-// It runs before the first round, so its outcome is the same for every
-// worker count. It shares the presolved problem but has its own box,
-// scratch and pseudocosts (st.sub, kept in the arena): worker 0's scratch
+// basis), for at most guideCap nodes. Its best point becomes the incumbent
+// with the empty path, like every seeded incumbent. It runs before the
+// first round. It shares the presolved problem but has its own box, scratch
+// and pseudocosts (st.sub, kept in the arena): the main search's scratch
 // still holds the root.
 func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	budget := min(guideCap, st.opts.MaxNodes-st.work.Nodes)
@@ -723,14 +711,11 @@ func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
 	}
 	nb.pr, nb.red, nb.lpOpts = st.pr, st.red, st.lpOpts
 	nb.redInteger, nb.locks, nb.objOffset = st.redInteger, st.locks, st.objOffset
-	nb.workers = 1
-	if cap(nb.scratches) < 1 {
-		nb.scratches = make([]*bbScratch, 0, 1)
-	}
 	nb.pc.reset(n)
+	nb.sc.reset(lo, hi)
 	opts := st.lpOpts
 	opts.Basis = seed
-	opts.Scratch = &nb.scratch(0).lp
+	opts.Scratch = &nb.sc.lp
 	sol, err := lp.SolveWithBounds(st.red, lo, hi, &opts)
 	if err != nil {
 		return err
@@ -797,83 +782,11 @@ func (st *search) nextSlab() {
 	st.nslab++
 }
 
-// recycle hands a basis no open node is seeded from any more to the worker
-// with the fewest spare buffers. Merge section only.
-func (st *search) recycle(b *nodeBasis) {
-	b.Reset()
-	to := st.scratches[0]
-	for _, sc := range st.scratches[1:] {
-		if len(sc.bases) < len(to.bases) {
-			to = sc
-		}
-	}
-	to.bases = append(to.bases, b)
-}
-
-// processRound evaluates one round of frontier nodes against a fixed
-// incumbent snapshot. Workers steal the next unclaimed node from the round's
-// shared pool via an atomic cursor; results land in per-node slots. round is
-// a segment of the frontier stack, so the round's node i is round[k-1-i].
-// Siblings are adjacent there and share their seed: whoever claims the first
-// solves the second right after it on the same lp.Scratch, which then reads
-// the seed's pricing instead of repeating it, and a claim of the second is
-// void.
-func (st *search) processRound(round []*bbNode, results []bbResult) {
-	snap := st.inc
-	workers := min(st.workers, len(round))
-	sc0 := st.scratch(0)
-	st.cursor.Store(0)
-	for w := 1; w < workers; w++ {
-		st.wg.Add(1)
-		go func(sc *bbScratch) {
-			defer st.wg.Done()
-			st.claim(round, results, snap, sc)
-		}(st.scratch(w))
-	}
-	st.claim(round, results, snap, sc0) // the calling goroutine is worker 0
-	st.wg.Wait()
-}
-
-// claim is one worker's loop over a round: it claims the next node from
-// st.cursor, and with it the node's sibling, until the round is spent or
-// the search is interrupted.
-func (st *search) claim(round []*bbNode, results []bbResult, snap incumbent, sc *bbScratch) {
-	k := len(round)
-	for {
-		i := int(st.cursor.Add(1)) - 1
-		if i >= k || st.interrupted() {
-			return
-		}
-		n := round[k-1-i]
-		if i > 0 && round[k-i].seed == n.seed {
-			continue // solved with its sibling
-		}
-		results[i] = st.process(n, snap, sc)
-		if i+1 < k && round[k-2-i].seed == n.seed && !st.interrupted() {
-			results[i+1] = st.process(round[k-2-i], snap, sc)
-		}
-	}
-}
-
-// scratch returns worker w's reusable buffers, re-initialised on first use
-// in the solve: the spare the arena kept, else a new one. Workers are taken
-// in order, w ≤ len(st.scratches), and st.scratches has room for every
-// worker. Called only between rounds / before worker launch.
-func (st *search) scratch(w int) *bbScratch {
-	if w == len(st.scratches) {
-		st.scratches = st.scratches[:w+1]
-		if st.scratches[w] == nil {
-			st.scratches[w] = &bbScratch{}
-		}
-		st.scratches[w].reset(st.rootLo, st.rootHi)
-	}
-	return st.scratches[w]
-}
-
 // process materializes a node's bounds, solves its LP relaxation warm-started
 // from the parent basis, and returns its disposition relative to the
 // incumbent snapshot.
-func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
+func (st *search) process(n *bbNode, snap incumbent) bbResult {
+	sc := &st.sc
 	// Back to the root bounds where the previous node left them, then this
 	// node's path: O(depth), not O(n), for the same values.
 	sc.epoch++
@@ -905,9 +818,9 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 	if err != nil {
 		return bbResult{done: true, err: err}
 	}
-	// sol lives in sc.lp until the worker's next solve; dispose copies what
-	// the result keeps.
-	out := st.dispose(n, sol, snap, sc)
+	// sol lives in sc.lp until the next solve; dispose copies what the
+	// result keeps.
+	out := st.dispose(n, sol, snap)
 	out.work = nodeWork(sol)
 	// Realized objective degradation → pseudocost observation. Only optimal
 	// node solves produce one (a pruned-by-status or limited solve has no
@@ -934,10 +847,10 @@ func (st *search) process(n *bbNode, snap incumbent, sc *bbScratch) bbResult {
 
 // dispose classifies a solved node: prune, record an integer-feasible
 // candidate, or branch into children. It must depend only on its arguments
-// and between-round state (never the live incumbent) to keep rounds
-// deterministic. sc is the scratch the node was solved in: it holds the
+// and between-round state (never the live incumbent). The scratch holds the
 // node's bounds and, still live, the basis the children are seeded from.
-func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScratch) bbResult {
+func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent) bbResult {
+	sc := &st.sc
 	switch sol.Status {
 	case lp.StatusInfeasible:
 		return bbResult{done: true, complete: true}
@@ -953,11 +866,11 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 	if bv < 0 {
 		// Integer feasible: candidate incumbent (postsolved to full space).
 		return bbResult{done: true, complete: true,
-			cand: incumbent{x: st.pr.Postsolve(st.rounded(sol.X, sc)), obj: adjObj, path: pathOf(n)}}
+			cand: incumbent{x: st.pr.Postsolve(st.rounded(sol.X)), obj: adjObj, path: pathOf(n)}}
 	}
 	out := bbResult{done: true, complete: true}
 	if rounding {
-		out.cand = st.simpleRound(n, sol.X, snap, sc)
+		out.cand = st.simpleRound(n, sol.X, snap)
 	}
 	val := sol.X[bv]
 	floorV := math.Floor(val)
@@ -994,7 +907,7 @@ func (st *search) dispose(n *bbNode, sol *lp.Solution, snap incumbent, sc *bbScr
 }
 
 // interrupted reports whether the search hit its wall-clock limit or was
-// cancelled. Safe for concurrent use (reads immutable fields only).
+// cancelled.
 func (st *search) interrupted() bool { return st.interruption() != StopComplete }
 
 // interruption names what has interrupted the search: StopCancelled once the
@@ -1030,7 +943,7 @@ var fixing = true // reduced-cost fixing; only tests turn it off
 var rounding = true // simple rounding of fractional nodes; only tests turn it off
 
 // fixRoot tightens the root box by the root LP's reduced costs against the
-// live incumbent (see lp.Fix) and pushes each change into every worker's
+// live incumbent (see lp.Fix) and pushes each change into the scratch's
 // bounds. It moves only hi_j for d_j > 0 and lo_j for d_j < 0, so the bound
 // each d_j measures from stays the root solve's own. Merge section only.
 func (st *search) fixRoot() {
@@ -1049,9 +962,7 @@ func (st *search) fixRoot() {
 		}
 		if lo != st.rootLo[j] || hi != st.rootHi[j] {
 			st.rootLo[j], st.rootHi[j] = lo, hi
-			for _, sc := range st.scratches {
-				sc.lo[j], sc.hi[j] = lo, hi
-			}
+			st.sc.lo[j], st.sc.hi[j] = lo, hi
 		}
 	}
 }
@@ -1062,8 +973,7 @@ func (st *search) fixRoot() {
 // fractional variable; once observations exist it maximizes the standard
 // pseudocost product score max(pcDown·f, ε)·max(pcUp·(1−f), ε), sides
 // without history falling back to the global average. The strict >
-// comparison ties toward the lowest index, and the table is only mutated
-// between rounds, so the choice is deterministic for every worker count.
+// comparison ties toward the lowest index.
 func (st *search) pickBranchVar(x []float64) int {
 	usePC := st.pc.gCnt > 0
 	best := -1
@@ -1091,8 +1001,9 @@ func (st *search) pickBranchVar(x []float64) int {
 }
 
 // rounded is x with near-integer values of integer variables snapped
-// exactly (reduced space), in the worker's point buffer.
-func (st *search) rounded(x []float64, sc *bbScratch) []float64 {
+// exactly (reduced space), in the scratch's point buffer.
+func (st *search) rounded(x []float64) []float64 {
+	sc := &st.sc
 	sc.point = grow(sc.point, len(x))
 	copy(sc.point, x)
 	for j, isInt := range st.redInteger {
@@ -1143,12 +1054,13 @@ func columnLocks(dst []uint8, p *lp.Problem) []uint8 {
 // whose rounded value leaves the node's box. A rounded point priced below
 // the snapshot's cutoff is checked against the reduced rows and, when they
 // hold, returned postsolved as the node's candidate, with the node's path.
-// It reads only x, the node's box and snap, so its result is the same for
-// every worker count; it allocates only the candidate's postsolved point.
-func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScratch) incumbent {
+// It reads only x, the node's box and snap; it allocates only the
+// candidate's postsolved point.
+func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent) incumbent {
+	sc := &st.sc
 	obj := st.objOffset
 	for j, v := range x {
-		r, ok := st.roundCol(j, v, sc)
+		r, ok := st.roundCol(j, v)
 		if !ok {
 			return incumbent{}
 		}
@@ -1161,7 +1073,7 @@ func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScra
 	sc.point, sc.act = grow(sc.point, len(x)), grow(sc.act, st.red.NumRows())
 	clear(sc.act)
 	for j, v := range x {
-		r, _ := st.roundCol(j, v, sc)
+		r, _ := st.roundCol(j, v)
 		sc.point[j] = r
 		_, rows, coefs := st.red.Column(j)
 		for k, i := range rows {
@@ -1180,7 +1092,7 @@ func (st *search) simpleRound(n *bbNode, x []float64, snap incumbent, sc *bbScra
 // column is continuous, snapped when within intTol of an integer, else
 // rounded down unless a row locks it down, else up unless a row locks it
 // up. ok is false when both locks hold or the value leaves the node's box.
-func (st *search) roundCol(j int, v float64, sc *bbScratch) (r float64, ok bool) {
+func (st *search) roundCol(j int, v float64) (r float64, ok bool) {
 	if !st.redInteger[j] {
 		return v, true
 	}
@@ -1195,7 +1107,7 @@ func (st *search) roundCol(j int, v float64, sc *bbScratch) (r float64, ok bool)
 	default:
 		return 0, false
 	}
-	return r, r >= sc.lo[j] && r <= sc.hi[j]
+	return r, r >= st.sc.lo[j] && r <= st.sc.hi[j]
 }
 
 // checkFeasible verifies a candidate point against all rows, indicator

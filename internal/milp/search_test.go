@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -9,56 +8,46 @@ import (
 	"spq/internal/rng"
 )
 
-// workerMatrix is the determinism corpus's worker counts: sequential, a
-// small pool, and more workers than a round typically holds.
-var workerMatrix = []int{1, 2, 8}
-
-// solveWith solves the model with the given worker count and fails the test
-// on error.
-func solveWith(t *testing.T, m *Model, workers int, base *Options) *Result {
+// mustSolve solves the model and fails the test on error.
+func mustSolve(t *testing.T, m *Model, o *Options) *Result {
 	t.Helper()
-	o := Options{}
-	if base != nil {
-		o = *base
-	}
-	o.Parallelism = workers
-	res, err := Solve(m, &o)
+	res, err := Solve(m, o)
 	if err != nil {
-		t.Fatalf("Solve(workers=%d): %v", workers, err)
+		t.Fatalf("Solve: %v", err)
 	}
 	return res
 }
 
-// assertBitIdentical requires the full determinism contract: Status, Obj,
-// Bound, Nodes, the LP kernel's work counters and every element of X equal
-// exactly (==, not within tolerance) across worker counts.
-func assertBitIdentical(t *testing.T, tag string, base, got *Result, workers int) {
+// assertBitIdentical requires two solves to agree exactly (==, not within
+// tolerance): Status, Obj, Bound, Nodes, the LP kernel's work counters and
+// every element of X.
+func assertBitIdentical(t *testing.T, tag string, base, got *Result) {
 	t.Helper()
 	if got.Status != base.Status {
-		t.Fatalf("%s: workers=%d status %v != sequential %v", tag, workers, got.Status, base.Status)
+		t.Fatalf("%s: status %v != %v", tag, got.Status, base.Status)
 	}
 	if got.Obj != base.Obj {
-		t.Fatalf("%s: workers=%d obj %v != sequential %v", tag, workers, got.Obj, base.Obj)
+		t.Fatalf("%s: obj %v != %v", tag, got.Obj, base.Obj)
 	}
 	if got.Bound != base.Bound {
-		t.Fatalf("%s: workers=%d bound %v != sequential %v", tag, workers, got.Bound, base.Bound)
+		t.Fatalf("%s: bound %v != %v", tag, got.Bound, base.Bound)
 	}
 	if got.Nodes != base.Nodes {
-		t.Fatalf("%s: workers=%d nodes %d != sequential %d", tag, workers, got.Nodes, base.Nodes)
+		t.Fatalf("%s: nodes %d != %d", tag, got.Nodes, base.Nodes)
 	}
 	// The kernel counters too: a node solved from the wrong (recycled) basis,
 	// or from none, may still reach the same optimum, but not by the same
 	// pivots.
 	if got.LPIters != base.LPIters || got.WarmStarts != base.WarmStarts || got.BoundFlips != base.BoundFlips {
-		t.Fatalf("%s: workers=%d LP iters / warm starts / bound flips %d / %d / %d != sequential %d / %d / %d", tag, workers,
+		t.Fatalf("%s: LP iters / warm starts / bound flips %d / %d / %d != %d / %d / %d", tag,
 			got.LPIters, got.WarmStarts, got.BoundFlips, base.LPIters, base.WarmStarts, base.BoundFlips)
 	}
 	if (got.X == nil) != (base.X == nil) || len(got.X) != len(base.X) {
-		t.Fatalf("%s: workers=%d X shape diverged", tag, workers)
+		t.Fatalf("%s: X shape diverged", tag)
 	}
 	for j := range base.X {
 		if got.X[j] != base.X[j] {
-			t.Fatalf("%s: workers=%d X[%d] = %v != sequential %v", tag, workers, j, got.X[j], base.X[j])
+			t.Fatalf("%s: X[%d] = %v != %v", tag, j, got.X[j], base.X[j])
 		}
 	}
 }
@@ -125,55 +114,10 @@ func knapsackModel(s *rng.Stream, n int, cap float64) *Model {
 	return m
 }
 
-// TestParallelDeterminismMatrix is the PR's determinism acceptance test: the
-// property-test corpus solved with worker counts {1, 2, 8} must be
-// bit-identical — Status, Obj, Bound, Nodes, and X compared with == — for
-// every instance. CI additionally runs this under -cpu 1,2,4 -race.
-func TestParallelDeterminismMatrix(t *testing.T) {
-	type instance struct {
-		tag   string
-		model *Model
-		opts  *Options
-	}
-	var corpus []instance
-
-	s := rng.NewStream(11)
-	for trial := 0; trial < 25; trial++ {
-		corpus = append(corpus, instance{tag: fmt.Sprintf("ip%d", trial), model: randomIPModel(s)})
-	}
-	s = rng.NewStream(8)
-	for trial := 0; trial < 15; trial++ {
-		corpus = append(corpus, instance{tag: fmt.Sprintf("ind%d", trial), model: randomIndicatorModel(s)})
-	}
-	s = rng.NewStream(5)
-	corpus = append(corpus,
-		instance{tag: "knap20", model: knapsackModel(s, 20, 10)},
-		// RelGap pruning must be deterministic too: it is evaluated against
-		// the round-start snapshot, never the live incumbent.
-		instance{tag: "knap18gap", model: knapsackModel(s, 18, 9), opts: &Options{RelGap: 0.05}},
-		// A node budget binding mid-search is deterministic as long as no
-		// wall-clock limit is involved: rounds are cut at exact node counts.
-		instance{tag: "knap20nodes", model: knapsackModel(s, 20, 11), opts: &Options{MaxNodes: 50}},
-	)
-
-	for _, inst := range corpus {
-		base := solveWith(t, inst.model, 1, inst.opts)
-		for _, w := range workerMatrix[1:] {
-			got := solveWith(t, inst.model, w, inst.opts)
-			assertBitIdentical(t, inst.tag, base, got, w)
-		}
-		// Negative parallelism (one worker per CPU) is part of the contract.
-		got := solveWith(t, inst.model, -1, inst.opts)
-		assertBitIdentical(t, inst.tag, base, got, -1)
-	}
-}
-
 // TestDeepTreeNodePool is the recursion-depth regression test: a chain
 // instance whose search tree is thousands of levels deep. The old recursive
 // dive grew the goroutine stack by one frame per fixed binary; the explicit
-// node pool keeps ancestry on the heap. Run with a worker pool under -race
-// (the CI milp-race job) this also exercises concurrent node processing on a
-// deep frontier.
+// node pool keeps ancestry on the heap.
 func TestDeepTreeNodePool(t *testing.T) {
 	n := 5000
 	if testing.Short() {
@@ -194,7 +138,7 @@ func TestDeepTreeNodePool(t *testing.T) {
 	// variable per level.
 	m.AddRow(idxs, ones, -Inf, float64(n)-0.5)
 
-	res, err := Solve(m, &Options{Parallelism: 4, MaxNodes: 4*n + 10})
+	res, err := Solve(m, &Options{MaxNodes: 4*n + 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +168,7 @@ func TestDeepTreeNodePool(t *testing.T) {
 func TestKernelCountersPopulated(t *testing.T) {
 	s := rng.NewStream(5)
 	knap := knapsackModel(s, 20, 10)
-	res, err := Solve(knap, &Options{Parallelism: 1})
+	res, err := Solve(knap, nil)
 	if err != nil || res.Status != StatusOptimal {
 		t.Fatalf("knapsack: %+v err=%v", res, err)
 	}
@@ -234,7 +178,7 @@ func TestKernelCountersPopulated(t *testing.T) {
 	if res.WarmStarts > res.LPIters+res.Nodes {
 		t.Fatalf("WarmStarts = %d implausible vs %d nodes", res.WarmStarts, res.Nodes)
 	}
-	rep, err := Solve(knap, &Options{Parallelism: 1})
+	rep, err := Solve(knap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,40 +276,34 @@ func reportKernelMetrics(b *testing.B, lpIters, nodes, warm int64) {
 	b.ReportMetric(float64(warm)/n, "warm_hits/op")
 }
 
-// BenchmarkSolveParallel measures the parallel branch-and-bound on a
-// branching-heavy knapsack at worker counts 1/2/4. On a single-core runner
-// the interesting wall-clock number is parity (rounds and scratch reuse
-// ≈ free); the speedup row belongs on a multicore host (see DESIGN.md). The
-// lp_iters/nodes/warm_hits metrics are host-independent: they are
+// BenchmarkSolve measures branch and bound on a branching-heavy knapsack.
+// The lp_iters/nodes/warm_hits metrics are host-independent: they are
 // deterministic kernel-work counters.
-func BenchmarkSolveParallel(b *testing.B) {
+func BenchmarkSolve(b *testing.B) {
 	s := rng.NewStream(5)
 	model := knapsackModel(s, 26, 13)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			var lpIters, nodes, warm int64
-			for i := 0; i < b.N; i++ {
-				res, err := Solve(model, &Options{Parallelism: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Status != StatusOptimal {
-					b.Fatalf("status = %v", res.Status)
-				}
-				lpIters += int64(res.LPIters)
-				nodes += int64(res.Nodes)
-				warm += int64(res.WarmStarts)
-			}
-			reportKernelMetrics(b, lpIters, nodes, warm)
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var lpIters, nodes, warm int64
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(model, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status != StatusOptimal {
+			b.Fatalf("status = %v", res.Status)
+		}
+		lpIters += int64(res.LPIters)
+		nodes += int64(res.Nodes)
+		warm += int64(res.WarmStarts)
 	}
+	reportKernelMetrics(b, lpIters, nodes, warm)
 }
 
-// propertyCorpus rebuilds the determinism corpus's model set (random IPs,
-// indicator models, knapsacks) for benchmarking. Kept in sync with
-// TestParallelDeterminismMatrix so bench rows describe the same instances the
-// correctness suite runs.
+// propertyCorpus is the property corpus's model set: random IPs, indicator
+// models and knapsacks. TestHintedDeterminismMatrix and
+// TestGoldenKernelCounters solve it, and BenchmarkPropertyCorpus reports its
+// work.
 func propertyCorpus() []*Model {
 	var models []*Model
 	s := rng.NewStream(11)

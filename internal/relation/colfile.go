@@ -34,7 +34,7 @@ type ColumnSource interface {
 // BlockCache is an empty placeholder that keeps the type of the last
 // parameter of SpillCSV and OpenColumnDir, which the benchmark harness passes
 // as nil. The argument is ignored: column files are read through mmap or a
-// plain pread. ROADMAP item 3(c) removes the parameter and this type.
+// plain pread. ROADMAP item 5(c) removes the parameter and this type.
 type BlockCache struct{}
 
 // ColumnWriter streams values into a column file in constant memory; the
