@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"spq/client"
@@ -394,10 +393,6 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 		sp.SetInt("pinned_cols", int64(model.NumPinned()))
 	}
 	sp.SetAttr("hint", res.Hint.String())
-	if res.Hint == milp.HintGuide {
-		sp.SetInt("guide_nodes", int64(res.GuideNodes))
-		sp.SetAttr("guide_incumbent", strconv.FormatBool(res.GuideIncumbent))
-	}
 	sp.End()
 	r.totals.Add(res.SolveWork)
 	stop := res.Stop

@@ -322,9 +322,9 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 
 // solveCSA is the one CSA solve of an evaluation, cold or warm: it
 // formulates CSA_{Q,M,Z} over the summaries, solves it with package x as
-// the incumbent when x satisfies the formulation and as its neighbourhood
-// guide otherwise (SILP.CSAPoint), and stamps the solve's work and time on
-// it, whose M and Z name the formulation. A solve that finds a package
+// the incumbent when x satisfies the formulation (SILP.CSAPoint; the solver
+// ignores an infeasible one), and stamps the solve's work and time on it,
+// whose M and Z name the formulation. A solve that finds a package
 // records it as r.warm, by reference: the package (written into r.warm.X's
 // buffer), the summaries, M and Z. This is the only place the warm state is
 // written. The result's X may alias r.hint. The model goes back to the

@@ -25,8 +25,8 @@ import (
 type WarmStart struct {
 	// X is the accepted package of the previous evaluation. Mapped into the
 	// patched formulation's variable space, it is the re-solve's incumbent
-	// when it still satisfies the formulation and its neighbourhood guide
-	// otherwise.
+	// when it still satisfies the formulation; otherwise the solver ignores
+	// it.
 	X []float64
 	// Summaries holds the per-probabilistic-constraint summary groups of the
 	// accepting CSA formulation; ObjSummaries the probability-objective

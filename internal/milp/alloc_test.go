@@ -192,9 +192,9 @@ func TestWideSolveBytes(t *testing.T) {
 // for bit as a solve on fresh memory. Four goroutines each run the whole
 // corpus — CSA roots of 2 000 and 20 000 columns, one with pinned
 // columns, the benchmark knapsack
-// whole and cut at a node cap, the property corpus plain and hinted (so
-// neighbourhood searches run too) — in an order of their own, against the
-// same corpus solved one at a time on arenas of its own.
+// whole and cut at a node cap, the property corpus plain and hinted — in an
+// order of their own, against the same corpus solved one at a time on
+// arenas of its own.
 func TestSolveArenaReuseBitIdentical(t *testing.T) {
 	type job struct {
 		m *Model
@@ -217,19 +217,12 @@ func TestSolveArenaReuseBitIdentical(t *testing.T) {
 		jobs = append(jobs, job{m, nil}, job{m, &Options{InitialX: randomHint(m, s)}})
 	}
 	want := make([]*Result, len(jobs))
-	guided := 0
 	for i, j := range jobs {
 		res, err := new(arena).solve(j.m, j.o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res
-		if res.GuideNodes > 0 {
-			guided++
-		}
-	}
-	if guided == 0 {
-		t.Fatal("no neighbourhood search ran: the corpus does not reach the guide's search")
 	}
 	const goroutines = 4
 	errs := make([]error, goroutines)
@@ -276,9 +269,8 @@ func sameAnswer(got, want *Result) error {
 		return fmt.Errorf("work %+v, fresh memory %+v", got.SolveWork, want.SolveWork)
 	case got.Coefficients != want.Coefficients || got.Rounds != want.Rounds:
 		return fmt.Errorf("%d coefficients / %d rounds, fresh memory %d / %d", got.Coefficients, got.Rounds, want.Coefficients, want.Rounds)
-	case got.Hint != want.Hint || got.GuideNodes != want.GuideNodes || got.GuideIncumbent != want.GuideIncumbent:
-		return fmt.Errorf("hint %v / %d guide nodes / won %t, fresh memory %v / %d / %t",
-			got.Hint, got.GuideNodes, got.GuideIncumbent, want.Hint, want.GuideNodes, want.GuideIncumbent)
+	case got.Hint != want.Hint:
+		return fmt.Errorf("hint %v, fresh memory %v", got.Hint, want.Hint)
 	case (got.X == nil) != (want.X == nil) || len(got.X) != len(want.X):
 		return fmt.Errorf("point of %d entries, fresh memory %d", len(got.X), len(want.X))
 	}

@@ -147,8 +147,8 @@ func checkOracle(t *testing.T, tag string, o *oracleMILP, res *Result, gap float
 // FuzzMILP is the solver differential: random small MILPs solved against
 // exhaustive enumeration, once plain and once hinted with a random integer
 // point inside the bounds.
-// The hint is feasible or not, so both the seeded incumbent and the
-// neighbourhood search are held to the enumerated optimum.
+// The hint is feasible or not, so both the seeded incumbent and the solve
+// that ignores its hint are held to the enumerated optimum.
 func FuzzMILP(f *testing.F) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		f.Add(seed, uint8(seed))

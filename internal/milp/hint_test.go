@@ -21,17 +21,16 @@ func randomHint(m *Model, s *rng.Stream) []float64 {
 func assertSameHint(t *testing.T, tag string, base, got *Result) {
 	t.Helper()
 	assertBitIdentical(t, tag, base, got)
-	if got.Hint != base.Hint || got.GuideNodes != base.GuideNodes || got.GuideIncumbent != base.GuideIncumbent {
-		t.Fatalf("%s: hint %v / %d guide nodes / won %t != %v / %d / %t", tag,
-			got.Hint, got.GuideNodes, got.GuideIncumbent, base.Hint, base.GuideNodes, base.GuideIncumbent)
+	if got.Hint != base.Hint {
+		t.Fatalf("%s: hint %v != %v", tag, got.Hint, base.Hint)
 	}
 }
 
 // TestHintedDeterminismMatrix: solves hinted with a random in-bounds point —
-// an incumbent when it is feasible, the neighbourhood guide when it is not —
-// repeat bit for bit, hint fate included, on the property corpus and the
-// FuzzMILP generator. The corpus must exercise both fates and a
-// neighbourhood search that supplies the incumbent.
+// the incumbent when it is feasible, ignored when it is not — repeat bit for
+// bit, hint fate included, on the property corpus and the FuzzMILP
+// generator, and a solve whose hint was ignored is the unhinted solve. The
+// corpus must exercise both fates.
 func TestHintedDeterminismMatrix(t *testing.T) {
 	models := propertyCorpus()
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -39,20 +38,20 @@ func TestHintedDeterminismMatrix(t *testing.T) {
 	}
 	s := rng.NewStream(29)
 	fates := map[Hint]int{}
-	won := 0
 	for i, m := range models {
+		tag := fmt.Sprintf("model %d", i)
 		opts := &Options{InitialX: randomHint(m, s)}
 		base := mustSolve(t, m, opts)
 		fates[base.Hint]++
-		if base.GuideIncumbent {
-			won++
+		assertSameHint(t, tag, base, mustSolve(t, m, opts))
+		if base.Hint == HintIgnored {
+			assertBitIdentical(t, tag+" unhinted", mustSolve(t, m, nil), base)
 		}
-		assertSameHint(t, fmt.Sprintf("model %d", i), base, mustSolve(t, m, opts))
 	}
-	if fates[HintIncumbent] == 0 || fates[HintGuide] == 0 || won == 0 {
-		t.Fatalf("corpus too easy: hint fates %v, %d neighbourhood incumbents", fates, won)
+	if fates[HintIncumbent] == 0 || fates[HintIgnored] == 0 {
+		t.Fatalf("corpus too easy: hint fates %v", fates)
 	}
-	t.Logf("hint fates %v, %d neighbourhood incumbents", fates, won)
+	t.Logf("hint fates %v", fates)
 }
 
 // parityModel is min −Σx over n binaries subject to Σ 2x ≤ n with n odd:
@@ -70,88 +69,9 @@ func parityModel(n int) *Model {
 	return m
 }
 
-// lockedParityModel is parityModel with the row's lower side at n−1: the
-// two-sided row locks every column both ways, so simple rounding settles no
-// node, and the integer optimum is still −(n−1)/2.
-func lockedParityModel(n int) *Model {
-	m := parityModel(n)
-	m.rows[0].lo = float64(n - 1)
-	return m
-}
-
-// TestGuideCapKeepsStatus: a neighbourhood search that stops at its node cap
-// still hands over the point it found, and the main search still proves the
-// optimum: the cap never reaches Result.Status. Each guide is out of bounds
-// (so infeasible) except at three random columns, so it fixes at most three
-// columns of the root and leaves a neighbourhood too large for the cap; the
-// seeds are searched for the first guide that fixes any. The model's row
-// locks every column both ways, so no rounded point ends the neighbourhood
-// search before its cap.
-func TestGuideCapKeepsStatus(t *testing.T) {
-	const n = 15
-	m := lockedParityModel(n)
-	s := rng.NewStream(3)
-	for try := 0; try < 20; try++ {
-		guide := make([]float64, n)
-		for j := range guide {
-			guide[j] = 2
-		}
-		for k := 0; k < 3; k++ {
-			guide[s.IntN(n)] = float64(s.IntN(2))
-		}
-		res := mustSolve(t, m, &Options{InitialX: guide})
-		if res.Status != StatusOptimal || res.Obj != -(n-1)/2 {
-			t.Fatalf("try %d: status %v obj %v, want optimal %d", try, res.Status, res.Obj, -(n-1)/2)
-		}
-		if res.Hint != HintGuide || res.Nodes < res.GuideNodes {
-			t.Fatalf("try %d: hint %v, %d nodes of which %d guided", try, res.Hint, res.Nodes, res.GuideNodes)
-		}
-		if res.GuideNodes == 0 {
-			continue // the guide agreed with the root nowhere
-		}
-		if res.GuideNodes != guideCap || !res.GuideIncumbent {
-			t.Fatalf("try %d: %d guided nodes (cap %d), found a point: %t", try, res.GuideNodes, guideCap, res.GuideIncumbent)
-		}
-		t.Logf("try %d: %d nodes, %d of them in the capped neighbourhood", try, res.Nodes, res.GuideNodes)
-		return
-	}
-	t.Fatal("no guide agreed with the root anywhere")
-}
-
-// TestGuideSkipped: the neighbourhood search does not run when the root
-// relaxation is integral, nor when the guide agrees with the root point on
-// no integer column; the solve is then the unhinted one, bit for bit.
-func TestGuideSkipped(t *testing.T) {
-	// Integral root: the LP optimum of min x, x ≥ 2 is the integer 2.
-	integral := NewModel()
-	x := integral.AddVar(0, 5, 1, true)
-	integral.AddRow([]int{x}, []float64{1}, 2, Inf)
-
-	// Fractional root (Σx = 7.5 over 15 binaries), and a guide outside every
-	// column's bounds, which rounds to a value no root coordinate takes.
-	nowhere := make([]float64, 15)
-	for j := range nowhere {
-		nowhere[j] = -1
-	}
-	for _, c := range []struct {
-		tag   string
-		m     *Model
-		guide []float64
-	}{
-		{"integral root", integral, []float64{0}},
-		{"no agreement", parityModel(15), nowhere},
-	} {
-		base := mustSolve(t, c.m, nil)
-		res := mustSolve(t, c.m, &Options{InitialX: c.guide})
-		if res.Hint != HintGuide || res.GuideNodes != 0 || res.GuideIncumbent {
-			t.Fatalf("%s: hint %v, %d guide nodes, won %t; want a guide that never ran", c.tag, res.Hint, res.GuideNodes, res.GuideIncumbent)
-		}
-		assertBitIdentical(t, c.tag, base, res)
-	}
-}
-
 // TestHintFates: a feasible hint is the incumbent, returned uncopied when
-// nothing beats it; a hint of the wrong length is ignored.
+// nothing beats it; an infeasible hint and one of the wrong length are
+// ignored, and the solve is then the unhinted one, bit for bit.
 func TestHintFates(t *testing.T) {
 	m := NewModel()
 	a, b := m.AddVar(0, 3, -1, true), m.AddVar(0, 3, -1, true)
@@ -165,7 +85,34 @@ func TestHintFates(t *testing.T) {
 		t.Fatal("an optimal feasible hint was copied")
 	}
 	res = mustSolve(t, m, &Options{InitialX: []float64{1}})
-	if res.Hint != HintNone || res.Status != StatusOptimal || res.Obj != -4 {
-		t.Fatalf("short hint: %v, status %v obj %v", res.Hint, res.Status, res.Obj)
+	if res.Hint != HintNone {
+		t.Fatalf("short hint: %v, want %v", res.Hint, HintNone)
+	}
+	assertBitIdentical(t, "short hint", mustSolve(t, m, nil), res)
+
+	// Integral root: the LP optimum of min x, x ≥ 2 is the integer 2.
+	integral := NewModel()
+	x := integral.AddVar(0, 5, 1, true)
+	integral.AddRow([]int{x}, []float64{1}, 2, Inf)
+
+	// Fractional root (Σx = 7.5 over 15 binaries), and a hint outside every
+	// column's bounds.
+	nowhere := make([]float64, 15)
+	for j := range nowhere {
+		nowhere[j] = -1
+	}
+	for _, c := range []struct {
+		tag  string
+		m    *Model
+		hint []float64
+	}{
+		{"integral root", integral, []float64{0}},
+		{"fractional root", parityModel(15), nowhere},
+	} {
+		res := mustSolve(t, c.m, &Options{InitialX: c.hint})
+		if res.Hint != HintIgnored {
+			t.Fatalf("%s: hint %v, want %v", c.tag, res.Hint, HintIgnored)
+		}
+		assertBitIdentical(t, c.tag, mustSolve(t, c.m, nil), res)
 	}
 }

@@ -15,13 +15,10 @@
 // leave free (simple rounding: Achterberg, Constraint Integer Programming,
 // 2007), so incumbents appear within the first nodes; the root is no longer
 // rounded to nearest. A hinted point (Options.InitialX) becomes the
-// incumbent when it is feasible; otherwise, when rounding the root finds
-// none, it guides a capped search of the root's neighbourhood for one
-// before the first round (relaxation-induced neighbourhood search: Danna,
-// Rothberg & Le Pape, Math. Prog. 2005). Cancellation (Options.Cancel) and
-// the time limit reach into the simplex iteration loop itself via
-// lp.Options, so an abort takes effect within one LP iteration, not one LP
-// solve.
+// incumbent when it is feasible and is ignored otherwise. Cancellation
+// (Options.Cancel) and the time limit reach into the simplex iteration loop
+// itself via lp.Options, so an abort takes effect within one LP iteration,
+// not one LP solve.
 //
 // Minimization is canonical; callers maximize by negating objective
 // coefficients.
@@ -443,13 +440,9 @@ type Options struct {
 	RelGap float64
 	// InitialX optionally hints a point in model space (e.g. the previous
 	// CSA-Solve package). A feasible hint seeds the incumbent and is not
-	// copied: Result.X may be this slice. An infeasible one is the
-	// neighbourhood guide: when the root relaxation is fractional and no
-	// incumbent exists after rounding the root, the integer columns on
-	// which the root LP point equals the rounded hint are fixed and a capped
-	// search of that smaller box supplies the first incumbent (see
-	// Result.Hint). A hint of the wrong
-	// length is ignored.
+	// copied: Result.X may be this slice. An infeasible hint, or one of the
+	// wrong length, is ignored: the solve is the unhinted one, bit for bit,
+	// but for Result.Hint.
 	InitialX []float64
 	// Cancel, when non-nil, aborts the search as soon as the channel is
 	// closed. The best incumbent found so far is returned. It carries
@@ -511,13 +504,6 @@ type Result struct {
 	Rounds int
 	// Hint is what became of Options.InitialX.
 	Hint Hint
-	// GuideNodes counts the nodes, its root included, of the neighbourhood
-	// search an infeasible InitialX guided (0 when none ran). SolveWork
-	// includes that search.
-	GuideNodes int
-	// GuideIncumbent reports that the neighbourhood search found a point,
-	// which became the main search's first incumbent.
-	GuideIncumbent bool
 }
 
 // Hint is the fate of Options.InitialX in one solve.
@@ -528,17 +514,16 @@ const (
 	HintNone Hint = iota
 	// HintIncumbent means InitialX was feasible and seeded the incumbent.
 	HintIncumbent
-	// HintGuide means InitialX was infeasible and served as the
-	// neighbourhood guide.
-	HintGuide
+	// HintIgnored means InitialX was infeasible and was ignored.
+	HintIgnored
 )
 
 func (h Hint) String() string {
 	switch h {
 	case HintIncumbent:
 		return "incumbent"
-	case HintGuide:
-		return "guide"
+	case HintIgnored:
+		return "ignored"
 	default:
 		return "none"
 	}

@@ -109,11 +109,11 @@ type bbNode struct {
 	frac      float64
 }
 
-// pathOf materializes the node's canonical path id (root = empty). Seeded
-// incumbents (InitialX, the guided neighbourhood search's point) and the
-// root's rounded point use the empty path, so they win objective ties
-// against any search-discovered point — the same "strict improvement only"
-// rule the sequential dive applied to them.
+// pathOf materializes the node's canonical path id (root = empty). A seeded
+// incumbent (a feasible InitialX) and the root's rounded point use the empty
+// path, so they win objective ties against any search-discovered point —
+// the same "strict improvement only" rule the sequential dive applied to
+// them.
 func pathOf(n *bbNode) []byte {
 	if n == nil {
 		return nil
@@ -299,10 +299,6 @@ type search struct {
 	rootD          []float64 // root LP reduced costs, captured once the root branches (empty before)
 	rootBound      float64   // the root LP's Lagrangian bound under rootD
 
-	guide      []float64 // an infeasible Options.InitialX (full space), nil otherwise
-	guideNodes int       // nodes of the neighbourhood search it guided
-	guideWon   bool      // that search supplied the incumbent
-
 	inc     incumbent
 	stop    Stop             // why run ended (StopComplete until a budget ends it)
 	work    client.SolveWork // accumulated between rounds
@@ -314,7 +310,6 @@ type search struct {
 	slabs   [][]bbNode // every slab made, reused in order: slabs[:nslab] are this solve's
 	nslab   int
 	free    *bbNode // retired nodes, linked through parent, reused before the slab grows
-	sub     *search // the neighbourhood search's state (searchGuide), made on first use
 }
 
 // reset re-initialises st for a solve of model under opts, keeping the
@@ -334,7 +329,6 @@ func (st *search) reset(model *Model, opts Options) {
 		sc:         st.sc,
 		results:    st.results,
 		slabs:      st.slabs,
-		sub:        st.sub,
 	}
 	clear(st.results)
 }
@@ -377,9 +371,7 @@ func (a *arena) release() {
 		a.poison()
 	}
 	a.form.m = nil
-	for st := &a.st; st != nil; st = st.sub {
-		st.reset(nil, Options{})
-	}
+	a.st.reset(nil, Options{})
 	if !spare.CompareAndSwap(nil, a) {
 		arenas.Put(a)
 	}
@@ -405,21 +397,20 @@ func (a *arena) poison() {
 		}
 	}
 	nan(a.form.bigM)
-	for st := &a.st; st != nil; st = st.sub {
-		nan(st.rootLo, st.rootHi, st.rootD, st.pc.downSum, st.pc.upSum)
-		neg(st.pc.downCnt, st.pc.upCnt)
-		nan(st.sc.lo, st.sc.hi, st.sc.point, st.sc.act)
-		neg(st.sc.stamp, st.sc.touched[:cap(st.sc.touched)])
-		for k, slab := range st.slabs[:st.nslab] {
-			if k == st.nslab-1 {
-				slab = st.slab
-			} else {
-				slab = slab[:cap(slab)]
-			}
-			for i := range slab {
-				n := &slab[i]
-				n.branchVar, n.lo, n.hi, n.parentObj, n.frac = -1, math.NaN(), math.NaN(), math.NaN(), math.NaN()
-			}
+	st := &a.st
+	nan(st.rootLo, st.rootHi, st.rootD, st.pc.downSum, st.pc.upSum)
+	neg(st.pc.downCnt, st.pc.upCnt)
+	nan(st.sc.lo, st.sc.hi, st.sc.point, st.sc.act)
+	neg(st.sc.stamp, st.sc.touched[:cap(st.sc.touched)])
+	for k, slab := range st.slabs[:st.nslab] {
+		if k == st.nslab-1 {
+			slab = st.slab
+		} else {
+			slab = slab[:cap(slab)]
+		}
+		for i := range slab {
+			n := &slab[i]
+			n.branchVar, n.lo, n.hi, n.parentObj, n.frac = -1, math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		}
 	}
 }
@@ -456,8 +447,7 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 			st.inc = incumbent{x: opts.InitialX, obj: obj} // not copied: see Options.InitialX
 			hint = HintIncumbent
 		} else {
-			st.guide = opts.InitialX
-			hint = HintGuide
+			hint = HintIgnored
 		}
 	}
 
@@ -543,7 +533,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 	res.SolveWork = st.work
 	res.Stop = st.stop
 	res.Rounds = st.rounds
-	res.GuideNodes, res.GuideIncumbent = st.guideNodes, st.guideWon
 	switch {
 	case st.inc.x != nil && complete:
 		res.Status = StatusOptimal
@@ -571,11 +560,6 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		st.rootD = grow(st.rootD, st.red.NumVars())
 		st.rootBound = st.sc.lp.ReducedCosts(st.rootD)
 		st.fixRoot()
-	}
-	if rootRes.nkids > 0 && st.inc.x == nil && st.guide != nil {
-		if err := st.searchGuide(rootSol.X, &rootRes.kids[0].seed.Basis); err != nil {
-			return false, err
-		}
 	}
 	releaseX(rootSol.X)
 	complete := rootRes.complete
@@ -665,74 +649,6 @@ func (st *search) run(rootSol *lp.Solution) (bool, error) {
 		st.stop = st.interruption()
 	}
 	return complete, nil
-}
-
-// guideCap bounds the neighbourhood search of an infeasible Options.InitialX,
-// its root included.
-const guideCap = 1000
-
-// searchGuide is the neighbourhood search of an infeasible Options.InitialX
-// (RINS: Danna, Rothberg & Le Pape, Math. Prog. 2005). It fixes every integer
-// column on which the root LP point x equals the rounded guide and runs the
-// same branch-and-bound over that smaller box, from seed (the root's optimal
-// basis), for at most guideCap nodes. Its best point becomes the incumbent
-// with the empty path, like every seeded incumbent. It runs before the
-// first round. It shares the presolved problem but has its own box, scratch
-// and pseudocosts (st.sub, kept in the arena): the main search's scratch
-// still holds the root.
-func (st *search) searchGuide(x []float64, seed *lp.Basis) error {
-	budget := min(guideCap, st.opts.MaxNodes-st.work.Nodes)
-	if budget <= 0 {
-		return nil
-	}
-	if st.sub == nil {
-		st.sub = &search{}
-	}
-	nb := st.sub
-	nb.reset(st.model, st.opts)
-	nb.opts.MaxNodes = budget
-	n := len(st.rootLo)
-	lo, hi := grow(nb.rootLo, n), grow(nb.rootHi, n)
-	copy(lo, st.rootLo)
-	copy(hi, st.rootHi)
-	fixed := 0
-	for j, isInt := range st.redInteger {
-		if !isInt {
-			continue
-		}
-		if g := math.Round(st.guide[st.pr.Col(j)]); math.Abs(x[j]-g) <= intTol {
-			lo[j], hi[j] = g, g
-			fixed++
-		}
-	}
-	nb.rootLo, nb.rootHi = lo, hi
-	if fixed == 0 {
-		return nil
-	}
-	nb.pr, nb.red, nb.lpOpts = st.pr, st.red, st.lpOpts
-	nb.redInteger, nb.locks, nb.objOffset = st.redInteger, st.locks, st.objOffset
-	nb.pc.reset(n)
-	nb.sc.reset(lo, hi)
-	opts := st.lpOpts
-	opts.Basis = seed
-	opts.Scratch = &nb.sc.lp
-	sol, err := lp.SolveWithBounds(st.red, lo, hi, &opts)
-	if err != nil {
-		return err
-	}
-	nb.work = nodeWork(sol)
-	if _, err := nb.run(sol); err != nil {
-		return err
-	}
-	st.work.Add(nb.work)
-	st.rounds += nb.rounds
-	st.guideNodes = nb.work.Nodes
-	if nb.inc.x != nil {
-		st.inc = incumbent{x: nb.inc.x, obj: nb.inc.obj}
-		st.guideWon = true
-		st.fixRoot()
-	}
-	return nil
 }
 
 // retire puts n on the free list if it has no open child, and then every
