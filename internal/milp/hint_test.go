@@ -70,8 +70,8 @@ func parityModel(n int) *Model {
 }
 
 // TestHintFates: a feasible hint is the incumbent, returned uncopied when
-// nothing beats it; an infeasible hint and one of the wrong length are
-// ignored, and the solve is then the unhinted one, bit for bit.
+// nothing beats it; a hint of the wrong length is ignored, and the solve is
+// then the unhinted one, bit for bit.
 func TestHintFates(t *testing.T) {
 	m := NewModel()
 	a, b := m.AddVar(0, 3, -1, true), m.AddVar(0, 3, -1, true)
@@ -89,7 +89,12 @@ func TestHintFates(t *testing.T) {
 		t.Fatalf("short hint: %v, want %v", res.Hint, HintNone)
 	}
 	assertBitIdentical(t, "short hint", mustSolve(t, m, nil), res)
+}
 
+// TestGuideSkipped: an infeasible hint guides nothing, whether the root
+// relaxation is integral or fractional; it is ignored, and the solve is then
+// the unhinted one, bit for bit.
+func TestGuideSkipped(t *testing.T) {
 	// Integral root: the LP optimum of min x, x ≥ 2 is the integer 2.
 	integral := NewModel()
 	x := integral.AddVar(0, 5, 1, true)

@@ -130,6 +130,23 @@ func (it *TupleIter) Next() (lo, hi int, cols [][]float64, ok bool, err error) {
 	return lo, hi, it.cols, true, nil
 }
 
+// rowGetter reads the named attributes of row i of a TupleIter block. One
+// getter serves a whole scan, so a predicate costs no allocation per tuple.
+type rowGetter struct {
+	attrs []string
+	cols  [][]float64
+	i     int
+}
+
+func (r *rowGetter) get(a string) float64 {
+	for j, name := range r.attrs {
+		if name == a {
+			return r.cols[j][r.i]
+		}
+	}
+	return 0
+}
+
 // Filter evaluates pred over the deterministic attributes block-by-block and
 // returns the indices of the tuples that survive — predicate pushdown: no
 // scenario value is ever generated for a filtered tuple. pred receives a
@@ -137,6 +154,8 @@ func (it *TupleIter) Next() (lo, hi int, cols [][]float64, ok bool, err error) {
 func Filter(rel *relation.Relation, attrs []string, pred func(get func(string) float64) bool, block int) ([]int, error) {
 	kept := []int{}
 	it := NewTupleIter(rel, attrs, block)
+	row := rowGetter{attrs: attrs}
+	get := row.get
 	for {
 		lo, hi, cols, ok, err := it.Next()
 		if err != nil {
@@ -145,16 +164,10 @@ func Filter(rel *relation.Relation, attrs []string, pred func(get func(string) f
 		if !ok {
 			break
 		}
+		row.cols = cols
 		keptBefore := len(kept)
 		for t := lo; t < hi; t++ {
-			get := func(a string) float64 {
-				for i, name := range attrs {
-					if name == a {
-						return cols[i][t-lo]
-					}
-				}
-				return 0
-			}
+			row.i = t - lo
 			if pred(get) {
 				kept = append(kept, t)
 			}
@@ -171,6 +184,8 @@ func Filter(rel *relation.Relation, attrs []string, pred func(get func(string) f
 func MaskOf(rel *relation.Relation, attrs []string, pred func(get func(string) float64) bool, block int) ([]bool, error) {
 	mask := make([]bool, rel.N())
 	it := NewTupleIter(rel, attrs, block)
+	row := rowGetter{attrs: attrs}
+	get := row.get
 	for {
 		lo, hi, cols, ok, err := it.Next()
 		if err != nil {
@@ -179,15 +194,9 @@ func MaskOf(rel *relation.Relation, attrs []string, pred func(get func(string) f
 		if !ok {
 			break
 		}
+		row.cols = cols
 		for t := lo; t < hi; t++ {
-			get := func(a string) float64 {
-				for i, name := range attrs {
-					if name == a {
-						return cols[i][t-lo]
-					}
-				}
-				return 0
-			}
+			row.i = t - lo
 			mask[t] = pred(get)
 		}
 	}
