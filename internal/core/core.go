@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"spq/client"
@@ -305,11 +306,6 @@ type runner struct {
 	// solveCSA: X is the buffer that holds its package. finish attaches it
 	// to the returned solution when the accepted package is that one.
 	warm WarmStart
-
-	// hint is the buffer every CSA solve of the evaluation receives its
-	// previous package in (SILP.CSAPoint, milp.Options.InitialX). A solve's
-	// Result.X may alias it, so a result is read before the next solve.
-	hint []float64
 }
 
 func newRunner(ctx context.Context, silp *translate.SILP, o *Options) *runner {
@@ -345,8 +341,8 @@ func (r *runner) timeUp() bool {
 }
 
 // solverOptions builds per-solve MILP options respecting the remaining
-// global budget, optionally seeding the incumbent.
-func (r *runner) solverOptions(initial []float64) *milp.Options {
+// global budget.
+func (r *runner) solverOptions() *milp.Options {
 	limit := r.opts.SolverTime
 	if r.hasDL {
 		if rem := time.Until(r.deadline); rem < limit {
@@ -360,7 +356,6 @@ func (r *runner) solverOptions(initial []float64) *milp.Options {
 		TimeLimit: limit,
 		MaxNodes:  r.opts.SolverNodes,
 		RelGap:    r.opts.RelGap,
-		InitialX:  initial,
 		Cancel:    r.ctx.Done(),
 	}
 }
@@ -392,7 +387,6 @@ func (r *runner) solveMILP(kind string, model *milp.Model, opts *milp.Options) (
 	if sp != nil { // counting the pins walks the model
 		sp.SetInt("pinned_cols", int64(model.NumPinned()))
 	}
-	sp.SetAttr("hint", res.Hint.String())
 	sp.End()
 	r.totals.Add(res.SolveWork)
 	stop := res.Stop
@@ -430,7 +424,7 @@ func (r *runner) finish(sol *Solution) *Solution {
 	// Attach the latest CSA formulation only when the returned package is
 	// the one its solve produced (a best-effort solution from an earlier
 	// iteration would not match it).
-	if r.warm.X != nil && sol.Feasible && sameX(sol.X, r.warm.X) {
+	if r.warm.X != nil && sol.Feasible && slices.Equal(sol.X, r.warm.X) {
 		w := r.warm
 		w.X = sol.X
 		sol.Warm = &w

@@ -291,7 +291,7 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 		// search that ran to completion on it would return the same result.
 		if prevRes == nil || !sameSummaries(summaries, prevSummaries) ||
 			(prevRes.Status != milp.StatusOptimal && prevRes.Status != milp.StatusInfeasible) {
-			if prevRes, err = r.solveCSA("csa", it, x, summaries, objSummaries); err != nil {
+			if prevRes, err = r.solveCSA("csa", it, summaries, objSummaries); err != nil {
 				return nil, err
 			}
 		}
@@ -321,22 +321,19 @@ func (r *runner) csaSolve(x0 []float64, mCount, zCount int) (*Solution, error) {
 }
 
 // solveCSA is the one CSA solve of an evaluation, cold or warm: it
-// formulates CSA_{Q,M,Z} over the summaries, solves it with package x as
-// the incumbent when x satisfies the formulation (SILP.CSAPoint; the solver
-// ignores an infeasible one), and stamps the solve's work and time on it,
-// whose M and Z name the formulation. A solve that finds a package
-// records it as r.warm, by reference: the package (written into r.warm.X's
-// buffer), the summaries, M and Z. This is the only place the warm state is
-// written. The result's X may alias r.hint. The model goes back to the
-// SILP (Recycle) once the solve is done with it.
-func (r *runner) solveCSA(kind string, it *Iteration, x []float64, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Result, error) {
-	model, vm, err := r.silp.FormulateCSA(summaries, objSummaries)
+// formulates CSA_{Q,M,Z} over the summaries, solves it, and stamps the
+// solve's work and time on it, whose M and Z name the formulation. A solve
+// that finds a package records it as r.warm, by reference: the package
+// (written into r.warm.X's buffer), the summaries, M and Z. This is the
+// only place the warm state is written. The model goes back to the SILP
+// (Recycle) once the solve is done with it.
+func (r *runner) solveCSA(kind string, it *Iteration, summaries [][]*scenario.Summary, objSummaries []*scenario.Summary) (*milp.Result, error) {
+	model, _, err := r.silp.FormulateCSA(summaries, objSummaries)
 	if err != nil {
 		return nil, err
 	}
 	solveStart := time.Now()
-	r.hint = r.silp.CSAPoint(r.hint, x, model.NumVars(), vm, summaries, objSummaries)
-	res, err := r.solveMILP(kind, model, r.solverOptions(r.hint))
+	res, err := r.solveMILP(kind, model, r.solverOptions())
 	r.silp.Recycle(model)
 	if err != nil {
 		return nil, fmt.Errorf("core: CSA solve (M=%d, Z=%d): %w", it.M, it.Z, err)

@@ -47,7 +47,7 @@ func (r *runner) naive() (*Solution, error) {
 			return nil, err
 		}
 		solveStart := time.Now()
-		res, err := r.solveMILP("saa", model, r.solverOptions(nil))
+		res, err := r.solveMILP("saa", model, r.solverOptions())
 		silp.Recycle(model)
 		if err != nil {
 			return nil, fmt.Errorf("core: naive solve with M=%d: %w", m, err)

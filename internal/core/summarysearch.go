@@ -27,7 +27,7 @@ func (r *runner) solveUnconstrained() ([]float64, error) {
 		return x, nil
 	}
 	model, _ := silp.FormulateUnconstrained()
-	res, err := r.solveMILP("unconstrained", model, r.solverOptions(nil))
+	res, err := r.solveMILP("unconstrained", model, r.solverOptions())
 	silp.Recycle(model)
 	if err != nil {
 		return nil, err

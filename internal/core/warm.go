@@ -23,10 +23,9 @@ import (
 // back to the cold path. It never crosses process boundaries (not
 // serialized).
 type WarmStart struct {
-	// X is the accepted package of the previous evaluation. Mapped into the
-	// patched formulation's variable space, it is the re-solve's incumbent
-	// when it still satisfies the formulation; otherwise the solver ignores
-	// it.
+	// X is the accepted package of the previous evaluation. The re-solve
+	// takes no incumbent, so X only checks that the warm state fits the
+	// relation: its length is the relation's tuple count.
 	X []float64
 	// Summaries holds the per-probabilistic-constraint summary groups of the
 	// accepting CSA formulation; ObjSummaries the probability-objective
@@ -43,11 +42,11 @@ type WarmStart struct {
 }
 
 // tryWarm attempts the delta re-solve fast path: patch the previous accepted
-// CSA formulation's summaries at the touched tuples, re-solve the MILP seeded
-// with the previous package, and accept the result if it validates feasible
-// within ε. It returns (nil, nil) when the warm state does not fit this
-// evaluation or the warm solve does not reach an acceptable solution — the
-// caller then runs the cold path from the top.
+// CSA formulation's summaries at the touched tuples, re-solve the MILP with
+// no incumbent, and accept the result if it validates feasible within ε. It
+// returns (nil, nil) when the warm state does not fit this evaluation or the
+// warm solve does not reach an acceptable solution — the caller then runs
+// the cold path from the top.
 func (r *runner) tryWarm() (*Solution, error) {
 	w := r.opts.Warm
 	silp := r.silp
@@ -96,7 +95,7 @@ func (r *runner) tryWarm() (*Solution, error) {
 	sp.End()
 
 	it := Iteration{M: w.M, Z: w.Z}
-	res, err := r.solveCSA("csa-warm", &it, w.X, summaries, objSummaries)
+	res, err := r.solveCSA("csa-warm", &it, summaries, objSummaries)
 	if err != nil || res.X == nil {
 		return nil, err
 	}
@@ -116,17 +115,4 @@ func (r *runner) tryWarm() (*Solution, error) {
 	sol.WarmResolve = true
 	r.offer(len(r.iters), sol)
 	return sol, nil
-}
-
-// sameX reports element-wise equality of two packages.
-func sameX(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -48,8 +48,8 @@ func (e *Engine) warmStart(cr *cachedResult, p *plan) *core.WarmStart {
 	if ov.N() != n || len(cr.sol.Warm.X) != n {
 		return nil
 	}
-	// The warm X indexes the old view; it transfers only when both views
-	// enumerate the same base tuples in the same order.
+	// The warm summaries index the old view; they transfer only when both
+	// views enumerate the same base tuples in the same order.
 	for i := 0; i < n; i++ {
 		if nv.OrigIndex(i) != ov.OrigIndex(i) {
 			return nil

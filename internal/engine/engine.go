@@ -559,8 +559,9 @@ func (e *Engine) resultGet(key string) (hit, stale *cachedResult) {
 		return cr, nil
 	case moved:
 		// Invalidated for real — but the dying entry may carry the previous
-		// evaluation's warm-start state, which the re-solve of this request
-		// can start from instead of cold (see warmStart).
+		// evaluation's warm-start state, whose patched formulation the
+		// re-solve of this request solves instead of starting cold (see
+		// warmStart).
 		stale = cr
 		e.m.inc(statResultsInvalidated)
 	}

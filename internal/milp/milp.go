@@ -14,11 +14,10 @@
 // fractional, the root included, is rounded in the directions its rows
 // leave free (simple rounding: Achterberg, Constraint Integer Programming,
 // 2007), so incumbents appear within the first nodes; the root is no longer
-// rounded to nearest. A hinted point (Options.InitialX) becomes the
-// incumbent when it is feasible and is ignored otherwise. Cancellation
-// (Options.Cancel) and the time limit reach into the simplex iteration loop
-// itself via lp.Options, so an abort takes effect within one LP iteration,
-// not one LP solve.
+// rounded to nearest. The search takes no starting point: every incumbent
+// is one the tree found. Cancellation (Options.Cancel) and the time limit
+// reach into the simplex iteration loop itself via lp.Options, so an abort
+// takes effect within one LP iteration, not one LP solve.
 //
 // Minimization is canonical; callers maximize by negating objective
 // coefficients.
@@ -438,12 +437,6 @@ type Options struct {
 	// RelGap stops the search when (incumbent − bound)/|incumbent| falls
 	// below this value. 0 means prove optimality (within tolerance).
 	RelGap float64
-	// InitialX optionally hints a point in model space (e.g. the previous
-	// CSA-Solve package). A feasible hint seeds the incumbent and is not
-	// copied: Result.X may be this slice. An infeasible hint, or one of the
-	// wrong length, is ignored: the solve is the unhinted one, bit for bit,
-	// but for Result.Hint.
-	InitialX []float64
 	// Cancel, when non-nil, aborts the search as soon as the channel is
 	// closed. The best incumbent found so far is returned. It carries
 	// context cancellation into the solver without coupling this package to
@@ -502,29 +495,4 @@ type Result struct {
 	// Rounds is the number of rounds the search ran (0 when the root
 	// disposition resolved the tree).
 	Rounds int
-	// Hint is what became of Options.InitialX.
-	Hint Hint
-}
-
-// Hint is the fate of Options.InitialX in one solve.
-type Hint int
-
-const (
-	// HintNone means no InitialX was given, or one of the wrong length.
-	HintNone Hint = iota
-	// HintIncumbent means InitialX was feasible and seeded the incumbent.
-	HintIncumbent
-	// HintIgnored means InitialX was infeasible and was ignored.
-	HintIgnored
-)
-
-func (h Hint) String() string {
-	switch h {
-	case HintIncumbent:
-		return "incumbent"
-	case HintIgnored:
-		return "ignored"
-	default:
-		return "none"
-	}
 }

@@ -184,54 +184,30 @@ func TestIndicatorRequiresBinary(t *testing.T) {
 	}
 }
 
-func TestInitialIncumbentUsed(t *testing.T) {
-	m := NewModel()
-	x := m.AddVar(0, 5, 1, true)
-	m.AddRow([]int{x}, []float64{1}, 2, Inf)
-	res := solveOK(t, m, &Options{InitialX: []float64{3}, MaxNodes: 1})
-	if res.Status != StatusOptimal && res.Status != StatusFeasible {
-		t.Fatalf("status = %v, want a solution", res.Status)
-	}
-	if res.Obj > 3+1e-9 {
-		t.Fatalf("obj = %v, incumbent should be ≤ 3", res.Obj)
-	}
-}
-
-func TestInfeasibleInitialIncumbentIgnored(t *testing.T) {
-	m := NewModel()
-	x := m.AddVar(0, 5, 1, true)
-	m.AddRow([]int{x}, []float64{1}, 2, Inf)
-	res := solveOK(t, m, &Options{InitialX: []float64{0}}) // violates row
-	if res.Status != StatusOptimal || math.Abs(res.Obj-2) > 1e-6 {
-		t.Fatalf("status=%v obj=%v, want optimal 2", res.Status, res.Obj)
-	}
-}
-
+// TestTimeLimitReturnsIncumbent: a time limit that expires mid-search
+// returns the incumbent found so far. Simple rounding settles the parity
+// knapsack's optimum at the root, and proving it enumerates, so the limit
+// binds with that package in hand.
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A model large enough not to finish instantly, with a seeded incumbent.
-	s := rng.NewStream(3)
-	m := NewModel()
-	const n = 40
-	idxs := make([]int, n)
-	w := make([]float64, n)
-	x0 := make([]float64, n)
-	for j := 0; j < n; j++ {
-		idxs[j] = m.AddVar(0, 1, -(1 + s.Float64()), true)
-		w[j] = 1 + s.Float64()*3
+	const n = 41
+	m := parityModel(n)
+	res := solveOK(t, m, &Options{TimeLimit: 20 * time.Millisecond, MaxNodes: 1 << 30})
+	if res.Status != StatusFeasible || res.Stop != StopTimeCap || res.Obj != -(n-1)/2 {
+		t.Fatalf("status %v, stop %d, obj %v; want feasible at the time cap with obj %d", res.Status, res.Stop, res.Obj, -(n-1)/2)
 	}
-	m.AddRow(idxs, w, -Inf, 20)
-	res := solveOK(t, m, &Options{TimeLimit: time.Millisecond, InitialX: x0})
-	if res.X == nil {
-		t.Fatal("expected an incumbent (the all-zero seed at worst)")
+	if obj, ok := checkFeasible(m, res.X); !ok || obj != res.Obj {
+		t.Fatalf("returned an infeasible package (obj %v, reported %v)", obj, res.Obj)
 	}
 }
 
 // TestStopReason: Result.Stop names the budget that ended a search, apart
 // from what it found. The model is the parity model with Σ 2x ≤ n − ½: the
 // root LP's one fractional value is ¼, so rounding finds an incumbent at the
-// root, and every budget below binds after that. Each stop keeps a package
-// and reports StatusFeasible: the status alone cannot tell a node cap, which
-// repeats run to run, from a time cap or a cancellation, which do not.
+// root, and the "time cap" and "node cap" budgets bind after that: each
+// keeps that package and reports StatusFeasible, so the status alone cannot
+// tell a node cap, which repeats run to run, from a time cap, which does
+// not. A budget that binds before the root's first incumbent (a time cap of
+// a nanosecond, a closed Cancel) returns StatusLimit and no package.
 func TestStopReason(t *testing.T) {
 	const n = 41
 	model := func() *Model {
@@ -252,13 +228,13 @@ func TestStopReason(t *testing.T) {
 		stop   Stop
 	}{
 		{"time cap", Options{TimeLimit: 50 * time.Millisecond, MaxNodes: 1 << 30}, StatusFeasible, StopTimeCap},
-		{"time cap at the root", Options{TimeLimit: time.Nanosecond, InitialX: make([]float64, n)}, StatusFeasible, StopTimeCap},
-		{"cancelled", Options{Cancel: closed, InitialX: make([]float64, n)}, StatusFeasible, StopCancelled},
+		{"time cap at the root", Options{TimeLimit: time.Nanosecond}, StatusLimit, StopTimeCap},
+		{"cancelled", Options{Cancel: closed}, StatusLimit, StopCancelled},
 		{"node cap", Options{MaxNodes: 50}, StatusFeasible, StopNodeCap},
 	} {
 		res := solveOK(t, model(), &tc.opts)
-		if res.Status != tc.status || res.Stop != tc.stop || res.X == nil {
-			t.Fatalf("%s: status %v, stop %d, package %t; want %v, stop %d, a package", tc.name, res.Status, res.Stop, res.X != nil, tc.status, tc.stop)
+		if res.Status != tc.status || res.Stop != tc.stop || (res.X != nil) != (tc.status == StatusFeasible) {
+			t.Fatalf("%s: status %v, stop %d, package %t; want %v, stop %d", tc.name, res.Status, res.Stop, res.X != nil, tc.status, tc.stop)
 		}
 	}
 	if res := solveOK(t, parityModel(7), nil); res.Status != StatusOptimal || res.Stop != StopComplete {

@@ -22,6 +22,69 @@ func TestRoundingFindsParityIncumbent(t *testing.T) {
 	}
 }
 
+// parityModel is min −Σx over n binaries subject to Σ 2x ≤ n with n odd:
+// every relaxation that leaves a variable free is worth half a unit more
+// than any integer point, so proving the optimum −(n−1)/2 enumerates.
+func parityModel(n int) *Model {
+	m := NewModel()
+	idxs := make([]int, n)
+	twos := make([]float64, n)
+	for j := range idxs {
+		idxs[j] = m.AddBinary(-1)
+		twos[j] = 2
+	}
+	m.AddRow(idxs, twos, -Inf, float64(n))
+	return m
+}
+
+// checkFeasible verifies a candidate point against all rows, indicator
+// constraints, bounds, and integrality in the full model space; it returns
+// the objective value.
+func checkFeasible(m *Model, x []float64) (float64, bool) {
+	if len(x) != len(m.vars) {
+		return 0, false
+	}
+	obj := 0.0
+	for j, v := range m.vars {
+		if lo, hi := v.box(); x[j] < lo-feasTol || x[j] > hi+feasTol {
+			return 0, false
+		}
+		if v.integer && math.Abs(x[j]-math.Round(x[j])) > feasTol {
+			return 0, false
+		}
+		obj += v.obj * x[j]
+	}
+	for _, r := range m.rows {
+		if dot := dotTerms(r.idxs, r.coefs, x); dot < r.lo-feasTol || dot > r.hi+feasTol {
+			return 0, false
+		}
+	}
+	for _, ind := range m.indicators {
+		if math.Round(x[ind.bin]) != 1 {
+			continue
+		}
+		dot := dotTerms(ind.idxs, ind.coefs, x)
+		if ind.ge && dot < ind.rhs-feasTol {
+			return 0, false
+		}
+		if !ind.ge && dot > ind.rhs+feasTol {
+			return 0, false
+		}
+	}
+	return obj, true
+}
+
+// dotTerms is Σ coefs·x over a row's nonzero terms (idxs as in rowSpec).
+func dotTerms(idxs []int, coefs, x []float64) float64 {
+	dot := 0.0
+	for k, c := range coefs {
+		if c != 0 {
+			dot += c * x[col(idxs, k)]
+		}
+	}
+	return dot
+}
+
 // lockModel draws n integer columns in [0, 3] with costs of either sign
 // under two ≤ rows over every column, which lock them all up, and one ≥
 // row over a random half of them, which locks that half down too: simple
@@ -77,7 +140,7 @@ func TestRoundingCandidatesDeterministic(t *testing.T) {
 			base := mustSolve(t, m, opts)
 			assertBitIdentical(t, tag, base, mustSolve(t, m, opts))
 			if base.X != nil {
-				if obj, ok := (&search{model: m}).checkFeasible(base.X); !ok || math.Abs(obj-base.Obj) > 1e-9 {
+				if obj, ok := checkFeasible(m, base.X); !ok || math.Abs(obj-base.Obj) > 1e-9 {
 					t.Fatalf("%s: returned an infeasible package (obj %v, reported %v)", tag, obj, base.Obj)
 				}
 			}

@@ -72,7 +72,7 @@ const roundSize = 64
 const intTol = 1e-6
 
 // feasTol is how far a candidate point may miss a bound, a row side or
-// integrality and still count as feasible (checkFeasible, simpleRound).
+// integrality and still count as feasible (simpleRound).
 const feasTol = 1e-6
 
 // nodeBasis is a branching node's optimal basis, the warm start of its
@@ -109,11 +109,10 @@ type bbNode struct {
 	frac      float64
 }
 
-// pathOf materializes the node's canonical path id (root = empty). A seeded
-// incumbent (a feasible InitialX) and the root's rounded point use the empty
-// path, so they win objective ties against any search-discovered point —
-// the same "strict improvement only" rule the sequential dive applied to
-// them.
+// pathOf materializes the node's canonical path id (root = empty). The
+// root's rounded point uses the empty path, so it wins objective ties
+// against any point found deeper in the tree — the same "strict
+// improvement only" rule the sequential dive applied to it.
 func pathOf(n *bbNode) []byte {
 	if n == nil {
 		return nil
@@ -286,7 +285,6 @@ func nodeWork(sol *lp.Solution) client.SolveWork {
 // reports through its bbResult slots. It lives in an arena, and reset
 // re-initialises it for each solve in the buffers of the previous one.
 type search struct {
-	model  *Model
 	pr     *lp.Presolved
 	red    *lp.Problem // presolved problem; all node LPs solve this
 	opts   Options
@@ -312,12 +310,11 @@ type search struct {
 	free    *bbNode // retired nodes, linked through parent, reused before the slab grows
 }
 
-// reset re-initialises st for a solve of model under opts, keeping the
-// buffers of its previous solve: everything it returns to zero or re-fills
-// before reading.
-func (st *search) reset(model *Model, opts Options) {
+// reset re-initialises st for a solve under opts, keeping the buffers of
+// its previous solve: everything it returns to zero or re-fills before
+// reading.
+func (st *search) reset(opts Options) {
 	*st = search{
-		model:      model,
 		opts:       opts,
 		inc:        incumbent{obj: math.Inf(1)},
 		rootLo:     st.rootLo[:0],
@@ -371,7 +368,7 @@ func (a *arena) release() {
 		a.poison()
 	}
 	a.form.m = nil
-	a.st.reset(nil, Options{})
+	a.st.reset(Options{})
 	if !spare.CompareAndSwap(nil, a) {
 		arenas.Put(a)
 	}
@@ -426,7 +423,7 @@ func Solve(m *Model, o *Options) (*Result, error) {
 func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 	opts := o.withDefaults()
 	st := &a.st
-	st.reset(m, opts)
+	st.reset(opts)
 	// Node LP solves inherit the caller's LP options plus the search's
 	// cancellation channel and deadline, so aborts land mid-iteration. A
 	// caller-supplied LP.Cancel/LP.Deadline is kept when the search adds
@@ -439,15 +436,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 	if opts.TimeLimit > 0 {
 		if dl := time.Now().Add(opts.TimeLimit); st.lpOpts.Deadline.IsZero() || dl.Before(st.lpOpts.Deadline) {
 			st.lpOpts.Deadline = dl
-		}
-	}
-	hint := HintNone
-	if len(opts.InitialX) > 0 && len(opts.InitialX) == len(m.vars) {
-		if obj, ok := st.checkFeasible(opts.InitialX); ok {
-			st.inc = incumbent{x: opts.InitialX, obj: obj} // not copied: see Options.InitialX
-			hint = HintIncumbent
-		} else {
-			hint = HintIgnored
 		}
 	}
 
@@ -463,13 +451,8 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 		SolveWork:    client.SolveWork{PresolveRows: st.pr.RowsRemoved, PresolveCols: st.pr.ColsRemoved},
 		PresolveTime: time.Since(start),
 		Coefficients: a.form.coefs,
-		Hint:         hint,
 	}
 	if st.pr.Infeasible {
-		if st.inc.x != nil {
-			res.Status, res.X, res.Obj, res.Bound = StatusFeasible, st.inc.x, st.inc.obj, math.Inf(1)
-			return res, nil
-		}
 		res.Status, res.Bound = StatusInfeasible, math.Inf(1)
 		return res, nil
 	}
@@ -505,10 +488,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 	res.Nodes, res.WarmStarts = 0, 0
 	switch rootSol.Status {
 	case lp.StatusInfeasible:
-		if st.inc.x != nil {
-			res.Status, res.X, res.Obj = StatusFeasible, st.inc.x, st.inc.obj
-			return res, nil
-		}
 		res.Status = StatusInfeasible
 		return res, nil
 	case lp.StatusUnbounded:
@@ -518,10 +497,6 @@ func (a *arena) solve(m *Model, o *Options) (*Result, error) {
 		res.Stop = StopNodeCap
 		if rootSol.Status == lp.StatusCancelled {
 			res.Stop = st.interruption()
-		}
-		if st.inc.x != nil {
-			res.Status, res.X, res.Obj = StatusFeasible, st.inc.x, st.inc.obj
-			return res, nil
 		}
 		res.Status = StatusLimit
 		return res, nil
@@ -1024,52 +999,4 @@ func (st *search) roundCol(j int, v float64) (r float64, ok bool) {
 		return 0, false
 	}
 	return r, r >= st.sc.lo[j] && r <= st.sc.hi[j]
-}
-
-// checkFeasible verifies a candidate point against all rows, indicator
-// constraints, bounds, and integrality in the full model space; it returns
-// the objective value.
-func (st *search) checkFeasible(x []float64) (float64, bool) {
-	if len(x) != len(st.model.vars) {
-		return 0, false
-	}
-	obj := 0.0
-	for j, v := range st.model.vars {
-		if lo, hi := v.box(); x[j] < lo-feasTol || x[j] > hi+feasTol {
-			return 0, false
-		}
-		if v.integer && math.Abs(x[j]-math.Round(x[j])) > feasTol {
-			return 0, false
-		}
-		obj += v.obj * x[j]
-	}
-	for _, r := range st.model.rows {
-		if dot := dotTerms(r.idxs, r.coefs, x); dot < r.lo-feasTol || dot > r.hi+feasTol {
-			return 0, false
-		}
-	}
-	for _, ind := range st.model.indicators {
-		if math.Round(x[ind.bin]) != 1 {
-			continue
-		}
-		dot := dotTerms(ind.idxs, ind.coefs, x)
-		if ind.ge && dot < ind.rhs-feasTol {
-			return 0, false
-		}
-		if !ind.ge && dot > ind.rhs+feasTol {
-			return 0, false
-		}
-	}
-	return obj, true
-}
-
-// dotTerms is Σ coefs·x over a row's nonzero terms (idxs as in rowSpec).
-func dotTerms(idxs []int, coefs, x []float64) float64 {
-	dot := 0.0
-	for k, c := range coefs {
-		if c != 0 {
-			dot += c * x[col(idxs, k)]
-		}
-	}
-	return dot
 }

@@ -301,9 +301,9 @@ func BenchmarkSolve(b *testing.B) {
 }
 
 // propertyCorpus is the property corpus's model set: random IPs, indicator
-// models and knapsacks. TestHintedDeterminismMatrix and
-// TestGoldenKernelCounters solve it, and BenchmarkPropertyCorpus reports its
-// work.
+// models and knapsacks. TestGoldenKernelCounters and
+// TestSolveArenaReuseBitIdentical solve it, and BenchmarkPropertyCorpus
+// reports its work.
 func propertyCorpus() []*Model {
 	var models []*Model
 	s := rng.NewStream(11)
